@@ -2,8 +2,8 @@
 
 Every benchmark artefact (``BENCH_*.json``) carries the same envelope —
 ``schema_version``, the benchmark name, host facts (platform, Python,
-NumPy, CPU count) and the measurement payload under ``results`` — written
-by :func:`write_bench_json`, so downstream tooling can parse any artefact
+NumPy, SciPy, CPU count) and the measurement payload under ``results`` —
+written by :func:`write_bench_json`, so downstream tooling can parse any artefact
 without per-script knowledge.  :func:`read_bench_results` reads either the
 enveloped layout or the pre-envelope bare dict, so ratio gates keep
 working across the transition.
@@ -33,11 +33,13 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def host_info() -> dict:
     """Host facts that contextualize a timing (never used in any gate)."""
     import numpy
+    import scipy
 
     return {
         "platform": platform.platform(),
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
     }
 

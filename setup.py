@@ -1,7 +1,7 @@
-"""Legacy setup shim.
+"""Package metadata and installation script.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so the package can be installed in editable mode on minimal/offline
+This file is the canonical project metadata (there is no ``pyproject.toml``).
+It also lets the package install in editable mode on minimal/offline
 environments where the PEP 660 editable-wheel path is unavailable
 (``pip install -e . --no-build-isolation --no-use-pep517``).
 """

@@ -20,17 +20,26 @@ the first step of that chain:
   bound used by the retransmission policies.
 
 All probabilities are per-bit unless stated otherwise.
+
+The inversion is memoized in a bounded cache: it depends on the code only
+through ``(n, t)``, and a full reproduction asks for a few dozen distinct
+``(n, t, target)`` triples several hundred times.  The root search is
+:func:`_brentq`, an in-tree port of SciPy's Brent solver
+(``scipy/optimize/Zeros/brentq.c``), and the binomial tail is
+``scipy.special.bdtrc``: importing ``scipy.optimize`` and ``scipy.stats`` for
+one call each cost about half a second per cold process.  The tests keep
+``scipy.optimize.brentq`` and ``scipy.stats.binom`` as oracles; the port
+returns SciPy's roots bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import comb
-from scipy.stats import binom
+from scipy.special import bdtrc
 
 from ..exceptions import ConfigurationError
 
@@ -112,7 +121,7 @@ def coded_ber_bounded_distance(
     total = 0.0
     for i in range(t + 1, n + 1):
         weight = min(i + t, n)
-        total += weight * comb(n, i, exact=True) * (p ** i) * ((1.0 - p) ** (n - i))
+        total += weight * math.comb(n, i) * (p ** i) * ((1.0 - p) ** (n - i))
     return float(total / n)
 
 
@@ -123,12 +132,16 @@ def output_ber(code: _CodeLike, raw_ber: float) -> float:
     codes and to the bounded-distance approximation otherwise; uncoded
     schemes (t = 0) pass the raw BER through unchanged.
     """
-    t = int(getattr(code, "correctable_errors", 0))
+    return _output_ber(code.n, int(getattr(code, "correctable_errors", 0)), raw_ber)
+
+
+def _output_ber(n: int, t: int, raw_ber: float) -> float:
+    """:func:`output_ber` of a code with block length ``n`` correcting ``t``."""
     if t == 0:
         return float(raw_ber)
     if t == 1:
-        return float(hamming_output_ber(raw_ber, code.n))
-    return coded_ber_bounded_distance(raw_ber, code.n, t)
+        return float(hamming_output_ber(raw_ber, n))
+    return coded_ber_bounded_distance(raw_ber, n, t)
 
 
 def raw_ber_for_target_output_ber(code: _CodeLike, target_ber: float) -> float:
@@ -145,9 +158,15 @@ def raw_ber_for_target_output_ber(code: _CodeLike, target_ber: float) -> float:
     t = int(getattr(code, "correctable_errors", 0))
     if t == 0:
         return float(target_ber)
+    return _raw_ber(int(code.n), t, float(target_ber))
+
+
+@functools.lru_cache(maxsize=1024)
+def _raw_ber(n: int, t: int, target_ber: float) -> float:
+    """Memoized root search of :func:`raw_ber_for_target_output_ber`."""
 
     def objective(p: float) -> float:
-        return output_ber(code, p) - target_ber
+        return _output_ber(n, t, p) - target_ber
 
     # The post-decoding BER is monotonically increasing in p on (0, ~0.5/n);
     # bracket the root between the target itself (coded is never worse than
@@ -156,12 +175,81 @@ def raw_ber_for_target_output_ber(code: _CodeLike, target_ber: float) -> float:
     high = 0.4
     if objective(low) > 0:
         # Extremely high targets where coding gives no benefit.
-        return float(target_ber)
+        return target_ber
     # Shrink the upper bracket until the objective is positive there.
     while objective(high) < 0 and high < 0.499:
         high = min(0.499, high * 1.2)
-    root = brentq(objective, low, high, xtol=1e-18, rtol=1e-12)
-    return float(root)
+    return _brentq(objective, low, high, xtol=1e-18, rtol=1e-12)
+
+
+def _brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    *,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method.
+
+    A line-for-line port of SciPy's ``brentq.c`` (same branches, same
+    tolerance ``delta = (xtol + rtol*|x|)/2``), so it returns the roots
+    ``scipy.optimize.brentq`` returns, bit for bit.  Raises ``ValueError``
+    when ``f(a)`` and ``f(b)`` share a sign and ``RuntimeError`` when
+    ``maxiter`` iterations do not converge, as SciPy does.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    fcur = float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def block_error_probability(
@@ -182,10 +270,10 @@ def block_error_probability(
     probability the probabilistic mode of :mod:`repro.netsim` samples packet
     outcomes from.
 
-    Evaluated through the binomial survival function rather than
-    ``1 - head-sum``, so deep operating points (raw BERs of 1e-7 and below,
-    where the tail drops under double-precision epsilon of 1) keep their
-    relative accuracy instead of cancelling to zero.
+    Evaluated through the binomial survival function (``bdtrc``) rather
+    than ``1 - head-sum``, so deep operating points (raw BERs of 1e-7 and
+    below, where the tail drops under double-precision epsilon of 1) keep
+    their relative accuracy instead of cancelling to zero.
     """
     if not 0.0 <= raw_ber <= 1.0:
         raise ConfigurationError("raw BER must lie in [0, 1]")
@@ -198,7 +286,7 @@ def block_error_probability(
         return 0.0
     n = block_length
     t = min(correctable_errors, n)
-    return float(min(1.0, max(0.0, binom.sf(t, n, p))))
+    return float(min(1.0, max(0.0, bdtrc(t, n, p))))
 
 
 def undetected_error_probability_upper_bound(
@@ -223,5 +311,5 @@ def undetected_error_probability_upper_bound(
         return 0.0
     total = 0.0
     for i in range(minimum_distance, block_length + 1):
-        total += comb(block_length, i, exact=True) * (p ** i) * ((1.0 - p) ** (block_length - i))
+        total += math.comb(block_length, i) * (p ** i) * ((1.0 - p) ** (block_length - i))
     return float(min(1.0, total))

@@ -85,6 +85,7 @@ def build_job_manifest(
 def environment_info() -> dict:
     """Versions and host facts that identify the software environment."""
     import numpy
+    import scipy
 
     import repro
 
@@ -93,6 +94,7 @@ def environment_info() -> dict:
         "package_version": repro.__version__,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }

@@ -13,10 +13,15 @@ channel carries a '1' at full power simultaneously, which is what Eq. 4's
 Crosstalk therefore scales with the per-channel optical power: the model
 returns a *crosstalk ratio* (crosstalk power divided by per-channel received
 power) so the link solver can apply it at any laser operating point.
+
+The worst-case ratio is a pure function of the (frozen, hashable) model and
+the link solver asks for it twice per operating point, so it is memoized per
+model; :meth:`CrosstalkModel.crosstalk_ratio` stays the unmemoized reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +66,7 @@ class CrosstalkModel:
 
     def worst_case_ratio(self) -> float:
         """Crosstalk ratio of the most-affected channel (a central one)."""
-        return max(
-            self.crosstalk_ratio(channel) for channel in range(self.grid.num_channels)
-        )
+        return _worst_case_ratio(self)
 
     def ratios(self) -> np.ndarray:
         """Crosstalk ratios of every channel."""
@@ -90,3 +93,9 @@ class CrosstalkModel:
             drive_power_w=config.modulator_power_w,
         )
         return cls(grid=grid, drop_ring=ring)
+
+
+@functools.lru_cache(maxsize=64)
+def _worst_case_ratio(model: CrosstalkModel) -> float:
+    """Memoized :meth:`CrosstalkModel.worst_case_ratio`."""
+    return max(model.crosstalk_ratio(channel) for channel in range(model.grid.num_channels))

@@ -36,12 +36,13 @@ class WDMGrid:
             raise ConfigurationError("channel spacing must be positive")
 
     @property
+    def _first_wavelength_m(self) -> float:
+        return self.center_wavelength_m - (self.num_channels - 1) / 2.0 * self.channel_spacing_m
+
+    @property
     def wavelengths_m(self) -> Tuple[float, ...]:
         """Channel wavelengths, lowest index = shortest wavelength."""
-        first = (
-            self.center_wavelength_m
-            - (self.num_channels - 1) / 2.0 * self.channel_spacing_m
-        )
+        first = self._first_wavelength_m
         return tuple(first + i * self.channel_spacing_m for i in range(self.num_channels))
 
     @property
@@ -56,7 +57,7 @@ class WDMGrid:
             raise ConfigurationError(
                 f"channel index {channel_index} outside [0, {self.num_channels - 1}]"
             )
-        return self.wavelengths_m[channel_index]
+        return self._first_wavelength_m + channel_index * self.channel_spacing_m
 
     def detuning_m(self, channel_a: int, channel_b: int) -> float:
         """Signed wavelength difference between two channels (a minus b)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import scipy
 
 from repro.experiments.orchestrator import run_experiment
 from repro.obs.manifest import (
@@ -52,6 +53,7 @@ class TestDocumentShape:
         assert manifest["metrics"]["counters"]["n"] == 3
         assert [shard["index"] for shard in manifest["shards"]] == [0, 1]
         assert manifest["environment"]["package"] == "repro"
+        assert manifest["environment"]["scipy"] == scipy.__version__
 
     def test_resumed_shards_carry_null_metrics(self):
         manifest = build_manifest(

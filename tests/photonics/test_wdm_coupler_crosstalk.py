@@ -8,7 +8,7 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
 from repro.photonics.coupler import MMICoupler
-from repro.photonics.crosstalk import CrosstalkModel
+from repro.photonics.crosstalk import CrosstalkModel, _worst_case_ratio
 from repro.photonics.microring import MicroringResonator
 from repro.photonics.wdm import WDMGrid
 
@@ -45,6 +45,11 @@ class TestWDMGrid:
     def test_channel_spacing_in_frequency_is_about_100ghz(self):
         grid = WDMGrid(center_wavelength_m=1550e-9, channel_spacing_m=0.8e-9)
         assert grid.channel_spacing_hz == pytest.approx(100e9, rel=0.05)
+
+    @pytest.mark.parametrize("num_channels", [16, 37])
+    def test_wavelength_lookup_matches_the_grid_tuple(self, num_channels):
+        grid = WDMGrid(num_channels=num_channels, channel_spacing_m=0.53e-9)
+        assert [grid.wavelength(i) for i in range(num_channels)] == list(grid.wavelengths_m)
 
     def test_index_validation(self):
         grid = WDMGrid(num_channels=4)
@@ -98,6 +103,19 @@ class TestCrosstalkModel:
         model = CrosstalkModel.from_config(DEFAULT_CONFIG)
         ratio = model.worst_case_ratio()
         assert 0.005 < ratio < 0.10
+
+    @pytest.mark.parametrize("num_channels", [1, 8, 16])
+    def test_memoized_worst_case_is_the_reference_maximum(self, num_channels):
+        model = CrosstalkModel(grid=WDMGrid(num_channels=num_channels), drop_ring=MicroringResonator())
+        assert model.worst_case_ratio() == max(model.ratios())
+
+    def test_equal_models_share_one_solve(self):
+        _worst_case_ratio.cache_clear()
+        first = CrosstalkModel.from_config(DEFAULT_CONFIG)
+        second = CrosstalkModel.from_config(DEFAULT_CONFIG)
+        assert first is not second
+        assert first.worst_case_ratio() == second.worst_case_ratio()
+        assert _worst_case_ratio.cache_info().misses == 1
 
     def test_central_channels_suffer_the_most(self):
         model = CrosstalkModel.from_config(DEFAULT_CONFIG)
