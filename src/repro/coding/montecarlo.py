@@ -7,7 +7,8 @@ encode → binary-symmetric channel → decode and count residual bit errors.
 
 The engine is batched *and packed*: messages are drawn directly as packed
 ``uint64`` words (:func:`draw_message_words` — same consumed RNG stream as
-the historical draw-then-pack path), encoded, corrupted and decoded
+the historical draw-then-pack path), encoded, corrupted (channel flips
+drawn in bounded row blocks by :func:`draw_flip_words`) and decoded
 ``batch_size`` blocks at a time through the packed coding API
 (:meth:`~repro.coding.base.LinearBlockCode.encode_batch_packed` /
 :meth:`~repro.coding.base.LinearBlockCode.decode_batch_packed`), and
@@ -35,6 +36,7 @@ __all__ = [
     "MonteCarloBERResult",
     "estimate_ber_monte_carlo",
     "draw_message_words",
+    "draw_flip_words",
     "DEFAULT_BATCH_SIZE",
     "shard_seed_sequences",
     "resolve_rng",
@@ -186,6 +188,35 @@ def draw_message_words(
     return pack_bits(generator.integers(0, 2, size=(num_blocks, num_bits), dtype=np.uint8))
 
 
+#: Rows of channel uniforms drawn per block by :func:`draw_flip_words`.
+FLIP_DRAW_ROWS = 1024
+
+
+def draw_flip_words(
+    generator: np.random.Generator, num_blocks: int, num_bits: int, raw_ber: float
+) -> np.ndarray:
+    """Packed BSC error patterns: ``pack_bits(generator.random((num_blocks, num_bits)) < raw_ber)``.
+
+    Same values and same generator state afterwards — every double consumes
+    one 64-bit output, so drawing :data:`FLIP_DRAW_ROWS` rows at a time into
+    one reused buffer yields the same doubles in the same order.  The bound
+    keeps every array under about 1 MB: a whole ``(8192, 72)`` float block is
+    4.7 MB, and once glibc frees an mmapped block that large it raises its
+    mmap threshold and keeps a share of later blocks on its heap that varies
+    from run to run, so the process's peak memory would too.
+    """
+    row_bytes = -(-num_bits // 8)
+    byte_image = np.zeros((num_blocks, words_per_block(num_bits) * 8), dtype=np.uint8)
+    uniforms = np.empty((min(num_blocks, FLIP_DRAW_ROWS), num_bits))
+    flips = np.empty(uniforms.shape, dtype=bool)
+    for start in range(0, num_blocks, FLIP_DRAW_ROWS):
+        rows = min(FLIP_DRAW_ROWS, num_blocks - start)
+        generator.random(out=uniforms[:rows])
+        np.less(uniforms[:rows], raw_ber, out=flips[:rows])
+        byte_image[start : start + rows, :row_bytes] = np.packbits(flips[:rows], axis=1)
+    return byte_image.view(np.uint64)
+
+
 @dataclass(frozen=True)
 class MonteCarloBERResult:
     """Outcome of a Monte-Carlo BER estimation run."""
@@ -271,7 +302,7 @@ def estimate_ber_monte_carlo(
             # Messages are drawn straight into packed words (same consumed
             # RNG stream as the unpacked draw — see draw_message_words).
             codeword_words = encode_blocks_packed(code, draw_message_words(generator, count, k))
-            flip_words = pack_bits(generator.random((count, n)) < raw_ber)
+            flip_words = draw_flip_words(generator, count, n, raw_ber)
             decoded = decode_blocks_packed(code, codeword_words ^ flip_words)
             errors_per_block = popcount_rows(
                 (decoded.corrected_words ^ codeword_words) & message_mask

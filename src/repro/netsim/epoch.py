@@ -48,14 +48,24 @@ float accumulation order, record layout) runs the same expressions in the
 same event order.  ``tests/netsim/test_engine_parity.py`` pins all of this
 across the full fault x dynamics x policy grid.
 
-The arrival fast path additionally memoizes the manager's answer per
-``(target BER, margin)`` — :meth:`~repro.manager.manager.OpticalLinkManager.configure`
+**Memoized arrivals.**  The general loop memoizes the manager's answer
+per ``(target BER, margin)`` — :meth:`~repro.manager.manager.OpticalLinkManager.configure`
 is deterministic given those plus the engine-constant policy, so replaying
 the cached configuration is result-identical (only the manager's private
 active-pair registry and configuration-id counter advance differently,
-neither of which is observable in a :class:`NetworkResult`).  Requests that
-fail cheap validity checks fall back to the real path so error behaviour
-stays identical too.
+neither of which is observable in a :class:`NetworkResult`).  Under a
+degradation ladder the key is ``(target BER, margin, ChannelHealth)``:
+the health is a frozen value object, the ladder's
+:meth:`~repro.manager.policies.DegradationLadder.action_for` is a pure
+function of it, and ``configure`` is deterministic given the margin the
+action derives — so the whole answer (configuration, or the channel
+declared down, or :class:`~repro.exceptions.InfeasibleDesignError`) is
+replayed, and the ladder counters ``configure_degraded`` publishes are
+republished on every hit.  Requests that fail cheap validity checks fall
+back to the real path so error behaviour stays identical too.  The loop
+also replays the arbiter recurrence and the clean-departure finalisation
+inline, with the expressions of :meth:`TokenArbiter.request` and
+``_finalize_transfer``.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from time import perf_counter
 
 from ..exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
 from ..manager.manager import CommunicationRequest
+from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..traffic.generators import TrafficRequest
 from .engine import NetTransferRecord, NetworkResult, _RunState, _TransferState
@@ -79,7 +90,7 @@ __all__ = ["run_batched"]
 #: ``pending_outcome`` sentinel: the attempt sits in the flush queue.
 _QUEUED = object()
 
-#: Configuration-memo sentinel: this (target BER, margin) key is infeasible.
+#: Configuration-memo sentinel: requests under this key are infeasible.
 _REJECTED = object()
 
 
@@ -87,10 +98,10 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     """Drain a request sequence through the epoch-batched core.
 
     ``sim`` is the owning :class:`~repro.netsim.engine.NetworkSimulator`;
-    cold paths (fault handling, degradation deferrals, finalisation) reuse
-    its handler methods verbatim so there is exactly one implementation of
-    their semantics — only the hot arrival/departure path is re-laid-out
-    here.
+    cold paths (fault handling, degradation deferrals, finalisation of
+    failed or traced transfers) reuse its handler methods verbatim so there
+    is exactly one implementation of their semantics — only the hot
+    arrival/departure path is re-laid-out here.
     """
     run = _RunState()
     controller = sim._controller
@@ -124,11 +135,18 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
 
     # ------------------------------------------------------------- hot locals
     manager = sim.manager
+    manager_release = manager.release
     policy = sim.policy
     dynamics = sim._dynamics
     degradation = sim._degradation
     probabilistic = sim.mode == "probabilistic"
     wants_obs = controller is not None and controller.wants_observations
+    # ``margin_for`` reads the true drift multiplier only in oracle mode, so
+    # no other mode queries the drift at arrival (drift processes are pure
+    # in (channel, time): a skipped query moves no stream).
+    arrival_drift = (
+        dynamics if controller is not None and controller.mode == "oracle" else None
+    )
     need_design_raw = dynamics is not None or failures is not None
     packet_bits = sim.packet_bits
     retry_budget = sim.max_retries if sim.crc is not None else 0
@@ -145,19 +163,31 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     busy_s = run.busy_s
     active_pairs = run.active_pairs
     records = run.records
+    records_append = records.append
     push = core.push
     pop = core.pop
+    Record = NetTransferRecord
+    tuple_new = tuple.__new__
     ARRIVAL = EventKind.ARRIVAL
     DEPARTURE = EventKind.DEPARTURE
     RETRY = EventKind.RETRY
 
     #: (target BER, margin) -> (configuration, sampler, design raw BER).
     memo: dict[tuple, tuple] = {}
+    #: (target BER, margin, health) -> (configuration, action, sampler,
+    #: design raw BER); the configuration is ``None`` when the ladder
+    #: declares the channel down and ``_REJECTED`` when it is infeasible.
+    degraded_memo: dict[tuple, tuple] = {}
+    #: ChannelHealth -> DegradationAction.
+    actions: dict = {}
+    #: destination -> inline arbiter state (see :func:`_channel_state`).
+    channels: dict[int, list] = {}
     #: Flush queue: (state, sampler, packets, failure prob, raw BER) per
     #: queued attempt, in schedule order.
     pending: list[tuple] = []
 
     tracer = obs_tracing.ACTIVE
+    registry = obs_metrics.ACTIVE
 
     def flush() -> None:
         """Resolve every queued attempt's outcome in one epoch-wide draw."""
@@ -188,7 +218,8 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
 
     def schedule_attempt(state, now_s: float, not_before_s: float | None = None) -> None:
         """Mirror of the reference ``_schedule_attempt`` with queued sampling."""
-        destination = state.request.destination
+        request = state.request
+        destination = request.destination
         request_time_s = now_s
         if not_before_s is not None and not_before_s > request_time_s:
             request_time_s = not_before_s
@@ -199,12 +230,14 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         wavelengths = num_wavelengths
         rate_factor = 1.0
         action = None
-        if failures is not None and degradation is not None:
+        if degradation is not None:
             health = failures.health(destination, request_time_s)
             if health.down:
                 sim._defer_or_drop(state, now_s, health, run)
                 return
-            action = degradation.action_for(health)
+            action = actions.get(health)
+            if action is None:
+                action = actions[health] = degradation.action_for(health)
             if not action.serve:
                 sim._finalize_transfer(state, now_s, run, dropped=state.packets_remaining)
                 return
@@ -212,18 +245,29 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             rate_factor = (num_wavelengths / wavelengths) * action.derate_factor
         sampler = state.sampler
         remaining = state.packets_remaining
-        duration_s = remaining * sampler.coded_bits_per_packet / channel_rate
+        coded_bits_pp = sampler.coded_bits_per_packet
+        duration_s = remaining * coded_bits_pp / channel_rate
         if rate_factor != 1.0:
             duration_s *= rate_factor
-        arbiter = arbiters.get(destination)
-        if arbiter is None:
-            arbiter = sim._arbiter_for(destination, arbiters)
-        start_s = arbiter.request(state.request.source, request_time_s, duration_s)
+        # The arbiter recurrence of TokenArbiter.request, inline.
+        channel = channels.get(destination)
+        if channel is None:
+            channel = _channel_state(sim, arbiters, channels, destination)
+        source = request.source
+        target = channel[2][source]
+        busy = channel[1]
+        hops = (target - channel[0]) % channel[3]
+        base = request_time_s if request_time_s > busy else busy
+        start_s = base + hops * channel[4]
+        channel[0] = target
+        channel[1] = start_s + duration_s
+        grants = channel[5]
+        grants[source] = grants[source] + 1
         if state.first_start_s < 0.0:
             state.first_start_s = start_s
         state.attempts += 1
         state.packets_sent += remaining
-        state.coded_bits_sent += remaining * sampler.coded_bits_per_packet
+        state.coded_bits_sent += remaining * coded_bits_pp
         attempt_energy_j = state.configuration.channel_power_w * wavelengths * duration_s
         state.energy_j += attempt_energy_j
         if dynamics is not None:
@@ -252,7 +296,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         push(start_s + duration_s, DEPARTURE, state)
 
     def rejected_record(request, now_s: float) -> None:
-        records.append(
+        records_append(
             NetTransferRecord(
                 source=request.source,
                 destination=request.destination,
@@ -286,59 +330,83 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             kind = event[2]
             if kind is ARRIVAL:
                 request = event[3]
+                source = request.source
                 destination = request.destination
                 margin = 1.0
                 if controller is not None:
-                    multiplier = (
-                        dynamics.multiplier(destination, time_s)
-                        if dynamics is not None
-                        else 1.0
-                    )
                     margin, switched = controller.margin_for(
-                        destination, time_s, true_multiplier=multiplier
+                        destination,
+                        time_s,
+                        true_multiplier=(
+                            arrival_drift.multiplier(destination, time_s)
+                            if arrival_drift is not None
+                            else 1.0
+                        ),
                     )
                     if switched:
                         sim._record_switch(run, time_s)
+                # Suspect requests always take the real manager path, so
+                # validation errors surface exactly as in the reference
+                # engine.
+                suspect = (
+                    source == destination
+                    or request.payload_bits <= 0
+                    or source < 0
+                    or source >= num_onis
+                    or destination < 0
+                    or destination >= num_onis
+                )
                 if degradation is not None:
-                    communication = CommunicationRequest(
-                        source=request.source,
-                        destination=destination,
-                        target_ber=request.target_ber,
-                        payload_bits=request.payload_bits,
-                        policy=policy,
-                    )
-                    health = failures.health(destination, time_s)
-                    try:
-                        configuration, _action = manager.configure_degraded(
-                            communication,
-                            health,
-                            degradation,
-                            base_margin_multiplier=margin,
+                    if suspect:
+                        entry = None
+                    else:
+                        health = failures.health(destination, time_s)
+                        key = (request.target_ber, margin, health)
+                        entry = degraded_memo.get(key)
+                    if entry is None:
+                        communication = CommunicationRequest(
+                            source=source,
+                            destination=destination,
+                            target_ber=request.target_ber,
+                            payload_bits=request.payload_bits,
+                            policy=policy,
                         )
-                    except InfeasibleDesignError:
-                        rejected_record(request, time_s)
-                        continue
+                        if suspect:
+                            health = failures.health(destination, time_s)
+                        sampler = None
+                        design_raw = 0.0
+                        try:
+                            configuration, action = manager.configure_degraded(
+                                communication,
+                                health,
+                                degradation,
+                                base_margin_multiplier=margin,
+                            )
+                        except InfeasibleDesignError:
+                            configuration = _REJECTED
+                            action = degradation.action_for(health)
+                        else:
+                            if configuration is not None:
+                                sampler = sim._sampler_for(configuration)
+                                design_raw = sim._raw_ber_for(configuration)
+                        entry = (configuration, action, sampler, design_raw)
+                        if not suspect:
+                            degraded_memo[key] = entry
+                    elif registry is not None:
+                        # The counters configure_degraded itself publishes.
+                        registry.inc("manager.configure_degraded.calls")
+                        registry.inc(f"manager.degradation.rung.{entry[1].rung}")
+                    configuration, _action, sampler, design_raw = entry
                     if configuration is None:
                         sim._drop_on_arrival(request, time_s, run)
                         continue
-                    sampler = sim._sampler_for(configuration)
-                    design_raw = sim._raw_ber_for(configuration)
+                    if configuration is _REJECTED:
+                        rejected_record(request, time_s)
+                        continue
                 else:
-                    source = request.source
                     key = (request.target_ber, margin)
                     entry = memo.get(key)
-                    if (
-                        entry is None
-                        or source == destination
-                        or request.payload_bits <= 0
-                        or source < 0
-                        or source >= num_onis
-                        or destination < 0
-                        or destination >= num_onis
-                    ):
-                        # Cold (or suspect) request: the real manager path,
-                        # so validation errors surface exactly as in the
-                        # reference engine.
+                    if entry is None or suspect:
                         communication = CommunicationRequest(
                             source=source,
                             destination=destination,
@@ -377,7 +445,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                     state.design_raw_ber = design_raw
                 if timeout_s is not None:
                     state.deadline_s = time_s + timeout_s
-                pair = (request.source, destination)
+                pair = (source, destination)
                 active_pairs[pair] = active_pairs.get(pair, 0) + 1
                 schedule_attempt(state, time_s)
             elif kind is DEPARTURE:
@@ -403,6 +471,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         # Clean attempt — the common case: deliver all
                         # packets without materialising an outcome object.
                         remaining = state.packets_remaining
+                        request = state.request
                         if wants_obs:
                             sampler = state.sampler
                             blocks = remaining * sampler.blocks_per_packet
@@ -415,7 +484,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                 )
                             )
                             if controller.observe(
-                                state.request.destination,
+                                request.destination,
                                 time_s,
                                 blocks=blocks,
                                 observed_events=observed,
@@ -423,8 +492,45 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                 * sampler.block_disturb_probability(),
                             ):
                                 sim._record_switch(run, time_s)
-                        state.packets_delivered += remaining
-                        sim._finalize_transfer(state, time_s, run, dropped=0)
+                        if trace_on:
+                            state.packets_delivered += remaining
+                            sim._finalize_transfer(state, time_s, run, dropped=0)
+                            continue
+                        # _finalize_transfer's record and pair release, inline.
+                        source = request.source
+                        destination = request.destination
+                        first_start = state.first_start_s
+                        records_append(
+                            tuple_new(
+                                Record,
+                                (
+                                    source,
+                                    destination,
+                                    request.payload_bits,
+                                    state.configuration.code_name,
+                                    request.arrival_time_s,
+                                    first_start if first_start >= 0.0 else time_s,
+                                    time_s,
+                                    state.attempts,
+                                    state.packets_total,
+                                    state.packets_sent,
+                                    state.packets_delivered + remaining,
+                                    0,
+                                    state.packets_with_residual_errors,
+                                    state.residual_bit_errors,
+                                    state.coded_bits_sent,
+                                    state.energy_j,
+                                    False,
+                                ),
+                            )
+                        )
+                        pair = (source, destination)
+                        active = active_pairs[pair] - 1
+                        if active:
+                            active_pairs[pair] = active
+                        else:
+                            del active_pairs[pair]
+                            manager_release(source, destination)
                         continue
                     if wants_obs:
                         sim._feed_controller(time_s, state, outcome, run)
@@ -453,9 +559,39 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             f"{event[2].name} handler failed at t={event[0]:.9e}s "
             f"(event #{core.events_processed}): {exc}"
         ) from exc
+    _store_channels(arbiters, channels)
     run.end_s = time_s
 
     return sim._finish_run(run)
+
+
+def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
+    """The arbiter recurrence state of one channel, as a list.
+
+    ``[holder index, busy-until, writer->index, num writers, hop time,
+    grants]``: both loops replay :meth:`TokenArbiter.request` on it inline
+    (same expressions) and :func:`_store_channels` writes it back at the
+    end of the run; ``grants`` is the arbiter's own dict, updated in place.
+    """
+    arbiter = sim._arbiter_for(destination, arbiters)
+    entry = [
+        arbiter._holder_index,
+        arbiter._busy_until_s,
+        {writer: index for index, writer in enumerate(arbiter.writers)},
+        len(arbiter.writers),
+        arbiter.token_hop_time_s,
+        arbiter._grants,
+    ]
+    channels[destination] = entry
+    return entry
+
+
+def _store_channels(arbiters, channels: dict) -> None:
+    """Write the inline arbiter state back, as the reference engine leaves it."""
+    for destination, channel in channels.items():
+        arbiter = arbiters[destination]
+        arbiter._holder_index = channel[0]
+        arbiter._busy_until_s = channel[1]
 
 
 def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
@@ -511,8 +647,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     #: (target BER, payload bits) -> (configuration, sampler, packets,
     #: duration, energy, attempt failure probability, code name, coded bits).
     memo: dict[tuple, tuple] = {}
-    #: destination -> [holder index, busy-until, writer->index, num writers,
-    #: hop time, grants] — the arbiter recurrence state, replayed inline.
+    #: destination -> inline arbiter state (see :func:`_channel_state`).
     channels: dict[int, list] = {}
     #: Flush queue of undrawn attempt gates, in schedule order.  First
     #: attempts park ``(seq, fail p, sampler, packets, request,
@@ -524,19 +659,6 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     pending_append = pending.append
     #: seq -> _TransferState for the rare first attempts the gate flagged.
     flagged: dict[int, object] = {}
-
-    def channel_for(destination: int) -> list:
-        arbiter = sim._arbiter_for(destination, arbiters)
-        entry = [
-            arbiter._holder_index,
-            arbiter._busy_until_s,
-            {writer: index for index, writer in enumerate(arbiter.writers)},
-            len(arbiter.writers),
-            arbiter.token_hop_time_s,
-            arbiter._grants,
-        ]
-        channels[destination] = entry
-        return entry
 
     tracer = obs_tracing.ACTIVE
 
@@ -667,7 +789,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         request_time_s = not_before if not_before > time_s else time_s
                         channel = channels.get(destination)
                         if channel is None:
-                            channel = channel_for(destination)
+                            channel = _channel_state(sim, arbiters, channels, destination)
                         target = channel[2][source]
                         busy = channel[1]
                         hops = (target - channel[0]) % channel[3]
@@ -783,7 +905,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
             ) = entry
             channel = channels.get(destination)
             if channel is None:
-                channel = channel_for(destination)
+                channel = _channel_state(sim, arbiters, channels, destination)
             target = channel[2][source]
             busy = channel[1]
             hops = (target - channel[0]) % channel[3]
@@ -848,10 +970,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
             f"{kind_name} handler failed at t={time_s:.9e}s "
             f"(event #{events}): {exc}"
         ) from exc
-    for destination, channel in channels.items():
-        arbiter = arbiters[destination]
-        arbiter._holder_index = channel[0]
-        arbiter._busy_until_s = channel[1]
+    _store_channels(arbiters, channels)
     core.events_processed = events
     run.end_s = time_s
     return sim._finish_run(run)

@@ -2,9 +2,11 @@
 
 ``draw_message_words`` must consume the generator exactly like the historical
 ``integers(0, 2, ...)`` draw-then-pack path: same packed words out, same
-generator state afterwards.  These tests pin that equivalence for a spread of
-block geometries (word-aligned, byte-aligned, and ragged) and pin the
-Monte-Carlo engine's results against the pre-packing reference draw.
+generator state afterwards.  ``draw_flip_words`` must likewise match one
+whole ``random((B, n)) < p`` draw while drawing in row blocks.  These tests
+pin both equivalences for a spread of block geometries (word-aligned,
+byte-aligned, and ragged) and pin the Monte-Carlo engine's results against
+the pre-packing reference draw.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro.coding import montecarlo
-from repro.coding.montecarlo import draw_message_words, estimate_ber_monte_carlo
+from repro.coding.montecarlo import (
+    FLIP_DRAW_ROWS,
+    draw_flip_words,
+    draw_message_words,
+    estimate_ber_monte_carlo,
+)
 from repro.coding.packed import pack_bits, unpack_bits
 from repro.coding.registry import get_code, paper_code_set
 from repro.exceptions import ConfigurationError
@@ -75,6 +82,22 @@ def test_packed_draw_fallback_is_bit_exact(monkeypatch):
     assert np.array_equal(draw_message_words(candidate, 6, 23), expected)
 
 
+@pytest.mark.parametrize(
+    "num_blocks,num_bits",
+    [(1, 3), (5, 7), (FLIP_DRAW_ROWS, 64), (FLIP_DRAW_ROWS + 1, 71), (3 * FLIP_DRAW_ROWS - 5, 130)],
+)
+def test_flip_draw_matches_one_whole_draw_and_stream(num_blocks, num_bits):
+    reference = np.random.default_rng(7)
+    expected = pack_bits(reference.random((num_blocks, num_bits)) < 0.05)
+    reference_tail = reference.random(8)
+
+    candidate = np.random.default_rng(7)
+    words = draw_flip_words(candidate, num_blocks, num_bits, 0.05)
+    assert words.shape == expected.shape
+    assert np.array_equal(words, expected)
+    assert np.array_equal(candidate.random(8), reference_tail)
+
+
 def _reference_estimate(code, raw_ber, *, num_blocks, seed, batch_size=8192):
     """The pre-packing draw path: unpacked messages, then pack."""
     generator = np.random.default_rng(np.random.SeedSequence(seed))
@@ -103,6 +126,16 @@ def test_estimate_ber_monte_carlo_pinned_to_reference_draws(name):
     bit_errors, block_errors = _reference_estimate(
         code, 2e-2, num_blocks=3000, seed=99, batch_size=1024
     )
+    assert result.bit_errors == bit_errors
+    assert result.block_errors == block_errors
+
+
+@pytest.mark.parametrize("name", ["H(71,64)", "SECDED(72,64)"])
+def test_default_batches_draw_flips_in_row_blocks_bit_exactly(name):
+    """Batches wider than FLIP_DRAW_ROWS give the one-draw reference's counts."""
+    code = get_code(name)
+    result = estimate_ber_monte_carlo(code, 2e-2, num_blocks=3000, seed=99)
+    bit_errors, block_errors = _reference_estimate(code, 2e-2, num_blocks=3000, seed=99)
     assert result.bit_errors == bit_errors
     assert result.block_errors == block_errors
 

@@ -29,7 +29,7 @@ from repro.manager.policies import (
 )
 from repro.manager.runtime import AdaptiveEccController
 from repro.netsim import NetworkSimulator, make_drift_model, make_fault_model
-from repro.netsim.failures import FAULT_SCENARIOS
+from repro.netsim.failures import FAULT_SCENARIOS, ChannelFaultTimeline, HardFaultModel
 from repro.traffic.generators import UniformTrafficGenerator
 
 NUM_ONIS = DEFAULT_CONFIG.num_onis
@@ -177,6 +177,79 @@ class TestDriftAndPolicyParity:
     def test_drift_policy(self, drift, policy):
         run_both(_requests(count=150, seed=2), drift=drift, policy=policy)
 
+    def test_adaptive_controller_switches(self):
+        """Enough traffic that monitor windows close and levels switch."""
+        result = run_both(
+            _requests(count=400, seed=2), drift="thermal", policy="adaptive"
+        )
+        assert result.configuration_switches > 0
+
+
+class TestLadderMemoParity:
+    """The batched engine replays ladder answers per (target, margin, health).
+
+    Every cached answer — a configuration, a channel declared down, an
+    infeasible request — must reproduce the reference engine's records.
+    """
+
+    def test_mixed_faults_adaptive_ladder(self):
+        """The shape of the benchmark's faulted leg: faults, controller, ladder."""
+        requests = _requests(count=300, seed=3)
+        horizon = max(r.arrival_time_s for r in requests)
+        result = run_both(
+            requests,
+            scenario="mixed",
+            policy="adaptive",
+            retry_backoff_s=horizon / 100,
+            transfer_timeout_s=horizon / 2,
+        )
+        assert result.fault_transitions > 0
+
+    def test_failed_lane_drops_repeated_arrivals(self):
+        """Arrivals at a hard-failed lane replay the cached "down" answer."""
+        requests = _requests(count=300, seed=4)
+        horizon = max(r.arrival_time_s for r in requests)
+        failed = {2, 7}
+        # Both engines may share these: health queries and the ladder are
+        # pure, so neither run can leak state into the other.
+        failures = HardFaultModel(
+            [
+                ChannelFaultTimeline(
+                    NW, fail_time_s=horizon / 4 if channel in failed else None
+                )
+                for channel in range(NUM_ONIS)
+            ]
+        )
+        result = run_both(
+            requests,
+            failures=failures,
+            degradation=DegradationLadder(margins=margin_levels(4.0), num_wavelengths=NW),
+            retry_backoff_s=horizon / 100,
+            transfer_timeout_s=horizon,
+        )
+        dropped_on_arrival = [
+            record
+            for record in result.records
+            if record.attempts == 0 and not record.rejected
+        ]
+        assert {record.destination for record in dropped_on_arrival} == failed
+        assert len(dropped_on_arrival) > len(failed)
+
+    def test_infeasible_policy_under_faults(self):
+        """InfeasibleDesignError raised on the ladder path, then replayed."""
+        requests = _requests(count=200, seed=5)
+        horizon = max(r.arrival_time_s for r in requests)
+        result = run_both(
+            requests,
+            scenario="mixed",
+            policy_obj=DeadlineConstrainedPolicy(max_communication_time=0.5),
+            retry_backoff_s=horizon / 100,
+            transfer_timeout_s=horizon,
+        )
+        rejected = sum(record.rejected for record in result.records)
+        assert rejected > 1
+        assert all(record.attempts == 0 for record in result.records)
+
 
 class TestLoadParity:
     """Load changes the retry/queueing mix; parity must not care."""
@@ -218,31 +291,58 @@ class TestInstrumentedParity:
         )
         assert counters["netsim.transfers.total"] == len(plain.records)
 
-    def test_both_engines_publish_identical_metrics(self):
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_both_engines_publish_identical_metrics(self, faulted):
         from repro.obs import metrics as obs_metrics
 
         requests = _requests(count=150, seed=9)
+        horizon = max(r.arrival_time_s for r in requests)
         snapshots = {}
         for engine in ("reference", "batched"):
+            kwargs = {}
+            if faulted:
+                kwargs = dict(
+                    failures=make_fault_model(
+                        "mixed", NUM_ONIS, NW, seed=5, horizon_s=horizon
+                    ),
+                    degradation=DegradationLadder(
+                        margins=margin_levels(4.0), num_wavelengths=NW
+                    ),
+                    retry_backoff_s=horizon / 100,
+                    transfer_timeout_s=horizon,
+                )
             with obs_metrics.collecting() as registry:
-                NetworkSimulator(seed=11, engine=engine).run(iter(requests))
+                NetworkSimulator(seed=11, engine=engine, **kwargs).run(iter(requests))
                 snapshots[engine] = registry.snapshot()
-        # Cache hit patterns (the reference loop asks the manager per
-        # transfer, the batched loop memoizes per epoch) and the epoch-flush
-        # counter are engine-internal by design; every *simulation
-        # observable* — netsim counters, gauges, histograms — must agree.
+        # Engine-internal by design: the manager's configure.calls and
+        # candidate-cache counters (the reference loop asks the manager per
+        # transfer, the batched loop memoizes its answers per run) and the
+        # epoch-flush counter.  Every *simulation observable* — netsim
+        # counters, gauges, histograms — must agree, and so must the
+        # degradation ladder's per-arrival counters, which the batched
+        # engine republishes on every memo hit.
         def observable(snapshot):
             return {
                 "counters": {
                     name: value
                     for name, value in snapshot["counters"].items()
-                    if name.startswith("netsim.") and name != "netsim.epoch.flushes"
+                    if (
+                        name.startswith("netsim.")
+                        and name != "netsim.epoch.flushes"
+                    )
+                    or name == "manager.configure_degraded.calls"
+                    or name.startswith("manager.degradation.rung.")
                 },
                 "gauges": snapshot["gauges"],
                 "histograms": snapshot["histograms"],
             }
 
-        assert observable(snapshots["reference"]) == observable(snapshots["batched"])
+        reference = observable(snapshots["reference"])
+        assert reference == observable(snapshots["batched"])
+        if faulted:
+            counters = reference["counters"]
+            assert counters["manager.configure_degraded.calls"] == len(requests)
+            assert any(name.startswith("manager.degradation.rung.") for name in counters)
 
 
 class TestOrchestratedParity:
