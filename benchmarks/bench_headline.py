@@ -28,8 +28,11 @@ def test_bench_headline_claims(benchmark):
 def test_bench_interconnect_aggregation(benchmark):
     """Micro-benchmark of the whole-network power aggregation."""
     from repro.coding.hamming import ShortenedHammingCode
-    from repro.interconnect.network import OpticalNetwork
+    from repro.power import channel_power_breakdown, interconnect_power_summary
 
-    network = OpticalNetwork()
-    total = benchmark(network.total_power_w, ShortenedHammingCode(64), 1e-11)
+    def total_power_w():
+        breakdown = channel_power_breakdown(ShortenedHammingCode(64), 1e-11)
+        return interconnect_power_summary(breakdown).total_power_w
+
+    total = benchmark(total_power_w)
     assert 15.0 < total < 35.0

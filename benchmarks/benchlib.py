@@ -4,9 +4,8 @@ Every benchmark artefact (``BENCH_*.json``) carries the same envelope —
 ``schema_version``, the benchmark name, host facts (platform, Python,
 NumPy, SciPy, CPU count) and the measurement payload under ``results`` —
 written by :func:`write_bench_json`, so downstream tooling can parse any artefact
-without per-script knowledge.  :func:`read_bench_results` reads either the
-enveloped layout or the pre-envelope bare dict, so ratio gates keep
-working across the transition.
+without per-script knowledge.  :func:`read_bench_results` returns the
+payload of an enveloped artefact and ``None`` for anything else.
 
 :func:`append_history` gives benchmarks a trajectory: one compact
 ``{"bench", "metric", "value", "git_sha"}`` JSON line per headline metric,
@@ -75,17 +74,19 @@ def write_bench_json(path: str, bench: str, results: Dict[str, Any]) -> dict:
 
 
 def read_bench_results(path: str) -> Dict[str, Any] | None:
-    """Measurement payload of a stored artefact (enveloped or legacy bare)."""
+    """Measurement payload of a stored artefact, or ``None`` if not enveloped."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             stored = json.load(handle)
     except (OSError, ValueError):
         return None
-    if not isinstance(stored, dict):
-        return None
-    if stored.get("schema_version") is not None and isinstance(stored.get("results"), dict):
+    if (
+        isinstance(stored, dict)
+        and stored.get("schema_version") is not None
+        and isinstance(stored.get("results"), dict)
+    ):
         return stored["results"]
-    return stored
+    return None
 
 
 def append_history(history_dir: str, bench: str, metrics: Dict[str, float]) -> str:

@@ -20,13 +20,13 @@ import numpy as np
 
 from repro import DEFAULT_CONFIG, PaperConfig, UncodedScheme
 from repro.coding import BlockInterleaver, HammingCode, ShortenedHammingCode
-from repro.interconnect import OpticalNetwork
+from repro.power import channel_power_breakdown
+from repro.power.interconnect import interconnect_power_saving_w, interconnect_power_summary
 from repro.simulation import BurstErrorModel
 
 
 def power_report(config: PaperConfig) -> None:
     """Print the interconnect-level power of each scheme for a geometry."""
-    network = OpticalNetwork(config=config)
     uncoded = UncodedScheme(config.ip_bus_width_bits)
     h71 = ShortenedHammingCode(config.ip_bus_width_bits)
     h74 = HammingCode(3)
@@ -34,10 +34,15 @@ def power_report(config: PaperConfig) -> None:
         f"geometry: {config.num_onis} ONIs x {config.num_waveguides_per_channel} waveguides x "
         f"{config.num_wavelengths} wavelengths"
     )
-    for code in (uncoded, h71, h74):
-        total = network.total_power_w(code, 1e-11)
-        print(f"  {code.name:<12} total interconnect power: {total:7.2f} W")
-    saving = network.power_saving_w(uncoded, h71, 1e-11)
+    summaries = {
+        code.name: interconnect_power_summary(
+            channel_power_breakdown(code, 1e-11, config=config), config=config
+        )
+        for code in (uncoded, h71, h74)
+    }
+    for name, summary in summaries.items():
+        print(f"  {name:<12} total interconnect power: {summary.total_power_w:7.2f} W")
+    saving = interconnect_power_saving_w(summaries[uncoded.name], summaries[h71.name])
     print(f"  saving with {h71.name} vs uncoded: {saving:.2f} W\n")
 
 

@@ -5,8 +5,11 @@ time by an Operating-System-level manager: real-time transfers need the
 shortest communication time, while multimedia-like transfers can accept a
 longer (coded) transmission — or even a degraded BER — in exchange for much
 lower power.  This example builds both workloads, serves them through the
-:class:`~repro.manager.manager.OpticalLinkManager` under different policies,
-and compares energy and deadline behaviour.
+network simulator (:class:`~repro.netsim.NetworkSimulator`, whose
+:class:`~repro.manager.manager.OpticalLinkManager` configures every
+transfer) under different policies, and compares energy and deadline
+behaviour.  A transfer misses its deadline when it is rejected or when its
+arrival-to-delivery latency exceeds the request's relative deadline.
 
 Run with::
 
@@ -17,17 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import DEFAULT_CONFIG, CommunicationRequest, OpticalLinkManager
-from repro.manager import (
-    DeadlineConstrainedPolicy,
-    MinimumEnergyPolicy,
-    MinimumPowerPolicy,
-    RuntimeSimulation,
-)
-from repro.traffic import BurstyTrafficGenerator, PeriodicTask, TaskSet
+from repro import DEFAULT_CONFIG, NetworkSimulator
+from repro.manager import DeadlineConstrainedPolicy, MinimumEnergyPolicy, MinimumPowerPolicy
+from repro.traffic import BurstyTrafficGenerator, PeriodicTask, TaskSet, TrafficRequest
 
 
-def realtime_workload() -> list[tuple[CommunicationRequest, float | None]]:
+def realtime_workload() -> list[TrafficRequest]:
     """A periodic control/task workload with tight deadlines and strict BER."""
     tasks = TaskSet(
         tasks=[
@@ -51,61 +49,41 @@ def realtime_workload() -> list[tuple[CommunicationRequest, float | None]]:
             ),
         ]
     )
-    requests = []
-    for request in tasks.requests_until(1e-3):
-        requests.append(
-            (
-                CommunicationRequest(
-                    source=request.source,
-                    destination=request.destination,
-                    target_ber=request.target_ber,
-                    payload_bits=request.payload_bits,
-                ),
-                request.deadline_s,
-            )
-        )
-    return requests
+    return tasks.requests_until(1e-3)
 
 
-def multimedia_workload() -> list[tuple[CommunicationRequest, float | None]]:
+def multimedia_workload() -> list[TrafficRequest]:
     """Bursty frame traffic with relaxed BER and soft (frame-rate) deadlines."""
     generator = BurstyTrafficGenerator(
         DEFAULT_CONFIG.num_onis,
         target_ber=1e-6,
         rng=np.random.default_rng(42),
     )
-    requests = []
-    for request in generator.generate(200):
-        requests.append(
-            (
-                CommunicationRequest(
-                    source=request.source,
-                    destination=request.destination,
-                    target_ber=request.target_ber,
-                    payload_bits=request.payload_bits,
-                ),
-                request.deadline_s,
-            )
-        )
-    return requests
+    return list(generator.generate(200))
 
 
-def evaluate(policy_name: str, policy, workload) -> dict[str, float]:
+def evaluate(policy_name: str, policy, workload: list[TrafficRequest]) -> dict[str, float]:
     """Serve one workload with one policy and summarise the outcomes."""
-    manager = OpticalLinkManager(default_policy=policy)
-    simulation = RuntimeSimulation(manager=manager)
-    outcomes = simulation.run(workload)
-    selected = {}
-    for outcome in outcomes:
-        if outcome.configuration is not None:
-            selected[outcome.configuration.code_name] = (
-                selected.get(outcome.configuration.code_name, 0) + 1
-            )
+    records = NetworkSimulator(policy=policy, seed=0).run(workload).records
+    # Records come back in completion order; a request is identified by its
+    # endpoints and arrival time.
+    deadlines = {
+        (request.source, request.destination, request.arrival_time_s): request.deadline_s
+        for request in workload
+    }
+    selected: dict[str, int] = {}
+    missed = 0
+    for record in records:
+        if record.code_name is not None:
+            selected[record.code_name] = selected.get(record.code_name, 0) + 1
+        deadline_s = deadlines[(record.source, record.destination, record.arrival_time_s)]
+        if record.rejected or (deadline_s is not None and record.latency_s > deadline_s):
+            missed += 1
     return {
         "policy": policy_name,
-        "transfers": len(outcomes),
-        "total_energy_uj": RuntimeSimulation.total_energy_j(outcomes) * 1e6,
-        "deadline_miss_rate": RuntimeSimulation.deadline_miss_rate(outcomes),
+        "transfers": len(records),
+        "total_energy_uj": sum(record.energy_j for record in records) * 1e6,
+        "deadline_miss_rate": missed / len(records) if records else 0.0,
         "selections": selected,
     }
 

@@ -23,11 +23,11 @@ Sub-packages
 ``repro.channel``       BER/SNR mathematics and stochastic channels
 ``repro.photonics``     device models (rings, lasers, detectors, waveguides)
 ``repro.link``          MWSR power budget and operating-point design
-``repro.interconnect``  topology, channels and network-level aggregation
+``repro.interconnect``  ring topology, MWSR channels and token arbitration
 ``repro.interfaces``    electrical TX/RX interface models (Table I)
-``repro.power``         channel power and energy-per-bit accounting
+``repro.power``         channel, interconnect and energy-per-bit accounting
 ``repro.manager``       runtime energy/performance manager and policies
-``repro.simulation``    bit- and message-level simulators
+``repro.simulation``    fault injection and the bit-level link simulator
 ``repro.traffic``       synthetic workload generators
 ``repro.netsim``        discrete-event network simulator of the managed ring
 ``repro.experiments``   one module per table/figure of the paper

@@ -33,9 +33,7 @@ from .base import (
     DecodeResult,
     LinearBlockCode,
     PackedBatchDecodeResult,
-    decode_blocks,
     decode_blocks_packed,
-    encode_blocks,
     encode_blocks_packed,
 )
 from .packed import pack_bits, popcount, popcount_rows, prefix_mask, unpack_bits, words_per_block
@@ -64,9 +62,7 @@ __all__ = [
     "DecodeResult",
     "LinearBlockCode",
     "PackedBatchDecodeResult",
-    "decode_blocks",
     "decode_blocks_packed",
-    "encode_blocks",
     "encode_blocks_packed",
     "pack_bits",
     "unpack_bits",

@@ -25,12 +25,9 @@ powers of two to pack each syndrome into an integer key, and a dense
 of a per-call dict probe.  The scalar :meth:`encode_block` and
 :meth:`decode_block` are thin wrappers over the batch path (a batch of
 one), so every existing caller keeps working and there is exactly one
-decoding implementation to validate.  Subclasses that override only
-``decode_block`` (the pre-batching extension point) are still honoured:
-the base ``decode_batch`` detects the override and loops their scalar
-decoder instead of the generic syndrome machinery.  The pre-batching
-per-block decoder is preserved as :meth:`_decode_block_reference` and is
-used by the equivalence tests and the scalar-baseline benchmarks.
+decoding implementation to validate.  The pre-batching per-block decoder is
+preserved as :meth:`_decode_block_reference` and is used by the
+equivalence tests and the scalar-baseline benchmarks.
 
 Packed fast path
 ----------------
@@ -42,10 +39,15 @@ per-byte partial-codeword tables stored packed, syndrome keys gather from
 the packed byte image without ever materialising unpacked bits, and
 corrections are applied as packed XOR masks.  The unpacked ``encode_batch``
 / ``decode_batch`` are thin pack/unpack wrappers over the packed path (and
-remain bit-exact with the pre-packing implementation); subclasses that
-override the unpacked batch or scalar decoders are still honoured — the
-base ``decode_batch_packed`` detects the override and round-trips through
-their implementation.
+remain bit-exact with the pre-packing implementation).  Subclasses whose
+decoder is an unpacked ``decode_batch`` override (SECDED, repetition) are
+honoured: the base ``decode_batch_packed`` detects the override and
+round-trips through it.
+
+Every code the registry hands out implements this packed contract, which
+:func:`~repro.coding.registry.get_code` checks; the module-level
+:func:`encode_blocks_packed` / :func:`decode_blocks_packed` are the single
+call sites the Monte-Carlo engine and the network simulator go through.
 
 Bit vectors are numpy ``uint8`` arrays of 0/1 values, most-significant bit
 first within a block; the ordering convention only matters for tests since
@@ -68,7 +70,6 @@ from .packed import (
     packed_byte_view,
     require_packed_blocks,
     unpack_bits,
-    words_per_block,
 )
 
 __all__ = [
@@ -77,8 +78,6 @@ __all__ = [
     "BatchDecodeResult",
     "PackedBatchDecodeResult",
     "LinearBlockCode",
-    "encode_blocks",
-    "decode_blocks",
     "decode_blocks_scalar",
     "encode_blocks_packed",
     "decode_blocks_packed",
@@ -617,14 +616,6 @@ class LinearBlockCode:
         other (``message_bits`` is a view into ``corrected_codewords``);
         treat them as read-only.
         """
-        if type(self).decode_block is not LinearBlockCode.decode_block:
-            # A subclass customised only the scalar decoder (the pre-batching
-            # extension point); honour its semantics block by block rather
-            # than silently decoding with the base syndrome machinery.
-            blocks = self._require_blocks(received)
-            return _assemble_batch(
-                self, [self.decode_block(block, strict=strict) for block in blocks]
-            )
         blocks = self._require_blocks(received)
         return self.decode_batch_packed(pack_bits(blocks), strict=strict).unpack()
 
@@ -634,20 +625,22 @@ class LinearBlockCode:
         The packed fast path: syndrome keys gather from the packed byte
         image, the dense syndrome table is stored as packed XOR masks, and
         corrected codewords stay packed.  Subclasses that override only the
-        unpacked ``decode_batch`` / ``decode_block`` are honoured by
-        round-tripping through their implementation (bit-exact, just not
-        packed-fast).
+        unpacked ``decode_batch`` are honoured by round-tripping through
+        their implementation (bit-exact, just not packed-fast).
         """
         words = self._require_packed(received_words, self._n)
-        if (
-            type(self).decode_block is not LinearBlockCode.decode_block
-            or type(self).decode_batch is not LinearBlockCode.decode_batch
-        ):
-            # Honour subclass decoding semantics through the unpacked path.
-            # ``decode_batch`` returns before re-packing in every such case,
+        if type(self).decode_batch is not LinearBlockCode.decode_batch:
+            # SECDED's and REP's overrides never call back into this method,
             # so this cannot recurse.
             result = self.decode_batch(unpack_bits(words, self._n), strict=strict)
-            return _pack_batch_result(self, result)
+            return PackedBatchDecodeResult(
+                corrected_words=pack_bits(result.corrected_codewords),
+                detected_error=result.detected_error,
+                corrected=result.corrected,
+                failure=result.failure,
+                n=self._n,
+                k=self._k,
+            )
         keys = self._batch_syndrome_keys_packed(words)
         detected = keys != 0 if keys.ndim == 1 else keys.any(axis=1)
         if not detected.any():
@@ -797,22 +790,6 @@ class LinearBlockCode:
 
 
 # ---------------------------------------------------------------------- helpers
-def encode_blocks(code, messages) -> np.ndarray:
-    """Encode a ``(B, k)`` batch with ``code``, using its batch API if present.
-
-    Codes outside this package only need the scalar ``encode_block`` to stay
-    compatible with the simulators; the per-block fallback keeps them
-    working at the old speed.
-    """
-    encode_batch = getattr(code, "encode_batch", None)
-    if encode_batch is not None:
-        return encode_batch(messages)
-    blocks = as_gf2(messages)
-    if blocks.shape[0] == 0:
-        return np.zeros((0, code.n), dtype=np.uint8)
-    return np.stack([code.encode_block(block) for block in blocks])
-
-
 def _assemble_batch(code, results: list[DecodeResult]) -> BatchDecodeResult:
     """Stack per-block :class:`DecodeResult` objects into a batch result."""
     if not results:
@@ -844,54 +821,11 @@ def decode_blocks_scalar(code: LinearBlockCode, blocks: np.ndarray, *, strict: b
     )
 
 
-def decode_blocks(code, received, *, strict: bool = False) -> BatchDecodeResult:
-    """Decode a ``(B, n)`` batch with ``code``, using its batch API if present.
-
-    Falls back to a per-block ``decode_block`` loop for duck-typed codes
-    that predate the batch API, assembling the same
-    :class:`BatchDecodeResult`.
-    """
-    decode_batch = getattr(code, "decode_batch", None)
-    if decode_batch is not None:
-        return decode_batch(received, strict=strict)
-    blocks = as_gf2(received)
-    return _assemble_batch(code, [code.decode_block(block, strict=strict) for block in blocks])
-
-
-def _pack_batch_result(code, result: BatchDecodeResult) -> PackedBatchDecodeResult:
-    """Pack an unpacked batch result into its packed twin."""
-    return PackedBatchDecodeResult(
-        corrected_words=pack_bits(result.corrected_codewords),
-        detected_error=result.detected_error,
-        corrected=result.corrected,
-        failure=result.failure,
-        n=int(code.n),
-        k=int(code.k),
-    )
-
-
 def encode_blocks_packed(code, message_words) -> np.ndarray:
-    """Encode a packed ``(B, ceil(k/64))`` batch with ``code``.
-
-    Uses the code's native :meth:`~LinearBlockCode.encode_batch_packed` when
-    present; duck-typed codes without a packed API round-trip through the
-    unpacked helper (bit-exact, just not packed-fast).
-    """
-    encode_packed = getattr(code, "encode_batch_packed", None)
-    if encode_packed is not None:
-        return encode_packed(message_words)
-    return pack_bits(encode_blocks(code, unpack_bits(message_words, int(code.k))))
+    """Encode a packed ``(B, ceil(k/64))`` batch with ``code``."""
+    return code.encode_batch_packed(message_words)
 
 
 def decode_blocks_packed(code, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
-    """Decode a packed ``(B, ceil(n/64))`` batch with ``code``.
-
-    Packed twin of :func:`decode_blocks`: native
-    :meth:`~LinearBlockCode.decode_batch_packed` when the code has one,
-    otherwise an unpack → decode → repack fallback with identical results.
-    """
-    decode_packed = getattr(code, "decode_batch_packed", None)
-    if decode_packed is not None:
-        return decode_packed(received_words, strict=strict)
-    result = decode_blocks(code, unpack_bits(received_words, int(code.n)), strict=strict)
-    return _pack_batch_result(code, result)
+    """Decode a packed ``(B, ceil(n/64))`` batch with ``code``."""
+    return code.decode_batch_packed(received_words, strict=strict)

@@ -15,10 +15,7 @@ drawn in bounded row blocks by :func:`draw_flip_words`) and decoded
 residual message-bit errors are counted with packed popcounts — the random
 stream is consumed exactly like the unpacked pipeline, so results are
 bit-identical, just without ever shuttling one-byte-per-bit matrices
-between the stages.  Codes without the packed API (duck-typed schemes that
-predate it, or non-systematic codes) still run through the unpacked
-:func:`~repro.coding.base.encode_blocks` / :func:`~repro.coding.base.decode_blocks`
-fallback.
+between the stages.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from .base import decode_blocks, decode_blocks_packed, encode_blocks, encode_blocks_packed
+from .base import decode_blocks_packed, encode_blocks_packed
 from .packed import pack_bits, popcount_rows, prefix_mask, words_per_block
 
 __all__ = [
@@ -259,8 +256,9 @@ def estimate_ber_monte_carlo(
     Parameters
     ----------
     code:
-        Any object following the coding API (``n``, ``k``, batch or scalar
-        encode/decode), including :class:`~repro.coding.uncoded.UncodedScheme`.
+        Any systematic code with the packed coding API (``n``, ``k``,
+        ``encode_batch_packed``, ``decode_batch_packed``) — every registry
+        code, :class:`~repro.coding.uncoded.UncodedScheme` included.
     raw_ber:
         Crossover probability of the binary symmetric channel.
     num_blocks:
@@ -287,32 +285,17 @@ def estimate_ber_monte_carlo(
     block_errors = 0
     k = code.k
     n = code.n
-    # The packed fast path counts residual errors on the systematic message
-    # prefix of the corrected codewords, which is only valid for codes that
-    # expose the packed API (all in-package codes; they are systematic by
-    # construction).  Duck-typed codes keep the unpacked message comparison.
-    packed_path = (
-        getattr(code, "encode_batch_packed", None) is not None
-        and getattr(code, "decode_batch_packed", None) is not None
-    )
-    message_mask = prefix_mask(n, k) if packed_path else None
+    # Residual errors are counted on the systematic message prefix of the
+    # corrected codewords (every in-package code is systematic).
+    message_mask = prefix_mask(n, k)
     for start in range(0, num_blocks, batch_size):
         count = min(batch_size, num_blocks - start)
-        if packed_path:
-            # Messages are drawn straight into packed words (same consumed
-            # RNG stream as the unpacked draw — see draw_message_words).
-            codeword_words = encode_blocks_packed(code, draw_message_words(generator, count, k))
-            flip_words = draw_flip_words(generator, count, n, raw_ber)
-            decoded = decode_blocks_packed(code, codeword_words ^ flip_words)
-            errors_per_block = popcount_rows(
-                (decoded.corrected_words ^ codeword_words) & message_mask
-            )
-        else:
-            messages = generator.integers(0, 2, size=(count, k), dtype=np.uint8)
-            codewords = encode_blocks(code, messages)
-            flips = (generator.random((count, n)) < raw_ber).astype(np.uint8)
-            decoded_bits = decode_blocks(code, codewords ^ flips).message_bits
-            errors_per_block = np.count_nonzero(decoded_bits != messages, axis=1)
+        # Messages are drawn straight into packed words (same consumed RNG
+        # stream as the unpacked draw — see draw_message_words).
+        codeword_words = encode_blocks_packed(code, draw_message_words(generator, count, k))
+        flip_words = draw_flip_words(generator, count, n, raw_ber)
+        decoded = decode_blocks_packed(code, codeword_words ^ flip_words)
+        errors_per_block = popcount_rows((decoded.corrected_words ^ codeword_words) & message_mask)
         bit_errors += int(errors_per_block.sum())
         block_errors += int(np.count_nonzero(errors_per_block))
     bits = num_blocks * k

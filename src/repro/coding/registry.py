@@ -31,12 +31,18 @@ __all__ = [
 
 _FACTORIES: Dict[str, Callable[[], object]] = {}
 
+#: Methods every code must provide: the Monte-Carlo engine and the network
+#: simulator call nothing else to encode and decode.
+_PACKED_CONTRACT = ("encode_batch_packed", "decode_batch_packed")
+
 
 def register_code(name: str, factory: Callable[[], object], *, overwrite: bool = False) -> None:
     """Register a named code factory.
 
-    Raises :class:`ConfigurationError` if the name already exists and
-    ``overwrite`` is False.
+    The factory's product must implement the packed coding contract
+    (``encode_batch_packed`` / ``decode_batch_packed``); :func:`get_code`
+    rejects it otherwise.  Raises :class:`ConfigurationError` if the name
+    already exists and ``overwrite`` is False.
     """
     key = _normalise(name)
     if key in _FACTORIES and not overwrite:
@@ -57,11 +63,19 @@ def _cached_lookup(key: str):
     Code objects are immutable apart from lazily-built decoding tables, so
     sharing one instance across every lookup means repeated sweeps stop
     rebuilding generator matrices and syndrome tables.  The cache is cleared
-    whenever :func:`register_code` changes the registry.
+    whenever :func:`register_code` changes the registry.  A registered
+    factory whose product lacks the packed contract is rejected here, not
+    deep inside a Monte-Carlo or network run.
     """
-    if key in _FACTORIES:
-        return _FACTORIES[key]()
-    return _construct_from_pattern(key)
+    if key not in _FACTORIES:
+        return _construct_from_pattern(key)
+    code = _FACTORIES[key]()
+    missing = [name for name in _PACKED_CONTRACT if not callable(getattr(code, name, None))]
+    if missing:
+        raise ConfigurationError(
+            f"code {key!r} lacks the packed coding contract: missing {', '.join(missing)}"
+        )
+    return code
 
 
 def get_code(name: str):

@@ -29,7 +29,7 @@ availability Hard-fault tolerance: graceful degradation vs blind retransmission
 ======== ==================================================================
 """
 
-from .adaptive import AdaptiveSweepResult, run_adaptive
+from .adaptive import AdaptiveSweepResult
 from .availability import AvailabilitySweepResult, run_availability
 from .orchestrator import ExperimentGrid, available_experiments, describe_grid, run_experiment
 from .table1 import Table1Result, run_table1
@@ -69,7 +69,6 @@ __all__ = [
     "NetworkSweepResult",
     "run_network",
     "AdaptiveSweepResult",
-    "run_adaptive",
     "AvailabilitySweepResult",
     "run_availability",
 ]

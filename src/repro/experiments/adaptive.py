@@ -55,7 +55,6 @@ from .network import request_rate_for_load
 
 __all__ = [
     "AdaptiveSweepResult",
-    "run_adaptive",
     "sweep_shards",
     "run_sweep_shard",
     "merge_sweep",
@@ -297,16 +296,3 @@ def merge_sweep(
         num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
     )
     return result.render_text(), result.to_rows()
-
-
-def run_adaptive(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    options: dict | None = None,
-) -> AdaptiveSweepResult:
-    """Run the full adaptation sweep serially and return the structured result."""
-    payloads = [run_sweep_shard(params, config) for params in sweep_shards(config, options)]
-    text, rows = merge_sweep(payloads, config, options)
-    return AdaptiveSweepResult(
-        rows=rows, num_requests=int((options or {}).get("num_requests", DEFAULT_NUM_REQUESTS))
-    )

@@ -775,13 +775,12 @@ def _quarantine_checkpoint(path: str) -> str:
 def _load_checkpoint(checkpoint_dir: str, grid: ExperimentGrid) -> Dict[int, Any]:
     """Payloads of a previous run, or ``{}`` if absent, corrupt or stale.
 
-    Understands two formats: the current checksummed JSON-lines layout
-    (header record + one record per shard) and the legacy single-JSON
-    document.  A damaged file is quarantined (renamed to ``*.corrupt``) and
+    A checkpoint is checksummed JSON lines: a header record, then one record
+    per shard.  A damaged file is quarantined (renamed to ``*.corrupt``) and
     every record that still checksums clean is salvaged — a truncated tail,
     a bit flip or an interleaved write costs only the damaged shards.  A
-    stale fingerprint (the grid changed) is not damage: the checkpoint is
-    simply ignored.
+    file without a header record salvages nothing.  A stale fingerprint (the
+    grid changed) is not damage: the checkpoint is simply ignored.
     """
     path = checkpoint_path(checkpoint_dir, grid.experiment)
     try:
@@ -790,42 +789,13 @@ def _load_checkpoint(checkpoint_dir: str, grid: ExperimentGrid) -> Dict[int, Any
     except OSError:
         return {}
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        _quarantine_checkpoint(path)
-        return {}
     try:
-        first = json.loads(lines[0])
+        header = json.loads(lines[0]) if lines else None
     except ValueError:
-        first = None
-    if isinstance(first, dict) and first.get("kind") == "header":
-        return _load_checkpoint_records(path, lines, first, grid)
-    # Legacy layout: the whole file is one JSON document.
-    try:
-        stored = json.loads(text)
-    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("kind") != "header":
         _quarantine_checkpoint(path)
         return {}
-    if not isinstance(stored, dict):
-        _quarantine_checkpoint(path)
-        return {}
-    if stored.get("fingerprint") != grid.fingerprint:
-        return {}
-    shards = stored.get("shards", {})
-    try:
-        return {
-            int(index): payload
-            for index, payload in shards.items()
-            if 0 <= int(index) < len(grid.shard_params)
-        }
-    except (AttributeError, TypeError, ValueError):
-        _quarantine_checkpoint(path)
-        return {}
-
-
-def _load_checkpoint_records(
-    path: str, lines: List[str], header: dict, grid: ExperimentGrid
-) -> Dict[int, Any]:
-    """Salvage the shard records of a JSON-lines checkpoint."""
     if header.get("fingerprint") != grid.fingerprint:
         return {}
     completed: Dict[int, Any] = {}

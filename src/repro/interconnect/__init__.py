@@ -1,4 +1,4 @@
-"""Interconnect-level architecture: topology, channels, interfaces, arbitration.
+"""Interconnect-level architecture: topology, channels and arbitration.
 
 The paper's Figure 2-a shows a 3D-IC whose optical layer implements one MWSR
 channel per reader ONI: every other ONI owns a writer on that channel, and a
@@ -9,25 +9,20 @@ waveguides.  This package models that structure:
   and the waveguide distances between them.
 * :mod:`repro.interconnect.mwsr` — a single MWSR channel: its writers, its
   reader, per-writer path losses and worst-case laser requirements.
-* :mod:`repro.interconnect.oni` — the optical network interface pairing the
-  electrical TX/RX interfaces with the channel end-points.
 * :mod:`repro.interconnect.arbitration` — token-based arbitration of the
   multiple writers of a channel.
-* :mod:`repro.interconnect.network` — the full interconnect: one channel per
-  reader, aggregate power and bandwidth queries.
+
+Whole-interconnect power figures are aggregated by
+:mod:`repro.power.interconnect`.
 """
 
 from .topology import RingTopology
 from .mwsr import MWSRChannel, WriterPath
-from .oni import OpticalNetworkInterface
 from .arbitration import TokenArbiter
-from .network import OpticalNetwork
 
 __all__ = [
     "RingTopology",
     "MWSRChannel",
     "WriterPath",
-    "OpticalNetworkInterface",
     "TokenArbiter",
-    "OpticalNetwork",
 ]

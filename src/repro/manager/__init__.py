@@ -9,26 +9,24 @@ implements that decision layer:
 
 * :mod:`repro.manager.pareto` — Pareto-front extraction over
   (communication time, channel power), the structure behind Figure 6b.
-* :mod:`repro.manager.policies` — selection policies: minimum power,
-  minimum energy per bit, deadline-constrained, and a laser-power-budget
-  policy.
+* :mod:`repro.manager.policies` — selection policies (minimum power,
+  minimum energy per bit, deadline-constrained), the margin ladder and the
+  graceful-degradation ladder.
 * :mod:`repro.manager.manager` — the runtime manager object handling
   configuration requests for the channels of an interconnect.
-* :mod:`repro.manager.runtime` — a small discrete-time simulation where
-  applications issue transfer requests against the manager.
+* :mod:`repro.manager.runtime` — the adaptive ECC/laser margin controller
+  the network simulator consults at run time.
 """
 
 from .pareto import ParetoPoint, pareto_front, dominates
 from .policies import (
     ConfigurationDecision,
     DeadlineConstrainedPolicy,
-    LaserBudgetPolicy,
     MinimumEnergyPolicy,
     MinimumPowerPolicy,
     SelectionPolicy,
 )
 from .manager import CommunicationRequest, LinkConfiguration, OpticalLinkManager
-from .runtime import RuntimeSimulation, TransferOutcome
 
 __all__ = [
     "ParetoPoint",
@@ -39,10 +37,7 @@ __all__ = [
     "MinimumPowerPolicy",
     "MinimumEnergyPolicy",
     "DeadlineConstrainedPolicy",
-    "LaserBudgetPolicy",
     "CommunicationRequest",
     "LinkConfiguration",
     "OpticalLinkManager",
-    "RuntimeSimulation",
-    "TransferOutcome",
 ]

@@ -6,7 +6,7 @@ one best matching the request.  The paper motivates two application classes:
 real-time traffic with deadlines (favour low communication time) and
 throughput/multimedia traffic where energy matters more (favour low power or
 low energy per bit, possibly degrading the BER); the policies below cover
-both plus a laser-power-budget variant for thermally constrained scenarios.
+both.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "MinimumPowerPolicy",
     "MinimumEnergyPolicy",
     "DeadlineConstrainedPolicy",
-    "LaserBudgetPolicy",
     "margin_levels",
     "FailureRateMonitor",
     "HysteresisSwitchingPolicy",
@@ -407,37 +406,3 @@ class DegradationLadder:
             rung=rung,
         )
 
-
-@dataclass
-class LaserBudgetPolicy:
-    """Fastest configuration whose laser power fits a per-wavelength budget.
-
-    Useful for hot-spot management: the budget caps the laser electrical
-    power (thermal headroom), and within it the policy favours performance.
-    """
-
-    max_laser_power_w: float
-    name: str = "laser-budget"
-
-    def select(
-        self,
-        candidates: Sequence[ChannelPowerBreakdown],
-        *,
-        config: PaperConfig = DEFAULT_CONFIG,
-    ) -> ConfigurationDecision:
-        """Select the fastest candidate under the laser power budget."""
-        feasible = _feasible(candidates)
-        within = [c for c in feasible if c.laser_power_w <= self.max_laser_power_w]
-        if not within:
-            raise InfeasibleDesignError(
-                f"no configuration keeps the laser under {self.max_laser_power_w * 1e3:.2f} mW"
-            )
-        best = min(within, key=lambda c: (c.communication_time, c.total_power_w))
-        return ConfigurationDecision(
-            breakdown=best,
-            policy_name=self.name,
-            reason=(
-                f"fastest scheme with P_laser <= {self.max_laser_power_w * 1e3:.2f} mW "
-                f"(CT = {best.communication_time:.2f})"
-            ),
-        )

@@ -1,25 +1,22 @@
-"""Discrete-time runtime simulation of managed optical transfers.
+"""Run-time ECC/laser margin control for the network simulator.
 
 The paper argues the ECC/laser configuration should be chosen at run time by
 an Operating-System-level manager according to each application's
-requirements.  This module provides a small simulation loop where a workload
-(a sequence of transfer requests with payload sizes, BER targets and
-optional deadlines) is served by the :class:`OpticalLinkManager`; it records
-per-transfer latency and energy so policies can be compared end to end —
-this is the machinery behind the multimedia/real-time example.
+requirements.  :class:`AdaptiveEccController` is the per-channel half of
+that loop: it picks the drift margin the
+:class:`~repro.manager.manager.OpticalLinkManager` provisions each transfer
+for, and moves channels along the margin ladder from failure telemetry.  The discrete-event engine in
+:mod:`repro.netsim` serves the transfers and charges the switch penalties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
-from ..config import DEFAULT_CONFIG, PaperConfig
-from ..exceptions import ConfigurationError, InfeasibleDesignError
-from .manager import CommunicationRequest, LinkConfiguration, OpticalLinkManager
+from ..exceptions import ConfigurationError
 from .policies import FailureRateMonitor, HysteresisSwitchingPolicy
 
-__all__ = ["TransferOutcome", "RuntimeSimulation", "AdaptiveEccController"]
+__all__ = ["AdaptiveEccController"]
 
 #: Operating modes of the adaptive controller.
 CONTROLLER_MODES = ("static", "adaptive", "oracle")
@@ -233,110 +230,3 @@ class AdaptiveEccController:
             self._calm[channel] = 0
         return False
 
-
-@dataclass(frozen=True)
-class TransferOutcome:
-    """Latency/energy results of one managed transfer."""
-
-    request: CommunicationRequest
-    configuration: LinkConfiguration | None
-    start_time_s: float
-    duration_s: float
-    energy_j: float
-    deadline_s: float | None
-    rejected: bool = False
-
-    @property
-    def completion_time_s(self) -> float:
-        """Absolute completion time of the transfer."""
-        return self.start_time_s + self.duration_s
-
-    @property
-    def met_deadline(self) -> bool:
-        """True when the transfer finished within its deadline (if any)."""
-        if self.rejected:
-            return False
-        if self.deadline_s is None:
-            return True
-        return self.duration_s <= self.deadline_s
-
-
-@dataclass
-class RuntimeSimulation:
-    """Serve a sequence of transfer requests through the link manager."""
-
-    manager: OpticalLinkManager
-    config: PaperConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-
-    def transfer_duration_s(self, configuration: LinkConfiguration, payload_bits: int) -> float:
-        """Channel-busy time of a payload under a configuration.
-
-        The payload is stretched by the coding overhead and streamed over
-        the channel's wavelengths at the modulation rate.
-        """
-        coded_bits = payload_bits * configuration.communication_time
-        channel_rate = self.config.num_wavelengths * self.config.modulation_rate_hz
-        return coded_bits / channel_rate
-
-    def transfer_energy_j(self, configuration: LinkConfiguration, duration_s: float) -> float:
-        """Energy drawn by the whole waveguide during a transfer."""
-        channel_power = configuration.channel_power_w * self.config.num_wavelengths
-        return channel_power * duration_s
-
-    def run(
-        self,
-        requests: Iterable[tuple[CommunicationRequest, float | None]],
-    ) -> List[TransferOutcome]:
-        """Serve requests back-to-back on a single shared channel.
-
-        ``requests`` yields ``(request, deadline_s)`` pairs; a ``None``
-        deadline means best effort.  Requests the manager cannot satisfy are
-        recorded as rejected with zero duration and energy.
-        """
-        outcomes: List[TransferOutcome] = []
-        clock_s = 0.0
-        for request, deadline_s in requests:
-            try:
-                configuration = self.manager.configure(request)
-            except InfeasibleDesignError:
-                outcomes.append(
-                    TransferOutcome(
-                        request=request,
-                        configuration=None,
-                        start_time_s=clock_s,
-                        duration_s=0.0,
-                        energy_j=0.0,
-                        deadline_s=deadline_s,
-                        rejected=True,
-                    )
-                )
-                continue
-            duration = self.transfer_duration_s(configuration, request.payload_bits)
-            energy = self.transfer_energy_j(configuration, duration)
-            outcomes.append(
-                TransferOutcome(
-                    request=request,
-                    configuration=configuration,
-                    start_time_s=clock_s,
-                    duration_s=duration,
-                    energy_j=energy,
-                    deadline_s=deadline_s,
-                )
-            )
-            clock_s += duration
-            self.manager.release(request.source, request.destination)
-        return outcomes
-
-    @staticmethod
-    def total_energy_j(outcomes: Iterable[TransferOutcome]) -> float:
-        """Total energy over a set of outcomes."""
-        return sum(o.energy_j for o in outcomes)
-
-    @staticmethod
-    def deadline_miss_rate(outcomes: Iterable[TransferOutcome]) -> float:
-        """Fraction of transfers that missed their deadline or were rejected."""
-        outcome_list = list(outcomes)
-        if not outcome_list:
-            return 0.0
-        missed = sum(1 for o in outcome_list if not o.met_deadline)
-        return missed / len(outcome_list)

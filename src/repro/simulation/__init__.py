@@ -8,27 +8,17 @@ counterpart used by the validation examples and tests:
 * :mod:`repro.simulation.linksim` — bit-level simulation of one optical
   link: encode, transmit over the OOK/AWGN channel at a given operating
   point, decode, measure the residual BER.
-* :mod:`repro.simulation.packets` — packet/message containers.
-* :mod:`repro.simulation.transfersim` — message-level simulation with
-  channel arbitration, serialization timing and per-transfer energy.
-* :mod:`repro.simulation.stats` — streaming statistics with confidence
-  intervals.
+
+Message-level arbitration, serialisation timing, per-transfer energy and
+bit-exact decoding are the network simulator's job (:mod:`repro.netsim`).
 """
 
 from .faults import BurstErrorModel, IndependentErrorModel
 from .linksim import LinkSimulationResult, OpticalLinkSimulator
-from .packets import Message, Packet
-from .stats import StreamingStatistics
-from .transfersim import MessageTransferSimulator, TransferRecord
 
 __all__ = [
     "IndependentErrorModel",
     "BurstErrorModel",
     "OpticalLinkSimulator",
     "LinkSimulationResult",
-    "Packet",
-    "Message",
-    "StreamingStatistics",
-    "MessageTransferSimulator",
-    "TransferRecord",
 ]

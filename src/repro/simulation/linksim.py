@@ -16,8 +16,7 @@ through the packed table fold, pushed through the channel with one
 (:meth:`OOKAWGNChannel.transmit_batch_packed`), decoded packed, and both
 raw and residual bit errors are counted with popcounts.  The random stream
 matches the unpacked pipeline draw for draw, so measurements are
-bit-identical; codes without the packed API fall back to the unpacked
-batch chain.  There is no per-block Python loop either way.
+bit-identical.  There is no per-block Python loop.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel.awgn import OOKAWGNChannel
-from ..coding.base import decode_blocks, decode_blocks_packed, encode_blocks, encode_blocks_packed
 from ..coding.montecarlo import DEFAULT_BATCH_SIZE, resolve_rng
 from ..coding.packed import pack_bits, popcount_rows, prefix_mask
 from ..config import DEFAULT_CONFIG, PaperConfig
@@ -115,30 +113,18 @@ class OpticalLinkSimulator:
         residual_errors = 0
         bad_blocks = 0
         raw_bits = 0
-        packed_path = (
-            getattr(self._code, "encode_batch_packed", None) is not None
-            and getattr(self._code, "decode_batch_packed", None) is not None
-        )
-        message_mask = prefix_mask(n, k) if packed_path else None
+        message_mask = prefix_mask(n, k)
         for start in range(0, num_blocks, batch_size):
             count = min(batch_size, num_blocks - start)
             messages = self._rng.integers(0, 2, size=(count, k), dtype=np.uint8)
-            if packed_path:
-                codeword_words = encode_blocks_packed(self._code, pack_bits(messages))
-                received_words = self._channel.transmit_batch_packed(codeword_words, n=n)
-                raw_errors += int(popcount_rows(received_words ^ codeword_words).sum())
-                raw_bits += count * n
-                decoded = decode_blocks_packed(self._code, received_words)
-                errors_per_block = popcount_rows(
-                    (decoded.corrected_words ^ codeword_words) & message_mask
-                )
-            else:
-                codewords = encode_blocks(self._code, messages)
-                received = self._channel.transmit_batch(codewords)
-                raw_errors += int(np.count_nonzero(received != codewords))
-                raw_bits += int(codewords.size)
-                decoded_bits = decode_blocks(self._code, received).message_bits
-                errors_per_block = np.count_nonzero(decoded_bits != messages, axis=1)
+            codeword_words = self._code.encode_batch_packed(pack_bits(messages))
+            received_words = self._channel.transmit_batch_packed(codeword_words, n=n)
+            raw_errors += int(popcount_rows(received_words ^ codeword_words).sum())
+            raw_bits += count * n
+            decoded = self._code.decode_batch_packed(received_words)
+            errors_per_block = popcount_rows(
+                (decoded.corrected_words ^ codeword_words) & message_mask
+            )
             residual_errors += int(errors_per_block.sum())
             bad_blocks += int(np.count_nonzero(errors_per_block))
         payload_bits = num_blocks * k

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding.base import BatchDecodeResult, decode_blocks, encode_blocks
+from repro.coding.base import BatchDecodeResult
 from repro.coding.galois import get_field
 from repro.coding.registry import available_codes, get_code
 from repro.exceptions import CodewordLengthError
@@ -31,7 +31,7 @@ def _reference_decode(code, block):
 def _corrupted_batch(code, rng, num_blocks=96):
     """Messages, codewords and a received matrix mixing 0..3 errors per block."""
     messages = rng.integers(0, 2, size=(num_blocks, code.k), dtype=np.uint8)
-    codewords = encode_blocks(code, messages)
+    codewords = code.encode_batch(messages)
     # Mean ~1.6 errors/block exercises the clean, corrected and failure paths.
     flips = (rng.random((num_blocks, code.n)) < 1.6 / code.n).astype(np.uint8)
     return messages, codewords, codewords ^ flips
@@ -114,53 +114,6 @@ class TestBatchAPIValidation:
         assert not result[0].detected_error
         assert result[1].corrected
         assert result.num_detected == 1
-
-    def test_encode_decode_helpers_fall_back_for_duck_typed_codes(self):
-        inner = get_code("H(7,4)")
-
-        class MinimalCode:
-            n = inner.n
-            k = inner.k
-            encode_block = staticmethod(inner.encode_block)
-            decode_block = staticmethod(inner.decode_block)
-
-        rng = np.random.default_rng(99)
-        messages = rng.integers(0, 2, size=(16, inner.k), dtype=np.uint8)
-        encoded = encode_blocks(MinimalCode(), messages)
-        assert np.array_equal(encoded, inner.encode_batch(messages))
-        decoded = decode_blocks(MinimalCode(), encoded)
-        assert np.array_equal(decoded.message_bits, messages)
-
-
-class TestScalarOverrideCompatibility:
-    def test_decode_batch_honours_a_scalar_only_override(self):
-        """Subclasses overriding only decode_block keep their semantics in batch."""
-        from repro.coding.base import DecodeResult, LinearBlockCode
-        from repro.coding.hamming import HammingCode
-
-        class InvertingCode(HammingCode):
-            """Toy override: decodes to the complement of the reference message."""
-
-            def decode_block(self, received_bits, *, strict=False):
-                reference = self._decode_block_reference(received_bits, strict=strict)
-                return DecodeResult(
-                    message_bits=reference.message_bits ^ 1,
-                    corrected_codeword=reference.corrected_codeword,
-                    detected_error=reference.detected_error,
-                    corrected=reference.corrected,
-                    failure=reference.failure,
-                )
-
-        code = InvertingCode(3)
-        rng = np.random.default_rng(11)
-        messages = rng.integers(0, 2, size=(16, code.k), dtype=np.uint8)
-        codewords = code.encode_batch(messages)
-        batched = code.decode_batch(codewords)
-        assert np.array_equal(batched.message_bits, messages ^ 1)
-        streamed = code.decode(codewords.reshape(-1))
-        assert np.array_equal(streamed, (messages ^ 1).reshape(-1))
-        helper = decode_blocks(code, codewords)
-        assert np.array_equal(helper.message_bits, messages ^ 1)
 
 
 class TestConstructionMemoization:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.channel.awgn import OOKAWGNChannel
 from repro.channel.bsc import BinarySymmetricChannel
-from repro.coding.base import decode_blocks_packed, encode_blocks, encode_blocks_packed
+from repro.coding.base import decode_blocks_packed, encode_blocks_packed
 from repro.coding.bch import BCHCode
 from repro.coding.crc import CyclicRedundancyCheck
 from repro.coding.packed import (
@@ -40,7 +40,7 @@ def _seed(name: str) -> int:
 
 def _corrupted_batch(code, rng, num_blocks=96, mean_errors=1.6):
     messages = rng.integers(0, 2, size=(num_blocks, code.k), dtype=np.uint8)
-    codewords = encode_blocks(code, messages)
+    codewords = code.encode_batch(messages)
     flips = (rng.random((num_blocks, code.n)) < mean_errors / code.n).astype(np.uint8)
     return messages, codewords, codewords ^ flips
 
@@ -109,13 +109,23 @@ class TestPackedCodingEquivalence:
         assert np.array_equal(packed.corrected, unpacked.corrected)
         assert np.array_equal(packed.failure, unpacked.failure)
 
+    def test_empty_batch_round_trips_through_the_packed_dispatchers(self, name):
+        # Zero blocks once crashed the batched decode of an empty transfer.
+        code = get_code(name)
+        words = encode_blocks_packed(code, pack_bits(np.zeros((0, code.k), dtype=np.uint8)))
+        assert words.shape[0] == 0
+        result = decode_blocks_packed(code, words).unpack()
+        assert len(result) == 0
+        assert result.message_bits.shape == (0, code.k)
+        assert not result.failure.any()
+
     @pytest.mark.parametrize("channel_kind", ["bsc", "awgn"])
     def test_channel_pipeline_bit_exact(self, name, channel_kind):
         """Same seed -> packed and unpacked channel pipelines agree bit-exactly."""
         code = get_code(name)
         rng = np.random.default_rng(_seed(name) + 2)
         messages = rng.integers(0, 2, size=(48, code.k), dtype=np.uint8)
-        codewords = encode_blocks(code, messages)
+        codewords = code.encode_batch(messages)
 
         def make_channel(seed):
             if channel_kind == "bsc":
@@ -142,7 +152,7 @@ class TestPackedCodingEquivalence:
         code = get_code(name)
         rng = np.random.default_rng(_seed(name) + 4)
         messages = rng.integers(0, 2, size=(48, code.k), dtype=np.uint8)
-        codewords = encode_blocks(code, messages)
+        codewords = code.encode_batch(messages)
 
         def make_model(seed):
             if model_kind == "independent":

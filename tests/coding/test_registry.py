@@ -81,6 +81,33 @@ class TestRegistration:
         with pytest.raises(ConfigurationError):
             register_code("dup-code", lambda: HammingCode(3))
 
+    def test_code_without_the_packed_contract_is_rejected(self):
+        from repro.coding.hamming import HammingCode
+
+        inner = HammingCode(3)
+
+        class UnpackedOnlyCode:
+            """Duck-typed code with the unpacked batch API only."""
+
+            n = inner.n
+            k = inner.k
+            encode_batch = staticmethod(inner.encode_batch)
+            decode_batch = staticmethod(inner.decode_batch)
+
+        class EncodeOnlyCode(UnpackedOnlyCode):
+            encode_batch_packed = staticmethod(inner.encode_batch_packed)
+
+        try:
+            register_code("unpacked-only-code", UnpackedOnlyCode, overwrite=True)
+            with pytest.raises(ConfigurationError, match="encode_batch_packed, decode_batch_packed"):
+                get_code("unpacked-only-code")
+            register_code("unpacked-only-code", EncodeOnlyCode, overwrite=True)
+            with pytest.raises(ConfigurationError, match="missing decode_batch_packed$"):
+                get_code("unpacked-only-code")
+        finally:
+            register_code("unpacked-only-code", lambda: HammingCode(3), overwrite=True)
+        assert get_code("unpacked-only-code").n == 7
+
 
 class TestPaperCodeSet:
     def test_order_and_names(self):

@@ -135,12 +135,14 @@ class TestCheckpointResume:
         )
         assert _render(full) == _render(resumed)
 
-    def test_legacy_single_json_checkpoint_still_accepted(self, tmp_path):
-        full = run_experiment(
-            "validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path)
-        )
+    def test_legacy_single_json_checkpoint_is_quarantined(self, tmp_path):
+        run_experiment("validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path))
         path = checkpoint_path(str(tmp_path), "validation")
         header, records = _read_checkpoint_lines(path)
+        # The pre-JSON-lines layout: one document holding every shard.  It
+        # carries a matching fingerprint but no header record, so it is not
+        # parsed: it is quarantined like any unreadable checkpoint and every
+        # shard recomputes.
         legacy = {
             "experiment": "validation",
             "fingerprint": header["fingerprint"],
@@ -152,7 +154,12 @@ class TestCheckpointResume:
         resumed = run_experiment(
             "validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path), resume=True
         )
-        assert _render(full) == _render(resumed)
+        with open(path + ".corrupt", encoding="utf-8") as handle:
+            assert json.load(handle) == legacy
+        fresh = run_experiment("validation", options=FAST_VALIDATION)
+        assert _render(resumed) == _render(fresh)
+        rewritten, _ = _read_checkpoint_lines(path)
+        assert rewritten["kind"] == "header"
 
     def test_stale_fingerprint_is_ignored(self, tmp_path):
         run_experiment("validation", options=FAST_VALIDATION, checkpoint_dir=str(tmp_path))

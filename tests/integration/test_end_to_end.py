@@ -14,6 +14,7 @@ from repro import (
     CommunicationRequest,
     DEFAULT_CONFIG,
     HammingCode,
+    NetworkSimulator,
     OpticalLinkDesigner,
     OpticalLinkManager,
     ShortenedHammingCode,
@@ -21,9 +22,10 @@ from repro import (
     paper_code_set,
 )
 from repro.coding.theory import output_ber
-from repro.manager import MinimumPowerPolicy, RuntimeSimulation
+from repro.manager import MinimumPowerPolicy
 from repro.power import channel_power_breakdown, energy_metrics, interconnect_power_summary
 from repro.simulation import OpticalLinkSimulator
+from repro.traffic.generators import TrafficRequest
 
 
 class TestAnalyticDesignVersusSimulation:
@@ -80,17 +82,28 @@ class TestManagerToPowerChain:
         assert configuration.channel_power_w == pytest.approx(breakdown.total_power_w, rel=1e-6)
 
     def test_runtime_energy_matches_power_times_time(self):
-        manager = OpticalLinkManager()
-        simulation = RuntimeSimulation(manager=manager)
-        request = CommunicationRequest(source=1, destination=0, target_ber=1e-11, payload_bits=4096)
-        outcomes = simulation.run([(request, None)])
-        outcome = outcomes[0]
-        expected = (
-            outcome.configuration.channel_power_w
-            * DEFAULT_CONFIG.num_wavelengths
-            * outcome.duration_s
+        # One uncontended transfer through the network simulator costs the
+        # closed form of the configuration the manager picks: the payload
+        # stretched by CT over NW wavelengths at Fmod, at the channel power
+        # of every wavelength.
+        configuration = OpticalLinkManager().configure(
+            CommunicationRequest(source=1, destination=0, target_ber=1e-11, payload_bits=4096)
         )
-        assert outcome.energy_j == pytest.approx(expected)
+        traffic = TrafficRequest(
+            arrival_time_s=0.0, source=1, destination=0, payload_bits=4096, target_ber=1e-11
+        )
+        (record,) = NetworkSimulator(crc=None, max_retries=0, packet_bits=64, seed=0).run(
+            [traffic]
+        ).records
+        duration = (
+            4096
+            * configuration.communication_time
+            / (DEFAULT_CONFIG.num_wavelengths * DEFAULT_CONFIG.modulation_rate_hz)
+        )
+        assert record.code_name == configuration.code_name
+        assert record.latency_s == pytest.approx(duration, rel=1e-12)
+        expected = configuration.channel_power_w * DEFAULT_CONFIG.num_wavelengths * duration
+        assert record.energy_j == pytest.approx(expected, rel=1e-12)
 
 
 class TestPaperHeadlineNumbers:

@@ -1,17 +1,14 @@
-"""Tests for topology, MWSR channels, ONIs, arbitration and the network."""
+"""Tests for topology, MWSR channels and arbitration."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.coding.hamming import ShortenedHammingCode
-from repro.coding.uncoded import UncodedScheme
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ArbitrationError, ConfigurationError
 from repro.interconnect.arbitration import TokenArbiter
 from repro.interconnect.mwsr import MWSRChannel
-from repro.interconnect.network import OpticalNetwork
-from repro.interconnect.oni import OpticalNetworkInterface
 from repro.interconnect.topology import RingTopology
 
 
@@ -86,36 +83,6 @@ class TestMWSRChannel:
         assert 0.0 < channel.crosstalk_ratio < 0.1
 
 
-class TestOpticalNetworkInterface:
-    def test_default_modes_are_uncoded(self):
-        oni = OpticalNetworkInterface(index=0)
-        assert oni.transmit_mode == "w/o ECC"
-        assert oni.receive_mode == "w/o ECC"
-
-    def test_configure_modes(self):
-        oni = OpticalNetworkInterface(index=0)
-        oni.configure_transmit("H(7,4)")
-        oni.configure_receive("H(7,4)")
-        assert oni.transmit_mode == "H(7,4)"
-        assert oni.interface_power_w() > 0
-
-    def test_unknown_mode_rejected(self):
-        oni = OpticalNetworkInterface(index=0)
-        with pytest.raises(ConfigurationError):
-            oni.configure_transmit("H(1024,1000)")
-
-    def test_area_is_the_sum_of_both_interfaces(self):
-        oni = OpticalNetworkInterface(index=0)
-        assert oni.interface_area_um2 == pytest.approx(2013.0 + 3050.0)
-
-    def test_coded_mode_draws_more_interface_power(self):
-        oni = OpticalNetworkInterface(index=0)
-        uncoded_power = oni.interface_power_w()
-        oni.configure_transmit("H(7,4)")
-        oni.configure_receive("H(7,4)")
-        assert oni.interface_power_w() > uncoded_power
-
-
 class TestTokenArbiter:
     def test_single_writer_gets_immediate_grants(self):
         arbiter = TokenArbiter(writers=[1], token_hop_time_s=0.0)
@@ -160,32 +127,48 @@ class TestTokenArbiter:
             TokenArbiter(writers=[1, 1])
 
 
-class TestOpticalNetwork:
-    @pytest.fixture(scope="class")
-    def network(self):
-        return OpticalNetwork()
 
-    def test_one_channel_per_reader(self, network):
-        assert network.num_onis == 12
-        assert set(network.channels) == set(range(12))
+class TestInterconnectAssembly:
+    """The ring as the power model counts it: one MWSR channel per reader ONI."""
 
-    def test_aggregate_bandwidth(self, network):
-        per_channel = 16 * 16 * 10e9
-        assert network.aggregate_raw_bandwidth_bits_per_s == pytest.approx(12 * per_channel)
+    def test_one_channel_per_reader(self):
+        from repro.coding.uncoded import UncodedScheme
+        from repro.power.channel import channel_power_breakdown
+        from repro.power.interconnect import interconnect_power_summary
 
-    def test_total_power_scales_from_channel_power(self, network):
-        code = UncodedScheme(64)
-        breakdown = network.channel_power(code, 1e-11)
-        expected = breakdown.total_power_w * 16 * 16 * 12
-        assert network.total_power_w(code, 1e-11) == pytest.approx(expected)
+        channels = [MWSRChannel(reader=reader) for reader in range(DEFAULT_CONFIG.num_onis)]
+        for channel in channels:
+            assert sorted(channel.writers + [channel.reader]) == list(range(12))
+        summary = interconnect_power_summary(channel_power_breakdown(UncodedScheme(64), 1e-11))
+        assert summary.num_channels == len(channels) == 12
 
-    def test_power_saving_matches_headline_scale(self, network):
-        saving = network.power_saving_w(UncodedScheme(64), ShortenedHammingCode(64), 1e-11)
-        assert saving == pytest.approx(22.0, rel=0.25)
+    def test_aggregate_bandwidth(self):
+        total = sum(
+            MWSRChannel(reader=reader).raw_bandwidth_bits_per_s
+            for reader in range(DEFAULT_CONFIG.num_onis)
+        )
+        assert total == pytest.approx(12 * 16 * 16 * 10e9)
 
-    def test_interface_area_scales_with_onis(self, network):
-        assert network.total_interface_area_um2 == pytest.approx(12 * (2013.0 + 3050.0))
-
-    def test_unknown_reader_rejected(self, network):
+    def test_unknown_reader_rejected(self):
         with pytest.raises(ConfigurationError):
-            network.channel_for_reader(42)
+            MWSRChannel(reader=42)
+        with pytest.raises(ConfigurationError):
+            MWSRChannel(reader=-1)
+
+    def test_oni_interface_area_is_the_sum_of_both_interfaces(self):
+        from repro.interfaces.receiver import ReceiverInterface
+        from repro.interfaces.transmitter import TransmitterInterface
+
+        transmitter = TransmitterInterface.paper_default()
+        receiver = ReceiverInterface.paper_default()
+        area = transmitter.total_area_um2 + receiver.total_area_um2
+        assert area == pytest.approx(2013.0 + 3050.0)
+        assert DEFAULT_CONFIG.num_onis * area == pytest.approx(12 * (2013.0 + 3050.0))
+
+    def test_both_interfaces_offer_the_same_modes(self):
+        from repro.interfaces.receiver import ReceiverInterface
+        from repro.interfaces.transmitter import TransmitterInterface
+
+        transmit_modes = TransmitterInterface.paper_default().modes()
+        assert set(transmit_modes) == set(ReceiverInterface.paper_default().modes())
+        assert {"w/o ECC", "H(7,4)", "H(71,64)"} <= set(transmit_modes)

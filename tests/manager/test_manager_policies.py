@@ -10,11 +10,9 @@ from repro.manager.manager import CommunicationRequest, OpticalLinkManager
 from repro.manager.pareto import ParetoPoint, dominates, pareto_front
 from repro.manager.policies import (
     DeadlineConstrainedPolicy,
-    LaserBudgetPolicy,
     MinimumEnergyPolicy,
     MinimumPowerPolicy,
 )
-from repro.manager.runtime import RuntimeSimulation
 
 
 def _point(name, ct, power, ber=1e-11):
@@ -89,16 +87,6 @@ class TestPolicies:
         with pytest.raises(InfeasibleDesignError):
             DeadlineConstrainedPolicy(max_communication_time=0.5).select(candidates)
 
-    def test_laser_budget_policy_prefers_speed_within_budget(self, candidates):
-        generous = LaserBudgetPolicy(max_laser_power_w=1.0).select(candidates)
-        assert generous.code_name == "w/o ECC"
-        tight = LaserBudgetPolicy(max_laser_power_w=7.5e-3).select(candidates)
-        assert tight.code_name in {"H(71,64)", "H(7,4)"}
-
-    def test_exhausted_laser_budget_raises(self, candidates):
-        with pytest.raises(InfeasibleDesignError):
-            LaserBudgetPolicy(max_laser_power_w=1e-3).select(candidates)
-
     def test_decision_records_policy_and_reason(self, candidates):
         decision = MinimumPowerPolicy().select(candidates)
         assert decision.policy_name == "min-power"
@@ -167,54 +155,3 @@ class TestOpticalLinkManager:
         with pytest.raises(ConfigurationError):
             CommunicationRequest(source=1, destination=0, target_ber=1e-9, payload_bits=0)
 
-
-class TestRuntimeSimulation:
-    def test_transfer_durations_scale_with_ct(self):
-        manager = OpticalLinkManager()
-        simulation = RuntimeSimulation(manager=manager)
-        uncoded_config = manager.configure(
-            CommunicationRequest(
-                source=1,
-                destination=0,
-                target_ber=1e-11,
-                policy=DeadlineConstrainedPolicy(max_communication_time=1.0),
-            )
-        )
-        coded_config = manager.configure(
-            CommunicationRequest(source=2, destination=0, target_ber=1e-11)
-        )
-        payload = 4096
-        assert simulation.transfer_duration_s(coded_config, payload) > simulation.transfer_duration_s(
-            uncoded_config, payload
-        )
-
-    def test_run_records_energy_and_deadlines(self):
-        manager = OpticalLinkManager()
-        simulation = RuntimeSimulation(manager=manager)
-        workload = [
-            (CommunicationRequest(source=1, destination=0, target_ber=1e-11, payload_bits=2048), 1e-6),
-            (CommunicationRequest(source=2, destination=0, target_ber=1e-11, payload_bits=2048), 1e-12),
-        ]
-        outcomes = simulation.run(workload)
-        assert len(outcomes) == 2
-        assert RuntimeSimulation.total_energy_j(outcomes) > 0
-        # The second deadline (1 ps) is impossible to meet.
-        assert RuntimeSimulation.deadline_miss_rate(outcomes) == pytest.approx(0.5)
-
-    def test_unsatisfiable_requests_are_rejected_not_fatal(self):
-        manager = OpticalLinkManager()
-        simulation = RuntimeSimulation(manager=manager)
-        workload = [
-            (
-                CommunicationRequest(
-                    source=1,
-                    destination=0,
-                    target_ber=1e-11,
-                    policy=LaserBudgetPolicy(max_laser_power_w=1e-4),
-                ),
-                None,
-            )
-        ]
-        outcomes = simulation.run(workload)
-        assert outcomes[0].rejected
-        assert not outcomes[0].met_deadline

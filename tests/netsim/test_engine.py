@@ -2,8 +2,9 @@
 
 The three anchors the issue pins down:
 
-* at zero contention the per-transfer latency/energy matches the analytic
-  :class:`~repro.manager.runtime.RuntimeSimulation` to float tolerance;
+* at zero contention the per-transfer latency/energy matches the closed
+  form ``payload · CT / (NW · Fmod)`` and ``P_channel · NW · duration`` of
+  the configuration the link manager picks, to float tolerance;
 * under saturation the token arbiter serves every writer fairly;
 * the probabilistic and bit-exact fault modes agree on the delivered
   packet/bit error rates within Monte-Carlo error under a fixed seed.
@@ -11,15 +12,23 @@ The three anchors the issue pins down:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.coding.hamming import HammingCode
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.manager.manager import CommunicationRequest, OpticalLinkManager
-from repro.manager.policies import DeadlineConstrainedPolicy, MinimumEnergyPolicy
-from repro.manager.runtime import AdaptiveEccController, RuntimeSimulation
-from repro.netsim import NetworkSimulator
+from repro.manager.policies import (
+    ConfigurationDecision,
+    DeadlineConstrainedPolicy,
+    MinimumEnergyPolicy,
+)
+from repro.manager.runtime import AdaptiveEccController
+from repro.netsim import NetworkSimulator, packets_for_payload
+from repro.simulation.faults import IndependentErrorModel
 from repro.traffic.generators import (
     HotspotTrafficGenerator,
     TrafficRequest,
@@ -42,48 +51,52 @@ def _single_stream_requests(count: int, *, payload_bits: int = 512, spacing_s: f
 
 
 class TestZeroContentionParity:
-    """Anchor (a): one writer, one stream — netsim equals RuntimeSimulation."""
+    """Anchor (a): one writer, one stream — netsim equals the closed form."""
 
     @pytest.fixture(scope="class")
     def pair(self):
         requests = _single_stream_requests(20)
         simulator = NetworkSimulator(crc=None, max_retries=0, packet_bits=64, seed=0)
         result = simulator.run(requests)
-        runtime = RuntimeSimulation(manager=OpticalLinkManager())
-        outcomes = runtime.run(
-            (
+        manager = OpticalLinkManager()
+        channel_rate = DEFAULT_CONFIG.num_wavelengths * DEFAULT_CONFIG.modulation_rate_hz
+        expected = []
+        for request in requests:
+            configuration = manager.configure(
                 CommunicationRequest(
                     source=request.source,
                     destination=request.destination,
                     target_ber=request.target_ber,
                     payload_bits=request.payload_bits,
-                ),
-                None,
+                )
             )
-            for request in requests
-        )
-        return result.records, outcomes
+            duration = request.payload_bits * configuration.communication_time / channel_rate
+            energy = configuration.channel_power_w * DEFAULT_CONFIG.num_wavelengths * duration
+            expected.append((configuration.code_name, duration, energy))
+        return result.records, expected
 
     def test_same_configuration_selected(self, pair):
-        records, outcomes = pair
-        for record, outcome in zip(records, outcomes):
-            assert record.code_name == outcome.configuration.code_name
+        records, expected = pair
+        assert len(records) == len(expected)
+        for record, (code_name, _, _) in zip(records, expected):
+            assert record.code_name == code_name
 
     def test_serialization_time_matches_to_float_tolerance(self, pair):
-        records, outcomes = pair
-        for record, outcome in zip(records, outcomes):
-            duration = record.completion_time_s - record.first_start_time_s
-            assert duration == pytest.approx(outcome.duration_s, rel=1e-12)
+        records, expected = pair
+        for record, (_, duration, _) in zip(records, expected):
+            assert record.completion_time_s - record.first_start_time_s == pytest.approx(
+                duration, rel=1e-12
+            )
 
     def test_latency_is_pure_serialization_without_contention(self, pair):
-        records, outcomes = pair
-        for record, outcome in zip(records, outcomes):
-            assert record.latency_s == pytest.approx(outcome.duration_s, rel=1e-12)
+        records, expected = pair
+        for record, (_, duration, _) in zip(records, expected):
+            assert record.latency_s == pytest.approx(duration, rel=1e-12)
 
     def test_energy_matches_to_float_tolerance(self, pair):
-        records, outcomes = pair
-        for record, outcome in zip(records, outcomes):
-            assert record.energy_j == pytest.approx(outcome.energy_j, rel=1e-12)
+        records, expected = pair
+        for record, (_, _, energy) in zip(records, expected):
+            assert record.energy_j == pytest.approx(energy, rel=1e-12)
 
 
 class TestSaturationFairness:
@@ -348,6 +361,158 @@ class TestEngineBehaviour:
             NetworkSimulator(warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
             NetworkSimulator(seed=1).run([])
+
+    def test_seed_and_rng_are_mutually_exclusive(self):
+        with pytest.raises(ConfigurationError):
+            NetworkSimulator(rng=np.random.default_rng(0), seed=1)
+
+    def test_destination_outside_the_ring_is_rejected(self):
+        with pytest.raises(SimulationError, match="ONI index 42"):
+            NetworkSimulator(seed=1).run([TrafficRequest(0.0, 3, 42, 64, 1e-9)])
+
+
+@dataclass
+class _FixedCodePolicy:
+    """Selects one named scheme, so a transfer's coding overhead is known."""
+
+    code_name: str
+    name: str = "fixed-code"
+
+    def select(self, candidates, *, config):
+        (chosen,) = [c for c in candidates if c.code_name == self.code_name]
+        return ConfigurationDecision(breakdown=chosen, policy_name=self.name, reason="fixed")
+
+
+def _bit_exact(code_name: str = "H(7,4)", **kwargs) -> NetworkSimulator:
+    kwargs.setdefault("seed", 0)
+    return NetworkSimulator(
+        policy=_FixedCodePolicy(code_name), mode="bit-exact", crc=None, max_retries=0, **kwargs
+    )
+
+
+class TestBitExactTransfers:
+    """Single transfers round-tripped through real codewords."""
+
+    def test_transfer_latency_includes_coding_overhead(self):
+        (record,) = _bit_exact().run([TrafficRequest(0.0, 3, 0, 4096, 1e-11)]).records
+        # 4096 bits * 7/4 coded, over 16 lambda at 10 Gb/s.
+        assert record.coded_bits_sent == 4096 * 7 // 4
+        assert record.completion_time_s - record.first_start_time_s == pytest.approx(
+            4096 * 1.75 / (16 * 10e9), rel=1e-12
+        )
+
+    def test_energy_scales_with_payload(self):
+        small, large = _bit_exact().run(
+            [TrafficRequest(0.0, 3, 0, 1024, 1e-11), TrafficRequest(1e-3, 3, 0, 8192, 1e-11)]
+        ).records
+        assert large.energy_j == pytest.approx(8 * small.energy_j, rel=1e-12)
+
+    def test_transfers_at_the_design_point_are_error_free(self):
+        (record,) = _bit_exact().run([TrafficRequest(0.0, 2, 0, 4096, 1e-11)]).records
+        assert record.residual_bit_errors == 0
+        assert record.packets_delivered == record.packets_total
+
+    def test_seed_reproduces_the_corruption(self):
+        # At a 1e-3 target the design-point raw BER corrupts some packets.
+        def record(seed):
+            simulator = _bit_exact(seed=seed)
+            (outcome,) = simulator.run([TrafficRequest(0.0, 3, 0, 4096, 1e-3)]).records
+            return outcome.residual_bit_errors, outcome.packets_with_residual_errors
+
+        assert record(99) == record(99)
+        assert record(99)[0] > 0
+        # A SeedSequence works as a seed too.
+        assert record(np.random.SeedSequence(1234)) == record(np.random.SeedSequence(1234))
+
+    def test_custom_fault_model_draws_from_its_own_generator(self):
+        def record(model_seed, seed):
+            model = IndependentErrorModel(2e-2, rng=np.random.default_rng(model_seed))
+            simulator = _bit_exact(fault_model=model, seed=seed)
+            (outcome,) = simulator.run([TrafficRequest(0.0, 3, 0, 4096, 1e-11)]).records
+            return outcome.residual_bit_errors
+
+        # The flips come from the model's generator, not the engine seed.
+        assert record(7, seed=0) == record(7, seed=1) > 0
+        assert len({record(model_seed, seed=0) for model_seed in range(6)}) > 1
+
+    def test_statistics_accumulate(self):
+        requests = [TrafficRequest(index * 1e-6, 3, 0, 512, 1e-11) for index in range(3)]
+        result = NetworkSimulator(
+            mode="bit-exact", crc=None, max_retries=0, warmup_fraction=0.0, seed=0
+        ).run(requests)
+        metrics = result.metrics()
+        assert metrics.latency.count == 3
+        assert metrics.channel_utilization[0] > 0.0
+        assert metrics.total_energy_j == pytest.approx(
+            sum(record.energy_j for record in result.records)
+        )
+
+
+class TestPacketisation:
+    def test_payload_pads_to_whole_packets(self):
+        assert packets_for_payload(100, 64) == 2
+        assert packets_for_payload(128, 64) == 2
+        assert packets_for_payload(129, 64) == 3
+
+    def test_packetisation_validation(self):
+        with pytest.raises(ConfigurationError):
+            packets_for_payload(0, 64)
+        with pytest.raises(ConfigurationError):
+            packets_for_payload(64, 0)
+
+    def test_padding_is_coded_but_not_delivered_as_payload(self):
+        (record,) = _bit_exact(packet_bits=64).run(
+            [TrafficRequest(0.0, 3, 0, 100, 1e-11)]
+        ).records
+        assert record.packets_total == 2
+        # Two 64-bit packets of 16 H(7,4) blocks each.
+        assert record.coded_bits_sent == 2 * 16 * 7
+        assert record.delivered_payload_bits == 100
+
+
+class TestManagedTransfers:
+    """The link manager's choice drives each transfer's time and energy."""
+
+    def test_transfer_durations_scale_with_ct(self):
+        requests = [TrafficRequest(0.0, 1, 0, 4096, 1e-11)]
+        uncoded = NetworkSimulator(
+            policy=DeadlineConstrainedPolicy(max_communication_time=1.0),
+            crc=None,
+            max_retries=0,
+            seed=0,
+        ).run(requests).records[0]
+        coded = NetworkSimulator(crc=None, max_retries=0, seed=0).run(requests).records[0]
+        assert uncoded.code_name == "w/o ECC"
+        assert coded.code_name != "w/o ECC"
+        assert coded.latency_s > uncoded.latency_s
+
+    def test_records_support_deadline_accounting(self):
+        requests = [
+            TrafficRequest(0.0, 1, 0, 2048, 1e-11, deadline_s=1e-6),
+            TrafficRequest(1e-3, 2, 0, 2048, 1e-11, deadline_s=1e-12),
+        ]
+        records = NetworkSimulator(crc=None, max_retries=0, seed=0).run(requests).records
+        assert all(record.energy_j > 0 for record in records)
+        misses = [
+            record.latency_s > request.deadline_s for record, request in zip(records, requests)
+        ]
+        # The second deadline (1 ps) is impossible to meet.
+        assert misses == [False, True]
+
+    def test_unsatisfiable_requests_spend_nothing(self):
+        # No scheme has CT <= 0.5, so every request is rejected, not fatal.
+        result = NetworkSimulator(
+            policy=DeadlineConstrainedPolicy(max_communication_time=0.5),
+            crc=None,
+            max_retries=0,
+            seed=0,
+        ).run(_single_stream_requests(2))
+        for record in result.records:
+            assert record.rejected
+            assert record.code_name is None
+            assert record.energy_j == 0.0
+            assert record.packets_sent == 0
+        assert result.metrics().delivered_payload_bits == 0
 
 
 class _ExplodingController(AdaptiveEccController):

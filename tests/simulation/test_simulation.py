@@ -1,4 +1,4 @@
-"""Tests for fault injection, the link simulator, packets, stats and transfers."""
+"""Tests for fault injection and the link simulator."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import pytest
 from repro.coding.hamming import HammingCode
 from repro.coding.uncoded import UncodedScheme
 from repro.exceptions import ConfigurationError
-from repro.interconnect.mwsr import MWSRChannel
 from repro.link.design import OpticalLinkDesigner
 from repro.simulation.faults import BurstErrorModel, IndependentErrorModel
 from repro.simulation.linksim import OpticalLinkSimulator
-from repro.simulation.packets import Message, Packet
-from repro.simulation.stats import StreamingStatistics
-from repro.simulation.transfersim import MessageTransferSimulator
 
 
 class TestIndependentErrorModel:
@@ -113,134 +109,3 @@ class TestOpticalLinkSimulator:
         with pytest.raises(ConfigurationError):
             simulator.run(num_blocks=0)
 
-
-class TestPacketsAndMessages:
-    def test_packet_validation(self):
-        with pytest.raises(ConfigurationError):
-            Packet(source=1, destination=1, payload_bits=np.ones(8, dtype=np.uint8))
-        with pytest.raises(ConfigurationError):
-            Packet(source=1, destination=2, payload_bits=np.zeros(0, dtype=np.uint8))
-
-    def test_message_from_bits_pads_to_packet_size(self, rng):
-        bits = rng.integers(0, 2, size=100, dtype=np.uint8)
-        message = Message.from_bits(1, 0, bits, packet_size_bits=64)
-        assert len(message.packets) == 2
-        assert message.size_bits == 128
-        assert np.array_equal(message.payload()[:100], bits)
-
-    def test_payload_respects_sequence_numbers(self, rng):
-        bits = rng.integers(0, 2, size=128, dtype=np.uint8)
-        message = Message.from_bits(1, 0, bits, packet_size_bits=64)
-        message.packets.reverse()
-        assert np.array_equal(message.payload(), bits)
-
-    def test_mismatched_packet_endpoints_rejected(self):
-        message = Message(source=1, destination=0)
-        with pytest.raises(ConfigurationError):
-            message.append(Packet(source=2, destination=0, payload_bits=np.ones(8, dtype=np.uint8)))
-
-
-class TestStreamingStatistics:
-    def test_mean_and_variance_match_numpy(self, rng):
-        samples = rng.normal(3.0, 2.0, size=500)
-        stats = StreamingStatistics()
-        stats.extend(samples)
-        assert stats.mean == pytest.approx(samples.mean())
-        assert stats.variance == pytest.approx(samples.var(ddof=1), rel=1e-9)
-        assert stats.minimum == pytest.approx(samples.min())
-        assert stats.maximum == pytest.approx(samples.max())
-
-    def test_confidence_interval_contains_the_mean(self, rng):
-        stats = StreamingStatistics()
-        stats.extend(rng.normal(0.0, 1.0, size=200))
-        low, high = stats.confidence_interval()
-        assert low <= stats.mean <= high
-
-    def test_empty_statistics_are_safe(self):
-        stats = StreamingStatistics()
-        assert stats.variance == 0.0
-        assert stats.standard_error == 0.0
-        assert stats.as_dict()["count"] == 0.0
-
-
-class TestMessageTransferSimulator:
-    @pytest.fixture
-    def simulator(self, rng):
-        channel = MWSRChannel(reader=0)
-        return MessageTransferSimulator(
-            channel=channel,
-            code=HammingCode(3),
-            raw_ber=1e-3,
-            channel_power_w=0.13,
-            rng=rng,
-        )
-
-    def test_transfer_latency_includes_coding_overhead(self, simulator, rng):
-        message = Message.from_bits(3, 0, rng.integers(0, 2, size=4096, dtype=np.uint8))
-        record = simulator.transfer(message)
-        # 4096 bits * 7/4 coded, over 16 lambda at 10 Gb/s.
-        expected = 4096 * 1.75 / (16 * 10e9)
-        assert record.serialization_time_s == pytest.approx(expected)
-        assert record.coded_bits == 4096 * 7 // 4
-
-    def test_contending_transfers_queue_up(self, simulator, rng):
-        first = Message.from_bits(3, 0, rng.integers(0, 2, size=8192, dtype=np.uint8))
-        second = Message.from_bits(5, 0, rng.integers(0, 2, size=8192, dtype=np.uint8))
-        records = simulator.run([(first, 0.0), (second, 0.0)])
-        assert records[1].start_time_s >= records[0].completion_time_s
-
-    def test_energy_scales_with_duration(self, simulator, rng):
-        small = Message.from_bits(3, 0, rng.integers(0, 2, size=1024, dtype=np.uint8))
-        large = Message.from_bits(3, 0, rng.integers(0, 2, size=8192, dtype=np.uint8))
-        small_record = simulator.transfer(small)
-        large_record = simulator.transfer(large)
-        assert large_record.channel_energy_j > small_record.channel_energy_j
-
-    def test_low_raw_ber_transfers_are_mostly_error_free(self, rng):
-        channel = MWSRChannel(reader=0)
-        simulator = MessageTransferSimulator(
-            channel=channel, code=HammingCode(3), raw_ber=1e-6, rng=rng
-        )
-        message = Message.from_bits(2, 0, rng.integers(0, 2, size=4096, dtype=np.uint8))
-        record = simulator.transfer(message)
-        assert record.error_free
-
-    def test_empty_message_transfers_without_errors(self, simulator):
-        # Regression: zero payload blocks used to crash the batched decode
-        # path with np.concatenate([]).
-        record = simulator.transfer(Message(source=3, destination=0))
-        assert record.payload_bits == 0
-        assert record.coded_bits == 0
-        assert record.error_free
-
-    def test_seed_reproduces_the_transfer_outcome(self):
-        def record(seed):
-            simulator = MessageTransferSimulator(
-                channel=MWSRChannel(reader=0), code=HammingCode(3), raw_ber=2e-2, seed=seed
-            )
-            bits = np.random.default_rng(0).integers(0, 2, size=4096, dtype=np.uint8)
-            return simulator.transfer(Message.from_bits(3, 0, bits))
-
-        # Same seed, same corruption; a SeedSequence works as a seed too.
-        assert record(99).residual_bit_errors == record(99).residual_bit_errors
-        sequence_runs = [record(np.random.SeedSequence(1234)) for _ in range(2)]
-        assert sequence_runs[0].residual_bit_errors == sequence_runs[1].residual_bit_errors
-
-    def test_seed_and_rng_are_mutually_exclusive(self, rng):
-        with pytest.raises(ConfigurationError):
-            MessageTransferSimulator(
-                channel=MWSRChannel(reader=0), code=HammingCode(3), raw_ber=1e-3,
-                rng=rng, seed=1,
-            )
-
-    def test_wrong_destination_rejected(self, simulator, rng):
-        message = Message.from_bits(3, 4, rng.integers(0, 2, size=64, dtype=np.uint8))
-        with pytest.raises(ConfigurationError):
-            simulator.transfer(message)
-
-    def test_statistics_accumulate(self, simulator, rng):
-        for _ in range(3):
-            message = Message.from_bits(3, 0, rng.integers(0, 2, size=512, dtype=np.uint8))
-            simulator.transfer(message)
-        assert simulator.latency_stats.count == 3
-        assert simulator.occupancy_stats.total > 0
