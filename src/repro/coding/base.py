@@ -39,10 +39,11 @@ per-byte partial-codeword tables stored packed, syndrome keys gather from
 the packed byte image without ever materialising unpacked bits, and
 corrections are applied as packed XOR masks.  The unpacked ``encode_batch``
 / ``decode_batch`` are thin pack/unpack wrappers over the packed path (and
-remain bit-exact with the pre-packing implementation).  Subclasses whose
-decoder is an unpacked ``decode_batch`` override (SECDED, repetition) are
-honoured: the base ``decode_batch_packed`` detects the override and
-round-trips through it.
+remain bit-exact with the pre-packing implementation).  Codes whose
+decoder is not a plain syndrome lookup — BCH (algebraic), SECDED (inner
+Hamming syndrome plus overall parity) and repetition (majority vote) —
+override ``decode_batch_packed`` with their own packed decision rule; no
+code overrides the unpacked ``decode_batch``.
 
 Every code the registry hands out implements this packed contract, which
 :func:`~repro.coding.registry.get_code` checks; the module-level
@@ -70,6 +71,7 @@ from .packed import (
     packed_byte_view,
     require_packed_blocks,
     unpack_bits,
+    words_per_block,
 )
 
 __all__ = [
@@ -465,7 +467,7 @@ class LinearBlockCode:
         The default implementation covers all single-bit error patterns,
         which is exact for Hamming codes (t = 1) and a best-effort choice for
         larger-distance codes; subclasses with higher correction capability
-        override :meth:`decode_batch` or extend the table.
+        override :meth:`decode_batch_packed` or extend the table.
         """
         table: dict[int, np.ndarray] = {}
         for position in range(self._n):
@@ -602,6 +604,40 @@ class LinearBlockCode:
         image = packed_byte_view(words[np.newaxis, :])[0]
         return int.from_bytes(image[: -(-num_parity // 8)].tobytes(), "big") >> (-num_parity % 8)
 
+    def _packed_corrections(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Packed error patterns and a ``key is known`` mask for a batch of syndrome keys.
+
+        Key 0 and keys without a table entry map to all-zero patterns (and
+        ``known`` False), so XOR-ing the patterns into the received words
+        leaves those blocks as received.
+        """
+        dense = self._packed_syndrome_lookup_arrays()
+        if dense is not None:
+            patterns, known = dense
+            return patterns[keys], known[keys]
+        errors = np.zeros((keys.shape[0], words_per_block(self._n)), dtype=np.uint64)
+        known_mask = np.zeros(keys.shape[0], dtype=bool)
+        if keys.ndim == 1:
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
+            int_keys = [int(key) for key in unique_keys]
+        else:
+            # Multi-word keys (> 62 parity bits): dedupe whole key rows
+            # and bridge each unique row to the Python-int vocabulary of
+            # the syndrome dict once.
+            unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+            int_keys = [self._syndrome_words_to_key(row) for row in unique_keys]
+        inverse = np.asarray(inverse).reshape(-1)
+        for index, key in enumerate(int_keys):
+            if key == 0:
+                continue
+            pattern = self._packed_pattern_for_key(key)
+            if pattern is None:
+                continue
+            mask = inverse == index
+            errors[mask] = pattern
+            known_mask[mask] = True
+        return errors, known_mask
+
     def decode_batch(self, received, *, strict: bool = False) -> BatchDecodeResult:
         """Decode a whole ``(B, n)`` batch by vectorized syndrome lookup.
 
@@ -624,23 +660,11 @@ class LinearBlockCode:
 
         The packed fast path: syndrome keys gather from the packed byte
         image, the dense syndrome table is stored as packed XOR masks, and
-        corrected codewords stay packed.  Subclasses that override only the
-        unpacked ``decode_batch`` are honoured by round-tripping through
-        their implementation (bit-exact, just not packed-fast).
+        corrected codewords stay packed.  Codes with their own decision
+        rule (SECDED, repetition) override this method; ``decode_batch``
+        always wraps it.
         """
         words = self._require_packed(received_words, self._n)
-        if type(self).decode_batch is not LinearBlockCode.decode_batch:
-            # SECDED's and REP's overrides never call back into this method,
-            # so this cannot recurse.
-            result = self.decode_batch(unpack_bits(words, self._n), strict=strict)
-            return PackedBatchDecodeResult(
-                corrected_words=pack_bits(result.corrected_codewords),
-                detected_error=result.detected_error,
-                corrected=result.corrected,
-                failure=result.failure,
-                n=self._n,
-                k=self._k,
-            )
         keys = self._batch_syndrome_keys_packed(words)
         detected = keys != 0 if keys.ndim == 1 else keys.any(axis=1)
         if not detected.any():
@@ -656,33 +680,7 @@ class LinearBlockCode:
                 n=self._n,
                 k=self._k,
             )
-        dense = self._packed_syndrome_lookup_arrays()
-        if dense is not None:
-            patterns, known = dense
-            errors = patterns[keys]
-            known_mask = known[keys]
-        else:
-            errors = np.zeros_like(words)
-            known_mask = np.zeros(words.shape[0], dtype=bool)
-            if keys.ndim == 1:
-                unique_keys, inverse = np.unique(keys, return_inverse=True)
-                int_keys = [int(key) for key in unique_keys]
-            else:
-                # Multi-word keys (> 62 parity bits): dedupe whole key rows
-                # and bridge each unique row to the Python-int vocabulary of
-                # the syndrome dict once.
-                unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-                int_keys = [self._syndrome_words_to_key(row) for row in unique_keys]
-            inverse = np.asarray(inverse).reshape(-1)
-            for index, key in enumerate(int_keys):
-                if key == 0:
-                    continue
-                pattern = self._packed_pattern_for_key(key)
-                if pattern is None:
-                    continue
-                mask = inverse == index
-                errors[mask] = pattern
-                known_mask[mask] = True
+        errors, known_mask = self._packed_corrections(keys)
         corrected_words = words ^ errors
         corrected = detected & known_mask
         failure = detected & ~known_mask

@@ -31,7 +31,7 @@ from typing import List
 import numpy as np
 
 from ..exceptions import CodewordLengthError, ConfigurationError, DecodingFailure
-from .base import BatchDecodeResult, DecodeResult, LinearBlockCode, PackedBatchDecodeResult
+from .base import DecodeResult, LinearBlockCode, PackedBatchDecodeResult
 from .galois import GaloisField, get_field
 from .matrices import as_gf2
 from .packed import byte_lookup_tables, fold_byte_tables, pack_bits, packed_byte_view
@@ -312,11 +312,6 @@ class BCHCode(LinearBlockCode):
         success = (degree <= self._t) & (roots.sum(axis=1) == degree)
         return roots, success
 
-    def decode_batch(self, received, *, strict: bool = False) -> BatchDecodeResult:
-        """Batch algebraic decoding (pack/unpack wrapper over the packed path)."""
-        blocks = self._require_blocks(received)
-        return self.decode_batch_packed(pack_bits(blocks), strict=strict).unpack()
-
     def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
         """Packed batch decoding: byte-table syndromes, batch BM, batch Chien.
 
@@ -402,7 +397,7 @@ class BCHCode(LinearBlockCode):
         """Scalar algebraic decoder (syndromes via Horner evaluation).
 
         The pre-batching reference path; used by the equivalence tests and
-        as the correction engine behind :meth:`decode_batch` for errored
+        as the correction engine behind :meth:`decode_batch_packed` for errored
         blocks (with the syndromes computed in batch instead).
         """
         received = as_gf2(received_bits).ravel()

@@ -153,9 +153,10 @@ class CyclicRedundancyCheck:
 
         Bit-identical to running :meth:`checksum` row by row (the tests pin
         the two together), at a few table gathers per batch instead of one
-        Python-loop iteration per bit.
+        Python-loop iteration per bit.  Like the scalar path, entries are
+        reduced modulo 2 (no copy for a 0/1 ``uint8`` input).
         """
-        matrix = np.asarray(messages, dtype=np.uint8)
+        matrix = as_gf2(messages, copy=False)
         if matrix.ndim != 2:
             raise CodewordLengthError(
                 f"checksum_batch expects a (B, L) bit matrix, got shape {matrix.shape}"
@@ -172,7 +173,7 @@ class CyclicRedundancyCheck:
 
     def verify_batch(self, bits_with_crc) -> np.ndarray:
         """Check a ``(B, L+width)`` batch; ``(B,)`` booleans, True when clean."""
-        matrix = np.asarray(bits_with_crc, dtype=np.uint8)
+        matrix = as_gf2(bits_with_crc, copy=False)
         if matrix.ndim != 2 or matrix.shape[1] <= self._width:
             raise CodewordLengthError(
                 "verify_batch expects a (B, L+width) matrix longer than the CRC itself"

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import CodewordLengthError, ConfigurationError
-from .base import BatchDecodeResult, DecodeResult, LinearBlockCode
+from ..exceptions import CodewordLengthError, ConfigurationError, DecodingFailure
+from .base import DecodeResult, LinearBlockCode, PackedBatchDecodeResult
 from .hamming import HammingCode, ShortenedHammingCode
 from .matrices import as_gf2
+from .packed import popcount_rows, range_mask
 
 __all__ = ["ExtendedHammingCode"]
 
@@ -53,61 +54,46 @@ class ExtendedHammingCode(LinearBlockCode):
             minimum_distance=4,
         )
         self._inner = base
+        self._parity_bit_mask = range_mask(n, n - 1, n)
 
     @property
     def inner_code(self) -> LinearBlockCode:
         """The Hamming code the SECDED construction extends."""
         return self._inner
 
-    def decode_batch(self, received, *, strict: bool = False) -> BatchDecodeResult:
-        """Vectorized SECDED decoding of a whole ``(B, n)`` batch.
+    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+        """Packed SECDED decoding of a whole ``(B, ceil(n/64))`` batch.
 
-        The four scalar decision cases (clean, parity-bit error, odd-weight
-        error corrected through the inner Hamming code, double error) become
-        four boolean masks applied to the batch at once; the inner Hamming
-        correction itself runs through the inner code's batch decoder.
+        The inner Hamming syndrome keys fold straight from the received
+        words (the inner code's byte tables cover only the first ``n - 1``
+        bits, so the overall parity bit drops out), and the overall parity
+        is the row popcount.  The four scalar decision cases become packed
+        XORs: odd-weight rows take the inner correction (none for the
+        parity-bit-only error), even-weight rows keep their bits, and the
+        parity bit is then recomputed wherever the corrected word still has
+        odd weight.
         """
-        blocks = self._require_blocks(received)
-        inner_blocks = blocks[:, :-1]
-        parity_ok = (blocks.sum(axis=1, dtype=np.int64) & 1) == 0
-        inner = self._inner.decode_batch(inner_blocks)
-        inner_zero = ~inner.detected_error
-
-        corrected_words = blocks.copy()
-        detected = np.zeros(blocks.shape[0], dtype=bool)
-        corrected = np.zeros(blocks.shape[0], dtype=bool)
-        failure = np.zeros(blocks.shape[0], dtype=bool)
-
-        # Error confined to the overall parity bit itself.
-        parity_only = inner_zero & ~parity_ok
-        corrected_words[parity_only, -1] ^= 1
-        detected[parity_only] = True
-        corrected[parity_only] = True
-
-        # Odd-weight error: trust the inner Hamming correction, then
-        # recompute the parity bit so the corrected word is a codeword.
-        odd_weight = ~inner_zero & ~parity_ok
-        corrected_words[odd_weight, :-1] = inner.corrected_codewords[odd_weight]
-        corrected_words[odd_weight, -1] = (
-            corrected_words[odd_weight, :-1].sum(axis=1, dtype=np.int64) & 1
-        ).astype(np.uint8)
-        detected[odd_weight] = True
-        corrected[odd_weight] = True
-
+        words = self._require_packed(received_words, self._n)
+        keys = self._inner._batch_syndrome_keys_packed(words)
+        odd_weight = (popcount_rows(words) & 1).astype(bool)
+        errors, _ = self._inner._packed_corrections(np.where(odd_weight, keys, 0))
+        corrected_words = words.copy()
+        # The inner patterns span ceil((n-1)/64) words, one fewer than the
+        # codeword when n - 1 is a multiple of 64.
+        corrected_words[:, : errors.shape[1]] ^= errors
+        parity_flips = (popcount_rows(corrected_words) & 1).astype(np.uint64)
+        corrected_words ^= parity_flips[:, np.newaxis] * self._parity_bit_mask
         # Even-weight error with a non-zero syndrome: a double error.
-        double = ~inner_zero & parity_ok
-        detected[double] = True
-        failure[double] = True
+        double = (keys != 0) & ~odd_weight
         if strict and double.any():
-            from ..exceptions import DecodingFailure
-
             raise DecodingFailure(f"{self.name}: double error detected")
-        return BatchDecodeResult(
-            message_bits=corrected_words[:, : self.k].copy(),
-            corrected_codewords=corrected_words,
-            detected_error=detected,
-            corrected=corrected,
-            failure=failure,
+        return PackedBatchDecodeResult(
+            corrected_words=corrected_words,
+            detected_error=odd_weight | double,
+            corrected=odd_weight,
+            failure=double,
+            n=self._n,
+            k=self._k,
         )
 
     def _decode_block_reference(self, received_bits, *, strict: bool = False) -> DecodeResult:
@@ -117,7 +103,7 @@ class ExtendedHammingCode(LinearBlockCode):
         (single error somewhere, correctable) from even-weight patterns with
         a non-zero inner syndrome (double error, detected but uncorrectable).
         Kept as the pre-batching reference for the equivalence tests;
-        production callers go through :meth:`decode_batch`.
+        production callers go through :meth:`decode_batch_packed`.
         """
         received = as_gf2(received_bits).ravel()
         if received.size != self.n:
@@ -167,8 +153,6 @@ class ExtendedHammingCode(LinearBlockCode):
             failure=True,
         )
         if strict:
-            from ..exceptions import DecodingFailure
-
             raise DecodingFailure(f"{self.name}: double error detected")
         return result
 

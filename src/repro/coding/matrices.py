@@ -30,14 +30,16 @@ __all__ = [
 ]
 
 
-def as_gf2(matrix) -> np.ndarray:
+def as_gf2(matrix, *, copy: bool = True) -> np.ndarray:
     """Coerce an array-like of 0/1 values into a GF(2) uint8 array.
 
     Values are reduced modulo 2 so integer matrices can be passed directly.
+    With ``copy=False`` an input that already is a 0/1 ``uint8`` array is
+    returned as is, for read-only consumers on a hot path.
     """
     arr = np.asarray(matrix)
     if arr.dtype == np.uint8 and arr.ndim and arr.size and arr.max(initial=0) <= 1:
-        return arr.copy()
+        return arr.copy() if copy else arr
     return np.mod(arr.astype(np.int64), 2).astype(np.uint8)
 
 

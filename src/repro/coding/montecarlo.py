@@ -202,15 +202,17 @@ def draw_flip_words(
     mmap threshold and keeps a share of later blocks on its heap that varies
     from run to run, so the process's peak memory would too.
     """
-    row_bytes = -(-num_bits // 8)
-    byte_image = np.zeros((num_blocks, words_per_block(num_bits) * 8), dtype=np.uint8)
+    row_bytes = words_per_block(num_bits) * 8
+    byte_image = np.empty((num_blocks, row_bytes), dtype=np.uint8)
     uniforms = np.empty((min(num_blocks, FLIP_DRAW_ROWS), num_bits))
-    flips = np.empty(uniforms.shape, dtype=bool)
+    # Rows padded to whole words with columns that stay False, so one flat
+    # packbits of a block of rows is already its padded byte image.
+    flips = np.zeros((uniforms.shape[0], row_bytes * 8), dtype=bool)
     for start in range(0, num_blocks, FLIP_DRAW_ROWS):
         rows = min(FLIP_DRAW_ROWS, num_blocks - start)
         generator.random(out=uniforms[:rows])
-        np.less(uniforms[:rows], raw_ber, out=flips[:rows])
-        byte_image[start : start + rows, :row_bytes] = np.packbits(flips[:rows], axis=1)
+        np.less(uniforms[:rows], raw_ber, out=flips[:rows, :num_bits])
+        byte_image[start : start + rows] = np.packbits(flips[:rows]).reshape(rows, row_bytes)
     return byte_image.view(np.uint64)
 
 

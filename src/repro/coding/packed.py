@@ -26,6 +26,8 @@ to end and unpack only at the API boundary (if ever).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exceptions import ConfigurationError
@@ -196,14 +198,49 @@ def byte_lookup_tables(contributions: np.ndarray) -> np.ndarray:
     return tables
 
 
-def fold_byte_tables(tables: np.ndarray, byte_image: np.ndarray) -> np.ndarray:
-    """XOR-fold table gathers over a batch's byte image (one gather per byte).
+#: Most gathered entries (rows x words per table entry) for which
+#: :func:`fold_byte_tables` takes its single-gather branch.  Measured with
+#: NumPy 2.4 on a 2-CPU x86-64 host over the call shapes of the workloads:
+#: at 16 rows x 64 scalar tables (the per-packet CRC) the single gather is
+#: about 12x faster than the per-byte loop, at 16-64 rows x 8-9 tables about
+#: 2x; with one or two tables, or with the 8192-row Monte-Carlo batches, the
+#: per-byte loop wins.
+_GATHER_MAX_ENTRIES = 64
 
-    Zero-bit inputs (no tables) fold to the identity of XOR — all zeros —
-    matching the bit-serial references on empty messages.
+
+def fold_byte_tables(tables: np.ndarray, byte_image: np.ndarray) -> np.ndarray:
+    """XOR-fold table gathers over a batch's byte image.
+
+    Entry ``b`` of the result is the XOR over ``i`` of
+    ``tables[i][byte_image[b, i]]``; byte columns past ``tables.shape[0]``
+    are ignored.  A batch that is short relative to its table count (at
+    most ``8 * (tables - 2)`` gathered entries, and at most
+    :data:`_GATHER_MAX_ENTRIES`) is gathered in one fancy index and
+    XOR-reduced along the table axis; taller batches run one gather per
+    byte, which has less overhead per entry.  Zero-bit inputs (no tables)
+    fold to the identity of XOR — all zeros — matching the bit-serial
+    references on empty messages.
     """
-    if tables.shape[0] == 0:
-        return np.zeros((byte_image.shape[0],) + tables.shape[2:], dtype=tables.dtype)
+    num_tables = tables.shape[0]
+    num_rows = byte_image.shape[0]
+    if num_tables == 0:
+        return np.zeros((num_rows,) + tables.shape[2:], dtype=tables.dtype)
+    entries = num_rows * math.prod(tables.shape[2:])
+    if entries <= min(8 * (num_tables - 2), _GATHER_MAX_ENTRIES):
+        return _fold_gather(tables, byte_image)
+    return _fold_loop(tables, byte_image)
+
+
+def _fold_gather(tables: np.ndarray, byte_image: np.ndarray) -> np.ndarray:
+    """Short-batch fold: one gather over the first ``tables.shape[0]`` byte columns."""
+    num_tables = tables.shape[0]
+    flat = tables.reshape((num_tables * 256,) + tables.shape[2:])
+    offsets = np.arange(0, num_tables * 256, 256)
+    return np.bitwise_xor.reduce(flat[byte_image[:, :num_tables] + offsets], axis=1)
+
+
+def _fold_loop(tables: np.ndarray, byte_image: np.ndarray) -> np.ndarray:
+    """Tall-batch fold: one gather and one XOR per byte column."""
     out = tables[0][byte_image[:, 0]]
     for index in range(1, tables.shape[0]):
         out = out ^ tables[index][byte_image[:, index]]

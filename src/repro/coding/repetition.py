@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import CodewordLengthError, ConfigurationError
-from .base import BatchDecodeResult, DecodeResult, LinearBlockCode
+from .base import DecodeResult, LinearBlockCode, PackedBatchDecodeResult
 from .matrices import as_gf2
+from .packed import popcount_rows, prefix_mask
 
 __all__ = ["RepetitionCode"]
 
@@ -32,25 +33,26 @@ class RepetitionCode(LinearBlockCode):
             minimum_distance=repetitions,
         )
         self._repetitions = repetitions
+        self._all_ones = prefix_mask(repetitions, repetitions)
 
     @property
     def repetitions(self) -> int:
         """Number of transmitted copies of each information bit."""
         return self._repetitions
 
-    def decode_batch(self, received, *, strict: bool = False) -> BatchDecodeResult:
-        """Vectorized majority-vote decoding of a whole ``(B, r)`` batch."""
-        blocks = self._require_blocks(received)
-        ones = blocks.sum(axis=1, dtype=np.int64)
-        bits = (2 * ones > self.n).astype(np.uint8)
-        corrected_words = np.repeat(bits[:, np.newaxis], self.n, axis=1)
-        detected = (ones > 0) & (ones < self.n)
-        return BatchDecodeResult(
-            message_bits=bits[:, np.newaxis].copy(),
-            corrected_codewords=corrected_words,
+    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+        """Packed majority vote: each block's row popcount decides its bit."""
+        words = self._require_packed(received_words, self._n)
+        ones = popcount_rows(words)
+        majority = 2 * ones > self._n
+        detected = (ones > 0) & (ones < self._n)
+        return PackedBatchDecodeResult(
+            corrected_words=np.where(majority[:, np.newaxis], self._all_ones, np.uint64(0)),
             detected_error=detected,
-            corrected=detected.copy(),
-            failure=np.zeros(blocks.shape[0], dtype=bool),
+            corrected=detected,
+            failure=np.zeros(words.shape[0], dtype=bool),
+            n=self._n,
+            k=self._k,
         )
 
     def _decode_block_reference(self, received_bits, *, strict: bool = False) -> DecodeResult:

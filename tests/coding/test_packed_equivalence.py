@@ -257,6 +257,19 @@ class TestBatchCRC:
             scalar = np.stack([crc.checksum(message) for message in messages])
             assert np.array_equal(batch, scalar), length
 
+    def test_batch_reduces_integer_entries_modulo_two_like_the_scalar_path(self, crc_name):
+        crc = CyclicRedundancyCheck.from_name(crc_name)
+        rng = np.random.default_rng(sum(crc_name.encode()) + 2)
+        fixed = np.array([[0, 1, 2, 1, 0, 1, 1, 0]])
+        for messages in (fixed, rng.integers(-3, 4, size=(23, 37))):
+            batch = crc.checksum_batch_bits(messages)
+            scalar = np.stack([crc.checksum(message) for message in messages])
+            assert np.array_equal(batch, scalar)
+            protected = np.concatenate([messages, batch], axis=1)
+            protected[:, -1] += 2
+            assert crc.verify_batch(protected).all()
+            assert all(crc.verify(row) for row in protected)
+
     def test_empty_message_matches_bit_serial_zero_register(self, crc_name):
         crc = CyclicRedundancyCheck.from_name(crc_name)
         batch = crc.checksum_batch_bits(np.zeros((3, 0), dtype=np.uint8))
