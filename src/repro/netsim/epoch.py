@@ -32,9 +32,16 @@ entirely: every transfer is parked in the departure heap as its
 with its gate queued for the next epoch flush; the rare attempts the
 flush flags are swapped for a stateful fallback before their departure
 pops, so clean transfers allocate no ``_TransferState`` and call no
-engine method.  Event order, stream consumption and every float
-expression are unchanged, so the fast path is byte-identical to the
-general loop and to the reference engine.
+engine method.  Its arrivals replay a memo keyed on ``(target BER,
+payload bits)`` that holds the transfer's precomputed fields (packets,
+duration, energy, gate probability, coded bits); a miss computes them
+from a per-target decision memo and asks the manager only when that
+misses too — a :class:`~repro.manager.policies.SelectionPolicy` never
+sees the request, so its decision cannot depend on the payload, and
+variable-payload (bursty) traffic costs one ``configure`` per target
+BER.  Event order, stream consumption and every float expression are
+unchanged, so the fast path is byte-identical to the general loop and to
+the reference engine.
 
 **Determinism argument.**  Event order is byte-identical to the reference
 engine because :class:`EpochEventCore` implements the same
@@ -61,11 +68,17 @@ function of it, and ``configure`` is deterministic given the margin the
 action derives — so the whole answer (configuration, or the channel
 declared down, or :class:`~repro.exceptions.InfeasibleDesignError`) is
 replayed, and the ladder counters ``configure_degraded`` publishes are
-republished on every hit.  Requests that fail cheap validity checks fall
-back to the real path so error behaviour stays identical too.  The loop
-also replays the arbiter recurrence and the clean-departure finalisation
-inline, with the expressions of :meth:`TokenArbiter.request` and
-``_finalize_transfer``.
+republished on every hit.  Both loops send requests that fail cheap
+validity checks (source == destination, payload <= 0, an ONI out of
+range) down the real manager path, so error behaviour stays identical
+too.  The general loop also replays the arbiter recurrence and the
+clean-departure finalisation inline, with the expressions of
+:meth:`TokenArbiter.request` and ``_finalize_transfer``; with an interval
+trace it charges the attempt's and the clean departure's terms to the
+bucket ``int(t // interval)`` inline as well (only the non-zero terms of
+``_charge_trace``, whose zero terms leave a bucket unchanged).  Faults,
+controller switches, downtime and failed or dropped transfers still go
+through the engine's ``_charge_trace``/``_finalize_transfer``.
 """
 
 from __future__ import annotations
@@ -83,6 +96,7 @@ from ..obs import tracing as obs_tracing
 from ..traffic.generators import TrafficRequest
 from .engine import NetTransferRecord, NetworkResult, _RunState, _TransferState
 from .events import EventKind, EpochEventCore
+from .metrics import EMPTY_TRACE_BUCKET
 from .outcomes import TransmissionOutcome, packets_for_payload
 
 __all__ = ["run_batched"]
@@ -99,7 +113,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
 
     ``sim`` is the owning :class:`~repro.netsim.engine.NetworkSimulator`;
     cold paths (fault handling, degradation deferrals, finalisation of
-    failed or traced transfers) reuse its handler methods verbatim so there
+    failed or dropped transfers) reuse its handler methods verbatim so there
     is exactly one implementation of their semantics — only the hot
     arrival/departure path is re-laid-out here.
     """
@@ -155,7 +169,9 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     num_onis = sim.config.num_onis
     num_wavelengths = sim.config.num_wavelengths
     channel_rate = sim.channel_rate_bits_per_s
-    trace_on = sim._trace_interval_s is not None
+    trace_interval_s = sim._trace_interval_s
+    trace_on = trace_interval_s is not None
+    trace = run.trace
     rng_random = sim._rng.random
     resolve_rng = sim._resolve_rng
     telemetry_binomial = sim._telemetry_rng.binomial
@@ -215,6 +231,18 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                 {"attempts": attempts},
                 start=begin,
             )
+
+    def trace_bucket(t: float) -> list:
+        """The interval-trace bucket ``_charge_trace`` would charge at ``t``.
+
+        Callers add only their non-zero terms: the zero terms
+        ``_charge_trace`` adds leave a bucket's values unchanged.
+        """
+        index = int(t // trace_interval_s)
+        bucket = trace.get(index)
+        if bucket is None:
+            bucket = trace[index] = list(EMPTY_TRACE_BUCKET)
+        return bucket
 
     def schedule_attempt(state, now_s: float, not_before_s: float | None = None) -> None:
         """Mirror of the reference ``_schedule_attempt`` with queued sampling."""
@@ -291,7 +319,9 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             else:
                 state.pending_outcome = sampler.sample(remaining)
         if trace_on:
-            sim._charge_trace(run, start_s, energy_j=attempt_energy_j, packets=remaining)
+            bucket = trace_bucket(start_s)
+            bucket[0] += attempt_energy_j
+            bucket[1] += remaining
         busy_s[destination] = busy_s.get(destination, 0.0) + duration_s
         push(start_s + duration_s, DEPARTURE, state)
 
@@ -492,11 +522,8 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                 * sampler.block_disturb_probability(),
                             ):
                                 sim._record_switch(run, time_s)
-                        if trace_on:
-                            state.packets_delivered += remaining
-                            sim._finalize_transfer(state, time_s, run, dropped=0)
-                            continue
-                        # _finalize_transfer's record and pair release, inline.
+                        # _finalize_transfer's record, trace charge and pair
+                        # release, inline.
                         source = request.source
                         destination = request.destination
                         first_start = state.first_start_s
@@ -524,6 +551,10 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                 ),
                             )
                         )
+                        if trace_on:
+                            bucket = trace_bucket(time_s)
+                            bucket[2] += 1
+                            bucket[3] += time_s - request.arrival_time_s
                         pair = (source, destination)
                         active = active_pairs[pair] - 1
                         if active:
@@ -647,6 +678,10 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     #: (target BER, payload bits) -> (configuration, sampler, packets,
     #: duration, energy, attempt failure probability, code name, coded bits).
     memo: dict[tuple, tuple] = {}
+    #: target BER -> (configuration, sampler), or ``_REJECTED``: the
+    #: manager's payload-independent answer behind every ``memo`` entry
+    #: (rejected requests live here only).
+    decisions: dict = {}
     #: destination -> inline arbiter state (see :func:`_channel_state`).
     channels: dict[int, list] = {}
     #: Flush queue of undrawn attempt gates, in schedule order.  First
@@ -834,33 +869,42 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
             source = request.source
             destination = request.destination
             payload_bits = request.payload_bits
-            key = (request.target_ber, payload_bits)
+            target_ber = request.target_ber
+            key = (target_ber, payload_bits)
             entry = memo.get(key)
-            if (
-                entry is None
-                or source == destination
+            suspect = (
+                source == destination
                 or payload_bits <= 0
                 or source < 0
                 or source >= num_onis
                 or destination < 0
                 or destination >= num_onis
-            ):
-                # Cold (or suspect) request: the real manager path, so
-                # validation errors surface exactly as in the reference
-                # engine.
-                communication = CommunicationRequest(
-                    source=source,
-                    destination=destination,
-                    target_ber=request.target_ber,
-                    payload_bits=payload_bits,
-                    policy=policy,
-                )
-                try:
-                    configuration = manager.configure(
-                        communication, margin_multiplier=1.0
+            )
+            if entry is None or suspect:
+                # Cold (or suspect) request.  A suspect one takes the real
+                # manager path, so validation errors surface exactly as in
+                # the reference engine; a cold one replays its target's
+                # decision when that is known (a policy never sees the
+                # payload) and only the per-payload fields are computed.
+                decision = None if suspect else decisions.get(target_ber)
+                if decision is None:
+                    communication = CommunicationRequest(
+                        source=source,
+                        destination=destination,
+                        target_ber=target_ber,
+                        payload_bits=payload_bits,
+                        policy=policy,
                     )
-                except InfeasibleDesignError:
-                    memo[key] = _REJECTED
+                    try:
+                        configuration = manager.configure(
+                            communication, margin_multiplier=1.0
+                        )
+                    except InfeasibleDesignError:
+                        decision = _REJECTED
+                    else:
+                        decision = (configuration, sim._sampler_for(configuration))
+                    decisions[target_ber] = decision
+                if decision is _REJECTED:
                     records_append(
                         Record(
                             source, destination, payload_bits, None,
@@ -869,7 +913,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         )
                     )
                     continue
-                sampler = sim._sampler_for(configuration)
+                configuration, sampler = decision
                 packets = packets_for_payload(payload_bits, packet_bits)
                 coded_bits_pp = sampler.coded_bits_per_packet
                 duration_s = packets * coded_bits_pp / channel_rate
@@ -884,15 +928,6 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                     packets * coded_bits_pp,
                 )
                 memo[key] = entry
-            elif entry is _REJECTED:
-                records_append(
-                    Record(
-                        source, destination, payload_bits, None,
-                        time_s, time_s, time_s,
-                        0, 0, 0, 0, 0, 0, 0, 0, 0.0, True,
-                    )
-                )
-                continue
             (
                 configuration,
                 sampler,

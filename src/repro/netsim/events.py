@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 from typing import Any, Iterator
 
 from ..exceptions import ConfigurationError
@@ -83,8 +84,8 @@ class EventQueue:
 
     def push(self, time_s: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns the stored (sequenced) event."""
-        if time_s < 0.0:
-            raise ConfigurationError("event time cannot be negative")
+        if not time_s >= 0.0:
+            raise ConfigurationError(f"event time must be non-negative, got {time_s!r}")
         event = Event(time_s=float(time_s), sequence=self._sequence, kind=kind, payload=payload)
         self._sequence += 1
         heapq.heappush(self._heap, event)
@@ -132,10 +133,16 @@ class EpochEventCore:
             for sequence, (time_s, kind, payload) in enumerate(static_events)
         ]
         # min() compares the (time, sequence) prefix only — sequence numbers
-        # are unique — so this is the same per-event negativity check as
-        # push(), one C-level pass instead of a Python-level loop.
-        if static and min(static)[0] < 0.0:
-            raise ConfigurationError("event time cannot be negative")
+        # are unique — so this is the same per-event check as push(), in
+        # C-level passes instead of a Python-level loop.  A NaN time compares
+        # false both ways, so min() can step over it; the sum of the times
+        # is NaN exactly when one of them is (or when -inf, itself negative,
+        # meets +inf).
+        if static:
+            earliest = min(static)[0]
+            total = sum(map(itemgetter(0), static))
+            if not earliest >= 0.0 or total != total:
+                raise ConfigurationError("event times must be non-negative, not NaN")
         # Unique sequence numbers make the (time, sequence) prefix decisive,
         # so tuple comparison never reaches the kind/payload slots.
         static.sort()
@@ -155,8 +162,8 @@ class EpochEventCore:
     def push(self, time_s: float, kind: EventKind, payload: Any = None) -> None:
         """Schedule a dynamic event (sequenced after every static one)."""
         time_s = float(time_s)
-        if time_s < 0.0:
-            raise ConfigurationError("event time cannot be negative")
+        if not time_s >= 0.0:
+            raise ConfigurationError(f"event time must be non-negative, got {time_s!r}")
         heapq.heappush(self._heap, (time_s, self._sequence, kind, payload))
         self._sequence += 1
 

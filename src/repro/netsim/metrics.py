@@ -358,7 +358,7 @@ def compute_metrics(
         key=lambda record: (record.arrival_time_s, record.completion_time_s),
     )
     rejected = sum(1 for record in records if record.rejected)
-    served = [record for record in completed if getattr(record, "attempts", 1) > 0]
+    served = [record for record in completed if record.attempts > 0]
     trimmed = int(len(served) * warmup_fraction)
     latency = LatencySummary.from_samples(
         [record.latency_s for record in served[trimmed:]]

@@ -13,6 +13,7 @@ network sweeps can rebuild a generator's stream from its grid position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,6 +42,8 @@ class TrafficRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_time_s):
+            raise ConfigurationError("arrival time must be finite")
         if self.source == self.destination:
             raise ConfigurationError("source and destination must differ")
         if self.payload_bits <= 0:
@@ -64,10 +67,12 @@ class _BaseGenerator:
     ):
         if num_onis < 2:
             raise ConfigurationError("traffic needs at least two ONIs")
-        if mean_request_rate_hz <= 0:
-            raise ConfigurationError("request rate must be positive")
+        if not (math.isfinite(mean_request_rate_hz) and mean_request_rate_hz > 0):
+            raise ConfigurationError("request rate must be positive and finite")
         if payload_bits <= 0:
             raise ConfigurationError("payload size must be positive")
+        if not 0.0 < target_ber < 0.5:
+            raise ConfigurationError("target BER must lie in (0, 0.5)")
         self._num_onis = num_onis
         self._rate = mean_request_rate_hz
         self._payload_bits = payload_bits
@@ -196,8 +201,8 @@ class BurstyTrafficGenerator(_BaseGenerator):
             rng=rng,
             seed=seed,
         )
-        if burstiness < 1.0:
-            raise ConfigurationError("burstiness must be at least 1.0")
+        if not (burstiness >= 1.0 and math.isfinite(burstiness)):
+            raise ConfigurationError("burstiness must be finite and at least 1.0")
         self._burstiness = burstiness
         self._frame_deadline_s = frame_deadline_s
 

@@ -370,6 +370,22 @@ class TestEngineBehaviour:
         with pytest.raises(SimulationError, match="ONI index 42"):
             NetworkSimulator(seed=1).run([TrafficRequest(0.0, 3, 42, 64, 1e-9)])
 
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    @pytest.mark.parametrize("position", [0, 25, 50])
+    def test_nan_arrival_time_fails_the_run(self, engine, position):
+        """A NaN arrival must not run to completion with a NaN mean latency."""
+        traffic = UniformTrafficGenerator(
+            12, mean_request_rate_hz=5e8, payload_bits=4096, seed=1
+        )
+        requests = list(traffic.generate(50))
+        broken = TrafficRequest(0.0, 1, 0, 4096, 1e-9)
+        # TrafficRequest refuses a non-finite time itself; force one past it
+        # to exercise the engines' own event-time guard.
+        object.__setattr__(broken, "arrival_time_s", float("nan"))
+        requests.insert(position, broken)
+        with pytest.raises((ConfigurationError, SimulationError)):
+            NetworkSimulator(seed=2, engine=engine).run(requests)
+
 
 @dataclass
 class _FixedCodePolicy:

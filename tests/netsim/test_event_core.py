@@ -135,6 +135,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             core.push(-1.0, EventKind.DEPARTURE, None)
 
+    @pytest.mark.parametrize("position", [0, 1, 25, 49])
+    def test_nan_static_time_raises_wherever_it_sits(self, position):
+        # A NaN compares false both ways, so min() alone can step over it.
+        times = [float(index) for index in range(50)]
+        times[position] = float("nan")
+        with pytest.raises(ConfigurationError):
+            EpochEventCore((t, EventKind.ARRIVAL, None) for t in times)
+
+    def test_negative_static_time_beside_nan_raises(self):
+        with pytest.raises(ConfigurationError):
+            EpochEventCore(
+                [
+                    (float("nan"), EventKind.ARRIVAL, None),
+                    (-1.0, EventKind.ARRIVAL, None),
+                ]
+            )
+
+    def test_nan_push_time_raises(self):
+        core = EpochEventCore([(0.0, EventKind.ARRIVAL, None)])
+        with pytest.raises(ConfigurationError):
+            core.push(float("nan"), EventKind.DEPARTURE, None)
+        assert len(core) == 1
+
     def test_empty_core_pops_none(self):
         core = EpochEventCore()
         assert core.pop() is None

@@ -50,6 +50,12 @@ class TestEventQueue:
         with pytest.raises(ConfigurationError):
             queue.push(-1.0, EventKind.ARRIVAL)
 
+    def test_nan_time_rejected(self):
+        queue = EventQueue()
+        with pytest.raises(ConfigurationError):
+            queue.push(float("nan"), EventKind.ARRIVAL)
+        assert not queue
+
     def test_pop_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             EventQueue().pop()

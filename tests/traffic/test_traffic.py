@@ -25,6 +25,11 @@ class TestTrafficRequest:
         with pytest.raises(ConfigurationError):
             TrafficRequest(0.0, 1, 0, 64, 0.9)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_time_is_rejected(self, arrival):
+        with pytest.raises(ConfigurationError, match="arrival time"):
+            TrafficRequest(arrival, 1, 0, 64, 1e-9)
+
 
 class TestGenerators:
     def test_uniform_generator_produces_the_requested_count(self, rng):
@@ -94,6 +99,68 @@ class TestGenerators:
         generator = UniformTrafficGenerator(12)
         with pytest.raises(ConfigurationError):
             list(generator.generate(-1))
+
+    @pytest.mark.parametrize(
+        "factory", [UniformTrafficGenerator, HotspotTrafficGenerator, BurstyTrafficGenerator]
+    )
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_rate_is_rejected_up_front(self, factory, rate):
+        with pytest.raises(ConfigurationError, match="request rate"):
+            factory(12, mean_request_rate_hz=rate)
+
+    @pytest.mark.parametrize(
+        "factory", [UniformTrafficGenerator, HotspotTrafficGenerator, BurstyTrafficGenerator]
+    )
+    @pytest.mark.parametrize("target_ber", [0.0, 0.5, 0.9, -1e-9, float("nan")])
+    def test_bad_target_ber_is_rejected_up_front(self, factory, target_ber):
+        # Not at the first next(): generate() is lazy, so construction is
+        # the only point where the caller's mistake can be named early.
+        with pytest.raises(ConfigurationError, match="target BER"):
+            factory(12, target_ber=target_ber)
+
+    @pytest.mark.parametrize("burstiness", [float("nan"), float("inf"), 0.5])
+    def test_bad_burstiness_is_rejected_up_front(self, burstiness):
+        with pytest.raises(ConfigurationError, match="burstiness"):
+            BurstyTrafficGenerator(12, burstiness=burstiness)
+
+    def test_uniform_stream_follows_the_documented_draw_order(self):
+        # Validation happens before any draw, so a valid generator's stream
+        # is the plain sequence of draws below: exponential gap, source,
+        # destination among the other ONIs.
+        requests = list(
+            UniformTrafficGenerator(12, mean_request_rate_hz=2e6, seed=5).generate(40)
+        )
+        rng = np.random.default_rng(5)
+        now = 0.0
+        for request in requests:
+            now += float(rng.exponential(1.0 / 2e6))
+            source = int(rng.integers(0, 12))
+            destination = int(rng.integers(0, 11))
+            destination += destination >= source
+            assert (request.arrival_time_s, request.source, request.destination) == (
+                now,
+                source,
+                destination,
+            )
+
+    def test_bursty_stream_follows_the_documented_draw_order(self):
+        requests = list(
+            BurstyTrafficGenerator(12, frame_bits=4096, burstiness=2.0, seed=6).generate(40)
+        )
+        rng = np.random.default_rng(6)
+        now = 0.0
+        for request in requests:
+            now += float(rng.exponential(1.0 / 1e5))
+            source = int(rng.integers(0, 12))
+            destination = int(rng.integers(0, 11))
+            destination += destination >= source
+            payload = max(64, int(4096 * float(rng.gamma(shape=2.0, scale=0.5))))
+            assert (
+                request.arrival_time_s,
+                request.source,
+                request.destination,
+                request.payload_bits,
+            ) == (now, source, destination, payload)
 
 
 class TestPeriodicTasks:
