@@ -12,6 +12,8 @@ orchestrator's JSON payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
+from operator import attrgetter, itemgetter, sub
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
@@ -323,6 +325,26 @@ class NetworkMetrics:
         }
 
 
+# Field getters of :class:`~repro.netsim.engine.NetTransferRecord` (a
+# NamedTuple, so positional ``itemgetter`` is its cheapest accessor): the
+# reductions below map them over the records at C speed.  The positions
+# follow the record's field order, which a test pins.
+_PAYLOAD_BITS = itemgetter(2)
+_ARRIVAL = itemgetter(4)
+_COMPLETION = itemgetter(6)
+_ARRIVAL_THEN_COMPLETION = itemgetter(4, 6)
+_ATTEMPTS = itemgetter(7)
+_PACKETS_TOTAL = itemgetter(8)
+_PACKETS_SENT = itemgetter(9)
+_PACKETS_DELIVERED = itemgetter(10)
+_PACKETS_DROPPED = itemgetter(11)
+_RESIDUAL_PACKETS = itemgetter(12)
+_RESIDUAL_BITS = itemgetter(13)
+_ENERGY = itemgetter(15)
+_REJECTED = itemgetter(16)
+_DELIVERED_PAYLOAD_BITS = attrgetter("delivered_payload_bits")
+
+
 def compute_metrics(
     records: Sequence,
     *,
@@ -353,20 +375,18 @@ def compute_metrics(
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigurationError("warm-up fraction must lie in [0, 1)")
-    completed = sorted(
-        (record for record in records if not record.rejected),
-        key=lambda record: (record.arrival_time_s, record.completion_time_s),
-    )
-    rejected = sum(1 for record in records if record.rejected)
-    served = [record for record in completed if record.attempts > 0]
+    completed = sorted(filterfalse(_REJECTED, records), key=_ARRIVAL_THEN_COMPLETION)
+    rejected = sum(map(_REJECTED, records))
+    served = list(filter(_ATTEMPTS, completed))
     trimmed = int(len(served) * warmup_fraction)
+    tail = served[trimmed:]
     latency = LatencySummary.from_samples(
-        [record.latency_s for record in served[trimmed:]]
+        list(map(sub, map(_COMPLETION, tail), map(_ARRIVAL, tail)))
     )
 
-    sim_end = max((record.completion_time_s for record in records), default=0.0)
-    offered = sum(record.payload_bits for record in records)
-    delivered = sum(record.delivered_payload_bits for record in completed)
+    sim_end = max(map(_COMPLETION, records), default=0.0)
+    offered = sum(map(_PAYLOAD_BITS, records))
+    delivered = sum(map(_DELIVERED_PAYLOAD_BITS, completed))
     utilization = {
         reader: (busy_s_by_reader.get(reader, 0.0) / sim_end if sim_end > 0 else 0.0)
         for reader in range(num_channels)
@@ -382,25 +402,24 @@ def compute_metrics(
         offered_throughput_bits_per_s=(offered / sim_end if sim_end > 0 else 0.0),
         delivered_throughput_bits_per_s=(delivered / sim_end if sim_end > 0 else 0.0),
         channel_utilization=utilization,
-        total_energy_j=float(
-            sum(record.energy_j for record in completed) + reconfiguration_energy_j
-        ),
-        packets_sent=int(sum(record.packets_sent for record in completed)),
-        packets_delivered=int(sum(record.packets_delivered for record in completed)),
-        packets_dropped=int(sum(record.packets_dropped for record in completed)),
-        packets_with_residual_errors=int(
-            sum(record.packets_with_residual_errors for record in completed)
-        ),
-        residual_bit_errors=int(sum(record.residual_bit_errors for record in completed)),
+        total_energy_j=float(sum(map(_ENERGY, completed)) + reconfiguration_energy_j),
+        packets_sent=int(sum(map(_PACKETS_SENT, completed))),
+        packets_delivered=int(sum(map(_PACKETS_DELIVERED, completed))),
+        packets_dropped=int(sum(map(_PACKETS_DROPPED, completed))),
+        packets_with_residual_errors=int(sum(map(_RESIDUAL_PACKETS, completed))),
+        residual_bit_errors=int(sum(map(_RESIDUAL_BITS, completed))),
         configuration_switches=int(configuration_switches),
         reconfiguration_energy_j=float(reconfiguration_energy_j),
         packets_retried=int(
             sum(
-                max(0, record.packets_sent - record.packets_total)
-                for record in completed
+                map(
+                    max,
+                    repeat(0),
+                    map(sub, map(_PACKETS_SENT, completed), map(_PACKETS_TOTAL, completed)),
+                )
             )
         ),
-        transfers_dropped=sum(1 for record in completed if record.packets_dropped > 0),
+        transfers_dropped=sum(map(bool, map(_PACKETS_DROPPED, completed))),
         channel_downtime_s=float(channel_downtime_s),
         availability=(
             max(0.0, 1.0 - channel_downtime_s / (num_channels * fault_horizon_s))

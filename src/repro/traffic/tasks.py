@@ -9,6 +9,7 @@ sets can be rejected up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -32,16 +33,17 @@ class PeriodicTask:
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ConfigurationError("task period must be positive")
-        if self.relative_deadline_s <= 0 or self.relative_deadline_s > self.period_s:
+        # Written so NaN fails every check: ``nan <= 0`` is false.
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ConfigurationError("task period must be positive and finite")
+        if not 0 < self.relative_deadline_s <= self.period_s:
             raise ConfigurationError("deadline must lie in (0, period]")
         if self.payload_bits <= 0:
             raise ConfigurationError("payload must contain at least one bit")
         if self.source == self.destination:
             raise ConfigurationError("source and destination must differ")
-        if self.phase_s < 0:
-            raise ConfigurationError("phase cannot be negative")
+        if not (math.isfinite(self.phase_s) and self.phase_s >= 0):
+            raise ConfigurationError("phase must be finite and non-negative")
 
     def utilisation(self, channel_rate_bits_per_s: float) -> float:
         """Fraction of the channel this task occupies (uncoded payload)."""
@@ -51,6 +53,8 @@ class PeriodicTask:
 
     def releases_until(self, horizon_s: float) -> List[float]:
         """Release times of the task instances up to the horizon."""
+        if not math.isfinite(horizon_s):
+            raise ConfigurationError("horizon must be finite")
         if horizon_s < 0:
             raise ConfigurationError("horizon cannot be negative")
         releases = []

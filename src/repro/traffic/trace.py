@@ -65,16 +65,33 @@ class TraceRecorder:
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceRecorder":
-        """Read a trace previously written by :meth:`save`."""
+        """Read a trace previously written by :meth:`save`.
+
+        A missing column, a short row, a non-numeric field or a request that
+        fails validation raises :class:`ConfigurationError` naming the file
+        and the line.
+        """
         path = Path(path)
         if not path.exists():
             raise ConfigurationError(f"trace file {path} does not exist")
         recorder = cls()
         with path.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
+            missing = [name for name in _FIELDS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise ConfigurationError(
+                    f"{path}:1: trace header lacks column(s) {', '.join(missing)}"
+                )
             for row in reader:
-                recorder.record(
-                    TrafficRequest(
+                # DictReader files surplus fields under None and fills
+                # missing ones with None.
+                if None in row or None in row.values():
+                    raise ConfigurationError(
+                        f"{path}:{reader.line_num}: trace row does not have "
+                        f"the header's {len(reader.fieldnames)} fields"
+                    )
+                try:
+                    request = TrafficRequest(
                         arrival_time_s=float(row["arrival_time_s"]),
                         source=int(row["source"]),
                         destination=int(row["destination"]),
@@ -82,7 +99,11 @@ class TraceRecorder:
                         target_ber=float(row["target_ber"]),
                         deadline_s=float(row["deadline_s"]) if row["deadline_s"] else None,
                     )
-                )
+                except (ValueError, ConfigurationError) as error:
+                    raise ConfigurationError(
+                        f"{path}:{reader.line_num}: malformed trace row: {error}"
+                    ) from error
+                recorder.record(request)
         return recorder
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.netsim.engine import NetTransferRecord
+from repro.netsim import metrics as metrics_module
 from repro.netsim.metrics import (
     LatencySummary,
     compute_metrics,
@@ -151,6 +152,72 @@ class TestComputeMetrics:
         assert metrics.delivered_packet_error_rate == pytest.approx(0.2)
         assert metrics.retransmission_rate == pytest.approx(2 / 12)
         assert metrics.delivered_bit_error_rate == pytest.approx(5 / 512)
+
+    def test_field_getters_follow_the_record_layout(self):
+        # compute_metrics reads NetTransferRecord fields by position; every
+        # getter must land on the field its name promises.
+        record = NetTransferRecord(*range(1, len(NetTransferRecord._fields) + 1))
+        getters = {
+            "_PAYLOAD_BITS": "payload_bits",
+            "_ARRIVAL": "arrival_time_s",
+            "_COMPLETION": "completion_time_s",
+            "_ATTEMPTS": "attempts",
+            "_PACKETS_TOTAL": "packets_total",
+            "_PACKETS_SENT": "packets_sent",
+            "_PACKETS_DELIVERED": "packets_delivered",
+            "_PACKETS_DROPPED": "packets_dropped",
+            "_RESIDUAL_PACKETS": "packets_with_residual_errors",
+            "_RESIDUAL_BITS": "residual_bit_errors",
+            "_ENERGY": "energy_j",
+            "_REJECTED": "rejected",
+            "_DELIVERED_PAYLOAD_BITS": "delivered_payload_bits",
+        }
+        for getter, field in getters.items():
+            assert getattr(metrics_module, getter)(record) == getattr(record, field), getter
+        assert metrics_module._ARRIVAL_THEN_COMPLETION(record) == (
+            record.arrival_time_s,
+            record.completion_time_s,
+        )
+
+    def test_reductions_match_per_record_sums(self):
+        rng = np.random.default_rng(5)
+        records = []
+        for index in range(200):
+            total = int(rng.integers(1, 6))
+            sent = total + int(rng.integers(-1, 3))
+            dropped = int(rng.integers(0, 2))
+            records.append(
+                _record(
+                    arrival=float(rng.random()),
+                    completion=float(rng.random()) + 1.0,
+                    attempts=int(rng.integers(0, 3)),
+                    packets_total=total,
+                    packets_sent=sent,
+                    packets_delivered=total - dropped,
+                    packets_dropped=dropped,
+                    energy_j=float(rng.random()) * 1e-9,
+                    rejected=bool(index % 17 == 0),
+                )
+            )
+        metrics = compute_metrics(
+            records, busy_s_by_reader={}, num_channels=1, warmup_fraction=0.1
+        )
+        completed = sorted(
+            (r for r in records if not r.rejected),
+            key=lambda r: (r.arrival_time_s, r.completion_time_s),
+        )
+        served = [r for r in completed if r.attempts > 0]
+        trimmed = int(len(served) * 0.1)
+        expected_latency = LatencySummary.from_samples([r.latency_s for r in served[trimmed:]])
+        assert metrics.latency == expected_latency
+        assert metrics.transfers_rejected == sum(1 for r in records if r.rejected)
+        assert metrics.total_energy_j == sum(r.energy_j for r in completed)
+        assert metrics.delivered_payload_bits == sum(r.delivered_payload_bits for r in completed)
+        assert metrics.packets_retried == sum(
+            max(0, r.packets_sent - r.packets_total) for r in completed
+        )
+        assert metrics.transfers_dropped == sum(1 for r in completed if r.packets_dropped > 0)
+        assert type(metrics.transfers_rejected) is int
 
     def test_bad_warmup_fraction_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.traffic.generators import (
@@ -29,6 +34,32 @@ class TestTrafficRequest:
     def test_non_finite_arrival_time_is_rejected(self, arrival):
         with pytest.raises(ConfigurationError, match="arrival time"):
             TrafficRequest(arrival, 1, 0, 64, 1e-9)
+
+    def test_requests_are_slotted_and_frozen(self):
+        request = next(UniformTrafficGenerator(12, seed=3).generate(1))
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.source = 5
+
+    @pytest.mark.parametrize("deadline_s", [None, 2.5e-3])
+    def test_pickle_deepcopy_and_replace_round_trip(self, deadline_s):
+        # Frozen + slots pickling goes through the dataclass-provided
+        # __getstate__/__setstate__, whose details differ across Python
+        # versions; generated (trusted-path) requests must survive it too.
+        generated = next(
+            BurstyTrafficGenerator(12, frame_deadline_s=deadline_s, seed=4).generate(1)
+        )
+        built = TrafficRequest(1.5e-6, 3, 7, 512, 1e-9, deadline_s)
+        for request in (generated, built):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(request, protocol)) == request
+            assert copy.deepcopy(request) == request
+            assert copy.copy(request) == request
+            moved = dataclasses.replace(request, destination=request.source + 1)
+            assert moved.destination == request.source + 1
+            assert dataclasses.replace(moved, destination=request.destination) == request
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(request, destination=request.source)
 
 
 class TestGenerators:
@@ -143,6 +174,50 @@ class TestGenerators:
                 destination,
             )
 
+    def test_hotspot_stream_follows_the_documented_draw_order(self):
+        # Source first; the hotspot coin (a double) only when the source is
+        # not the hotspot; the destination draw only when the coin misses.
+        requests = list(
+            HotspotTrafficGenerator(
+                12, hotspot=4, hotspot_fraction=0.3, mean_request_rate_hz=2e6, seed=8
+            ).generate(80)
+        )
+        rng = np.random.default_rng(8)
+        now = 0.0
+        for request in requests:
+            now += float(rng.exponential(1.0 / 2e6))
+            source = int(rng.integers(0, 12))
+            if source != 4 and rng.random() < 0.3:
+                destination = 4
+            else:
+                destination = int(rng.integers(0, 11))
+                destination += destination >= source
+            assert (request.arrival_time_s, request.source, request.destination) == (
+                now,
+                source,
+                destination,
+            )
+        assert {request.source for request in requests} >= {4}
+        assert 0 < sum(request.destination == 4 for request in requests) < 80
+
+    def test_two_oni_uniform_stream_draws_no_destination(self):
+        # integers(0, 1) is an empty range: NumPy returns 0 without drawing,
+        # so a two-ONI ring consumes only the gap and the source per request.
+        shared = np.random.default_rng(9)
+        requests = list(UniformTrafficGenerator(2, rng=shared).generate(60))
+        rng = np.random.default_rng(9)
+        now = 0.0
+        for request in requests:
+            now += float(rng.exponential(1.0 / 1e6))
+            source = int(rng.integers(0, 2))
+            assert int(rng.integers(0, 1)) == 0
+            assert (request.arrival_time_s, request.source, request.destination) == (
+                now,
+                source,
+                1 - source,
+            )
+        assert shared.bit_generator.state == rng.bit_generator.state
+
     def test_bursty_stream_follows_the_documented_draw_order(self):
         requests = list(
             BurstyTrafficGenerator(12, frame_bits=4096, burstiness=2.0, seed=6).generate(40)
@@ -182,6 +257,31 @@ class TestPeriodicTasks:
         with pytest.raises(ConfigurationError):
             PeriodicTask("t", 1, 1, period_s=1e-3, payload_bits=64, relative_deadline_s=1e-4)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"period_s": float("nan")},
+            {"period_s": float("inf")},
+            {"relative_deadline_s": float("nan")},
+            {"phase_s": float("nan")},
+            {"phase_s": float("inf")},
+        ],
+    )
+    def test_non_finite_task_parameters_are_rejected(self, overrides):
+        # NaN slips past ``x <= 0`` checks; a NaN period used to yield one
+        # release and an infinite one a single never-repeating task.
+        parameters = dict(period_s=1e-3, payload_bits=64, relative_deadline_s=1e-4)
+        parameters.update(overrides)
+        with pytest.raises(ConfigurationError):
+            PeriodicTask("t", 1, 0, **parameters)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_horizon_is_rejected(self, horizon):
+        # An infinite horizon used to loop forever, a NaN one returned [].
+        task = PeriodicTask("t", 1, 0, period_s=1e-3, payload_bits=64, relative_deadline_s=1e-4)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            task.releases_until(horizon)
+
     def test_task_set_utilisation_and_schedulability(self):
         tasks = TaskSet(
             tasks=[
@@ -214,19 +314,43 @@ class TestPeriodicTasks:
             TaskSet(tasks=[duplicate, duplicate])
 
 
+_FIELDS = ("arrival_time_s", "source", "destination", "payload_bits", "target_ber", "deadline_s")
+
+
+def _finite(low=None, high=None):
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _requests(draw):
+    source = draw(st.integers(-(2**40), 2**40))
+    destination = draw(st.integers(-(2**40), 2**40).filter(lambda value: value != source))
+    return TrafficRequest(
+        arrival_time_s=draw(_finite()),
+        source=source,
+        destination=destination,
+        payload_bits=draw(st.integers(1, 2**40)),
+        target_ber=draw(_finite(0.0, 0.5).filter(lambda ber: 0.0 < ber < 0.5)),
+        deadline_s=draw(st.none() | _finite()),
+    )
+
+
+def _write_rows(path, rows, header=_FIELDS):
+    path.write_text(
+        "\n".join(",".join(str(field) for field in row) for row in [header, *rows]) + "\n",
+        encoding="utf-8",
+    )
+
+
 class TestTrace:
     def test_record_save_load_round_trip(self, rng, tmp_path):
+        # The CSV holds repr() floats, which parse back to the same double.
         generator = UniformTrafficGenerator(12, rng=rng)
         recorder = TraceRecorder()
         recorder.record_all(generator.generate(25))
         path = tmp_path / "trace.csv"
         recorder.save(path)
-        loaded = TraceRecorder.load(path)
-        assert len(loaded) == 25
-        assert loaded.requests[0].source == recorder.requests[0].source
-        assert loaded.requests[0].arrival_time_s == pytest.approx(
-            recorder.requests[0].arrival_time_s
-        )
+        assert TraceRecorder.load(path).requests == recorder.requests
 
     def test_deadlines_survive_the_round_trip(self, rng, tmp_path):
         generator = BurstyTrafficGenerator(12, rng=rng)
@@ -234,8 +358,60 @@ class TestTrace:
         recorder.record_all(generator.generate(5))
         path = tmp_path / "trace.csv"
         recorder.save(path)
-        loaded = TraceRecorder.load(path)
-        assert loaded.requests[0].deadline_s == pytest.approx(recorder.requests[0].deadline_s)
+        assert TraceRecorder.load(path).requests == recorder.requests
+
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(_requests(), max_size=12))
+    def test_valid_request_lists_round_trip_exactly(self, tmp_path_factory, requests):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        recorder = TraceRecorder(requests=list(requests))
+        recorder.save(path)
+        assert TraceRecorder.load(path).requests == requests
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        requests=st.lists(_requests(), min_size=1, max_size=6),
+        data=st.data(),
+        bad=st.sampled_from(["", "x", "1e", "0x10", "--1"]),
+    )
+    def test_malformed_rows_raise_with_file_and_line(self, tmp_path_factory, requests, data, bad):
+        row = data.draw(st.integers(0, len(requests) - 1), label="row")
+        column = data.draw(st.integers(0, len(_FIELDS) - 2), label="column")
+        rows = [
+            [repr(getattr(request, name)) for name in _FIELDS[:-1]]
+            + ["" if request.deadline_s is None else repr(request.deadline_s)]
+            for request in requests
+        ]
+        rows[row][column] = bad
+        path = tmp_path_factory.mktemp("trace") / "bad.csv"
+        _write_rows(path, rows)
+        with pytest.raises(ConfigurationError, match=f"bad.csv:{row + 2}: malformed trace row"):
+            TraceRecorder.load(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["1e-6", "1", "0", "64", "1e-9"],
+            ["1e-6", "1", "0", "64", "1e-9", "", "surplus"],
+            ["1e-6", "1", "1", "64", "1e-9", ""],
+            ["nan", "1", "0", "64", "1e-9", ""],
+            ["1e-6", "1", "0", "64.5", "1e-9", ""],
+            ["1e-6", "1", "0", "64", "1e-9", "soon"],
+        ],
+    )
+    def test_bad_rows_name_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        _write_rows(path, [["2e-6", "2", "0", "64", "1e-9", ""], row])
+        with pytest.raises(ConfigurationError, match="trace.csv:3: "):
+            TraceRecorder.load(path)
+
+    def test_missing_column_names_the_file_and_column(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        _write_rows(path, [["1e-6", "1", "0", "1e-9", ""]], header=[
+            name for name in _FIELDS if name != "payload_bits"
+        ])
+        with pytest.raises(ConfigurationError, match="trace.csv:1: .*payload_bits"):
+            TraceRecorder.load(path)
 
     def test_replay_orders_by_arrival_time(self):
         recorder = TraceRecorder()
