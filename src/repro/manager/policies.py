@@ -11,6 +11,7 @@ both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -213,8 +214,16 @@ class FailureRateMonitor:
         self, blocks: int, observed_events: float, expected_events: float
     ) -> float | None:
         """Feed one attempt's telemetry; returns the drift estimate at window end."""
-        if blocks < 0 or observed_events < 0 or expected_events < 0:
-            raise ConfigurationError("monitor observations cannot be negative")
+        # Chained comparisons reject NaN and inf too: one NaN would poison
+        # the window's ratio and silently freeze the controller's level.
+        if not (
+            0 <= blocks < math.inf
+            and 0.0 <= observed_events < math.inf
+            and 0.0 <= expected_events < math.inf
+        ):
+            raise ConfigurationError(
+                "monitor observations must be finite and non-negative"
+            )
         self._blocks += int(blocks)
         self._observed += float(observed_events)
         self._expected += float(expected_events)

@@ -31,6 +31,7 @@ reproducible across platforms.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -162,8 +163,8 @@ class RandomWalkDrift(DriftProcess):
             self._cumsum = np.concatenate([self._cumsum, extension])
 
     def multiplier_at(self, time_s: float) -> float:
-        if time_s < 0.0:
-            raise ConfigurationError("simulation time cannot be negative")
+        if not 0.0 <= time_s < math.inf:
+            raise ConfigurationError("simulation time must be finite and non-negative")
         index = int(time_s / self.step_s)
         self._ensure_steps(index)
         span = math.log2(self.worst_case_multiplier)
@@ -229,15 +230,32 @@ class ChannelDriftModel:
 
     def process(self, channel: int) -> DriftProcess:
         """The drift process of one channel."""
+        if not 0 <= channel < self.num_channels:
+            raise ConfigurationError(
+                f"channel {channel} outside the drift model's [0, {self.num_channels})"
+            )
         return self._processes[channel]
+
+    def multiplier_lookup(self, channel: int) -> Callable[[float], float]:
+        """The quantised multiplier of one channel as a ``time_s -> m`` callable.
+
+        The engines bind one lookup per channel at run start instead of
+        resolving ``multiplier(channel, t)`` per attempt.
+        """
+        return partial(self._quantized, self.process(channel).multiplier_at)
 
     def multiplier(self, channel: int, time_s: float) -> float:
         """Quantised raw-BER multiplier of ``channel`` at ``time_s``."""
-        raw = self._processes[channel].multiplier_at(time_s)
+        return self._quantized(self.process(channel).multiplier_at, time_s)
+
+    def _quantized(self, multiplier_at: Callable[[float], float], time_s: float) -> float:
+        if not 0.0 <= time_s < math.inf:
+            raise ConfigurationError("simulation time must be finite and non-negative")
+        raw = multiplier_at(time_s)
         if raw <= 1.0:
             return 1.0
         quantized = round(math.log2(raw) * self._quantization) / self._quantization
-        return min(2.0 ** quantized, self.worst_case_multiplier)
+        return min(2.0 ** quantized, self._worst_case)
 
 
 #: Built-in drift profiles selectable by name in the ``adaptive`` experiment.

@@ -47,6 +47,7 @@ Two engines execute that identical event semantics:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple
 
@@ -212,13 +213,31 @@ class _RunState:
     epoch_flushes: int = 0
 
 
+class _LinkConstants(NamedTuple):
+    """Per-configuration constants of a transfer, resolved once.
+
+    Each sits behind a property chain or a cached method of the
+    configuration or its sampler (``channel_power_w`` alone walks three
+    properties and a three-term sum), so the engines resolve them once per
+    configuration instead of once per attempt or departure.
+    """
+
+    code_name: str
+    channel_power_w: float
+    coded_bits_per_packet: int
+    #: Block disturb probability at the design raw BER (the failure
+    #: monitor's expected rate); ``None`` in bit-exact mode, which runs no
+    #: monitor.
+    design_disturb_probability: float | None
+
+
 @dataclass(slots=True)
 class _TransferState:
     """Mutable bookkeeping of one in-flight transfer."""
 
     request: TrafficRequest
-    configuration: LinkConfiguration
     sampler: object
+    link: _LinkConstants
     packets_total: int
     packets_remaining: int
     retries_left: int
@@ -493,6 +512,10 @@ class NetworkSimulator:
                 "the adaptive controller's failure monitor samples analytic "
                 "correction telemetry; it is only supported in probabilistic mode"
             )
+        if dynamics is not None and dynamics.num_channels < config.num_onis:
+            raise ConfigurationError(
+                "the drift model must cover every reader channel of the ring"
+            )
         if dynamics is not None and fault_model is not None:
             raise ConfigurationError(
                 "a custom fault model fixes the raw BER; it cannot be combined "
@@ -629,14 +652,40 @@ class NetworkSimulator:
             self._samplers[key] = sampler
         return self._samplers[key]
 
+    def _link_constants(self, configuration: LinkConfiguration, sampler) -> _LinkConstants:
+        """Resolve the per-configuration constants a transfer reads per attempt."""
+        return _LinkConstants(
+            configuration.code_name,
+            configuration.channel_power_w,
+            sampler.coded_bits_per_packet,
+            sampler.block_disturb_probability() if self.mode == "probabilistic" else None,
+        )
+
     # ------------------------------------------------------------------ simulation
     def run(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
-        """Simulate a finite request sequence to completion."""
-        tracer = obs_tracing.ACTIVE
-        if tracer is None:
-            return self._run_engine(requests)
-        with tracer.span("netsim.run", engine=self.engine, mode=self.mode):
-            return self._run_engine(requests)
+        """Simulate a finite request sequence to completion.
+
+        The cyclic garbage collector is paused for the run.  A run
+        allocates hundreds of thousands of tracked containers (requests,
+        records, heap entries) but creates no reference cycles, so every
+        collection it would trigger walks them all and frees nothing, while
+        reference counting frees the same memory with the collector on or
+        off.  The previous state is restored on the way out, crash or not;
+        a collector the caller already disabled stays disabled.  The pause
+        is process-wide, like the collector; ``tests/netsim/test_engine.py``
+        guards the no-cycle invariant.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            tracer = obs_tracing.ACTIVE
+            if tracer is None:
+                return self._run_engine(requests)
+            with tracer.span("netsim.run", engine=self.engine, mode=self.mode):
+                return self._run_engine(requests)
+        finally:
+            if collecting:
+                gc.enable()
 
     def _run_engine(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
         if self.engine == "reference":
@@ -933,10 +982,11 @@ class NetworkSimulator:
             )
             return
         packets = packets_for_payload(request.payload_bits, self.packet_bits)
+        sampler = self._sampler_for(configuration)
         state = _TransferState(
             request=request,
-            configuration=configuration,
-            sampler=self._sampler_for(configuration),
+            sampler=sampler,
+            link=self._link_constants(configuration, sampler),
             packets_total=packets,
             packets_remaining=packets,
             retries_left=self.max_retries if self.crc is not None else 0,
@@ -1014,7 +1064,7 @@ class NetworkSimulator:
             ) * action.derate_factor
         duration_s = (
             state.packets_remaining
-            * state.sampler.coded_bits_per_packet
+            * state.link.coded_bits_per_packet
             / self.channel_rate_bits_per_s
         )
         if rate_factor != 1.0:
@@ -1027,8 +1077,8 @@ class NetworkSimulator:
             state.first_start_s = start_s
         state.attempts += 1
         state.packets_sent += state.packets_remaining
-        state.coded_bits_sent += state.packets_remaining * state.sampler.coded_bits_per_packet
-        channel_power_w = state.configuration.channel_power_w * wavelengths
+        state.coded_bits_sent += state.packets_remaining * state.link.coded_bits_per_packet
+        channel_power_w = state.link.channel_power_w * wavelengths
         attempt_energy_j = channel_power_w * duration_s
         state.energy_j += attempt_energy_j
         if self._dynamics is not None:
@@ -1037,7 +1087,9 @@ class NetworkSimulator:
             multiplier = self._dynamics.multiplier(destination, start_s)
             state.attempt_raw_ber = min(1.0, state.design_raw_ber * multiplier)
         elif self._failures is not None:
-            self._apply_attempt_health(state, destination, start_s, action)
+            self._apply_attempt_health(
+                state, self._failures.health(destination, start_s), action
+            )
         if not state.attempt_blacked_out:
             # The attempt's outcome is drawn at *schedule* time — the
             # contract both engines share: the primary stream is consumed
@@ -1060,20 +1112,20 @@ class NetworkSimulator:
         run.busy_s[destination] = run.busy_s.get(destination, 0.0) + duration_s
         run.queue.push(start_s + duration_s, EventKind.DEPARTURE, state)
 
-    def _apply_attempt_health(self, state, destination, start_s, action) -> None:
+    def _apply_attempt_health(self, state, health, action) -> None:
         """Set the attempt's raw BER (or dark-channel flag) from its health.
 
-        Like dynamics, the attempt is corrupted at the conditions of its
-        serialisation *start* — a blackout beginning between the channel
-        request and the grant still eats the attempt.  Without a ladder,
-        lost wavelengths are still driven (the transmitter does not know):
-        their share of the coded bits arrives as coin flips, so the
-        effective raw BER blends the survivors' penalised BER with 0.5.
-        With a ladder, ``action`` already remapped (no dead-wavelength
-        bits) and its derate divides the penalty (a halved rate buys a 2x
-        raw-BER allowance from the energy-per-bit gain).
+        ``health`` is the destination channel's health at the attempt's
+        serialisation start: like dynamics, the attempt is corrupted at the
+        conditions of its serialisation *start* — a blackout beginning
+        between the channel request and the grant still eats the attempt.
+        Without a ladder, lost wavelengths are still driven (the transmitter
+        does not know): their share of the coded bits arrives as coin
+        flips, so the effective raw BER blends the survivors' penalised BER
+        with 0.5.  With a ladder, ``action`` already remapped (no
+        dead-wavelength bits) and its derate divides the penalty (a halved
+        rate buys a 2x raw-BER allowance from the energy-per-bit gain).
         """
-        health = self._failures.health(destination, start_s)
         if health.down:
             state.attempt_blacked_out = True
             state.attempt_raw_ber = None
@@ -1164,7 +1216,7 @@ class NetworkSimulator:
                 source=request.source,
                 destination=request.destination,
                 payload_bits=request.payload_bits,
-                code_name=state.configuration.code_name,
+                code_name=state.link.code_name,
                 arrival_time_s=request.arrival_time_s,
                 first_start_time_s=first_start,
                 completion_time_s=now_s,
@@ -1207,7 +1259,7 @@ class NetworkSimulator:
         blocks = outcome.packets * sampler.blocks_per_packet
         disturb = sampler.block_disturb_probability(state.attempt_raw_ber)
         observed = float(self._telemetry_rng.binomial(blocks, disturb))
-        expected = blocks * sampler.block_disturb_probability()
+        expected = blocks * state.link.design_disturb_probability
         switched = self._controller.observe(
             state.request.destination,
             now_s,

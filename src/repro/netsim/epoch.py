@@ -55,8 +55,10 @@ float accumulation order, record layout) runs the same expressions in the
 same event order.  ``tests/netsim/test_engine_parity.py`` pins all of this
 across the full fault x dynamics x policy grid.
 
-**Memoized arrivals.**  The general loop memoizes the manager's answer
-per ``(target BER, margin)`` — :meth:`~repro.manager.manager.OpticalLinkManager.configure`
+**Memoized arrivals.**  The general loop memoizes the manager's answer,
+with the configuration's constants (code name, channel power, coded bits
+per packet, design-BER disturb probability) resolved once, per
+``(target BER, margin)`` — :meth:`~repro.manager.manager.OpticalLinkManager.configure`
 is deterministic given those plus the engine-constant policy, so replaying
 the cached configuration is result-identical (only the manager's private
 active-pair registry and configuration-id counter advance differently,
@@ -78,7 +80,11 @@ trace it charges the attempt's and the clean departure's terms to the
 bucket ``int(t // interval)`` inline as well (only the non-zero terms of
 ``_charge_trace``, whose zero terms leave a bucket unchanged).  Faults,
 controller switches, downtime and failed or dropped transfers still go
-through the engine's ``_charge_trace``/``_finalize_transfer``.
+through the engine's ``_charge_trace``/``_finalize_transfer``.  Per-attempt
+drift and health queries go through per-channel lookups bound once per run
+(:meth:`~repro.netsim.dynamics.ChannelDriftModel.multiplier_lookup`,
+:meth:`~repro.netsim.failures.HardFaultModel.timeline`), the same
+functions the models' own ``multiplier``/``health`` call.
 """
 
 from __future__ import annotations
@@ -155,9 +161,22 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     degradation = sim._degradation
     probabilistic = sim.mode == "probabilistic"
     wants_obs = controller is not None and controller.wants_observations
+    # Per-channel drift and health lookups, bound once for the run.
+    drift_at = (
+        [dynamics.multiplier_lookup(c) for c in range(dynamics.num_channels)]
+        if dynamics is not None
+        else None
+    )
+    health_at = (
+        [failures.timeline(c).health_at for c in range(failures.num_channels)]
+        if failures is not None
+        else None
+    )
     # ``margin_for`` reads the true drift multiplier only in oracle mode, so
     # no other mode queries the drift at arrival (drift processes are pure
-    # in (channel, time): a skipped query moves no stream).
+    # in (channel, time): a skipped query moves no stream).  The query runs
+    # before the suspect-request check, so it keeps the model's validating
+    # ``multiplier``: a bad destination fails as in the reference engine.
     arrival_drift = (
         dynamics if controller is not None and controller.mode == "oracle" else None
     )
@@ -188,10 +207,11 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     DEPARTURE = EventKind.DEPARTURE
     RETRY = EventKind.RETRY
 
-    #: (target BER, margin) -> (configuration, sampler, design raw BER).
+    #: (target BER, margin) -> (sampler, link constants, design raw BER),
+    #: or ``_REJECTED`` when the manager finds the target infeasible.
     memo: dict[tuple, tuple] = {}
-    #: (target BER, margin, health) -> (configuration, action, sampler,
-    #: design raw BER); the configuration is ``None`` when the ladder
+    #: (target BER, margin, health) -> (link constants, action, sampler,
+    #: design raw BER); the link constants are ``None`` when the ladder
     #: declares the channel down and ``_REJECTED`` when it is infeasible.
     degraded_memo: dict[tuple, tuple] = {}
     #: ChannelHealth -> DegradationAction.
@@ -259,7 +279,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         rate_factor = 1.0
         action = None
         if degradation is not None:
-            health = failures.health(destination, request_time_s)
+            health = health_at[destination](request_time_s)
             if health.down:
                 sim._defer_or_drop(state, now_s, health, run)
                 return
@@ -272,8 +292,9 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             wavelengths = action.wavelengths
             rate_factor = (num_wavelengths / wavelengths) * action.derate_factor
         sampler = state.sampler
+        link = state.link
         remaining = state.packets_remaining
-        coded_bits_pp = sampler.coded_bits_per_packet
+        coded_bits_pp = link.coded_bits_per_packet
         duration_s = remaining * coded_bits_pp / channel_rate
         if rate_factor != 1.0:
             duration_s *= rate_factor
@@ -296,13 +317,13 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         state.attempts += 1
         state.packets_sent += remaining
         state.coded_bits_sent += remaining * coded_bits_pp
-        attempt_energy_j = state.configuration.channel_power_w * wavelengths * duration_s
+        attempt_energy_j = link.channel_power_w * wavelengths * duration_s
         state.energy_j += attempt_energy_j
-        if dynamics is not None:
-            multiplier = dynamics.multiplier(destination, start_s)
+        if drift_at is not None:
+            multiplier = drift_at[destination](start_s)
             state.attempt_raw_ber = min(1.0, state.design_raw_ber * multiplier)
-        elif failures is not None:
-            sim._apply_attempt_health(state, destination, start_s, action)
+        elif health_at is not None:
+            sim._apply_attempt_health(state, health_at[destination](start_s), action)
         if not state.attempt_blacked_out:
             if probabilistic:
                 raw = state.attempt_raw_ber
@@ -390,7 +411,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                     if suspect:
                         entry = None
                     else:
-                        health = failures.health(destination, time_s)
+                        health = health_at[destination](time_s)
                         key = (request.target_ber, margin, health)
                         entry = degraded_memo.get(key)
                     if entry is None:
@@ -403,7 +424,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         )
                         if suspect:
                             health = failures.health(destination, time_s)
-                        sampler = None
+                        link = sampler = None
                         design_raw = 0.0
                         try:
                             configuration, action = manager.configure_degraded(
@@ -413,24 +434,25 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                 base_margin_multiplier=margin,
                             )
                         except InfeasibleDesignError:
-                            configuration = _REJECTED
+                            link = _REJECTED
                             action = degradation.action_for(health)
                         else:
                             if configuration is not None:
                                 sampler = sim._sampler_for(configuration)
+                                link = sim._link_constants(configuration, sampler)
                                 design_raw = sim._raw_ber_for(configuration)
-                        entry = (configuration, action, sampler, design_raw)
+                        entry = (link, action, sampler, design_raw)
                         if not suspect:
                             degraded_memo[key] = entry
                     elif registry is not None:
                         # The counters configure_degraded itself publishes.
                         registry.inc("manager.configure_degraded.calls")
                         registry.inc(f"manager.degradation.rung.{entry[1].rung}")
-                    configuration, _action, sampler, design_raw = entry
-                    if configuration is None:
+                    link, _action, sampler, design_raw = entry
+                    if link is None:
                         sim._drop_on_arrival(request, time_s, run)
                         continue
-                    if configuration is _REJECTED:
+                    if link is _REJECTED:
                         rejected_record(request, time_s)
                         continue
                 else:
@@ -453,20 +475,21 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                             rejected_record(request, time_s)
                             continue
                         sampler = sim._sampler_for(configuration)
+                        link = sim._link_constants(configuration, sampler)
                         design_raw = (
                             sim._raw_ber_for(configuration) if need_design_raw else 0.0
                         )
-                        memo[key] = (configuration, sampler, design_raw)
+                        memo[key] = (sampler, link, design_raw)
                     elif entry is _REJECTED:
                         rejected_record(request, time_s)
                         continue
                     else:
-                        configuration, sampler, design_raw = entry
+                        sampler, link, design_raw = entry
                 packets = packets_for_payload(request.payload_bits, packet_bits)
                 state = _TransferState(
                     request=request,
-                    configuration=configuration,
                     sampler=sampler,
+                    link=link,
                     packets_total=packets,
                     packets_remaining=packets,
                     retries_left=retry_budget,
@@ -502,6 +525,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         # packets without materialising an outcome object.
                         remaining = state.packets_remaining
                         request = state.request
+                        link = state.link
                         if wants_obs:
                             sampler = state.sampler
                             blocks = remaining * sampler.blocks_per_packet
@@ -519,7 +543,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                 blocks=blocks,
                                 observed_events=observed,
                                 expected_events=blocks
-                                * sampler.block_disturb_probability(),
+                                * link.design_disturb_probability,
                             ):
                                 sim._record_switch(run, time_s)
                         # _finalize_transfer's record, trace charge and pair
@@ -534,7 +558,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                     source,
                                     destination,
                                     request.payload_bits,
-                                    state.configuration.code_name,
+                                    link.code_name,
                                     request.arrival_time_s,
                                     first_start if first_start >= 0.0 else time_s,
                                     time_s,
@@ -675,10 +699,10 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     # per-transfer allocation the clean path has left.
     tuple_new = tuple.__new__
 
-    #: (target BER, payload bits) -> (configuration, sampler, packets,
+    #: (target BER, payload bits) -> (link constants, sampler, packets,
     #: duration, energy, attempt failure probability, code name, coded bits).
     memo: dict[tuple, tuple] = {}
-    #: target BER -> (configuration, sampler), or ``_REJECTED``: the
+    #: target BER -> (link constants, sampler), or ``_REJECTED``: the
     #: manager's payload-independent answer behind every ``memo`` entry
     #: (rejected requests live here only).
     decisions: dict = {}
@@ -686,7 +710,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     channels: dict[int, list] = {}
     #: Flush queue of undrawn attempt gates, in schedule order.  First
     #: attempts park ``(seq, fail p, sampler, packets, request,
-    #: configuration, start, energy, coded bits)``; re-attempts park
+    #: link constants, start, energy, coded bits)``; re-attempts park
     #: ``(seq, fail p, sampler, packets, state)``.  One vectorized draw per
     #: epoch replaces per-attempt scalar ``Generator.random`` calls (~1 us
     #: of NumPy call overhead each) at identical stream consumption.
@@ -721,15 +745,15 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         _sampler,
                         _packets,
                         request,
-                        configuration,
+                        link,
                         start_s,
                         energy_j,
                         coded_bits,
                     ) = item
                     state = State(
                         request=request,
-                        configuration=configuration,
                         sampler=sampler,
+                        link=link,
                         packets_total=packets,
                         packets_remaining=packets,
                         retries_left=retry_budget,
@@ -817,9 +841,10 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         # Stateful re-attempt: the reference
                         # _schedule_attempt's expressions, inline.
                         sampler = state.sampler
+                        link = state.link
                         source = state.request.source
                         destination = state.request.destination
-                        coded_bits_pp = sampler.coded_bits_per_packet
+                        coded_bits_pp = link.coded_bits_per_packet
                         duration_s = failed * coded_bits_pp / channel_rate
                         request_time_s = not_before if not_before > time_s else time_s
                         channel = channels.get(destination)
@@ -839,9 +864,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         state.packets_sent += failed
                         state.coded_bits_sent += failed * coded_bits_pp
                         attempt_energy_j = (
-                            state.configuration.channel_power_w
-                            * num_wavelengths
-                            * duration_s
+                            link.channel_power_w * num_wavelengths * duration_s
                         )
                         state.energy_j += attempt_energy_j
                         state.pending_outcome = None
@@ -902,7 +925,8 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                     except InfeasibleDesignError:
                         decision = _REJECTED
                     else:
-                        decision = (configuration, sim._sampler_for(configuration))
+                        sampler = sim._sampler_for(configuration)
+                        decision = (sim._link_constants(configuration, sampler), sampler)
                     decisions[target_ber] = decision
                 if decision is _REJECTED:
                     records_append(
@@ -913,23 +937,23 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         )
                     )
                     continue
-                configuration, sampler = decision
+                link, sampler = decision
                 packets = packets_for_payload(payload_bits, packet_bits)
-                coded_bits_pp = sampler.coded_bits_per_packet
+                coded_bits_pp = link.coded_bits_per_packet
                 duration_s = packets * coded_bits_pp / channel_rate
                 entry = (
-                    configuration,
+                    link,
                     sampler,
                     packets,
                     duration_s,
-                    configuration.channel_power_w * num_wavelengths * duration_s,
+                    link.channel_power_w * num_wavelengths * duration_s,
                     sampler.attempt_failure_probability(packets),
-                    configuration.code_name,
+                    link.code_name,
                     packets * coded_bits_pp,
                 )
                 memo[key] = entry
             (
-                configuration,
+                link,
                 sampler,
                 packets,
                 duration_s,
@@ -962,7 +986,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                     sampler,
                     packets,
                     request,
-                    configuration,
+                    link,
                     start_s,
                     energy_j,
                     coded_bits,

@@ -171,8 +171,8 @@ class ChannelFaultTimeline:
 
     def health_at(self, time_s: float) -> ChannelHealth:
         """Health of the channel at ``time_s`` (nominal before the first fault)."""
-        if time_s < 0.0:
-            raise ConfigurationError("simulation time cannot be negative")
+        if not time_s >= 0.0:
+            raise ConfigurationError("simulation time must be a non-negative number")
         index = bisect.bisect_right(self._times, time_s)
         if index == 0:
             return self._nominal
@@ -221,10 +221,18 @@ class HardFaultModel:
 
     def health(self, channel: int, time_s: float) -> ChannelHealth:
         """Hard-fault condition of ``channel`` at ``time_s``."""
-        return self._timelines[channel].health_at(time_s)
+        return self.timeline(channel).health_at(time_s)
 
     def timeline(self, channel: int) -> ChannelFaultTimeline:
-        """The compiled timeline of one channel."""
+        """The compiled timeline of one channel.
+
+        The engines bind each channel's ``timeline(channel).health_at`` once
+        per run instead of resolving ``health(channel, t)`` per attempt.
+        """
+        if not 0 <= channel < self.num_channels:
+            raise ConfigurationError(
+                f"channel {channel} outside the fault model's [0, {self.num_channels})"
+            )
         return self._timelines[channel]
 
     def transitions(self) -> List[FaultTransition]:

@@ -106,6 +106,30 @@ class TestMonitorAndHysteresis:
         monitor = FailureRateMonitor(window_blocks=10)
         assert monitor.observe(10, 0.0, 0.0) == 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("slot", ["blocks", "observed", "expected"])
+    def test_monitor_rejects_non_finite_telemetry(self, slot, bad):
+        values = {"blocks": 10, "observed": 1.0, "expected": 1.0, slot: bad}
+        monitor = FailureRateMonitor(window_blocks=100)
+        with pytest.raises(ConfigurationError):
+            monitor.observe(values["blocks"], values["observed"], values["expected"])
+
+    def test_rejected_nan_does_not_poison_the_window(self):
+        """Regression: one NaN used to freeze the level through a 100x drift."""
+        controller = AdaptiveEccController(
+            margins=[1.0, 2.0],
+            mode="adaptive",
+            monitor=FailureRateMonitor(window_blocks=20),
+        )
+        with pytest.raises(ConfigurationError):
+            controller.observe(
+                0, 0.0, blocks=10, observed_events=float("nan"), expected_events=1.0
+            )
+        assert controller.observe(
+            0, 1.0, blocks=20, observed_events=100.0, expected_events=1.0
+        )
+        assert controller.level(0) == 1
+
     def test_policy_nominal_channel_never_upgrades(self):
         policy = HysteresisSwitchingPolicy()
         margins = [1.0, 2.0, 4.0]

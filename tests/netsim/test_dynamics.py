@@ -119,6 +119,32 @@ class TestChannelDriftModel:
         values = [model.multiplier(0, t) for t in np.linspace(0, 1, 101)]
         assert max(values) <= 3.0
 
+    @pytest.mark.parametrize("channel", [-1, 2])
+    def test_channel_outside_the_model_rejected(self, channel):
+        model = make_drift_model("thermal", 2, seed=0, timescale_s=1.0)
+        with pytest.raises(ConfigurationError):
+            model.multiplier(channel, 0.25)
+        with pytest.raises(ConfigurationError):
+            model.process(channel)
+        with pytest.raises(ConfigurationError):
+            model.multiplier_lookup(channel)
+
+    @pytest.mark.parametrize("profile", ["thermal", "aging", "random-walk"])
+    @pytest.mark.parametrize("time_s", [-1.0, float("nan"), float("inf")])
+    def test_invalid_times_rejected(self, profile, time_s):
+        model = make_drift_model(profile, 2, seed=0, timescale_s=1.0)
+        with pytest.raises(ConfigurationError):
+            model.multiplier(0, time_s)
+        with pytest.raises(ConfigurationError):
+            model.multiplier_lookup(0)(time_s)
+
+    def test_lookup_is_the_quantised_multiplier(self):
+        model = make_drift_model("thermal", 3, seed=4, timescale_s=1.0)
+        for channel in range(3):
+            lookup = model.multiplier_lookup(channel)
+            for t in np.linspace(0.0, 1.0, 41):
+                assert lookup(t) == model.multiplier(channel, t)
+
     def test_make_drift_model_profiles(self):
         assert make_drift_model("none", 4, seed=0) is None
         for profile in ("thermal", "aging", "random-walk"):

@@ -12,6 +12,7 @@ The three anchors the issue pins down:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,17 @@ from repro.manager.manager import CommunicationRequest, OpticalLinkManager
 from repro.manager.policies import (
     ConfigurationDecision,
     DeadlineConstrainedPolicy,
+    DegradationLadder,
     MinimumEnergyPolicy,
+    margin_levels,
 )
 from repro.manager.runtime import AdaptiveEccController
-from repro.netsim import NetworkSimulator, packets_for_payload
+from repro.netsim import (
+    NetworkSimulator,
+    make_drift_model,
+    make_fault_model,
+    packets_for_payload,
+)
 from repro.simulation.faults import IndependentErrorModel
 from repro.traffic.generators import (
     HotspotTrafficGenerator,
@@ -361,6 +369,9 @@ class TestEngineBehaviour:
             NetworkSimulator(warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
             NetworkSimulator(seed=1).run([])
+        with pytest.raises(ConfigurationError):
+            # A drift model that misses reader channels of the 12-ONI ring.
+            NetworkSimulator(dynamics=make_drift_model("thermal", 11, seed=0))
 
     def test_seed_and_rng_are_mutually_exclusive(self):
         with pytest.raises(ConfigurationError):
@@ -582,3 +593,145 @@ class TestMidDrainErrorContext:
             )
         again = NetworkSimulator(seed=11).run(requests).metrics().as_dict()
         assert again == baseline
+
+
+def _uniform_requests(count: int = 300, seed: int = 1, payload_bits: int = 4096):
+    generator = UniformTrafficGenerator(
+        12, mean_request_rate_hz=5e8, payload_bits=payload_bits, seed=seed
+    )
+    return list(generator.generate(count))
+
+
+def _drift_case(profile: str, mode: str):
+    def build():
+        requests = _uniform_requests()
+        horizon_s = requests[-1].arrival_time_s
+        simulator = NetworkSimulator(
+            seed=2,
+            dynamics=make_drift_model(
+                profile, 12, seed=17, worst_case_multiplier=16.0, timescale_s=horizon_s
+            ),
+            controller=AdaptiveEccController(margins=margin_levels(16.0), mode=mode),
+            telemetry_seed=99,
+        )
+        return simulator, requests
+
+    return build
+
+
+def _faulted_case():
+    requests = _uniform_requests()
+    horizon_s = requests[-1].arrival_time_s
+    config = DEFAULT_CONFIG
+    failures = make_fault_model(
+        "mixed", config.num_onis, config.num_wavelengths, seed=5, horizon_s=horizon_s
+    )
+    margins = margin_levels(max(failures.worst_case_penalty, 8.0))
+    simulator = NetworkSimulator(
+        seed=2,
+        controller=AdaptiveEccController(margins=margins, mode="adaptive"),
+        telemetry_seed=99,
+        failures=failures,
+        degradation=DegradationLadder(
+            margins=margins, num_wavelengths=config.num_wavelengths
+        ),
+        retry_backoff_s=0.01 * horizon_s,
+        transfer_timeout_s=0.5 * horizon_s,
+    )
+    return simulator, requests
+
+
+def _noisy_static_case():
+    """The static fast path with ~40% packet failures: ARQ and fallbacks."""
+    simulator = NetworkSimulator(
+        manager=OpticalLinkManager(codes=[HammingCode(3)]),
+        max_retries=6,
+        packet_bits=64,
+        seed=31,
+    )
+    requests = UniformTrafficGenerator(
+        12, mean_request_rate_hz=1e6, payload_bits=512, target_ber=1e-2, seed=47
+    ).generate(150)
+    return simulator, list(requests)
+
+
+def _traced_case():
+    requests = _uniform_requests()
+    interval = requests[-1].arrival_time_s / 16
+    return NetworkSimulator(seed=2, trace_interval_s=interval), requests
+
+
+#: Configuration name -> builder of ``(simulator, requests)``.
+_NO_CYCLE_CASES = {
+    "static-fast-path": lambda: (NetworkSimulator(seed=2), _uniform_requests()),
+    "static-fast-path-arq": _noisy_static_case,
+    "thermal-adaptive": _drift_case("thermal", "adaptive"),
+    "random-walk-adaptive": _drift_case("random-walk", "adaptive"),
+    "thermal-oracle": _drift_case("thermal", "oracle"),
+    "mixed-faults-ladder": _faulted_case,
+    "interval-trace": _traced_case,
+    "bit-exact-crc": lambda: (
+        NetworkSimulator(seed=2, mode="bit-exact"),
+        _uniform_requests(count=40, payload_bits=2048),
+    ),
+    "reference-engine": lambda: (
+        NetworkSimulator(seed=2, engine="reference"),
+        _uniform_requests(),
+    ),
+}
+
+
+class _CollectorProbe(AdaptiveEccController):
+    """Adaptive controller recording whether the collector ran each observation."""
+
+    def __init__(self):
+        super().__init__(margins=[1.0, 2.0], mode="adaptive")
+        self.collector_states = []
+
+    def observe(self, channel, now_s, **kwargs):
+        self.collector_states.append(gc.isenabled())
+        return super().observe(channel, now_s, **kwargs)
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector, which is sound only without cycles."""
+
+    @pytest.mark.parametrize("case", sorted(_NO_CYCLE_CASES))
+    def test_run_creates_no_reference_cycles(self, case):
+        simulator, requests = _NO_CYCLE_CASES[case]()
+        gc.collect()
+        gc.disable()
+        try:
+            result = simulator.run(requests)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(result.records) == len(requests)
+
+    def test_collector_paused_during_and_restored_after_a_run(self):
+        probe = _CollectorProbe()
+        assert gc.isenabled()
+        NetworkSimulator(controller=probe, seed=3).run(_single_stream_requests(3))
+        assert probe.collector_states and not any(probe.collector_states)
+        assert gc.isenabled()
+
+    def test_collector_restored_after_a_crashed_run(self):
+        assert gc.isenabled()
+        with pytest.raises(SimulationError):
+            NetworkSimulator(controller=_ExplodingController(), seed=3).run(
+                _single_stream_requests(3)
+            )
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            NetworkSimulator(seed=3).run(_single_stream_requests(3))
+            assert not gc.isenabled()
+            with pytest.raises(SimulationError):
+                NetworkSimulator(controller=_ExplodingController(), seed=3).run(
+                    _single_stream_requests(3)
+                )
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

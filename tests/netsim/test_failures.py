@@ -83,6 +83,8 @@ class TestChannelFaultTimeline:
         with pytest.raises(ConfigurationError):
             timeline.health_at(-1.0)
         with pytest.raises(ConfigurationError):
+            timeline.health_at(float("nan"))
+        with pytest.raises(ConfigurationError):
             ChannelFaultTimeline(NW, fail_time_s=-1.0)
         with pytest.raises(ConfigurationError):
             ChannelFaultTimeline(NW, blackout_windows_s=[(2e-6, 1e-6)])
@@ -104,6 +106,16 @@ class TestHardFaultModel:
             HardFaultModel(
                 [ChannelFaultTimeline(NW), ChannelFaultTimeline(NW - 1)]
             )
+
+    @pytest.mark.parametrize("channel", [-1, 2])
+    def test_channel_outside_the_model_rejected(self, channel):
+        model = HardFaultModel(
+            [ChannelFaultTimeline(NW, fail_time_s=1e-6), ChannelFaultTimeline(NW)]
+        )
+        with pytest.raises(ConfigurationError):
+            model.health(channel, 2e-6)
+        with pytest.raises(ConfigurationError):
+            model.timeline(channel)
 
     def test_worst_case_penalty(self):
         model = HardFaultModel(
