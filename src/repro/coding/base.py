@@ -26,8 +26,8 @@ of a per-call dict probe.  The scalar :meth:`encode_block` and
 :meth:`decode_block` are thin wrappers over the batch path (a batch of
 one), so every existing caller keeps working and there is exactly one
 decoding implementation to validate.  The pre-batching per-block decoder is
-preserved as :meth:`_decode_block_reference` and is used by the
-equivalence tests and the scalar-baseline benchmarks.
+preserved as :meth:`_decode_block_reference`, the test reference the
+equivalence tests pin the batch and packed decoders against.
 
 Packed fast path
 ----------------
@@ -712,8 +712,8 @@ class LinearBlockCode:
         """Pre-batching per-block decoder (dict probe per call).
 
         Kept as the independent reference implementation for the
-        batch/scalar equivalence tests and the scalar-baseline benchmarks;
-        production callers go through :meth:`decode_batch`.
+        batch/scalar equivalence tests; production callers go through
+        :meth:`decode_batch`.
         """
         received = as_gf2(received_bits).ravel()
         if received.size != self._n:
@@ -812,7 +812,7 @@ def decode_blocks_scalar(code: LinearBlockCode, blocks: np.ndarray, *, strict: b
 
     Kept as the independent reference implementation for the equivalence
     tests (including the multi-word syndrome-key path of codes with more
-    than 62 parity bits) and the scalar-baseline benchmarks.
+    than 62 parity bits).
     """
     return _assemble_batch(
         code, [code._decode_block_reference(block, strict=strict) for block in blocks]

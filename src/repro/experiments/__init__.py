@@ -8,9 +8,9 @@ that decomposes the sweep into independent shards for the parallel
 orchestrator (:mod:`repro.experiments.orchestrator`).  The command-line
 entry point :mod:`repro.experiments.runner` regenerates everything —
 serially or with ``--jobs N`` worker processes, resumable from JSON
-checkpoints with ``--resume`` — and renders text reports; the
-pytest-benchmark targets under ``benchmarks/`` time and validate the same
-code paths.
+checkpoints with ``--resume`` — and renders text reports.  The tier-1
+tests check each result against the paper's values, and ``perfbench/``
+times the whole reproduction end to end.
 
 Experiment index
 ----------------

@@ -25,9 +25,10 @@ replicates every grid point across that many independent rings (distinct
 seeds, same configuration) — the multi-ring scale-out path: rings shard
 across orchestrator workers and their rows merge into one aggregate row
 per grid point (extensive counters summed exactly, rates and latency
-percentiles combined as completed-weighted means).  ``options["engine"]``
-selects the simulator's event engine (``"batched"`` by default,
-``"reference"`` for the legacy per-event loop).
+percentiles combined as completed-weighted means).  Option keys outside
+the documented set of :func:`sweep_shards` are rejected rather than
+ignored: a silently dropped typo would run the defaults under a grid
+fingerprint (and service job id) of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ..manager.policies import (
     MinimumEnergyPolicy,
     MinimumPowerPolicy,
 )
-from ..netsim import ENGINES, NetworkSimulator
+from ..netsim import NetworkSimulator
 from ..traffic.generators import (
     BurstyTrafficGenerator,
     HotspotTrafficGenerator,
@@ -72,6 +73,24 @@ DEFAULT_NUM_REQUESTS = 1200
 DEFAULT_PAYLOAD_BITS = 4096
 DEFAULT_TARGET_BER = 1e-9
 DEFAULT_SEED = 2026
+
+#: Option keys :func:`sweep_shards` understands.
+_OPTION_KEYS = frozenset(
+    {
+        "patterns",
+        "loads",
+        "policies",
+        "num_requests",
+        "payload_bits",
+        "target_ber",
+        "packet_bits",
+        "mode",
+        "rings",
+        "max_retries",
+        "warmup_fraction",
+        "seed",
+    }
+)
 
 #: Policies the sweep can select by name (JSON-serializable grid values).
 _POLICY_FACTORIES = {
@@ -194,14 +213,20 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
 
     ``options`` may override ``patterns``, ``loads``, ``policies``,
     ``num_requests``, ``payload_bits``, ``target_ber``, ``packet_bits``,
-    ``mode``, ``engine``, ``rings``, ``max_retries``, ``warmup_fraction``
-    and ``seed`` (all JSON-serializable; they become part of the checkpoint
-    fingerprint).  ``rings`` replicates each grid point across that many
-    independently seeded rings, one shard per ring, so ``--jobs`` spreads
-    the replicas across workers; their rows merge back into one aggregate
-    row per grid point.
+    ``mode``, ``rings``, ``max_retries``, ``warmup_fraction`` and ``seed``
+    (all JSON-serializable; they become part of the checkpoint
+    fingerprint); any other key raises :class:`ConfigurationError`.
+    ``rings`` replicates each grid point across that many independently
+    seeded rings, one shard per ring, so ``--jobs`` spreads the replicas
+    across workers; their rows merge back into one aggregate row per grid
+    point.
     """
     options = options or {}
+    unknown = sorted(set(options) - _OPTION_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown network option(s) {unknown}; available: {sorted(_OPTION_KEYS)}"
+        )
     patterns = list(options.get("patterns", DEFAULT_PATTERNS))
     loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
     policies = list(options.get("policies", DEFAULT_POLICIES))
@@ -210,9 +235,6 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
             raise ConfigurationError(
                 f"unknown policy {policy!r}; available: {sorted(_POLICY_FACTORIES)}"
             )
-    engine = str(options.get("engine", "batched"))
-    if engine not in ENGINES:
-        raise ConfigurationError(f"unknown engine {engine!r}; available: {ENGINES}")
     rings = int(options.get("rings", 1))
     if rings < 1:
         raise ConfigurationError("rings must be a positive integer")
@@ -229,7 +251,6 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
                             "load": load,
                             "ring": ring,
                             "rings": rings,
-                            "engine": engine,
                             "num_requests": int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
                             "payload_bits": int(options.get("payload_bits", DEFAULT_PAYLOAD_BITS)),
                             "target_ber": float(options.get("target_ber", DEFAULT_TARGET_BER)),
@@ -248,7 +269,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
 def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
     """Worker: simulate one (pattern, load, policy, ring) point; JSON payload.
 
-    Traffic and engine rebuild their generators from
+    Traffic and simulator rebuild their generators from
     ``SeedSequence(seed, spawn_key=(spawn_index, stream))``, so the payload
     depends only on the grid position — the property that makes parallel
     sweeps byte-identical to serial ones.  A ring is one more grid axis:
@@ -269,7 +290,6 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         config=config,
         policy=_POLICY_FACTORIES[params["policy"]](),
         mode=params["mode"],
-        engine=params.get("engine", "batched"),
         packet_bits=params["packet_bits"],
         max_retries=params["max_retries"],
         warmup_fraction=params["warmup_fraction"],

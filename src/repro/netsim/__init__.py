@@ -37,8 +37,8 @@ from .dynamics import (
     ThermalSinusoidDrift,
     make_drift_model,
 )
-from .engine import ENGINES, NetTransferRecord, NetworkResult, NetworkSimulator
-from .events import Event, EventKind, EventQueue, EpochEventCore
+from .engine import NetTransferRecord, NetworkResult, NetworkSimulator
+from .events import EventKind, EpochEventCore
 from .failures import (
     FAULT_SCENARIOS,
     ChannelFaultTimeline,
@@ -64,10 +64,7 @@ __all__ = [
     "NetworkSimulator",
     "NetworkResult",
     "NetTransferRecord",
-    "ENGINES",
-    "Event",
     "EventKind",
-    "EventQueue",
     "EpochEventCore",
     "LatencySummary",
     "NetworkMetrics",

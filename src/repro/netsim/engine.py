@@ -23,26 +23,23 @@ Event lifecycle of one transfer::
       │    └─ arbiter.request() again → schedule next DEPARTURE (ARQ)
       └─ otherwise finalise the record, release the manager entry
 
-Determinism: the event queue is totally ordered by ``(time, insertion
-sequence)`` and every random draw — traffic aside — flows through two
+Determinism: events are totally ordered by ``(time, insertion sequence)``
+and every random draw — traffic aside — flows through two
 ``SeedSequence``-resolved generators in deterministic event order, so a
 run is a pure function of its seed.  The *primary* stream pays each
-attempt's fixed-size per-block uniforms at the moment the attempt is
-scheduled; the *resolution* stream (spawned from the primary seed) pays
-the data-dependent draws of the rare failing attempts.  Splitting the
-streams this way is what lets the epoch-batched engine concatenate many
-attempts' primary draws into one vectorized call while staying
-byte-identical to this reference engine (see :mod:`repro.netsim.epoch`).
-There is no wall-clock anywhere.
+attempt's fixed-size draw in attempt-schedule order; the *resolution*
+stream (spawned from the primary seed) pays the data-dependent draws of
+the rare failing attempts.  Splitting the streams this way is what lets
+the epoch-batched event core of :mod:`repro.netsim.epoch`, which
+:meth:`NetworkSimulator.run` drives, concatenate many attempts' primary
+draws into one vectorized call.  There is no wall-clock anywhere.
 
-Two engines execute that identical event semantics:
-
-* ``engine="batched"`` (the default) — the epoch-batched core of
-  :mod:`repro.netsim.epoch`: a merge-ordered event core and flush-on-demand
-  vectorized outcome sampling.  ~10x the events/s of the reference loop.
-* ``engine="reference"`` — the legacy per-event heap loop below, kept as
-  the differential-testing baseline (``tests/netsim/test_engine_parity.py``
-  pins the two byte-identical across the full scenario grid).
+This module holds the simulator's configuration, its per-run state and
+the cold-path handlers (fault transitions, blackout deferrals,
+finalisation of failed or dropped transfers, result assembly) that the
+event core calls.  The test suite keeps a plain per-event heap loop over
+the same handlers (``tests/netsim/oracle.py``) and checks the event core
+against it, byte for byte.
 """
 
 from __future__ import annotations
@@ -56,11 +53,11 @@ import numpy as np
 from ..coding.montecarlo import resolve_rng
 from ..coding.crc import CyclicRedundancyCheck
 from ..config import DEFAULT_CONFIG, PaperConfig
-from ..exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
+from ..exceptions import ConfigurationError
 from ..interconnect.arbitration import TokenArbiter
 from ..interconnect.mwsr import MWSRChannel
 from ..link.design import OpticalLinkDesigner
-from ..manager.manager import CommunicationRequest, LinkConfiguration, OpticalLinkManager
+from ..manager.manager import LinkConfiguration, OpticalLinkManager
 from ..manager.policies import DegradationLadder, SelectionPolicy
 from ..manager.runtime import AdaptiveEccController
 from ..obs import metrics as obs_metrics
@@ -68,7 +65,7 @@ from ..obs import tracing as obs_tracing
 from ..simulation.faults import IndependentErrorModel
 from ..traffic.generators import TrafficRequest
 from .dynamics import ChannelDriftModel
-from .events import EventKind, EventQueue
+from .events import EpochEventCore, EventKind
 from .failures import HardFaultModel
 from .metrics import (
     EMPTY_TRACE_BUCKET,
@@ -80,7 +77,6 @@ from .metrics import (
 from .outcomes import (
     BitExactOutcomeSampler,
     ProbabilisticOutcomeSampler,
-    TransmissionOutcome,
     packets_for_payload,
 )
 
@@ -89,17 +85,14 @@ __all__ = ["NetTransferRecord", "NetworkResult", "NetworkSimulator"]
 #: Supported packet-outcome modes.
 MODES = ("probabilistic", "bit-exact")
 
-#: Supported event-core engines (the first is the default).
-ENGINES = ("batched", "reference")
-
 
 class NetTransferRecord(NamedTuple):
     """End-to-end outcome of one traffic request.
 
-    A ``NamedTuple`` rather than a frozen dataclass: the engines construct
-    one per transfer on their hottest path, and tuple construction is ~6x
-    cheaper than a frozen dataclass ``__init__`` (which routes every field
-    through ``object.__setattr__``).
+    A ``NamedTuple`` rather than a frozen dataclass: the event core
+    constructs one per transfer on its hottest path, and tuple construction
+    is ~6x cheaper than a frozen dataclass ``__init__`` (which routes every
+    field through ``object.__setattr__``).
     """
 
     source: int
@@ -185,7 +178,9 @@ class NetworkResult:
 class _RunState:
     """Per-run mutable state shared by the event handlers."""
 
-    queue: EventQueue = field(default_factory=EventQueue)
+    #: The event core driving the run.  The shared handlers only push
+    #: RETRY events onto it; ``events_processed`` is read off it at the end.
+    queue: EpochEventCore
     arbiters: Dict[int, TokenArbiter] = field(default_factory=dict)
     busy_s: Dict[int, float] = field(default_factory=dict)
     records: List[NetTransferRecord] = field(default_factory=list)
@@ -207,9 +202,9 @@ class _RunState:
     recoveries: int = 0
     recovery_time_s: float = 0.0
     end_s: float = 0.0
-    #: Number of epoch-wide vectorized gate draws the batched engine
-    #: performed (always 0 under the reference engine, which draws per
-    #: attempt).  Pure accounting — never consulted by the simulation.
+    #: Number of epoch-wide vectorized gate draws the event core performed
+    #: (0 for a core that draws per attempt).  Pure accounting — never
+    #: consulted by the simulation.
     epoch_flushes: int = 0
 
 
@@ -218,8 +213,8 @@ class _LinkConstants(NamedTuple):
 
     Each sits behind a property chain or a cached method of the
     configuration or its sampler (``channel_power_w`` alone walks three
-    properties and a three-term sum), so the engines resolve them once per
-    configuration instead of once per attempt or departure.
+    properties and a three-term sum), so the event core resolves them once
+    per configuration instead of once per attempt or departure.
     """
 
     code_name: str
@@ -261,11 +256,10 @@ class _TransferState:
     attempt_blacked_out: bool = False
     deadline_s: float | None = None
     #: Outcome of the in-flight attempt.  Sampled when the attempt is
-    #: *scheduled* (both engines share that contract) and committed when its
-    #: DEPARTURE pops.  The reference engine stores the resolved
-    #: :class:`TransmissionOutcome` eagerly; the batched engine parks a
-    #: flush-queue sentinel here until the first dependent departure forces
-    #: the epoch's vectorized draw.
+    #: *scheduled* and committed when its DEPARTURE pops: either the
+    #: resolved :class:`~repro.netsim.outcomes.TransmissionOutcome` or the
+    #: event core's flush-queue sentinel, parked here until the first
+    #: dependent departure forces the epoch's vectorized draw.
     pending_outcome: object = None
 
 
@@ -386,13 +380,6 @@ class NetworkSimulator:
         ``"probabilistic"`` (analytic frame-error sampling, the fast
         default) or ``"bit-exact"`` (real codewords through the batch
         coding API, for cross-validation).
-    engine:
-        ``"batched"`` (the default) runs the epoch-batched event core of
-        :mod:`repro.netsim.epoch`; ``"reference"`` runs the legacy
-        per-event heap loop.  The two are byte-identical — same records,
-        metrics, traces and event counts for the same seed — differing
-        only in speed; the reference engine exists as the differential
-        parity baseline.
     packet_bits:
         Payload bits per packet; payloads are split and zero padded.
     crc:
@@ -472,7 +459,6 @@ class NetworkSimulator:
         manager: OpticalLinkManager | None = None,
         policy: SelectionPolicy | None = None,
         mode: str = "probabilistic",
-        engine: str = "batched",
         packet_bits: int = 512,
         crc: str | None = "crc16-ccitt",
         max_retries: int = 4,
@@ -491,8 +477,6 @@ class NetworkSimulator:
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown mode {mode!r}; available: {MODES}")
-        if engine not in ENGINES:
-            raise ConfigurationError(f"unknown engine {engine!r}; available: {ENGINES}")
         if packet_bits < 1:
             raise ConfigurationError("packet size must be at least one bit")
         if max_retries < 0:
@@ -564,7 +548,6 @@ class NetworkSimulator:
         self.manager = manager if manager is not None else OpticalLinkManager(config=config)
         self.policy = policy
         self.mode = mode
-        self.engine = engine
         self.packet_bits = int(packet_bits)
         self.crc = CyclicRedundancyCheck.from_name(crc) if crc is not None else None
         self.max_retries = int(max_retries)
@@ -665,94 +648,38 @@ class NetworkSimulator:
     def run(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
         """Simulate a finite request sequence to completion.
 
-        The cyclic garbage collector is paused for the run.  A run
-        allocates hundreds of thousands of tracked containers (requests,
-        records, heap entries) but creates no reference cycles, so every
-        collection it would trigger walks them all and frees nothing, while
-        reference counting frees the same memory with the collector on or
-        off.  The previous state is restored on the way out, crash or not;
-        a collector the caller already disabled stays disabled.  The pause
-        is process-wide, like the collector; ``tests/netsim/test_engine.py``
-        guards the no-cycle invariant.
+        The events drain through the epoch-batched core of
+        :mod:`repro.netsim.epoch`.  The cyclic garbage collector is paused
+        for the run.  A run allocates hundreds of thousands of tracked
+        containers (requests, records, heap entries) but creates no
+        reference cycles, so every collection it would trigger walks them
+        all and frees nothing, while reference counting frees the same
+        memory with the collector on or off.  The previous state is
+        restored on the way out, crash or not; a collector the caller
+        already disabled stays disabled.  The pause is process-wide, like
+        the collector; ``tests/netsim/test_engine.py`` guards the no-cycle
+        invariant.
         """
+        from .epoch import run_batched
+
         collecting = gc.isenabled()
         gc.disable()
         try:
             tracer = obs_tracing.ACTIVE
             if tracer is None:
-                return self._run_engine(requests)
-            with tracer.span("netsim.run", engine=self.engine, mode=self.mode):
-                return self._run_engine(requests)
+                return run_batched(self, requests)
+            with tracer.span("netsim.run", mode=self.mode):
+                return run_batched(self, requests)
         finally:
             if collecting:
                 gc.enable()
 
-    def _run_engine(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
-        if self.engine == "reference":
-            return self._run_reference(requests)
-        from .epoch import run_batched
-
-        return run_batched(self, requests)
-
-    def _run_reference(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
-        """The legacy per-event heap loop (the parity-testing baseline)."""
-        run = _RunState()
-        if self._controller is not None:
-            self._controller.reset()
-        if self._failures is not None:
-            # One LINK_FAULT per compiled health transition; pushed before
-            # the arrivals so a fault coinciding with an arrival is applied
-            # first (matching the bisect semantics of health queries).
-            for transition in self._failures.transitions():
-                run.queue.push(transition.time_s, EventKind.LINK_FAULT, transition)
-        count = 0
-        for request in requests:
-            run.queue.push(request.arrival_time_s, EventKind.ARRIVAL, request)
-            count += 1
-        if count == 0:
-            raise ConfigurationError("a simulation needs at least one request")
-
-        # The drain loop is the engine's hottest Python code: bind the two
-        # common handlers and their sentinels once instead of resolving the
-        # attribute chain per event, and keep all per-run aggregation (the
-        # sorted grant-count snapshot below) out of it entirely.  The
-        # enclosing try costs nothing until a handler actually raises; it
-        # exists so a crash deep inside a controller or sampler names the
-        # event that broke the run (the queue itself is never torn — the
-        # failing event was popped and no further handler runs).
-        handle_arrival = self._handle_arrival
-        handle_departure = self._handle_departure
-        arrival = EventKind.ARRIVAL
-        departure = EventKind.DEPARTURE
-        retry = EventKind.RETRY
-        event = None
-        try:
-            for event in run.queue.drain():
-                kind = event.kind
-                if kind is arrival:
-                    handle_arrival(event.time_s, event.payload, run)
-                elif kind is departure:
-                    handle_departure(event.time_s, event.payload, run)
-                elif kind is retry:
-                    self._schedule_attempt(event.payload, event.time_s, run)
-                else:
-                    self._handle_link_fault(event.time_s, event.payload, run)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(
-                f"{event.kind.name} handler failed at t={event.time_s:.9e}s "
-                f"(event #{run.queue.events_processed}): {exc}"
-            ) from exc
-        run.end_s = event.time_s
-        return self._finish_run(run)
-
     def _finish_run(self, run: _RunState) -> NetworkResult:
         """Settle end-of-run fault accounting and assemble the result.
 
-        Shared by both engines: everything here is a pure function of the
-        drained run state, so byte-identical run states (which the parity
-        suite pins) yield byte-identical results.
+        Everything here is a pure function of the drained run state, so
+        byte-identical run states (which the parity suite pins against the
+        test oracle) yield byte-identical results.
         """
         if self._failures is not None and run.down_since:
             # Channels still down when the run ends: their outage is charged
@@ -808,7 +735,7 @@ class NetworkSimulator:
     ) -> None:
         """Publish the finished run's telemetry into the active registry.
 
-        Everything is derived from aggregates the engines maintain anyway
+        Everything is derived from aggregates the run maintains anyway
         (records, event counts, fault accounting), so metrics collection
         adds nothing to the per-event hot path and — crucially — reads no
         random generator: a run with metrics on is byte-identical to one
@@ -920,85 +847,6 @@ class NetworkSimulator:
             switches=1,
         )
 
-    def _handle_arrival(self, now_s, request, run: _RunState) -> None:
-        communication = CommunicationRequest(
-            source=request.source,
-            destination=request.destination,
-            target_ber=request.target_ber,
-            payload_bits=request.payload_bits,
-            policy=self.policy,
-        )
-        margin = 1.0
-        if self._controller is not None:
-            multiplier = (
-                self._dynamics.multiplier(request.destination, now_s)
-                if self._dynamics is not None
-                else 1.0
-            )
-            margin, switched = self._controller.margin_for(
-                request.destination, now_s, true_multiplier=multiplier
-            )
-            if switched:
-                self._record_switch(run, now_s)
-        try:
-            if self._degradation is not None:
-                health = self._failures.health(request.destination, now_s)
-                configuration, action = self.manager.configure_degraded(
-                    communication,
-                    health,
-                    self._degradation,
-                    base_margin_multiplier=margin,
-                )
-                if configuration is None:
-                    # The ladder declared the channel down: drop the request
-                    # without spending a single attempt's energy on it.
-                    self._drop_on_arrival(request, now_s, run)
-                    return
-            else:
-                configuration = self.manager.configure(
-                    communication, margin_multiplier=margin
-                )
-        except InfeasibleDesignError:
-            run.records.append(
-                NetTransferRecord(
-                    source=request.source,
-                    destination=request.destination,
-                    payload_bits=request.payload_bits,
-                    code_name=None,
-                    arrival_time_s=now_s,
-                    first_start_time_s=now_s,
-                    completion_time_s=now_s,
-                    attempts=0,
-                    packets_total=0,
-                    packets_sent=0,
-                    packets_delivered=0,
-                    packets_dropped=0,
-                    packets_with_residual_errors=0,
-                    residual_bit_errors=0,
-                    coded_bits_sent=0,
-                    energy_j=0.0,
-                    rejected=True,
-                )
-            )
-            return
-        packets = packets_for_payload(request.payload_bits, self.packet_bits)
-        sampler = self._sampler_for(configuration)
-        state = _TransferState(
-            request=request,
-            sampler=sampler,
-            link=self._link_constants(configuration, sampler),
-            packets_total=packets,
-            packets_remaining=packets,
-            retries_left=self.max_retries if self.crc is not None else 0,
-        )
-        if self._dynamics is not None or self._failures is not None:
-            state.design_raw_ber = self._raw_ber_for(configuration)
-        if self.transfer_timeout_s is not None:
-            state.deadline_s = now_s + self.transfer_timeout_s
-        pair = (request.source, request.destination)
-        run.active_pairs[pair] = run.active_pairs.get(pair, 0) + 1
-        self._schedule_attempt(state, now_s, run)
-
     def _drop_on_arrival(self, request, now_s, run: _RunState) -> None:
         """Record a request refused at arrival (channel declared down)."""
         packets = packets_for_payload(request.payload_bits, self.packet_bits)
@@ -1023,94 +871,6 @@ class NetworkSimulator:
             )
         )
         self._charge_trace(run, now_s, dropped=packets)
-
-    def _schedule_attempt(
-        self, state, now_s, run: _RunState, *, not_before_s: float | None = None
-    ) -> None:
-        """Reserve the destination channel for one attempt and time its end.
-
-        The arbiter grants in request order (the event loop guarantees
-        requests are issued in simulation-time order), charges the token
-        hops from the current holder and queues behind the channel's busy
-        window; the attempt's DEPARTURE fires when serialisation completes.
-        ``not_before_s`` is the ARQ backoff floor of a re-attempt.  Under a
-        degradation ladder a down channel defers the attempt (blackout) or
-        drops the transfer (permanent outage) instead of serialising into
-        the dark.
-        """
-        destination = state.request.destination
-        request_time_s = now_s
-        if not_before_s is not None and not_before_s > request_time_s:
-            request_time_s = not_before_s
-        if self._controller is not None:
-            # A channel mid-reconfiguration (lasers re-locking, coder mode
-            # switching) cannot accept the next transfer until it finishes.
-            request_time_s = max(request_time_s, self._controller.blocked_until(destination))
-        wavelengths = self.config.num_wavelengths
-        rate_factor = 1.0
-        action = None
-        if self._failures is not None and self._degradation is not None:
-            health = self._failures.health(destination, request_time_s)
-            if health.down:
-                self._defer_or_drop(state, now_s, health, run)
-                return
-            action = self._degradation.action_for(health)
-            if not action.serve:
-                self._finalize_transfer(state, now_s, run, dropped=state.packets_remaining)
-                return
-            wavelengths = action.wavelengths
-            rate_factor = (
-                self.config.num_wavelengths / wavelengths
-            ) * action.derate_factor
-        duration_s = (
-            state.packets_remaining
-            * state.link.coded_bits_per_packet
-            / self.channel_rate_bits_per_s
-        )
-        if rate_factor != 1.0:
-            # Remapped / derated attempts serialise slower: the same coded
-            # bits over fewer wavelengths and/or at a reduced rate.
-            duration_s *= rate_factor
-        arbiter = self._arbiter_for(destination, run.arbiters)
-        start_s = arbiter.request(state.request.source, request_time_s, duration_s)
-        if state.first_start_s < 0.0:
-            state.first_start_s = start_s
-        state.attempts += 1
-        state.packets_sent += state.packets_remaining
-        state.coded_bits_sent += state.packets_remaining * state.link.coded_bits_per_packet
-        channel_power_w = state.link.channel_power_w * wavelengths
-        attempt_energy_j = channel_power_w * duration_s
-        state.energy_j += attempt_energy_j
-        if self._dynamics is not None:
-            # The attempt is corrupted at the channel conditions of its
-            # serialisation start.
-            multiplier = self._dynamics.multiplier(destination, start_s)
-            state.attempt_raw_ber = min(1.0, state.design_raw_ber * multiplier)
-        elif self._failures is not None:
-            self._apply_attempt_health(
-                state, self._failures.health(destination, start_s), action
-            )
-        if not state.attempt_blacked_out:
-            # The attempt's outcome is drawn at *schedule* time — the
-            # contract both engines share: the primary stream is consumed
-            # in attempt-schedule order (fixed size per attempt), failing
-            # attempts resolve from the separate resolution stream.  A
-            # blacked-out attempt consumes no randomness at all (its loss
-            # is certain), keeping the streams aligned with a fault-free
-            # run.  The outcome is committed when the DEPARTURE pops.
-            if self.mode == "probabilistic":
-                state.pending_outcome = state.sampler.sample(
-                    state.packets_remaining,
-                    raw_ber=state.attempt_raw_ber,
-                    resolve_rng=self._resolve_rng,
-                )
-            else:
-                state.pending_outcome = state.sampler.sample(state.packets_remaining)
-        self._charge_trace(
-            run, start_s, energy_j=attempt_energy_j, packets=state.packets_remaining
-        )
-        run.busy_s[destination] = run.busy_s.get(destination, 0.0) + duration_s
-        run.queue.push(start_s + duration_s, EventKind.DEPARTURE, state)
 
     def _apply_attempt_health(self, state, health, action) -> None:
         """Set the attempt's raw BER (or dark-channel flag) from its health.
@@ -1163,42 +923,6 @@ class NetworkSimulator:
         state.retries_left -= 1
         state.deferrals += 1
         run.queue.push(retry_at, EventKind.RETRY, state)
-
-    def _handle_departure(self, now_s, state, run: _RunState) -> None:
-        if state.attempt_blacked_out:
-            # The channel was dark when serialisation started: every packet
-            # of the attempt is lost, and loss of light is detected at the
-            # receiver even without a CRC.  The outcome is certain, so no
-            # randomness is consumed — the main stream stays aligned with a
-            # fault-free run — and the controller sees no telemetry (there
-            # is no decoded block to count corrections on).
-            state.attempt_blacked_out = False
-            outcome = TransmissionOutcome(
-                packets=state.packets_remaining,
-                failed_detected=state.packets_remaining,
-                delivered_with_errors=0,
-                residual_bit_errors=0,
-            )
-        else:
-            outcome = state.pending_outcome
-            state.pending_outcome = None
-            if self._controller is not None and self._controller.wants_observations:
-                self._feed_controller(now_s, state, outcome, run)
-        state.packets_delivered += outcome.delivered
-        state.packets_with_residual_errors += outcome.delivered_with_errors
-        state.residual_bit_errors += outcome.residual_bit_errors
-        if outcome.failed_detected and state.retries_left > 0:
-            state.packets_remaining = outcome.failed_detected
-            not_before = now_s
-            if self.retry_backoff_s > 0.0:
-                not_before = now_s + self._retry_delay_s(state)
-            if state.deadline_s is None or not_before <= state.deadline_s:
-                state.retries_left -= 1
-                self._schedule_attempt(state, now_s, run, not_before_s=not_before)
-                return
-            # The backed-off re-attempt would land past the transfer's
-            # deadline: give up now instead of burning the channel on it.
-        self._finalize_transfer(state, now_s, run, dropped=outcome.failed_detected)
 
     def _finalize_transfer(self, state, now_s, run: _RunState, *, dropped: int) -> None:
         """Record a transfer's terminal state (delivered, exhausted or dropped).

@@ -1,9 +1,11 @@
 """Epoch-batched event core of the network simulator.
 
-This module is the ``engine="batched"`` implementation behind
-:meth:`repro.netsim.engine.NetworkSimulator.run` — same event semantics as
-the reference heap loop, restructured so the hot path is array-shaped.  Two
-structural changes carry the ~10x events/s:
+This module is the event loop behind
+:meth:`repro.netsim.engine.NetworkSimulator.run`: the semantics of a plain
+per-event heap loop (one event object per state change, one handler call
+per event — the test suite keeps that loop as its oracle,
+``tests/netsim/oracle.py``), restructured so the hot path is array-shaped.
+Two structural changes carry it:
 
 **Merge-ordered events.**  The bulk of the event stream (arrivals, fault
 transitions) is known before the run starts, so it is sequenced and sorted
@@ -11,11 +13,11 @@ once and consumed by cursor; only run-time events (departures, retries) go
 through a small tuple heap (:class:`~repro.netsim.events.EpochEventCore`).
 No per-event object allocation, no Python ``__lt__`` calls.
 
-**Flush-on-demand epoch sampling.**  Both engines share the schedule-time
-sampling contract (see :mod:`repro.netsim.outcomes`): an attempt's primary
-draw is exactly one double, compared against the attempt-level failure
-probability, and failing attempts resolve from a separate stream.  The
-batched engine therefore does not draw when an attempt is scheduled — it
+**Flush-on-demand epoch sampling.**  The schedule-time sampling contract
+(see :mod:`repro.netsim.outcomes`) fixes an attempt's primary draw to
+exactly one double, compared against the attempt-level failure
+probability, and resolves failing attempts from a separate stream.  The
+core therefore does not draw when an attempt is scheduled — it
 queues ``(attempt, failure probability)`` and keeps processing events.
 The moment a departure pops whose outcome is still queued, the epoch
 *flushes*: one ``Generator.random`` call covers every queued attempt in
@@ -41,19 +43,19 @@ sees the request, so its decision cannot depend on the payload, and
 variable-payload (bursty) traffic costs one ``configure`` per target
 BER.  Event order, stream consumption and every float expression are
 unchanged, so the fast path is byte-identical to the general loop and to
-the reference engine.
+the oracle.
 
-**Determinism argument.**  Event order is byte-identical to the reference
-engine because :class:`EpochEventCore` implements the same
+**Determinism argument.**  Event order is byte-identical to the oracle's
+because :class:`EpochEventCore` implements the same
 ``(time, insertion-sequence)`` total order over the same push sequence.
 Randomness is byte-identical because ``Generator.random`` fills requests
 sequentially from the bit stream — one flush of N queued attempts consumes
 exactly the same doubles, in the same order, as N schedule-time draws —
 and because everything data-dependent happens on the resolution stream in
-the same (schedule) order in both engines.  Everything else (arbiter math,
+the same (schedule) order in both loops.  Everything else (arbiter math,
 float accumulation order, record layout) runs the same expressions in the
 same event order.  ``tests/netsim/test_engine_parity.py`` pins all of this
-across the full fault x dynamics x policy grid.
+against the oracle across the full fault x dynamics x policy grid.
 
 **Memoized arrivals.**  The general loop memoizes the manager's answer,
 with the configuration's constants (code name, channel power, coded bits
@@ -123,13 +125,12 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     is exactly one implementation of their semantics — only the hot
     arrival/departure path is re-laid-out here.
     """
-    run = _RunState()
     controller = sim._controller
     if controller is not None:
         controller.reset()
     failures = sim._failures
     # Faults before arrivals: lower sequence numbers at equal times,
-    # matching the reference engine's push order.
+    # matching the oracle's push order.
     faults: list[tuple] = (
         [(t.time_s, EventKind.LINK_FAULT, t) for t in failures.transitions()]
         if failures is not None
@@ -141,7 +142,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     )
     if len(core) == len(faults):
         raise ConfigurationError("a simulation needs at least one request")
-    run.queue = core
+    run = _RunState(queue=core)
 
     if (
         sim.mode == "probabilistic"
@@ -176,7 +177,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     # no other mode queries the drift at arrival (drift processes are pure
     # in (channel, time): a skipped query moves no stream).  The query runs
     # before the suspect-request check, so it keeps the model's validating
-    # ``multiplier``: a bad destination fails as in the reference engine.
+    # ``multiplier``: a bad destination fails as in the oracle.
     arrival_drift = (
         dynamics if controller is not None and controller.mode == "oracle" else None
     )
@@ -265,7 +266,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         return bucket
 
     def schedule_attempt(state, now_s: float, not_before_s: float | None = None) -> None:
-        """Mirror of the reference ``_schedule_attempt`` with queued sampling."""
+        """Mirror of the oracle's ``_schedule_attempt`` with queued sampling."""
         request = state.request
         destination = request.destination
         request_time_s = now_s
@@ -397,8 +398,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                     if switched:
                         sim._record_switch(run, time_s)
                 # Suspect requests always take the real manager path, so
-                # validation errors surface exactly as in the reference
-                # engine.
+                # validation errors surface exactly as in the oracle.
                 suspect = (
                     source == destination
                     or request.payload_bits <= 0
@@ -505,7 +505,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                 state = event[3]
                 if state.attempt_blacked_out:
                     # Certain loss, no randomness, no telemetry — exactly
-                    # the reference engine's dark-channel branch.
+                    # the oracle's dark-channel branch.
                     state.attempt_blacked_out = False
                     remaining = state.packets_remaining
                     outcome = TransmissionOutcome(
@@ -642,7 +642,7 @@ def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
 
 
 def _store_channels(arbiters, channels: dict) -> None:
-    """Write the inline arbiter state back, as the reference engine leaves it."""
+    """Write the inline arbiter state back, as the oracle leaves it."""
     for destination, channel in channels.items():
         arbiter = arbiters[destination]
         arbiter._holder_index = channel[0]
@@ -660,7 +660,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     gate queued; a departure popping with its gate still queued flushes the
     epoch (one vectorized primary draw over every queued attempt, in
     schedule order), and only flagged attempts are swapped for a stateful
-    fallback that mirrors the reference handlers expression for expression
+    fallback that mirrors the oracle's handlers expression for expression
     (retries, deadlines, CRC escapes).  Clean transfers — the rest — incur
     no ``_TransferState``, no engine method call, no sampling machinery.
     Event order, stream consumption and every float computation are
@@ -669,8 +669,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
     The arbiter recurrence (token hops, busy window) is replayed inline on
     per-channel lists — same expressions as :meth:`TokenArbiter.request` —
     and written back to the real arbiters at the end so grant counts and
-    channel state land in the result exactly as the reference engine leaves
-    them.
+    channel state land in the result exactly as the oracle leaves them.
     """
     static = core._static
     n_static = len(static)
@@ -795,7 +794,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                 arrival = None
             # Departures strictly before the next arrival pop first; at
             # equal times the arrival wins (static sequence numbers are
-            # all smaller than dynamic ones), matching the engines' total
+            # all smaller than dynamic ones), matching the oracle's total
             # event order.
             while heap and (arrival is None or heap[0][0] < arrival_time):
                 departure = heappop(heap)
@@ -838,8 +837,8 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
                         not_before = time_s + sim._retry_delay_s(state)
                     if state.deadline_s is None or not_before <= state.deadline_s:
                         state.retries_left -= 1
-                        # Stateful re-attempt: the reference
-                        # _schedule_attempt's expressions, inline.
+                        # Stateful re-attempt: the oracle's
+                        # _schedule_attempt expressions, inline.
                         sampler = state.sampler
                         link = state.link
                         source = state.request.source
@@ -906,7 +905,7 @@ def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
             if entry is None or suspect:
                 # Cold (or suspect) request.  A suspect one takes the real
                 # manager path, so validation errors surface exactly as in
-                # the reference engine; a cold one replays its target's
+                # the oracle; a cold one replays its target's
                 # decision when that is known (a policy never sees the
                 # payload) and only the per-payload fields are computed.
                 decision = None if suspect else decisions.get(target_ber)

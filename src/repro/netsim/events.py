@@ -1,34 +1,33 @@
-"""Deterministic heap-based event queue for the network simulator.
+"""Deterministic event core of the network simulator.
 
-The engine is a classic discrete-event loop: every state change is an
-:class:`Event` with a simulation timestamp, and the :class:`EventQueue`
-always hands back the earliest pending one.  Two properties matter for the
-byte-identical parallel sweeps the orchestrator promises:
+The simulator is a discrete-event loop: every state change is an event
+with a simulation timestamp, and the core always hands back the earliest
+pending one.  Two properties matter for the byte-identical parallel sweeps
+the orchestrator promises:
 
 * **Total order.**  Events are keyed by ``(time_s, sequence)`` where the
   sequence number records insertion order, so simultaneous events pop in
   the order they were scheduled — never in payload-comparison or hash
   order.  No wall-clock or id()-based tie-breaking sneaks in.
-* **No hidden entropy.**  The queue itself never touches a random
-  generator; all randomness flows through the engine's single
-  ``SeedSequence``-derived generator in pop order.
+* **No hidden entropy.**  The core itself never touches a random
+  generator; all randomness flows through the simulator's
+  ``SeedSequence``-derived generators in pop order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Iterable
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["EventKind", "Event", "EventQueue", "EpochEventCore"]
+__all__ = ["EventKind", "EpochEventCore"]
 
 
 class EventKind(IntEnum):
-    """What an event asks the engine to do when it fires."""
+    """What an event asks the simulator to do when it fires."""
 
     ARRIVAL = 0
     """A traffic request enters its source ONI's injection queue."""
@@ -46,82 +45,23 @@ class EventKind(IntEnum):
     degradation ladder's reactions."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Event:
-    """One scheduled state change, totally ordered by ``(time, sequence)``.
-
-    ``slots=True`` keeps the per-event footprint to the four fields — the
-    engine allocates one of these per arrival/departure, so the instance
-    dict would otherwise dominate the hot loop's allocation traffic.
-    """
-
-    time_s: float
-    sequence: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
-class EventQueue:
-    """Min-heap of :class:`Event` objects with deterministic tie-breaking."""
-
-    __slots__ = ("_heap", "_sequence", "_processed")
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._sequence = 0
-        self._processed = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events popped so far (the benchmark's events/s basis)."""
-        return self._processed
-
-    def push(self, time_s: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event; returns the stored (sequenced) event."""
-        if not time_s >= 0.0:
-            raise ConfigurationError(f"event time must be non-negative, got {time_s!r}")
-        event = Event(time_s=float(time_s), sequence=self._sequence, kind=kind, payload=payload)
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest pending event."""
-        if not self._heap:
-            raise ConfigurationError("cannot pop from an empty event queue")
-        self._processed += 1
-        return heapq.heappop(self._heap)
-
-    def drain(self) -> Iterator[Event]:
-        """Iterate events in simulation order until the queue runs dry."""
-        while self._heap:
-            yield self.pop()
-
-
 class EpochEventCore:
     """Merge-ordered event core: a presorted static schedule + a dynamic heap.
 
-    The epoch-batched engine's replacement for :class:`EventQueue`.  It
-    exploits the workload's structure: the bulk of the events (arrivals and
-    fault transitions) are known up front, so they are sequenced once, sorted
-    once and consumed by cursor — no per-event heap traffic, no
-    :class:`Event` allocation.  Only the events scheduled *during* the run
-    (departures, retries) go through a small ``heapq`` of plain tuples whose
-    comparisons never leave C (the ``(time, sequence)`` prefix is always
-    decisive because sequence numbers are unique).
+    It exploits the workload's structure: the bulk of the events (arrivals
+    and fault transitions) are known up front, so they are sequenced once,
+    sorted once and consumed by cursor — no per-event heap traffic, no
+    per-event object allocation.  Only the events scheduled *during* the
+    run (departures, retries) go through a small ``heapq`` of plain tuples
+    whose comparisons never leave C (the ``(time, sequence)`` prefix is
+    always decisive because sequence numbers are unique).
 
-    The order it hands events out in is exactly :class:`EventQueue`'s total
-    order: ``(time_s, sequence)`` with sequence numbers assigned in push
-    order, static events first.  That equivalence — plus no event lost or
+    The order it hands events out in is the plain heap's total order:
+    ``(time_s, sequence)`` with sequence numbers assigned in push order,
+    static events first.  That equivalence — plus no event lost or
     duplicated across the static/dynamic boundary — is what the
     property-based suite (``tests/netsim/test_event_core.py``) pins against
-    a plain-heap model.
+    a plain-heap model and the test oracle's event queue.
     """
 
     __slots__ = ("_static", "_cursor", "_heap", "_sequence", "events_processed")

@@ -88,6 +88,11 @@ class TestFigure4Experiment:
     def test_maximum_deliverable_power_is_700uw(self, result):
         assert result.max_deliverable_uw == pytest.approx(700.0)
 
+    def test_laser_draws_10_to_20_mw_near_its_maximum_output(self, result):
+        # The magnitude the paper plots near the 700 uW rating.
+        index = int(np.argmin(np.abs(result.optical_power_uw - 700.0)))
+        assert 10.0 < result.laser_power_mw[index] < 20.0
+
     def test_efficiency_is_around_five_percent(self, result):
         assert 0.04 < result.low_power_efficiency < 0.08
 
@@ -171,7 +176,19 @@ class TestFigure6Experiments:
     def test_infeasible_points_are_excluded(self, result_b):
         # At 1e-12 the uncoded scheme must not appear in the cloud.
         names_at_1e12 = {p.code_name for p in result_b.points_for_ber(1e-12)}
-        assert "w/o ECC" not in names_at_1e12
+        assert names_at_1e12 == {"H(71,64)", "H(7,4)"}
+
+    def test_power_falls_along_each_front(self, result_b):
+        for ber in result_b.target_bers:
+            ordered = sorted(result_b.front_for_ber(ber), key=lambda p: p.communication_time)
+            powers = [p.channel_power_w for p in ordered]
+            assert all(a >= b for a, b in zip(powers, powers[1:])), ber
+
+    def test_stricter_targets_cost_more_channel_power(self, result_b):
+        relaxed = {p.code_name: p.channel_power_w for p in result_b.points_for_ber(1e-6)}
+        strict = {p.code_name: p.channel_power_w for p in result_b.points_for_ber(1e-10)}
+        for name in ("H(71,64)", "H(7,4)", "w/o ECC"):
+            assert strict[name] > relaxed[name], name
 
     def test_render_text(self, result_a, result_b):
         assert "Figure 6a" in result_a.render_text()
@@ -188,6 +205,11 @@ class TestHeadlineExperiment:
 
     def test_power_reductions(self, result):
         assert result.power_reduction["H(71,64)"] == pytest.approx(0.45, abs=0.10)
+        assert result.power_reduction["H(7,4)"] == pytest.approx(0.49, abs=0.10)
+
+    def test_per_waveguide_power_drops_from_251_to_136_mw(self, result):
+        assert result.per_waveguide_power_mw["w/o ECC"] == pytest.approx(251.0, rel=0.10)
+        assert result.per_waveguide_power_mw["H(71,64)"] == pytest.approx(136.0, rel=0.10)
 
     def test_total_saving_is_close_to_22w(self, result):
         assert result.total_saving_w == pytest.approx(22.0, rel=0.25)

@@ -171,15 +171,20 @@ class TestMultiRingSharding:
         parallel = run_experiment("network", options=RING_NETWORK, jobs=4)
         assert _render(serial) == _render(parallel)
 
-    def test_engine_choice_does_not_change_the_report(self):
-        batched = run_experiment("network", options={**RING_NETWORK, "engine": "batched"})
-        reference = run_experiment(
-            "network", options={**RING_NETWORK, "engine": "reference"}
-        )
-        assert _render(batched) == _render(reference)
-
     def test_invalid_options_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep_shards(options={"rings": 0})
-        with pytest.raises(ConfigurationError):
-            sweep_shards(options={"engine": "warp-drive"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("engine", "warp-drive"), ("engine", "reference"), ("num_request", 150)],
+    )
+    def test_unknown_option_keys_rejected(self, key, value):
+        """A typo or a stale key must not run the defaults under a new job id."""
+        options = {**FAST_NETWORK, key: value}
+        with pytest.raises(ConfigurationError, match=key):
+            sweep_shards(options=options)
+        with pytest.raises(ConfigurationError, match=key):
+            describe_grid("network", options=options)
+        with pytest.raises(ConfigurationError, match=key):
+            run_experiment("network", options=options)

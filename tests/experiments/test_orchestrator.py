@@ -71,10 +71,21 @@ class TestShardSeedSequences:
             shard_seed_sequences(1, -1)
 
 
+def _dense_ber_grid(num_points: int) -> list[float]:
+    """Log-spaced BER axis over the paper's 1e-3..1e-12 Figure 5 range."""
+    span = num_points - 1
+    return [10.0 ** (-3.0 - 9.0 * index / span) for index in range(num_points)]
+
+
 class TestByteIdenticalParallelism:
-    def test_figure5_parallel_matches_serial(self):
-        serial = run_experiment("figure5")
-        parallel = run_experiment("figure5", jobs=2)
+    @pytest.mark.parametrize(
+        "options, jobs",
+        [(None, 2), ({"target_bers": _dense_ber_grid(256)}, 4)],
+        ids=["paper-grid", "dense-256"],
+    )
+    def test_figure5_parallel_matches_serial(self, options, jobs):
+        serial = run_experiment("figure5", options=options)
+        parallel = run_experiment("figure5", options=options, jobs=jobs)
         assert _render(serial) == _render(parallel)
 
     def test_validation_parallel_matches_serial(self):

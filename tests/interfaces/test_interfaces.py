@@ -217,3 +217,4 @@ class TestSynthesisReport:
         measured = parametric.mode_totals("transmitter", "H(7,4)").total_power_uw
         expected = reference.mode_totals("transmitter", "H(7,4)").total_power_uw
         assert measured == pytest.approx(expected, rel=0.6)
+        assert parametric.receiver_area_um2 > parametric.transmitter_area_um2 > 0

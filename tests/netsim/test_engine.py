@@ -13,14 +13,20 @@ The three anchors the issue pins down:
 from __future__ import annotations
 
 import gc
+import os
+import time
 from dataclasses import dataclass
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracle import BACKENDS, run_reference
 
 from repro.coding.hamming import HammingCode
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.experiments.network import request_rate_for_load
 from repro.manager.manager import CommunicationRequest, OpticalLinkManager
 from repro.manager.policies import (
     ConfigurationDecision,
@@ -36,6 +42,8 @@ from repro.netsim import (
     make_fault_model,
     packets_for_payload,
 )
+from repro.obs import metrics as obs_metrics
+from repro.obs import tracing as obs_tracing
 from repro.simulation.faults import IndependentErrorModel
 from repro.traffic.generators import (
     HotspotTrafficGenerator,
@@ -373,6 +381,11 @@ class TestEngineBehaviour:
             # A drift model that misses reader channels of the 12-ONI ring.
             NetworkSimulator(dynamics=make_drift_model("thermal", 11, seed=0))
 
+    def test_there_is_no_engine_option(self):
+        # One event core ships; the per-event loop lives in the tests.
+        with pytest.raises(TypeError):
+            NetworkSimulator(engine="batched")
+
     def test_seed_and_rng_are_mutually_exclusive(self):
         with pytest.raises(ConfigurationError):
             NetworkSimulator(rng=np.random.default_rng(0), seed=1)
@@ -381,9 +394,9 @@ class TestEngineBehaviour:
         with pytest.raises(SimulationError, match="ONI index 42"):
             NetworkSimulator(seed=1).run([TrafficRequest(0.0, 3, 42, 64, 1e-9)])
 
-    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("position", [0, 25, 50])
-    def test_nan_arrival_time_fails_the_run(self, engine, position):
+    def test_nan_arrival_time_fails_the_run(self, backend, position):
         """A NaN arrival must not run to completion with a NaN mean latency."""
         traffic = UniformTrafficGenerator(
             12, mean_request_rate_hz=5e8, payload_bits=4096, seed=1
@@ -391,11 +404,11 @@ class TestEngineBehaviour:
         requests = list(traffic.generate(50))
         broken = TrafficRequest(0.0, 1, 0, 4096, 1e-9)
         # TrafficRequest refuses a non-finite time itself; force one past it
-        # to exercise the engines' own event-time guard.
+        # to exercise the event cores' own event-time guard.
         object.__setattr__(broken, "arrival_time_s", float("nan"))
         requests.insert(position, broken)
         with pytest.raises((ConfigurationError, SimulationError)):
-            NetworkSimulator(seed=2, engine=engine).run(requests)
+            BACKENDS[backend](NetworkSimulator(seed=2), requests)
 
 
 @dataclass
@@ -675,7 +688,7 @@ _NO_CYCLE_CASES = {
         _uniform_requests(count=40, payload_bits=2048),
     ),
     "reference-engine": lambda: (
-        NetworkSimulator(seed=2, engine="reference"),
+        SimpleNamespace(run=partial(run_reference, NetworkSimulator(seed=2))),
         _uniform_requests(),
     ),
 }
@@ -735,3 +748,47 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestInstrumentationOverhead:
+    """Metrics plus tracing keep at least 0.80x of the plain run's events/s.
+
+    Both legs run in the same process seconds apart on identical traffic,
+    so the ratio is robust to the host's speed.  Each attempt takes the
+    best of five runs per leg, and the best of up to five attempts
+    counts, which rejects scheduler noise without lowering the floor.
+    """
+
+    FLOOR = 0.80
+
+    @staticmethod
+    def _best_events_per_s(simulator, requests, repeats=5) -> float:
+        best = 0.0
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = simulator.run(requests)
+            best = max(best, result.events_processed / (time.perf_counter() - start))
+        return best
+
+    def test_instrumented_throughput_stays_above_the_floor(self):
+        rate = request_rate_for_load(0.5, payload_bits=65536)
+        requests = list(
+            UniformTrafficGenerator(
+                12, mean_request_rate_hz=rate, payload_bits=65536, seed=7
+            ).generate(2000)
+        )
+        plain = NetworkSimulator(seed=11)
+        instrumented = NetworkSimulator(seed=11)
+        # Warm both managers' caches so the legs time the event loop only.
+        plain.run(requests[:20])
+        instrumented.run(requests[:20])
+        ratios = []
+        for _ in range(5):
+            disabled = self._best_events_per_s(plain, requests)
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                with obs_metrics.collecting(), obs_tracing.tracing_to(sink):
+                    enabled = self._best_events_per_s(instrumented, requests)
+            ratios.append(enabled / disabled)
+            if ratios[-1] >= self.FLOOR:
+                break
+        assert max(ratios) >= self.FLOOR, ratios

@@ -1,14 +1,15 @@
-"""Differential parity harness: epoch-batched engine vs the reference loop.
+"""Differential parity harness: ``NetworkSimulator.run`` vs the test oracle.
 
-The batched engine (:mod:`repro.netsim.epoch`) claims *byte-identical*
-results to the reference per-event loop — same records, same metrics, same
-interval traces, same event counts — across every feature that rides the
-hot path: fault timelines with the degradation ladder, channel drift with
-static/adaptive/oracle controllers, ARQ backoff and timeouts, and both
-outcome modes.  This suite is the proof: every test runs the identical
-workload through both engines (freshly built models on each side, same
-seeds everywhere) and asserts equality of everything a
-:class:`~repro.netsim.engine.NetworkResult` exposes.
+The simulator's epoch-batched event core (:mod:`repro.netsim.epoch`) claims
+*byte-identical* results to the per-event heap loop of :mod:`oracle` —
+same records, same metrics, same interval traces, same event counts —
+across every feature that rides the hot path: fault timelines with the
+degradation ladder, channel drift with static/adaptive/oracle controllers,
+ARQ backoff and timeouts, and both outcome modes.  This suite is the
+proof: every test runs the identical workload through both backends
+(freshly built models on each side, same seeds everywhere) and asserts
+equality of everything a :class:`~repro.netsim.engine.NetworkResult`
+exposes.
 
 Every grid here, the full fault x drift x policy cross-product included,
 runs in tier-1.
@@ -19,9 +20,12 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from oracle import BACKENDS, run_reference
 
+from repro.coding.hamming import HammingCode
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import SimulationError
+from repro.manager.manager import OpticalLinkManager
 from repro.manager.policies import (
     DeadlineConstrainedPolicy,
     DegradationLadder,
@@ -89,16 +93,16 @@ def assert_identical(reference, batched) -> None:
 
 
 def run_both(requests, *, scenario=None, drift=None, policy=None, policy_obj=None, **sim_kwargs):
-    """Run the workload through both engines with freshly built models.
+    """Run the workload through both backends with freshly built models.
 
-    Fault models, drift processes and controllers are rebuilt per engine
+    Fault models, drift processes and controllers are rebuilt per backend
     from the same seeds, so neither run can leak state into the other.
     ``policy`` selects a controller mode; ``policy_obj`` is a manager
     selection policy passed straight through.
     """
     horizon = max(r.arrival_time_s for r in requests)
     results = {}
-    for engine in ("reference", "batched"):
+    for name, backend in BACKENDS.items():
         kwargs = dict(sim_kwargs)
         if policy_obj is not None:
             kwargs["policy"] = policy_obj
@@ -116,9 +120,7 @@ def run_both(requests, *, scenario=None, drift=None, policy=None, policy_obj=Non
                 margins=margin_levels(4.0), mode=policy
             )
             kwargs["telemetry_seed"] = 99
-        results[engine] = NetworkSimulator(seed=11, engine=engine, **kwargs).run(
-            iter(requests)
-        )
+        results[name] = backend(NetworkSimulator(seed=11, **kwargs), iter(requests))
     assert_identical(results["reference"], results["batched"])
     return results["reference"]
 
@@ -209,7 +211,7 @@ class TestDecisionMemoParity:
     )
     @pytest.mark.parametrize("payload", ["seen", "new"])
     def test_suspect_request_after_warm_memo(self, kind, payload):
-        """A suspect arrival fails exactly as in the reference engine.
+        """A suspect arrival fails exactly as in the oracle.
 
         ``seen`` reuses an earlier payload (both memos warm); ``new`` has a
         payload no earlier request had (entry memo cold, decision memo
@@ -229,10 +231,10 @@ class TestDecisionMemoParity:
             object.__setattr__(suspect, "source", -1)
         requests.insert(61, suspect)
         messages = {}
-        for engine in ("reference", "batched"):
+        for name, backend in BACKENDS.items():
             with pytest.raises(SimulationError) as raised:
-                NetworkSimulator(seed=11, engine=engine).run(iter(requests))
-            messages[engine] = str(raised.value)
+                backend(NetworkSimulator(seed=11), iter(requests))
+            messages[name] = str(raised.value)
         assert messages["reference"] == messages["batched"]
         assert "ARRIVAL handler failed" in messages["batched"]
 
@@ -247,10 +249,10 @@ class TestDecisionMemoParity:
         )
         assert len({(r.target_ber, r.payload_bits) for r in requests}) > 300
         calls = {}
-        for engine in ("reference", "batched"):
+        for name, backend in BACKENDS.items():
             with obs_metrics.collecting() as registry:
-                NetworkSimulator(seed=11, engine=engine).run(iter(requests))
-                calls[engine] = registry.snapshot()["counters"][
+                backend(NetworkSimulator(seed=11), iter(requests))
+                calls[name] = registry.snapshot()["counters"][
                     "manager.configure.calls"
                 ]
         assert calls == {"reference": len(requests), "batched": 3}
@@ -322,10 +324,10 @@ class TestDriftAndPolicyParity:
 
 
 class TestLadderMemoParity:
-    """The batched engine replays ladder answers per (target, margin, health).
+    """The batched core replays ladder answers per (target, margin, health).
 
     Every cached answer — a configuration, a channel declared down, an
-    infeasible request — must reproduce the reference engine's records.
+    infeasible request — must reproduce the oracle's records.
     """
 
     def test_mixed_faults_adaptive_ladder(self):
@@ -346,7 +348,7 @@ class TestLadderMemoParity:
         requests = _requests(count=300, seed=4)
         horizon = max(r.arrival_time_s for r in requests)
         failed = {2, 7}
-        # Both engines may share these: health queries and the ladder are
+        # Both backends may share these: health queries and the ladder are
         # pure, so neither run can leak state into the other.
         failures = HardFaultModel(
             [
@@ -387,6 +389,49 @@ class TestLadderMemoParity:
         assert all(record.attempts == 0 for record in result.records)
 
 
+class TestTieParity:
+    """A departure at the same instant as an arrival pops after it.
+
+    Static events (arrivals) carry smaller sequence numbers than every
+    dynamic one (departures, retries), so at equal times the arrival is
+    handled first.  One writer streams back to back into one reader, each
+    arrival landing exactly on the previous transfer's departure, over a
+    link noisy enough that most transfers retry: whichever event pops first
+    takes the channel next, so a flipped tie-break changes the records.
+    """
+
+    @staticmethod
+    def _simulator(**kwargs):
+        return NetworkSimulator(
+            manager=OpticalLinkManager(codes=[HammingCode(3)]),
+            packet_bits=64,
+            seed=11,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("loop", ["static-fast-path", "general-loop"])
+    def test_departures_tied_with_arrivals(self, loop):
+        # Writer 1 holds the token of reader 0 from the start, so an attempt
+        # arriving at t on an idle channel departs at exactly t + duration.
+        probe = self._simulator(max_retries=0).run(
+            [TrafficRequest(0.0, 1, 0, 512, 1e-2)]
+        )
+        duration_s = probe.records[0].completion_time_s
+        requests, arrival_s = [], 0.0
+        for _ in range(150):
+            requests.append(TrafficRequest(arrival_s, 1, 0, 512, 1e-2))
+            arrival_s += duration_s
+        # An interval trace takes the run off the static fast path.
+        kwargs = {"trace_interval_s": 10 * duration_s} if loop == "general-loop" else {}
+        results = {
+            name: backend(self._simulator(max_retries=6, **kwargs), iter(requests))
+            for name, backend in BACKENDS.items()
+        }
+        assert_identical(results["reference"], results["batched"])
+        records = results["batched"].records
+        assert sum(record.attempts > 1 for record in records) > len(records) // 4
+
+
 class TestLoadParity:
     """Load changes the retry/queueing mix; parity must not care."""
 
@@ -398,8 +443,8 @@ class TestLoadParity:
 class TestInstrumentedParity:
     """Observability on changes nothing a NetworkResult exposes."""
 
-    @pytest.mark.parametrize("engine", ["reference", "batched"])
-    def test_tracing_and_metrics_leave_results_identical(self, engine):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_tracing_and_metrics_leave_results_identical(self, backend):
         import io
 
         from repro.obs import metrics as obs_metrics
@@ -408,12 +453,11 @@ class TestInstrumentedParity:
         requests = _requests(count=150, seed=8)
         horizon = max(r.arrival_time_s for r in requests)
         kwargs = dict(retry_backoff_s=horizon / 100, transfer_timeout_s=horizon)
-        plain = NetworkSimulator(seed=11, engine=engine, **kwargs).run(iter(requests))
+        run = BACKENDS[backend]
+        plain = run(NetworkSimulator(seed=11, **kwargs), iter(requests))
         sink = io.StringIO()
         with obs_metrics.collecting() as registry, obs_tracing.tracing_to(sink):
-            instrumented = NetworkSimulator(seed=11, engine=engine, **kwargs).run(
-                iter(requests)
-            )
+            instrumented = run(NetworkSimulator(seed=11, **kwargs), iter(requests))
             snapshot = registry.snapshot()
         assert_identical(plain, instrumented)
         assert sink.getvalue()  # spans actually flowed
@@ -434,7 +478,7 @@ class TestInstrumentedParity:
         requests = _requests(count=150, seed=9)
         horizon = max(r.arrival_time_s for r in requests)
         snapshots = {}
-        for engine in ("reference", "batched"):
+        for name, backend in BACKENDS.items():
             kwargs = {}
             if faulted:
                 kwargs = dict(
@@ -448,15 +492,15 @@ class TestInstrumentedParity:
                     transfer_timeout_s=horizon,
                 )
             with obs_metrics.collecting() as registry:
-                NetworkSimulator(seed=11, engine=engine, **kwargs).run(iter(requests))
-                snapshots[engine] = registry.snapshot()
-        # Engine-internal by design: the manager's configure.calls and
-        # candidate-cache counters (the reference loop asks the manager per
+                backend(NetworkSimulator(seed=11, **kwargs), iter(requests))
+                snapshots[name] = registry.snapshot()
+        # Backend-internal by design: the manager's configure.calls and
+        # candidate-cache counters (the oracle asks the manager per
         # transfer, the batched loop memoizes its answers per run) and the
         # epoch-flush counter.  Every *simulation observable* — netsim
         # counters, gauges, histograms — must agree, and so must the
         # degradation ladder's per-arrival counters, which the batched
-        # engine republishes on every memo hit.
+        # core republishes on every memo hit.
         def observable(snapshot):
             return {
                 "counters": {
@@ -482,7 +526,12 @@ class TestInstrumentedParity:
 
 
 class TestOrchestratedParity:
-    """Engine parity survives the sweep orchestrator at any worker count."""
+    """Parity survives the sweep orchestrator at any worker count.
+
+    The oracle's report comes from a serial, in-process sweep with the
+    simulator's ``run`` swapped for :func:`run_reference`; the batched
+    report from an ordinary sweep, pooled or not.
+    """
 
     OPTIONS = {
         "patterns": ["uniform", "hotspot"],
@@ -495,16 +544,14 @@ class TestOrchestratedParity:
     }
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_batched_jobs_match_reference_serial(self, jobs):
+    def test_batched_jobs_match_reference_serial(self, jobs, monkeypatch):
         from repro.experiments.orchestrator import run_experiment
         from repro.experiments.report import rows_to_csv
 
-        reference = run_experiment(
-            "network", options={**self.OPTIONS, "engine": "reference"}
-        )
-        batched = run_experiment(
-            "network", options={**self.OPTIONS, "engine": "batched"}, jobs=jobs
-        )
+        with monkeypatch.context() as patched:
+            patched.setattr(NetworkSimulator, "run", run_reference)
+            reference = run_experiment("network", options=self.OPTIONS)
+        batched = run_experiment("network", options=self.OPTIONS, jobs=jobs)
         assert reference[0] == batched[0]
         assert rows_to_csv(reference[1]) == rows_to_csv(batched[1])
 

@@ -1,7 +1,7 @@
 """Property-based ordering invariants for the event cores.
 
 :class:`~repro.netsim.events.EpochEventCore` promises exactly
-:class:`~repro.netsim.events.EventQueue`'s total order — ``(time_s,
+:class:`oracle.EventQueue`'s total order — ``(time_s,
 insertion sequence)``, static events sequenced before every dynamic one —
 while serving the static bulk by cursor instead of heap.  Hypothesis
 drives both against a plain ``heapq`` model with arbitrary interleavings
@@ -16,9 +16,10 @@ import heapq
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import EventQueue
 
 from repro.exceptions import ConfigurationError
-from repro.netsim.events import EpochEventCore, EventKind, EventQueue
+from repro.netsim.events import EpochEventCore, EventKind
 
 # Continuous times rarely tie; coarse integer-derived times tie constantly.
 # Both matter: ties exercise the sequence-number tie-break, distinct times
@@ -88,7 +89,7 @@ class TestEpochEventCoreVsHeapModel:
     @given(static=st.lists(_times, max_size=30), dynamic=st.lists(_times, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_reference_event_queue(self, static, dynamic):
-        """Same pushes, same total order as the reference EventQueue."""
+        """Same pushes, same total order as the oracle's EventQueue."""
         core = EpochEventCore(_static_events(static))
         queue = EventQueue()
         for t, kind, payload in _static_events(static):

@@ -1,11 +1,12 @@
-"""Tests for the deterministic event queue."""
+"""Tests for the test oracle's deterministic event queue."""
 
 from __future__ import annotations
 
 import pytest
+from oracle import Event, EventQueue
 
 from repro.exceptions import ConfigurationError
-from repro.netsim.events import Event, EventKind, EventQueue
+from repro.netsim.events import EventKind
 
 
 class TestEventQueue:

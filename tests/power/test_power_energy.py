@@ -122,6 +122,9 @@ class TestInterconnectAggregation:
         )
         assert summary.total_power_w == pytest.approx(summary.per_channel_power_w * 12)
 
+    def test_coded_interconnect_draws_tens_of_watts(self, breakdowns):
+        assert 15.0 < interconnect_power_summary(breakdowns["H(71,64)"]).total_power_w < 35.0
+
     def test_total_saving_matches_the_paper_scale(self, breakdowns):
         baseline = interconnect_power_summary(breakdowns["w/o ECC"])
         improved = interconnect_power_summary(breakdowns["H(71,64)"])

@@ -98,6 +98,12 @@ class TestValidation:
         status, payload, _ = _post(context, "/jobs", {})
         assert status == 400 and "available" in payload
 
+    def test_submit_rejects_unknown_network_option(self, context):
+        body = {"experiment": "network", "options": {"num_request": 150}}
+        status, payload, _ = _post(context, "/jobs", body)
+        assert status == 400 and "num_request" in payload["error"]
+        assert context.queue.jobs() == []
+
     def test_submit_bounds_worker_count(self, context):
         body = {"experiment": "table1", "jobs": 99}
         assert _post(context, "/jobs", body)[0] == 400

@@ -112,8 +112,20 @@ class TestWorkerDeath:
             assert pid is not None, "worker never started"
             os.kill(pid, signal.SIGKILL)
 
-            final = poll_until_terminal(svc.url, job_id, deadline_s=90.0)
+            # The API keeps answering design queries while the job recovers.
+            design = f"{svc.url}/design?code=secded(72,64)&target_ber=1e-12"
+            answered = 0
+            deadline = time.monotonic() + 90.0
+            while time.monotonic() < deadline:
+                status, final, _ = request(f"{svc.url}/jobs/{job_id}")
+                assert status == 200, final
+                if final["state"] in (JobState.DONE, JobState.DEAD):
+                    break
+                assert request(design)[0] == 200
+                answered += 1
             assert final["state"] == JobState.DONE
+            assert final["attempts"] >= 1
+            assert answered > 0
             status, payload, _ = request(f"{svc.url}/jobs/{job_id}/result")
             assert payload["result"]["text"] == expected_text
         finally:
