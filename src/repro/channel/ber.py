@@ -44,7 +44,7 @@ def raw_ber_from_snr(snr: float | np.ndarray) -> float | np.ndarray:
     Implements paper Eq. 3: ``p = 0.5 * erfc(sqrt(SNR))``.
     """
     snr_arr = np.asarray(snr, dtype=float)
-    if np.any(snr_arr < 0):
+    if not (snr_arr >= 0).all():
         raise ConfigurationError("SNR must be non-negative")
     result = 0.5 * erfc(np.sqrt(snr_arr))
     if np.isscalar(snr):
@@ -56,10 +56,15 @@ def snr_from_ber(ber: float | np.ndarray) -> float | np.ndarray:
     """Power SNR required to reach a raw bit error probability (paper Eq. 1).
 
     Self-consistent inverse of :func:`raw_ber_from_snr`:
-    ``SNR = [erfc^-1(2 * BER)]^2``.
+    ``SNR = [erfc^-1(2 * BER)]^2``.  A float skips the array wrapping (it
+    runs once per solved design point) and returns the array form's bits.
     """
+    if isinstance(ber, float):
+        if not 0.0 < ber < 0.5:
+            raise ConfigurationError("BER must lie in (0, 0.5) for the SNR to be defined")
+        return float(erfcinv(2.0 * ber) ** 2)
     ber_arr = np.asarray(ber, dtype=float)
-    if np.any(ber_arr <= 0) or np.any(ber_arr >= 0.5):
+    if not ((ber_arr > 0) & (ber_arr < 0.5)).all():
         raise ConfigurationError("BER must lie in (0, 0.5) for the SNR to be defined")
     result = erfcinv(2.0 * ber_arr) ** 2
     if np.isscalar(ber):

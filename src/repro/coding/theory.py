@@ -30,6 +30,16 @@ through ``(n, t)``, and a full reproduction asks for a few dozen distinct
 one call each cost about half a second per cold process.  The tests keep
 ``scipy.optimize.brentq`` and ``scipy.stats.binom`` as oracles; the port
 returns SciPy's roots bit for bit.
+
+The Brent objective runs on Python floats, not NumPy scalars: one root
+takes about 30 objective calls, and wrapping each argument in a 0-d array
+cost about 20 us a call, many times the formula itself.  The float forms
+are bit-identical to the NumPy forms they replace, a contract the tests
+pin for every registry code: the t = 1 branch of :func:`output_ber`
+evaluates Eq. 2 with the same IEEE operations and the same libm ``pow`` as
+NumPy's scalar path, and :func:`coded_ber_bounded_distance` multiplies the
+same exact integer coefficients, term by term and summed left to right, as
+its per-term loop (``sum()`` would not do: Python 3.12 compensates it).
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ def hamming_output_ber(raw_ber: float | np.ndarray, block_length: int) -> float 
     to repair it); it tends to ``(n-1) p^2`` for small ``p``.
     """
     p = np.asarray(raw_ber, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if not ((p >= 0) & (p <= 1)).all():
         raise ConfigurationError("raw BER must lie in [0, 1]")
     if block_length < 2:
         raise ConfigurationError("block length must be at least 2")
@@ -118,11 +128,17 @@ def coded_ber_bounded_distance(
         return 0.0
     n = block_length
     t = correctable_errors
+    q = 1.0 - p
     total = 0.0
-    for i in range(t + 1, n + 1):
-        weight = min(i + t, n)
-        total += weight * math.comb(n, i) * (p ** i) * ((1.0 - p) ** (n - i))
-    return float(total / n)
+    for i, coefficient in enumerate(_bounded_distance_coefficients(n, t), start=t + 1):
+        total += coefficient * p ** i * q ** (n - i)
+    return total / n
+
+
+@functools.lru_cache(maxsize=128)
+def _bounded_distance_coefficients(n: int, t: int) -> "tuple[int, ...]":
+    """Exact ``min(i + t, n) * C(n, i)`` for ``i = t + 1 .. n``."""
+    return tuple(min(i + t, n) * math.comb(n, i) for i in range(t + 1, n + 1))
 
 
 def output_ber(code: _CodeLike, raw_ber: float) -> float:
@@ -140,7 +156,13 @@ def _output_ber(n: int, t: int, raw_ber: float) -> float:
     if t == 0:
         return float(raw_ber)
     if t == 1:
-        return float(hamming_output_ber(raw_ber, n))
+        # Eq. 2 on floats: the objective of every Hamming root search.
+        p = float(raw_ber)
+        if not 0.0 <= p <= 1.0:
+            raise ConfigurationError("raw BER must lie in [0, 1]")
+        if n < 2:
+            raise ConfigurationError("block length must be at least 2")
+        return p - p * (1.0 - p) ** (n - 1)
     return coded_ber_bounded_distance(raw_ber, n, t)
 
 

@@ -96,10 +96,10 @@ class OpticalLinkDesigner:
             self.budget = LinkPowerBudget(config=self.config)
         self._detector = Photodetector.from_config(self.config)
         # Solved operating points, keyed by code identity and target.  The
-        # solve chain (crosstalk scan + two brentq inversions) costs
-        # milliseconds, and request-rate consumers (the runtime manager, the
-        # network simulator) ask for the same handful of (code, target)
-        # pairs millions of times; LinkDesignPoint is frozen, so sharing the
+        # solve chain (crosstalk scan + a brentq inversion) costs 0.1-1 ms,
+        # and request-rate consumers (the runtime manager, the network
+        # simulator) ask for the same handful of (code, target) pairs
+        # millions of times; LinkDesignPoint is frozen, so sharing the
         # instance is safe.
         self._point_cache: dict = {}
 
@@ -117,8 +117,8 @@ class OpticalLinkDesigner:
         """
         return self.design_point(code, target_ber).laser_output_power_w
 
-    def _solve_laser_output_power(self, code, target_ber: float) -> float:
-        snr = required_snr(code, target_ber)
+    def _solve_laser_output_power(self, snr: float) -> float:
+        """OP_laser that delivers ``snr`` at the photodetector."""
         transmission = self.budget.signal_transmission
         crosstalk_ratio = self.budget.crosstalk_ratio
         effective = transmission * (1.0 - crosstalk_ratio)
@@ -177,7 +177,7 @@ class OpticalLinkDesigner:
             raise ConfigurationError("target BER must lie in (0, 0.5)")
         raw = required_raw_ber(code, target_ber)
         snr = required_snr(code, target_ber)
-        op_laser = self._solve_laser_output_power(code, target_ber)
+        op_laser = self._solve_laser_output_power(snr)
         signal = self.budget.received_signal_power(op_laser)
         crosstalk = self.budget.received_crosstalk_power(op_laser)
         feasible = self.laser.can_deliver(op_laser)

@@ -51,6 +51,10 @@ class DurableJobQueue:
         os.makedirs(spool_dir, exist_ok=True)
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
+        #: Ids of the non-terminal jobs, kept current by :meth:`_record`:
+        #: ``depth()`` runs on every request, and ``_jobs`` keeps every
+        #: finished job for the life of the process.
+        self._active: set = set()
         #: Signalled whenever a job becomes claimable (submit, retry, recover).
         self.work_available = threading.Event()
         self.recover()
@@ -58,6 +62,14 @@ class DurableJobQueue:
     # ------------------------------------------------------------- persistence
     def _job_path(self, job_id: str) -> str:
         return os.path.join(self.spool_dir, f"{job_id}.json")
+
+    def _record(self, job: Job) -> None:
+        """Make ``job`` its id's current record (caller holds the lock)."""
+        self._jobs[job.job_id] = job
+        if job.terminal:
+            self._active.discard(job.job_id)
+        else:
+            self._active.add(job.job_id)
 
     def _persist(self, job: Job) -> None:
         """Atomically rewrite one job's record (caller holds the lock)."""
@@ -85,6 +97,7 @@ class DurableJobQueue:
         requeued: List[str] = []
         with self._lock:
             self._jobs.clear()
+            self._active.clear()
             for name in sorted(os.listdir(self.spool_dir)):
                 if not name.endswith(".json"):
                     continue
@@ -110,7 +123,7 @@ class DurableJobQueue:
                     # backoff on restart is safe: one immediate retry.
                     job = job.rescheduled(0.0)
                     self._persist(job)
-                self._jobs[job.job_id] = job
+                self._record(job)
             if any(job.state == JobState.QUEUED for job in self._jobs.values()):
                 self.work_available.set()
         return requeued
@@ -147,7 +160,7 @@ class DurableJobQueue:
     def depth(self) -> int:
         """Jobs occupying queue capacity (everything non-terminal)."""
         with self._lock:
-            return sum(1 for job in self._jobs.values() if not job.terminal)
+            return len(self._active)
 
     def submit(self, job: Job) -> tuple[Job, bool]:
         """Admit ``job`` (or join the existing one); returns ``(job, created)``.
@@ -162,13 +175,13 @@ class DurableJobQueue:
             existing = self._jobs.get(job.job_id)
             if existing is not None:
                 return existing, False
-            occupancy = sum(1 for item in self._jobs.values() if not item.terminal)
+            occupancy = len(self._active)
             if occupancy >= self.max_depth:
                 raise QueueFullError(
                     occupancy, self.max_depth, retry_after_s=float(max(1, occupancy))
                 )
             self._persist(job)
-            self._jobs[job.job_id] = job
+            self._record(job)
             if job.state == JobState.QUEUED:
                 self.work_available.set()
             return job, True
@@ -181,7 +194,7 @@ class DurableJobQueue:
                 raise JobNotFoundError(job_id)
             job = job.requeued()
             self._persist(job)
-            self._jobs[job_id] = job
+            self._record(job)
             self.work_available.set()
             return job
 
@@ -212,7 +225,7 @@ class DurableJobQueue:
             job = min(eligible, key=lambda item: (item.created_s, item.job_id))
             job = job.transitioned(JobState.RUNNING)
             self._persist(job)
-            self._jobs[job.job_id] = job
+            self._record(job)
             return job
 
     def next_retry_delay_s(self, now_s: float | None = None) -> float | None:
@@ -249,7 +262,7 @@ class DurableJobQueue:
                 charge_deterministic=charge_deterministic,
             )
             self._persist(job)
-            self._jobs[job_id] = job
+            self._record(job)
             if state == JobState.QUEUED:
                 self.work_available.set()
             return job

@@ -25,7 +25,7 @@ requests, never by failure:
 * ``SHED_SWEEPS`` — *new* sweep submissions get 429 + ``Retry-After``
   (resubmissions of known jobs still join); design queries still solve;
 * ``CACHED_ONLY`` — design queries are answered only from cache (a miss
-  gets 503 instead of a multi-millisecond solve), job status still served;
+  gets 503 instead of a solve), job status still served;
 * ``HEALTH_ONLY`` — only ``/healthz`` answers 200; everything else 503.
   Also the drain state: a terminating service stops admitting work first.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Tuple
 
 from ..coding.registry import available_codes, get_code
@@ -220,7 +220,10 @@ def _design(context: ServiceContext, match, query, body) -> Response:
     except ReproError as error:
         return _error(400, str(error))
     context.inc("service.design.cache_hits" if cached else "service.design.solves")
-    return 200, {"cached": cached, "point": asdict(point)}, {}
+    # Shallow: every field is a str, float or bool, so this is asdict's
+    # JSON without its per-field deep copy.
+    document = {f.name: getattr(point, f.name) for f in fields(point)}
+    return 200, {"cached": cached, "point": document}, {}
 
 
 def _jobs_list(context: ServiceContext, match, query, body) -> Response:

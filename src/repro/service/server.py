@@ -22,6 +22,8 @@ loses completed work — the next start recovers the queue and resumes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import logging
 import os
@@ -79,15 +81,21 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin JSON shim over :func:`repro.service.routes.dispatch`."""
 
     protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY: headers and body go out as separate writes, and Nagle
-    #: holding the second behind a delayed ACK caps keep-alive clients at
-    #: ~25 req/s.  The responses are small; there is nothing to coalesce.
+    #: Buffered writes: headers and body of a response leave in one
+    #: ``sendall`` when :meth:`_respond` flushes, so the client wakes once.
+    #: http.server's own error replies (400, 501) are flushed when the
+    #: request loop or ``finish`` flushes.
+    wbufsize = -1
+    #: TCP_NODELAY: a response larger than the write buffer still goes out
+    #: in several writes, and Nagle holding the last behind a delayed ACK
+    #: caps keep-alive clients at ~25 req/s.
     disable_nagle_algorithm = True
     #: Injected per server instance by :class:`SimulationService`.
     context: ServiceContext = None  # type: ignore[assignment]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("%s %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), format % args)
 
     def _respond(self, status: int, payload, headers: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -99,8 +107,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to recover
+            # The client went away.  The buffered writer keeps the unsent
+            # bytes and would raise again on every later flush (http.server's
+            # request loop and ``finish`` both flush), so close it here and
+            # leave those flushes a sink.
+            self.close_connection = True
+            with contextlib.suppress(OSError):
+                self.wfile.close()
+            self.wfile = io.BytesIO()
 
     def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)

@@ -11,7 +11,7 @@ Two persistence tiers live here:
 * :class:`PersistentDesignCache` — the shared persistent tier of
   :meth:`repro.link.design.OpticalLinkDesigner.design_point`.  An
   append-only JSON-lines file of checksummed ``(key, point)`` records:
-  appends are cheap (design points are solved at millisecond cost but
+  one append per solved point (solves are rare; the same points are
   requested millions of times), every record carries its own checksum, and
   a damaged line costs only that record — the loader salvages the rest and
   quarantines the damaged file.
@@ -26,7 +26,7 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any, Dict, Tuple
 
 __all__ = ["ResultsStore", "PersistentDesignCache", "quarantine"]
@@ -133,9 +133,10 @@ class PersistentDesignCache:
     Implements the pluggable-cache protocol of
     :class:`repro.link.design.OpticalLinkDesigner` (``load``/``store``).
     The in-memory dict fronts the file, so a process pays the disk read
-    once at construction; ``store`` appends one checksummed JSON line
-    (point solves are rare — cache misses only — so append cost is
-    irrelevant next to the brentq chain it memoizes).
+    once at construction; ``store`` appends one checksummed JSON line per
+    solved point.  The append is not free next to the solve it memoizes:
+    about 50 us against a Hamming solve of about 0.1 ms (a BCH solve,
+    with its longer bounded-distance sum, takes about 0.7 ms).
     """
 
     def __init__(self, path: str):
@@ -243,7 +244,7 @@ class PersistentDesignCache:
         with self._lock:
             if normalized in self._points:
                 return
-            payload = asdict(point)
+            payload = {f.name: getattr(point, f.name) for f in fields(point)}
             self._points[normalized] = payload
             directory = os.path.dirname(self.path) or "."
             os.makedirs(directory, exist_ok=True)

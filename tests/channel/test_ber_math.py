@@ -38,6 +38,11 @@ class TestEquationThree:
         with pytest.raises(ConfigurationError):
             raw_ber_from_snr(-1.0)
 
+    @pytest.mark.parametrize("snr", [np.nan, np.array([9.0, np.nan])])
+    def test_rejects_nan_snr(self, snr):
+        with pytest.raises(ConfigurationError):
+            raw_ber_from_snr(snr)
+
 
 class TestEquationOneInversion:
     @pytest.mark.parametrize("ber", [1e-3, 1e-6, 1e-9, 1e-11, 1e-12, 1e-15])
@@ -56,6 +61,19 @@ class TestEquationOneInversion:
             snr_from_ber(0.0)
         with pytest.raises(ConfigurationError):
             snr_from_ber(0.5)
+
+    @pytest.mark.parametrize("ber", [np.nan, np.array([1e-9, np.nan])])
+    def test_rejects_nan(self, ber):
+        with pytest.raises(ConfigurationError):
+            snr_from_ber(ber)
+
+    def test_float_path_bit_identical_to_array_path(self):
+        # 2,000 BERs over (1e-30, 0.49): the float path skips np.asarray
+        # but must return the array form's bits.
+        bers = [float(x) for x in np.logspace(-30, np.log10(0.49), 2000)]
+        assert [snr_from_ber(ber).hex() for ber in bers] == [
+            float(snr_from_ber(np.asarray(ber))).hex() for ber in bers
+        ]
 
 
 class TestRequiredSnrWithCodes:

@@ -67,6 +67,15 @@ class TestHammingOutputBer:
         with pytest.raises(ConfigurationError):
             hamming_output_ber(0.5, 1)
 
+    @pytest.mark.parametrize("raw_ber", [np.nan, np.array([1e-3, np.nan])])
+    def test_nan_rejected(self, raw_ber):
+        with pytest.raises(ConfigurationError):
+            hamming_output_ber(raw_ber, 7)
+
+    def test_output_ber_rejects_nan_on_the_hamming_branch(self):
+        with pytest.raises(ConfigurationError):
+            output_ber(HammingCode(3), float("nan"))
+
 
 class TestBoundedDistanceBer:
     def test_t_zero_is_passthrough(self):

@@ -5,6 +5,12 @@ Brent solver and evaluates the binomial tail with ``scipy.special.bdtrc``,
 so that the package never imports ``scipy.optimize`` or ``scipy.stats``.
 These tests keep both of those as oracles: the port must return SciPy's
 roots bit for bit, and the tail must match ``binom.sf`` to 1e-13.
+
+The Brent objective itself runs on Python floats.  Its oracles here share
+no code with it: Eq. 2 through the NumPy array path of
+:func:`hamming_output_ber` (the path the objective took before), and the
+bounded-distance sum as the per-term loop it was first written as.  The
+float forms must return their bits exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from repro.coding.theory import (
     _brentq,
     _raw_ber,
     block_error_probability,
+    coded_ber_bounded_distance,
+    hamming_output_ber,
     output_ber,
     raw_ber_for_target_output_ber,
 )
@@ -34,11 +42,38 @@ CODED = [
 TARGETS = [float(x) for x in np.logspace(-18, -2, 33)]
 
 
+#: Raw BERs log-spaced over [1e-16, 0.4], plus 0 and both ends.
+RAW_BERS = [0.0, 1e-16, *(float(x) for x in np.logspace(-16, np.log10(0.4), 1200)), 0.4]
+
+
+def _per_term_bounded_distance(p: float, n: int, t: int) -> float:
+    """The bounded-distance sum as first written: one ``comb`` per term."""
+    total = 0.0
+    for i in range(t + 1, n + 1):
+        weight = min(i + t, n)
+        total += weight * math.comb(n, i) * (p ** i) * ((1.0 - p) ** (n - i))
+    return float(total / n)
+
+
+def _oracle_output_ber(code, p: float) -> float:
+    """Post-decoding BER without the float path under test."""
+    t = code.correctable_errors
+    if t == 0:
+        return p
+    if t == 1:
+        return float(hamming_output_ber(np.asarray(p), code.n))
+    return _per_term_bounded_distance(p, code.n, t)
+
+
+def _bits(values) -> list:
+    return [float(value).hex() for value in values]
+
+
 def _scipy_raw_ber(code, target_ber: float) -> float:
     """The inversion as it was written against ``scipy.optimize.brentq``."""
 
     def objective(p: float) -> float:
-        return output_ber(code, p) - target_ber
+        return _oracle_output_ber(code, p) - target_ber
 
     low, high = target_ber, 0.4
     if objective(low) > 0:
@@ -86,6 +121,23 @@ class TestBrentPort:
             brentq(f, 0.0, 1.0, maxiter=2)
         with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
             _brentq(f, 0.0, 1.0, xtol=2e-12, rtol=1e-12, maxiter=2)
+
+
+class TestFloatObjective:
+    @pytest.mark.parametrize("name", available_codes())
+    def test_output_ber_bit_identical_to_oracle(self, name):
+        code = get_code(name)
+        assert _bits(output_ber(code, p) for p in RAW_BERS) == _bits(
+            _oracle_output_ber(code, p) for p in RAW_BERS
+        )
+
+    @pytest.mark.parametrize("name", CODED)
+    def test_bounded_distance_bit_identical_to_per_term_loop(self, name):
+        n = get_code(name).n
+        for t in (1, 2, get_code(name).correctable_errors):
+            assert _bits(coded_ber_bounded_distance(p, n, t) for p in RAW_BERS) == _bits(
+                _per_term_bounded_distance(p, n, t) for p in RAW_BERS
+            )
 
 
 class TestRawBerMemo:

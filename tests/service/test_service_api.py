@@ -12,19 +12,25 @@ trick as the orchestrator's fault-injection tests).
 
 from __future__ import annotations
 
+import http.client
 import json
 import multiprocessing
+import re
+import socket
 import time
 import urllib.error
 import urllib.request
+from dataclasses import asdict
 
 import pytest
 
+from repro.coding.registry import get_code
 from repro.experiments.orchestrator import (
     GridFunctions,
     register_experiment,
     run_experiment,
 )
+from repro.link.design import OpticalLinkDesigner
 from repro.service import ServiceConfig, SimulationService
 from repro.service.models import JobState
 
@@ -234,3 +240,75 @@ class TestRestartRecovery:
             assert status == 200
         finally:
             second.stop(drain_timeout_s=5.0)
+
+
+@pytest.fixture
+def bare_service(tmp_path):
+    """A service without a supervisor: the wire tests need no worker."""
+    svc = SimulationService(data_dir=str(tmp_path / "data"), supervise=False)
+    svc.start()
+    yield svc
+    svc.stop(drain_timeout_s=5.0)
+
+
+def _raw_exchange(service, data: bytes) -> bytes:
+    """Send ``data`` on a fresh connection; all the server sends until it closes."""
+    with socket.create_connection((service.host, service.port), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _statuses(response: bytes) -> list:
+    # Bodies are JSON or http.server's error page; neither holds a status line.
+    return [int(code) for code in re.findall(rb"HTTP/1\.[01] (\d{3}) ", response)]
+
+
+class TestWire:
+    """Responses leave through one buffered writer, flushed once each."""
+
+    KEEP_ALIVE = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    #: Four words: HTTP/1.1 by its version, malformed by its shape.
+    MALFORMED = b"GET /healthz junk HTTP/1.1\r\nHost: test\r\n%s\r\n"
+    UNSUPPORTED = b"BREW /healthz HTTP/1.1\r\nHost: test\r\n%s\r\n"
+
+    def test_design_body_is_the_asdict_document(self, bare_service):
+        code, target = get_code("h(7,4)"), 3.5e-11
+        expected = asdict(OpticalLinkDesigner().design_point(code, target))
+        connection = http.client.HTTPConnection(bare_service.host, bare_service.port, timeout=10)
+        try:
+            for cached in (False, True):
+                connection.request("GET", f"/design?code=h(7,4)&target_ber={target!r}")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert response.read() == json.dumps(
+                    {"cached": cached, "point": expected}
+                ).encode("utf-8")
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("template, status", [(MALFORMED, 400), (UNSUPPORTED, 501)])
+    def test_error_reply_on_a_keep_alive_connection(self, bare_service, template, status):
+        response = _raw_exchange(bare_service, self.KEEP_ALIVE + template % b"")
+        assert _statuses(response) == [200, status]
+
+    @pytest.mark.parametrize("template, status", [(MALFORMED, 400), (UNSUPPORTED, 501)])
+    def test_error_reply_on_a_closing_connection(self, bare_service, template, status):
+        response = _raw_exchange(bare_service, template % b"Connection: close\r\n")
+        assert _statuses(response) == [status]
+
+    def test_vanished_client_is_dropped_quietly(self, bare_service):
+        # The request is read from the socket buffer after the client has
+        # closed, so the one flush of the reply fails with EPIPE; handling
+        # runs in the constructor and must not raise.
+        server = bare_service._server
+        handler = type(
+            "UnixHandler", (server.RequestHandlerClass,), {"disable_nagle_algorithm": False}
+        )
+        server_end, client_end = socket.socketpair()
+        with server_end:
+            client_end.sendall(self.KEEP_ALIVE)
+            client_end.close()
+            handler(server_end, ("client", 0), server)
