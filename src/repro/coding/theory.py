@@ -35,7 +35,8 @@ The Brent objective runs on Python floats, not NumPy scalars: one root
 takes about 30 objective calls, and wrapping each argument in a 0-d array
 cost about 20 us a call, many times the formula itself.  The float forms
 are bit-identical to the NumPy forms they replace, a contract the tests
-pin for every registry code: the t = 1 branch of :func:`output_ber`
+pin for every registry code: the float branch of
+:func:`hamming_output_ber` (the t = 1 branch of :func:`output_ber`)
 evaluates Eq. 2 with the same IEEE operations and the same libm ``pow`` as
 NumPy's scalar path, and :func:`coded_ber_bounded_distance` multiplies the
 same exact integer coefficients, term by term and summed left to right, as
@@ -87,8 +88,16 @@ def hamming_output_ber(raw_ber: float | np.ndarray, block_length: int) -> float 
     probability and ``n`` the block length.  The expression is the
     probability that a given bit is in error *and* at least one other bit of
     its block is also in error (in which case single-error correction fails
-    to repair it); it tends to ``(n-1) p^2`` for small ``p``.
+    to repair it); it tends to ``(n-1) p^2`` for small ``p``.  A float skips
+    the array wrapping (it is the objective of every Hamming root search)
+    and returns the array form's bits.
     """
+    if isinstance(raw_ber, float):
+        if not 0.0 <= raw_ber <= 1.0:
+            raise ConfigurationError("raw BER must lie in [0, 1]")
+        if block_length < 2:
+            raise ConfigurationError("block length must be at least 2")
+        return raw_ber - raw_ber * (1.0 - raw_ber) ** (block_length - 1)
     p = np.asarray(raw_ber, dtype=float)
     if not ((p >= 0) & (p <= 1)).all():
         raise ConfigurationError("raw BER must lie in [0, 1]")
@@ -156,13 +165,7 @@ def _output_ber(n: int, t: int, raw_ber: float) -> float:
     if t == 0:
         return float(raw_ber)
     if t == 1:
-        # Eq. 2 on floats: the objective of every Hamming root search.
-        p = float(raw_ber)
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError("raw BER must lie in [0, 1]")
-        if n < 2:
-            raise ConfigurationError("block length must be at least 2")
-        return p - p * (1.0 - p) ** (n - 1)
+        return hamming_output_ber(float(raw_ber), n)
     return coded_ber_bounded_distance(raw_ber, n, t)
 
 

@@ -176,6 +176,8 @@ class OpticalLinkDesigner:
         if not 0.0 < target_ber < 0.5:
             raise ConfigurationError("target BER must lie in (0, 0.5)")
         raw = required_raw_ber(code, target_ber)
+        # Looked up as ``required_snr``, the layer boundary perfbench's traced
+        # run wraps in ``repro.link.design``; its raw BER is a memo hit.
         snr = required_snr(code, target_ber)
         op_laser = self._solve_laser_output_power(snr)
         signal = self.budget.received_signal_power(op_laser)

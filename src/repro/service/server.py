@@ -84,7 +84,8 @@ class _Handler(BaseHTTPRequestHandler):
     #: Buffered writes: headers and body of a response leave in one
     #: ``sendall`` when :meth:`_respond` flushes, so the client wakes once.
     #: http.server's own error replies (400, 501) are flushed when the
-    #: request loop or ``finish`` flushes.
+    #: request loop or ``finish`` flushes; the interim ``100 Continue`` is
+    #: flushed at once by :meth:`handle_expect_100`.
     wbufsize = -1
     #: TCP_NODELAY: a response larger than the write buffer still goes out
     #: in several writes, and Nagle holding the last behind a delayed ACK
@@ -105,6 +106,17 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
+        self._send(body)
+
+    def handle_expect_100(self) -> bool:
+        # The client holds the body back until it sees the 100, and
+        # ``_read_body`` blocks on that body: send the 100 now.
+        super().handle_expect_100()
+        self._send(b"")
+        return True
+
+    def _send(self, body: bytes) -> None:
+        """Write ``body`` after the buffered headers and flush them together."""
         try:
             self.wfile.write(body)
             self.wfile.flush()

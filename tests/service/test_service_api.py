@@ -299,6 +299,29 @@ class TestWire:
         response = _raw_exchange(bare_service, template % b"Connection: close\r\n")
         assert _statuses(response) == [status]
 
+    def test_continue_is_sent_before_the_body(self, bare_service):
+        # The client withholds the body until the 100 arrives; a 100 left
+        # in the write buffer would deadlock both ends until the timeout.
+        body = json.dumps({"experiment": EXPERIMENT, "options": {}}).encode("utf-8")
+        head = (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+            b"Content-Type: application/json\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        with socket.create_connection((bare_service.host, bare_service.port), timeout=5) as sock:
+            sock.sendall(head)
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                chunk = sock.recv(65536)
+                assert chunk, "connection closed before the interim reply"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            chunks = [interim]
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        assert _statuses(b"".join(chunks)) == [100, 202]
+
     def test_vanished_client_is_dropped_quietly(self, bare_service):
         # The request is read from the socket buffer after the client has
         # closed, so the one flush of the reply fails with EPIPE; handling
