@@ -3,8 +3,6 @@
 * :mod:`repro.channel.ber` — the paper's Eq. 1–3: conversions between raw
   bit error probability and electrical SNR for OOK detection, plus the
   required-SNR solver for coded transmissions.
-* :mod:`repro.channel.bsc` — binary symmetric channel used by the
-  Monte-Carlo validation.
 * :mod:`repro.channel.awgn` — OOK-over-AWGN channel with finite extinction
   ratio; bridges the photonic power levels and the bit-level simulators.
 """
@@ -16,7 +14,6 @@ from .ber import (
     snr_from_ber,
     snr_margin_db,
 )
-from .bsc import BinarySymmetricChannel
 from .awgn import OOKAWGNChannel
 
 __all__ = [
@@ -25,6 +22,5 @@ __all__ = [
     "required_raw_ber",
     "required_snr",
     "snr_margin_db",
-    "BinarySymmetricChannel",
     "OOKAWGNChannel",
 ]

@@ -3,10 +3,9 @@
 This package implements, from scratch, every code used or implied by the
 paper plus the generic machinery needed to analyse them:
 
-* :mod:`repro.coding.matrices` — GF(2) linear algebra (RREF, null space,
-  systematic forms).
+* :mod:`repro.coding.matrices` — GF(2) products and systematic forms.
 * :mod:`repro.coding.base` — the :class:`LinearBlockCode` abstraction with
-  encoding, syndrome decoding, and weight-distribution helpers.
+  encoding, syndrome decoding, and weight helpers.
 * :mod:`repro.coding.hamming` — Hamming(2^m-1, 2^m-1-m) codes and their
   shortened variants, including the paper's H(7,4) and H(71,64).
 * :mod:`repro.coding.extended_hamming` — SECDED (extended Hamming) codes.
@@ -52,7 +51,6 @@ from .theory import (
     coded_ber_bounded_distance,
     hamming_output_ber,
     raw_ber_for_target_output_ber,
-    undetected_error_probability_upper_bound,
 )
 from .montecarlo import MonteCarloBERResult, estimate_ber_monte_carlo
 
@@ -89,7 +87,6 @@ __all__ = [
     "coded_ber_bounded_distance",
     "hamming_output_ber",
     "raw_ber_for_target_output_ber",
-    "undetected_error_probability_upper_bound",
     "MonteCarloBERResult",
     "estimate_ber_monte_carlo",
 ]

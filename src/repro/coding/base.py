@@ -25,8 +25,8 @@ powers of two to pack each syndrome into an integer key, and a dense
 of a per-call dict probe.  The scalar :meth:`encode_block` and
 :meth:`decode_block` are thin wrappers over the batch path (a batch of
 one), so every existing caller keeps working and there is exactly one
-decoding implementation to validate.  The pre-batching per-block decoder is
-preserved as :meth:`_decode_block_reference`, the test reference the
+decoding implementation to validate.  The pre-batching per-block decoders
+live in the test suite (``tests/coding/oracle.py``), the reference the
 equivalence tests pin the batch and packed decoders against.
 
 Packed fast path
@@ -80,7 +80,6 @@ __all__ = [
     "BatchDecodeResult",
     "PackedBatchDecodeResult",
     "LinearBlockCode",
-    "decode_blocks_scalar",
     "encode_blocks_packed",
     "decode_blocks_packed",
 ]
@@ -708,45 +707,6 @@ class LinearBlockCode:
             )
         return self.decode_batch(received[np.newaxis, :], strict=strict)[0]
 
-    def _decode_block_reference(self, received_bits, *, strict: bool = False) -> DecodeResult:
-        """Pre-batching per-block decoder (dict probe per call).
-
-        Kept as the independent reference implementation for the
-        batch/scalar equivalence tests; production callers go through
-        :meth:`decode_batch`.
-        """
-        received = as_gf2(received_bits).ravel()
-        if received.size != self._n:
-            raise CodewordLengthError(
-                f"{self._name}: expected a {self._n}-bit block, got {received.size} bits"
-            )
-        syndrome = self.syndrome(received)
-        if not syndrome.any():
-            return DecodeResult(
-                message_bits=received[: self._k].copy(),
-                corrected_codeword=received.copy(),
-                detected_error=False,
-                corrected=False,
-            )
-        error = self._syndrome_dict().get(self._syndrome_key(syndrome))
-        if error is None:
-            if strict:
-                raise DecodingFailure(f"{self._name}: uncorrectable syndrome {syndrome.tolist()}")
-            return DecodeResult(
-                message_bits=received[: self._k].copy(),
-                corrected_codeword=received.copy(),
-                detected_error=True,
-                corrected=False,
-                failure=True,
-            )
-        corrected = received ^ error
-        return DecodeResult(
-            message_bits=corrected[: self._k].copy(),
-            corrected_codeword=corrected,
-            detected_error=True,
-            corrected=True,
-        )
-
     def decode(self, bits, *, strict: bool = False) -> np.ndarray:
         """Decode a bit stream whose length is a multiple of ``n``.
 
@@ -785,38 +745,6 @@ class LinearBlockCode:
     def codeword_weight(self, message_bits) -> int:
         """Hamming weight of the codeword encoding ``message_bits``."""
         return hamming_weight(self.encode_block(message_bits))
-
-
-# ---------------------------------------------------------------------- helpers
-def _assemble_batch(code, results: list[DecodeResult]) -> BatchDecodeResult:
-    """Stack per-block :class:`DecodeResult` objects into a batch result."""
-    if not results:
-        return BatchDecodeResult(
-            message_bits=np.zeros((0, code.k), dtype=np.uint8),
-            corrected_codewords=np.zeros((0, code.n), dtype=np.uint8),
-            detected_error=np.zeros(0, dtype=bool),
-            corrected=np.zeros(0, dtype=bool),
-            failure=np.zeros(0, dtype=bool),
-        )
-    return BatchDecodeResult(
-        message_bits=np.stack([r.message_bits for r in results]),
-        corrected_codewords=np.stack([r.corrected_codeword for r in results]),
-        detected_error=np.array([r.detected_error for r in results], dtype=bool),
-        corrected=np.array([r.corrected for r in results], dtype=bool),
-        failure=np.array([r.failure for r in results], dtype=bool),
-    )
-
-
-def decode_blocks_scalar(code: LinearBlockCode, blocks: np.ndarray, *, strict: bool = False) -> BatchDecodeResult:
-    """Per-block reference decoding of a validated ``(B, n)`` matrix.
-
-    Kept as the independent reference implementation for the equivalence
-    tests (including the multi-word syndrome-key path of codes with more
-    than 62 parity bits).
-    """
-    return _assemble_batch(
-        code, [code._decode_block_reference(block, strict=strict) for block in blocks]
-    )
 
 
 def encode_blocks_packed(code, message_words) -> np.ndarray:

@@ -19,9 +19,9 @@ fixed ``2t``-iteration *branchless* Berlekamp–Massey over the GF log/antilog
 tables — every iteration updates all errored rows at once with boolean
 masks instead of branching per block — followed by a Chien search expressed
 as one ``alpha^{-i·j}`` table evaluation over all candidate positions.  The
-per-block Python BM/Chien survives as the reference decoder
-(:meth:`BCHCode._decode_block_reference`) that the equivalence tests pin the
-batch path against, including beyond-``t`` failure patterns.
+per-block Python BM/Chien survives in the test suite as the reference
+decoder the equivalence tests pin the batch path against, including
+beyond-``t`` failure patterns.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from typing import List
 
 import numpy as np
 
-from ..exceptions import CodewordLengthError, ConfigurationError, DecodingFailure
-from .base import DecodeResult, LinearBlockCode, PackedBatchDecodeResult
+from ..exceptions import ConfigurationError, DecodingFailure
+from .base import LinearBlockCode, PackedBatchDecodeResult
 from .galois import GaloisField, get_field
-from .matrices import as_gf2
 from .packed import byte_lookup_tables, fold_byte_tables, pack_bits, packed_byte_view
 
 __all__ = ["BCHCode"]
@@ -166,22 +165,6 @@ class BCHCode(LinearBlockCode):
         return list(self._generator_poly)
 
     # ------------------------------------------------------------------ decoding
-    def _codeword_polynomial(self, received: np.ndarray) -> List[int]:
-        """Map the systematic word [message | parity] onto the cyclic polynomial.
-
-        The systematic encoder produced ``x^{n-k} m(x) + r(x)``; in our matrix
-        layout the message occupies positions ``0..k-1`` and parity positions
-        ``k..n-1``, so polynomial coefficient ``x^j`` is parity bit ``j`` for
-        ``j < n-k`` and message bit ``j-(n-k)`` otherwise.
-        """
-        num_parity = self.n - self.k
-        coefficients = [0] * self.n
-        for j in range(num_parity):
-            coefficients[j] = int(received[self.k + j])
-        for i in range(self.k):
-            coefficients[num_parity + i] = int(received[i])
-        return coefficients
-
     def _syndrome_eval_matrix(self) -> np.ndarray:
         """``alpha^{j·i}`` evaluation matrix of shape ``(2t, n)``.
 
@@ -234,10 +217,9 @@ class BCHCode(LinearBlockCode):
     def _batch_berlekamp_massey(self, syndromes: np.ndarray) -> np.ndarray:
         """Branchless batch Berlekamp–Massey over all errored rows at once.
 
-        Runs the fixed ``2t`` iterations of the scalar algorithm
-        (:meth:`_berlekamp_massey`) with every per-row branch replaced by a
-        boolean mask, so the whole ``(R, 2t)`` syndrome matrix advances in
-        lock-step.  Returns the ``(R, 2t+1)`` error-locator coefficients
+        Runs the fixed ``2t`` iterations of the scalar algorithm with every
+        per-row branch replaced by a boolean mask, so the whole ``(R, 2t)``
+        syndrome matrix advances in lock-step.  Returns the ``(R, 2t+1)`` error-locator coefficients
         (degree can reach ``2t`` for uncorrectable patterns); rows follow the
         scalar recursion exactly, which the equivalence tests rely on.
         """
@@ -297,7 +279,7 @@ class BCHCode(LinearBlockCode):
         boolean matrix of error positions in *coefficient* order and
         ``success`` marks rows whose locator has exactly ``degree`` roots
         with ``degree <= t`` — the same acceptance rule as the scalar
-        :meth:`_chien_search`.
+        Chien search.
         """
         field = self._field
         exp = field.exp_table
@@ -358,115 +340,3 @@ class BCHCode(LinearBlockCode):
             n=self.n,
             k=self.k,
         )
-
-    def _correct_with_syndromes(
-        self, received: np.ndarray, syndromes: List[int], *, strict: bool
-    ) -> DecodeResult:
-        """Berlekamp–Massey + Chien correction of one block with known non-zero syndromes."""
-        locator = self._berlekamp_massey(syndromes)
-        error_positions = self._chien_search(locator)
-        if error_positions is None or len(error_positions) != len(locator) - 1:
-            if strict:
-                from ..exceptions import DecodingFailure
-
-                raise DecodingFailure(f"{self.name}: uncorrectable error pattern")
-            return DecodeResult(
-                message_bits=received[: self.k].copy(),
-                corrected_codeword=received.copy(),
-                detected_error=True,
-                corrected=False,
-                failure=True,
-            )
-        corrected = received.copy()
-        num_parity = self.n - self.k
-        for position in error_positions:
-            # Polynomial coefficient `position` is parity bit `position` when
-            # below n-k and message bit `position - (n-k)` otherwise.
-            if position < num_parity:
-                corrected[self.k + position] ^= 1
-            else:
-                corrected[position - num_parity] ^= 1
-        return DecodeResult(
-            message_bits=corrected[: self.k].copy(),
-            corrected_codeword=corrected,
-            detected_error=True,
-            corrected=True,
-        )
-
-    def _decode_block_reference(self, received_bits, *, strict: bool = False) -> DecodeResult:
-        """Scalar algebraic decoder (syndromes via Horner evaluation).
-
-        The pre-batching reference path; used by the equivalence tests and
-        as the correction engine behind :meth:`decode_batch_packed` for errored
-        blocks (with the syndromes computed in batch instead).
-        """
-        received = as_gf2(received_bits).ravel()
-        if received.size != self.n:
-            raise CodewordLengthError(
-                f"{self.name}: expected a {self.n}-bit block, got {received.size} bits"
-            )
-        field = self._field
-        poly = self._codeword_polynomial(received)
-        syndromes = [
-            field.poly_eval(poly, field.alpha_power(exponent))
-            for exponent in range(1, 2 * self._t + 1)
-        ]
-        if not any(syndromes):
-            return DecodeResult(
-                message_bits=received[: self.k].copy(),
-                corrected_codeword=received.copy(),
-                detected_error=False,
-                corrected=False,
-            )
-        return self._correct_with_syndromes(received, syndromes, strict=strict)
-
-    def _berlekamp_massey(self, syndromes: List[int]) -> List[int]:
-        """Berlekamp–Massey over GF(2^m); returns the error-locator polynomial."""
-        field = self._field
-        locator = [1]
-        previous = [1]
-        length = 0
-        shift = 1
-        previous_discrepancy = 1
-        for index, syndrome in enumerate(syndromes):
-            discrepancy = syndrome
-            for j in range(1, length + 1):
-                if j < len(locator):
-                    discrepancy ^= field.multiply(locator[j], syndromes[index - j])
-            if discrepancy == 0:
-                shift += 1
-                continue
-            coefficient = field.divide(discrepancy, previous_discrepancy)
-            correction = [0] * shift + [field.multiply(coefficient, c) for c in previous]
-            updated = list(locator) + [0] * max(0, len(correction) - len(locator))
-            for j, value in enumerate(correction):
-                updated[j] ^= value
-            if 2 * length <= index:
-                previous = list(locator)
-                previous_discrepancy = discrepancy
-                length = index + 1 - length
-                shift = 1
-            else:
-                shift += 1
-            locator = updated
-        while len(locator) > 1 and locator[-1] == 0:
-            locator.pop()
-        return locator
-
-    def _chien_search(self, locator: List[int]) -> List[int] | None:
-        """Find error positions as roots of the locator polynomial."""
-        field = self._field
-        degree = len(locator) - 1
-        if degree == 0:
-            return []
-        if degree > self._t:
-            return None
-        positions = []
-        for position in range(self.n):
-            # The locator roots are alpha^{-i} for error positions i.
-            x = field.alpha_power((-position) % field.order)
-            if field.poly_eval(locator, x) == 0:
-                positions.append(position)
-        if len(positions) != degree:
-            return None
-        return positions

@@ -6,17 +6,16 @@ The paper mentions that "other coding techniques can be used"; SECDED is the
 most common industrial variant of Hamming and is exposed both as a design
 alternative for the link manager and as a stress test of the generic
 decoding machinery (the double-error-detected case exercises the
-``failure`` path of :class:`~repro.coding.base.DecodeResult`).
+``failure`` flag of :class:`~repro.coding.base.PackedBatchDecodeResult`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import CodewordLengthError, ConfigurationError, DecodingFailure
-from .base import DecodeResult, LinearBlockCode, PackedBatchDecodeResult
+from ..exceptions import ConfigurationError, DecodingFailure
+from .base import LinearBlockCode, PackedBatchDecodeResult
 from .hamming import HammingCode, ShortenedHammingCode
-from .matrices import as_gf2
 from .packed import popcount_rows, range_mask
 
 __all__ = ["ExtendedHammingCode"]
@@ -95,67 +94,6 @@ class ExtendedHammingCode(LinearBlockCode):
             n=self._n,
             k=self._k,
         )
-
-    def _decode_block_reference(self, received_bits, *, strict: bool = False) -> DecodeResult:
-        """Scalar SECDED decoding: correct single errors, flag double errors.
-
-        The overall parity bit distinguishes odd-weight error patterns
-        (single error somewhere, correctable) from even-weight patterns with
-        a non-zero inner syndrome (double error, detected but uncorrectable).
-        Kept as the pre-batching reference for the equivalence tests;
-        production callers go through :meth:`decode_batch_packed`.
-        """
-        received = as_gf2(received_bits).ravel()
-        if received.size != self.n:
-            raise CodewordLengthError(
-                f"{self.name}: expected a {self.n}-bit block, got {received.size} bits"
-            )
-        inner_block = received[:-1]
-        parity_bit = int(received[-1])
-        overall_parity_ok = (int(inner_block.sum()) + parity_bit) % 2 == 0
-        inner_syndrome_zero = not self._inner.syndrome(inner_block).any()
-
-        if inner_syndrome_zero and overall_parity_ok:
-            return DecodeResult(
-                message_bits=received[: self.k].copy(),
-                corrected_codeword=received.copy(),
-                detected_error=False,
-                corrected=False,
-            )
-        if inner_syndrome_zero and not overall_parity_ok:
-            # Error confined to the overall parity bit itself.
-            corrected = received.copy()
-            corrected[-1] ^= 1
-            return DecodeResult(
-                message_bits=corrected[: self.k].copy(),
-                corrected_codeword=corrected,
-                detected_error=True,
-                corrected=True,
-            )
-        if not overall_parity_ok:
-            # Odd-weight error: trust the inner Hamming correction.
-            inner_result = self._inner._decode_block_reference(inner_block)
-            corrected = np.concatenate([inner_result.corrected_codeword, received[-1:]])
-            # Recompute the parity bit so the corrected word is a codeword.
-            corrected[-1] = np.uint8(int(corrected[:-1].sum()) % 2)
-            return DecodeResult(
-                message_bits=corrected[: self.k].copy(),
-                corrected_codeword=corrected,
-                detected_error=True,
-                corrected=True,
-            )
-        # Even-weight error with a non-zero syndrome: a double error.
-        result = DecodeResult(
-            message_bits=received[: self.k].copy(),
-            corrected_codeword=received.copy(),
-            detected_error=True,
-            corrected=False,
-            failure=True,
-        )
-        if strict:
-            raise DecodingFailure(f"{self.name}: double error detected")
-        return result
-
 
 def _full_code_for(message_length: int) -> HammingCode:
     """Return the full Hamming code whose payload equals ``message_length``."""

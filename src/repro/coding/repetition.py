@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import CodewordLengthError, ConfigurationError
-from .base import DecodeResult, LinearBlockCode, PackedBatchDecodeResult
-from .matrices import as_gf2
+from ..exceptions import ConfigurationError
+from .base import LinearBlockCode, PackedBatchDecodeResult
 from .packed import popcount_rows, prefix_mask
 
 __all__ = ["RepetitionCode"]
@@ -53,22 +52,4 @@ class RepetitionCode(LinearBlockCode):
             failure=np.zeros(words.shape[0], dtype=bool),
             n=self._n,
             k=self._k,
-        )
-
-    def _decode_block_reference(self, received_bits, *, strict: bool = False) -> DecodeResult:
-        """Scalar majority-vote decoding (pre-batching reference path)."""
-        received = as_gf2(received_bits).ravel()
-        if received.size != self.n:
-            raise CodewordLengthError(
-                f"{self.name}: expected a {self.n}-bit block, got {received.size} bits"
-            )
-        ones = int(received.sum())
-        bit = 1 if ones * 2 > self.n else 0
-        corrected = np.full(self.n, bit, dtype=np.uint8)
-        detected = bool(0 < ones < self.n)
-        return DecodeResult(
-            message_bits=np.array([bit], dtype=np.uint8),
-            corrected_codeword=corrected,
-            detected_error=detected,
-            corrected=detected,
         )

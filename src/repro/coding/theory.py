@@ -16,8 +16,6 @@ the first step of that chain:
 * :func:`block_error_probability` — probability a whole block leaves the
   decoder with residual errors (more than ``t`` channel errors), the
   frame-error rate the packet-level network simulator samples from.
-* :func:`undetected_error_probability_upper_bound` — detection-oriented
-  bound used by the retransmission policies.
 
 All probabilities are per-bit unless stated otherwise.
 
@@ -61,7 +59,6 @@ __all__ = [
     "output_ber",
     "raw_ber_for_target_output_ber",
     "block_error_probability",
-    "undetected_error_probability_upper_bound",
 ]
 
 
@@ -176,14 +173,22 @@ def raw_ber_for_target_output_ber(code: _CodeLike, target_ber: float) -> float:
     "Calculating the SNR from BER when considering Hamming codes requires to
     invert Equations 3 and 2."  For uncoded transmissions the answer is the
     target itself; for coded transmissions a bracketed root search is used on
-    the monotonic (for small p) post-decoding BER expression.
+    the monotonic (for small p) post-decoding BER expression.  Raises
+    :class:`ConfigurationError` when the search cannot bracket the root or
+    does not converge: targets so deep that the objective is lost in
+    rounding, or so close to 0.5 that no raw BER reaches them.
     """
     if not 0.0 < target_ber < 0.5:
         raise ConfigurationError("target BER must lie in (0, 0.5)")
     t = int(getattr(code, "correctable_errors", 0))
     if t == 0:
         return float(target_ber)
-    return _raw_ber(int(code.n), t, float(target_ber))
+    try:
+        return _raw_ber(int(code.n), t, float(target_ber))
+    except (ValueError, RuntimeError) as error:
+        raise ConfigurationError(
+            f"no raw BER meets target {target_ber!r} with an (n={code.n}, t={t}) code: {error}"
+        ) from None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -313,28 +318,3 @@ def block_error_probability(
     t = min(correctable_errors, n)
     return float(min(1.0, max(0.0, bdtrc(t, n, p))))
 
-
-def undetected_error_probability_upper_bound(
-    raw_ber: float, block_length: int, minimum_distance: int
-) -> float:
-    """Upper bound on the probability a block error escapes detection.
-
-    A linear code detects every error pattern of weight below its minimum
-    distance, so the undetected-error probability is at most the probability
-    of ``dmin`` or more errors in a block:
-
-    ``P_undetected <= sum_{i=dmin}^{n} C(n, i) p^i (1-p)^{n-i}``
-
-    Used by the retransmission-based policies in :mod:`repro.manager`.
-    """
-    if not 0.0 <= raw_ber <= 1.0:
-        raise ConfigurationError("raw BER must lie in [0, 1]")
-    if minimum_distance < 1 or minimum_distance > block_length:
-        raise ConfigurationError("minimum distance must lie in [1, n]")
-    p = float(raw_ber)
-    if p == 0.0:
-        return 0.0
-    total = 0.0
-    for i in range(minimum_distance, block_length + 1):
-        total += math.comb(block_length, i) * (p ** i) * ((1.0 - p) ** (block_length - i))
-    return float(min(1.0, total))

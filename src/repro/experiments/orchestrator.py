@@ -231,9 +231,16 @@ def describe_grid(
     config: PaperConfig = DEFAULT_CONFIG,
     options: dict | None = None,
 ) -> ExperimentGrid:
-    """Build the grid descriptor of one experiment (without running it)."""
+    """Build the grid descriptor of one experiment (without running it).
+
+    An option value of the wrong type or form (``float("x")``, ``int([])``)
+    raises :class:`ConfigurationError`, like an unknown option does.
+    """
     functions = _grid_functions(experiment)
-    shards = tuple(_jsonable(params) for params in functions.shards(config, options))
+    try:
+        shards = tuple(_jsonable(params) for params in functions.shards(config, options))
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(f"invalid options for {experiment!r}: {error}") from None
     return ExperimentGrid(experiment=experiment, shard_params=shards, options=options)
 
 

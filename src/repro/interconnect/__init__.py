@@ -5,24 +5,23 @@ channel per reader ONI: every other ONI owns a writer on that channel, and a
 channel carries ``NW`` wavelengths over (in the evaluation) 16 parallel
 waveguides.  This package models that structure:
 
-* :mod:`repro.interconnect.topology` — ONI placement on the optical layer
-  and the waveguide distances between them.
-* :mod:`repro.interconnect.mwsr` — a single MWSR channel: its writers, its
-  reader, per-writer path losses and worst-case laser requirements.
+* :mod:`repro.interconnect.topology` — the ring of ONIs on the optical layer.
+* :mod:`repro.interconnect.mwsr` — a single MWSR channel: its reader and the
+  writers that share it.
 * :mod:`repro.interconnect.arbitration` — token-based arbitration of the
   multiple writers of a channel.
 
-Whole-interconnect power figures are aggregated by
-:mod:`repro.power.interconnect`.
+The worst-case loss budget the laser is sized for lives in
+:mod:`repro.link.power_budget`; whole-interconnect power figures are
+aggregated by :mod:`repro.power.interconnect`.
 """
 
 from .topology import RingTopology
-from .mwsr import MWSRChannel, WriterPath
+from .mwsr import MWSRChannel
 from .arbitration import TokenArbiter
 
 __all__ = [
     "RingTopology",
     "MWSRChannel",
-    "WriterPath",
     "TokenArbiter",
 ]

@@ -1,16 +1,15 @@
-"""Placement of ONIs on the optical layer and waveguide distances.
+"""Placement of ONIs on the optical layer.
 
 The paper evaluates a serpentine/ring-style layout where the worst-case
 writer-to-reader distance is 6 cm.  The topology object places the ONIs
-uniformly along a waveguide loop of that worst-case length and answers
-distance queries; alternative spacings can be supplied for floorplan
-studies.
+uniformly along a waveguide loop of that worst-case length; alternative
+spacings can be supplied for floorplan studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
@@ -63,47 +62,3 @@ class RingTopology:
         worst_case = config.waveguide_length_m
         loop = worst_case * config.num_onis / (config.num_onis - 1)
         return cls(num_onis=config.num_onis, loop_length_m=loop)
-
-    # ------------------------------------------------------------------ queries
-    def position(self, oni_index: int) -> float:
-        """Position of one ONI along the loop, in metres."""
-        self._check_index(oni_index)
-        if self.positions_m is not None:
-            return self.positions_m[oni_index]
-        return self.loop_length_m * oni_index / self.num_onis
-
-    def downstream_distance(self, from_oni: int, to_oni: int) -> float:
-        """Distance travelled by light from one ONI to another (unidirectional)."""
-        self._check_index(from_oni)
-        self._check_index(to_oni)
-        if from_oni == to_oni:
-            return 0.0
-        delta = self.position(to_oni) - self.position(from_oni)
-        if delta <= 0:
-            delta += self.loop_length_m
-        return delta
-
-    def worst_case_distance(self, reader: int) -> float:
-        """Longest writer→reader distance on the channel read by ``reader``."""
-        return max(
-            self.downstream_distance(writer, reader)
-            for writer in range(self.num_onis)
-            if writer != reader
-        )
-
-    def onis_crossed(self, from_oni: int, to_oni: int) -> Sequence[int]:
-        """ONIs the signal passes strictly between a writer and a reader."""
-        self._check_index(from_oni)
-        self._check_index(to_oni)
-        crossed = []
-        current = (from_oni + 1) % self.num_onis
-        while current != to_oni:
-            crossed.append(current)
-            current = (current + 1) % self.num_onis
-        return crossed
-
-    def _check_index(self, oni_index: int) -> None:
-        if not 0 <= oni_index < self.num_onis:
-            raise ConfigurationError(
-                f"ONI index {oni_index} outside [0, {self.num_onis - 1}]"
-            )

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from ..channel.ber import required_raw_ber, required_snr
 from ..config import DEFAULT_CONFIG, PaperConfig
-from ..exceptions import ConfigurationError, InfeasibleDesignError, LaserPowerExceededError
+from ..exceptions import ConfigurationError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..photonics.laser import VCSELModel
@@ -200,35 +200,6 @@ class OpticalLinkDesigner:
             code_rate=float(code.code_rate),
         )
 
-    def design_point_strict(self, code, target_ber: float) -> LinkDesignPoint:
-        """Like :meth:`design_point` but raise when the laser cannot deliver."""
-        point = self.design_point(code, target_ber)
-        if not point.feasible:
-            raise LaserPowerExceededError(
-                point.laser_output_power_w, self.laser.max_output_power_w
-            )
-        return point
-
     def sweep_ber(self, code, target_bers: Sequence[float]) -> list[LinkDesignPoint]:
         """Solve operating points over a list of target BERs (Figure 5 axis)."""
         return [self.design_point(code, ber) for ber in target_bers]
-
-    def best_code_for_power_budget(
-        self, codes: Sequence, target_ber: float, max_laser_power_w: float
-    ) -> LinkDesignPoint:
-        """Lowest-CT feasible code whose P_laser fits a power budget.
-
-        Used by the runtime manager: among codes meeting the BER target
-        within the laser power budget, prefer the one with the smallest
-        communication-time overhead (fastest transmission).
-        """
-        candidates = []
-        for code in codes:
-            point = self.design_point(code, target_ber)
-            if point.feasible and point.laser_electrical_power_w <= max_laser_power_w:
-                candidates.append(point)
-        if not candidates:
-            raise InfeasibleDesignError(
-                f"no code meets BER {target_ber:g} within {max_laser_power_w * 1e3:.2f} mW of laser power"
-            )
-        return min(candidates, key=lambda p: (p.communication_time, p.laser_electrical_power_w))

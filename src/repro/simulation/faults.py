@@ -16,7 +16,7 @@ chain one bit at a time in Python, :meth:`BurstErrorModel.error_pattern`
 classifies every transition draw at once (toggle / force-good / force-bad /
 hold), reconstructs the state sequence with a cumulative scan over those
 events, and samples all error draws in one shot.  The pre-vectorization
-per-bit loop survives as :meth:`BurstErrorModel._error_pattern_reference`;
+per-bit loop survives as the test oracle ``tests/simulation/oracle.py``;
 both paths consume the random stream identically, so for the same seed they
 produce bit-exact identical patterns (see
 ``tests/simulation/test_burst_vectorized.py``).
@@ -162,9 +162,9 @@ class BurstErrorModel:
         The state at bit ``i`` is therefore the most recent forced state
         (or the carried-in state when no force occurred yet) XOR the parity
         of the toggles since — all computable with cumulative scans.  The
-        random stream is consumed exactly like the per-bit reference loop
-        (:meth:`_error_pattern_reference`), so both produce bit-identical
-        patterns from the same generator state.
+        random stream is consumed exactly like the per-bit reference loop of
+        the test oracle, so both produce bit-identical patterns from the
+        same generator state.
         """
         if num_bits < 0:
             raise ConfigurationError("number of bits cannot be negative")
@@ -197,31 +197,6 @@ class BurstErrorModel:
         )
         self._in_bad_state = bool(in_bad_state[-1])
         return (uniform[1] < probability).astype(np.uint8)
-
-    def _error_pattern_reference(self, num_bits: int) -> np.ndarray:
-        """Pre-vectorization per-bit Markov loop, kept as the equivalence oracle.
-
-        Consumes the random stream exactly like :meth:`error_pattern`; the
-        burst-model tests assert bit-exact agreement between the two under a
-        fixed seed, including the carried-over state across calls.
-        """
-        if num_bits < 0:
-            raise ConfigurationError("number of bits cannot be negative")
-        pattern = np.zeros(num_bits, dtype=np.uint8)
-        uniform = self.rng.random(num_bits * 2).reshape(2, num_bits)
-        for index in range(num_bits):
-            if self._in_bad_state:
-                if uniform[0, index] < self.bad_to_good_probability:
-                    self._in_bad_state = False
-            else:
-                if uniform[0, index] < self.good_to_bad_probability:
-                    self._in_bad_state = True
-            probability = (
-                self.bad_error_probability if self._in_bad_state else self.good_error_probability
-            )
-            if uniform[1, index] < probability:
-                pattern[index] = 1
-        return pattern
 
     def apply(self, bits) -> np.ndarray:
         """Return a copy of ``bits`` with a burst error pattern applied.

@@ -8,7 +8,6 @@ package generates such workloads:
 * :mod:`repro.traffic.generators` — stochastic traffic generators (uniform
   random, hotspot, bursty/multimedia).
 * :mod:`repro.traffic.tasks` — periodic real-time task sets with deadlines.
-* :mod:`repro.traffic.trace` — record/replay of generated request traces.
 """
 
 from .generators import (
@@ -18,7 +17,6 @@ from .generators import (
     UniformTrafficGenerator,
 )
 from .tasks import PeriodicTask, TaskSet
-from .trace import TraceRecorder, replay_trace
 
 __all__ = [
     "TrafficRequest",
@@ -27,6 +25,4 @@ __all__ = [
     "BurstyTrafficGenerator",
     "PeriodicTask",
     "TaskSet",
-    "TraceRecorder",
-    "replay_trace",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the stochastic channels (BSC and OOK/AWGN)."""
+"""Tests for the stochastic OOK/AWGN channel."""
 
 from __future__ import annotations
 
@@ -7,40 +7,7 @@ import pytest
 
 from repro.channel.awgn import OOKAWGNChannel
 from repro.channel.ber import raw_ber_from_snr
-from repro.channel.bsc import BinarySymmetricChannel
 from repro.exceptions import ConfigurationError
-
-
-class TestBinarySymmetricChannel:
-    def test_zero_probability_is_transparent(self, rng):
-        channel = BinarySymmetricChannel(0.0, rng=rng)
-        bits = rng.integers(0, 2, size=1000, dtype=np.uint8)
-        assert np.array_equal(channel.transmit(bits), bits)
-
-    def test_probability_one_flips_everything(self, rng):
-        channel = BinarySymmetricChannel(1.0, rng=rng)
-        bits = rng.integers(0, 2, size=200, dtype=np.uint8)
-        assert np.array_equal(channel.transmit(bits), bits ^ 1)
-
-    def test_empirical_ber_tracks_crossover(self, rng):
-        channel = BinarySymmetricChannel(0.1, rng=rng)
-        bits = np.zeros(40000, dtype=np.uint8)
-        channel.transmit(bits)
-        assert channel.empirical_ber == pytest.approx(0.1, rel=0.1)
-
-    def test_statistics_accumulate_and_reset(self, rng):
-        channel = BinarySymmetricChannel(0.5, rng=rng)
-        channel.transmit(np.zeros(100, dtype=np.uint8))
-        assert channel.bits_transmitted == 100
-        channel.reset_statistics()
-        assert channel.bits_transmitted == 0
-        assert channel.empirical_ber == 0.0
-
-    def test_rejects_invalid_probability(self):
-        with pytest.raises(ConfigurationError):
-            BinarySymmetricChannel(-0.1)
-        with pytest.raises(ConfigurationError):
-            BinarySymmetricChannel(1.1)
 
 
 class TestOOKAWGNChannel:

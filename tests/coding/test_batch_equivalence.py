@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from coding.oracle import decode_block_reference
 
-from repro.coding.base import BatchDecodeResult
+from repro.coding.base import BatchDecodeResult, LinearBlockCode
 from repro.coding.galois import get_field
 from repro.coding.registry import available_codes, get_code
 from repro.exceptions import CodewordLengthError
@@ -22,9 +23,8 @@ def _seed(name: str) -> int:
 
 
 def _reference_decode(code, block):
-    reference = getattr(code, "_decode_block_reference", None)
-    if reference is not None:
-        return reference(block)
+    if isinstance(code, LinearBlockCode):
+        return decode_block_reference(code, block)
     return code.decode_block(block)
 
 

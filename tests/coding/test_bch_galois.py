@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from coding.oracle import bch_codeword_polynomial
 
 from repro.coding.bch import BCHCode
 from repro.coding.galois import GaloisField
@@ -139,7 +140,7 @@ class TestBCHCode:
         field = code.field
         message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         codeword = code.encode_block(message)
-        poly = code._codeword_polynomial(codeword)
+        poly = bch_codeword_polynomial(code, codeword)
         for exponent in range(1, 2 * code.t + 1):
             assert field.poly_eval(poly, field.alpha_power(exponent)) == 0
 

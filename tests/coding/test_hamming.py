@@ -144,7 +144,7 @@ class TestShortenedHamming:
     def test_minimum_distance_is_still_three(self):
         # Shortening cannot decrease the distance; check a small shortened code
         # exhaustively.
-        from repro.coding.matrices import minimum_distance_exhaustive
+        from coding.oracle import minimum_distance_exhaustive
 
         code = ShortenedHammingCode(8)
         assert minimum_distance_exhaustive(code.generator_matrix) >= 3

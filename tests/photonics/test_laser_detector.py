@@ -144,4 +144,6 @@ class TestPhotodetector:
         with pytest.raises(ConfigurationError):
             detector.snr(-1.0)
         with pytest.raises(ConfigurationError):
+            detector.required_signal_power(-1.0)
+        with pytest.raises(ConfigurationError):
             detector.shot_noise_current(1e-6, 0.0)

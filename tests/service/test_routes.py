@@ -8,9 +8,13 @@ pinned here without starting a server.
 
 from __future__ import annotations
 
-import pytest
+import pathlib
+import tempfile
 
-from repro.coding.registry import get_code
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.coding.registry import available_codes, get_code
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
 from repro.link.design import OpticalLinkDesigner
@@ -28,20 +32,30 @@ class _AliveSupervisor:
         return True
 
 
-@pytest.fixture
-def context(tmp_path):
+def _make_context(root, max_depth=4):
     registry = MetricsRegistry()
-    queue = DurableJobQueue(str(tmp_path / "queue"), max_depth=4)
+    queue = DurableJobQueue(str(root / "queue"), max_depth=max_depth)
     shedder = LoadShedder(queue, max_inflight=8, registry=registry)
     return ServiceContext(
         queue=queue,
-        store=ResultsStore(str(tmp_path / "results")),
+        store=ResultsStore(str(root / "results")),
         supervisor=_AliveSupervisor(),
         designer=OpticalLinkDesigner(),
         config=DEFAULT_CONFIG,
         registry=registry,
         shedder=shedder,
     )
+
+
+@pytest.fixture
+def context(tmp_path):
+    return _make_context(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_context(tmp_path_factory):
+    """One context for every example of a property (never fills its queue)."""
+    return _make_context(tmp_path_factory.mktemp("routes"), max_depth=1 << 20)
 
 
 def _get(context, path, query=None):
@@ -129,6 +143,93 @@ class TestValidation:
         job_id = payload["job_id"]
         status, payload, _ = _get(context, f"/jobs/{job_id}/result")
         assert status == 409 and payload["state"] == JobState.QUEUED
+
+
+class TestErrorsAreClientErrors:
+    """Inputs the solvers or grid builders reject answer 400, never 500."""
+
+    @pytest.mark.parametrize(
+        "code,target",
+        [
+            # Too deep: the Eq. 2 objective is lost in rounding, so the
+            # root search does not converge.
+            ("h(7,4)", "1e-30"),
+            ("h(71,64)", "1e-30"),
+            ("secded(72,64)", "1e-100"),
+            ("rep(3,1)", "1e-300"),
+            # Too shallow: no raw BER below 0.5 reaches the target, so the
+            # root cannot be bracketed.
+            ("rep(3,1)", "0.49"),
+            ("h(7,4)", "0.4999999"),
+        ],
+    )
+    def test_design_target_the_inversion_cannot_solve_is_400(self, context, code, target):
+        status, payload, _ = _get(context, "/design", {"code": code, "target_ber": target})
+        assert status == 400
+        assert "no raw BER meets target" in payload["error"]
+
+    @pytest.mark.parametrize("code,target", [("uncoded", "1e-30"), ("bch(63,t=2)", "1e-300")])
+    def test_design_deep_targets_that_solve_stay_infeasible_points(self, context, code, target):
+        status, payload, _ = _get(context, "/design", {"code": code, "target_ber": target})
+        assert status == 200 and payload["point"]["feasible"] is False
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        code=st.sampled_from(available_codes()),
+        target=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+    )
+    def test_design_status_is_200_or_400(self, shared_context, code, target):
+        query = {"code": code, "target_ber": repr(target)}
+        assert _get(shared_context, "/design", query)[0] in (200, 400)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"experiment": "figure5", "options": {"target_bers": ["x"]}},
+            {"experiment": "figure5", "options": {"target_bers": "abc"}},
+            {"experiment": "network", "options": {"num_requests": "x"}},
+        ],
+    )
+    def test_submit_ill_typed_option_value_is_400(self, context, body):
+        status, payload, _ = _post(context, "/jobs", body)
+        assert status == 400 and "invalid options" in payload["error"]
+        assert context.queue.jobs() == []
+
+    # Values stay small: a grid's size grows with its option values (the
+    # network grid has one shard per ring), and this property is about
+    # types, not about bounding grid sizes.
+    _JSON = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 6)
+        | st.floats(-10.0, 10.0, allow_nan=False)
+        | st.text(max_size=4),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=4), children, max_size=2),
+        max_leaves=6,
+    )
+    _SHIPPED_EXPERIMENTS = (
+        "adaptive", "availability", "calibration", "figure3", "figure4", "figure5",
+        "figure6a", "figure6b", "headline", "network", "table1", "validation",
+    )
+    _OPTION_KEYS = (
+        "codes", "drifts", "loads", "mode", "num_blocks", "num_requests", "patterns",
+        "policies", "rings", "scenarios", "seed", "shard_size", "target_ber",
+        "target_bers", "targets", "warmup_fraction",
+    )
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        # The shipped grids only: test modules register toy experiments.
+        experiment=st.sampled_from(_SHIPPED_EXPERIMENTS),
+        options=st.dictionaries(st.sampled_from(_OPTION_KEYS) | st.text(max_size=6), _JSON, max_size=3),
+    )
+    def test_submit_status_is_never_500(self, experiment, options):
+        # A fresh queue per example: a repeated grid would join its job (200).
+        with tempfile.TemporaryDirectory() as root:
+            context = _make_context(pathlib.Path(root))
+            body = {"experiment": experiment, "options": options}
+            assert _post(context, "/jobs", body)[0] in (202, 400, 429)
 
 
 class TestLoadSheddingLadder:

@@ -1,8 +1,8 @@
 """Equivalence tests for the vectorized Gilbert-Elliott burst model.
 
 The vectorized :meth:`BurstErrorModel.error_pattern` and the pre-vectorization
-per-bit loop (:meth:`BurstErrorModel._error_pattern_reference`) consume the
-random stream identically, so under a fixed seed they must agree bit for bit
+per-bit loop (``burst_error_pattern_reference`` of ``tests/simulation/oracle.py``)
+consume the random stream identically, so under a fixed seed they must agree bit for bit
 — including the hidden Markov state carried across calls.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from simulation.oracle import burst_error_pattern_reference
 
 from repro.exceptions import ConfigurationError
 from repro.simulation.faults import BurstErrorModel
@@ -45,7 +46,7 @@ class TestVectorizedMatchesReference:
     def test_fixed_seed_exact_match(self, params):
         vectorized, reference = _pair(params)
         pattern_vec = vectorized.error_pattern(100_000)
-        pattern_ref = reference._error_pattern_reference(100_000)
+        pattern_ref = burst_error_pattern_reference(reference, 100_000)
         assert np.array_equal(pattern_vec, pattern_ref)
 
     @pytest.mark.parametrize("params", PARAMETER_SETS)
@@ -55,16 +56,16 @@ class TestVectorizedMatchesReference:
         vectorized, reference = _pair(params, seed=7)
         for num_bits in (1, 13, 1000, 0, 4096, 77):
             pattern_vec = vectorized.error_pattern(num_bits)
-            pattern_ref = reference._error_pattern_reference(num_bits)
+            pattern_ref = burst_error_pattern_reference(reference, num_bits)
             assert np.array_equal(pattern_vec, pattern_ref), num_bits
             assert vectorized._in_bad_state == reference._in_bad_state
 
     def test_empty_pattern_consumes_no_state(self):
         vectorized, reference = _pair({}, seed=3)
         assert vectorized.error_pattern(0).size == 0
-        assert reference._error_pattern_reference(0).size == 0
+        assert burst_error_pattern_reference(reference, 0).size == 0
         assert np.array_equal(
-            vectorized.error_pattern(500), reference._error_pattern_reference(500)
+            vectorized.error_pattern(500), burst_error_pattern_reference(reference, 500)
         )
 
     def test_negative_length_rejected_on_both_paths(self):
@@ -72,7 +73,7 @@ class TestVectorizedMatchesReference:
         with pytest.raises(ConfigurationError):
             model.error_pattern(-1)
         with pytest.raises(ConfigurationError):
-            model._error_pattern_reference(-1)
+            burst_error_pattern_reference(model, -1)
 
 
 class TestExpectedBer:

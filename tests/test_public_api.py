@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
+
+_SUBMODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if not info.name.endswith(".__main__")
+)
 
 
 class TestPublicExports:
@@ -15,6 +24,15 @@ class TestPublicExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"{name} listed in __all__ but missing"
+
+    # Every module's __all__, so an export left behind by a deletion fails
+    # under the name of the module that still lists it.
+    @pytest.mark.parametrize("module_name", _SUBMODULES)
+    def test_module_all_names_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        assert hasattr(module, "__all__"), f"{module_name} declares no __all__"
+        for name in module.__all__:
+            assert hasattr(module, name), f"{name} listed in {module_name}.__all__ but missing"
 
     def test_paper_code_set_contents(self):
         codes = repro.paper_code_set()

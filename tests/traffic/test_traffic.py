@@ -1,4 +1,4 @@
-"""Tests for the traffic generators, task sets and trace record/replay."""
+"""Tests for the traffic generators and task sets."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.traffic.generators import (
@@ -18,7 +17,6 @@ from repro.traffic.generators import (
     UniformTrafficGenerator,
 )
 from repro.traffic.tasks import PeriodicTask, TaskSet
-from repro.traffic.trace import TraceRecorder, replay_trace
 
 
 class TestTrafficRequest:
@@ -312,114 +310,3 @@ class TestPeriodicTasks:
         duplicate = PeriodicTask("same", 1, 0, period_s=1e-3, payload_bits=64, relative_deadline_s=1e-4)
         with pytest.raises(ConfigurationError):
             TaskSet(tasks=[duplicate, duplicate])
-
-
-_FIELDS = ("arrival_time_s", "source", "destination", "payload_bits", "target_ber", "deadline_s")
-
-
-def _finite(low=None, high=None):
-    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _requests(draw):
-    source = draw(st.integers(-(2**40), 2**40))
-    destination = draw(st.integers(-(2**40), 2**40).filter(lambda value: value != source))
-    return TrafficRequest(
-        arrival_time_s=draw(_finite()),
-        source=source,
-        destination=destination,
-        payload_bits=draw(st.integers(1, 2**40)),
-        target_ber=draw(_finite(0.0, 0.5).filter(lambda ber: 0.0 < ber < 0.5)),
-        deadline_s=draw(st.none() | _finite()),
-    )
-
-
-def _write_rows(path, rows, header=_FIELDS):
-    path.write_text(
-        "\n".join(",".join(str(field) for field in row) for row in [header, *rows]) + "\n",
-        encoding="utf-8",
-    )
-
-
-class TestTrace:
-    def test_record_save_load_round_trip(self, rng, tmp_path):
-        # The CSV holds repr() floats, which parse back to the same double.
-        generator = UniformTrafficGenerator(12, rng=rng)
-        recorder = TraceRecorder()
-        recorder.record_all(generator.generate(25))
-        path = tmp_path / "trace.csv"
-        recorder.save(path)
-        assert TraceRecorder.load(path).requests == recorder.requests
-
-    def test_deadlines_survive_the_round_trip(self, rng, tmp_path):
-        generator = BurstyTrafficGenerator(12, rng=rng)
-        recorder = TraceRecorder()
-        recorder.record_all(generator.generate(5))
-        path = tmp_path / "trace.csv"
-        recorder.save(path)
-        assert TraceRecorder.load(path).requests == recorder.requests
-
-    @settings(max_examples=60, deadline=None)
-    @given(requests=st.lists(_requests(), max_size=12))
-    def test_valid_request_lists_round_trip_exactly(self, tmp_path_factory, requests):
-        path = tmp_path_factory.mktemp("trace") / "trace.csv"
-        recorder = TraceRecorder(requests=list(requests))
-        recorder.save(path)
-        assert TraceRecorder.load(path).requests == requests
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        requests=st.lists(_requests(), min_size=1, max_size=6),
-        data=st.data(),
-        bad=st.sampled_from(["", "x", "1e", "0x10", "--1"]),
-    )
-    def test_malformed_rows_raise_with_file_and_line(self, tmp_path_factory, requests, data, bad):
-        row = data.draw(st.integers(0, len(requests) - 1), label="row")
-        column = data.draw(st.integers(0, len(_FIELDS) - 2), label="column")
-        rows = [
-            [repr(getattr(request, name)) for name in _FIELDS[:-1]]
-            + ["" if request.deadline_s is None else repr(request.deadline_s)]
-            for request in requests
-        ]
-        rows[row][column] = bad
-        path = tmp_path_factory.mktemp("trace") / "bad.csv"
-        _write_rows(path, rows)
-        with pytest.raises(ConfigurationError, match=f"bad.csv:{row + 2}: malformed trace row"):
-            TraceRecorder.load(path)
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            ["1e-6", "1", "0", "64", "1e-9"],
-            ["1e-6", "1", "0", "64", "1e-9", "", "surplus"],
-            ["1e-6", "1", "1", "64", "1e-9", ""],
-            ["nan", "1", "0", "64", "1e-9", ""],
-            ["1e-6", "1", "0", "64.5", "1e-9", ""],
-            ["1e-6", "1", "0", "64", "1e-9", "soon"],
-        ],
-    )
-    def test_bad_rows_name_the_file_and_line(self, tmp_path, row):
-        path = tmp_path / "trace.csv"
-        _write_rows(path, [["2e-6", "2", "0", "64", "1e-9", ""], row])
-        with pytest.raises(ConfigurationError, match="trace.csv:3: "):
-            TraceRecorder.load(path)
-
-    def test_missing_column_names_the_file_and_column(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        _write_rows(path, [["1e-6", "1", "0", "1e-9", ""]], header=[
-            name for name in _FIELDS if name != "payload_bits"
-        ])
-        with pytest.raises(ConfigurationError, match="trace.csv:1: .*payload_bits"):
-            TraceRecorder.load(path)
-
-    def test_replay_orders_by_arrival_time(self):
-        recorder = TraceRecorder()
-        recorder.record(TrafficRequest(2.0, 1, 0, 64, 1e-9))
-        recorder.record(TrafficRequest(1.0, 2, 0, 64, 1e-9))
-        replayed = list(replay_trace(recorder))
-        assert [r.arrival_time_s for r in replayed] == [1.0, 2.0]
-
-    def test_loading_a_missing_file_raises(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            TraceRecorder.load(tmp_path / "missing.csv")
