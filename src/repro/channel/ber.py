@@ -16,6 +16,12 @@ Eq. 3, and documents the discrepancy (see DESIGN.md, "errata handled").
 For coded links the chain is: target post-decoding BER → tolerable raw
 channel BER (inverting Eq. 2, :func:`repro.coding.theory.raw_ber_for_target_output_ber`)
 → required SNR (this module) → required optical power (``repro.link``).
+
+``erfc`` and ``erfcinv`` are the float ports of :mod:`repro.special`, which
+return ``scipy.special``'s bits without importing SciPy.  A float argument
+runs the port directly (one call per solved design point); the array forms
+stay public and apply the same float kernel element by element, so a
+scalar and an array element always agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from ..coding.theory import raw_ber_for_target_output_ber
 from ..exceptions import ConfigurationError
+from ..special import erfc, erfcinv
 from ..units import linear_to_db
 
 __all__ = [
@@ -43,10 +49,14 @@ def raw_ber_from_snr(snr: float | np.ndarray) -> float | np.ndarray:
 
     Implements paper Eq. 3: ``p = 0.5 * erfc(sqrt(SNR))``.
     """
+    if isinstance(snr, float):
+        if not snr >= 0.0:
+            raise ConfigurationError("SNR must be non-negative")
+        return _eq3(snr)
     snr_arr = np.asarray(snr, dtype=float)
     if not (snr_arr >= 0).all():
         raise ConfigurationError("SNR must be non-negative")
-    result = 0.5 * erfc(np.sqrt(snr_arr))
+    result = _elementwise(_eq3, snr_arr)
     if np.isscalar(snr):
         return float(result)
     return result
@@ -56,20 +66,33 @@ def snr_from_ber(ber: float | np.ndarray) -> float | np.ndarray:
     """Power SNR required to reach a raw bit error probability (paper Eq. 1).
 
     Self-consistent inverse of :func:`raw_ber_from_snr`:
-    ``SNR = [erfc^-1(2 * BER)]^2``.  A float skips the array wrapping (it
-    runs once per solved design point) and returns the array form's bits.
+    ``SNR = [erfc^-1(2 * BER)]^2``.
     """
     if isinstance(ber, float):
         if not 0.0 < ber < 0.5:
             raise ConfigurationError("BER must lie in (0, 0.5) for the SNR to be defined")
-        return float(erfcinv(2.0 * ber) ** 2)
+        return _eq1(ber)
     ber_arr = np.asarray(ber, dtype=float)
     if not ((ber_arr > 0) & (ber_arr < 0.5)).all():
         raise ConfigurationError("BER must lie in (0, 0.5) for the SNR to be defined")
-    result = erfcinv(2.0 * ber_arr) ** 2
+    result = _elementwise(_eq1, ber_arr)
     if np.isscalar(ber):
         return float(result)
     return result
+
+
+def _eq3(snr: float) -> float:
+    return 0.5 * erfc(math.sqrt(snr))
+
+
+def _eq1(ber: float) -> float:
+    return erfcinv(2.0 * ber) ** 2
+
+
+def _elementwise(kernel, values: np.ndarray) -> np.ndarray:
+    """``kernel`` applied to every element of ``values``, keeping the shape."""
+    flat = [kernel(value) for value in values.ravel().tolist()]
+    return np.array(flat, dtype=float).reshape(values.shape)
 
 
 def required_raw_ber(code, target_ber: float) -> float:

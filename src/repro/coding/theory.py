@@ -21,13 +21,13 @@ All probabilities are per-bit unless stated otherwise.
 
 The inversion is memoized in a bounded cache: it depends on the code only
 through ``(n, t)``, and a full reproduction asks for a few dozen distinct
-``(n, t, target)`` triples several hundred times.  The root search is
-:func:`_brentq`, an in-tree port of SciPy's Brent solver
-(``scipy/optimize/Zeros/brentq.c``), and the binomial tail is
-``scipy.special.bdtrc``: importing ``scipy.optimize`` and ``scipy.stats`` for
-one call each cost about half a second per cold process.  The tests keep
-``scipy.optimize.brentq`` and ``scipy.stats.binom`` as oracles; the port
-returns SciPy's roots bit for bit.
+``(n, t, target)`` triples several hundred times.  Nothing here imports
+SciPy, whose import alone cost more per cold process than a reproduction
+spends solving.  The root search is :func:`_brentq`, an in-tree port of
+SciPy's Brent solver (``scipy/optimize/Zeros/brentq.c``) that returns its
+roots bit for bit, and the binomial tail is :func:`repro.special.bdtrc`.
+The tests keep ``scipy.optimize.brentq``, ``scipy.stats.binom`` and
+``scipy.special.bdtrc`` as oracles.
 
 The Brent objective runs on Python floats, not NumPy scalars: one root
 takes about 30 objective calls, and wrapping each argument in a 0-d array
@@ -48,9 +48,9 @@ import math
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.special import bdtrc
 
 from ..exceptions import ConfigurationError
+from ..special import bdtrc
 
 __all__ = [
     "code_rate",
@@ -300,10 +300,11 @@ def block_error_probability(
     probability the probabilistic mode of :mod:`repro.netsim` samples packet
     outcomes from.
 
-    Evaluated through the binomial survival function (``bdtrc``) rather
-    than ``1 - head-sum``, so deep operating points (raw BERs of 1e-7 and
-    below, where the tail drops under double-precision epsilon of 1) keep
-    their relative accuracy instead of cancelling to zero.
+    Evaluated through the binomial survival function (``bdtrc``), which
+    sums the upper tail itself rather than ``1 - head-sum`` at deep
+    operating points (raw BERs of 1e-7 and below, where the tail drops
+    under double-precision epsilon of 1), so they keep their relative
+    accuracy instead of cancelling to zero.
     """
     if not 0.0 <= raw_ber <= 1.0:
         raise ConfigurationError("raw BER must lie in [0, 1]")

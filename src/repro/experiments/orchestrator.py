@@ -536,7 +536,7 @@ def _write_run_manifest(
 
 def _pool_context():
     if "fork" in multiprocessing.get_all_start_methods():
-        # Fork keeps worker start-up in the millisecond range (no numpy/scipy
+        # Fork keeps worker start-up in the millisecond range (no numpy
         # re-import), which is what makes parallelism pay off even for
         # sub-second analytic sweeps.
         return multiprocessing.get_context("fork")

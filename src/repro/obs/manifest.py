@@ -21,6 +21,7 @@ result or checkpoint field.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -83,9 +84,13 @@ def build_job_manifest(
 
 
 def environment_info() -> dict:
-    """Versions and host facts that identify the software environment."""
+    """Versions and host facts that identify the software environment.
+
+    SciPy is only the tests' oracle: its installed version is read from
+    the distribution metadata (``None`` when it is absent), never by
+    importing it.
+    """
     import numpy
-    import scipy
 
     import repro
 
@@ -94,10 +99,21 @@ def environment_info() -> dict:
         "package_version": repro.__version__,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _installed_version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _installed_version(distribution: str) -> "str | None":
+    """Version of an installed distribution from its metadata (a path scan)."""
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version(distribution)
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
 
 def build_manifest(

@@ -1,10 +1,12 @@
 """The cold solve path against its SciPy oracles.
 
 :mod:`repro.coding.theory` inverts Eq. 2 with an in-tree port of SciPy's
-Brent solver and evaluates the binomial tail with ``scipy.special.bdtrc``,
-so that the package never imports ``scipy.optimize`` or ``scipy.stats``.
-These tests keep both of those as oracles: the port must return SciPy's
-roots bit for bit, and the tail must match ``binom.sf`` to 1e-13.
+Brent solver and evaluates the binomial tail with
+:func:`repro.special.bdtrc`, so that the package never imports SciPy.
+These tests keep ``scipy.optimize.brentq`` and ``scipy.stats.binom`` as
+oracles: the port must return SciPy's roots bit for bit, and the tail must
+match ``binom.sf`` to 1e-13 (``tests/channel/test_special_oracles.py``
+bounds the tail against exact rational arithmetic).
 
 The Brent objective itself runs on Python floats.  Its oracles here share
 no code with it: Eq. 2 through the NumPy array path of
