@@ -52,6 +52,7 @@ from ..netsim import NetworkSimulator, make_drift_model
 from ..netsim.dynamics import DRIFT_PROFILES
 from ..traffic.generators import UniformTrafficGenerator
 from .network import request_rate_for_load
+from .gridlib import check_grid_size
 
 __all__ = [
     "AdaptiveSweepResult",
@@ -121,6 +122,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
             raise ConfigurationError(
                 f"unknown policy {policy!r}; available: {sorted(_POLICY_MODES)}"
             )
+    check_grid_size("adaptive", len(drifts) * len(loads) * len(policies))
     defaults = _shard_defaults(options)
     shards = []
     pair_index = 0

@@ -54,6 +54,7 @@ from ..netsim import NetworkSimulator, make_fault_model
 from ..netsim.failures import FAULT_SCENARIOS
 from ..traffic.generators import UniformTrafficGenerator
 from .network import request_rate_for_load
+from .gridlib import check_grid_size
 
 __all__ = [
     "AvailabilitySweepResult",
@@ -124,6 +125,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
             raise ConfigurationError(
                 f"unknown policy {policy!r}; available: {DEFAULT_POLICIES}"
             )
+    check_grid_size("availability", len(scenarios) * len(loads) * len(policies))
     defaults = _shard_defaults(options)
     shards = []
     pair_index = 0

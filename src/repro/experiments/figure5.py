@@ -18,6 +18,7 @@ import numpy as np
 from ..coding.registry import paper_code_by_name, paper_code_set
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..link.design import LinkDesignPoint, OpticalLinkDesigner
+from .gridlib import check_grid_size
 from .paperdata import Comparison, PAPER_LASER_POWER_MW_AT_1E11
 
 __all__ = [
@@ -143,6 +144,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     shard_size = int(options.get("shard_size", DEFAULT_SHARD_SIZE))
     if shard_size < 1:
         shard_size = DEFAULT_SHARD_SIZE
+    check_grid_size("figure5", len(code_names) * len(target_bers))
     shards = []
     for name in code_names:
         for start in range(0, len(target_bers), shard_size):

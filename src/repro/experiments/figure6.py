@@ -25,6 +25,7 @@ from ..link.design import OpticalLinkDesigner
 from ..manager.pareto import ParetoPoint, pareto_front
 from ..power.channel import ChannelPowerBreakdown, channel_power_breakdown
 from ..power.energy import EnergyMetrics, energy_metrics
+from .gridlib import check_grid_size
 from .paperdata import (
     Comparison,
     PAPER_CHANNEL_POWER_PER_WAVEGUIDE_MW,
@@ -238,6 +239,7 @@ def figure6a_sweep_shards(
         "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
     )
     target_ber = float(options.get("target_ber", 1e-11))
+    check_grid_size("figure6a", len(code_names))
     return [{"code": name, "target_ber": target_ber} for name in code_names]
 
 
@@ -284,6 +286,7 @@ def figure6b_sweep_shards(
     code_names = options.get(
         "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
     )
+    check_grid_size("figure6b", len(target_bers) * len(code_names))
     return [{"target_ber": ber, "codes": code_names} for ber in target_bers]
 
 

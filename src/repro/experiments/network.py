@@ -51,6 +51,7 @@ from ..traffic.generators import (
     HotspotTrafficGenerator,
     UniformTrafficGenerator,
 )
+from .gridlib import check_grid_size
 
 __all__ = [
     "NetworkSweepResult",
@@ -238,6 +239,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     rings = int(options.get("rings", 1))
     if rings < 1:
         raise ConfigurationError("rings must be a positive integer")
+    check_grid_size("network", len(patterns) * len(policies) * len(loads) * rings)
     shards = []
     spawn_index = 0
     for pattern in patterns:

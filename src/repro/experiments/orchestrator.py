@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
@@ -86,6 +87,7 @@ from . import (
     table1,
     validation,
 )
+from .gridlib import MAX_GRID_POINTS, check_grid_size
 
 __all__ = [
     "GridFunctions",
@@ -233,14 +235,22 @@ def describe_grid(
 ) -> ExperimentGrid:
     """Build the grid descriptor of one experiment (without running it).
 
-    An option value of the wrong type or form (``float("x")``, ``int([])``)
-    raises :class:`ConfigurationError`, like an unknown option does.
+    An option value of the wrong type or form (``float("x")``,
+    ``int([])``, ``int(1e400)``) raises :class:`ConfigurationError`, like an
+    unknown option or a grid of more than
+    :data:`~repro.experiments.gridlib.MAX_GRID_POINTS` points does.  The
+    shipped grids check their size before they build a shard; a registered
+    grid that yields its shards is cut off one past the cap.
     """
     functions = _grid_functions(experiment)
     try:
-        shards = tuple(_jsonable(params) for params in functions.shards(config, options))
-    except (TypeError, ValueError) as error:
+        shards = tuple(
+            _jsonable(params)
+            for params in itertools.islice(functions.shards(config, options), MAX_GRID_POINTS + 1)
+        )
+    except (TypeError, ValueError, OverflowError) as error:
         raise ConfigurationError(f"invalid options for {experiment!r}: {error}") from None
+    check_grid_size(experiment, len(shards))
     return ExperimentGrid(experiment=experiment, shard_params=shards, options=options)
 
 

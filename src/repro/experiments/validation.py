@@ -27,6 +27,7 @@ from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 from ..link.design import OpticalLinkDesigner
 from ..simulation.linksim import OpticalLinkSimulator
+from .gridlib import check_grid_size
 
 __all__ = [
     "ValidationPoint",
@@ -209,6 +210,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     code_names = options.get(
         "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
     )
+    check_grid_size("validation", len(targets) * len(code_names))
     shards = []
     spawn_index = 0
     for target_ber in targets:

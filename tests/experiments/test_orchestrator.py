@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from repro.coding.montecarlo import shard_seed_sequences
 from repro.exceptions import ConfigurationError
+from repro.experiments import orchestrator
+from repro.experiments.gridlib import MAX_GRID_POINTS
 from repro.experiments.orchestrator import (
+    GridFunctions,
     available_experiments,
     checkpoint_path,
     describe_grid,
@@ -62,6 +66,8 @@ class TestGridDescriptors:
             ("figure5", {"target_bers": ["x"]}),
             ("figure5", {"target_bers": "abc"}),
             ("network", {"num_requests": "x"}),
+            ("network", {"rings": float("inf")}),
+            ("network", {"loads": [10**400]}),
         ],
     )
     def test_ill_typed_option_value_rejected(self, experiment, options):
@@ -69,6 +75,30 @@ class TestGridDescriptors:
             describe_grid(experiment, options=options)
         with pytest.raises(ConfigurationError, match="invalid options"):
             run_experiment(experiment, options=options)
+
+    @pytest.mark.parametrize(
+        "experiment,options",
+        [
+            ("network", {"rings": MAX_GRID_POINTS}),
+            ("adaptive", {"loads": [0.3] * MAX_GRID_POINTS}),
+            ("availability", {"loads": [0.3] * MAX_GRID_POINTS}),
+            ("validation", {"targets": [1e-9] * MAX_GRID_POINTS}),
+            ("figure5", {"target_bers": [1e-9] * MAX_GRID_POINTS, "shard_size": 10**9}),
+            ("figure6a", {"codes": ["h(7,4)"] * (MAX_GRID_POINTS + 1)}),
+            ("figure6b", {"target_bers": [1e-9] * MAX_GRID_POINTS}),
+        ],
+    )
+    def test_grid_over_the_cap_rejected(self, experiment, options):
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_GRID_POINTS}"):
+            describe_grid(experiment, options=options)
+
+    def test_registered_grid_is_cut_off_past_the_cap(self, monkeypatch):
+        def endless(config, options):
+            return ({"index": index} for index in itertools.count())
+
+        monkeypatch.setitem(orchestrator._GRIDS, "endless", GridFunctions(endless, None, None))
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_GRID_POINTS}"):
+            describe_grid("endless")
 
 
 class TestShardSeedSequences:

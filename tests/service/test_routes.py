@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.coding.registry import available_codes, get_code
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
+from repro.experiments.gridlib import MAX_GRID_POINTS
 from repro.link.design import OpticalLinkDesigner
 from repro.obs.metrics import MetricsRegistry
 from repro.service.models import Job, JobState
@@ -195,15 +196,44 @@ class TestErrorsAreClientErrors:
         assert status == 400 and "invalid options" in payload["error"]
         assert context.queue.jobs() == []
 
-    # Values stay small: a grid's size grows with its option values (the
-    # network grid has one shard per ring), and this property is about
-    # types, not about bounding grid sizes.
-    _JSON = st.recursive(
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"rings": 10**12},
+            {"loads": [0.5] * 10**5, "rings": 10**6},
+            {"codes": ["h(7,4)"] * (MAX_GRID_POINTS + 1)},
+        ],
+    )
+    def test_submit_over_the_grid_cap_is_400(self, context, options):
+        experiment = "figure6a" if "codes" in options else "network"
+        status, payload, _ = _post(context, "/jobs", {"experiment": experiment, "options": options})
+        assert status == 400 and f"at most {MAX_GRID_POINTS}" in payload["error"]
+        assert context.queue.jobs() == []
+
+    def test_submit_at_the_grid_cap_is_accepted(self, context):
+        options = {"codes": ["h(7,4)"] * MAX_GRID_POINTS}
+        status, _, _ = _post(context, "/jobs", {"experiment": "figure6a", "options": options})
+        assert status == 202
+
+    # Values may be large: a grid's size grows with them (the network grid
+    # has one shard per ring, and list options multiply with each other),
+    # and a grid over MAX_GRID_POINTS must be a 400 built in bounded time.
+    # Integers reach past every float, floats include the non-finite ones
+    # JSON bodies may carry, and lists run to twice the cap.
+    _SCALAR = (
         st.none()
         | st.booleans()
         | st.integers(-3, 6)
+        | st.integers(-(10**400), 10**400)
         | st.floats(-10.0, 10.0, allow_nan=False)
-        | st.text(max_size=4),
+        | st.floats()
+        | st.text(max_size=4)
+    )
+    _LONG_LIST = st.builds(
+        lambda item, count: [item] * count, _SCALAR, st.integers(0, 2 * MAX_GRID_POINTS)
+    )
+    _JSON = st.recursive(
+        _SCALAR | _LONG_LIST,
         lambda children: st.lists(children, max_size=3)
         | st.dictionaries(st.text(max_size=4), children, max_size=2),
         max_leaves=6,
