@@ -1,7 +1,7 @@
 """Oracle tests of :mod:`repro.special` with explicit error bounds.
 
-* ``erfc``, ``erfcinv`` and ``ndtri`` are ports of Cephes as SciPy ships
-  it: bound 0 ulp (``.hex()`` equality with ``scipy.special``) on dense log
+* ``erfc`` and ``erfcinv`` are ports of Cephes as SciPy ships it: bound
+  0 ulp (``.hex()`` equality with ``scipy.special``) on dense log
   grids that include every branch threshold and its float neighbours.
 * ``bdtrc`` for ``t >= 1`` sums the binomial series: bound 2e-14 relative
   to the exact tail in rational arithmetic.  For ``t = 0`` it is Cephes's
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from repro.special import bdtrc, erfc, erfcinv, ndtri
+from repro.special import bdtrc, erfc, erfcinv
 
 MAXLOG = 7.09782712893383996843e2
 
@@ -74,15 +74,10 @@ class TestErfcinv:
         xs = (2.0 * np.geomspace(1e-30, 0.5, 40_000)[:-1]).tolist()
         assert _mismatches(erfcinv, scipy.special.erfcinv, xs) == []
 
-    def test_ndtri_is_bit_identical(self):
-        ys = np.geomspace(1e-300, 1.0, 20_000).tolist()[:-1]
-        ys += [1.0 - y for y in ys if y < 0.5][::4] + [y / 2 for y in self.THRESHOLDS]
-        assert _mismatches(ndtri, scipy.special.ndtri, ys) == []
-
     def test_domain_edges(self):
         assert erfcinv(0.0) == math.inf and erfcinv(2.0) == -math.inf
         assert math.isnan(erfcinv(-0.5)) and math.isnan(erfcinv(2.5))
-        assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+        assert erfcinv(5e-324) == scipy.special.erfcinv(5e-324) == math.inf  # y / 2 underflows
 
     def test_round_trips_through_erfc(self):
         for y in np.geomspace(1e-20, 1.0, 50).tolist():
@@ -123,6 +118,5 @@ class TestBdtrc:
 
     def test_edges(self):
         assert bdtrc(3, 3, 0.2) == 0.0  # more than n errors never happen
-        assert bdtrc(-1, 3, 0.2) == 1.0
         assert bdtrc(2, 7, 1.0) == 1.0
         assert bdtrc(2, 7, 0.0) == 0.0

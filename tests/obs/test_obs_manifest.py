@@ -55,6 +55,21 @@ class TestDocumentShape:
         assert manifest["environment"]["package"] == "repro"
         assert manifest["environment"]["scipy"] == scipy.__version__
 
+    def test_absent_scipy_is_recorded_as_none(self, monkeypatch):
+        import importlib.metadata
+
+        from repro.obs import manifest as obs_manifest
+
+        def missing(distribution):
+            raise importlib.metadata.PackageNotFoundError(distribution)
+
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+        obs_manifest._installed_version.cache_clear()
+        try:
+            assert obs_manifest.environment_info()["scipy"] is None
+        finally:
+            obs_manifest._installed_version.cache_clear()
+
     def test_resumed_shards_carry_null_metrics(self):
         manifest = build_manifest(
             experiment="demo",
