@@ -2,31 +2,23 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tests/golden/regen.py            # every experiment
-    PYTHONPATH=src python tests/golden/regen.py --check    # compare, write nothing
+    PYTHONPATH=src python tests/golden/regen.py
 
 This script is the only writer of ``tests/golden/pins.json``: the tier-1
 test ``test_golden.py`` compares against the pins and never rewrites them.
 Regenerate only when a change is meant to move a reproduced number, and say
-in the change's notes which rows moved (``--check`` lists them).
+in the change's notes which rows moved (the failing test lists them).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from golden.canonical import (  # noqa: E402
-    PINS_PATH,
-    SIGNIFICANT_DIGITS,
-    golden_rows,
-    load_pins,
-    sha256_of,
-)
+from golden.canonical import PINS_PATH, SIGNIFICANT_DIGITS, golden_rows, sha256_of  # noqa: E402
 
 
 def build_pins() -> dict:
@@ -44,20 +36,8 @@ def build_pins() -> dict:
     }
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="report moved experiments, write nothing")
-    args = parser.parse_args(argv)
+def main() -> int:
     pins = build_pins()
-    if args.check:
-        old = load_pins()["experiments"] if os.path.exists(PINS_PATH) else {}
-        moved = sorted(
-            name
-            for name in set(old) | set(pins["experiments"])
-            if old.get(name, {}).get("sha256") != pins["experiments"].get(name, {}).get("sha256")
-        )
-        print("moved: " + (", ".join(moved) if moved else "none"))
-        return 1 if moved else 0
     with open(PINS_PATH, "w", encoding="utf-8") as handle:
         json.dump(pins, handle, indent=1, sort_keys=True)
         handle.write("\n")
