@@ -112,17 +112,18 @@ class PaperConfig:
     """Wavelength spacing between adjacent WDM channels (~100 GHz grid)."""
 
     def __post_init__(self) -> None:
-        if self.num_onis < 2:
+        # Each check is written so that NaN fails it.
+        if not self.num_onis >= 2:
             raise ConfigurationError("an MWSR channel needs at least two ONIs")
-        if self.num_wavelengths < 1:
+        if not self.num_wavelengths >= 1:
             raise ConfigurationError("at least one wavelength is required")
         if not 0.0 < self.chip_activity <= 1.0:
             raise ConfigurationError("chip activity must lie in (0, 1]")
-        if self.extinction_ratio_db <= 0.0:
+        if not self.extinction_ratio_db > 0.0:
             raise ConfigurationError("extinction ratio must be positive in dB")
-        if self.laser_max_output_power_w <= 0.0:
+        if not self.laser_max_output_power_w > 0.0:
             raise ConfigurationError("laser maximum output power must be positive")
-        if self.ip_bus_width_bits <= 0:
+        if not self.ip_bus_width_bits > 0:
             raise ConfigurationError("IP bus width must be positive")
 
     # --- derived quantities ------------------------------------------------------

@@ -47,27 +47,26 @@ die in practice:
 A shard whose attempts exceed ``max_shard_retries``, or that raises a
 deterministic exception, aborts the sweep with a
 :class:`~repro.exceptions.ShardExecutionError` naming the failing shard's
-parameters.  Checkpoints are written as a checksummed JSON-lines file
-(header + one record per shard); a truncated or bit-flipped checkpoint is
-quarantined (renamed to ``*.corrupt``) and its surviving records resumed.
+parameters.  Checkpoints are :mod:`repro.durable` JSON-lines files
+(header + one checksummed record per shard); a truncated or bit-flipped
+checkpoint is quarantined (renamed to ``*.corrupt``) and its surviving
+records resumed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
-import json
 import logging
 import multiprocessing
 import os
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence
 
+from .. import durable
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError, ShardExecutionError, SweepCancelled
 from ..obs import manifest as obs_manifest
@@ -217,15 +216,13 @@ class ExperimentGrid:
     @property
     def fingerprint(self) -> str:
         """Hash identifying the grid; a checkpoint is only valid if it matches."""
-        canonical = json.dumps(
+        return durable.digest(
             {
                 "experiment": self.experiment,
                 "shards": list(self.shard_params),
                 "options": self.options,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def describe_grid(
@@ -767,77 +764,58 @@ def _jsonable(value: Any) -> Any:
     raise ConfigurationError(f"shard payload value {value!r} is not JSON-serializable")
 
 
-def _shard_checksum(index: int, payload: Any) -> str:
-    """Integrity hash of one checkpoint record (canonical JSON of its content)."""
-    canonical = json.dumps({"index": index, "payload": payload}, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _checkpoint_header(grid: ExperimentGrid) -> dict:
+    return {
+        "kind": "header",
+        "experiment": grid.experiment,
+        "fingerprint": grid.fingerprint,
+        "num_shards": len(grid.shard_params),
+    }
 
 
-def _quarantine_checkpoint(path: str) -> str:
-    """Move a damaged checkpoint aside (``*.corrupt``) so it is never reread.
-
-    The rename keeps the evidence for a post-mortem while guaranteeing the
-    next write starts from a fresh file.  Returns the quarantine path.
-    """
-    quarantined = path + ".corrupt"
-    try:
-        os.replace(path, quarantined)
-        logger.warning("quarantined damaged checkpoint %s -> %s", path, quarantined)
-    except OSError:
-        # Racing writer or permissions: the reload already ignores it.
-        logger.warning("could not quarantine damaged checkpoint %s", path)
-    return quarantined
+def _shard_record(index: int, payload: Any) -> dict:
+    return {
+        "kind": "shard",
+        "index": index,
+        "payload": payload,
+        "checksum": durable.digest({"index": index, "payload": payload}),
+    }
 
 
 def _load_checkpoint(checkpoint_dir: str, grid: ExperimentGrid) -> Dict[int, Any]:
     """Payloads of a previous run, or ``{}`` if absent, corrupt or stale.
 
-    A checkpoint is checksummed JSON lines: a header record, then one record
-    per shard.  A damaged file is quarantined (renamed to ``*.corrupt``) and
-    every record that still checksums clean is salvaged — a truncated tail,
-    a bit flip or an interleaved write costs only the damaged shards.  A
-    file without a header record salvages nothing.  A stale fingerprint (the
-    grid changed) is not damage: the checkpoint is simply ignored.
+    A checkpoint is a JSON-lines file of :mod:`repro.durable` records: a
+    header, then one record per shard whose checksum covers its index and
+    payload.  A damaged file is quarantined and the shards that still
+    verify are salvaged and written back, so a truncated tail, a bit flip
+    or an interleaved write costs only the damaged shards.  A damaged
+    header salvages nothing.  A header with another fingerprint is stale
+    (the grid changed), not damaged: the checkpoint is simply ignored.
     """
-    path = checkpoint_path(checkpoint_dir, grid.experiment)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError:
-        return {}
-    lines = [line for line in text.splitlines() if line.strip()]
-    try:
-        header = json.loads(lines[0]) if lines else None
-    except ValueError:
-        header = None
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        _quarantine_checkpoint(path)
-        return {}
-    if header.get("fingerprint") != grid.fingerprint:
-        return {}
-    completed: Dict[int, Any] = {}
-    damaged = False
-    for line in lines[1:]:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            damaged = True
-            continue
-        if not isinstance(record, dict) or record.get("kind") != "shard":
-            damaged = True
-            continue
+    header = _checkpoint_header(grid)
+
+    def verify(number: int, record: dict) -> dict | None:
+        if number == 0:
+            stale = (
+                record.keys() == header.keys()
+                and record["kind"] == "header"
+                and record["experiment"] == header["experiment"]
+                and record["fingerprint"] != header["fingerprint"]
+            )
+            return record if stale or record == header else None
         index = record.get("index")
-        payload = record.get("payload")
-        if (
-            not isinstance(index, int)
-            or not 0 <= index < len(grid.shard_params)
-            or record.get("checksum") != _shard_checksum(index, payload)
-        ):
-            damaged = True
-            continue
-        completed[index] = payload
+        if isinstance(index, int) and record == _shard_record(index, record.get("payload")):
+            return record
+        return None
+
+    path = checkpoint_path(checkpoint_dir, grid.experiment)
+    records, damaged = durable.read_lines(path, verify)
+    if not records or records[0] != header:
+        return {}
+    completed = {record["index"]: record["payload"] for record in records[1:]}
     if damaged:
-        _quarantine_checkpoint(path)
+        _write_checkpoint(checkpoint_dir, grid, completed)
     return completed
 
 
@@ -847,7 +825,7 @@ def _write_checkpoint(
     completed: Dict[int, Any],
     stats: Dict[str, int] | None = None,
 ) -> None:
-    """Atomically persist the completed shards (write-to-temp, then rename).
+    """Atomically persist the completed shards (:func:`repro.durable.write_atomic`).
 
     JSON-lines layout: a header record identifying the grid, then one
     checksummed record per completed shard, so partial damage is detectable
@@ -855,48 +833,18 @@ def _write_checkpoint(
     the write and its byte volume — telemetry only, never file content, so
     checkpoints stay byte-identical with observability on or off.
     """
-    os.makedirs(checkpoint_dir, exist_ok=True)
     path = checkpoint_path(checkpoint_dir, grid.experiment)
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "experiment": grid.experiment,
-                "fingerprint": grid.fingerprint,
-                "num_shards": len(grid.shard_params),
-            }
-        )
-    ]
-    for index in sorted(completed):
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "shard",
-                    "index": index,
-                    "payload": completed[index],
-                    "checksum": _shard_checksum(index, completed[index]),
-                }
-            )
-        )
-    body = "\n".join(lines) + "\n"
+    records = [_checkpoint_header(grid)]
+    records += [_shard_record(index, completed[index]) for index in sorted(completed)]
+    body = "".join(durable.to_line(record) for record in records)
     tracer = obs_tracing.ACTIVE
     span = (
         tracer.span("orchestrator.checkpoint_write", experiment=grid.experiment, bytes=len(body))
         if tracer is not None
         else contextlib.nullcontext()
     )
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=checkpoint_dir, prefix=f".{grid.experiment}.", suffix=".tmp"
-    )
-    try:
-        with span:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(body)
-            os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    with span:
+        durable.write_atomic(path, body)
     if stats is not None:
         stats["checkpoint_writes"] += 1
         stats["checkpoint_bytes"] += len(body)

@@ -26,9 +26,9 @@ import json
 import os
 import platform
 import sys
-import tempfile
 from typing import Any, Dict, Sequence
 
+from .. import durable
 from .metrics import merge_snapshots
 
 __all__ = [
@@ -166,21 +166,8 @@ def build_manifest(
 
 
 def write_manifest(path: str, manifest: dict) -> str:
-    """Atomically persist a manifest (write-to-temp, then rename)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    """Atomically persist a manifest (:func:`repro.durable.write_atomic`)."""
+    durable.write_atomic(path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
     return path
 
 

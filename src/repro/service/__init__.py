@@ -7,12 +7,11 @@ a defined recovery path:
 
 * :mod:`~repro.service.models` — the job record and its state machine
   (``queued -> running -> done/failed/dead``);
-* :mod:`~repro.service.store` — content-addressed, checksummed results
-  store (corrupt artefacts quarantined to ``*.corrupt``) that doubles as
-  the persistent tier of :meth:`repro.link.design.OpticalLinkDesigner.design_point`;
-* :mod:`~repro.service.queue` — durable job queue (one atomic, checksummed
-  JSON file per job) with idempotent fingerprint-keyed submission and
-  crash recovery on startup;
+* :mod:`~repro.service.store` — content-addressed results store and the
+  persistent tier of :meth:`repro.link.design.OpticalLinkDesigner.design_point`;
+* :mod:`~repro.service.queue` — durable job queue (one record file per
+  job) with idempotent fingerprint-keyed submission and crash recovery on
+  startup;
 * :mod:`~repro.service.supervisor` — runs jobs through
   :func:`repro.experiments.orchestrator.run_experiment` in forked child
   workers with per-job timeouts, bounded exponential-backoff retries and a
@@ -20,6 +19,10 @@ a defined recovery path:
 * :mod:`~repro.service.routes` / :mod:`~repro.service.server` — the
   stdlib ``ThreadingHTTPServer`` JSON API with admission control, a
   load-shedding ladder, ``/healthz``/``/readyz`` and clean SIGTERM drain.
+
+The queue, the store and the cache keep their files as
+:mod:`repro.durable` records: checksummed, replaced atomically, and
+quarantined to ``*.corrupt`` when damaged.
 
 Quick in-process start (the ``repro-serve`` console script wraps the same
 object)::

@@ -26,15 +26,13 @@ serving the quarantined artefact.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["Job", "JobState", "job_checksum"]
+__all__ = ["Job", "JobState"]
 
 
 class JobState:
@@ -175,9 +173,3 @@ class Job:
             "updated_s": self.updated_s,
             "error": self.error,
         }
-
-
-def job_checksum(job_dict: Dict[str, Any]) -> str:
-    """Integrity hash of one persisted job record (canonical JSON)."""
-    canonical = json.dumps(job_dict, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,13 +1,15 @@
 """Durable job queue: one atomic, checksummed JSON file per job.
 
-Durability model — each job lives at ``<spool>/<job_id>.json`` and every
-state transition rewrites the file atomically (write-to-temp, rename), so
-the on-disk queue is consistent after a crash at *any* instant.  On
-startup :meth:`DurableJobQueue.recover` replays the spool directory:
+Durability model — each job lives at ``<spool>/<job_id>.json`` as one
+:mod:`repro.durable` record, and every state transition replaces the file
+atomically, so the on-disk queue is consistent after a crash at *any*
+instant.  On startup :meth:`DurableJobQueue.recover` replays the spool
+directory:
 
-* records that fail their checksum (truncation, bit flips, garbage) are
-  quarantined to ``*.corrupt`` and forgotten — the job is simply gone,
-  which is safe because submission is idempotent;
+* records that fail their checksum (truncation, bit flips, garbage), do
+  not parse as a job or name another job than their file are quarantined
+  to ``*.corrupt`` and forgotten — the job is simply gone, which is safe
+  because submission is idempotent;
 * jobs found ``running`` were interrupted mid-flight by the previous
   process's death: they are re-queued (their partial shard checkpoints
   remain on disk and the orchestrator's ``resume=True`` salvages them);
@@ -24,16 +26,15 @@ is rejected with :class:`~repro.exceptions.QueueFullError` carrying a
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
 import time
 from typing import Dict, List
 
+from .. import durable
 from ..exceptions import ConfigurationError, JobNotFoundError, QueueFullError
-from .models import Job, JobState, job_checksum
-from .store import quarantine
+from .models import Job, JobState
 
 __all__ = ["DurableJobQueue"]
 
@@ -71,20 +72,14 @@ class DurableJobQueue:
         else:
             self._active.add(job.job_id)
 
+    @staticmethod
+    def _document(job_dict: dict) -> dict:
+        return {"kind": "job", "job": job_dict, "checksum": durable.digest(job_dict)}
+
     def _persist(self, job: Job) -> None:
         """Atomically rewrite one job's record (caller holds the lock)."""
-        payload = job.to_dict()
-        document = {
-            "kind": "job",
-            "job": payload,
-            "checksum": job_checksum(payload),
-        }
-        path = self._job_path(job.job_id)
-        temp_path = path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-        os.replace(temp_path, path)
+        document = self._document(job.to_dict())
+        durable.write_atomic(self._job_path(job.job_id), durable.to_line(document))
 
     def recover(self) -> List[str]:
         """Replay the spool directory; returns the ids of re-queued jobs.
@@ -129,32 +124,19 @@ class DurableJobQueue:
         return requeued
 
     def _read_record(self, path: str) -> Job | None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError:
-            return None
-        except ValueError:
-            quarantine(path)
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("kind") != "job"
-            or not isinstance(document.get("job"), dict)
-            or document.get("checksum") != job_checksum(document["job"])
-        ):
-            quarantine(path)
-            return None
-        try:
-            job = Job.from_dict(document["job"])
-        except (ConfigurationError, KeyError, TypeError, ValueError):
-            quarantine(path)
-            return None
-        expected = os.path.basename(path)[: -len(".json")]
-        if job.job_id != expected:
-            quarantine(path)
-            return None
-        return job
+        expected_id = os.path.basename(path)[: -len(".json")]
+
+        def verify(document: dict) -> Job | None:
+            job_dict = document.get("job")
+            if document != self._document(job_dict):
+                return None
+            try:
+                job = Job.from_dict(job_dict)
+            except (ConfigurationError, KeyError, TypeError, ValueError):
+                return None
+            return job if job.job_id == expected_id else None
+
+        return durable.read_document(path, verify)
 
     # -------------------------------------------------------------- submission
     def depth(self) -> int:

@@ -1,77 +1,34 @@
-"""Content-addressed, checksummed results store with quarantine-on-corruption.
+"""Content-addressed, checksummed results store and the design-point cache.
 
-Two persistence tiers live here:
+Both tiers are :mod:`repro.durable` records: written atomically, verified
+on every read, and quarantined to ``<name>.corrupt`` when damaged.
 
-* :class:`ResultsStore` — one atomic JSON document per sweep fingerprint
-  holding a finished job's merged result.  Every read verifies a SHA-256
-  checksum over the canonical payload; a damaged artefact (truncation, bit
-  flip, garbage) is quarantined to ``<name>.corrupt`` and reported as a
-  miss, so the job layer redoes the work instead of serving a lie — the
-  same deal checkpoint v2 made in the orchestrator.
+* :class:`ResultsStore` — one document per sweep fingerprint holding a
+  finished job's merged result.  A damaged document (truncation, bit
+  flip, garbage) reads as a miss, so the job layer redoes the work instead
+  of serving a lie — the same deal the orchestrator's checkpoints make.
 * :class:`PersistentDesignCache` — the shared persistent tier of
   :meth:`repro.link.design.OpticalLinkDesigner.design_point`.  An
   append-only JSON-lines file of checksummed ``(key, point)`` records:
   one append per solved point (solves are rare; the same points are
   requested millions of times), every record carries its own checksum, and
-  a damaged line costs only that record — the loader salvages the rest and
-  quarantines the damaged file.
+  a damaged line costs only that record — the loader salvages the rest,
+  quarantines the damaged file and writes the survivors back.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
 import os
 import re
-import tempfile
 import threading
 from dataclasses import fields
 from typing import Any, Dict, Tuple
 
-__all__ = ["ResultsStore", "PersistentDesignCache", "quarantine"]
+from .. import durable
 
-logger = logging.getLogger("repro.service.store")
+__all__ = ["ResultsStore", "PersistentDesignCache"]
 
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{8,64}$")
-
-
-def _payload_checksum(payload: Any) -> str:
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _atomic_write_json(path: str, document: dict) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-
-
-def quarantine(path: str) -> str:
-    """Move a damaged artefact aside (``*.corrupt``); never re-read it.
-
-    Returns the quarantine path.  Like the orchestrator's checkpoint
-    quarantine, the rename keeps the evidence for a post-mortem while
-    guaranteeing the next write starts from a fresh file.
-    """
-    quarantined = path + ".corrupt"
-    try:
-        os.replace(path, quarantined)
-        logger.warning("quarantined damaged artefact %s -> %s", path, quarantined)
-    except OSError:
-        logger.warning("could not quarantine damaged artefact %s", path)
-    return quarantined
 
 
 class ResultsStore:
@@ -87,41 +44,34 @@ class ResultsStore:
             raise ValueError(f"not a result fingerprint: {fingerprint!r}")
         return os.path.join(self.root, f"{fingerprint}.json")
 
-    def put(self, fingerprint: str, payload: Any) -> str:
-        """Atomically persist ``payload`` under ``fingerprint``; returns path."""
-        path = self.path(fingerprint)
-        document = {
+    @staticmethod
+    def _document(fingerprint: str, payload: Any) -> dict:
+        return {
             "kind": "result",
             "fingerprint": fingerprint,
             "payload": payload,
-            "checksum": _payload_checksum(payload),
+            "checksum": durable.digest(payload),
         }
+
+    def put(self, fingerprint: str, payload: Any) -> str:
+        """Atomically persist ``payload`` under ``fingerprint``; returns path."""
+        path = self.path(fingerprint)
+        line = durable.to_line(self._document(fingerprint, payload))
         with self._lock:
-            _atomic_write_json(path, document)
+            durable.write_atomic(path, line)
         return path
 
     def get(self, fingerprint: str) -> Any | None:
         """The stored payload, or ``None`` on miss *or damage* (quarantined)."""
-        path = self.path(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError:
+
+        def verify(document: dict) -> dict | None:
+            if document == self._document(fingerprint, document.get("payload")):
+                return document
             return None
-        except ValueError:
-            with self._lock:
-                quarantine(path)
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("kind") != "result"
-            or document.get("fingerprint") != fingerprint
-            or document.get("checksum") != _payload_checksum(document.get("payload"))
-        ):
-            with self._lock:
-                quarantine(path)
-            return None
-        return document["payload"]
+
+        with self._lock:
+            document = durable.read_document(self.path(fingerprint), verify)
+        return None if document is None else document["payload"]
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.get(fingerprint) is not None
@@ -151,67 +101,37 @@ class PersistentDesignCache:
         return [str(name), int(n), int(k), float(target_ber)]
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return
-        damaged = False
-        salvaged: Dict[Tuple, dict] = {}
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                damaged = True
-                continue
+        def verify(_number: int, record: dict) -> tuple | None:
+            key = record.get("key")
             if (
-                not isinstance(record, dict)
-                or record.get("kind") != "design-point"
-                or not isinstance(record.get("key"), list)
-                or len(record["key"]) != 4
-                or record.get("checksum")
-                != _payload_checksum({"key": record.get("key"), "point": record.get("point")})
+                not isinstance(key, list)
+                or len(key) != 4
+                or record != self._record(key, record.get("point"))
             ):
-                damaged = True
-                continue
-            name, n, k, target = record["key"]
-            salvaged[(str(name), int(n), int(k), float(target))] = record["point"]
-        with self._lock:
-            self._points = salvaged
-        if damaged:
-            quarantine(self.path)
-            # Rewrite the surviving records so the file is clean again.
-            self._rewrite()
+                return None
+            name, n, k, target = key
+            return (str(name), int(n), int(k), float(target)), record["point"]
 
-    def _rewrite(self) -> None:
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
+        salvaged, damaged = durable.read_lines(self.path, verify)
+        points = dict(salvaged)
+        if damaged and points:
+            # Write the surviving records back so the file is clean again.
+            text = "".join(
+                durable.to_line(self._record(self._key_fields(key), points[key]))
+                for key in sorted(points)
+            )
+            durable.write_atomic(self.path, text)
         with self._lock:
-            lines = [self._record_line(key, self._points[key]) for key in sorted(self._points)]
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=f".{os.path.basename(self.path)}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line)
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+            self._points = points
 
-    def _record_line(self, key: Tuple, point: dict) -> str:
-        fields = self._key_fields(key)
-        record = {
+    @staticmethod
+    def _record(key: list, point: Any) -> dict:
+        return {
             "kind": "design-point",
-            "key": fields,
+            "key": key,
             "point": point,
-            "checksum": _payload_checksum({"key": fields, "point": point}),
+            "checksum": durable.digest({"key": key, "point": point}),
         }
-        return json.dumps(record) + "\n"
 
     def __len__(self) -> int:
         with self._lock:
@@ -249,4 +169,4 @@ class PersistentDesignCache:
             directory = os.path.dirname(self.path) or "."
             os.makedirs(directory, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(self._record_line(normalized, payload))
+                handle.write(durable.to_line(self._record(self._key_fields(normalized), payload)))

@@ -18,12 +18,6 @@ class TestRingTopology:
         worst_case = topology.loop_length_m * (topology.num_onis - 1) / topology.num_onis
         assert worst_case == pytest.approx(0.06, rel=1e-6)
 
-    def test_explicit_positions_validation(self):
-        with pytest.raises(ConfigurationError):
-            RingTopology(num_onis=3, loop_length_m=0.03, positions_m=(0.0, 0.01))
-        with pytest.raises(ConfigurationError):
-            RingTopology(num_onis=2, loop_length_m=0.03, positions_m=(0.02, 0.01))
-
 
 class TestMWSRChannel:
     def test_writers_exclude_the_reader(self):

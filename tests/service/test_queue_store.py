@@ -13,11 +13,12 @@ import os
 
 import pytest
 
+from repro import durable
 from repro.exceptions import ConfigurationError, JobNotFoundError, QueueFullError
 from repro.link.design import OpticalLinkDesigner
 from repro.coding.registry import get_code
 from repro.obs import metrics as obs_metrics
-from repro.service.models import Job, JobState, job_checksum
+from repro.service.models import Job, JobState
 from repro.service.queue import DurableJobQueue
 from repro.service.store import PersistentDesignCache, ResultsStore
 
@@ -79,7 +80,7 @@ class TestJobStateMachine:
         data = job.to_dict()
         assert Job.from_dict(data) == job
         # canonical JSON: key order must not matter
-        assert job_checksum(data) == job_checksum(json.loads(json.dumps(data)))
+        assert durable.digest(data) == durable.digest(json.loads(json.dumps(data)))
 
 
 class TestDurableJobQueue:
@@ -243,11 +244,7 @@ class TestPersistentDesignCache:
         designer.design_point(get_code("h(7,4)"), 1e-12)
         record = json.loads(open(path, encoding="utf-8").readline())
         del record["point"]["code_rate"]  # pretend an old release wrote this
-        from repro.service.store import _payload_checksum
-
-        record["checksum"] = _payload_checksum(
-            {"key": record["key"], "point": record["point"]}
-        )
+        record["checksum"] = durable.digest({"key": record["key"], "point": record["point"]})
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(record) + "\n")
         code = get_code("h(7,4)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.config import DEFAULT_CONFIG, PaperConfig
 from repro.exceptions import ConfigurationError
@@ -97,3 +98,27 @@ class TestValidationAndOverrides:
     def test_rejects_non_positive_bus_width(self):
         with pytest.raises(ConfigurationError):
             PaperConfig(ip_bus_width_bits=0)
+
+
+_NAN = st.just(float("nan"))
+#: NaN or an out-of-range value for each field ``__post_init__`` validates.
+_INVALID = {
+    "num_onis": _NAN | st.integers(max_value=1) | st.floats(max_value=1.999),
+    "num_wavelengths": _NAN | st.integers(max_value=0) | st.floats(max_value=0.999),
+    "chip_activity": _NAN
+    | st.floats(max_value=0.0)
+    | st.floats(min_value=1.0, exclude_min=True),
+    "extinction_ratio_db": _NAN | st.floats(max_value=0.0),
+    "laser_max_output_power_w": _NAN | st.floats(max_value=0.0),
+    "ip_bus_width_bits": _NAN | st.integers(max_value=0) | st.floats(max_value=0.0),
+}
+
+
+class TestValidationProperties:
+    @pytest.mark.parametrize("field", sorted(_INVALID))
+    @given(data=st.data())
+    def test_nan_or_out_of_range_is_a_configuration_error(self, field, data):
+        value = data.draw(_INVALID[field], label=field)
+        # Any other exception type escapes pytest.raises and fails the test.
+        with pytest.raises(ConfigurationError):
+            PaperConfig(**{field: value})
