@@ -19,7 +19,7 @@ or reproduce the full registered experiment (shardable over processes)::
 
 from __future__ import annotations
 
-from repro.experiments.network import run_network
+from repro.experiments import run_experiment
 from repro.netsim import NetworkSimulator
 from repro.traffic.generators import UniformTrafficGenerator
 
@@ -45,13 +45,14 @@ def single_point_anatomy() -> None:
 
 def full_sweep() -> None:
     """The registered ``network`` experiment: pattern x load x policy grid."""
-    result = run_network(
+    text, _ = run_experiment(
+        "network",
         options={
             "loads": [0.1, 0.3, 0.5, 0.7, 0.9],
             "num_requests": 800,
-        }
+        },
     )
-    print(result.render_text())
+    print(text)
 
 
 def main() -> int:

@@ -1,16 +1,19 @@
 """Reproduction harness: one module per table/figure of the paper.
 
-Every module exposes a ``run_*`` function returning a structured result with
-the series/rows the paper plots, plus helpers comparing the reproduction to
-the paper's reported values (:mod:`repro.experiments.paperdata`), plus a
-*grid descriptor* (``sweep_shards`` / ``run_sweep_shard`` / ``merge_sweep``)
-that decomposes the sweep into independent shards for the parallel
-orchestrator (:mod:`repro.experiments.orchestrator`).  The command-line
-entry point :mod:`repro.experiments.runner` regenerates everything —
-serially or with ``--jobs N`` worker processes, resumable from JSON
-checkpoints with ``--resume`` — and renders text reports.  The tier-1
-tests check each result against the paper's values, and ``perfbench/``
-times the whole reproduction end to end.
+Every module exposes a *grid descriptor* (``sweep_shards`` /
+``run_sweep_shard`` / ``merge_sweep``) that decomposes the experiment into
+independent shards for the orchestrator
+(:mod:`repro.experiments.orchestrator`), and the grid descriptor is each
+experiment's only entry point: :func:`run_experiment` runs it and returns the
+rendered text report and the CSV rows, with helpers comparing the
+reproduction to the paper's reported values
+(:mod:`repro.experiments.paperdata`).  The indivisible experiments (Table I,
+Figures 3/4, headline, calibration) are one shard that calls their
+``run_*`` function.  The command-line entry point
+:mod:`repro.experiments.runner` regenerates everything — serially or with
+``--jobs N`` worker processes, resumable from JSON checkpoints with
+``--resume``.  The tier-1 tests check the rows against the paper's values,
+and ``perfbench/`` times the whole reproduction end to end.
 
 Experiment index
 ----------------
@@ -30,17 +33,17 @@ availability Hard-fault tolerance: graceful degradation vs blind retransmission
 """
 
 from .adaptive import AdaptiveSweepResult
-from .availability import AvailabilitySweepResult, run_availability
+from .availability import AvailabilitySweepResult
 from .orchestrator import ExperimentGrid, available_experiments, describe_grid, run_experiment
 from .table1 import Table1Result, run_table1
 from .figure3 import Figure3Result, run_figure3
 from .figure4 import Figure4Result, run_figure4
-from .figure5 import Figure5Result, run_figure5
-from .figure6 import Figure6aResult, Figure6bResult, run_figure6a, run_figure6b
+from .figure5 import Figure5Result
+from .figure6 import Figure6aResult, Figure6bResult
 from .headline import HeadlineResult, run_headline
 from .calibration import CalibrationSummary, run_calibration
-from .network import NetworkSweepResult, run_network
-from .validation import ValidationPoint, ValidationResult, run_validation
+from .network import NetworkSweepResult
+from .validation import ValidationPoint, ValidationResult
 
 __all__ = [
     "ExperimentGrid",
@@ -54,21 +57,15 @@ __all__ = [
     "Figure4Result",
     "run_figure4",
     "Figure5Result",
-    "run_figure5",
     "Figure6aResult",
     "Figure6bResult",
-    "run_figure6a",
-    "run_figure6b",
     "HeadlineResult",
     "run_headline",
     "CalibrationSummary",
     "run_calibration",
     "ValidationPoint",
     "ValidationResult",
-    "run_validation",
     "NetworkSweepResult",
-    "run_network",
     "AdaptiveSweepResult",
     "AvailabilitySweepResult",
-    "run_availability",
 ]

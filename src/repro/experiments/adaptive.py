@@ -52,7 +52,7 @@ from ..netsim import NetworkSimulator, make_drift_model
 from ..netsim.dynamics import DRIFT_PROFILES
 from ..traffic.generators import UniformTrafficGenerator
 from .network import request_rate_for_load
-from .gridlib import check_grid_size
+from .gridlib import check_grid_size, check_option_names
 
 __all__ = [
     "AdaptiveSweepResult",
@@ -106,9 +106,13 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
 
     ``options`` may override ``drifts``, ``policies``, ``loads`` and every
     knob listed in :func:`_shard_defaults` (all JSON-serializable; they
-    become part of the checkpoint fingerprint).
+    become part of the checkpoint fingerprint); any other key raises
+    :class:`ConfigurationError`.
     """
     options = options or {}
+    check_option_names(
+        "adaptive", options, ("drifts", "policies", "loads", *_shard_defaults({}))
+    )
     drifts = list(options.get("drifts", DEFAULT_DRIFTS))
     policies = list(options.get("policies", DEFAULT_POLICIES))
     loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
@@ -212,10 +216,6 @@ class AdaptiveSweepResult:
 
     rows: List[dict]
     num_requests: int
-
-    def rows_for(self, drift: str, policy: str) -> List[dict]:
-        """The load series of one (drift, policy) curve."""
-        return [row for row in self.rows if row["drift"] == drift and row["policy"] == policy]
 
     def to_rows(self) -> List[dict]:
         """CSV rows for the experiment runner (scalar columns only)."""

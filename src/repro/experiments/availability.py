@@ -54,11 +54,10 @@ from ..netsim import NetworkSimulator, make_fault_model
 from ..netsim.failures import FAULT_SCENARIOS
 from ..traffic.generators import UniformTrafficGenerator
 from .network import request_rate_for_load
-from .gridlib import check_grid_size
+from .gridlib import check_grid_size, check_option_names
 
 __all__ = [
     "AvailabilitySweepResult",
-    "run_availability",
     "sweep_shards",
     "run_sweep_shard",
     "merge_sweep",
@@ -109,9 +108,13 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
 
     ``options`` may override ``scenarios``, ``policies``, ``loads`` and
     every knob listed in :func:`_shard_defaults` (all JSON-serializable;
-    they become part of the checkpoint fingerprint).
+    they become part of the checkpoint fingerprint); any other key raises
+    :class:`ConfigurationError`.
     """
     options = options or {}
+    check_option_names(
+        "availability", options, ("scenarios", "policies", "loads", *_shard_defaults({}))
+    )
     scenarios = list(options.get("scenarios", DEFAULT_SCENARIOS))
     policies = list(options.get("policies", DEFAULT_POLICIES))
     loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
@@ -241,14 +244,6 @@ class AvailabilitySweepResult:
     rows: List[dict]
     num_requests: int
 
-    def rows_for(self, scenario: str, policy: str) -> List[dict]:
-        """The load series of one (scenario, policy) curve."""
-        return [
-            row
-            for row in self.rows
-            if row["scenario"] == scenario and row["policy"] == policy
-        ]
-
     def to_rows(self) -> List[dict]:
         """CSV rows for the experiment runner (scalar columns only)."""
         return [
@@ -341,16 +336,3 @@ def merge_sweep(
         num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
     )
     return result.render_text(), result.to_rows()
-
-
-def run_availability(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    options: dict | None = None,
-) -> AvailabilitySweepResult:
-    """Run the full availability sweep serially and return the structured result."""
-    payloads = [run_sweep_shard(params, config) for params in sweep_shards(config, options)]
-    text, rows = merge_sweep(payloads, config, options)
-    return AvailabilitySweepResult(
-        rows=rows, num_requests=int((options or {}).get("num_requests", DEFAULT_NUM_REQUESTS))
-    )

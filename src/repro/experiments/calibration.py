@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import DEFAULT_CONFIG, PaperConfig
-from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards as sweep_shards
+from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards
 from ..link.power_budget import LinkPowerBudget
 from ..photonics.laser import VCSELModel
 
@@ -69,6 +69,9 @@ def run_calibration(config: PaperConfig = DEFAULT_CONFIG) -> CalibrationSummary:
         chip_activity=config.chip_activity,
     )
 # ------------------------------------------------------------------ grid API
+sweep_shards = single_sweep_shards("calibration")
+
+
 def run_sweep_shard(params, config=DEFAULT_CONFIG):
     """Worker: recompute the calibration summary; returns the rendered payload."""
     result = run_calibration(config)

@@ -16,7 +16,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..photonics.microring import MicroringResonator, MicroringState
 from ..units import linear_to_db
-from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards as sweep_shards
+from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards
 from .paperdata import Comparison, PAPER_EXTINCTION_RATIO_DB
 
 __all__ = ["Figure3Result", "run_figure3", "sweep_shards", "run_sweep_shard", "merge_sweep"]
@@ -78,6 +78,9 @@ def run_figure3(
         comparison=comparison,
     )
 # ------------------------------------------------------------------ grid API
+sweep_shards = single_sweep_shards("figure3")
+
+
 def run_sweep_shard(params, config=DEFAULT_CONFIG):
     """Worker: sample the ring spectra; returns the rendered payload."""
     result = run_figure3(config)

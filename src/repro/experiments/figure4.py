@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import DEFAULT_CONFIG, PaperConfig
-from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards as sweep_shards
+from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards
 from ..photonics.laser import VCSELModel
 
 __all__ = ["Figure4Result", "run_figure4", "sweep_shards", "run_sweep_shard", "merge_sweep"]
@@ -81,6 +81,9 @@ def run_figure4(
         low_power_efficiency=laser.efficiency(1e-6, activity=config.chip_activity),
     )
 # ------------------------------------------------------------------ grid API
+sweep_shards = single_sweep_shards("figure4")
+
+
 def run_sweep_shard(params, config=DEFAULT_CONFIG):
     """Worker: sweep the laser model; returns the rendered payload."""
     result = run_figure4(config)

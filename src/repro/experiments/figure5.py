@@ -15,15 +15,15 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..coding.registry import paper_code_by_name, paper_code_set
+from ..coding.registry import paper_code_by_name
 from ..config import DEFAULT_CONFIG, PaperConfig
+from ..exceptions import ConfigurationError
 from ..link.design import LinkDesignPoint, OpticalLinkDesigner
-from .gridlib import check_grid_size
+from .gridlib import check_grid_size, check_option_names, code_names
 from .paperdata import Comparison, PAPER_LASER_POWER_MW_AT_1E11
 
 __all__ = [
     "Figure5Result",
-    "run_figure5",
     "DEFAULT_BER_GRID",
     "sweep_shards",
     "run_sweep_shard",
@@ -45,24 +45,6 @@ class Figure5Result:
     target_bers: tuple[float, ...]
     series: Dict[str, List[LinkDesignPoint]]
     comparisons: List[Comparison] = field(default_factory=list)
-
-    def laser_power_mw(self, code_name: str) -> np.ndarray:
-        """Laser power curve of one scheme, in mW (NaN where infeasible)."""
-        points = self.series[code_name]
-        return np.array(
-            [p.laser_power_mw if p.feasible else np.nan for p in points]
-        )
-
-    def feasibility(self, code_name: str) -> np.ndarray:
-        """Boolean feasibility of one scheme over the BER grid."""
-        return np.array([p.feasible for p in self.series[code_name]])
-
-    def point_at(self, code_name: str, target_ber: float) -> LinkDesignPoint:
-        """The design point of one scheme at one BER target."""
-        for point in self.series[code_name]:
-            if np.isclose(point.target_ber, target_ber, rtol=1e-9, atol=0.0):
-                return point
-        raise KeyError(f"BER {target_ber:g} not in the sweep grid")
 
     def render_text(self) -> str:
         """Text table of the laser powers over the BER grid."""
@@ -108,25 +90,6 @@ def _paper_comparisons(series: Dict[str, List[LinkDesignPoint]]) -> List[Compari
     return comparisons
 
 
-def run_figure5(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    target_bers: Sequence[float] = DEFAULT_BER_GRID,
-    codes: Sequence | None = None,
-) -> Figure5Result:
-    """Sweep the BER targets for every coding scheme of the paper."""
-    designer = OpticalLinkDesigner(config=config)
-    code_list = list(codes) if codes is not None else paper_code_set(config.ip_bus_width_bits)
-    series: Dict[str, List[LinkDesignPoint]] = {}
-    for code in code_list:
-        series[code.name] = designer.sweep_ber(code, list(target_bers))
-    return Figure5Result(
-        target_bers=tuple(target_bers),
-        series=series,
-        comparisons=_paper_comparisons(series),
-    )
-
-
 # ------------------------------------------------------------------ grid API
 def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
     """Grid descriptor: shards of (code, BER-chunk) operating-point solves.
@@ -137,16 +100,15 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     ``target_bers``, ``codes`` (names) and ``shard_size``.
     """
     options = options or {}
+    check_option_names("figure5", options, ("target_bers", "codes", "shard_size"))
     target_bers = [float(ber) for ber in options.get("target_bers", DEFAULT_BER_GRID)]
-    code_names = options.get(
-        "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
-    )
+    names = code_names("figure5", options, config)
     shard_size = int(options.get("shard_size", DEFAULT_SHARD_SIZE))
     if shard_size < 1:
-        shard_size = DEFAULT_SHARD_SIZE
-    check_grid_size("figure5", len(code_names) * len(target_bers))
+        raise ConfigurationError("the figure5 option 'shard_size' must be at least 1")
+    check_grid_size("figure5", len(names) * len(target_bers))
     shards = []
-    for name in code_names:
+    for name in names:
         for start in range(0, len(target_bers), shard_size):
             shards.append({"code": name, "target_bers": target_bers[start : start + shard_size]})
     return shards
@@ -168,7 +130,7 @@ def merge_sweep(
     """Assemble shard payloads into the (text report, CSV rows) pair.
 
     Shards arrive in grid order, so concatenating each code's chunks
-    reproduces exactly the series a serial :func:`run_figure5` builds.
+    rebuilds each code's series over the whole BER axis.
     """
     options = options or {}
     target_bers = tuple(float(ber) for ber in options.get("target_bers", DEFAULT_BER_GRID))

@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from ..coding.registry import get_code, paper_code_by_name, paper_code_set
+from ..coding.registry import paper_code_by_name
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..interfaces.synthesis import synthesize_interfaces
 from ..link.design import OpticalLinkDesigner
 from ..manager.pareto import ParetoPoint, pareto_front
 from ..power.channel import ChannelPowerBreakdown, channel_power_breakdown
 from ..power.energy import EnergyMetrics, energy_metrics
-from .gridlib import check_grid_size
+from .gridlib import check_grid_size, check_option_names, code_names
 from .paperdata import (
     Comparison,
     PAPER_CHANNEL_POWER_PER_WAVEGUIDE_MW,
@@ -36,8 +34,6 @@ from .paperdata import (
 __all__ = [
     "Figure6aResult",
     "Figure6bResult",
-    "run_figure6a",
-    "run_figure6b",
     "figure6a_sweep_shards",
     "run_figure6a_sweep_shard",
     "merge_figure6a_sweep",
@@ -55,15 +51,6 @@ class Figure6aResult:
     breakdowns: Dict[str, ChannelPowerBreakdown]
     energies: Dict[str, EnergyMetrics]
     comparisons: List[Comparison] = field(default_factory=list)
-
-    def total_power_mw(self, code_name: str) -> float:
-        """Total per-wavelength channel power of one scheme, in mW."""
-        return self.breakdowns[code_name].total_power_mw
-
-    def power_reduction_vs_uncoded(self, code_name: str) -> float:
-        """Fractional channel-power reduction of a scheme vs the uncoded one."""
-        baseline = self.breakdowns["w/o ECC"].total_power_w
-        return 1.0 - self.breakdowns[code_name].total_power_w / baseline
 
     def render_text(self) -> str:
         """Stacked-bar style text rendering of the breakdown."""
@@ -94,21 +81,8 @@ class Figure6aResult:
 class Figure6bResult:
     """Power vs communication-time trade-off over a BER range (Figure 6b)."""
 
-    target_bers: tuple[float, ...]
     points: List[ParetoPoint]
     front: List[ParetoPoint]
-
-    def points_for_ber(self, target_ber: float) -> List[ParetoPoint]:
-        """All scheme points at one BER target."""
-        return [
-            p
-            for p in self.points
-            if np.isclose(p.target_ber, target_ber, rtol=1e-9, atol=0.0)
-        ]
-
-    def front_for_ber(self, target_ber: float) -> List[ParetoPoint]:
-        """The Pareto-optimal subset at one BER target."""
-        return pareto_front(self.points_for_ber(target_ber))
 
     def render_text(self) -> str:
         """Text rendering of the trade-off cloud."""
@@ -123,38 +97,6 @@ class Figure6bResult:
                 f"{point.channel_power_w * 1e3:14.2f} {'yes' if id(point) in front_ids else 'no':>9}"
             )
         return "\n".join(lines)
-
-
-def _paper_codes(config: PaperConfig, codes: Sequence | None):
-    return list(codes) if codes is not None else paper_code_set(config.ip_bus_width_bits)
-
-
-def run_figure6a(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    target_ber: float = 1e-11,
-    codes: Sequence | None = None,
-) -> Figure6aResult:
-    """Compute the Figure 6a power breakdown and energy-per-bit figures."""
-    designer = OpticalLinkDesigner(config=config)
-    synthesis = synthesize_interfaces(config=config)
-    code_list = _paper_codes(config, codes)
-
-    breakdowns: Dict[str, ChannelPowerBreakdown] = {}
-    energies: Dict[str, EnergyMetrics] = {}
-    for code in code_list:
-        breakdown = channel_power_breakdown(
-            code, target_ber, config=config, designer=designer, synthesis=synthesis
-        )
-        breakdowns[code.name] = breakdown
-        energies[code.name] = energy_metrics(breakdown, config=config)
-
-    return Figure6aResult(
-        target_ber=target_ber,
-        breakdowns=breakdowns,
-        energies=energies,
-        comparisons=_figure6a_comparisons(breakdowns, energies, config),
-    )
 
 
 def _figure6a_comparisons(
@@ -197,50 +139,17 @@ def _figure6a_comparisons(
     return comparisons
 
 
-def run_figure6b(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    target_bers: Sequence[float] = (1e-6, 1e-8, 1e-10, 1e-12),
-    codes: Sequence | None = None,
-) -> Figure6bResult:
-    """Compute the Figure 6b power/performance trade-off cloud."""
-    designer = OpticalLinkDesigner(config=config)
-    synthesis = synthesize_interfaces(config=config)
-    code_list = _paper_codes(config, codes)
-
-    points: List[ParetoPoint] = []
-    for ber in target_bers:
-        for code in code_list:
-            breakdown = channel_power_breakdown(
-                code, ber, config=config, designer=designer, synthesis=synthesis
-            )
-            if not breakdown.feasible:
-                continue
-            points.append(
-                ParetoPoint(
-                    code_name=code.name,
-                    target_ber=float(ber),
-                    communication_time=breakdown.communication_time,
-                    channel_power_w=breakdown.total_power_w,
-                )
-            )
-    return Figure6bResult(
-        target_bers=tuple(target_bers), points=points, front=pareto_front(points)
-    )
-
-
 # ------------------------------------------------------------------ grid API
 def figure6a_sweep_shards(
     config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None
 ) -> list[dict]:
     """Grid descriptor for Figure 6a: one shard per coding scheme."""
     options = options or {}
-    code_names = options.get(
-        "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
-    )
+    check_option_names("figure6a", options, ("codes", "target_ber"))
+    names = code_names("figure6a", options, config)
     target_ber = float(options.get("target_ber", 1e-11))
-    check_grid_size("figure6a", len(code_names))
-    return [{"code": name, "target_ber": target_ber} for name in code_names]
+    check_grid_size("figure6a", len(names))
+    return [{"code": name, "target_ber": target_ber} for name in names]
 
 
 def run_figure6a_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
@@ -282,25 +191,21 @@ def figure6b_sweep_shards(
 ) -> list[dict]:
     """Grid descriptor for Figure 6b: one shard per target BER."""
     options = options or {}
+    check_option_names("figure6b", options, ("target_bers", "codes"))
     target_bers = [float(ber) for ber in options.get("target_bers", (1e-6, 1e-8, 1e-10, 1e-12))]
-    code_names = options.get(
-        "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
-    )
-    check_grid_size("figure6b", len(target_bers) * len(code_names))
-    return [{"target_ber": ber, "codes": code_names} for ber in target_bers]
+    names = code_names("figure6b", options, config)
+    check_grid_size("figure6b", len(target_bers) * len(names))
+    return [{"target_ber": ber, "codes": names} for ber in target_bers]
 
 
 def run_figure6b_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
     """Worker: the trade-off points of every scheme at one BER; JSON payload."""
     designer = OpticalLinkDesigner(config=config)
     synthesis = synthesize_interfaces(config=config)
-    # Resolve the whole shard's codes in one pass rather than rebuilding the
-    # paper set per name inside the loop.
-    paper_set = {code.name: code for code in paper_code_set(config.ip_bus_width_bits)}
     points = []
     for name in params["codes"]:
         breakdown = channel_power_breakdown(
-            paper_set[name] if name in paper_set else get_code(name),
+            paper_code_by_name(name, config.ip_bus_width_bits),
             params["target_ber"],
             config=config,
             designer=designer,
@@ -330,11 +235,7 @@ def merge_figure6b_sweep(
     points = [
         ParetoPoint(**point) for payload in payloads for point in payload["points"]
     ]
-    result = Figure6bResult(
-        target_bers=tuple(payload["target_ber"] for payload in payloads),
-        points=points,
-        front=pareto_front(points),
-    )
+    result = Figure6bResult(points=points, front=pareto_front(points))
     rows = [
         {
             "code": p.code_name,

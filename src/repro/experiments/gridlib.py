@@ -4,9 +4,9 @@ Experiments whose computation cannot be usefully sharded (Table I, the
 device-curve figures, the headline summary, the calibration audit) still
 participate in the orchestrator's uniform grid contract: they declare a
 single shard whose payload already carries the rendered ``text`` and CSV
-``rows``.  The modules alias these two helpers as their ``sweep_shards`` /
-``merge_sweep``, keeping every grid descriptor defined in exactly one
-place.
+``rows``.  The modules take their ``sweep_shards`` / ``merge_sweep`` from
+:func:`single_sweep_shards` and :func:`single_merge_sweep`, keeping every
+grid descriptor defined in exactly one place.
 
 Every grid has at most :data:`MAX_GRID_POINTS` points: its shards, or,
 where a shard carries a list (``figure5``'s BER chunks, ``figure6b``'s
@@ -15,16 +15,31 @@ codes), the entries of those lists.  The shard builders call
 single shard: ``rings`` multiplies the network grid and list options
 multiply with each other, so one small ``POST /jobs`` body could otherwise
 ask the request thread for billions of shards.
+
+Every shipped grid also calls :func:`check_option_names`: an option name
+the grid does not read (a typo, a stale key) would otherwise run the
+defaults under a grid fingerprint, and a service job id, of its own.  The
+grids that take a ``codes`` list resolve every name with
+:func:`code_names`, so an unknown code fails when the grid is described
+(``POST /jobs`` answers 400), not later in a worker.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
+from ..coding.registry import paper_code_by_name, paper_code_set
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 
-__all__ = ["MAX_GRID_POINTS", "check_grid_size", "single_sweep_shards", "single_merge_sweep"]
+__all__ = [
+    "MAX_GRID_POINTS",
+    "check_grid_size",
+    "check_option_names",
+    "code_names",
+    "single_sweep_shards",
+    "single_merge_sweep",
+]
 
 #: Most points one grid may have (the default grids have at most 30).
 MAX_GRID_POINTS = 10_000
@@ -38,11 +53,38 @@ def check_grid_size(experiment: str, points: int) -> None:
         )
 
 
-def single_sweep_shards(
-    config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None
-) -> list[dict]:
-    """Grid descriptor of an indivisible experiment: one parameterless shard."""
-    return [{}]
+def check_option_names(experiment: str, options: dict | None, allowed: Collection[str]) -> None:
+    """Reject option names outside ``allowed``, the ones the grid reads."""
+    unknown = sorted(set(options or ()) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {experiment} option(s) {unknown}; available: {sorted(allowed)}"
+        )
+
+
+def code_names(experiment: str, options: dict, config: PaperConfig) -> list[str]:
+    """The ``codes`` option (default: the paper's set), each distinct name resolved once."""
+    if "codes" not in options:
+        return [code.name for code in paper_code_set(config.ip_bus_width_bits)]
+    names = options["codes"]
+    if isinstance(names, str):
+        raise ConfigurationError(f"the {experiment} option 'codes' must be a list of code names")
+    names = list(names)
+    for name in dict.fromkeys(names):
+        paper_code_by_name(name, config.ip_bus_width_bits)
+    return names
+
+
+def single_sweep_shards(experiment: str) -> Callable[..., list[dict]]:
+    """Grid descriptor of an indivisible experiment: one shard, no options."""
+
+    def sweep_shards(
+        config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None
+    ) -> list[dict]:
+        check_option_names(experiment, options, ())
+        return [{}]
+
+    return sweep_shards
 
 
 def single_merge_sweep(

@@ -19,6 +19,7 @@ from typing import Dict, List
 
 from ..coding.registry import paper_code_set
 from ..config import DEFAULT_CONFIG, PaperConfig
+from ..interfaces.synthesis import synthesize_interfaces
 from ..link.design import OpticalLinkDesigner
 from ..power.channel import channel_power_breakdown
 from ..power.interconnect import (
@@ -26,8 +27,7 @@ from ..power.interconnect import (
     interconnect_power_saving_w,
     interconnect_power_summary,
 )
-from .figure6 import run_figure6a
-from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards as sweep_shards
+from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards
 from .paperdata import Comparison, PAPER_LASER_SHARE_UNCODED, PAPER_TOTAL_SAVING_W
 
 __all__ = ["HeadlineResult", "run_headline", "sweep_shards", "run_sweep_shard", "merge_sweep"]
@@ -71,19 +71,26 @@ def run_headline(
     config: PaperConfig = DEFAULT_CONFIG, *, target_ber: float = 1e-11
 ) -> HeadlineResult:
     """Recompute the paper's headline claims."""
-    figure6a = run_figure6a(config, target_ber=target_ber)
     codes = paper_code_set(config.ip_bus_width_bits)
     designer = OpticalLinkDesigner(config=config)
+    synthesis = synthesize_interfaces(config=config)
+    breakdowns = {
+        code.name: channel_power_breakdown(
+            code, target_ber, config=config, designer=designer, synthesis=synthesis
+        )
+        for code in codes
+    }
 
-    laser_share = figure6a.breakdowns["w/o ECC"].laser_share
+    uncoded = breakdowns["w/o ECC"]
+    laser_share = uncoded.laser_share
     power_reduction = {
-        name: figure6a.power_reduction_vs_uncoded(name)
-        for name in figure6a.breakdowns
+        name: 1.0 - breakdown.total_power_w / uncoded.total_power_w
+        for name, breakdown in breakdowns.items()
         if name != "w/o ECC"
     }
     summaries: Dict[str, InterconnectPowerSummary] = {
         name: interconnect_power_summary(breakdown, config=config)
-        for name, breakdown in figure6a.breakdowns.items()
+        for name, breakdown in breakdowns.items()
     }
     per_waveguide = {name: s.per_waveguide_power_w * 1e3 for name, s in summaries.items()}
     totals = {name: s.total_power_w for name, s in summaries.items()}
@@ -118,6 +125,9 @@ def run_headline(
         comparisons=comparisons,
     )
 # ------------------------------------------------------------------ grid API
+sweep_shards = single_sweep_shards("headline")
+
+
 def run_sweep_shard(params, config=DEFAULT_CONFIG):
     """Worker: recompute the headline claims; returns the rendered payload."""
     result = run_headline(config)

@@ -51,11 +51,10 @@ from ..traffic.generators import (
     HotspotTrafficGenerator,
     UniformTrafficGenerator,
 )
-from .gridlib import check_grid_size
+from .gridlib import check_grid_size, check_option_names
 
 __all__ = [
     "NetworkSweepResult",
-    "run_network",
     "request_rate_for_load",
     "sweep_shards",
     "run_sweep_shard",
@@ -166,12 +165,6 @@ class NetworkSweepResult:
     num_requests: int
     mode: str
 
-    def rows_for(self, pattern: str, policy: str) -> List[dict]:
-        """The load series of one (pattern, policy) curve."""
-        return [
-            row for row in self.rows if row["pattern"] == pattern and row["policy"] == policy
-        ]
-
     def to_rows(self) -> List[dict]:
         """CSV rows for the experiment runner."""
         return list(self.rows)
@@ -223,11 +216,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     point.
     """
     options = options or {}
-    unknown = sorted(set(options) - _OPTION_KEYS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown network option(s) {unknown}; available: {sorted(_OPTION_KEYS)}"
-        )
+    check_option_names("network", options, _OPTION_KEYS)
     patterns = list(options.get("patterns", DEFAULT_PATTERNS))
     loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
     policies = list(options.get("policies", DEFAULT_POLICIES))
@@ -397,14 +386,6 @@ def _merge_ring_rows(rows: Sequence[dict]) -> dict:
     return merged
 
 
-def _merge_payloads(payloads: Sequence[dict]) -> list[dict]:
-    """Group shard payloads by grid point and merge each point's rings."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in payloads:
-        groups.setdefault((row["pattern"], row["policy"], row["load"]), []).append(row)
-    return [_merge_ring_rows(rows) for rows in groups.values()]
-
-
 def merge_sweep(
     payloads: Sequence[dict],
     config: PaperConfig = DEFAULT_CONFIG,
@@ -417,24 +398,12 @@ def merge_sweep(
     and the output is unchanged from the single-ring sweep.
     """
     options = options or {}
+    groups: dict[tuple, list[dict]] = {}
+    for row in payloads:
+        groups.setdefault((row["pattern"], row["policy"], row["load"]), []).append(row)
     result = NetworkSweepResult(
-        rows=_merge_payloads(payloads),
+        rows=[_merge_ring_rows(rows) for rows in groups.values()],
         num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
         mode=str(options.get("mode", "probabilistic")),
     )
     return result.render_text(), result.to_rows()
-
-
-def run_network(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    options: dict | None = None,
-) -> NetworkSweepResult:
-    """Run the full load sweep serially and return the structured result."""
-    payloads = [run_sweep_shard(params, config) for params in sweep_shards(config, options)]
-    options = options or {}
-    return NetworkSweepResult(
-        rows=_merge_payloads(payloads),
-        num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
-        mode=str(options.get("mode", "probabilistic")),
-    )

@@ -1,8 +1,8 @@
 """Reference values reported by the paper, used for comparison only.
 
 Nothing in the library *reads* these numbers to produce its results; they
-exist so the experiment reports and EXPERIMENTS.md can place the reproduced
-values next to the published ones and quantify the deviation.
+exist so the experiment reports can place the reproduced values next to
+the published ones and quantify the deviation.
 """
 
 from __future__ import annotations

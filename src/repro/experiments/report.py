@@ -1,8 +1,8 @@
 """Report helpers shared by the experiment runner.
 
-Experiments return structured result objects; this module turns them into
-text sections and CSV rows so the runner can both print to the console and
-write machine-readable artefacts next to EXPERIMENTS.md.
+Every experiment grid merges into a text report and CSV rows; this module
+frames the text as a console section and writes the rows as CSV, the files
+``repro-experiments --csv DIR`` leaves (README, "Regenerating the paper").
 """
 
 from __future__ import annotations

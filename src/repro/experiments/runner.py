@@ -34,13 +34,11 @@ observable.
 from __future__ import annotations
 
 import argparse
-import functools
 import glob
 import logging
 import os
 import signal
 import sys
-from typing import Callable, Mapping
 
 from ..exceptions import SweepCancelled
 from ..obs import manifest as obs_manifest
@@ -50,39 +48,10 @@ from ..obs.report import render_run_report
 from .orchestrator import SweepProgress, available_experiments, run_experiment
 from .report import rows_to_csv, section
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main"]
 
 logger = logging.getLogger("repro.experiments.runner")
 
-
-class _ExperimentMapping(Mapping):
-    """Live read-only view of the orchestrator's experiment registry.
-
-    A snapshot dict taken at import time would go stale the moment
-    :func:`~repro.experiments.orchestrator.register_experiment` adds a
-    grid (test harnesses and out-of-tree experiments do), and *when* this
-    module is first imported relative to those registrations is not under
-    our control.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., tuple[str, list[dict]]]:
-        if name not in available_experiments():
-            raise KeyError(name)
-        return functools.partial(run_experiment, name)
-
-    def __iter__(self):
-        return iter(available_experiments())
-
-    def __len__(self) -> int:
-        return len(available_experiments())
-
-
-EXPERIMENTS: Mapping = _ExperimentMapping()
-"""Mapping from experiment name to a runner producing ``(text, csv rows)``.
-
-Kept for programmatic use (and API compatibility with the pre-orchestrator
-runner); each entry executes the experiment's full grid serially.
-"""
 
 #: Manifest directory used when neither --manifest-dir nor --checkpoint-dir
 #: is given.
@@ -172,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="*",
-        help=f"experiments to run (default: all); available: {', '.join(sorted(EXPERIMENTS))}",
+        help=f"experiments to run (default: all); available: {', '.join(available_experiments())}",
     )
     parser.add_argument(
         "--csv",

@@ -12,7 +12,7 @@ from typing import List
 
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..interfaces.synthesis import PAPER_MODES, SynthesisReport, synthesize_interfaces
-from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards as sweep_shards
+from .gridlib import single_merge_sweep as merge_sweep, single_sweep_shards
 from .paperdata import Comparison, PAPER_TABLE1_AREA_UM2, PAPER_TABLE1_TOTALS_UW
 
 __all__ = ["Table1Result", "run_table1", "sweep_shards", "run_sweep_shard", "merge_sweep"]
@@ -90,6 +90,9 @@ def run_table1(config: PaperConfig = DEFAULT_CONFIG) -> Table1Result:
         )
     return Table1Result(report=report, parametric_report=parametric, comparisons=comparisons)
 # ------------------------------------------------------------------ grid API
+sweep_shards = single_sweep_shards("table1")
+
+
 def run_sweep_shard(params, config=DEFAULT_CONFIG):
     """Worker: regenerate Table I; returns the rendered payload."""
     result = run_table1(config)

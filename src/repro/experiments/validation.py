@@ -21,24 +21,22 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..coding.registry import paper_code_by_name, paper_code_set
+from ..coding.registry import paper_code_by_name
 from ..coding.theory import output_ber
 from ..config import DEFAULT_CONFIG, PaperConfig
-from ..exceptions import ConfigurationError
 from ..link.design import OpticalLinkDesigner
 from ..simulation.linksim import OpticalLinkSimulator
-from .gridlib import check_grid_size
+from .gridlib import check_grid_size, check_option_names, code_names
 
 __all__ = [
     "ValidationPoint",
     "ValidationResult",
-    "run_validation",
     "sweep_shards",
     "run_sweep_shard",
     "merge_sweep",
 ]
 
-#: Defaults of the sweep; shared by :func:`run_validation` and the grid API.
+#: Defaults of the sweep's options.
 DEFAULT_TARGETS: tuple[float, ...] = (1e-3, 1e-4)
 DEFAULT_NUM_BLOCKS = 20000
 DEFAULT_SEED = 2024
@@ -55,11 +53,6 @@ class ValidationPoint:
     analytic_post_ber: float
     measured_post_ber: float
     blocks_simulated: int
-
-    @property
-    def raw_ber_relative_error(self) -> float:
-        """Relative deviation of the measured raw BER from Eq. 3."""
-        return self.measured_raw_ber / self.analytic_raw_ber - 1.0
 
     def as_dict(self) -> dict:
         """Flat dict for CSV export."""
@@ -80,13 +73,6 @@ class ValidationResult:
 
     points: List[ValidationPoint]
     num_blocks: int
-
-    def point_for(self, code_name: str, target_ber: float) -> ValidationPoint:
-        """Look up the validation point of one (code, target) pair."""
-        for point in self.points:
-            if point.code_name == code_name and point.target_ber == target_ber:
-                return point
-        raise KeyError(f"no validation point for {code_name!r} at {target_ber:g}")
 
     def to_rows(self) -> List[dict]:
         """CSV rows for the experiment runner."""
@@ -151,70 +137,27 @@ def _validation_point(
     )
 
 
-def run_validation(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    targets: Sequence[float] = DEFAULT_TARGETS,
-    num_blocks: int = DEFAULT_NUM_BLOCKS,
-    batch_size: int = 8192,
-    seed: int = DEFAULT_SEED,
-) -> ValidationResult:
-    """Validate the analytic chain at Monte-Carlo-friendly BER targets.
-
-    Parameters
-    ----------
-    config:
-        Evaluation parameters; defaults to the paper's Section V setup.
-    targets:
-        Target post-decoding BERs to design links for.  Kept moderate so a
-        Monte-Carlo run observes errors in reasonable time.
-    num_blocks:
-        Codewords simulated per (code, target) point.
-    batch_size:
-        Blocks per vectorized simulation batch.
-    seed:
-        Root seed.  Each (code, target) point runs on its own child
-        generator spawned from it, so the report is reproducible and
-        independent of sweep order or parallelism.
-    """
-    if num_blocks < 1:
-        raise ConfigurationError("at least one block must be simulated")
-    points: List[ValidationPoint] = []
-    spawn_index = 0
-    for target_ber in targets:
-        for code in paper_code_set(config.ip_bus_width_bits):
-            points.append(
-                _validation_point(
-                    code,
-                    target_ber,
-                    config=config,
-                    num_blocks=num_blocks,
-                    batch_size=batch_size,
-                    seed=seed,
-                    spawn_index=spawn_index,
-                )
-            )
-            spawn_index += 1
-    return ValidationResult(points=points, num_blocks=num_blocks)
-
-
 # ------------------------------------------------------------------ grid API
 def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
     """Grid descriptor: one shard per (target BER, code) Monte-Carlo point.
 
-    ``options`` may override ``targets``, ``num_blocks``, ``batch_size`` and
-    ``seed`` (all JSON-serializable); shards carry everything a worker needs.
+    ``options`` may override ``targets``, ``codes`` (names), ``num_blocks``,
+    ``batch_size`` and ``seed`` (all JSON-serializable); shards carry
+    everything a worker needs.  Each (code, target) point runs on its own
+    child generator spawned from ``seed``, so the report is reproducible and
+    independent of sweep order or parallelism.
     """
     options = options or {}
-    targets = options.get("targets", DEFAULT_TARGETS)
-    code_names = options.get(
-        "codes", [code.name for code in paper_code_set(config.ip_bus_width_bits)]
+    check_option_names(
+        "validation", options, ("targets", "codes", "num_blocks", "batch_size", "seed")
     )
-    check_grid_size("validation", len(targets) * len(code_names))
+    targets = options.get("targets", DEFAULT_TARGETS)
+    names = code_names("validation", options, config)
+    check_grid_size("validation", len(targets) * len(names))
     shards = []
     spawn_index = 0
     for target_ber in targets:
-        for name in code_names:
+        for name in names:
             shards.append(
                 {
                     "code": name,

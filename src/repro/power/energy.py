@@ -30,8 +30,8 @@ both accountings:
   (``P * NW * CT / (Ndata * FIP)``), which reproduces the paper's uncoded
   number and keeps the laser "charged" for the full IP word duration.
 
-EXPERIMENTS.md discusses how close each accounting comes to the paper's
-coded values.
+The ``figure6a`` report prints both and compares the IP-referenced one with
+the paper's values.
 """
 
 from __future__ import annotations

@@ -242,7 +242,8 @@ def _jobs_submit(context: ServiceContext, match, query, body) -> Response:
     if options is not None and not isinstance(options, dict):
         return _error(400, "options must be a JSON object")
     workers = body.get("jobs", 1)
-    if not isinstance(workers, int) or not 1 <= workers <= MAX_JOB_WORKERS:
+    # JSON ``true`` arrives as a bool, which is an int subclass.
+    if type(workers) is not int or not 1 <= workers <= MAX_JOB_WORKERS:
         return _error(400, f"jobs must be an integer in [1, {MAX_JOB_WORKERS}]")
     try:
         grid = describe_grid(experiment, context.config, options)

@@ -131,8 +131,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile = io.BytesIO()
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return ValueError(f"Content-Length {header!r} is not a non-negative integer")
+        if length == 0:
             return None
         if length > MAX_BODY_BYTES:
             return ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
@@ -150,7 +156,9 @@ class _Handler(BaseHTTPRequestHandler):
             parts = urlsplit(self.path)
             body = self._read_body() if method == "POST" else None
             if isinstance(body, Exception):
-                self._respond(400, {"error": f"bad request body: {body}"}, {})
+                # The body may still be on the socket: close rather than
+                # parse it as the next request.
+                self._respond(400, {"error": f"bad request body: {body}"}, {"Connection": "close"})
                 return
             query = dict(parse_qsl(parts.query))
             try:

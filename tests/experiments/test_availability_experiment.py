@@ -103,10 +103,3 @@ def test_payload_carries_trace_and_availability_metrics():
     trace = payload["trace"]
     assert len(trace) >= availability.TRACE_INTERVALS // 2
     assert all("availability" in bucket for bucket in trace)
-
-
-def test_run_availability_matches_orchestrated_grid(serial_report):
-    text, rows = serial_report
-    direct = availability.run_availability(options=_OPTIONS)
-    assert direct.render_text() == text
-    assert direct.to_rows() == rows

@@ -6,15 +6,45 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.exceptions import ConfigurationError
 from repro.experiments.calibration import run_calibration
 from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import DEFAULT_BER_GRID, run_figure5
-from repro.experiments.figure6 import run_figure6a, run_figure6b
+from repro.experiments.figure5 import DEFAULT_BER_GRID
 from repro.experiments.headline import run_headline
-from repro.experiments.paperdata import Comparison, relative_error
+from repro.experiments.orchestrator import available_experiments, describe_grid, run_experiment
+from repro.experiments.paperdata import (
+    PAPER_CHANNEL_POWER_PER_WAVEGUIDE_MW,
+    PAPER_LASER_POWER_MW_AT_1E11,
+    Comparison,
+    relative_error,
+)
 from repro.experiments.table1 import run_table1
-from repro.experiments.validation import run_validation
+from repro.manager.pareto import ParetoPoint, pareto_front
+
+
+def _row(rows: list[dict], code: str, target_ber: float) -> dict:
+    """The one row of ``code`` at ``target_ber``."""
+    (row,) = [
+        r
+        for r in rows
+        if r["code"] == code and np.isclose(r["target_ber"], target_ber, rtol=1e-9, atol=0.0)
+    ]
+    return row
+
+
+def _pareto_points(rows: list[dict], target_ber: float) -> list[ParetoPoint]:
+    """The ``figure6b`` rows at one BER target as trade-off points."""
+    return [
+        ParetoPoint(
+            code_name=r["code"],
+            target_ber=r["target_ber"],
+            communication_time=r["communication_time"],
+            channel_power_w=r["channel_power_mw"] / 1e3,
+        )
+        for r in rows
+        if np.isclose(r["target_ber"], target_ber, rtol=1e-9, atol=0.0)
+    ]
 
 
 class TestPaperData:
@@ -100,41 +130,49 @@ class TestFigure4Experiment:
 class TestFigure5Experiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_figure5()
+        return run_experiment("figure5")
 
     def test_every_scheme_has_a_full_sweep(self, result):
-        for points in result.series.values():
-            assert len(points) == len(DEFAULT_BER_GRID)
+        _, rows = result
+        for name in ("w/o ECC", "H(71,64)", "H(7,4)"):
+            assert [r["target_ber"] for r in rows if r["code"] == name] == list(DEFAULT_BER_GRID)
 
     def test_uncoded_curve_is_always_the_highest(self, result):
-        uncoded = [p.laser_electrical_power_w for p in result.series["w/o ECC"]]
-        for name in ("H(71,64)", "H(7,4)"):
-            coded = [p.laser_electrical_power_w for p in result.series[name]]
-            assert all(u > c for u, c in zip(uncoded, coded))
+        _, rows = result
+        for ber in DEFAULT_BER_GRID:
+            uncoded = _row(rows, "w/o ECC", ber)["p_laser_mw"]
+            for name in ("H(71,64)", "H(7,4)"):
+                assert uncoded > _row(rows, name, ber)["p_laser_mw"], (name, ber)
 
     def test_laser_power_grows_towards_stricter_ber_targets(self, result):
         # The grid runs from 1e-3 down to 1e-12, so the power must be
         # non-decreasing along it.
-        for points in result.series.values():
-            powers = [p.laser_electrical_power_w for p in points]
+        _, rows = result
+        for name in ("w/o ECC", "H(71,64)", "H(7,4)"):
+            powers = [r["p_laser_mw"] for r in rows if r["code"] == name]
             assert all(a <= b for a, b in zip(powers, powers[1:]))
 
     def test_uncoded_1e12_is_the_only_infeasible_point(self, result):
-        assert not result.point_at("w/o ECC", 1e-12).feasible
-        assert result.point_at("H(71,64)", 1e-12).feasible
-        assert result.point_at("H(7,4)", 1e-12).feasible
-        assert result.point_at("w/o ECC", 1e-11).feasible
+        _, rows = result
+        assert [(r["code"], r["target_ber"]) for r in rows if not r["feasible"]] == [
+            ("w/o ECC", 1e-12)
+        ]
 
     def test_1e11_values_track_the_paper_within_twenty_percent(self, result):
-        for comparison in result.comparisons:
-            assert abs(comparison.relative_error) < 0.20, comparison.quantity
+        _, rows = result
+        for name, reference in PAPER_LASER_POWER_MW_AT_1E11.items():
+            measured = _row(rows, name, 1e-11)["p_laser_mw"]
+            assert abs(relative_error(measured, reference)) < 0.20, name
 
-    def test_missing_ber_raises(self, result):
-        with pytest.raises(KeyError):
-            result.point_at("H(7,4)", 3e-7)
+    def test_missing_ber_raises(self):
+        # A BER that is missing (null) or not a number fails when the grid
+        # is described, before any shard runs.
+        for ber in (None, "x"):
+            with pytest.raises(ConfigurationError):
+                describe_grid("figure5", options={"target_bers": [1e-9, ber]})
 
     def test_render_text(self, result):
-        text = result.render_text()
+        text, _ = result
         assert "infeasible" in text
         assert "1e-11" in text or "1e-11".upper() in text.upper()
 
@@ -142,57 +180,68 @@ class TestFigure5Experiment:
 class TestFigure6Experiments:
     @pytest.fixture(scope="class")
     def result_a(self):
-        return run_figure6a()
+        return run_experiment("figure6a")
 
     @pytest.fixture(scope="class")
     def result_b(self):
-        return run_figure6b()
+        return run_experiment("figure6b")
 
     def test_laser_share_is_about_92_percent_without_ecc(self, result_a):
-        assert result_a.breakdowns["w/o ECC"].laser_share == pytest.approx(0.92, abs=0.02)
+        _, rows = result_a
+        assert _row(rows, "w/o ECC", 1e-11)["laser_share"] == pytest.approx(0.92, abs=0.02)
 
     def test_channel_power_reduction_is_roughly_half(self, result_a):
-        assert result_a.power_reduction_vs_uncoded("H(71,64)") == pytest.approx(0.45, abs=0.10)
-        assert result_a.power_reduction_vs_uncoded("H(7,4)") == pytest.approx(0.49, abs=0.10)
+        _, rows = result_a
+        uncoded = _row(rows, "w/o ECC", 1e-11)["total_mw"]
+        for name, expected in (("H(71,64)", 0.45), ("H(7,4)", 0.49)):
+            reduction = 1.0 - _row(rows, name, 1e-11)["total_mw"] / uncoded
+            assert reduction == pytest.approx(expected, abs=0.10), name
 
     def test_h71_is_the_most_energy_efficient(self, result_a):
-        energies = {
-            name: metrics.energy_per_bit_modulation_j
-            for name, metrics in result_a.energies.items()
-        }
+        # Energy per payload bit at the modulation rate is the channel power
+        # times the communication-time overhead (n/k), over a common rate.
+        _, rows = result_a
+        energies = {r["code"]: r["total_mw"] * r["communication_time"] for r in rows}
         assert min(energies, key=energies.get) == "H(71,64)"
 
     def test_waveguide_power_comparisons_are_close_to_the_paper(self, result_a):
-        for comparison in result_a.comparisons:
-            if comparison.quantity.startswith("channel power per waveguide"):
-                assert abs(comparison.relative_error) < 0.15, comparison.quantity
+        _, rows = result_a
+        for name, reference in PAPER_CHANNEL_POWER_PER_WAVEGUIDE_MW.items():
+            measured = _row(rows, name, 1e-11)["total_mw"] * DEFAULT_CONFIG.num_wavelengths
+            assert abs(relative_error(measured, reference)) < 0.15, name
 
     def test_all_schemes_lie_on_the_pareto_front(self, result_b):
-        for ber in result_b.target_bers:
-            points = result_b.points_for_ber(ber)
-            front = result_b.front_for_ber(ber)
-            assert {p.code_name for p in front} == {p.code_name for p in points}
+        _, rows = result_b
+        for ber in (1e-6, 1e-8, 1e-10, 1e-12):
+            points = _pareto_points(rows, ber)
+            assert points
+            assert {p.code_name for p in pareto_front(points)} == {p.code_name for p in points}
 
     def test_infeasible_points_are_excluded(self, result_b):
         # At 1e-12 the uncoded scheme must not appear in the cloud.
-        names_at_1e12 = {p.code_name for p in result_b.points_for_ber(1e-12)}
+        _, rows = result_b
+        names_at_1e12 = {p.code_name for p in _pareto_points(rows, 1e-12)}
         assert names_at_1e12 == {"H(71,64)", "H(7,4)"}
 
     def test_power_falls_along_each_front(self, result_b):
-        for ber in result_b.target_bers:
-            ordered = sorted(result_b.front_for_ber(ber), key=lambda p: p.communication_time)
+        _, rows = result_b
+        for ber in (1e-6, 1e-8, 1e-10, 1e-12):
+            ordered = sorted(
+                pareto_front(_pareto_points(rows, ber)), key=lambda p: p.communication_time
+            )
             powers = [p.channel_power_w for p in ordered]
             assert all(a >= b for a, b in zip(powers, powers[1:])), ber
 
     def test_stricter_targets_cost_more_channel_power(self, result_b):
-        relaxed = {p.code_name: p.channel_power_w for p in result_b.points_for_ber(1e-6)}
-        strict = {p.code_name: p.channel_power_w for p in result_b.points_for_ber(1e-10)}
+        _, rows = result_b
+        relaxed = {p.code_name: p.channel_power_w for p in _pareto_points(rows, 1e-6)}
+        strict = {p.code_name: p.channel_power_w for p in _pareto_points(rows, 1e-10)}
         for name in ("H(71,64)", "H(7,4)", "w/o ECC"):
             assert strict[name] > relaxed[name], name
 
     def test_render_text(self, result_a, result_b):
-        assert "Figure 6a" in result_a.render_text()
-        assert "Figure 6b" in result_b.render_text()
+        assert "Figure 6a" in result_a[0]
+        assert "Figure 6b" in result_b[0]
 
 
 class TestHeadlineExperiment:
@@ -238,35 +287,37 @@ class TestCalibrationSummary:
 class TestValidationExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_validation(num_blocks=4000, targets=(1e-3,), seed=7)
+        return run_experiment(
+            "validation", options={"num_blocks": 4000, "targets": [1e-3], "seed": 7}
+        )
 
     def test_covers_the_paper_code_set(self, result):
-        assert {p.code_name for p in result.points} == {"w/o ECC", "H(71,64)", "H(7,4)"}
+        _, rows = result
+        assert {r["code"] for r in rows} == {"w/o ECC", "H(71,64)", "H(7,4)"}
 
     def test_measured_raw_ber_tracks_equation_three(self, result):
-        for point in result.points:
-            assert point.measured_raw_ber == pytest.approx(point.analytic_raw_ber, rel=0.3), (
-                point.code_name
+        _, rows = result
+        for row in rows:
+            assert row["measured_raw_ber"] == pytest.approx(row["analytic_raw_ber"], rel=0.3), (
+                row["code"]
             )
 
     def test_coded_links_beat_their_raw_ber(self, result):
+        _, rows = result
         for name in ("H(71,64)", "H(7,4)"):
-            point = result.point_for(name, 1e-3)
-            assert point.measured_post_ber < point.measured_raw_ber
+            row = _row(rows, name, 1e-3)
+            assert row["measured_post_ber"] < row["measured_raw_ber"]
 
     def test_point_lookup_and_rendering(self, result):
-        assert result.point_for("H(7,4)", 1e-3).blocks_simulated == 4000
-        with pytest.raises(KeyError):
-            result.point_for("H(7,4)", 1e-9)
-        text = result.render_text()
+        text, rows = result
+        assert _row(rows, "H(7,4)", 1e-3)["blocks"] == 4000
+        assert not [r for r in rows if r["target_ber"] == 1e-9]
         assert "Monte-Carlo validation" in text
         assert "H(71,64)" in text
-        assert len(result.to_rows()) == 3
+        assert len(rows) == 3
 
     def test_registered_with_the_runner(self):
-        from repro.experiments.runner import EXPERIMENTS
-
-        assert "validation" in EXPERIMENTS
+        assert "validation" in available_experiments()
 
 
 class TestRunnerCli:

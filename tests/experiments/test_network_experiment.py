@@ -10,7 +10,6 @@ from repro.experiments.network import (
     DEFAULT_PATTERNS,
     DEFAULT_POLICIES,
     request_rate_for_load,
-    run_network,
     sweep_shards,
 )
 from repro.experiments.orchestrator import available_experiments, describe_grid, run_experiment
@@ -68,38 +67,40 @@ class TestDeterminismGuard:
         parallel = run_experiment("network", options=FAST_NETWORK, jobs=4)
         assert _render(serial) == _render(parallel)
 
-    def test_run_network_matches_orchestrated_grid(self):
-        direct = run_network(options=FAST_NETWORK)
-        text, rows = run_experiment("network", options=FAST_NETWORK)
-        assert direct.render_text() == text
-        assert rows_to_csv(direct.to_rows()) == rows_to_csv(rows)
+
+def _curve(rows: list[dict], pattern: str, policy: str) -> list[dict]:
+    """The load series of one (pattern, policy) curve."""
+    return [row for row in rows if row["pattern"] == pattern and row["policy"] == policy]
 
 
 class TestSweepContent:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_network(options=FAST_NETWORK)
+        return run_experiment("network", options=FAST_NETWORK)
 
     def test_every_point_delivers_traffic(self, result):
-        for row in result.rows:
+        _, rows = result
+        for row in rows:
             assert row["delivered_gbps"] > 0.0
             assert row["transfers_completed"] > 0
 
     def test_latency_grows_with_load(self, result):
+        _, rows = result
         for pattern in FAST_NETWORK["patterns"]:
             for policy in FAST_NETWORK["policies"]:
-                light, heavy = result.rows_for(pattern, policy)
+                light, heavy = _curve(rows, pattern, policy)
                 assert light["load"] < heavy["load"]
                 assert heavy["latency_p50_s"] > light["latency_p50_s"]
 
     def test_hotspot_saturates_before_uniform(self, result):
-        uniform = result.rows_for("uniform", "min-power")[-1]
-        hotspot = result.rows_for("hotspot", "min-power")[-1]
+        _, rows = result
+        uniform = _curve(rows, "uniform", "min-power")[-1]
+        hotspot = _curve(rows, "hotspot", "min-power")[-1]
         assert hotspot["latency_p99_s"] > uniform["latency_p99_s"]
         assert hotspot["delivered_gbps"] < uniform["delivered_gbps"]
 
     def test_report_renders_every_grid_point(self, result):
-        text = result.render_text()
+        text, _ = result
         for pattern in FAST_NETWORK["patterns"]:
             assert pattern in text
         assert text.count("min-power") == 6

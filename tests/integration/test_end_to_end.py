@@ -51,8 +51,8 @@ class TestAnalyticDesignVersusSimulation:
         assert output_ber(code, point.raw_channel_ber) == pytest.approx(target, rel=1e-6)
         # The simulated value sits within a factor of ~2 of the target: the
         # paper's Eq. 2 slightly underestimates the residual BER because a
-        # miscorrected double error adds a third erroneous bit (documented in
-        # EXPERIMENTS.md); the simulation includes that amplification.
+        # miscorrected double error adds a third erroneous bit; the
+        # simulation includes that amplification.
         assert target * 0.5 < result.measured_post_decoding_ber < target * 2.5
 
     def test_coded_link_beats_uncoded_link_at_equal_laser_power(self, rng):

@@ -53,10 +53,19 @@ class TestParetoUtilities:
         assert pareto_front([]) == []
 
     def test_paper_schemes_are_all_on_the_front(self):
-        from repro.experiments.figure6 import run_figure6b
+        from repro.experiments.orchestrator import run_experiment
 
-        result = run_figure6b(DEFAULT_CONFIG, target_bers=(1e-10,))
-        front_names = {p.code_name for p in result.front_for_ber(1e-10)}
+        _, rows = run_experiment("figure6b", options={"target_bers": [1e-10]})
+        cloud = [
+            _point(
+                row["code"],
+                row["communication_time"],
+                row["channel_power_mw"] / 1e3,
+                ber=row["target_ber"],
+            )
+            for row in rows
+        ]
+        front_names = {p.code_name for p in pareto_front(cloud)}
         assert front_names == {"w/o ECC", "H(71,64)", "H(7,4)"}
 
 

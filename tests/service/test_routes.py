@@ -123,6 +123,13 @@ class TestValidation:
         body = {"experiment": "table1", "jobs": 99}
         assert _post(context, "/jobs", body)[0] == 400
 
+    @pytest.mark.parametrize("workers", [True, False, 2.0])
+    def test_submit_worker_count_must_be_a_json_integer(self, context, workers):
+        body = {"experiment": "table1", "jobs": workers}
+        status, payload, _ = _post(context, "/jobs", body)
+        assert status == 400 and "jobs must be an integer" in payload["error"]
+        assert context.queue.jobs() == []
+
     def test_design_query_validation(self, context):
         assert _get(context, "/design")[0] == 400
         assert _get(context, "/design", {"code": "h(7,4)", "target_ber": "x"})[0] == 400
@@ -148,6 +155,11 @@ class TestValidation:
 
 class TestErrorsAreClientErrors:
     """Inputs the solvers or grid builders reject answer 400, never 500."""
+
+    _SHIPPED_EXPERIMENTS = (
+        "adaptive", "availability", "calibration", "figure3", "figure4", "figure5",
+        "figure6a", "figure6b", "headline", "network", "table1", "validation",
+    )
 
     @pytest.mark.parametrize(
         "code,target",
@@ -210,6 +222,40 @@ class TestErrorsAreClientErrors:
         assert status == 400 and f"at most {MAX_GRID_POINTS}" in payload["error"]
         assert context.queue.jobs() == []
 
+    @pytest.mark.parametrize(
+        "experiment, options",
+        [
+            ("table1", None),
+            ("figure5", {"target_bers": [1e-11, 2e-9, 3e-7], "codes": ["H(71,64)", "H(7,4)"]}),
+            ("figure5", {"codes": ["w/o ECC", "h(7,4)", "BCH(63,t=2)"], "shard_size": 1}),
+            ("validation", {"targets": [1e-3], "codes": ["H(7,4)"], "num_blocks": 10}),
+        ],
+    )
+    def test_submit_accepts_the_options_a_grid_reads(self, context, experiment, options):
+        status, _, _ = _post(context, "/jobs", {"experiment": experiment, "options": options})
+        assert status == 202
+
+    @pytest.mark.parametrize("experiment", _SHIPPED_EXPERIMENTS)
+    def test_submit_an_option_the_grid_does_not_read_is_400(self, context, experiment):
+        # Ignoring it would run the default grid under a job id of its own.
+        body = {"experiment": experiment, "options": {"target_berz": 1e-9}}
+        status, payload, _ = _post(context, "/jobs", body)
+        assert status == 400 and "target_berz" in payload["error"]
+        assert context.queue.jobs() == []
+
+    @pytest.mark.parametrize("experiment", ["figure5", "figure6a", "figure6b", "validation"])
+    @pytest.mark.parametrize("codes", [["H(7,4)", "H(8,4)"], ["nope"], "H(7,4)", [None]])
+    def test_submit_an_unknown_code_is_400(self, context, experiment, codes):
+        # A bare string would be read as one code name per character.
+        body = {"experiment": experiment, "options": {"codes": codes}}
+        assert _post(context, "/jobs", body)[0] == 400
+        assert context.queue.jobs() == []
+
+    def test_submit_figure5_shard_size_below_one_is_400(self, context):
+        body = {"experiment": "figure5", "options": {"shard_size": 0}}
+        status, payload, _ = _post(context, "/jobs", body)
+        assert status == 400 and "shard_size" in payload["error"]
+
     def test_submit_at_the_grid_cap_is_accepted(self, context):
         options = {"codes": ["h(7,4)"] * MAX_GRID_POINTS}
         status, _, _ = _post(context, "/jobs", {"experiment": "figure6a", "options": options})
@@ -237,10 +283,6 @@ class TestErrorsAreClientErrors:
         lambda children: st.lists(children, max_size=3)
         | st.dictionaries(st.text(max_size=4), children, max_size=2),
         max_leaves=6,
-    )
-    _SHIPPED_EXPERIMENTS = (
-        "adaptive", "availability", "calibration", "figure3", "figure4", "figure5",
-        "figure6a", "figure6b", "headline", "network", "table1", "validation",
     )
     _OPTION_KEYS = (
         "codes", "drifts", "loads", "mode", "num_blocks", "num_requests", "patterns",

@@ -19,12 +19,14 @@ import re
 import socket
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.coding.registry import get_code
+from repro.coding.registry import available_codes, get_code
 from repro.experiments.orchestrator import (
     GridFunctions,
     register_experiment,
@@ -33,6 +35,7 @@ from repro.experiments.orchestrator import (
 from repro.link.design import OpticalLinkDesigner
 from repro.service import ServiceConfig, SimulationService
 from repro.service.models import JobState
+from repro.service.server import MAX_BODY_BYTES
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -335,3 +338,122 @@ class TestWire:
             client_end.sendall(self.KEEP_ALIVE)
             client_end.close()
             handler(server_end, ("client", 0), server)
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1", b"1.5"])
+    def test_bad_content_length_is_400(self, bare_service, length):
+        # The handler thread must answer, not die with the connection open.
+        request = b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: %s\r\n\r\n{}" % length
+        response = _raw_exchange(bare_service, request)
+        assert _statuses(response) == [400]
+        assert b"Content-Length" in response
+
+
+@pytest.fixture(scope="module")
+def hostile_service(tmp_path_factory):
+    """One supervisor-less service for every example; its queue never fills."""
+    svc = SimulationService(
+        data_dir=str(tmp_path_factory.mktemp("hostile") / "data"),
+        service_config=ServiceConfig(max_queue_depth=1 << 20),
+        supervise=False,
+    )
+    svc.start()
+    yield svc
+    svc.stop(drain_timeout_s=5.0)
+
+
+class TestHostileInput:
+    """Whatever a client sends, it gets one 2xx or 4xx reply: no 5xx, no drop.
+
+    The generators follow a test-generator checklist: empty and null
+    values, malformed and non-UTF-8 query strings, bad and negative
+    ``Content-Length`` values, oversized and non-object bodies.
+    """
+
+    #: Without a supervisor ``/readyz`` and ``/jobs/<id>/cancel`` answer
+    #: 503 by design, so they are left out.
+    _PATHS = (
+        "/healthz", "/metricsz", "/design", "/jobs", "/jobs/0123456789abcdef",
+        "/jobs/0123456789abcdef/result", "/", "/nope",
+    )
+    #: Written into the request line as they are: malformed escapes,
+    #: escaped and raw non-UTF-8 bytes, empty and null values.
+    _RAW_QUERY_PARTS = (
+        "", "=", "&&", "null", "%", "%zz", "%ff%fe", "%C3%28", "\x80\xff", "a=%00", ";",
+    )
+    _JSON_SCALAR = (
+        st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=8)
+    )
+    _JOB = st.fixed_dictionaries(
+        {},
+        optional={
+            "experiment": st.sampled_from(["table1", "figure5", "network", EXPERIMENT])
+            | _JSON_SCALAR,
+            "options": st.dictionaries(st.text(max_size=8), _JSON_SCALAR, max_size=2)
+            | _JSON_SCALAR,
+            "jobs": _JSON_SCALAR,
+        },
+    )
+    _BODY = (
+        st.none()
+        | st.builds(
+            lambda doc: json.dumps(doc).encode("utf-8"),
+            _JOB | st.lists(_JSON_SCALAR, max_size=3) | _JSON_SCALAR,
+        )
+        | st.binary(max_size=16)
+    )
+    #: ``None``: no header; ``"exact"``: the body's length.
+    _LENGTH = (
+        st.sampled_from(
+            [None, "exact", "", " ", "abc", "-1", "-100", "1.5", "0x10", "1e3", "\xff",
+             str(MAX_BODY_BYTES + 1), "9" * 30]
+        )
+        | st.integers(-5, 64).map(str)
+    )
+
+    @staticmethod
+    def _query(pairs, raw) -> str:
+        escaped = [
+            urllib.parse.quote(key, safe="") + "=" + urllib.parse.quote(value, safe="")
+            for key, value in pairs
+        ]
+        return "&".join(escaped + raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        method=st.sampled_from(["GET", "POST"]),
+        path=st.sampled_from(_PATHS),
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from(["code", "target_ber"]) | st.text(max_size=6),
+                st.sampled_from(["", "null", "nan", "-1", "1e-9", *available_codes()])
+                | st.text(max_size=8),
+            ),
+            max_size=3,
+        ),
+        raw=st.lists(st.sampled_from(_RAW_QUERY_PARTS), max_size=3),
+        body=_BODY,
+        length=_LENGTH,
+    )
+    def test_every_request_gets_a_2xx_or_4xx_reply(
+        self, hostile_service, method, path, pairs, raw, body, length
+    ):
+        query = self._query(pairs, raw)
+        target = path + ("?" + query if query else "")
+        head = f"{method} {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        if length == "exact":
+            length = str(len(body or b""))
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
+        request = (head + "\r\n").encode("latin-1") + (body or b"")
+        with socket.create_connection(
+            (hostile_service.host, hostile_service.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            # A Content-Length longer than the body then reads a short body.
+            sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        response = b"".join(chunks)
+        status_line = response.split(b"\r\n", 1)[0]
+        assert re.fullmatch(rb"HTTP/1\.[01] [24]\d\d .*", status_line), (request, response[:200])
