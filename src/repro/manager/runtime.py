@@ -158,7 +158,8 @@ class AdaptiveEccController:
         retargets the smallest level covering the true multiplier), the
         other modes only switch from :meth:`observe`.
         """
-        level = self.level(channel)
+        # ``level`` inline: the engine asks once per arrival.
+        level = self._levels.get(channel, self._initial_level)
         if self.mode == "oracle" and true_multiplier is not None:
             target = next(
                 (
@@ -207,12 +208,15 @@ class AdaptiveEccController:
         """Feed one attempt's failure telemetry; returns True on a switch."""
         if self.mode != "adaptive":
             return False
-        estimate = self._monitor_for(channel).observe(
-            blocks, observed_events, expected_events
-        )
+        # ``_monitor_for`` and ``level`` inline: the engine feeds every
+        # clean departure.
+        monitor = self._monitors.get(channel)
+        if monitor is None:
+            monitor = self._monitor_for(channel)
+        estimate = monitor.observe(blocks, observed_events, expected_events)
         if estimate is None:
             return False
-        level = self.level(channel)
+        level = self._levels.get(channel, self._initial_level)
         delta = self._switching_policy.decide(
             estimate, self.margins, level, self._calm.get(channel, 0)
         )

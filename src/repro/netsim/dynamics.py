@@ -31,7 +31,6 @@ reproducible across platforms.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -66,8 +65,8 @@ class ConstantDrift(DriftProcess):
     """A channel whose conditions never change (multiplier fixed)."""
 
     def __init__(self, multiplier: float = 1.0):
-        if multiplier < 1.0:
-            raise ConfigurationError("drift multipliers are >= 1 (nominal point)")
+        if not 1.0 <= multiplier < math.inf:
+            raise ConfigurationError("drift multipliers are finite and >= 1 (nominal point)")
         self.worst_case_multiplier = float(multiplier)
 
     def multiplier_at(self, time_s: float) -> float:
@@ -83,10 +82,14 @@ class ThermalSinusoidDrift(DriftProcess):
     """
 
     def __init__(self, *, period_s: float, peak_multiplier: float, phase_rad: float = 0.0):
-        if period_s <= 0.0:
-            raise ConfigurationError("thermal period must be positive")
-        if peak_multiplier < 1.0:
-            raise ConfigurationError("peak multiplier must be at least 1")
+        # Chained comparisons reject NaN and inf too: either would make the
+        # multiplier NaN or constant, silently switching the drift off.
+        if not 0.0 < period_s < math.inf:
+            raise ConfigurationError("thermal period must be positive and finite")
+        if not 1.0 <= peak_multiplier < math.inf:
+            raise ConfigurationError("peak multiplier must be finite and at least 1")
+        if not -math.inf < phase_rad < math.inf:
+            raise ConfigurationError("thermal phase must be finite")
         self.period_s = float(period_s)
         self.worst_case_multiplier = float(peak_multiplier)
         self.phase_rad = float(phase_rad)
@@ -106,10 +109,10 @@ class AgingRampDrift(DriftProcess):
     """
 
     def __init__(self, *, ramp_multiplier: float, ramp_time_s: float):
-        if ramp_multiplier < 1.0:
-            raise ConfigurationError("ramp multiplier must be at least 1")
-        if ramp_time_s <= 0.0:
-            raise ConfigurationError("ramp time must be positive")
+        if not 1.0 <= ramp_multiplier < math.inf:
+            raise ConfigurationError("ramp multiplier must be finite and at least 1")
+        if not 0.0 < ramp_time_s < math.inf:
+            raise ConfigurationError("ramp time must be positive and finite")
         self.worst_case_multiplier = float(ramp_multiplier)
         self.ramp_time_s = float(ramp_time_s)
         self._log_ramp = math.log(self.worst_case_multiplier)
@@ -144,12 +147,12 @@ class RandomWalkDrift(DriftProcess):
     ):
         from ..coding.montecarlo import resolve_rng
 
-        if step_s <= 0.0:
-            raise ConfigurationError("random-walk step must be positive")
-        if max_multiplier < 1.0:
-            raise ConfigurationError("max multiplier must be at least 1")
-        if log2_sigma < 0.0:
-            raise ConfigurationError("walk sigma cannot be negative")
+        if not 0.0 < step_s < math.inf:
+            raise ConfigurationError("random-walk step must be positive and finite")
+        if not 1.0 <= max_multiplier < math.inf:
+            raise ConfigurationError("max multiplier must be finite and at least 1")
+        if not 0.0 <= log2_sigma < math.inf:
+            raise ConfigurationError("walk sigma must be finite and non-negative")
         self.step_s = float(step_s)
         self.worst_case_multiplier = float(max_multiplier)
         self.log2_sigma = float(log2_sigma)
@@ -217,11 +220,14 @@ class ChannelDriftModel:
         ]
         self._quantization = int(quantization_steps_per_octave)
         self.num_channels = int(num_channels)
-        # Immutable after construction; cached because multiplier() sits in
-        # the engine's per-attempt hot path.
         self._worst_case = max(
             process.worst_case_multiplier for process in self._processes
         )
+        # Immutable after construction, and called once per attempt by the
+        # engine: one closure per channel, built once.
+        self._lookups = [
+            self._quantized_lookup(process.multiplier_at) for process in self._processes
+        ]
 
     @property
     def worst_case_multiplier(self) -> float:
@@ -239,23 +245,34 @@ class ChannelDriftModel:
     def multiplier_lookup(self, channel: int) -> Callable[[float], float]:
         """The quantised multiplier of one channel as a ``time_s -> m`` callable.
 
-        The engines bind one lookup per channel at run start instead of
+        The engine binds one lookup per channel at run start instead of
         resolving ``multiplier(channel, t)`` per attempt.
         """
-        return partial(self._quantized, self.process(channel).multiplier_at)
+        self.process(channel)
+        return self._lookups[channel]
 
     def multiplier(self, channel: int, time_s: float) -> float:
         """Quantised raw-BER multiplier of ``channel`` at ``time_s``."""
-        return self._quantized(self.process(channel).multiplier_at, time_s)
+        self.process(channel)
+        return self._lookups[channel](time_s)
 
-    def _quantized(self, multiplier_at: Callable[[float], float], time_s: float) -> float:
-        if not 0.0 <= time_s < math.inf:
-            raise ConfigurationError("simulation time must be finite and non-negative")
-        raw = multiplier_at(time_s)
-        if raw <= 1.0:
-            return 1.0
-        quantized = round(math.log2(raw) * self._quantization) / self._quantization
-        return min(2.0 ** quantized, self._worst_case)
+    def _quantized_lookup(
+        self, multiplier_at: Callable[[float], float]
+    ) -> Callable[[float], float]:
+        steps = self._quantization
+        worst_case = self._worst_case
+        inf = math.inf
+        log2 = math.log2
+
+        def quantized(time_s: float) -> float:
+            if not 0.0 <= time_s < inf:
+                raise ConfigurationError("simulation time must be finite and non-negative")
+            raw = multiplier_at(time_s)
+            if raw <= 1.0:
+                return 1.0
+            return min(2.0 ** (round(log2(raw) * steps) / steps), worst_case)
+
+        return quantized
 
 
 #: Built-in drift profiles selectable by name in the ``adaptive`` experiment.
@@ -287,8 +304,8 @@ def make_drift_model(
         )
     if profile == "none":
         return None
-    if timescale_s <= 0.0:
-        raise ConfigurationError("drift timescale must be positive")
+    if not 0.0 < timescale_s < math.inf:
+        raise ConfigurationError("drift timescale must be positive and finite")
     options = dict(options or {})
     quantization = int(options.pop("quantization_steps_per_octave", 16))
 

@@ -45,6 +45,7 @@ against it, byte for byte.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple
 
@@ -505,8 +506,11 @@ class NetworkSimulator:
                 "a custom fault model fixes the raw BER; it cannot be combined "
                 "with channel dynamics"
             )
-        if trace_interval_s is not None and trace_interval_s <= 0.0:
-            raise ConfigurationError("trace interval must be positive")
+        # Chained comparisons reject NaN too: a NaN interval, backoff or
+        # timeout would pass a plain ``<= 0`` check and silently corrupt the
+        # run (a NaN deadline turns every retry into a drop).
+        if trace_interval_s is not None and not 0.0 < trace_interval_s < math.inf:
+            raise ConfigurationError("trace interval must be positive and finite")
         if failures is not None:
             if mode != "probabilistic":
                 raise ConfigurationError(
@@ -530,7 +534,7 @@ class NetworkSimulator:
                 raise ConfigurationError(
                     "a degradation ladder reacts to hard faults; pass failures too"
                 )
-            if retry_backoff_s <= 0.0:
+            if not retry_backoff_s > 0.0:
                 raise ConfigurationError(
                     "a degradation ladder defers through the backed-off retry "
                     "path; retry_backoff_s must be positive"
@@ -540,9 +544,9 @@ class NetworkSimulator:
                     "the degradation ladder's wavelength count must match the "
                     "interconnect"
                 )
-        if retry_backoff_s < 0.0:
-            raise ConfigurationError("retry backoff cannot be negative")
-        if transfer_timeout_s is not None and transfer_timeout_s <= 0.0:
+        if not 0.0 <= retry_backoff_s < math.inf:
+            raise ConfigurationError("retry backoff must be finite and non-negative")
+        if transfer_timeout_s is not None and not transfer_timeout_s > 0.0:
             raise ConfigurationError("transfer timeout must be positive")
         self.config = config
         self.manager = manager if manager is not None else OpticalLinkManager(config=config)
@@ -891,16 +895,20 @@ class NetworkSimulator:
             state.attempt_raw_ber = None
             return
         state.attempt_blacked_out = False
+        state.attempt_raw_ber = self._attempt_raw_ber(state.design_raw_ber, health, action)
+
+    def _attempt_raw_ber(self, design_raw_ber: float, health, action) -> float:
+        """Raw BER of an attempt started on a channel that is up (see above)."""
         penalty = health.ber_penalty_multiplier
         if action is not None:
-            raw = state.design_raw_ber * (penalty / action.derate_factor)
+            raw = design_raw_ber * (penalty / action.derate_factor)
         else:
-            raw = state.design_raw_ber * penalty
+            raw = design_raw_ber * penalty
             lost = self.config.num_wavelengths - health.wavelengths_available
             if lost > 0:
                 fraction = lost / self.config.num_wavelengths
                 raw = fraction * 0.5 + (1.0 - fraction) * raw
-        state.attempt_raw_ber = min(1.0, raw)
+        return min(1.0, raw)
 
     def _retry_delay_s(self, state) -> float:
         """Exponential backoff: doubles with every re-attempt already consumed."""

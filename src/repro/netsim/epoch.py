@@ -5,97 +5,105 @@ This module is the event loop behind
 per-event heap loop (one event object per state change, one handler call
 per event — the test suite keeps that loop as its oracle,
 ``tests/netsim/oracle.py``), restructured so the hot path is array-shaped.
-Two structural changes carry it:
+One loop serves every run; three structural changes carry it:
 
 **Merge-ordered events.**  The bulk of the event stream (arrivals, fault
 transitions) is known before the run starts, so it is sequenced and sorted
 once and consumed by cursor; only run-time events (departures, retries) go
 through a small tuple heap (:class:`~repro.netsim.events.EpochEventCore`).
-No per-event object allocation, no Python ``__lt__`` calls.
+The loop pops the core inline: the next static event is compared with the
+heap's top by time alone, because every static sequence number is smaller
+than every dynamic one, so a static event wins a tie.  No per-event object
+allocation, no Python ``__lt__`` calls.
 
 **Flush-on-demand epoch sampling.**  The schedule-time sampling contract
 (see :mod:`repro.netsim.outcomes`) fixes an attempt's primary draw to
 exactly one double, compared against the attempt-level failure
 probability, and resolves failing attempts from a separate stream.  The
-core therefore does not draw when an attempt is scheduled — it
-queues ``(attempt, failure probability)`` and keeps processing events.
-The moment a departure pops whose outcome is still queued, the epoch
-*flushes*: one ``Generator.random`` call covers every queued attempt in
-schedule order, and only the flagged attempts — rare at the BERs links
-are designed for — run the conditional per-attempt resolution.  An epoch
-is thus the longest stretch of events with no data dependency on an
-undrawn outcome (in steady state: the set of in-flight attempts).
+core therefore does not draw when an attempt is scheduled — it queues the
+attempt's gate and keeps processing events.  The moment a departure pops
+whose gate is still queued, the epoch *flushes*: one ``Generator.random``
+call covers every queued gate in schedule order, and only the flagged
+attempts — rare at the BERs links are designed for — run the conditional
+per-attempt resolution.  An epoch is thus the longest stretch of events
+with no data dependency on an undrawn outcome (in steady state: the set of
+in-flight attempts).
 
-**Static fast path.**  A run with no fault timeline, no channel dynamics,
-no adaptive controller and no interval trace (the common sweep and
-benchmark shape) additionally skips the per-event object machinery
-entirely: every transfer is parked in the departure heap as its
-*optimistic* finished :class:`~repro.netsim.engine.NetTransferRecord`
-with its gate queued for the next epoch flush; the rare attempts the
-flush flags are swapped for a stateful fallback before their departure
-pops, so clean transfers allocate no ``_TransferState`` and call no
-engine method.  Its arrivals replay a memo keyed on ``(target BER,
-payload bits)`` that holds the transfer's precomputed fields (packets,
-duration, energy, gate probability, coded bits); a miss computes them
-from a per-target decision memo and asks the manager only when that
-misses too — a :class:`~repro.manager.policies.SelectionPolicy` never
-sees the request, so its decision cannot depend on the payload, and
-variable-payload (bursty) traffic costs one ``configure`` per target
-BER.  Event order, stream consumption and every float expression are
-unchanged, so the fast path is byte-identical to the general loop and to
-the oracle.
+**Parked first attempts.**  In a probabilistic run a transfer's first
+attempt is computed in full when the transfer arrives: its margin and the
+channel's reconfiguration block, its health and ladder action, the arbiter
+start, its drifted or fault-penalised raw BER, gate probability and energy.
+When the channel is up and serves it, the attempt is *parked*: it goes into
+the departure heap as the finished
+:class:`~repro.netsim.engine.NetTransferRecord` it has when its gate comes
+back clean, with the gate queued for the next flush.  A parked transfer
+allocates no ``_TransferState`` and calls no engine method.  When its
+record pops, the adaptive controller's telemetry (one draw on the
+telemetry stream, then ``observe``) and the interval trace's departure
+terms are charged, where the oracle's departure handler charges them.  A
+flush that flags a parked gate swaps in the stateful transfer the record
+stood in for, before its departure pops.  Every other attempt is stateful
+and goes through the one ``schedule_attempt``: re-attempts, deferred
+retries, first attempts on a channel the ladder finds down or does not
+serve (deferred or dropped), first attempts that start in a blackout
+(certain loss), and every attempt of a bit-exact run.
 
 **Determinism argument.**  Event order is byte-identical to the oracle's
-because :class:`EpochEventCore` implements the same
-``(time, insertion-sequence)`` total order over the same push sequence.
-Randomness is byte-identical because ``Generator.random`` fills requests
-sequentially from the bit stream — one flush of N queued attempts consumes
-exactly the same doubles, in the same order, as N schedule-time draws —
-and because everything data-dependent happens on the resolution stream in
-the same (schedule) order in both loops.  Everything else (arbiter math,
-float accumulation order, record layout) runs the same expressions in the
-same event order.  ``tests/netsim/test_engine_parity.py`` pins all of this
-against the oracle across the full fault x dynamics x policy grid.
+because the core implements the same ``(time, insertion-sequence)`` total
+order over the same push sequence: a parked record takes the sequence
+number the oracle's DEPARTURE push takes, from the core's one counter,
+which the cold handlers' RETRY pushes advance too.  Randomness is
+byte-identical because ``Generator.random`` fills requests sequentially
+from the bit stream — one flush of N queued gates consumes exactly the
+same doubles, in the same order, as N schedule-time draws — and because
+everything data-dependent happens on the resolution stream in the same
+(schedule) order, and on the telemetry stream in the same (departure)
+order, in both loops.  Parking moves no computation across an event: what
+the oracle's ``_schedule_attempt`` computes reads only state as of the
+arrival, and what its departure handler does for a clean attempt reads only
+state as of the departure pop.  Everything else (arbiter math, float
+accumulation order, record layout) runs the same expressions in the same
+event order.  ``tests/netsim/test_engine_parity.py`` pins all of this
+against the oracle across the full fault x dynamics x policy grid, and
+``tests/netsim/test_parked_parity.py`` over drawn run configurations.
 
-**Memoized arrivals.**  The general loop memoizes the manager's answer,
-with the configuration's constants (code name, channel power, coded bits
-per packet, design-BER disturb probability) resolved once, per
-``(target BER, margin)`` — :meth:`~repro.manager.manager.OpticalLinkManager.configure`
-is deterministic given those plus the engine-constant policy, so replaying
+**Memoized arrivals.**  The loop memoizes the manager's answer, with the
+configuration's constants (code name, channel power, coded bits per
+packet, design-BER disturb probability) resolved once, per
+``(target BER, margin)`` —
+:meth:`~repro.manager.manager.OpticalLinkManager.configure` is
+deterministic given those plus the engine-constant policy, so replaying
 the cached configuration is result-identical (only the manager's private
 active-pair registry and configuration-id counter advance differently,
-neither of which is observable in a :class:`NetworkResult`).  Under a
-degradation ladder the key is ``(target BER, margin, ChannelHealth)``:
-the health is a frozen value object, the ladder's
-:meth:`~repro.manager.policies.DegradationLadder.action_for` is a pure
-function of it, and ``configure`` is deterministic given the margin the
-action derives — so the whole answer (configuration, or the channel
-declared down, or :class:`~repro.exceptions.InfeasibleDesignError`) is
-replayed, and the ladder counters ``configure_degraded`` publishes are
-republished on every hit.  Both loops send requests that fail cheap
-validity checks (source == destination, payload <= 0, an ONI out of
-range) down the real manager path, so error behaviour stays identical
-too.  The general loop also replays the arbiter recurrence and the
-clean-departure finalisation inline, with the expressions of
-:meth:`TokenArbiter.request` and ``_finalize_transfer``; with an interval
-trace it charges the attempt's and the clean departure's terms to the
-bucket ``int(t // interval)`` inline as well (only the non-zero terms of
-``_charge_trace``, whose zero terms leave a bucket unchanged).  Faults,
-controller switches, downtime and failed or dropped transfers still go
-through the engine's ``_charge_trace``/``_finalize_transfer``.  Per-attempt
-drift and health queries go through per-channel lookups bound once per run
-(:meth:`~repro.netsim.dynamics.ChannelDriftModel.multiplier_lookup`,
-:meth:`~repro.netsim.failures.HardFaultModel.timeline`), the same
-functions the models' own ``multiplier``/``health`` call.
+neither of which is observable in a :class:`NetworkResult`).  A
+:class:`~repro.manager.policies.SelectionPolicy` never sees the payload, so
+variable-payload (bursty) traffic costs one ``configure`` per key; the
+payload's own fields (packets, coded bits, nominal duration and energy) are
+memoized per payload on top.  Under a degradation ladder the key adds the
+channel's health: the fault model's healths are interned to small integers
+per run (:meth:`~repro.netsim.failures.HardFaultModel.health_index_lookups`),
+the ladder's :meth:`~repro.manager.policies.DegradationLadder.action_for`
+is a pure function of the health, and ``configure`` is deterministic given
+the margin the action derives — so the whole answer (configuration, or the
+channel declared down, or :class:`~repro.exceptions.InfeasibleDesignError`)
+is replayed, and the ladder counters ``configure_degraded`` publishes are
+republished on every hit.  Requests that fail cheap validity checks
+(source == destination, payload <= 0, an ONI out of range) take the real
+manager path, so error behaviour stays identical too.  Faults, controller
+switches, downtime and failed or dropped transfers go through the engine's
+``_charge_trace``/``_finalize_transfer``.  Per-attempt drift and health
+queries go through per-channel lookups bound once per run
+(:meth:`~repro.netsim.dynamics.ChannelDriftModel.multiplier_lookup`, the
+health index lookups), the same closures the models' own queries answer
+from.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import chain
-from typing import Iterable
-
 from time import perf_counter
+from typing import Iterable
 
 from ..exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
 from ..manager.manager import CommunicationRequest
@@ -109,10 +117,7 @@ from .outcomes import TransmissionOutcome, packets_for_payload
 
 __all__ = ["run_batched"]
 
-#: ``pending_outcome`` sentinel: the attempt sits in the flush queue.
-_QUEUED = object()
-
-#: Configuration-memo sentinel: requests under this key are infeasible.
+#: Link-constants sentinel of a decision: the target is infeasible.
 _REJECTED = object()
 
 
@@ -144,35 +149,24 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         raise ConfigurationError("a simulation needs at least one request")
     run = _RunState(queue=core)
 
-    if (
-        sim.mode == "probabilistic"
-        and controller is None
-        and failures is None
-        and sim._dynamics is None
-        and sim._degradation is None
-        and sim._trace_interval_s is None
-    ):
-        return _run_static_fast(sim, run, core)
-
     # ------------------------------------------------------------- hot locals
     manager = sim.manager
-    manager_release = manager.release
     policy = sim.policy
     dynamics = sim._dynamics
     degradation = sim._degradation
     probabilistic = sim.mode == "probabilistic"
+    packet_bits = sim.packet_bits
+    retry_budget = sim.max_retries if sim.crc is not None else 0
+    timeout_s = sim.transfer_timeout_s
+    backoff_s = sim.retry_backoff_s
+    num_onis = sim.config.num_onis
+    num_wavelengths = sim.config.num_wavelengths
+    channel_rate = sim.channel_rate_bits_per_s
+    if controller is not None:
+        margin_for = controller.margin_for
+        blocked_until = controller.blocked_until
+        observe = controller.observe
     wants_obs = controller is not None and controller.wants_observations
-    # Per-channel drift and health lookups, bound once for the run.
-    drift_at = (
-        [dynamics.multiplier_lookup(c) for c in range(dynamics.num_channels)]
-        if dynamics is not None
-        else None
-    )
-    health_at = (
-        [failures.timeline(c).health_at for c in range(failures.num_channels)]
-        if failures is not None
-        else None
-    )
     # ``margin_for`` reads the true drift multiplier only in oracle mode, so
     # no other mode queries the drift at arrival (drift processes are pure
     # in (channel, time): a skipped query moves no stream).  The query runs
@@ -181,14 +175,27 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     arrival_drift = (
         dynamics if controller is not None and controller.mode == "oracle" else None
     )
+    # Per-channel drift and health lookups, bound once for the run.  Fault
+    # healths are interned: a lookup returns an index into ``healths``.
+    drift_at = (
+        [dynamics.multiplier_lookup(c) for c in range(dynamics.num_channels)]
+        if dynamics is not None
+        else None
+    )
+    healths = health_index_at = services = None
+    if failures is not None:
+        healths, health_index_at = failures.health_index_lookups()
+        if degradation is not None:
+            #: health index -> (action, wavelengths, rate factor) of the
+            #: ladder at that health, or ``None`` when the channel is down or
+            #: the ladder does not serve it (the stateful path defers or
+            #: drops).  ``action_for`` is pure, so every health is resolved
+            #: once up front.
+            services = [_service(degradation, health, num_wavelengths) for health in healths]
     need_design_raw = dynamics is not None or failures is not None
-    packet_bits = sim.packet_bits
-    retry_budget = sim.max_retries if sim.crc is not None else 0
-    timeout_s = sim.transfer_timeout_s
-    backoff_s = sim.retry_backoff_s
-    num_onis = sim.config.num_onis
-    num_wavelengths = sim.config.num_wavelengths
-    channel_rate = sim.channel_rate_bits_per_s
+    # Without drift or faults every attempt runs at its sampler's design raw
+    # BER, so a transfer's gate is fixed by its payload entry.
+    fixed_raw = probabilistic and not need_design_raw
     trace_interval_s = sim._trace_interval_s
     trace_on = trace_interval_s is not None
     trace = run.trace
@@ -196,53 +203,85 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     resolve_rng = sim._resolve_rng
     telemetry_binomial = sim._telemetry_rng.binomial
     arbiters = run.arbiters
-    busy_s = run.busy_s
     active_pairs = run.active_pairs
-    records = run.records
-    records_append = records.append
+    records_append = run.records.append
     push = core.push
-    pop = core.pop
+    heap = core._heap
     Record = NetTransferRecord
+    State = _TransferState
+    # NamedTuple construction normally routes through a generated Python
+    # __new__; building the tuple directly halves the cost of a parked
+    # record, the one per-transfer allocation a clean transfer has.
     tuple_new = tuple.__new__
     ARRIVAL = EventKind.ARRIVAL
     DEPARTURE = EventKind.DEPARTURE
     RETRY = EventKind.RETRY
 
-    #: (target BER, margin) -> (sampler, link constants, design raw BER),
-    #: or ``_REJECTED`` when the manager finds the target infeasible.
-    memo: dict[tuple, tuple] = {}
-    #: (target BER, margin, health) -> (link constants, action, sampler,
-    #: design raw BER); the link constants are ``None`` when the ladder
-    #: declares the channel down and ``_REJECTED`` when it is infeasible.
-    degraded_memo: dict[tuple, tuple] = {}
-    #: ChannelHealth -> DegradationAction.
-    actions: dict = {}
+    #: (target BER, margin[, health index]) -> (link constants, sampler,
+    #: design raw BER, ladder action): the manager's answer.  The link
+    #: constants are ``None`` when the ladder declares the channel down and
+    #: ``_REJECTED`` when the target is infeasible.
+    decisions: dict[tuple, tuple] = {}
+    #: (target BER, margin[, health index], payload bits) -> a served
+    #: decision plus the payload's fields: (link constants, sampler, design
+    #: raw BER, packets, coded bits, nominal duration, nominal energy,
+    #: ladder action, gate probability, telemetry) — the gate (see
+    #: ``gates``) only when the raw BER is fixed, else ``None, None``.
+    transfers: dict[tuple, tuple] = {}
+    #: (sampler, packets, raw BER) -> (gate probability, telemetry): the
+    #: telemetry is ``(blocks, disturb probability, expected events)`` when
+    #: the controller watches failures, else ``None``.
+    gates: dict[tuple, tuple] = {}
+    #: (design raw BER, start health index, request health index or -1) ->
+    #: the attempt's raw BER on a channel that is up.
+    raws: dict[tuple, float] = {}
     #: destination -> inline arbiter state (see :func:`_channel_state`).
     channels: dict[int, list] = {}
-    #: Flush queue: (state, sampler, packets, failure prob, raw BER) per
-    #: queued attempt, in schedule order.
+    #: Flush queue of undrawn gates, in schedule order.  A stateful attempt
+    #: queues ``(seq, gate probability, sampler, packets, raw BER, state)``,
+    #: a parked one ``(seq, gate probability, sampler, packets, raw BER,
+    #: record, request, link constants, design raw BER)``; ``seq`` is its
+    #: departure's sequence number.
     pending: list[tuple] = []
+    pending_append = pending.append
+    #: seq -> the stateful transfer of a parked first attempt the flush
+    #: flagged, taken when its departure pops.
+    flagged: dict[int, object] = {}
 
     tracer = obs_tracing.ACTIVE
     registry = obs_metrics.ACTIVE
 
     def flush() -> None:
-        """Resolve every queued attempt's outcome in one epoch-wide draw."""
+        """Resolve every queued gate in one epoch-wide primary draw.
+
+        Only the flagged attempts change: a gated state whose
+        ``pending_outcome`` stays ``None`` came back clean, so the
+        departure path skips the TransmissionOutcome allocation entirely.
+        """
         begin = perf_counter() if tracer is not None else 0.0
         attempts = len(pending)
         uniforms = rng_random(attempts)
-        for uniform, (state, sampler, packets, fail_p, raw) in zip(
-            uniforms.tolist(), pending
-        ):
-            if uniform < fail_p:
-                state.pending_outcome = sampler.resolve_failed_attempt(
-                    packets, raw_ber=raw, resolve_rng=resolve_rng
+        for uniform, item in zip(uniforms.tolist(), pending):
+            if uniform < item[1]:
+                outcome = item[2].resolve_failed_attempt(
+                    item[3], raw_ber=item[4], resolve_rng=resolve_rng
                 )
-            else:
-                # No failed block anywhere: the outcome is the trivial
-                # clean one, represented as None so the departure fast
-                # path skips the TransmissionOutcome allocation entirely.
-                state.pending_outcome = None
+                payload = item[5]
+                if type(payload) is Record:
+                    # A flagged parked attempt: materialise the stateful
+                    # transfer its record stood in for.
+                    payload = flagged[item[0]] = first_attempt_state(
+                        item[6],
+                        item[2],
+                        item[7],
+                        item[3],
+                        item[8],
+                        payload[5],
+                        payload[14],
+                        payload[15],
+                    )
+                    payload.attempt_raw_ber = item[4]
+                payload.pending_outcome = outcome
         pending.clear()
         run.epoch_flushes += 1
         if tracer is not None:
@@ -265,6 +304,99 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             bucket = trace[index] = list(EMPTY_TRACE_BUCKET)
         return bucket
 
+    def new_state(request, sampler, link, packets: int, design_raw: float):
+        """The stateful bookkeeping of one transfer, registered in flight."""
+        state = State(
+            request=request,
+            sampler=sampler,
+            link=link,
+            packets_total=packets,
+            packets_remaining=packets,
+            retries_left=retry_budget,
+        )
+        state.design_raw_ber = design_raw
+        if timeout_s is not None:
+            # The arrival event's time, as the core holds it.
+            state.deadline_s = float(request.arrival_time_s) + timeout_s
+        pair = (request.source, request.destination)
+        active_pairs[pair] = active_pairs.get(pair, 0) + 1
+        return state
+
+    def first_attempt_state(
+        request, sampler, link, packets, design_raw, start_s, coded_bits, energy_j
+    ):
+        """The stateful transfer of a first attempt scheduled at arrival."""
+        state = new_state(request, sampler, link, packets, design_raw)
+        state.first_start_s = start_s
+        state.attempts = 1
+        state.packets_sent = packets
+        state.coded_bits_sent = coded_bits
+        state.energy_j = energy_j
+        return state
+
+    def decide(request, time_s: float, margin: float, index, suspect: bool) -> tuple:
+        """The manager's answer for one request (see ``decisions``).
+
+        Replayed from the memo unless the request is suspect, which always
+        asks the manager so validation errors surface exactly as in the
+        oracle.
+        """
+        target_ber = request.target_ber
+        key = (target_ber, margin) if degradation is None else (target_ber, margin, index)
+        if not suspect:
+            decision = decisions.get(key)
+            if decision is not None:
+                if degradation is not None and registry is not None:
+                    _republish(registry, decision[3])
+                return decision
+        communication = CommunicationRequest(
+            source=request.source,
+            destination=request.destination,
+            target_ber=target_ber,
+            payload_bits=request.payload_bits,
+            policy=policy,
+        )
+        link = sampler = action = None
+        design_raw = 0.0
+        try:
+            if degradation is None:
+                configuration = manager.configure(communication, margin_multiplier=margin)
+            else:
+                health = (
+                    failures.health(request.destination, time_s)
+                    if suspect
+                    else healths[index]
+                )
+                configuration, action = manager.configure_degraded(
+                    communication, health, degradation, base_margin_multiplier=margin
+                )
+        except InfeasibleDesignError:
+            link = _REJECTED
+            if degradation is not None:
+                action = degradation.action_for(health)
+        else:
+            if configuration is not None:
+                sampler = sim._sampler_for(configuration)
+                link = sim._link_constants(configuration, sampler)
+                if need_design_raw:
+                    design_raw = sim._raw_ber_for(configuration)
+        decision = (link, sampler, design_raw, action)
+        if not suspect:
+            decisions[key] = decision
+        return decision
+
+    def gate_for(sampler, packets: int, raw, link) -> tuple:
+        """An attempt's gate probability and telemetry (see ``gates``)."""
+        fail_p = sampler.attempt_failure_probability(packets, raw)
+        if not wants_obs:
+            return fail_p, None
+        blocks = packets * sampler.blocks_per_packet
+        return fail_p, (
+            blocks,
+            sampler.block_disturb_probability(raw),
+            blocks * link.design_disturb_probability,
+        )
+
     def schedule_attempt(state, now_s: float, not_before_s: float | None = None) -> None:
         """Mirror of the oracle's ``_schedule_attempt`` with queued sampling."""
         request = state.request
@@ -273,25 +405,25 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         if not_before_s is not None and not_before_s > request_time_s:
             request_time_s = not_before_s
         if controller is not None:
-            blocked = controller.blocked_until(destination)
+            blocked = blocked_until(destination)
             if blocked > request_time_s:
                 request_time_s = blocked
         wavelengths = num_wavelengths
         rate_factor = 1.0
         action = None
         if degradation is not None:
-            health = health_at[destination](request_time_s)
-            if health.down:
-                sim._defer_or_drop(state, now_s, health, run)
+            index = health_index_at[destination](request_time_s)
+            service = services[index]
+            if service is None:
+                health = healths[index]
+                if health.down:
+                    sim._defer_or_drop(state, now_s, health, run)
+                else:
+                    sim._finalize_transfer(
+                        state, now_s, run, dropped=state.packets_remaining
+                    )
                 return
-            action = actions.get(health)
-            if action is None:
-                action = actions[health] = degradation.action_for(health)
-            if not action.serve:
-                sim._finalize_transfer(state, now_s, run, dropped=state.packets_remaining)
-                return
-            wavelengths = action.wavelengths
-            rate_factor = (num_wavelengths / wavelengths) * action.derate_factor
+            action, wavelengths, rate_factor = service
         sampler = state.sampler
         link = state.link
         remaining = state.packets_remaining
@@ -323,28 +455,32 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         if drift_at is not None:
             multiplier = drift_at[destination](start_s)
             state.attempt_raw_ber = min(1.0, state.design_raw_ber * multiplier)
-        elif health_at is not None:
-            sim._apply_attempt_health(state, health_at[destination](start_s), action)
+        elif healths is not None:
+            sim._apply_attempt_health(
+                state, healths[health_index_at[destination](start_s)], action
+            )
         if not state.attempt_blacked_out:
             if probabilistic:
+                # Gated: the outcome stays None unless the flush flags it.
+                state.pending_outcome = None
                 raw = state.attempt_raw_ber
-                pending.append(
+                pending_append(
                     (
-                        state,
+                        core._sequence,
+                        sampler.attempt_failure_probability(remaining, raw),
                         sampler,
                         remaining,
-                        sampler.attempt_failure_probability(remaining, raw),
                         raw,
+                        state,
                     )
                 )
-                state.pending_outcome = _QUEUED
             else:
                 state.pending_outcome = sampler.sample(remaining)
         if trace_on:
             bucket = trace_bucket(start_s)
             bucket[0] += attempt_energy_j
             bucket[1] += remaining
-        busy_s[destination] = busy_s.get(destination, 0.0) + duration_s
+        channel[6] += duration_s
         push(start_s + duration_s, DEPARTURE, state)
 
     def rejected_record(request, now_s: float) -> None:
@@ -371,138 +507,68 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         )
 
     # --------------------------------------------------------------- the loop
+    static = core._static
+    n_static = len(static)
+    cursor = 0
+    # Per-arrival values that stay at these defaults unless the run's
+    # controller, ladder, drift or faults set them: the margin, the health
+    # index of the arrival (read only under a ladder) and of the ladder's
+    # service (-1 without one), and the first attempt's raw BER (None at a
+    # fixed design point).
+    margin = 1.0
+    index = None
+    served = -1
+    raw = None
+    events = 0
     event = None
     time_s = 0.0
     try:
         while True:
-            event = pop()
-            if event is None:
-                break
-            time_s = event[0]
-            kind = event[2]
-            if kind is ARRIVAL:
-                request = event[3]
-                source = request.source
-                destination = request.destination
-                margin = 1.0
-                if controller is not None:
-                    margin, switched = controller.margin_for(
-                        destination,
-                        time_s,
-                        true_multiplier=(
-                            arrival_drift.multiplier(destination, time_s)
-                            if arrival_drift is not None
-                            else 1.0
-                        ),
-                    )
-                    if switched:
-                        sim._record_switch(run, time_s)
-                # Suspect requests always take the real manager path, so
-                # validation errors surface exactly as in the oracle.
-                suspect = (
-                    source == destination
-                    or request.payload_bits <= 0
-                    or source < 0
-                    or source >= num_onis
-                    or destination < 0
-                    or destination >= num_onis
-                )
-                if degradation is not None:
-                    if suspect:
-                        entry = None
-                    else:
-                        health = health_at[destination](time_s)
-                        key = (request.target_ber, margin, health)
-                        entry = degraded_memo.get(key)
-                    if entry is None:
-                        communication = CommunicationRequest(
-                            source=source,
-                            destination=destination,
-                            target_ber=request.target_ber,
-                            payload_bits=request.payload_bits,
-                            policy=policy,
-                        )
-                        if suspect:
-                            health = failures.health(destination, time_s)
-                        link = sampler = None
-                        design_raw = 0.0
-                        try:
-                            configuration, action = manager.configure_degraded(
-                                communication,
-                                health,
-                                degradation,
-                                base_margin_multiplier=margin,
-                            )
-                        except InfeasibleDesignError:
-                            link = _REJECTED
-                            action = degradation.action_for(health)
-                        else:
-                            if configuration is not None:
-                                sampler = sim._sampler_for(configuration)
-                                link = sim._link_constants(configuration, sampler)
-                                design_raw = sim._raw_ber_for(configuration)
-                        entry = (link, action, sampler, design_raw)
-                        if not suspect:
-                            degraded_memo[key] = entry
-                    elif registry is not None:
-                        # The counters configure_degraded itself publishes.
-                        registry.inc("manager.configure_degraded.calls")
-                        registry.inc(f"manager.degradation.rung.{entry[1].rung}")
-                    link, _action, sampler, design_raw = entry
-                    if link is None:
-                        sim._drop_on_arrival(request, time_s, run)
-                        continue
-                    if link is _REJECTED:
-                        rejected_record(request, time_s)
-                        continue
-                else:
-                    key = (request.target_ber, margin)
-                    entry = memo.get(key)
-                    if entry is None or suspect:
-                        communication = CommunicationRequest(
-                            source=source,
-                            destination=destination,
-                            target_ber=request.target_ber,
-                            payload_bits=request.payload_bits,
-                            policy=policy,
-                        )
-                        try:
-                            configuration = manager.configure(
-                                communication, margin_multiplier=margin
-                            )
-                        except InfeasibleDesignError:
-                            memo[key] = _REJECTED
-                            rejected_record(request, time_s)
-                            continue
-                        sampler = sim._sampler_for(configuration)
-                        link = sim._link_constants(configuration, sampler)
-                        design_raw = (
-                            sim._raw_ber_for(configuration) if need_design_raw else 0.0
-                        )
-                        memo[key] = (sampler, link, design_raw)
-                    elif entry is _REJECTED:
-                        rejected_record(request, time_s)
-                        continue
-                    else:
-                        sampler, link, design_raw = entry
-                packets = packets_for_payload(request.payload_bits, packet_bits)
-                state = _TransferState(
-                    request=request,
-                    sampler=sampler,
-                    link=link,
-                    packets_total=packets,
-                    packets_remaining=packets,
-                    retries_left=retry_budget,
-                )
-                if need_design_raw:
-                    state.design_raw_ber = design_raw
-                if timeout_s is not None:
-                    state.deadline_s = time_s + timeout_s
-                pair = (source, destination)
-                active_pairs[pair] = active_pairs.get(pair, 0) + 1
-                schedule_attempt(state, time_s)
-            elif kind is DEPARTURE:
+            # The core's pop, inline: heap events strictly earlier than the
+            # next static event go first; at equal times the static event
+            # wins, its sequence number being the smaller.
+            if cursor < n_static:
+                upcoming = static[cursor]
+                upcoming_s = upcoming[0]
+            else:
+                upcoming = None
+            while heap and (upcoming is None or heap[0][0] < upcoming_s):
+                event = heappop(heap)
+                events += 1
+                time_s = event[0]
                 state = event[3]
+                if type(state) is Record:
+                    seq = event[1]
+                    if pending and seq >= pending[0][0]:
+                        # This departure's gate is still queued (as is every
+                        # later-scheduled one): flush the epoch.
+                        flush()
+                    if not flagged or seq not in flagged:
+                        # A clean parked attempt: ``state`` is its finished
+                        # record.
+                        if wants_obs:
+                            telemetry = event[4]
+                            blocks = telemetry[0]
+                            if observe(
+                                state[1],
+                                time_s,
+                                blocks=blocks,
+                                observed_events=float(
+                                    telemetry_binomial(blocks, telemetry[1])
+                                ),
+                                expected_events=telemetry[2],
+                            ):
+                                sim._record_switch(run, time_s)
+                        records_append(state)
+                        if trace_on:
+                            bucket = trace_bucket(time_s)
+                            bucket[2] += 1
+                            bucket[3] += time_s - state[4]
+                        continue
+                    state = flagged.pop(seq)
+                elif event[2] is RETRY:
+                    schedule_attempt(state, time_s)
+                    continue
                 if state.attempt_blacked_out:
                     # Certain loss, no randomness, no telemetry — exactly
                     # the oracle's dark-channel branch.
@@ -515,78 +581,14 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         residual_bit_errors=0,
                     )
                 else:
-                    outcome = state.pending_outcome
-                    if outcome is _QUEUED:
+                    if pending and event[1] >= pending[0][0]:
                         flush()
-                        outcome = state.pending_outcome
+                    outcome = state.pending_outcome
                     state.pending_outcome = None
                     if outcome is None:
-                        # Clean attempt — the common case: deliver all
-                        # packets without materialising an outcome object.
-                        remaining = state.packets_remaining
-                        request = state.request
-                        link = state.link
-                        if wants_obs:
-                            sampler = state.sampler
-                            blocks = remaining * sampler.blocks_per_packet
-                            observed = float(
-                                telemetry_binomial(
-                                    blocks,
-                                    sampler.block_disturb_probability(
-                                        state.attempt_raw_ber
-                                    ),
-                                )
-                            )
-                            if controller.observe(
-                                request.destination,
-                                time_s,
-                                blocks=blocks,
-                                observed_events=observed,
-                                expected_events=blocks
-                                * link.design_disturb_probability,
-                            ):
-                                sim._record_switch(run, time_s)
-                        # _finalize_transfer's record, trace charge and pair
-                        # release, inline.
-                        source = request.source
-                        destination = request.destination
-                        first_start = state.first_start_s
-                        records_append(
-                            tuple_new(
-                                Record,
-                                (
-                                    source,
-                                    destination,
-                                    request.payload_bits,
-                                    link.code_name,
-                                    request.arrival_time_s,
-                                    first_start if first_start >= 0.0 else time_s,
-                                    time_s,
-                                    state.attempts,
-                                    state.packets_total,
-                                    state.packets_sent,
-                                    state.packets_delivered + remaining,
-                                    0,
-                                    state.packets_with_residual_errors,
-                                    state.residual_bit_errors,
-                                    state.coded_bits_sent,
-                                    state.energy_j,
-                                    False,
-                                ),
-                            )
-                        )
-                        if trace_on:
-                            bucket = trace_bucket(time_s)
-                            bucket[2] += 1
-                            bucket[3] += time_s - request.arrival_time_s
-                        pair = (source, destination)
-                        active = active_pairs[pair] - 1
-                        if active:
-                            active_pairs[pair] = active
-                        else:
-                            del active_pairs[pair]
-                            manager_release(source, destination)
-                        continue
+                        # Clean: the gate passed.  Stateful attempts are
+                        # rare, so they take the oracle's path as is.
+                        outcome = TransmissionOutcome(state.packets_remaining, 0, 0, 0)
                     if wants_obs:
                         sim._feed_controller(time_s, state, outcome, run)
                 state.packets_delivered += outcome.packets - outcome.failed_detected
@@ -603,30 +605,241 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         schedule_attempt(state, time_s, not_before)
                         continue
                 sim._finalize_transfer(state, time_s, run, dropped=failed)
-            elif kind is RETRY:
-                schedule_attempt(event[3], time_s)
-            else:
+            if upcoming is None:
+                break
+            cursor += 1
+            events += 1
+            event = upcoming
+            time_s = upcoming_s
+            if faults and event[2] is not ARRIVAL:
                 sim._handle_link_fault(time_s, event[3], run)
+                continue
+            request = event[3]
+            source = request.source
+            destination = request.destination
+            payload_bits = request.payload_bits
+            if controller is not None:
+                margin, switched = margin_for(
+                    destination,
+                    time_s,
+                    true_multiplier=(
+                        arrival_drift.multiplier(destination, time_s)
+                        if arrival_drift is not None
+                        else 1.0
+                    ),
+                )
+                if switched:
+                    sim._record_switch(run, time_s)
+            suspect = (
+                source == destination
+                or payload_bits <= 0
+                or source < 0
+                or source >= num_onis
+                or destination < 0
+                or destination >= num_onis
+            )
+            if suspect:
+                entry = None
+            elif degradation is None:
+                key = (request.target_ber, margin, payload_bits)
+                entry = transfers.get(key)
+            else:
+                index = health_index_at[destination](time_s)
+                key = (request.target_ber, margin, index, payload_bits)
+                entry = transfers.get(key)
+                if entry is not None and registry is not None:
+                    _republish(registry, entry[7])
+            if entry is None:
+                link, sampler, design_raw, action = decide(
+                    request, time_s, margin, index, suspect
+                )
+                if link is None:
+                    sim._drop_on_arrival(request, time_s, run)
+                    continue
+                if link is _REJECTED:
+                    rejected_record(request, time_s)
+                    continue
+                packets = packets_for_payload(payload_bits, packet_bits)
+                coded_bits = packets * link.coded_bits_per_packet
+                duration_s = coded_bits / channel_rate
+                entry = (
+                    link,
+                    sampler,
+                    design_raw,
+                    packets,
+                    coded_bits,
+                    duration_s,
+                    link.channel_power_w * num_wavelengths * duration_s,
+                    action,
+                    *(gate_for(sampler, packets, None, link) if fixed_raw else (None, None)),
+                )
+                if not suspect:
+                    transfers[key] = entry
+            (
+                link,
+                sampler,
+                design_raw,
+                packets,
+                coded_bits,
+                duration_s,
+                energy_j,
+                action,
+                fail_p,
+                telemetry,
+            ) = entry
+            if not probabilistic:
+                schedule_attempt(
+                    new_state(request, sampler, link, packets, design_raw), time_s
+                )
+                continue
+            # The first attempt, inline: _schedule_attempt's expressions.
+            request_time_s = time_s
+            if controller is not None:
+                blocked = blocked_until(destination)
+                if blocked > request_time_s:
+                    request_time_s = blocked
+            if degradation is not None:
+                served = health_index_at[destination](request_time_s)
+                service = services[served]
+                if service is None:
+                    # Down, or not served: defer or drop, statefully.
+                    schedule_attempt(
+                        new_state(request, sampler, link, packets, design_raw),
+                        time_s,
+                    )
+                    continue
+                action, wavelengths, rate_factor = service
+                if rate_factor != 1.0:
+                    duration_s *= rate_factor
+                energy_j = link.channel_power_w * wavelengths * duration_s
+            # The arbiter recurrence of TokenArbiter.request, inline.
+            channel = channels.get(destination)
+            if channel is None:
+                channel = _channel_state(sim, arbiters, channels, destination)
+            target = channel[2][source]
+            busy = channel[1]
+            hops = (target - channel[0]) % channel[3]
+            base = request_time_s if request_time_s > busy else busy
+            start_s = base + hops * channel[4]
+            departure_s = start_s + duration_s
+            channel[0] = target
+            channel[1] = departure_s
+            grants = channel[5]
+            grants[source] = grants[source] + 1
+            if trace_on:
+                bucket = trace_bucket(start_s)
+                bucket[0] += energy_j
+                bucket[1] += packets
+            channel[6] += duration_s
+            if fail_p is None:
+                # Drift or faults move the raw BER: the gate is looked up.
+                if drift_at is not None:
+                    raw = min(1.0, design_raw * drift_at[destination](start_s))
+                else:
+                    started = health_index_at[destination](start_s)
+                    raw_key = (design_raw, started, served)
+                    raw = raws.get(raw_key)
+                    if raw is None:
+                        health = healths[started]
+                        if health.down:
+                            # Serialised into a dark channel: a certain
+                            # loss, handled statefully.
+                            state = first_attempt_state(
+                                request,
+                                sampler,
+                                link,
+                                packets,
+                                design_raw,
+                                start_s,
+                                coded_bits,
+                                energy_j,
+                            )
+                            state.attempt_blacked_out = True
+                            push(departure_s, DEPARTURE, state)
+                            continue
+                        raw = raws[raw_key] = sim._attempt_raw_ber(
+                            design_raw, health, action
+                        )
+                gate_key = (sampler, packets, raw)
+                gate = gates.get(gate_key)
+                if gate is None:
+                    gate = gates[gate_key] = gate_for(sampler, packets, raw, link)
+                fail_p, telemetry = gate
+            # Park the finished record and queue its gate; a flush that
+            # flags the gate swaps in the stateful transfer.
+            seq = core._sequence
+            core._sequence = seq + 1
+            record = tuple_new(
+                Record,
+                (
+                    source,
+                    destination,
+                    payload_bits,
+                    link.code_name,
+                    request.arrival_time_s,
+                    start_s,
+                    departure_s,
+                    1,
+                    packets,
+                    packets,
+                    packets,
+                    0,
+                    0,
+                    0,
+                    coded_bits,
+                    energy_j,
+                    False,
+                ),
+            )
+            pending_append(
+                (seq, fail_p, sampler, packets, raw, record, request, link, design_raw)
+            )
+            heappush(heap, (departure_s, seq, DEPARTURE, record, telemetry))
     except SimulationError:
         raise
     except Exception as exc:
         raise SimulationError(
             f"{event[2].name} handler failed at t={event[0]:.9e}s "
-            f"(event #{core.events_processed}): {exc}"
+            f"(event #{events}): {exc}"
         ) from exc
-    _store_channels(arbiters, channels)
+    _store_channels(arbiters, channels, run.busy_s)
+    core.events_processed = events
     run.end_s = time_s
 
     return sim._finish_run(run)
+
+
+def _service(ladder, health, num_wavelengths: int):
+    """``(action, wavelengths, rate factor)`` of the ladder at one health.
+
+    ``None`` when the channel is down or the ladder does not serve it.  The
+    rate factor is the oracle's expression: remapped and derated attempts
+    serialise slower.
+    """
+    if health.down:
+        return None
+    action = ladder.action_for(health)
+    if not action.serve:
+        return None
+    wavelengths = action.wavelengths
+    return action, wavelengths, (num_wavelengths / wavelengths) * action.derate_factor
+
+
+def _republish(registry, action) -> None:
+    """The counters ``configure_degraded`` publishes, for a replayed answer."""
+    registry.inc("manager.configure_degraded.calls")
+    registry.inc(f"manager.degradation.rung.{action.rung}")
 
 
 def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
     """The arbiter recurrence state of one channel, as a list.
 
     ``[holder index, busy-until, writer->index, num writers, hop time,
-    grants]``: both loops replay :meth:`TokenArbiter.request` on it inline
-    (same expressions) and :func:`_store_channels` writes it back at the
-    end of the run; ``grants`` is the arbiter's own dict, updated in place.
+    grants, busy seconds]``: the loop replays :meth:`TokenArbiter.request`
+    on it inline (same expressions) and adds each attempt's serialisation
+    time to the busy seconds; :func:`_store_channels` writes both back at
+    the end of the run.  ``grants`` is the arbiter's own dict, updated in
+    place.
     """
     arbiter = sim._arbiter_for(destination, arbiters)
     entry = [
@@ -636,399 +849,20 @@ def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
         len(arbiter.writers),
         arbiter.token_hop_time_s,
         arbiter._grants,
+        0.0,
     ]
     channels[destination] = entry
     return entry
 
 
-def _store_channels(arbiters, channels: dict) -> None:
-    """Write the inline arbiter state back, as the oracle leaves it."""
+def _store_channels(arbiters, channels: dict, busy_s: dict) -> None:
+    """Write the inline channel state back, as the oracle leaves it.
+
+    A channel's state is built at its first attempt, when the oracle first
+    charges its busy time, so ``busy_s`` gets its keys in the same order.
+    """
     for destination, channel in channels.items():
         arbiter = arbiters[destination]
         arbiter._holder_index = channel[0]
         arbiter._busy_until_s = channel[1]
-
-
-def _run_static_fast(sim, run, core: EpochEventCore) -> NetworkResult:
-    """Static-channel fast loop: clean transfers carry no per-event state.
-
-    Eligible when the run has no fault timeline, no dynamics, no controller
-    and no interval trace — every attempt then serialises at the design
-    operating point, so its *complete* transfer record is already known at
-    schedule time for the overwhelmingly common case that its gate draw
-    comes back clean.  The record is parked in the departure heap with the
-    gate queued; a departure popping with its gate still queued flushes the
-    epoch (one vectorized primary draw over every queued attempt, in
-    schedule order), and only flagged attempts are swapped for a stateful
-    fallback that mirrors the oracle's handlers expression for expression
-    (retries, deadlines, CRC escapes).  Clean transfers — the rest — incur
-    no ``_TransferState``, no engine method call, no sampling machinery.
-    Event order, stream consumption and every float computation are
-    unchanged from the general loop, so results stay byte-identical.
-
-    The arbiter recurrence (token hops, busy window) is replayed inline on
-    per-channel lists — same expressions as :meth:`TokenArbiter.request` —
-    and written back to the real arbiters at the end so grant counts and
-    channel state land in the result exactly as the oracle leaves them.
-    """
-    static = core._static
-    n_static = len(static)
-    heap: list[tuple] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    rng_random = sim._rng.random
-    resolve_rng = sim._resolve_rng
-    manager = sim.manager
-    policy = sim.policy
-    packet_bits = sim.packet_bits
-    retry_budget = sim.max_retries if sim.crc is not None else 0
-    timeout_s = sim.transfer_timeout_s
-    backoff_s = sim.retry_backoff_s
-    num_onis = sim.config.num_onis
-    num_wavelengths = sim.config.num_wavelengths
-    channel_rate = sim.channel_rate_bits_per_s
-    busy_s = run.busy_s
-    records_append = run.records.append
-    active_pairs = run.active_pairs
-    arbiters = run.arbiters
-    Record = NetTransferRecord
-    State = _TransferState
-    # NamedTuple construction normally routes through a generated Python
-    # __new__; building the tuple directly halves the cost on the one
-    # per-transfer allocation the clean path has left.
-    tuple_new = tuple.__new__
-
-    #: (target BER, payload bits) -> (link constants, sampler, packets,
-    #: duration, energy, attempt failure probability, code name, coded bits).
-    memo: dict[tuple, tuple] = {}
-    #: target BER -> (link constants, sampler), or ``_REJECTED``: the
-    #: manager's payload-independent answer behind every ``memo`` entry
-    #: (rejected requests live here only).
-    decisions: dict = {}
-    #: destination -> inline arbiter state (see :func:`_channel_state`).
-    channels: dict[int, list] = {}
-    #: Flush queue of undrawn attempt gates, in schedule order.  First
-    #: attempts park ``(seq, fail p, sampler, packets, request,
-    #: link constants, start, energy, coded bits)``; re-attempts park
-    #: ``(seq, fail p, sampler, packets, state)``.  One vectorized draw per
-    #: epoch replaces per-attempt scalar ``Generator.random`` calls (~1 us
-    #: of NumPy call overhead each) at identical stream consumption.
-    pending: list[tuple] = []
-    pending_append = pending.append
-    #: seq -> _TransferState for the rare first attempts the gate flagged.
-    flagged: dict[int, object] = {}
-
-    tracer = obs_tracing.ACTIVE
-
-    def flush() -> None:
-        """Resolve every queued gate in one epoch-wide primary draw."""
-        begin = perf_counter() if tracer is not None else 0.0
-        attempts = len(pending)
-        uniforms = rng_random(attempts)
-        for uniform, item in zip(uniforms.tolist(), pending):
-            if uniform < item[1]:
-                sampler = item[2]
-                packets = item[3]
-                fourth = item[4]
-                if type(fourth) is State:
-                    # Re-attempt: the state is already the heap payload.
-                    fourth.pending_outcome = sampler.resolve_failed_attempt(
-                        packets, resolve_rng=resolve_rng
-                    )
-                else:
-                    # Flagged first attempt: materialise the stateful
-                    # fallback its parked record stood in for.
-                    (
-                        seq,
-                        _fail_p,
-                        _sampler,
-                        _packets,
-                        request,
-                        link,
-                        start_s,
-                        energy_j,
-                        coded_bits,
-                    ) = item
-                    state = State(
-                        request=request,
-                        sampler=sampler,
-                        link=link,
-                        packets_total=packets,
-                        packets_remaining=packets,
-                        retries_left=retry_budget,
-                    )
-                    state.first_start_s = start_s
-                    state.attempts = 1
-                    state.packets_sent = packets
-                    state.coded_bits_sent = coded_bits
-                    state.energy_j = energy_j
-                    state.pending_outcome = sampler.resolve_failed_attempt(
-                        packets, resolve_rng=resolve_rng
-                    )
-                    if timeout_s is not None:
-                        state.deadline_s = request.arrival_time_s + timeout_s
-                    pair = (request.source, request.destination)
-                    active_pairs[pair] = active_pairs.get(pair, 0) + 1
-                    flagged[seq] = state
-        pending.clear()
-        run.epoch_flushes += 1
-        if tracer is not None:
-            tracer.emit(
-                "netsim.epoch_flush",
-                perf_counter() - begin,
-                {"attempts": attempts},
-                start=begin,
-            )
-
-    sequence = core._sequence
-    events = 0
-    cursor = 0
-    time_s = 0.0
-    kind_name = "ARRIVAL"
-    try:
-        while True:
-            if cursor < n_static:
-                arrival = static[cursor]
-                arrival_time = arrival[0]
-            else:
-                arrival = None
-            # Departures strictly before the next arrival pop first; at
-            # equal times the arrival wins (static sequence numbers are
-            # all smaller than dynamic ones), matching the oracle's total
-            # event order.
-            while heap and (arrival is None or heap[0][0] < arrival_time):
-                departure = heappop(heap)
-                events += 1
-                time_s = departure[0]
-                seq = departure[1]
-                payload = departure[2]
-                kind_name = "DEPARTURE"
-                if pending and seq >= pending[0][0]:
-                    # This departure's gate is still queued (as is every
-                    # later-scheduled one): flush the epoch.
-                    flush()
-                if type(payload) is not State:
-                    # A parked record: the transfer is finished unless the
-                    # flush flagged its gate.
-                    if flagged:
-                        state = flagged.pop(seq, None)
-                        if state is None:
-                            records_append(payload)
-                            continue
-                    else:
-                        records_append(payload)
-                        continue
-                else:
-                    state = payload
-                outcome = state.pending_outcome
-                state.pending_outcome = None
-                if outcome is None:
-                    state.packets_delivered += state.packets_remaining
-                    sim._finalize_transfer(state, time_s, run, dropped=0)
-                    continue
-                state.packets_delivered += outcome.packets - outcome.failed_detected
-                state.packets_with_residual_errors += outcome.delivered_with_errors
-                state.residual_bit_errors += outcome.residual_bit_errors
-                failed = outcome.failed_detected
-                if failed and state.retries_left > 0:
-                    state.packets_remaining = failed
-                    not_before = time_s
-                    if backoff_s > 0.0:
-                        not_before = time_s + sim._retry_delay_s(state)
-                    if state.deadline_s is None or not_before <= state.deadline_s:
-                        state.retries_left -= 1
-                        # Stateful re-attempt: the oracle's
-                        # _schedule_attempt expressions, inline.
-                        sampler = state.sampler
-                        link = state.link
-                        source = state.request.source
-                        destination = state.request.destination
-                        coded_bits_pp = link.coded_bits_per_packet
-                        duration_s = failed * coded_bits_pp / channel_rate
-                        request_time_s = not_before if not_before > time_s else time_s
-                        channel = channels.get(destination)
-                        if channel is None:
-                            channel = _channel_state(sim, arbiters, channels, destination)
-                        target = channel[2][source]
-                        busy = channel[1]
-                        hops = (target - channel[0]) % channel[3]
-                        base = request_time_s if request_time_s > busy else busy
-                        start_s = base + hops * channel[4]
-                        departure_time = start_s + duration_s
-                        channel[0] = target
-                        channel[1] = departure_time
-                        grants = channel[5]
-                        grants[source] = grants[source] + 1
-                        state.attempts += 1
-                        state.packets_sent += failed
-                        state.coded_bits_sent += failed * coded_bits_pp
-                        attempt_energy_j = (
-                            link.channel_power_w * num_wavelengths * duration_s
-                        )
-                        state.energy_j += attempt_energy_j
-                        state.pending_outcome = None
-                        pending_append(
-                            (
-                                sequence,
-                                sampler.attempt_failure_probability(failed),
-                                sampler,
-                                failed,
-                                state,
-                            )
-                        )
-                        busy_s[destination] = busy_s.get(destination, 0.0) + duration_s
-                        heappush(heap, (departure_time, sequence, state))
-                        sequence += 1
-                        continue
-                sim._finalize_transfer(state, time_s, run, dropped=failed)
-            if arrival is None:
-                break
-            cursor += 1
-            events += 1
-            time_s = arrival_time
-            kind_name = "ARRIVAL"
-            request = arrival[3]
-            source = request.source
-            destination = request.destination
-            payload_bits = request.payload_bits
-            target_ber = request.target_ber
-            key = (target_ber, payload_bits)
-            entry = memo.get(key)
-            suspect = (
-                source == destination
-                or payload_bits <= 0
-                or source < 0
-                or source >= num_onis
-                or destination < 0
-                or destination >= num_onis
-            )
-            if entry is None or suspect:
-                # Cold (or suspect) request.  A suspect one takes the real
-                # manager path, so validation errors surface exactly as in
-                # the oracle; a cold one replays its target's
-                # decision when that is known (a policy never sees the
-                # payload) and only the per-payload fields are computed.
-                decision = None if suspect else decisions.get(target_ber)
-                if decision is None:
-                    communication = CommunicationRequest(
-                        source=source,
-                        destination=destination,
-                        target_ber=target_ber,
-                        payload_bits=payload_bits,
-                        policy=policy,
-                    )
-                    try:
-                        configuration = manager.configure(
-                            communication, margin_multiplier=1.0
-                        )
-                    except InfeasibleDesignError:
-                        decision = _REJECTED
-                    else:
-                        sampler = sim._sampler_for(configuration)
-                        decision = (sim._link_constants(configuration, sampler), sampler)
-                    decisions[target_ber] = decision
-                if decision is _REJECTED:
-                    records_append(
-                        Record(
-                            source, destination, payload_bits, None,
-                            time_s, time_s, time_s,
-                            0, 0, 0, 0, 0, 0, 0, 0, 0.0, True,
-                        )
-                    )
-                    continue
-                link, sampler = decision
-                packets = packets_for_payload(payload_bits, packet_bits)
-                coded_bits_pp = link.coded_bits_per_packet
-                duration_s = packets * coded_bits_pp / channel_rate
-                entry = (
-                    link,
-                    sampler,
-                    packets,
-                    duration_s,
-                    link.channel_power_w * num_wavelengths * duration_s,
-                    sampler.attempt_failure_probability(packets),
-                    link.code_name,
-                    packets * coded_bits_pp,
-                )
-                memo[key] = entry
-            (
-                link,
-                sampler,
-                packets,
-                duration_s,
-                energy_j,
-                fail_p,
-                code_name,
-                coded_bits,
-            ) = entry
-            channel = channels.get(destination)
-            if channel is None:
-                channel = _channel_state(sim, arbiters, channels, destination)
-            target = channel[2][source]
-            busy = channel[1]
-            hops = (target - channel[0]) % channel[3]
-            base = time_s if time_s > busy else busy
-            start_s = base + hops * channel[4]
-            departure_time = start_s + duration_s
-            channel[0] = target
-            channel[1] = departure_time
-            grants = channel[5]
-            grants[source] = grants[source] + 1
-            busy_s[destination] = busy_s.get(destination, 0.0) + duration_s
-            # Park the optimistic finished record and queue the gate; the
-            # epoch flush swaps in a stateful fallback for the rare
-            # attempts the draw flags.
-            pending_append(
-                (
-                    sequence,
-                    fail_p,
-                    sampler,
-                    packets,
-                    request,
-                    link,
-                    start_s,
-                    energy_j,
-                    coded_bits,
-                )
-            )
-            heappush(
-                heap,
-                (
-                    departure_time,
-                    sequence,
-                    tuple_new(
-                        Record,
-                        (
-                            source,
-                            destination,
-                            payload_bits,
-                            code_name,
-                            request.arrival_time_s,
-                            start_s,
-                            departure_time,
-                            1,
-                            packets,
-                            packets,
-                            packets,
-                            0,
-                            0,
-                            0,
-                            coded_bits,
-                            energy_j,
-                            False,
-                        ),
-                    ),
-                ),
-            )
-            sequence += 1
-    except SimulationError:
-        raise
-    except Exception as exc:
-        raise SimulationError(
-            f"{kind_name} handler failed at t={time_s:.9e}s "
-            f"(event #{events}): {exc}"
-        ) from exc
-    _store_channels(arbiters, channels)
-    core.events_processed = events
-    run.end_s = time_s
-    return sim._finish_run(run)
+        busy_s[destination] = channel[6]

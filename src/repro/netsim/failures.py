@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -178,6 +178,23 @@ class ChannelFaultTimeline:
             return self._nominal
         return self._healths[index - 1]
 
+    def _step_lookup(self, values: Sequence) -> Callable[[float], object]:
+        """A ``time_s -> values[step]`` lookup, validated like :meth:`health_at`.
+
+        ``values[0]`` stands for the nominal health before the first fault,
+        ``values[i]`` for the ``i``-th compiled step.
+        """
+        times = self._times
+        values = list(values)
+        bisect_right = bisect.bisect_right
+
+        def lookup(time_s: float):
+            if not time_s >= 0.0:
+                raise ConfigurationError("simulation time must be a non-negative number")
+            return values[bisect_right(times, time_s)]
+
+        return lookup
+
     def transitions(self) -> List[FaultTransition]:
         """Every health change in time order (``channel`` filled by the model)."""
         return list(self._transitions)
@@ -234,6 +251,29 @@ class HardFaultModel:
                 f"channel {channel} outside the fault model's [0, {self.num_channels})"
             )
         return self._timelines[channel]
+
+    def health_index_lookups(self) -> tuple[List[ChannelHealth], List[Callable]]:
+        """Every distinct health of the model, and a per-channel index lookup.
+
+        Returns ``(healths, lookups)`` with
+        ``healths[lookups[channel](t)] == health(channel, t)``.  Equal
+        healths share one index across channels, so the engine's per-run
+        memos key on a small integer instead of hashing a
+        :class:`ChannelHealth` (a Python-level ``__hash__``) per query.
+        """
+        healths: List[ChannelHealth] = []
+        index_of: Dict[ChannelHealth, int] = {}
+        lookups = []
+        for timeline in self._timelines:
+            indices = []
+            for health in (timeline._nominal, *timeline._healths):
+                index = index_of.get(health)
+                if index is None:
+                    index = index_of[health] = len(healths)
+                    healths.append(health)
+                indices.append(index)
+            lookups.append(timeline._step_lookup(indices))
+        return healths, lookups
 
     def transitions(self) -> List[FaultTransition]:
         """Every channel's health changes, ordered by (time, channel)."""

@@ -2,12 +2,13 @@
 
 :meth:`repro.netsim.engine.NetworkSimulator.run` drains its events through
 the epoch-batched core of :mod:`repro.netsim.epoch`: merge-ordered events,
-flush-on-demand vectorized outcome draws and a static fast path.  This
-module is the straightforward implementation of the same semantics — one
-:class:`Event` object per state change on a plain ``heapq`` min-heap, one
-handler call per event — that the batched core is checked against.  The
-parity suite (``test_engine_parity.py``) runs every workload through
-:func:`run_reference` and through ``NetworkSimulator.run`` and asserts the
+flush-on-demand vectorized outcome draws and first attempts parked as
+finished records.  This module is the straightforward implementation of
+the same semantics — one :class:`Event` object per state change on a
+plain ``heapq`` min-heap, one handler call per event — that the batched
+core is checked against.  The parity suites (``test_engine_parity.py``,
+``test_parked_parity.py``) run every workload through
+:func:`run_reference` and through ``NetworkSimulator.run`` and assert the
 two results equal, byte for byte.
 
 The oracle drives an ordinary :class:`~repro.netsim.engine.NetworkSimulator`

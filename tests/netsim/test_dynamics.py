@@ -79,6 +79,44 @@ class TestProcessShapes:
         with pytest.raises(ConfigurationError):
             RandomWalkDrift(step_s=1.0, max_multiplier=2.0, seed=0).multiplier_at(-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: ConstantDrift(v),
+            lambda v: ThermalSinusoidDrift(period_s=v, peak_multiplier=2.0),
+            lambda v: ThermalSinusoidDrift(period_s=1.0, peak_multiplier=v),
+            lambda v: ThermalSinusoidDrift(period_s=1.0, peak_multiplier=2.0, phase_rad=v),
+            lambda v: AgingRampDrift(ramp_multiplier=v, ramp_time_s=1.0),
+            lambda v: AgingRampDrift(ramp_multiplier=2.0, ramp_time_s=v),
+            lambda v: RandomWalkDrift(step_s=v, max_multiplier=2.0, seed=0),
+            lambda v: RandomWalkDrift(step_s=1.0, max_multiplier=v, seed=0),
+            lambda v: RandomWalkDrift(step_s=1.0, max_multiplier=2.0, log2_sigma=v, seed=0),
+        ],
+        ids=[
+            "constant",
+            "thermal-period",
+            "thermal-peak",
+            "thermal-phase",
+            "aging-ramp",
+            "aging-ramp-time",
+            "walk-step",
+            "walk-max",
+            "walk-sigma",
+        ],
+    )
+    def test_non_finite_parameters_are_rejected(self, build, value):
+        # Each used to construct: a NaN multiplier, or drift silently off.
+        with pytest.raises(ConfigurationError):
+            build(value)
+
+    @pytest.mark.parametrize("profile", ["thermal", "aging", "random-walk"])
+    @pytest.mark.parametrize("timescale_s", [math.nan, math.inf])
+    def test_non_finite_timescale_is_rejected(self, profile, timescale_s):
+        # A NaN aging timescale reported a multiplier of 1.0 at every time.
+        with pytest.raises(ConfigurationError):
+            make_drift_model(profile, 2, seed=0, timescale_s=timescale_s)
+
 
 class TestChannelDriftModel:
     def test_per_channel_processes_are_independent(self):
@@ -138,12 +176,23 @@ class TestChannelDriftModel:
         with pytest.raises(ConfigurationError):
             model.multiplier_lookup(0)(time_s)
 
-    def test_lookup_is_the_quantised_multiplier(self):
-        model = make_drift_model("thermal", 3, seed=4, timescale_s=1.0)
+    @pytest.mark.parametrize("profile", ["thermal", "aging", "random-walk"])
+    def test_lookup_is_the_quantised_multiplier(self, profile):
+        model = make_drift_model(profile, 3, seed=4, timescale_s=1.0)
         for channel in range(3):
             lookup = model.multiplier_lookup(channel)
+            process = model.process(channel)
             for t in np.linspace(0.0, 1.0, 41):
-                assert lookup(t) == model.multiplier(channel, t)
+                raw = process.multiplier_at(t)
+                expected = (
+                    1.0
+                    if raw <= 1.0
+                    else min(
+                        2.0 ** (round(math.log2(raw) * 16) / 16),
+                        model.worst_case_multiplier,
+                    )
+                )
+                assert lookup(t) == expected == model.multiplier(channel, t)
 
     def test_make_drift_model_profiles(self):
         assert make_drift_model("none", 4, seed=0) is None

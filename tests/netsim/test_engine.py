@@ -13,6 +13,7 @@ The three anchors the issue pins down:
 from __future__ import annotations
 
 import gc
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -381,6 +382,43 @@ class TestEngineBehaviour:
             # A drift model that misses reader channels of the 12-ONI ring.
             NetworkSimulator(dynamics=make_drift_model("thermal", 11, seed=0))
 
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("transfer_timeout_s", math.nan),
+            ("transfer_timeout_s", 0.0),
+            ("retry_backoff_s", math.nan),
+            ("retry_backoff_s", math.inf),
+            ("retry_backoff_s", -1e-9),
+            ("trace_interval_s", math.nan),
+            ("trace_interval_s", math.inf),
+            ("trace_interval_s", 0.0),
+        ],
+    )
+    def test_nan_and_out_of_range_settings_are_rejected(self, setting, value):
+        # A NaN timeout used to pass a ``<= 0`` check and drop every retry
+        # (its deadline compares false); a NaN backoff or trace interval
+        # passed the same way.
+        with pytest.raises(ConfigurationError):
+            NetworkSimulator(**{setting: value})
+
+    def test_nan_backoff_is_rejected_under_a_ladder(self):
+        with pytest.raises(ConfigurationError):
+            NetworkSimulator(
+                failures=make_fault_model(
+                    "blackout",
+                    DEFAULT_CONFIG.num_onis,
+                    DEFAULT_CONFIG.num_wavelengths,
+                    seed=0,
+                    horizon_s=1e-6,
+                ),
+                degradation=DegradationLadder(
+                    margins=margin_levels(4.0),
+                    num_wavelengths=DEFAULT_CONFIG.num_wavelengths,
+                ),
+                retry_backoff_s=math.nan,
+            )
+
     def test_there_is_no_engine_option(self):
         # One event core ships; the per-event loop lives in the tests.
         with pytest.raises(TypeError):
@@ -655,7 +693,7 @@ def _faulted_case():
 
 
 def _noisy_static_case():
-    """The static fast path with ~40% packet failures: ARQ and fallbacks."""
+    """A static channel with ~40% packet failures: ARQ and flagged records."""
     simulator = NetworkSimulator(
         manager=OpticalLinkManager(codes=[HammingCode(3)]),
         max_retries=6,
@@ -674,15 +712,67 @@ def _traced_case():
     return NetworkSimulator(seed=2, trace_interval_s=interval), requests
 
 
+def _parked_case(channel: str, *, ladder: bool = False):
+    """Parked first attempts on a noisy traced link: most get flagged.
+
+    The flush swaps each flagged parked record for a stateful transfer,
+    and blackouts turn first attempts stateful at arrival.
+    """
+
+    def build():
+        requests = list(
+            UniformTrafficGenerator(
+                12, mean_request_rate_hz=1e6, payload_bits=512, target_ber=1e-2, seed=47
+            ).generate(150)
+        )
+        horizon_s = requests[-1].arrival_time_s
+        kwargs = {}
+        if channel == "thermal":
+            kwargs["dynamics"] = make_drift_model(
+                "thermal", 12, seed=17, worst_case_multiplier=4.0, timescale_s=horizon_s
+            )
+        else:
+            kwargs["failures"] = make_fault_model(
+                channel,
+                DEFAULT_CONFIG.num_onis,
+                DEFAULT_CONFIG.num_wavelengths,
+                seed=5,
+                horizon_s=horizon_s,
+            )
+            if ladder:
+                kwargs["degradation"] = DegradationLadder(
+                    margins=margin_levels(4.0),
+                    num_wavelengths=DEFAULT_CONFIG.num_wavelengths,
+                )
+        simulator = NetworkSimulator(
+            manager=OpticalLinkManager(codes=[HammingCode(3)]),
+            packet_bits=64,
+            max_retries=6,
+            seed=31,
+            controller=AdaptiveEccController(margins=margin_levels(4.0), mode="adaptive"),
+            telemetry_seed=99,
+            trace_interval_s=horizon_s / 16,
+            retry_backoff_s=0.01 * horizon_s,
+            transfer_timeout_s=0.5 * horizon_s,
+            **kwargs,
+        )
+        return simulator, requests
+
+    return build
+
+
 #: Configuration name -> builder of ``(simulator, requests)``.
 _NO_CYCLE_CASES = {
-    "static-fast-path": lambda: (NetworkSimulator(seed=2), _uniform_requests()),
-    "static-fast-path-arq": _noisy_static_case,
+    "static-channel": lambda: (NetworkSimulator(seed=2), _uniform_requests()),
+    "static-channel-arq": _noisy_static_case,
     "thermal-adaptive": _drift_case("thermal", "adaptive"),
     "random-walk-adaptive": _drift_case("random-walk", "adaptive"),
     "thermal-oracle": _drift_case("thermal", "oracle"),
     "mixed-faults-ladder": _faulted_case,
     "interval-trace": _traced_case,
+    "parked-thermal-adaptive-traced": _parked_case("thermal"),
+    "parked-mixed-faults-traced": _parked_case("mixed"),
+    "parked-blackout-ladder-traced": _parked_case("blackout", ladder=True),
     "bit-exact-crc": lambda: (
         NetworkSimulator(seed=2, mode="bit-exact"),
         _uniform_requests(count=40, payload_bits=2048),
@@ -711,6 +801,11 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("case", sorted(_NO_CYCLE_CASES))
     def test_run_creates_no_reference_cycles(self, case):
+        # A warm-up run first: one-off first-use imports leave cyclic garbage
+        # of their own (NumPy's ``unique`` imports ``numpy.ma`` lazily), which
+        # is not a run's.  A cycle every run creates still shows below.
+        warm_simulator, warm_requests = _NO_CYCLE_CASES[case]()
+        warm_simulator.run(warm_requests)
         simulator, requests = _NO_CYCLE_CASES[case]()
         gc.collect()
         gc.disable()
