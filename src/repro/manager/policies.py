@@ -297,16 +297,30 @@ class HysteresisSwitchingPolicy:
         ``calm_windows`` counts how many consecutive windows (excluding this
         one) that already qualified for a downgrade.
         """
+        return self._decide(estimated_multiplier, margins, level, calm_windows)[0]
+
+    def _decide(
+        self,
+        estimated_multiplier: float,
+        margins: Sequence[float],
+        level: int,
+        calm_windows: int,
+    ) -> tuple[int, bool]:
+        """:meth:`decide`'s delta, and whether the window qualified for a downgrade.
+
+        The controller keeps its calm-window streaks from the second value,
+        so each window evaluates :meth:`qualifies_for_downgrade` at most once.
+        """
         if not 0 <= level < len(margins):
             raise ConfigurationError("current level outside the margin ladder")
         if level + 1 < len(margins) and estimated_multiplier > (
             self.upgrade_headroom * margins[level]
         ):
-            return 1
-        if self.qualifies_for_downgrade(estimated_multiplier, margins, level):
-            if calm_windows + 1 >= self.hold_windows:
-                return -1
-        return 0
+            return 1, False
+        qualifies = self.qualifies_for_downgrade(estimated_multiplier, margins, level)
+        if qualifies and calm_windows + 1 >= self.hold_windows:
+            return -1, True
+        return 0, qualifies
 
 
 # ------------------------------------------------------------------ degradation

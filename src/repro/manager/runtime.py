@@ -217,9 +217,8 @@ class AdaptiveEccController:
         if estimate is None:
             return False
         level = self._levels.get(channel, self._initial_level)
-        delta = self._switching_policy.decide(
-            estimate, self.margins, level, self._calm.get(channel, 0)
-        )
+        calm = self._calm.get(channel, 0)
+        delta, qualifies = self._switching_policy._decide(estimate, self.margins, level, calm)
         if delta > 0:
             self._switch(channel, level + 1, now_s)
             return True
@@ -228,9 +227,6 @@ class AdaptiveEccController:
             return True
         # Track consecutive calm windows for the hysteresis downgrade (the
         # qualification predicate lives on the policy, not here).
-        if self._switching_policy.qualifies_for_downgrade(estimate, self.margins, level):
-            self._calm[channel] = self._calm.get(channel, 0) + 1
-        else:
-            self._calm[channel] = 0
+        self._calm[channel] = calm + 1 if qualifies else 0
         return False
 

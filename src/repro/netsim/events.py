@@ -96,9 +96,6 @@ class EpochEventCore:
     def __len__(self) -> int:
         return len(self._static) - self._cursor + len(self._heap)
 
-    def __bool__(self) -> bool:
-        return self._cursor < len(self._static) or bool(self._heap)
-
     def push(self, time_s: float, kind: EventKind, payload: Any = None) -> None:
         """Schedule a dynamic event (sequenced after every static one)."""
         time_s = float(time_s)
@@ -106,21 +103,3 @@ class EpochEventCore:
             raise ConfigurationError(f"event time must be non-negative, got {time_s!r}")
         heapq.heappush(self._heap, (time_s, self._sequence, kind, payload))
         self._sequence += 1
-
-    def pop(self) -> tuple | None:
-        """Earliest pending ``(time_s, sequence, kind, payload)``; ``None`` when dry."""
-        static = self._static
-        cursor = self._cursor
-        heap = self._heap
-        if cursor < len(static):
-            event = static[cursor]
-            if not heap or event < heap[0]:
-                self._cursor = cursor + 1
-            else:
-                event = heapq.heappop(heap)
-            self.events_processed += 1
-            return event
-        if heap:
-            self.events_processed += 1
-            return heapq.heappop(heap)
-        return None

@@ -88,7 +88,9 @@ def environment_info() -> dict:
 
     SciPy is only the tests' oracle: its installed version is read from
     the distribution metadata (``None`` when it is absent), never by
-    importing it.
+    importing it.  ``dont_write_bytecode`` records whether the process ran
+    without writing bytecode (``PYTHONDONTWRITEBYTECODE`` or ``-B``), which
+    decides whether a cold start compiles every module it imports.
     """
     import numpy
 
@@ -102,6 +104,7 @@ def environment_info() -> dict:
         "scipy": _installed_version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
     }
 
 

@@ -36,18 +36,47 @@ draws from the same ``rng`` between two ``next()`` calls.  Two of NumPy's
 edge cases carry over: an empty range (the destination of a two-ONI ring,
 ``integers(0, 1)``) draws nothing, and ``num_onis`` is capped at
 :data:`MAX_ONIS` = ``2**32 - 1`` so every draw stays in that 32-bit branch.
+
+Decoded uniform traffic
+-----------------------
+A :class:`UniformTrafficGenerator` built without ``rng=`` (from ``seed`` or
+fresh entropy) on three or more ONIs owns its PCG64 stream: nobody else can
+draw from it between two ``next()`` calls.  It draws a block of raw words at
+a time with ``bit_generator.random_raw`` and decodes them in NumPy.  A
+request usually takes exactly two words.  The first is the gap, on the fast
+path of NumPy's exponential ziggurat: ``ri = (w >> 3) >> 8`` and
+``idx = (w >> 3) & 0xFF``, taken when ``ri < ke[idx]``, give
+``scale * (ri * we[idx])``.  The low and high halves of the second are the
+source and destination draws, through the same Lemire multiply-shift.  The
+``ke``/``we`` tables are literals in :mod:`repro.traffic.ziggurat`, read off
+NumPy (its docstring says how) and re-derived bit for bit by
+``tests/traffic/test_ziggurat_tables.py``.  A request off that pattern (a
+slow-path gap, about 2% of them; a Lemire rejection; a half-word left in the
+``uint32`` buffer) is drawn from its exact state, set with ``state`` and
+``advance``: a slow-path gap by NumPy's own ``exponential`` call, anything
+else by the scalar loop.  Stepping PCG64's LCG from that state counts the
+words it took, and decoding resumes behind them.  The generator ends on the
+state the scalar loop leaves, ``has_uint32`` and the stale ``uinteger`` half
+included, also when the iterator is closed early.  A seeded generator
+therefore supports one open iterator at a time: a second ``generate()``
+after the first is exhausted or closed continues the stream exactly.
+Hotspot, bursty and two-ONI traffic and caller-supplied ``rng=`` generators
+keep the scalar loop.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
 from ..coding.montecarlo import resolve_rng
 from ..exceptions import ConfigurationError
+from .ziggurat import EXPONENTIAL_KE, EXPONENTIAL_WE
 
 __all__ = [
     "MAX_ONIS",
@@ -61,6 +90,16 @@ __all__ = [
 MAX_ONIS = (1 << 32) - 1
 
 _LOW_WORD = (1 << 32) - 1
+
+#: Requests each block of raw words is drawn for on the decoded path.
+_BLOCK_REQUESTS = 512
+_KE = np.array(EXPONENTIAL_KE, dtype=np.uint64)
+_WE = np.array(EXPONENTIAL_WE, dtype=np.float64)
+_LOW_HALF = np.uint64(_LOW_WORD)
+#: PCG64's LCG multiplier (PCG's default for 128-bit states): one word
+#: moves the state from ``s`` to ``(s * multiplier + inc) % 2**128``.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_MASK = (1 << 128) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +148,73 @@ def _lemire_threshold(span: int) -> int:
     return ((1 << 32) - span) % span
 
 
+def _decode_block(words: np.ndarray, scale: float, num_onis: int) -> tuple:
+    """Decode every word of one block of raw PCG64 words both ways.
+
+    Returns ``(gaps, sources, destinations, fast, pairs, breaks)``.  Read as
+    an arrival's word, word ``w`` gives the gap ``gaps[w]``, valid when
+    ``fast[w]`` (the exponential ziggurat's fast path); read as the word
+    whose halves draw a request's ONIs, it gives ``sources[w]`` and
+    ``destinations[w]``, valid when ``pairs[w]`` (neither Lemire draw
+    rejected).  ``breaks[parity]`` lists, ascending and closed by
+    ``len(words)``, the words of that parity at which a request would leave
+    the pattern.
+    """
+    shifted = words >> np.uint64(3)
+    layer = shifted & np.uint64(0xFF)
+    ri = shifted >> np.uint64(8)
+    fast = ri < _KE.take(layer)
+    gaps = ri * _WE.take(layer)
+    # A huge mean gap overflows to inf here as silently as in NumPy's own
+    # scalar ``exponential``; the arrival check raises for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps *= scale
+    others = num_onis - 1
+    scaled = (words & _LOW_HALF) * np.uint64(num_onis)
+    pair_ok = (scaled & _LOW_HALF) >= np.uint64(_lemire_threshold(num_onis))
+    sources = scaled >> np.uint64(32)
+    scaled = (words >> np.uint64(32)) * np.uint64(others)
+    pair_ok &= (scaled & _LOW_HALF) >= np.uint64(_lemire_threshold(others))
+    destinations = scaled >> np.uint64(32)
+    destinations += destinations >= sources
+    leaves = ~fast[:-1]
+    leaves |= ~pair_ok[1:]
+    starts = np.flatnonzero(leaves)
+    odd = (starts & 1).astype(bool)
+    closing = [len(words)]
+    breaks = (starts[~odd].tolist() + closing, starts[odd].tolist() + closing)
+    return (
+        gaps.tolist(),
+        sources.tolist(),
+        destinations.tolist(),
+        fast.tobytes(),
+        pair_ok.tobytes(),
+        breaks,
+    )
+
+
+def _steps(start: int, end: int, inc: int) -> int:
+    """How many words a PCG64 stream drew between LCG states ``start`` and ``end``."""
+    steps = 0
+    while start != end:
+        start = (start * _PCG64_MULTIPLIER + inc) & _STATE_MASK
+        steps += 1
+    return steps
+
+
+def _settle(bit_generator: np.random.PCG64, delta: int, stale: int) -> None:
+    """Move ``bit_generator`` by ``delta`` words to a request boundary.
+
+    ``advance`` wraps ``delta`` modulo ``2**128``, so it also steps back, and
+    it empties the ``uint32`` buffer; the stale half the scalar loop would
+    have left there is put back.
+    """
+    bit_generator.advance(delta)
+    state = bit_generator.state
+    state["uinteger"] = stale
+    bit_generator.state = state
+
+
 class _BaseGenerator:
     """Shared plumbing of the stochastic generators.
 
@@ -147,6 +253,9 @@ class _BaseGenerator:
         self._payload_bits = payload_bits
         self._target_ber = target_ber
         self._rng = resolve_rng(rng, seed)
+        # Nobody else can draw from a stream built here, which is what lets
+        # ``_decoded_requests`` draw ahead of the requests it has yielded.
+        self._owns_stream = rng is None
 
     def generate(self, num_requests: int, *, start_time_s: float = 0.0) -> Iterator[TrafficRequest]:
         """Yield ``num_requests`` requests with Poisson arrivals.
@@ -156,6 +265,18 @@ class _BaseGenerator:
         """
         if num_requests < 0:
             raise ConfigurationError("number of requests cannot be negative")
+        if (
+            self._owns_stream
+            and self._hotspot is None
+            and self._burstiness is None
+            and self._num_onis > 2
+            and type(self._rng.bit_generator) is np.random.PCG64
+        ):
+            return self._decoded_requests(num_requests, start_time_s)
+        return self._drawn_requests(num_requests, start_time_s)
+
+    def _drawn_requests(self, num_requests: int, start_time_s: float) -> Iterator[TrafficRequest]:
+        """The scalar loop: every draw is one NumPy call or one ``next_uint32``."""
         rng = self._rng
         interface = rng.bit_generator.ctypes
         next_uint32, state = interface.next_uint32, interface.state
@@ -206,6 +327,142 @@ class _BaseGenerator:
             _set_target_ber(request, target_ber)
             _set_deadline(request, deadline_s)
             yield request
+
+    def _decoded_requests(
+        self, num_requests: int, start_time_s: float
+    ) -> Iterator[TrafficRequest]:
+        """Uniform traffic on a PCG64 stream this generator owns, decoded in blocks.
+
+        Draws one block of raw words at a time and decodes every request that
+        follows the common pattern (see the module docstring).  A request
+        that leaves it is drawn from its exact state: a slow-path gap by
+        NumPy's own ``exponential`` call (its ONIs still decoded when the
+        next word is whole), anything else by :meth:`_drawn_requests`.  The
+        words it took are counted by stepping PCG64's LCG, and decoding
+        resumes behind them.  The bit generator runs ahead of the yielded
+        requests while a block is open, so it is put back on the scalar
+        loop's state (the stale ``uinteger`` half included) when the block
+        ends and when the iterator is closed.
+        """
+        bit_generator = self._rng.bit_generator
+        advance = bit_generator.advance
+        exponential = self._rng.exponential
+        scalar = self._drawn_requests
+        scale = 1.0 / self._rate
+        num_onis = self._num_onis
+        payload_bits = self._payload_bits
+        target_ber = self._target_ber
+        isfinite = math.isfinite
+
+        now = start_time_s
+        remaining = num_requests
+        while remaining:
+            origin = bit_generator.state
+            if origin["has_uint32"]:
+                # A Lemire rejection left half a word buffered: draw scalar
+                # requests until the buffer is empty again.
+                request = next(scalar(1, now))
+                now = request.arrival_time_s
+                remaining -= 1
+                yield request
+                continue
+            words = bit_generator.random_raw(2 * min(remaining, _BLOCK_REQUESTS))
+            gaps, sources, destinations, fast, pairs, breaks = _decode_block(
+                words, scale, num_onis
+            )
+            block_words = len(words)
+            inc = origin["state"]["inc"]
+            # Word offsets from ``origin``: the bit generator's (``at``) and
+            # the next request's (``position``), whose stale half is ``stale``.
+            at = block_words
+            position = 0
+            stale = origin["uinteger"]
+            while True:
+                end = block_words - (position & 1)
+                if not remaining or position >= end:
+                    _settle(bit_generator, position - at, stale)
+                    break
+                starts = breaks[position & 1]
+                stop = min(starts[bisect_left(starts, position)], end, position + 2 * remaining)
+                times = list(accumulate(gaps[position:stop:2], initial=now))
+                if not isfinite(times[-1]):
+                    # Sums never come back from inf or NaN, so the finite
+                    # arrivals are a prefix; the first other one raises from
+                    # the scalar code below.
+                    stop = position + 2 * sum(map(isfinite, times[1:]))
+                for word, arrival in zip(range(position + 1, stop, 2), times[1:]):
+                    request = _new_object(TrafficRequest)
+                    _set_arrival(request, arrival)
+                    _set_source(request, sources[word])
+                    _set_destination(request, destinations[word])
+                    _set_payload(request, payload_bits)
+                    _set_target_ber(request, target_ber)
+                    _set_deadline(request, None)
+                    try:
+                        yield request
+                    except GeneratorExit:
+                        _settle(bit_generator, word + 1 - at, int(words[word]) >> 32)
+                        raise
+                if stop > position:
+                    done = (stop - position) // 2
+                    remaining -= done
+                    now = times[done]
+                    position = stop
+                    stale = int(words[stop - 1]) >> 32
+                if not remaining or position == end:
+                    continue
+                # The request at ``position`` leaves the pattern.
+                advance(position - at)
+                at = position
+                here = bit_generator.state["state"]["state"]
+                if not fast[position]:
+                    # A slow-path gap: NumPy's own call draws it, and the ONIs
+                    # are decoded from the next word if that word is whole.
+                    arrival = now + exponential(scale)
+                    pair = position + _steps(here, bit_generator.state["state"]["state"], inc)
+                    if not isfinite(arrival):
+                        _settle(bit_generator, 0, stale)
+                        raise ConfigurationError("arrival time must be finite")
+                    if pair < block_words and pairs[pair]:
+                        request = _new_object(TrafficRequest)
+                        _set_arrival(request, arrival)
+                        _set_source(request, sources[pair])
+                        _set_destination(request, destinations[pair])
+                        _set_payload(request, payload_bits)
+                        _set_target_ber(request, target_ber)
+                        _set_deadline(request, None)
+                        now = arrival
+                        remaining -= 1
+                        at = pair
+                        position = pair + 1
+                        stale = int(words[pair]) >> 32
+                        try:
+                            yield request
+                        except GeneratorExit:
+                            _settle(bit_generator, 1, stale)
+                            raise
+                        continue
+                    advance(position - pair)
+                try:
+                    request = next(scalar(1, now))
+                except ConfigurationError:
+                    _settle(bit_generator, 0, stale)
+                    raise
+                now = request.arrival_time_s
+                remaining -= 1
+                drawn = bit_generator.state
+                if drawn["has_uint32"]:
+                    # Misaligned: the outer loop takes over from this state.
+                    yield request
+                    break
+                position += _steps(here, drawn["state"]["state"], inc)
+                at = position
+                stale = drawn["uinteger"]
+                try:
+                    yield request
+                except GeneratorExit:
+                    _settle(bit_generator, 0, stale)
+                    raise
 
 
 class UniformTrafficGenerator(_BaseGenerator):

@@ -208,6 +208,35 @@ class TestController:
         assert controller.level(0) == 0
         assert controller.switch_count == 2
 
+    def test_downgrade_check_runs_once_per_closed_window(self):
+        evaluations = []
+
+        class CountingPolicy(HysteresisSwitchingPolicy):
+            def qualifies_for_downgrade(self, estimated_multiplier, margins, level):
+                evaluations.append(level)
+                return super().qualifies_for_downgrade(estimated_multiplier, margins, level)
+
+        controller = AdaptiveEccController(
+            margins=[1.0, 2.0, 4.0],
+            mode="adaptive",
+            monitor=FailureRateMonitor(window_blocks=10),
+            switching_policy=CountingPolicy(hold_windows=2),
+            initial_level=2,
+        )
+        # Calm windows step the level 2 -> 1 -> 0, a middling one at level 1
+        # breaks the streak, and each window closes on its second feed.
+        ratios = [0.1, 0.1, 1.0, 0.1, 0.1, 1.0, 0.1, 1.0]
+        closed = 0
+        for window, ratio in enumerate(ratios):
+            for half in range(2):
+                controller.observe(
+                    0, window + half / 2, blocks=5, observed_events=ratio, expected_events=1.0
+                )
+            closed += 1
+            assert len(evaluations) == closed
+        assert controller.level(0) == 0
+        assert evaluations == [2, 2, 1, 1, 1, 0, 0, 0]
+
     def test_reset_clears_state(self):
         controller = AdaptiveEccController(margins=[1.0, 2.0], mode="oracle")
         controller.margin_for(0, 0.0, true_multiplier=2.0)

@@ -258,8 +258,8 @@ class TestDecisionMemoParity:
         assert calls == {"reference": len(requests), "batched": 3}
 
 
-class TestTracedGeneralLoopParity:
-    """Runs with an interval trace charge it inline on the general loop."""
+class TestTracedParity:
+    """Runs with an interval trace charge it inline in the one event loop."""
 
     def test_adaptive_drift_trace(self):
         requests = _requests(count=400, seed=2)
@@ -409,8 +409,8 @@ class TestTieParity:
             **kwargs,
         )
 
-    @pytest.mark.parametrize("loop", ["static-fast-path", "general-loop"])
-    def test_departures_tied_with_arrivals(self, loop):
+    @pytest.mark.parametrize("trace", ["untraced", "traced"])
+    def test_departures_tied_with_arrivals(self, trace):
         # Writer 1 holds the token of reader 0 from the start, so an attempt
         # arriving at t on an idle channel departs at exactly t + duration.
         probe = self._simulator(max_retries=0).run(
@@ -421,8 +421,8 @@ class TestTieParity:
         for _ in range(150):
             requests.append(TrafficRequest(arrival_s, 1, 0, 512, 1e-2))
             arrival_s += duration_s
-        # An interval trace takes the run off the static fast path.
-        kwargs = {"trace_interval_s": 10 * duration_s} if loop == "general-loop" else {}
+        # An interval trace charges every departure to its bucket as well.
+        kwargs = {"trace_interval_s": 10 * duration_s} if trace == "traced" else {}
         results = {
             name: backend(self._simulator(max_retries=6, **kwargs), iter(requests))
             for name, backend in BACKENDS.items()

@@ -3,11 +3,13 @@
 :class:`~repro.netsim.events.EpochEventCore` promises exactly
 :class:`oracle.EventQueue`'s total order — ``(time_s,
 insertion sequence)``, static events sequenced before every dynamic one —
-while serving the static bulk by cursor instead of heap.  Hypothesis
-drives both against a plain ``heapq`` model with arbitrary interleavings
-of pushes and pops, timestamp ties included, so any divergence in
-ordering, loss or duplication across the static/dynamic boundary shows up
-as a shrunk counterexample.
+while serving the static bulk by cursor instead of heap.  The engine pops
+inline in ``run_batched``; the tests pop through :func:`pop`, a test-local
+copy of that merge over the core's static list, cursor and heap.
+Hypothesis drives both against a plain ``heapq`` model with arbitrary
+interleavings of pushes and pops, timestamp ties included, so any
+divergence in ordering, loss or duplication across the static/dynamic
+boundary shows up as a shrunk counterexample.
 """
 
 from __future__ import annotations
@@ -32,6 +34,25 @@ _times = st.one_of(_smooth_times, _tying_times)
 _ops = st.lists(st.one_of(st.none(), _times), max_size=80)
 
 
+def pop(core):
+    """Earliest pending event, merged the way ``run_batched``'s inline pop does.
+
+    Heap events strictly earlier than the next static one go first; at equal
+    times the static event wins, its sequence number being the smaller.
+    ``None`` when the core is dry.
+    """
+    static, heap = core._static, core._heap
+    cursor = core._cursor
+    if cursor < len(static) and not (heap and heap[0][0] < static[cursor][0]):
+        core._cursor = cursor + 1
+        core.events_processed += 1
+        return static[cursor]
+    if heap:
+        core.events_processed += 1
+        return heapq.heappop(heap)
+    return None
+
+
 def _static_events(times):
     return [(t, EventKind.ARRIVAL, ("static", i)) for i, t in enumerate(times)]
 
@@ -49,7 +70,7 @@ class TestEpochEventCoreVsHeapModel:
         pops = 0
         for op in ops:
             if op is None:
-                got = core.pop()
+                got = pop(core)
                 if model:
                     assert got == heapq.heappop(model)
                     pops += 1
@@ -63,9 +84,9 @@ class TestEpochEventCoreVsHeapModel:
             assert len(core) == len(model)
             assert bool(core) == bool(model)
         while model:
-            assert core.pop() == heapq.heappop(model)
+            assert pop(core) == heapq.heappop(model)
             pops += 1
-        assert core.pop() is None
+        assert pop(core) is None
         assert core.events_processed == pops
 
     @given(static=st.lists(_times, min_size=1, max_size=40), ops=_ops)
@@ -78,7 +99,7 @@ class TestEpochEventCoreVsHeapModel:
                 core.push(op, EventKind.DEPARTURE, None)
         drained = []
         while True:
-            event = core.pop()
+            event = pop(core)
             if event is None:
                 break
             drained.append(event[:2])
@@ -99,9 +120,9 @@ class TestEpochEventCoreVsHeapModel:
             queue.push(t, EventKind.DEPARTURE, ("dynamic", i))
         while queue:
             event = queue.pop()
-            got = core.pop()
+            got = pop(core)
             assert got == (event.time_s, event.sequence, event.kind, event.payload)
-        assert core.pop() is None
+        assert pop(core) is None
 
     @given(when=st.integers(min_value=0, max_value=20), times=st.lists(_times, max_size=20))
     @settings(max_examples=100, deadline=None)
@@ -115,7 +136,7 @@ class TestEpochEventCoreVsHeapModel:
         model = [(t, i, EventKind.ARRIVAL, ("static", i)) for i, t in enumerate(times)]
         heapq.heapify(model)
         for _ in range(min(when, len(model))):
-            assert core.pop() == heapq.heappop(model)
+            assert pop(core) == heapq.heappop(model)
         sequence = len(times)
         for offset, t in enumerate(times):
             payload = ("epoch", offset)
@@ -123,7 +144,7 @@ class TestEpochEventCoreVsHeapModel:
             heapq.heappush(model, (t, sequence, EventKind.RETRY, payload))
             sequence += 1
         while model:
-            assert core.pop() == heapq.heappop(model)
+            assert pop(core) == heapq.heappop(model)
 
 
 class TestValidation:
@@ -161,6 +182,6 @@ class TestValidation:
 
     def test_empty_core_pops_none(self):
         core = EpochEventCore()
-        assert core.pop() is None
+        assert pop(core) is None
         assert not core
         assert len(core) == 0

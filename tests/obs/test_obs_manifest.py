@@ -55,6 +55,16 @@ class TestDocumentShape:
         assert manifest["environment"]["package"] == "repro"
         assert manifest["environment"]["scipy"] == scipy.__version__
 
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_bytecode_mode_is_recorded(self, monkeypatch, flag):
+        import sys
+        import types
+
+        from repro.obs import manifest as obs_manifest
+
+        monkeypatch.setattr(sys, "flags", types.SimpleNamespace(dont_write_bytecode=flag))
+        assert obs_manifest.environment_info()["dont_write_bytecode"] is bool(flag)
+
     def test_absent_scipy_is_recorded_as_none(self, monkeypatch):
         import importlib.metadata
 

@@ -12,6 +12,7 @@ final ``bit_generator.state``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -74,11 +75,24 @@ class Outcome(NamedTuple):
     state: dict
 
 
-def numpy_oracle(case: Case, rng: np.random.Generator, count: int) -> Iterator[TrafficRequest]:
-    """The NumPy-call loop the generators used to run, one draw at a time."""
-    now = 0.0
+def numpy_oracle(
+    case: Case,
+    rng: np.random.Generator,
+    count: int,
+    *,
+    start_time_s: float = 0.0,
+    rate_hz: float = RATE_HZ,
+) -> Iterator[TrafficRequest]:
+    """The NumPy-call loop the generators used to run, one draw at a time.
+
+    A non-finite arrival raises right after its gap is drawn, before the
+    ONI draws, as the generators do.
+    """
+    now = start_time_s
     for _ in range(count):
-        now = now + float(rng.exponential(1.0 / RATE_HZ))
+        now = now + float(rng.exponential(1.0 / rate_hz))
+        if not math.isfinite(now):
+            raise ConfigurationError("arrival time must be finite")
         source = int(rng.integers(0, case.num_onis))
         if case.kind == "hotspot" and source != case.hotspot and rng.random() < HOTSPOT_FRACTION:
             destination = case.hotspot
