@@ -295,7 +295,10 @@ class HysteresisSwitchingPolicy:
         """Level delta (-1, 0, +1) for one window's drift estimate.
 
         ``calm_windows`` counts how many consecutive windows (excluding this
-        one) that already qualified for a downgrade.
+        one) that already qualified for a downgrade.  A subclass may override
+        this method or :meth:`_decide`;
+        :class:`~repro.manager.runtime.AdaptiveEccController` calls
+        ``_decide`` unless ``decide`` is overridden.
         """
         return self._decide(estimated_multiplier, margins, level, calm_windows)[0]
 

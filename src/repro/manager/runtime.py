@@ -83,9 +83,14 @@ class AdaptiveEccController:
         self.switch_latency_s = float(switch_latency_s)
         self.switch_energy_j = float(switch_energy_j)
         self._monitor_template = monitor if monitor is not None else FailureRateMonitor()
-        self._switching_policy = (
+        self._switching_policy = policy = (
             switching_policy if switching_policy is not None else HysteresisSwitchingPolicy()
         )
+        # ``_decide`` also returns whether the window qualified for a
+        # downgrade, so ``observe`` evaluates that once per window.  A
+        # subclass that overrides ``decide`` stays the policy, at the price
+        # of a second evaluation.
+        self._decides_once = type(policy).decide is HysteresisSwitchingPolicy.decide
         self._initial_level = len(margins) - 1 if mode == "static" else int(initial_level)
         self._levels: Dict[int, int] = {}
         self._blocked_until: Dict[int, float] = {}
@@ -218,7 +223,12 @@ class AdaptiveEccController:
             return False
         level = self._levels.get(channel, self._initial_level)
         calm = self._calm.get(channel, 0)
-        delta, qualifies = self._switching_policy._decide(estimate, self.margins, level, calm)
+        policy = self._switching_policy
+        if self._decides_once:
+            delta, qualifies = policy._decide(estimate, self.margins, level, calm)
+        else:
+            delta = policy.decide(estimate, self.margins, level, calm)
+            qualifies = policy.qualifies_for_downgrade(estimate, self.margins, level)
         if delta > 0:
             self._switch(channel, level + 1, now_s)
             return True

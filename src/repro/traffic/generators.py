@@ -52,14 +52,16 @@ source and destination draws, through the same Lemire multiply-shift.  The
 NumPy (its docstring says how) and re-derived bit for bit by
 ``tests/traffic/test_ziggurat_tables.py``.  A request off that pattern (a
 slow-path gap, about 2% of them; a Lemire rejection; a half-word left in the
-``uint32`` buffer) is drawn from its exact state, set with ``state`` and
-``advance``: a slow-path gap by NumPy's own ``exponential`` call, anything
-else by the scalar loop.  Stepping PCG64's LCG from that state counts the
-words it took, and decoding resumes behind them.  The generator ends on the
-state the scalar loop leaves, ``has_uint32`` and the stale ``uinteger`` half
-included, also when the iterator is closed early.  A seeded generator
-therefore supports one open iterator at a time: a second ``generate()``
-after the first is exhausted or closed continues the stream exactly.
+``uint32`` buffer; a non-finite arrival) is drawn by the scalar loop from
+its exact state, set with ``advance``.  Stepping PCG64's LCG from that state
+counts the words it took, and decoding resumes behind them.  The generator
+ends on the state the scalar loop leaves, ``has_uint32`` and the stale
+``uinteger`` half included, also when the iterator is closed early.  While
+a block is out the bit generator runs ahead of the yielded requests, so a
+seeded generator supports one open iterator at a time: ``generate()``
+raises :class:`~repro.exceptions.ConfigurationError` while one is open, and
+a second ``generate()`` after the first is exhausted or closed continues
+the stream exactly.
 Hotspot, bursty and two-ONI traffic and caller-supplied ``rng=`` generators
 keep the scalar loop.
 """
@@ -100,6 +102,7 @@ _LOW_HALF = np.uint64(_LOW_WORD)
 #: moves the state from ``s`` to ``(s * multiplier + inc) % 2**128``.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_MASK = (1 << 128) - 1
+_ONE_OPEN_ITERATOR = "a seeded uniform generator supports one open iterator at a time"
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,14 +154,13 @@ def _lemire_threshold(span: int) -> int:
 def _decode_block(words: np.ndarray, scale: float, num_onis: int) -> tuple:
     """Decode every word of one block of raw PCG64 words both ways.
 
-    Returns ``(gaps, sources, destinations, fast, pairs, breaks)``.  Read as
-    an arrival's word, word ``w`` gives the gap ``gaps[w]``, valid when
-    ``fast[w]`` (the exponential ziggurat's fast path); read as the word
-    whose halves draw a request's ONIs, it gives ``sources[w]`` and
-    ``destinations[w]``, valid when ``pairs[w]`` (neither Lemire draw
-    rejected).  ``breaks[parity]`` lists, ascending and closed by
-    ``len(words)``, the words of that parity at which a request would leave
-    the pattern.
+    Returns ``(gaps, sources, destinations, breaks)``.  Read as an arrival's
+    word, word ``w`` gives the gap ``gaps[w]``; read as the word whose halves
+    draw a request's ONIs, it gives ``sources[w]`` and ``destinations[w]``.
+    ``breaks[parity]`` lists, ascending and closed by ``len(words)``, the
+    words of that parity at which a request would leave the pattern: its gap
+    off the exponential ziggurat's fast path, or either Lemire draw on the
+    next word rejected.
     """
     shifted = words >> np.uint64(3)
     layer = shifted & np.uint64(0xFF)
@@ -183,14 +185,7 @@ def _decode_block(words: np.ndarray, scale: float, num_onis: int) -> tuple:
     odd = (starts & 1).astype(bool)
     closing = [len(words)]
     breaks = (starts[~odd].tolist() + closing, starts[odd].tolist() + closing)
-    return (
-        gaps.tolist(),
-        sources.tolist(),
-        destinations.tolist(),
-        fast.tobytes(),
-        pair_ok.tobytes(),
-        breaks,
-    )
+    return gaps.tolist(), sources.tolist(), destinations.tolist(), breaks
 
 
 def _steps(start: int, end: int, inc: int) -> int:
@@ -256,6 +251,7 @@ class _BaseGenerator:
         # Nobody else can draw from a stream built here, which is what lets
         # ``_decoded_requests`` draw ahead of the requests it has yielded.
         self._owns_stream = rng is None
+        self._decoding = False
 
     def generate(self, num_requests: int, *, start_time_s: float = 0.0) -> Iterator[TrafficRequest]:
         """Yield ``num_requests`` requests with Poisson arrivals.
@@ -265,6 +261,8 @@ class _BaseGenerator:
         """
         if num_requests < 0:
             raise ConfigurationError("number of requests cannot be negative")
+        if self._decoding:
+            raise ConfigurationError(_ONE_OPEN_ITERATOR)
         if (
             self._owns_stream
             and self._hotspot is None
@@ -335,18 +333,18 @@ class _BaseGenerator:
 
         Draws one block of raw words at a time and decodes every request that
         follows the common pattern (see the module docstring).  A request
-        that leaves it is drawn from its exact state: a slow-path gap by
-        NumPy's own ``exponential`` call (its ONIs still decoded when the
-        next word is whole), anything else by :meth:`_drawn_requests`.  The
-        words it took are counted by stepping PCG64's LCG, and decoding
-        resumes behind them.  The bit generator runs ahead of the yielded
-        requests while a block is open, so it is put back on the scalar
-        loop's state (the stale ``uinteger`` half included) when the block
-        ends and when the iterator is closed.
+        that leaves it is drawn by :meth:`_drawn_requests` from its exact
+        state; the words it took are counted by stepping PCG64's LCG, and
+        decoding resumes behind them.  The bit generator runs ahead of the
+        yielded requests while a block is open, so it is put back on the
+        scalar loop's state (the stale ``uinteger`` half included) when the
+        block ends and when the iterator is closed.
         """
+        if self._decoding:
+            raise ConfigurationError(_ONE_OPEN_ITERATOR)
+        self._decoding = True
         bit_generator = self._rng.bit_generator
         advance = bit_generator.advance
-        exponential = self._rng.exponential
         scalar = self._drawn_requests
         scale = 1.0 / self._rate
         num_onis = self._num_onis
@@ -356,113 +354,87 @@ class _BaseGenerator:
 
         now = start_time_s
         remaining = num_requests
-        while remaining:
-            origin = bit_generator.state
-            if origin["has_uint32"]:
-                # A Lemire rejection left half a word buffered: draw scalar
-                # requests until the buffer is empty again.
-                request = next(scalar(1, now))
-                now = request.arrival_time_s
-                remaining -= 1
-                yield request
-                continue
-            words = bit_generator.random_raw(2 * min(remaining, _BLOCK_REQUESTS))
-            gaps, sources, destinations, fast, pairs, breaks = _decode_block(
-                words, scale, num_onis
-            )
-            block_words = len(words)
-            inc = origin["state"]["inc"]
-            # Word offsets from ``origin``: the bit generator's (``at``) and
-            # the next request's (``position``), whose stale half is ``stale``.
-            at = block_words
-            position = 0
-            stale = origin["uinteger"]
-            while True:
-                end = block_words - (position & 1)
-                if not remaining or position >= end:
-                    _settle(bit_generator, position - at, stale)
-                    break
-                starts = breaks[position & 1]
-                stop = min(starts[bisect_left(starts, position)], end, position + 2 * remaining)
-                times = list(accumulate(gaps[position:stop:2], initial=now))
-                if not isfinite(times[-1]):
-                    # Sums never come back from inf or NaN, so the finite
-                    # arrivals are a prefix; the first other one raises from
-                    # the scalar code below.
-                    stop = position + 2 * sum(map(isfinite, times[1:]))
-                for word, arrival in zip(range(position + 1, stop, 2), times[1:]):
-                    request = _new_object(TrafficRequest)
-                    _set_arrival(request, arrival)
-                    _set_source(request, sources[word])
-                    _set_destination(request, destinations[word])
-                    _set_payload(request, payload_bits)
-                    _set_target_ber(request, target_ber)
-                    _set_deadline(request, None)
-                    try:
-                        yield request
-                    except GeneratorExit:
-                        _settle(bit_generator, word + 1 - at, int(words[word]) >> 32)
-                        raise
-                if stop > position:
-                    done = (stop - position) // 2
-                    remaining -= done
-                    now = times[done]
-                    position = stop
-                    stale = int(words[stop - 1]) >> 32
-                if not remaining or position == end:
+        try:
+            while remaining:
+                origin = bit_generator.state
+                if origin["has_uint32"]:
+                    # A Lemire rejection left half a word buffered: draw
+                    # scalar requests until the buffer is empty again.
+                    request = next(scalar(1, now))
+                    now = request.arrival_time_s
+                    remaining -= 1
+                    yield request
                     continue
-                # The request at ``position`` leaves the pattern.
-                advance(position - at)
-                at = position
-                here = bit_generator.state["state"]["state"]
-                if not fast[position]:
-                    # A slow-path gap: NumPy's own call draws it, and the ONIs
-                    # are decoded from the next word if that word is whole.
-                    arrival = now + exponential(scale)
-                    pair = position + _steps(here, bit_generator.state["state"]["state"], inc)
-                    if not isfinite(arrival):
-                        _settle(bit_generator, 0, stale)
-                        raise ConfigurationError("arrival time must be finite")
-                    if pair < block_words and pairs[pair]:
+                words = bit_generator.random_raw(2 * min(remaining, _BLOCK_REQUESTS))
+                gaps, sources, destinations, breaks = _decode_block(words, scale, num_onis)
+                block_words = len(words)
+                inc = origin["state"]["inc"]
+                # Word offsets from ``origin``: the bit generator's (``at``)
+                # and the next request's (``position``), whose stale half is
+                # ``stale``.
+                at = block_words
+                position = 0
+                stale = origin["uinteger"]
+                while True:
+                    end = block_words - (position & 1)
+                    if not remaining or position >= end:
+                        _settle(bit_generator, position - at, stale)
+                        break
+                    starts = breaks[position & 1]
+                    stop = min(
+                        starts[bisect_left(starts, position)], end, position + 2 * remaining
+                    )
+                    times = list(accumulate(gaps[position:stop:2], initial=now))
+                    if not isfinite(times[-1]):
+                        # Sums never come back from inf or NaN, so the finite
+                        # arrivals are a prefix; the first other one raises
+                        # from the scalar loop below.
+                        stop = position + 2 * sum(map(isfinite, times[1:]))
+                    for word, arrival in zip(range(position + 1, stop, 2), times[1:]):
                         request = _new_object(TrafficRequest)
                         _set_arrival(request, arrival)
-                        _set_source(request, sources[pair])
-                        _set_destination(request, destinations[pair])
+                        _set_source(request, sources[word])
+                        _set_destination(request, destinations[word])
                         _set_payload(request, payload_bits)
                         _set_target_ber(request, target_ber)
                         _set_deadline(request, None)
-                        now = arrival
-                        remaining -= 1
-                        at = pair
-                        position = pair + 1
-                        stale = int(words[pair]) >> 32
                         try:
                             yield request
                         except GeneratorExit:
-                            _settle(bit_generator, 1, stale)
+                            _settle(bit_generator, word + 1 - at, int(words[word]) >> 32)
                             raise
+                    if stop > position:
+                        done = (stop - position) // 2
+                        remaining -= done
+                        now = times[done]
+                        position = stop
+                        stale = int(words[stop - 1]) >> 32
+                    if not remaining or position == end:
                         continue
-                    advance(position - pair)
-                try:
-                    request = next(scalar(1, now))
-                except ConfigurationError:
-                    _settle(bit_generator, 0, stale)
-                    raise
-                now = request.arrival_time_s
-                remaining -= 1
-                drawn = bit_generator.state
-                if drawn["has_uint32"]:
-                    # Misaligned: the outer loop takes over from this state.
+                    # The request at ``position`` leaves the pattern (a
+                    # slow-path gap, a Lemire rejection or a non-finite
+                    # arrival): the scalar loop draws it from its exact state.
+                    advance(position - at)
+                    here = bit_generator.state["state"]["state"]
+                    try:
+                        request = next(scalar(1, now))
+                    except ConfigurationError:
+                        # ``advance`` emptied the buffer; the gap left it alone.
+                        _settle(bit_generator, 0, stale)
+                        raise
+                    now = request.arrival_time_s
+                    remaining -= 1
+                    drawn = bit_generator.state
+                    if drawn["has_uint32"]:
+                        # Misaligned: the outer loop takes over from this state.
+                        yield request
+                        break
+                    position += _steps(here, drawn["state"]["state"], inc)
+                    at = position
+                    stale = drawn["uinteger"]
                     yield request
-                    break
-                position += _steps(here, drawn["state"]["state"], inc)
-                at = position
-                stale = drawn["uinteger"]
-                try:
-                    yield request
-                except GeneratorExit:
-                    _settle(bit_generator, 0, stale)
-                    raise
+        finally:
+            self._decoding = False
 
 
 class UniformTrafficGenerator(_BaseGenerator):

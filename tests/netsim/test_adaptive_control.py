@@ -237,6 +237,25 @@ class TestController:
         assert controller.level(0) == 0
         assert evaluations == [2, 2, 1, 1, 1, 0, 0, 0]
 
+    def test_an_overridden_decide_stays_the_policy(self):
+        class NeverSwitch(HysteresisSwitchingPolicy):
+            def decide(self, estimated_multiplier, margins, level, calm_windows):
+                return 0
+
+        controller = AdaptiveEccController(
+            margins=[1.0, 2.0, 4.0],
+            mode="adaptive",
+            monitor=FailureRateMonitor(window_blocks=10),
+            switching_policy=NeverSwitch(hold_windows=1),
+            initial_level=1,
+        )
+        for window, ratio in enumerate([10.0, 0.1, 0.1]):
+            assert not controller.observe(
+                0, float(window), blocks=10, observed_events=ratio, expected_events=1.0
+            )
+        assert controller.level(0) == 1
+        assert controller.switch_count == 0
+
     def test_reset_clears_state(self):
         controller = AdaptiveEccController(margins=[1.0, 2.0], mode="oracle")
         controller.margin_for(0, 0.0, true_multiplier=2.0)

@@ -7,7 +7,7 @@ that path against :func:`test_exact_draws.numpy_oracle` on the same seed and
 requires the same requests, the same request at which a non-finite arrival
 raises, and the same final ``bit_generator.state``: after the last request,
 after an early ``close()``, and after a second ``generate()`` that continues
-the stream.
+the stream.  A second iterator started while one is open raises.
 """
 
 from __future__ import annotations
@@ -126,6 +126,24 @@ def test_caller_streams_hotspots_bursts_and_two_oni_rings_stay_scalar():
     assert HotspotTrafficGenerator(12, seed=1).generate(3).__name__ == "_drawn_requests"
     assert BurstyTrafficGenerator(12, seed=1).generate(3).__name__ == "_drawn_requests"
     assert UniformTrafficGenerator(3, seed=1).generate(3).__name__ == "_decoded_requests"
+
+
+def test_a_second_iterator_while_one_is_open_raises():
+    generator = UniformTrafficGenerator(12, seed=3)
+    unstarted = generator.generate(5)
+    first = generator.generate(1000)
+    next(first)
+    with pytest.raises(ConfigurationError, match="one open iterator"):
+        generator.generate(5)
+    with pytest.raises(ConfigurationError, match="one open iterator"):
+        next(unstarted)
+    first.close()
+    rng = np.random.default_rng(3)
+    case = Case(np.random.PCG64, "uniform", 12, False)
+    expected, _ = pull(numpy_oracle(case, rng, 6), None)
+    assert [(request.source, request.destination) for request in generator.generate(5)] == [
+        (request.source, request.destination) for request in expected[1:]
+    ]
 
 
 @pytest.mark.parametrize("num_onis,requests", [(12, 240), (2**31 + 7, 40)])
