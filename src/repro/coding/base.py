@@ -63,7 +63,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..exceptions import CodewordLengthError, ConfigurationError, DecodingFailure
-from .matrices import as_gf2, gf2_matmul, gf2_parity_check_from_systematic_generator, hamming_weight
+from .matrices import as_gf2, gf2_matmul, gf2_parity_check_from_systematic_generator
 from .packed import (
     byte_lookup_tables,
     fold_byte_tables,
@@ -741,10 +741,6 @@ class LinearBlockCode:
     def is_codeword(self, bits) -> bool:
         """Check whether an n-bit vector lies in the code."""
         return not self.syndrome(bits).any()
-
-    def codeword_weight(self, message_bits) -> int:
-        """Hamming weight of the codeword encoding ``message_bits``."""
-        return hamming_weight(self.encode_block(message_bits))
 
 
 def encode_blocks_packed(code, message_words) -> np.ndarray:

@@ -21,8 +21,8 @@ are compared on the same traffic, seeds and drift trajectories:
     margin level — the lower bound online control is measured against.
 
 Per grid point (drift profile x policy x load) the payload carries the full
-network metrics, the controller's switch/energy accounting and a
-per-interval energy/latency/switch trace; the merge step reports each
+network metrics and the controller's switch/energy accounting (switch
+energy is part of ``total_energy_j``); the merge step reports each
 policy's **energy saved versus the static worst-case design** — the paper's
 headline number — on identical workloads.
 
@@ -74,8 +74,6 @@ DEFAULT_PAYLOAD_BITS = 4096
 DEFAULT_TARGET_BER = 1e-9
 DEFAULT_WORST_CASE_MULTIPLIER = 16.0
 DEFAULT_SEED = 20260
-#: Trace resolution: intervals per (estimated) simulation horizon.
-TRACE_INTERVALS = 20
 
 _POLICY_MODES = {"static-worst": "static", "adaptive": "adaptive", "oracle": "oracle"}
 
@@ -196,7 +194,6 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         dynamics=dynamics,
         controller=controller,
         telemetry_seed=streams["telemetry"],
-        trace_interval_s=horizon_s / TRACE_INTERVALS,
     )
     result = simulator.run(generator.generate(params["num_requests"]))
     payload = {
@@ -206,7 +203,6 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         "margin_top": worst,
     }
     payload.update(result.metrics().as_dict())
-    payload["trace"] = [row.as_dict() for row in result.interval_trace]
     return payload
 
 
@@ -219,6 +215,9 @@ class AdaptiveSweepResult:
 
     def to_rows(self) -> List[dict]:
         """CSV rows for the experiment runner (scalar columns only)."""
+        # Shards no longer emit a ``trace`` list, but payloads checkpointed
+        # by earlier versions still carry one and resume under the same
+        # fingerprint; dropping it keeps their rows equal to a fresh run's.
         return [
             {key: value for key, value in row.items() if key != "trace"}
             for row in self.rows

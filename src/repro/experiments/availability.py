@@ -24,8 +24,8 @@ policies degrade on identical traffic and fault timelines:
 
 Per grid point (fault scenario x policy x load) the payload carries the full
 network metrics — availability, drop rate, CRC-escape rate, retries,
-recovery statistics — plus the per-interval trace; the merge step annotates
-every row against the static policy of the same (scenario, load) point.
+recovery statistics; the merge step annotates every row against the static
+policy of the same (scenario, load) point.
 
 One shard per grid point, each rebuilding traffic / engine / fault /
 telemetry generators from ``SeedSequence(seed, spawn_key=(pair_index,
@@ -76,8 +76,6 @@ DEFAULT_NUM_REQUESTS = 1000
 DEFAULT_PAYLOAD_BITS = 4096
 DEFAULT_TARGET_BER = 1e-9
 DEFAULT_SEED = 20261
-#: Trace resolution: intervals per (estimated) simulation horizon.
-TRACE_INTERVALS = 20
 
 
 def _shard_defaults(options: dict) -> dict:
@@ -219,7 +217,6 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         seed=streams["engine"],
         controller=controller,
         telemetry_seed=streams["telemetry"],
-        trace_interval_s=horizon_s / TRACE_INTERVALS,
         failures=failures,
         degradation=degradation,
         retry_backoff_s=retry_backoff_s,
@@ -233,7 +230,6 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         "margin_top": margins[-1],
     }
     payload.update(result.metrics().as_dict())
-    payload["trace"] = [row.as_dict() for row in result.interval_trace]
     return payload
 
 
@@ -246,6 +242,9 @@ class AvailabilitySweepResult:
 
     def to_rows(self) -> List[dict]:
         """CSV rows for the experiment runner (scalar columns only)."""
+        # Shards no longer emit a ``trace`` list, but payloads checkpointed
+        # by earlier versions still carry one and resume under the same
+        # fingerprint; dropping it keeps their rows equal to a fresh run's.
         return [
             {key: value for key, value in row.items() if key != "trace"}
             for row in self.rows

@@ -585,14 +585,14 @@ def _run_shards_pooled(
     jobs: int,
     checkpoint_dir: str | None,
     *,
-    shard_timeout_s: float | None = None,
-    max_shard_retries: int = 2,
-    collect: bool = False,
-    shard_metrics: Dict[int, "dict | None"] | None = None,
-    stats: Dict[str, int] | None = None,
-    progress: "Callable[[SweepProgress], None] | None" = None,
-    wall_start: float = 0.0,
-    cancel: "Callable[[], bool] | None" = None,
+    shard_timeout_s: float | None,
+    max_shard_retries: int,
+    collect: bool,
+    shard_metrics: Dict[int, "dict | None"],
+    stats: Dict[str, int],
+    progress: "Callable[[SweepProgress], None] | None",
+    wall_start: float,
+    cancel: "Callable[[], bool] | None",
 ) -> None:
     """Fan the pending shards out over a process pool, checkpointing as they land.
 
@@ -605,17 +605,6 @@ def _run_shards_pooled(
     """
     queue = deque(sorted(pending))
     attempts: Dict[int, int] = {}
-    if stats is None:
-        stats = {
-            "shards_total": len(grid.shard_params),
-            "shards_completed": 0,
-            "shards_resumed": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "pool_rebuilds": 0,
-            "checkpoint_writes": 0,
-            "checkpoint_bytes": 0,
-        }
     workers = min(jobs, len(queue))
     context = _pool_context()
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
@@ -660,8 +649,7 @@ def _run_shards_pooled(
                 if error is None:
                     payload, snapshot = future.result()
                     completed[index] = payload
-                    if shard_metrics is not None:
-                        shard_metrics[index] = snapshot
+                    shard_metrics[index] = snapshot
                     stats["shards_completed"] += 1
                     logger.debug("%s: shard %d landed", grid.experiment, index)
                     landed = True
@@ -681,8 +669,7 @@ def _run_shards_pooled(
             if landed:
                 if checkpoint_dir is not None:
                     _write_checkpoint(checkpoint_dir, grid, completed, stats)
-                if shard_metrics is not None:
-                    _notify_progress(progress, grid, stats, shard_metrics, wall_start)
+                _notify_progress(progress, grid, stats, shard_metrics, wall_start)
             if broken:
                 # The pool is unusable once broken: requeue everything still
                 # in flight (those futures are doomed too) and rebuild.

@@ -48,7 +48,6 @@ from .failures import (
     make_fault_model,
 )
 from .metrics import (
-    IntervalTrace,
     LatencySummary,
     NetworkMetrics,
     nearest_rank_percentile,
@@ -68,7 +67,6 @@ __all__ = [
     "EpochEventCore",
     "LatencySummary",
     "NetworkMetrics",
-    "IntervalTrace",
     "nearest_rank_percentile",
     "TransmissionOutcome",
     "ProbabilisticOutcomeSampler",

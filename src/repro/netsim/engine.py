@@ -68,13 +68,7 @@ from ..traffic.generators import TrafficRequest
 from .dynamics import ChannelDriftModel
 from .events import EpochEventCore, EventKind
 from .failures import HardFaultModel
-from .metrics import (
-    EMPTY_TRACE_BUCKET,
-    IntervalTrace,
-    NetworkMetrics,
-    build_interval_trace,
-    compute_metrics,
-)
+from .metrics import NetworkMetrics, compute_metrics
 from .outcomes import (
     BitExactOutcomeSampler,
     ProbabilisticOutcomeSampler,
@@ -137,10 +131,9 @@ class NetworkResult:
     num_channels: int
     warmup_fraction: float
     events_processed: int
-    #: Online-control accounting (zero / ``None`` without a controller).
+    #: Online-control accounting (zero without a controller).
     configuration_switches: int = 0
     reconfiguration_energy_j: float = 0.0
-    interval_trace: List[IntervalTrace] | None = None
     #: Hard-fault accounting (all zero without a fault model): channel-seconds
     #: spent hard-down, health transitions processed, completed down->up
     #: recoveries with their total duration, and the observed simulation span
@@ -191,9 +184,6 @@ class _RunState:
     #: entry — otherwise an earlier completion would drop the
     #: configuration of a transfer still occupying the channel.
     active_pairs: Dict[tuple, int] = field(default_factory=dict)
-    #: Interval-trace accumulators: bucket index -> a list laid out like
-    #: :data:`~repro.netsim.metrics.EMPTY_TRACE_BUCKET`.
-    trace: Dict[int, list] = field(default_factory=dict)
     #: Hard-fault accounting: channels currently down (channel -> the time
     #: they went down) plus the run-wide downtime / transition / recovery
     #: counters and the time of the last processed event.
@@ -421,10 +411,6 @@ class NetworkSimulator:
         enabling the controller never perturbs the engine's main stream —
         a zero-drift adaptive run is byte-identical to a static one.  Pass
         a seed for reproducible adaptive runs.
-    trace_interval_s:
-        When set, the run accumulates per-interval energy/latency/switch
-        traces (:class:`~repro.netsim.metrics.IntervalTrace`) of this
-        width on ``NetworkResult.interval_trace``.
     failures:
         Optional :class:`~repro.netsim.failures.HardFaultModel` injecting
         hard faults (lane fails, stuck rings, laser droop, blackouts) per
@@ -470,7 +456,6 @@ class NetworkSimulator:
         dynamics: ChannelDriftModel | None = None,
         controller: AdaptiveEccController | None = None,
         telemetry_seed: int | np.random.SeedSequence | None = None,
-        trace_interval_s: float | None = None,
         failures: HardFaultModel | None = None,
         degradation: DegradationLadder | None = None,
         retry_backoff_s: float = 0.0,
@@ -506,11 +491,6 @@ class NetworkSimulator:
                 "a custom fault model fixes the raw BER; it cannot be combined "
                 "with channel dynamics"
             )
-        # Chained comparisons reject NaN too: a NaN interval, backoff or
-        # timeout would pass a plain ``<= 0`` check and silently corrupt the
-        # run (a NaN deadline turns every retry into a drop).
-        if trace_interval_s is not None and not 0.0 < trace_interval_s < math.inf:
-            raise ConfigurationError("trace interval must be positive and finite")
         if failures is not None:
             if mode != "probabilistic":
                 raise ConfigurationError(
@@ -544,6 +524,9 @@ class NetworkSimulator:
                     "the degradation ladder's wavelength count must match the "
                     "interconnect"
                 )
+        # Chained comparisons reject NaN too: a NaN backoff or timeout would
+        # pass a plain ``<= 0`` check and silently corrupt the run (a NaN
+        # deadline turns every retry into a drop).
         if not 0.0 <= retry_backoff_s < math.inf:
             raise ConfigurationError("retry backoff must be finite and non-negative")
         if transfer_timeout_s is not None and not transfer_timeout_s > 0.0:
@@ -560,17 +543,25 @@ class NetworkSimulator:
         self._rng = resolve_rng(rng, seed)
         # The resolution stream (failing attempts' CRC-escape/binomial draws)
         # is a deterministic function of the primary seed, so passing the
-        # same rng/seed still makes the whole run a pure function of it.
-        try:
-            self._resolve_rng = self._rng.spawn(1)[0]
-        except (AttributeError, TypeError):  # pragma: no cover - NumPy < 1.25
+        # same rng/seed still makes the whole run a pure function of it.  The
+        # child is spawned through the bit generator's seed sequence, as
+        # ``Generator.spawn`` (NumPy >= 1.25 only) does, so every supported
+        # NumPy derives the same stream.
+        bit_generator = self._rng.bit_generator
+        seed_seq = bit_generator._seed_seq
+        if seed_seq is not None:
+            self._resolve_rng = np.random.Generator(
+                type(bit_generator)(seed_seq.spawn(1)[0])
+            )
+        else:
+            # A legacy-seeded bit generator has no seed sequence and cannot
+            # spawn on any NumPy version: seed the child from a main draw.
             self._resolve_rng = np.random.default_rng(
                 int(self._rng.integers(0, np.iinfo(np.int64).max))
             )
         self._dynamics = dynamics
         self._controller = controller
         self._telemetry_rng = resolve_rng(None, telemetry_seed)
-        self._trace_interval_s = trace_interval_s
         self._failures = failures
         self._degradation = degradation
         self.retry_backoff_s = float(retry_backoff_s)
@@ -693,7 +684,6 @@ class NetworkSimulator:
                 started = run.down_since[channel]
                 if run.end_s > started:
                     run.downtime_s += run.end_s - started
-                    self._charge_downtime(run, started, run.end_s)
             run.down_since.clear()
 
         result = NetworkResult(
@@ -713,15 +703,6 @@ class NetworkSimulator:
                 self._controller.reconfiguration_energy_j
                 if self._controller is not None
                 else 0.0
-            ),
-            interval_trace=(
-                build_interval_trace(
-                    run.trace,
-                    self._trace_interval_s,
-                    num_channels=self.config.num_onis,
-                )
-                if self._trace_interval_s is not None
-                else None
             ),
             channel_downtime_s=run.downtime_s,
             fault_transitions=run.fault_transitions,
@@ -770,48 +751,6 @@ class NetworkSimulator:
             lambda target: _publish_record_metrics(target, records, events, faults)
         )
 
-    def _charge_trace(
-        self,
-        run: _RunState,
-        time_s: float,
-        *,
-        energy_j: float = 0.0,
-        packets: int = 0,
-        completed: int = 0,
-        latency_s: float = 0.0,
-        switches: int = 0,
-        dropped: int = 0,
-        fault_transitions: int = 0,
-        recoveries: int = 0,
-        recovery_s: float = 0.0,
-    ) -> None:
-        """Accumulate one event's contribution to the interval trace."""
-        if self._trace_interval_s is None:
-            return
-        bucket = run.trace.setdefault(
-            int(time_s // self._trace_interval_s), list(EMPTY_TRACE_BUCKET)
-        )
-        bucket[0] += energy_j
-        bucket[1] += packets
-        bucket[2] += completed
-        bucket[3] += latency_s
-        bucket[4] += switches
-        bucket[5] += dropped
-        bucket[6] += fault_transitions
-        bucket[7] += recoveries
-        bucket[8] += recovery_s
-
-    def _charge_downtime(self, run: _RunState, start_s: float, end_s: float) -> None:
-        """Spread one channel-down interval over the trace buckets it covers."""
-        if self._trace_interval_s is None or end_s <= start_s:
-            return
-        width = self._trace_interval_s
-        for index in range(int(start_s // width), int(end_s // width) + 1):
-            overlap = min(end_s, (index + 1) * width) - max(start_s, index * width)
-            if overlap > 0.0:
-                bucket = run.trace.setdefault(index, list(EMPTY_TRACE_BUCKET))
-                bucket[9] += overlap
-
     def _handle_link_fault(self, now_s, transition, run: _RunState) -> None:
         """Apply one health transition: availability accounting + escalation."""
         run.fault_transitions += 1
@@ -826,9 +765,6 @@ class NetworkSimulator:
             run.downtime_s += duration
             run.recoveries += 1
             run.recovery_time_s += duration
-            self._charge_downtime(run, started, now_s)
-            self._charge_trace(run, now_s, recoveries=1, recovery_s=duration)
-        self._charge_trace(run, now_s, fault_transitions=1)
         if (
             self._controller is not None
             and self._degradation is not None
@@ -837,19 +773,7 @@ class NetworkSimulator:
             # A ladder deployment implies a fault-management plane that
             # announces detected penalties; jump the controller straight to
             # the covering level instead of waiting for telemetry.
-            if self._controller.force_margin(
-                channel, health.ber_penalty_multiplier, now_s
-            ):
-                self._record_switch(run, now_s)
-
-    def _record_switch(self, run: _RunState, time_s: float) -> None:
-        """Trace one controller level switch (its energy is charged here)."""
-        self._charge_trace(
-            run,
-            time_s,
-            energy_j=self._controller.switch_energy_j,
-            switches=1,
-        )
+            self._controller.force_margin(channel, health.ber_penalty_multiplier, now_s)
 
     def _drop_on_arrival(self, request, now_s, run: _RunState) -> None:
         """Record a request refused at arrival (channel declared down)."""
@@ -874,7 +798,6 @@ class NetworkSimulator:
                 energy_j=0.0,
             )
         )
-        self._charge_trace(run, now_s, dropped=packets)
 
     def _apply_attempt_health(self, state, health, action) -> None:
         """Set the attempt's raw BER (or dark-channel flag) from its health.
@@ -963,20 +886,13 @@ class NetworkSimulator:
                 energy_j=state.energy_j,
             )
         )
-        self._charge_trace(
-            run,
-            now_s,
-            completed=1,
-            latency_s=now_s - request.arrival_time_s,
-            dropped=dropped,
-        )
         pair = (request.source, request.destination)
         run.active_pairs[pair] -= 1
         if run.active_pairs[pair] == 0:
             del run.active_pairs[pair]
             self.manager.release(request.source, request.destination)
 
-    def _feed_controller(self, now_s, state, outcome, run: _RunState) -> None:
+    def _feed_controller(self, now_s, state, outcome) -> None:
         """Sample the attempt's failure telemetry and feed the monitor.
 
         The receiver-visible telemetry is the number of ECC blocks the
@@ -992,12 +908,10 @@ class NetworkSimulator:
         disturb = sampler.block_disturb_probability(state.attempt_raw_ber)
         observed = float(self._telemetry_rng.binomial(blocks, disturb))
         expected = blocks * state.link.design_disturb_probability
-        switched = self._controller.observe(
+        self._controller.observe(
             state.request.destination,
             now_s,
             blocks=blocks,
             observed_events=observed + outcome.failed_detected,
             expected_events=expected,
         )
-        if switched:
-            self._record_switch(run, now_s)

@@ -39,14 +39,14 @@ the departure heap as the finished
 back clean, with the gate queued for the next flush.  A parked transfer
 allocates no ``_TransferState`` and calls no engine method.  When its
 record pops, the adaptive controller's telemetry (one draw on the
-telemetry stream, then ``observe``) and the interval trace's departure
-terms are charged, where the oracle's departure handler charges them.  A
-flush that flags a parked gate swaps in the stateful transfer the record
-stood in for, before its departure pops.  Every other attempt is stateful
-and goes through the one ``schedule_attempt``: re-attempts, deferred
-retries, first attempts on a channel the ladder finds down or does not
-serve (deferred or dropped), first attempts that start in a blackout
-(certain loss), and every attempt of a bit-exact run.
+telemetry stream, then ``observe``) is charged, where the oracle's
+departure handler charges it.  A flush that flags a parked gate swaps in
+the stateful transfer the record stood in for, before its departure pops.
+Every other attempt is stateful and goes through the one
+``schedule_attempt``: re-attempts, deferred retries, first attempts on a
+channel the ladder finds down or does not serve (deferred or dropped),
+first attempts that start in a blackout (certain loss), and every attempt
+of a bit-exact run.
 
 **Determinism argument.**  Event order is byte-identical to the oracle's
 because the core implements the same ``(time, insertion-sequence)`` total
@@ -89,9 +89,9 @@ channel declared down, or :class:`~repro.exceptions.InfeasibleDesignError`)
 is replayed, and the ladder counters ``configure_degraded`` publishes are
 republished on every hit.  Requests that fail cheap validity checks
 (source == destination, payload <= 0, an ONI out of range) take the real
-manager path, so error behaviour stays identical too.  Faults, controller
-switches, downtime and failed or dropped transfers go through the engine's
-``_charge_trace``/``_finalize_transfer``.  Per-attempt drift and health
+manager path, so error behaviour stays identical too.  Faults, downtime
+and failed or dropped transfers go through the engine's
+``_handle_link_fault``/``_finalize_transfer``.  Per-attempt drift and health
 queries go through per-channel lookups bound once per run
 (:meth:`~repro.netsim.dynamics.ChannelDriftModel.multiplier_lookup`, the
 health index lookups), the same closures the models' own queries answer
@@ -112,7 +112,6 @@ from ..obs import tracing as obs_tracing
 from ..traffic.generators import TrafficRequest
 from .engine import NetTransferRecord, NetworkResult, _RunState, _TransferState
 from .events import EventKind, EpochEventCore
-from .metrics import EMPTY_TRACE_BUCKET
 from .outcomes import TransmissionOutcome, packets_for_payload
 
 __all__ = ["run_batched"]
@@ -196,9 +195,6 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     # Without drift or faults every attempt runs at its sampler's design raw
     # BER, so a transfer's gate is fixed by its payload entry.
     fixed_raw = probabilistic and not need_design_raw
-    trace_interval_s = sim._trace_interval_s
-    trace_on = trace_interval_s is not None
-    trace = run.trace
     rng_random = sim._rng.random
     resolve_rng = sim._resolve_rng
     telemetry_binomial = sim._telemetry_rng.binomial
@@ -291,18 +287,6 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                 {"attempts": attempts},
                 start=begin,
             )
-
-    def trace_bucket(t: float) -> list:
-        """The interval-trace bucket ``_charge_trace`` would charge at ``t``.
-
-        Callers add only their non-zero terms: the zero terms
-        ``_charge_trace`` adds leave a bucket's values unchanged.
-        """
-        index = int(t // trace_interval_s)
-        bucket = trace.get(index)
-        if bucket is None:
-            bucket = trace[index] = list(EMPTY_TRACE_BUCKET)
-        return bucket
 
     def new_state(request, sampler, link, packets: int, design_raw: float):
         """The stateful bookkeeping of one transfer, registered in flight."""
@@ -450,8 +434,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         state.attempts += 1
         state.packets_sent += remaining
         state.coded_bits_sent += remaining * coded_bits_pp
-        attempt_energy_j = link.channel_power_w * wavelengths * duration_s
-        state.energy_j += attempt_energy_j
+        state.energy_j += link.channel_power_w * wavelengths * duration_s
         if drift_at is not None:
             multiplier = drift_at[destination](start_s)
             state.attempt_raw_ber = min(1.0, state.design_raw_ber * multiplier)
@@ -476,10 +459,6 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                 )
             else:
                 state.pending_outcome = sampler.sample(remaining)
-        if trace_on:
-            bucket = trace_bucket(start_s)
-            bucket[0] += attempt_energy_j
-            bucket[1] += remaining
         channel[6] += duration_s
         push(start_s + duration_s, DEPARTURE, state)
 
@@ -549,7 +528,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         if wants_obs:
                             telemetry = event[4]
                             blocks = telemetry[0]
-                            if observe(
+                            observe(
                                 state[1],
                                 time_s,
                                 blocks=blocks,
@@ -557,13 +536,8 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                                     telemetry_binomial(blocks, telemetry[1])
                                 ),
                                 expected_events=telemetry[2],
-                            ):
-                                sim._record_switch(run, time_s)
+                            )
                         records_append(state)
-                        if trace_on:
-                            bucket = trace_bucket(time_s)
-                            bucket[2] += 1
-                            bucket[3] += time_s - state[4]
                         continue
                     state = flagged.pop(seq)
                 elif event[2] is RETRY:
@@ -590,7 +564,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         # rare, so they take the oracle's path as is.
                         outcome = TransmissionOutcome(state.packets_remaining, 0, 0, 0)
                     if wants_obs:
-                        sim._feed_controller(time_s, state, outcome, run)
+                        sim._feed_controller(time_s, state, outcome)
                 state.packets_delivered += outcome.packets - outcome.failed_detected
                 state.packets_with_residual_errors += outcome.delivered_with_errors
                 state.residual_bit_errors += outcome.residual_bit_errors
@@ -619,7 +593,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             destination = request.destination
             payload_bits = request.payload_bits
             if controller is not None:
-                margin, switched = margin_for(
+                margin = margin_for(
                     destination,
                     time_s,
                     true_multiplier=(
@@ -627,9 +601,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         if arrival_drift is not None
                         else 1.0
                     ),
-                )
-                if switched:
-                    sim._record_switch(run, time_s)
+                )[0]
             suspect = (
                 source == destination
                 or payload_bits <= 0
@@ -726,10 +698,6 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             channel[1] = departure_s
             grants = channel[5]
             grants[source] = grants[source] + 1
-            if trace_on:
-                bucket = trace_bucket(start_s)
-                bucket[0] += energy_j
-                bucket[1] += packets
             channel[6] += duration_s
             if fail_p is None:
                 # Drift or faults move the raw BER: the gate is looked up.

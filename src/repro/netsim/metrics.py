@@ -23,11 +23,8 @@ from ..exceptions import ConfigurationError
 __all__ = [
     "LatencySummary",
     "NetworkMetrics",
-    "IntervalTrace",
     "nearest_rank_percentile",
     "compute_metrics",
-    "build_interval_trace",
-    "EMPTY_TRACE_BUCKET",
 ]
 
 
@@ -87,105 +84,6 @@ class LatencySummary:
             "min_s": self.min_s,
             "max_s": self.max_s,
         }
-
-
-@dataclass(frozen=True)
-class IntervalTrace:
-    """Per-interval activity of a run (the adaptive experiment's time series).
-
-    One row per fixed-width simulation-time interval: channel energy charged
-    in the interval (reconfiguration energy included), packets sent,
-    transfers completed, their mean latency, and how many configuration
-    switches the controller performed.  Under a hard-fault model
-    (:mod:`repro.netsim.failures`) each row also carries the interval's
-    drop / fault / recovery counts and its channel availability, which is
-    what the availability experiment plots as a time series.
-    """
-
-    interval: int
-    start_s: float
-    energy_j: float
-    packets_sent: int
-    transfers_completed: int
-    mean_latency_s: float
-    switches: int
-    packets_dropped: int = 0
-    fault_transitions: int = 0
-    recoveries: int = 0
-    mean_recovery_s: float = 0.0
-    availability: float = 1.0
-
-    def as_dict(self) -> dict:
-        """Plain-scalar view for JSON payloads."""
-        return {
-            "interval": self.interval,
-            "start_s": self.start_s,
-            "energy_j": self.energy_j,
-            "packets_sent": self.packets_sent,
-            "transfers_completed": self.transfers_completed,
-            "mean_latency_s": self.mean_latency_s,
-            "switches": self.switches,
-            "packets_dropped": self.packets_dropped,
-            "fault_transitions": self.fault_transitions,
-            "recoveries": self.recoveries,
-            "mean_recovery_s": self.mean_recovery_s,
-            "availability": self.availability,
-        }
-
-
-#: Zero-filled interval accumulator: ``[energy_j, packets_sent,
-#: transfers_completed, latency_sum_s, switches, packets_dropped,
-#: fault_transitions, recoveries, recovery_time_sum_s, channel_down_s]``.
-EMPTY_TRACE_BUCKET = (0.0, 0, 0, 0.0, 0, 0, 0, 0, 0.0, 0.0)
-
-
-def build_interval_trace(
-    buckets: Mapping[int, Sequence[float]],
-    interval_s: float,
-    *,
-    num_channels: int = 1,
-) -> list[IntervalTrace]:
-    """Reduce the engine's raw interval accumulators to trace rows.
-
-    ``buckets`` maps interval index to accumulator lists laid out like
-    :data:`EMPTY_TRACE_BUCKET`; shorter (pre-fault-model) five-element lists
-    are accepted and padded with zeros.  Gaps between occupied intervals are
-    filled with zero rows so the series plots contiguously.  ``num_channels``
-    converts the interval's channel-down seconds into an availability
-    fraction.
-    """
-    if interval_s <= 0.0:
-        raise ConfigurationError("trace interval must be positive")
-    if num_channels < 1:
-        raise ConfigurationError("availability needs at least one channel")
-    if not buckets:
-        return []
-    rows = []
-    for index in range(max(buckets) + 1):
-        bucket = list(buckets.get(index, EMPTY_TRACE_BUCKET))
-        if len(bucket) < len(EMPTY_TRACE_BUCKET):
-            bucket.extend(EMPTY_TRACE_BUCKET[len(bucket):])
-        (energy, packets, completed, latency_sum, switches,
-         dropped, faults, recoveries, recovery_sum, down_s) = bucket
-        rows.append(
-            IntervalTrace(
-                interval=index,
-                start_s=index * interval_s,
-                energy_j=float(energy),
-                packets_sent=int(packets),
-                transfers_completed=int(completed),
-                mean_latency_s=float(latency_sum / completed) if completed else 0.0,
-                switches=int(switches),
-                packets_dropped=int(dropped),
-                fault_transitions=int(faults),
-                recoveries=int(recoveries),
-                mean_recovery_s=float(recovery_sum / recoveries) if recoveries else 0.0,
-                availability=max(
-                    0.0, 1.0 - float(down_s) / (num_channels * interval_s)
-                ),
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

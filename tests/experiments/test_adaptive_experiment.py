@@ -72,16 +72,6 @@ def test_adaptive_saves_energy_at_same_ber_target(serial_report):
     assert static["configuration_switches"] == 0
 
 
-def test_payload_carries_interval_trace():
-    shards = adaptive.sweep_shards(options=_OPTIONS)
-    payload = adaptive.run_sweep_shard(shards[1])  # the adaptive point
-    assert payload["policy"] == "adaptive"
-    trace = payload["trace"]
-    assert len(trace) >= adaptive.TRACE_INTERVALS // 2
-    assert {"interval", "start_s", "energy_j", "switches"} <= set(trace[0])
-    assert sum(row["switches"] for row in trace) == payload["configuration_switches"]
-
-
 def test_csv_rows_are_scalar_only(serial_report):
     _, rows = serial_report
     for row in rows:

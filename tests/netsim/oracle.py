@@ -175,11 +175,9 @@ def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
             if sim._dynamics is not None
             else 1.0
         )
-        margin, switched = sim._controller.margin_for(
+        margin = sim._controller.margin_for(
             request.destination, now_s, true_multiplier=multiplier
-        )
-        if switched:
-            sim._record_switch(run, now_s)
+        )[0]
     try:
         if sim._degradation is not None:
             health = sim._failures.health(request.destination, now_s)
@@ -288,8 +286,7 @@ def _schedule_attempt(
     state.packets_sent += state.packets_remaining
     state.coded_bits_sent += state.packets_remaining * state.link.coded_bits_per_packet
     channel_power_w = state.link.channel_power_w * wavelengths
-    attempt_energy_j = channel_power_w * duration_s
-    state.energy_j += attempt_energy_j
+    state.energy_j += channel_power_w * duration_s
     if sim._dynamics is not None:
         # The attempt is corrupted at the channel conditions of its
         # serialisation start.
@@ -312,7 +309,6 @@ def _schedule_attempt(
             )
         else:
             state.pending_outcome = state.sampler.sample(state.packets_remaining)
-    sim._charge_trace(run, start_s, energy_j=attempt_energy_j, packets=state.packets_remaining)
     run.busy_s[destination] = run.busy_s.get(destination, 0.0) + duration_s
     run.queue.push(start_s + duration_s, EventKind.DEPARTURE, state)
 
@@ -334,7 +330,7 @@ def _handle_departure(sim, now_s, state, run: _RunState) -> None:
         outcome = state.pending_outcome
         state.pending_outcome = None
         if sim._controller is not None and sim._controller.wants_observations:
-            sim._feed_controller(now_s, state, outcome, run)
+            sim._feed_controller(now_s, state, outcome)
     state.packets_delivered += outcome.delivered
     state.packets_with_residual_errors += outcome.delivered_with_errors
     state.residual_bit_errors += outcome.residual_bit_errors

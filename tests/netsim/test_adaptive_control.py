@@ -1,4 +1,4 @@
-"""Online adaptive-ECC control: parity, switching, penalties and traces."""
+"""Online adaptive-ECC control: parity, switching and penalties."""
 
 from __future__ import annotations
 
@@ -367,32 +367,3 @@ class TestEngineIntegration:
             with_latency.metrics().latency.mean_s
             > without_latency.metrics().latency.mean_s
         )
-
-    def test_interval_trace_accounts_for_run_totals(self):
-        requests = _requests(count=200)
-        horizon = max(r.arrival_time_s for r in requests)
-        drift = make_drift_model("thermal", 12, seed=4, timescale_s=horizon)
-        controller = AdaptiveEccController(
-            margins=margin_levels(drift.worst_case_multiplier), mode="oracle"
-        )
-        result = NetworkSimulator(
-            seed=np.random.SeedSequence(6),
-            dynamics=drift,
-            controller=controller,
-            trace_interval_s=horizon / 10,
-        ).run(requests)
-        trace = result.interval_trace
-        assert trace is not None and len(trace) >= 10
-        assert sum(row.transfers_completed for row in trace) == len(
-            [r for r in result.records if not r.rejected]
-        )
-        assert sum(row.switches for row in trace) == result.configuration_switches
-        metrics = result.metrics()
-        assert sum(row.energy_j for row in trace) == pytest.approx(
-            metrics.total_energy_j, rel=1e-9
-        )
-        assert all(row.start_s == pytest.approx(row.interval * horizon / 10) for row in trace)
-
-    def test_trace_disabled_by_default(self):
-        result = NetworkSimulator(seed=np.random.SeedSequence(1)).run(_requests(count=50))
-        assert result.interval_trace is None

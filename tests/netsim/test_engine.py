@@ -390,15 +390,11 @@ class TestEngineBehaviour:
             ("retry_backoff_s", math.nan),
             ("retry_backoff_s", math.inf),
             ("retry_backoff_s", -1e-9),
-            ("trace_interval_s", math.nan),
-            ("trace_interval_s", math.inf),
-            ("trace_interval_s", 0.0),
         ],
     )
     def test_nan_and_out_of_range_settings_are_rejected(self, setting, value):
         # A NaN timeout used to pass a ``<= 0`` check and drop every retry
-        # (its deadline compares false); a NaN backoff or trace interval
-        # passed the same way.
+        # (its deadline compares false); a NaN backoff passed the same way.
         with pytest.raises(ConfigurationError):
             NetworkSimulator(**{setting: value})
 
@@ -706,14 +702,8 @@ def _noisy_static_case():
     return simulator, list(requests)
 
 
-def _traced_case():
-    requests = _uniform_requests()
-    interval = requests[-1].arrival_time_s / 16
-    return NetworkSimulator(seed=2, trace_interval_s=interval), requests
-
-
 def _parked_case(channel: str, *, ladder: bool = False):
-    """Parked first attempts on a noisy traced link: most get flagged.
+    """Parked first attempts on a noisy link: most get flagged.
 
     The flush swaps each flagged parked record for a stateful transfer,
     and blackouts turn first attempts stateful at arrival.
@@ -751,7 +741,6 @@ def _parked_case(channel: str, *, ladder: bool = False):
             seed=31,
             controller=AdaptiveEccController(margins=margin_levels(4.0), mode="adaptive"),
             telemetry_seed=99,
-            trace_interval_s=horizon_s / 16,
             retry_backoff_s=0.01 * horizon_s,
             transfer_timeout_s=0.5 * horizon_s,
             **kwargs,
@@ -769,10 +758,9 @@ _NO_CYCLE_CASES = {
     "random-walk-adaptive": _drift_case("random-walk", "adaptive"),
     "thermal-oracle": _drift_case("thermal", "oracle"),
     "mixed-faults-ladder": _faulted_case,
-    "interval-trace": _traced_case,
-    "parked-thermal-adaptive-traced": _parked_case("thermal"),
-    "parked-mixed-faults-traced": _parked_case("mixed"),
-    "parked-blackout-ladder-traced": _parked_case("blackout", ladder=True),
+    "parked-thermal-adaptive": _parked_case("thermal"),
+    "parked-mixed-faults": _parked_case("mixed"),
+    "parked-blackout-ladder": _parked_case("blackout", ladder=True),
     "bit-exact-crc": lambda: (
         NetworkSimulator(seed=2, mode="bit-exact"),
         _uniform_requests(count=40, payload_bits=2048),

@@ -2,7 +2,7 @@
 
 The simulator's epoch-batched event core (:mod:`repro.netsim.epoch`) claims
 *byte-identical* results to the per-event heap loop of :mod:`oracle` —
-same records, same metrics, same interval traces, same event counts —
+same records, same metrics, same event counts —
 across every feature that rides the hot path: fault timelines with the
 degradation ladder, channel drift with static/adaptive/oracle controllers,
 ARQ backoff and timeouts, and both outcome modes.  This suite is the
@@ -56,7 +56,6 @@ RESULT_FIELDS = (
     "events_processed",
     "configuration_switches",
     "reconfiguration_energy_j",
-    "interval_trace",
     "channel_downtime_s",
     "fault_transitions",
     "recoveries",
@@ -126,7 +125,7 @@ def run_both(requests, *, scenario=None, drift=None, policy=None, policy_obj=Non
 
 
 class TestStaticPathParity:
-    """The fast path: plain probabilistic runs, retries, rejects, traces."""
+    """The fast path: plain probabilistic runs, retries, rejects."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_plain_run(self, seed):
@@ -144,12 +143,6 @@ class TestStaticPathParity:
             retry_backoff_s=horizon / 100,
             transfer_timeout_s=horizon,
         )
-
-    def test_interval_trace(self):
-        requests = _requests(count=200, seed=7)
-        horizon = max(r.arrival_time_s for r in requests)
-        result = run_both(requests, trace_interval_s=horizon / 16)
-        assert result.interval_trace  # the comparison actually saw a trace
 
     def test_crc_free_single_shot(self):
         run_both(_requests(count=150, seed=8), crc=None, max_retries=0)
@@ -258,26 +251,17 @@ class TestDecisionMemoParity:
         assert calls == {"reference": len(requests), "batched": 3}
 
 
-class TestTracedParity:
-    """Runs with an interval trace charge it inline in the one event loop."""
+class TestSwitchingDriftParity:
+    """Controllers that switch levels under drift, with and without retries."""
 
-    def test_adaptive_drift_trace(self):
+    def test_adaptive_drift(self):
         requests = _requests(count=400, seed=2)
-        horizon = max(r.arrival_time_s for r in requests)
-        result = run_both(
-            requests,
-            drift="thermal",
-            policy="adaptive",
-            trace_interval_s=horizon / 16,
-        )
+        result = run_both(requests, drift="thermal", policy="adaptive")
         assert result.configuration_switches > 0
-        assert sum(row.switches for row in result.interval_trace) > 0
-        assert sum(row.transfers_completed for row in result.interval_trace) == len(
-            result.records
-        )
+        assert len(result.records) == len(requests)
 
     @pytest.mark.parametrize("policy", ["static", "oracle"])
-    def test_bursty_drift_trace_with_retries(self, policy):
+    def test_bursty_drift_with_retries(self, policy):
         requests = _bursty_requests(count=250, seed=10)
         horizon = max(r.arrival_time_s for r in requests)
         result = run_both(
@@ -286,9 +270,8 @@ class TestTracedParity:
             policy=policy,
             retry_backoff_s=horizon / 100,
             transfer_timeout_s=horizon,
-            trace_interval_s=horizon / 7,
         )
-        assert result.interval_trace
+        assert len(result.records) == len(requests)
 
 
 class TestFaultScenarioParity:
@@ -409,8 +392,7 @@ class TestTieParity:
             **kwargs,
         )
 
-    @pytest.mark.parametrize("trace", ["untraced", "traced"])
-    def test_departures_tied_with_arrivals(self, trace):
+    def test_departures_tied_with_arrivals(self):
         # Writer 1 holds the token of reader 0 from the start, so an attempt
         # arriving at t on an idle channel departs at exactly t + duration.
         probe = self._simulator(max_retries=0).run(
@@ -421,10 +403,8 @@ class TestTieParity:
         for _ in range(150):
             requests.append(TrafficRequest(arrival_s, 1, 0, 512, 1e-2))
             arrival_s += duration_s
-        # An interval trace charges every departure to its bucket as well.
-        kwargs = {"trace_interval_s": 10 * duration_s} if trace == "traced" else {}
         results = {
-            name: backend(self._simulator(max_retries=6, **kwargs), iter(requests))
+            name: backend(self._simulator(max_retries=6), iter(requests))
             for name, backend in BACKENDS.items()
         }
         assert_identical(results["reference"], results["batched"])
@@ -557,7 +537,7 @@ class TestOrchestratedParity:
 
 
 class TestLongGridParity:
-    """The full fault x policy x trace and drift x policy cross-products."""
+    """The full fault x policy and drift x policy cross-products."""
 
     @pytest.mark.parametrize(
         "scenario,policy,seed",
@@ -572,7 +552,6 @@ class TestLongGridParity:
             policy=policy,
             retry_backoff_s=horizon / 100,
             transfer_timeout_s=horizon,
-            trace_interval_s=horizon / 8,
         )
 
     @pytest.mark.parametrize(

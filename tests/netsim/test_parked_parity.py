@@ -8,7 +8,7 @@ hypothesis draws that configuration instead of listing it, covering each
 item of a test-generator checklist:
 
 * **empty / null** — no drift, no controller, no faults, no CRC, no
-  timeout, no trace, one-request runs;
+  timeout, one-request runs;
 * **state transitions** — every drift profile and controller mode (level
   switches, reconfiguration blocks), every fault scenario with and without
   the degradation ladder (blackouts, deferrals, down channels);
@@ -72,7 +72,6 @@ def run_configs(draw):
         # backed-off retry path, so it needs a positive backoff.
         "backoff": draw(st.sampled_from((0.002, 0.02) if ladder else (0.0, 0.002, 0.02))),
         "timeout": draw(st.sampled_from((None, 0.05, 0.5))),
-        "trace": draw(st.booleans()),
         # Mostly runs long enough for faults to bite, some one-request runs.
         "count": draw(st.integers(0, 160).map(lambda n: 1 if n < 8 else max(n, 40))),
         "traffic_seed": draw(st.integers(0, 2**16)),
@@ -124,8 +123,6 @@ def _simulator(config, horizon_s):
         kwargs["manager"] = OpticalLinkManager(codes=[HammingCode(3)])
     if config["timeout"] is not None:
         kwargs["transfer_timeout_s"] = config["timeout"] * horizon_s
-    if config["trace"]:
-        kwargs["trace_interval_s"] = horizon_s / 8
     if channel in DRIFT_PROFILES:
         kwargs["dynamics"] = make_drift_model(
             channel, NUM_ONIS, seed=17, worst_case_multiplier=8.0, timescale_s=horizon_s
@@ -156,7 +153,6 @@ def _config(**overrides):
         "max_retries": 4,
         "backoff": 0.0,
         "timeout": None,
-        "trace": False,
         "count": 120,
         "traffic_seed": 1,
         "payloads": [512],
@@ -174,14 +170,14 @@ class TestParkedAttemptParity:
     # ladder; penalised attempts without it; a one-request run.
     @example(
         config=_config(
-            channel="thermal", controller="adaptive", link="noisy", trace=True,
+            channel="thermal", controller="adaptive", link="noisy",
             payloads=[64, 1000],
         )
     )
     @example(
         config=_config(
             channel="blackout", ladder=True, controller="adaptive", backoff=0.02,
-            timeout=0.5, trace=True, traffic_seed=3,
+            timeout=0.5, traffic_seed=3,
         )
     )
     @example(config=_config(channel="laser-droop", link="noisy", controller="oracle"))
