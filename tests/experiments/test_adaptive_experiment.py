@@ -72,6 +72,19 @@ def test_adaptive_saves_energy_at_same_ber_target(serial_report):
     assert static["configuration_switches"] == 0
 
 
+def test_shard_payloads_are_scalar_only():
+    """A checkpointed payload holds the report's scalars and nothing else."""
+    payloads = [
+        adaptive.run_sweep_shard(shard)
+        for shard in adaptive.sweep_shards(options=_OPTIONS)
+    ]
+    for payload in payloads:
+        assert "trace" not in payload
+        assert all(not isinstance(value, (list, dict)) for value in payload.values())
+    by_policy = {payload["policy"]: payload for payload in payloads}
+    assert by_policy["adaptive"]["configuration_switches"] > 0
+
+
 def test_csv_rows_are_scalar_only(serial_report):
     _, rows = serial_report
     for row in rows:

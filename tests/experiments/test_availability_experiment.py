@@ -100,3 +100,11 @@ def test_payload_carries_availability_metrics():
         "channel_downtime_s",
     ):
         assert key in payload
+
+
+def test_shard_payloads_are_scalar_only():
+    """A checkpointed payload holds the report's scalars and nothing else."""
+    for shard in availability.sweep_shards(options=_OPTIONS):
+        payload = availability.run_sweep_shard(shard)
+        assert "trace" not in payload
+        assert all(not isinstance(value, (list, dict)) for value in payload.values())

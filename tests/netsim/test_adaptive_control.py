@@ -12,12 +12,14 @@ from repro.manager.manager import (
     derated_target_ber,
 )
 from repro.manager.policies import (
+    DegradationLadder,
     FailureRateMonitor,
     HysteresisSwitchingPolicy,
     margin_levels,
 )
 from repro.manager.runtime import AdaptiveEccController
-from repro.netsim import NetworkSimulator, make_drift_model
+from repro.config import DEFAULT_CONFIG
+from repro.netsim import NetworkSimulator, make_drift_model, make_fault_model
 from repro.simulation.faults import IndependentErrorModel
 from repro.traffic.generators import UniformTrafficGenerator
 
@@ -367,3 +369,85 @@ class TestEngineIntegration:
             with_latency.metrics().latency.mean_s
             > without_latency.metrics().latency.mean_s
         )
+
+    def test_run_totals_charge_each_switch_once(self):
+        requests = _requests(count=200)
+        horizon = max(r.arrival_time_s for r in requests)
+        drift = make_drift_model("thermal", 12, seed=4, timescale_s=horizon)
+        controller = AdaptiveEccController(
+            margins=margin_levels(drift.worst_case_multiplier), mode="oracle"
+        )
+        result = NetworkSimulator(
+            seed=np.random.SeedSequence(6), dynamics=drift, controller=controller
+        ).run(requests)
+        assert result.configuration_switches == controller.switch_count > 0
+        assert result.reconfiguration_energy_j == pytest.approx(
+            result.configuration_switches * controller.switch_energy_j, rel=1e-12
+        )
+        # Switch energy reaches the reports through the run's total energy.
+        completed = [record for record in result.records if not record.rejected]
+        metrics = result.metrics()
+        assert metrics.reconfiguration_energy_j == result.reconfiguration_energy_j
+        assert metrics.total_energy_j == pytest.approx(
+            sum(record.energy_j for record in completed)
+            + result.reconfiguration_energy_j,
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize("case", ["oracle-drift", "adaptive-drift", "ladder-faults"])
+    def test_switch_flags_add_up_to_configuration_switches(self, case):
+        """Every switch the engine triggers is one the controller reports."""
+        requests = _requests(count=300)
+        horizon = max(r.arrival_time_s for r in requests)
+        kwargs = {}
+        if case == "ladder-faults":
+            kwargs["failures"] = make_fault_model(
+                "mixed",
+                DEFAULT_CONFIG.num_onis,
+                DEFAULT_CONFIG.num_wavelengths,
+                seed=5,
+                horizon_s=horizon,
+            )
+            margins = margin_levels(max(kwargs["failures"].worst_case_penalty, 8.0))
+            kwargs["degradation"] = DegradationLadder(
+                margins=margins, num_wavelengths=DEFAULT_CONFIG.num_wavelengths
+            )
+            kwargs["retry_backoff_s"] = 0.01 * horizon
+            kwargs["transfer_timeout_s"] = 0.5 * horizon
+            mode = "adaptive"
+        else:
+            kwargs["dynamics"] = make_drift_model(
+                "thermal", 12, seed=4, worst_case_multiplier=16.0, timescale_s=horizon
+            )
+            margins = margin_levels(16.0)
+            mode = case.split("-")[0]
+        controller = AdaptiveEccController(margins=margins, mode=mode)
+        flags = {"margin_for": 0, "observe": 0, "force_margin": 0}
+
+        def counting(name):
+            method = getattr(controller, name)
+
+            def wrapper(*args, **kw):
+                outcome = method(*args, **kw)
+                switched = outcome[1] if name == "margin_for" else outcome
+                flags[name] += bool(switched)
+                return outcome
+
+            return wrapper
+
+        for name in flags:
+            setattr(controller, name, counting(name))
+        result = NetworkSimulator(
+            seed=np.random.SeedSequence(6),
+            controller=controller,
+            telemetry_seed=99,
+            **kwargs,
+        ).run(requests)
+        assert result.configuration_switches > 0
+        assert sum(flags.values()) == result.configuration_switches
+        expected_source = {
+            "oracle-drift": "margin_for",
+            "adaptive-drift": "observe",
+            "ladder-faults": "force_margin",
+        }[case]
+        assert flags[expected_source] > 0
