@@ -33,35 +33,60 @@ Sub-packages
 ``repro.experiments``   one module per table/figure of the paper
 """
 
-from .config import DEFAULT_CONFIG, PaperConfig
-from .exceptions import (
-    CodingError,
-    ConfigurationError,
-    InfeasibleDesignError,
-    LaserPowerExceededError,
-    ReproError,
-)
-from .coding import (
-    BCHCode,
-    ExtendedHammingCode,
-    HammingCode,
-    ShortenedHammingCode,
-    UncodedScheme,
-    get_code,
-)
-from .coding.registry import paper_code_set
-from .link import LinkDesignPoint, LinkPowerBudget, OpticalLinkDesigner
-from .manager import (
-    CommunicationRequest,
-    MinimumEnergyPolicy,
-    MinimumPowerPolicy,
-    OpticalLinkManager,
-)
-from .netsim import NetworkSimulator
-from .photonics import MicroringResonator, Photodetector, VCSELModel, Waveguide
-from .power import channel_power_breakdown, energy_metrics, interconnect_power_summary
+import importlib
 
 __version__ = "1.0.0"
+
+#: Every re-export and the submodule that defines it.  The package imports
+#: nothing up front: :func:`__getattr__` imports a name's submodule the first
+#: time the name is read, so ``import repro`` alone costs no NumPy.
+_LAZY_EXPORTS = {
+    "DEFAULT_CONFIG": ".config",
+    "PaperConfig": ".config",
+    "ReproError": ".exceptions",
+    "ConfigurationError": ".exceptions",
+    "CodingError": ".exceptions",
+    "InfeasibleDesignError": ".exceptions",
+    "LaserPowerExceededError": ".exceptions",
+    "HammingCode": ".coding",
+    "ShortenedHammingCode": ".coding",
+    "ExtendedHammingCode": ".coding",
+    "BCHCode": ".coding",
+    "UncodedScheme": ".coding",
+    "get_code": ".coding",
+    "paper_code_set": ".coding.registry",
+    "LinkPowerBudget": ".link",
+    "LinkDesignPoint": ".link",
+    "OpticalLinkDesigner": ".link",
+    "OpticalLinkManager": ".manager",
+    "CommunicationRequest": ".manager",
+    "MinimumPowerPolicy": ".manager",
+    "MinimumEnergyPolicy": ".manager",
+    "NetworkSimulator": ".netsim",
+    "MicroringResonator": ".photonics",
+    "VCSELModel": ".photonics",
+    "Photodetector": ".photonics",
+    "Waveguide": ".photonics",
+    "channel_power_breakdown": ".power",
+    "energy_metrics": ".power",
+    "interconnect_power_summary": ".power",
+}
+
+
+def __getattr__(name: str):
+    """Import a re-export's submodule on first access (PEP 562)."""
+    try:
+        module = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+
 
 __all__ = [
     "DEFAULT_CONFIG",

@@ -15,6 +15,12 @@ Figures 3/4, headline, calibration) are one shard that calls their
 ``--resume``.  The tier-1 tests check the rows against the paper's values,
 and ``perfbench/`` times the whole reproduction end to end.
 
+Nothing here is imported up front.  The package's exports resolve on first
+access (PEP 562 ``__getattr__`` over ``_LAZY_EXPORTS``), and the
+orchestrator lists every experiment by module path and imports that module
+the first time its grid is looked up.  Importing this package, the
+orchestrator or the runner therefore loads no NumPy and no experiment.
+
 Experiment index
 ----------------
 ======== ==================================================================
@@ -32,18 +38,35 @@ availability Hard-fault tolerance: graceful degradation vs blind retransmission
 ======== ==================================================================
 """
 
-from .adaptive import AdaptiveSweepResult
-from .availability import AvailabilitySweepResult
-from .orchestrator import ExperimentGrid, available_experiments, describe_grid, run_experiment
-from .table1 import Table1Result, run_table1
-from .figure3 import Figure3Result, run_figure3
-from .figure4 import Figure4Result, run_figure4
-from .figure5 import Figure5Result
-from .figure6 import Figure6aResult, Figure6bResult
-from .headline import HeadlineResult, run_headline
-from .calibration import CalibrationSummary, run_calibration
-from .network import NetworkSweepResult
-from .validation import ValidationPoint, ValidationResult
+import importlib
+
+#: Every re-export and the submodule that defines it, imported by
+#: :func:`__getattr__` the first time the name is read: importing the
+#: package, the runner or the orchestrator loads no experiment module.
+_LAZY_EXPORTS = {
+    "ExperimentGrid": ".orchestrator",
+    "available_experiments": ".orchestrator",
+    "describe_grid": ".orchestrator",
+    "run_experiment": ".orchestrator",
+    "Table1Result": ".table1",
+    "run_table1": ".table1",
+    "Figure3Result": ".figure3",
+    "run_figure3": ".figure3",
+    "Figure4Result": ".figure4",
+    "run_figure4": ".figure4",
+    "Figure5Result": ".figure5",
+    "Figure6aResult": ".figure6",
+    "Figure6bResult": ".figure6",
+    "HeadlineResult": ".headline",
+    "run_headline": ".headline",
+    "CalibrationSummary": ".calibration",
+    "run_calibration": ".calibration",
+    "ValidationPoint": ".validation",
+    "ValidationResult": ".validation",
+    "NetworkSweepResult": ".network",
+    "AdaptiveSweepResult": ".adaptive",
+    "AvailabilitySweepResult": ".availability",
+}
 
 __all__ = [
     "ExperimentGrid",
@@ -69,3 +92,18 @@ __all__ = [
     "AdaptiveSweepResult",
     "AvailabilitySweepResult",
 ]
+
+
+def __getattr__(name: str):
+    """Import a re-export's experiment module on first access (PEP 562)."""
+    try:
+        module = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Sequence
 
-from ..coding.registry import paper_code_by_name, paper_code_set
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 
@@ -63,7 +62,13 @@ def check_option_names(experiment: str, options: dict | None, allowed: Collectio
 
 
 def code_names(experiment: str, options: dict, config: PaperConfig) -> list[str]:
-    """The ``codes`` option (default: the paper's set), each distinct name resolved once."""
+    """The ``codes`` option (default: the paper's set), each distinct name resolved once.
+
+    The code registry (and with it NumPy) is imported here, not with the
+    module: the orchestrator imports this module for its size check.
+    """
+    from ..coding.registry import paper_code_by_name, paper_code_set
+
     if "codes" not in options:
         return [code.name for code in paper_code_set(config.ip_bus_width_bits)]
     names = options["codes"]

@@ -32,6 +32,13 @@ fingerprint still matches and only runs the missing shards.  An interrupted
 eight-hour sweep therefore restarts where it stopped, and a finished one
 merges instantly.
 
+The registry lists each shipped experiment by module path and imports that
+module the first time its grid is looked up, so listing the experiments
+imports none of them.  :func:`describe_grid` looks the grid up in the
+parent before a pool forks, so workers inherit the imported module and any
+grid registered with :func:`register_experiment`.  ``multiprocessing`` and
+``concurrent.futures`` are imported only by the pooled path.
+
 The pooled path is additionally hardened against the two ways long sweeps
 die in practice:
 
@@ -56,15 +63,14 @@ records resumed.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import itertools
 import logging
-import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .. import durable
 from ..config import DEFAULT_CONFIG, PaperConfig
@@ -73,20 +79,10 @@ from ..obs import manifest as obs_manifest
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..obs.logutil import shard_logging_context
-from . import (
-    adaptive,
-    availability,
-    calibration,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    headline,
-    network,
-    table1,
-    validation,
-)
 from .gridlib import MAX_GRID_POINTS, check_grid_size
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "GridFunctions",
@@ -154,35 +150,41 @@ class GridFunctions:
     merge: Callable[..., tuple]
 
 
-#: Registry mapping experiment names to their grid descriptors.  Populated at
-#: import time so worker processes (which re-import this module) can dispatch
-#: shards by experiment name alone.
-_GRIDS: Dict[str, GridFunctions] = {
-    "table1": GridFunctions(table1.sweep_shards, table1.run_sweep_shard, table1.merge_sweep),
-    "validation": GridFunctions(
-        validation.sweep_shards, validation.run_sweep_shard, validation.merge_sweep
+#: A shipped grid before its first lookup: the module path and the attribute
+#: names of its ``(shards, run_shard, merge)`` functions.
+_GridEntry = Tuple[str, str, str, str]
+
+#: Registry mapping experiment names to their grid descriptors.  A shipped
+#: experiment is listed by module path until its first lookup
+#: (:func:`_grid_functions`) imports the module and stores its functions.
+_GRIDS: Dict[str, Union[GridFunctions, _GridEntry]] = {
+    "table1": ("repro.experiments.table1", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "validation": (
+        "repro.experiments.validation", "sweep_shards", "run_sweep_shard", "merge_sweep"
     ),
-    "figure3": GridFunctions(figure3.sweep_shards, figure3.run_sweep_shard, figure3.merge_sweep),
-    "figure4": GridFunctions(figure4.sweep_shards, figure4.run_sweep_shard, figure4.merge_sweep),
-    "figure5": GridFunctions(figure5.sweep_shards, figure5.run_sweep_shard, figure5.merge_sweep),
-    "figure6a": GridFunctions(
-        figure6.figure6a_sweep_shards,
-        figure6.run_figure6a_sweep_shard,
-        figure6.merge_figure6a_sweep,
+    "figure3": ("repro.experiments.figure3", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "figure4": ("repro.experiments.figure4", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "figure5": ("repro.experiments.figure5", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "figure6a": (
+        "repro.experiments.figure6",
+        "figure6a_sweep_shards",
+        "run_figure6a_sweep_shard",
+        "merge_figure6a_sweep",
     ),
-    "figure6b": GridFunctions(
-        figure6.figure6b_sweep_shards,
-        figure6.run_figure6b_sweep_shard,
-        figure6.merge_figure6b_sweep,
+    "figure6b": (
+        "repro.experiments.figure6",
+        "figure6b_sweep_shards",
+        "run_figure6b_sweep_shard",
+        "merge_figure6b_sweep",
     ),
-    "headline": GridFunctions(headline.sweep_shards, headline.run_sweep_shard, headline.merge_sweep),
-    "calibration": GridFunctions(
-        calibration.sweep_shards, calibration.run_sweep_shard, calibration.merge_sweep
+    "headline": ("repro.experiments.headline", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "calibration": (
+        "repro.experiments.calibration", "sweep_shards", "run_sweep_shard", "merge_sweep"
     ),
-    "network": GridFunctions(network.sweep_shards, network.run_sweep_shard, network.merge_sweep),
-    "adaptive": GridFunctions(adaptive.sweep_shards, adaptive.run_sweep_shard, adaptive.merge_sweep),
-    "availability": GridFunctions(
-        availability.sweep_shards, availability.run_sweep_shard, availability.merge_sweep
+    "network": ("repro.experiments.network", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "adaptive": ("repro.experiments.adaptive", "sweep_shards", "run_sweep_shard", "merge_sweep"),
+    "availability": (
+        "repro.experiments.availability", "sweep_shards", "run_sweep_shard", "merge_sweep"
     ),
 }
 
@@ -423,12 +425,20 @@ def run_experiment(
 
 # ------------------------------------------------------------------ internals
 def _grid_functions(experiment: str) -> GridFunctions:
+    """The grid of ``experiment``, importing a shipped grid's module on first use."""
     try:
-        return _GRIDS[experiment]
+        entry = _GRIDS[experiment]
     except KeyError:
         raise ConfigurationError(
             f"unknown experiment {experiment!r}; available: {available_experiments()}"
         ) from None
+    if isinstance(entry, GridFunctions):
+        return entry
+    module_path, *names = entry
+    module = importlib.import_module(module_path)
+    functions = GridFunctions(*(getattr(module, name) for name in names))
+    _GRIDS[experiment] = functions
+    return functions
 
 
 def _execute_shard(
@@ -456,9 +466,9 @@ def _execute_shard(
     )
     with shard_logging_context(index), span:
         if not collect:
-            return _jsonable(_GRIDS[experiment].run_shard(params, config)), None
+            return _jsonable(_grid_functions(experiment).run_shard(params, config)), None
         with obs_metrics.collecting() as registry:
-            payload = _jsonable(_GRIDS[experiment].run_shard(params, config))
+            payload = _jsonable(_grid_functions(experiment).run_shard(params, config))
         return payload, registry.snapshot()
 
 
@@ -542,6 +552,8 @@ def _write_run_manifest(
 
 
 def _pool_context():
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         # Fork keeps worker start-up in the millisecond range (no numpy
         # re-import), which is what makes parallelism pay off even for
@@ -550,7 +562,7 @@ def _pool_context():
     return None
 
 
-def _terminate_pool_workers(pool: ProcessPoolExecutor) -> None:
+def _terminate_pool_workers(pool: "ProcessPoolExecutor") -> None:
     """Forcibly kill a pool's workers (a hung worker never exits by itself)."""
     for process in list(getattr(pool, "_processes", {}).values()):
         try:
@@ -602,7 +614,10 @@ def _run_shards_pooled(
     shard rebuilds the pool and requeues the interrupted work; shard seeds
     are position-keyed, so re-runs are byte-identical.  Deterministic
     in-shard exceptions abort immediately — retrying cannot change them.
+    Only this path imports ``multiprocessing`` and ``concurrent.futures``.
     """
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+
     queue = deque(sorted(pending))
     attempts: Dict[int, int] = {}
     workers = min(jobs, len(queue))

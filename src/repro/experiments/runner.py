@@ -29,6 +29,13 @@ human-readable run reports.  ``--trace FILE`` appends one JSON line per
 timed span (shard executions, link-design solves, epoch flushes,
 checkpoint writes); none of this instrumentation perturbs any simulation
 observable.
+
+A cold start loads only what the run reads.  Importing this module loads
+the orchestrator and the observability layer, not NumPy and no experiment:
+``--help`` lists the names from the orchestrator's registry, and each
+experiment's module (and with it the layers it uses) is imported when its
+grid is first looked up.  ``table1`` or ``figure5`` alone therefore loads no
+network simulator, traffic generator or service.
 """
 
 from __future__ import annotations

@@ -248,6 +248,19 @@ class _BaseGenerator:
         self._payload_bits = payload_bits
         self._target_ber = target_ber
         self._rng = resolve_rng(rng, seed)
+        # The scalar loop's NumPy and ctypes handles and its two Lemire
+        # bounds, built once: the decoded path starts a one-request scalar
+        # loop for every request off its pattern.
+        interface = self._rng.bit_generator.ctypes
+        self._scalar_draws = (
+            interface.next_uint32,
+            interface.state,
+            self._rng.exponential,
+            self._rng.random,
+            self._rng.gamma,
+            _lemire_threshold(num_onis),
+            _lemire_threshold(num_onis - 1),
+        )
         # Nobody else can draw from a stream built here, which is what lets
         # ``_decoded_requests`` draw ahead of the requests it has yielded.
         self._owns_stream = rng is None
@@ -275,16 +288,19 @@ class _BaseGenerator:
 
     def _drawn_requests(self, num_requests: int, start_time_s: float) -> Iterator[TrafficRequest]:
         """The scalar loop: every draw is one NumPy call or one ``next_uint32``."""
-        rng = self._rng
-        interface = rng.bit_generator.ctypes
-        next_uint32, state = interface.next_uint32, interface.state
-        exponential, mean_gap_s = rng.exponential, 1.0 / self._rate
-        random, gamma = rng.random, rng.gamma
+        (
+            next_uint32,
+            state,
+            exponential,
+            random,
+            gamma,
+            source_threshold,
+            other_threshold,
+        ) = self._scalar_draws
+        mean_gap_s = 1.0 / self._rate
         isfinite = math.isfinite
         num_onis = self._num_onis
         others = num_onis - 1
-        source_threshold = _lemire_threshold(num_onis)
-        other_threshold = _lemire_threshold(others)
         hotspot, hotspot_fraction = self._hotspot, self._hotspot_fraction
         burstiness = self._burstiness
         gamma_scale = None if burstiness is None else 1.0 / burstiness
