@@ -40,9 +40,6 @@ class ModuleContext:
     lines: List[str]
     config: LintConfig
     imports: ImportMap
-    #: The module's file on disk (``None`` for a bare source string); rules
-    #: that check a name against another module resolve it from here.
-    file_path: Optional[str] = None
 
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
@@ -98,7 +95,6 @@ def lint_source(
         lines=lines,
         config=config,
         imports=ImportMap(tree),
-        file_path=None if path == "<string>" else path,
     )
     findings: List[Finding] = list(pragmas.errors)
     for lint_rule in all_rules():

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import ast
-import os
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .astutil import dotted_name
 from .registry import rule
@@ -242,84 +241,29 @@ def _top_level_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-#: The literal ``name -> relative module`` table a package's PEP 562
-#: ``__getattr__`` resolves its lazy re-exports from.
-_LAZY_EXPORTS_TABLE = "_LAZY_EXPORTS"
+def _lazy_export_names(tree: ast.Module) -> Set[str]:
+    """The string keys of a literal ``_LAZY_EXPORTS`` table, if the module
+    also defines the PEP 562 ``__getattr__`` that resolves them.
 
-
-def _lazy_exports(tree: ast.Module) -> Dict[str, str]:
-    """``name -> target module`` of the module's lazy-export table.
-
-    Empty unless the module defines ``__getattr__`` and assigns
-    :data:`_LAZY_EXPORTS_TABLE` a dict literal of string keys and values.
+    Whether each target module defines its name is left to the tests that
+    resolve every ``__all__`` entry at run time.
     """
-    getattr_defined = False
-    table: Dict[str, str] = {}
+    names: Set[str] = set()
+    has_getattr = False
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
-            getattr_defined = True
+            has_getattr = True
         elif (
             isinstance(node, ast.Assign)
-            and any(
-                isinstance(target, ast.Name) and target.id == _LAZY_EXPORTS_TABLE
-                for target in node.targets
-            )
+            and any(isinstance(t, ast.Name) and t.id == "_LAZY_EXPORTS" for t in node.targets)
             and isinstance(node.value, ast.Dict)
         ):
-            table = {
-                key.value: value.value
-                for key, value in zip(node.value.keys, node.value.values)
-                if isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
+            names = {
+                key.value
+                for key in node.value.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
             }
-    return table if getattr_defined else {}
-
-
-def _module_file(importer: str, module: str) -> Optional[str]:
-    """The source file of the relative ``module`` as imported from ``importer``."""
-    level = len(module) - len(module.lstrip("."))
-    if level == 0:
-        return None
-    base = os.path.dirname(importer)
-    for _ in range(level - 1):
-        base = os.path.dirname(base)
-    stem = os.path.join(base, *module[level:].split(".")) if module[level:] else base
-    for candidate in (stem + ".py", os.path.join(stem, "__init__.py")):
-        if os.path.isfile(candidate):
-            return candidate
-    return None
-
-
-def _file_top_level_names(path: str) -> Optional[Set[str]]:
-    """The names the file ``path`` defines at top level, or ``None`` if unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return _top_level_names(ast.parse(handle.read()))
-    except (OSError, SyntaxError, UnicodeDecodeError):
-        return None
-
-
-def _lazy_export_problem(
-    ctx, name: str, module: str, parsed: Dict[str, Optional[Set[str]]]
-) -> Optional[str]:
-    """Why the lazy export of ``name`` from ``module`` would not resolve, or ``None``.
-
-    ``parsed`` memoises each target file's names over one module's check.
-    """
-    target = _module_file(ctx.file_path, module) if ctx.file_path is not None else None
-    if target is not None and target not in parsed:
-        parsed[target] = _file_top_level_names(target)
-    names = parsed.get(target)
-    if names is None:
-        return f"__all__ lazily exports {name!r} from {module!r}, which cannot be found"
-    if name not in names:
-        return (
-            f"__all__ lazily exports {name!r} from {module!r}, which does not "
-            "define it at top level (drift after a rename/removal?)"
-        )
-    return None
+    return names if has_getattr else set()
 
 
 @rule(
@@ -328,36 +272,22 @@ def _lazy_export_problem(
     "__all__ must match the module's actual public defs",
 )
 def check_all_drift(ctx) -> List:
-    """Flag ``__all__`` entries nothing defines and public defs ``__all__`` omits.
-
-    A name of a literal lazy-export table (:data:`_LAZY_EXPORTS_TABLE`) counts
-    as defined only if its target module, read from disk, defines it at top
-    level, so a lazy re-export is held to the same check as an eager one.
-    """
     findings = []
     exported = _module_all(ctx.tree)
     if exported is None:
         return findings
-    defined = _top_level_names(ctx.tree)
-    lazy = _lazy_exports(ctx.tree)
-    parsed: Dict[str, Optional[Set[str]]] = {}
+    defined = _top_level_names(ctx.tree) | _lazy_export_names(ctx.tree)
     exported_names = {element.value for element in exported}
     for element in exported:
-        if element.value in defined:
-            continue
-        if element.value in lazy:
-            problem = _lazy_export_problem(ctx, element.value, lazy[element.value], parsed)
-            if problem is not None:
-                findings.append(ctx.finding(element, "RPR304", problem))
-            continue
-        findings.append(
-            ctx.finding(
-                element,
-                "RPR304",
-                f"__all__ exports {element.value!r} which is not defined "
-                "in this module (drift after a rename/removal?)",
+        if element.value not in defined:
+            findings.append(
+                ctx.finding(
+                    element,
+                    "RPR304",
+                    f"__all__ exports {element.value!r} which is not defined "
+                    "in this module (drift after a rename/removal?)",
+                )
             )
-        )
     for node in ctx.tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue

@@ -36,7 +36,9 @@ The registry lists each shipped experiment by module path and imports that
 module the first time its grid is looked up, so listing the experiments
 imports none of them.  :func:`describe_grid` looks the grid up in the
 parent before a pool forks, so workers inherit the imported module and any
-grid registered with :func:`register_experiment`.  ``multiprocessing`` and
+grid registered with :func:`register_experiment`.  A process that forks
+while other threads may be importing (the service) calls
+:func:`import_all_grids` before it starts them.  ``multiprocessing`` and
 ``concurrent.futures`` are imported only by the pooled path.
 
 The pooled path is additionally hardened against the two ways long sweeps
@@ -90,6 +92,7 @@ __all__ = [
     "SweepProgress",
     "available_experiments",
     "describe_grid",
+    "import_all_grids",
     "register_experiment",
     "run_experiment",
     "checkpoint_path",
@@ -205,6 +208,18 @@ def register_experiment(name: str, functions: GridFunctions, *, replace: bool = 
     if name in _GRIDS and not replace:
         raise ConfigurationError(f"experiment {name!r} is already registered")
     _GRIDS[name] = functions
+
+
+def import_all_grids() -> None:
+    """Import the module of every registered grid now.
+
+    A process that forks while other threads run calls this before it starts
+    them: a fork that lands while another thread is partway through an
+    import leaves that module's import lock held in the child by a thread
+    the child does not have.
+    """
+    for name in list(_GRIDS):
+        _grid_functions(name)
 
 
 @dataclass(frozen=True)

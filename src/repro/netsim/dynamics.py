@@ -225,7 +225,9 @@ class ChannelDriftModel:
         )
         # Immutable after construction, and called once per attempt by the
         # engine: one closure per channel, built once.
-        self._lookups = [self._quantized_lookup(process) for process in self._processes]
+        self._lookups = [
+            self._quantized_lookup(process.multiplier_at) for process in self._processes
+        ]
 
     @property
     def worst_case_multiplier(self) -> float:
@@ -254,12 +256,13 @@ class ChannelDriftModel:
         self.process(channel)
         return self._lookups[channel](time_s)
 
-    def _quantized_lookup(self, process: DriftProcess) -> Callable[[float], float]:
+    def _quantized_lookup(
+        self, multiplier_at: Callable[[float], float]
+    ) -> Callable[[float], float]:
         steps = self._quantization
         worst_case = self._worst_case
         inf = math.inf
         log2 = math.log2
-        multiplier_at = process.multiplier_at
 
         def quantized(time_s: float) -> float:
             if not 0.0 <= time_s < inf:
@@ -269,23 +272,7 @@ class ChannelDriftModel:
                 return 1.0
             return min(2.0 ** (round(log2(raw) * steps) / steps), worst_case)
 
-        if not isinstance(process, RandomWalkDrift):
-            return quantized
-        # A random walk is constant on its step grid: its quantised
-        # multiplier is a function of the step index alone.
-        step_s = process.step_s
-        by_step: Dict[int, float] = {}
-
-        def memoised(time_s: float) -> float:
-            if not 0.0 <= time_s < inf:
-                raise ConfigurationError("simulation time must be finite and non-negative")
-            index = int(time_s / step_s)
-            multiplier = by_step.get(index)
-            if multiplier is None:
-                multiplier = by_step[index] = quantized(time_s)
-            return multiplier
-
-        return memoised
+        return quantized
 
 
 #: Built-in drift profiles selectable by name in the ``adaptive`` experiment.

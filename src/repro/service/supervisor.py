@@ -49,6 +49,7 @@ from typing import Dict, List, Optional
 
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError, SweepCancelled
+from ..experiments.orchestrator import import_all_grids, run_experiment
 from ..obs import manifest as obs_manifest
 from .models import Job, JobState
 from .queue import DurableJobQueue
@@ -88,11 +89,8 @@ def _job_worker(
     :data:`EXIT_DETERMINISTIC` an in-sweep exception retries cannot fix,
     :data:`EXIT_TRANSIENT` an environmental error worth retrying.
     """
-    # Imported lazily so the fork shares the parent's already-imported
-    # modules; run_experiment dispatches through the registry the parent
-    # populated (fork start method), including test-registered grids.
-    from ..experiments.orchestrator import run_experiment
-
+    # The fork inherits the parent's registry with every grid already
+    # imported (see Supervisor.__init__), test-registered grids included.
     _WORKER_CANCELLED[0] = False
     signal.signal(signal.SIGTERM, _worker_signal_handler)
     signal.signal(signal.SIGINT, _worker_signal_handler)
@@ -150,6 +148,10 @@ class Supervisor(threading.Thread):
             raise ConfigurationError("max_attempts must be at least 1")
         if max_deterministic_failures < 1:
             raise ConfigurationError("max_deterministic_failures must be at least 1")
+        # Import every grid on this thread, before the supervisor or any HTTP
+        # thread starts, so a fork never copies a half-held import lock and a
+        # child never imports its grid module itself.
+        import_all_grids()
         super().__init__(name="repro-service-supervisor", daemon=True)
         self.queue = queue
         self.store = store

@@ -194,43 +194,6 @@ class TestChannelDriftModel:
                 )
                 assert lookup(t) == expected == model.multiplier(channel, t)
 
-    def test_random_walk_lookup_memoised_per_step(self):
-        # The lookup caches one multiplier per step index; it must equal the
-        # quantisation of ``multiplier_at`` at, and on either side of, every
-        # step boundary, whichever time of a step is asked first.
-        step_s = 1e-3
-        model = make_drift_model(
-            "random-walk",
-            2,
-            seed=9,
-            worst_case_multiplier=8.0,
-            timescale_s=1.0,
-            options={"step_s": step_s, "log2_sigma": 0.5},
-        )
-        times = []
-        for step in range(60):
-            boundary = step * step_s
-            times += [boundary, math.nextafter(boundary, math.inf), boundary + step_s / 2]
-            if step:
-                times.append(math.nextafter(boundary, 0.0))
-        order = np.random.default_rng(3).permutation(len(times))
-        for channel in range(2):
-            lookup = model.multiplier_lookup(channel)
-            process = model.process(channel)
-            for position in order:
-                t = times[position]
-                raw = process.multiplier_at(t)
-                expected = (
-                    1.0
-                    if raw <= 1.0
-                    else min(2.0 ** (round(math.log2(raw) * 16) / 16), 8.0)
-                )
-                assert lookup(t) == expected, t
-            assert len({lookup(t) for t in times}) > 5  # the walk moves
-            for bad in (-step_s, math.nan, math.inf, -math.inf):
-                with pytest.raises(ConfigurationError):
-                    lookup(bad)
-
     def test_make_drift_model_profiles(self):
         assert make_drift_model("none", 4, seed=0) is None
         for profile in ("thermal", "aging", "random-walk"):

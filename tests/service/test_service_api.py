@@ -15,8 +15,11 @@ from __future__ import annotations
 import http.client
 import json
 import multiprocessing
+import os
 import re
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.parse
@@ -61,6 +64,34 @@ def _merge(payloads, config, options):
 
 
 register_experiment(EXPERIMENT, GridFunctions(_shards, _run_shard, _merge), replace=True)
+
+
+#: A second life in a fresh interpreter: recover the spool, run the queued
+#: job ``argv[2]`` and print its result text.
+RESTART = """
+import sys, threading, time
+from repro.experiments import orchestrator
+from repro.service import SimulationService
+from repro.service.models import JobState
+
+data_dir, job_id = sys.argv[1:]
+service = SimulationService(data_dir=data_dir)
+pending = [name for name, grid in orchestrator._GRIDS.items()
+           if not isinstance(grid, orchestrator.GridFunctions)]
+assert not pending, pending
+assert "repro.netsim" in sys.modules
+assert threading.active_count() == 1
+service.start()
+try:
+    deadline = time.monotonic() + 120
+    while service.queue.get(job_id).state != JobState.DONE:
+        assert service.queue.get(job_id).state != JobState.DEAD
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+finally:
+    service.stop(drain_timeout_s=10.0)
+sys.stdout.write(service.store.get(job_id)["text"])
+"""
 
 
 def request(url, method="GET", body=None, timeout=30):
@@ -220,6 +251,37 @@ class TestRestartRecovery:
             assert payload["result"]["text"] == expected_text
         finally:
             second.stop(drain_timeout_s=10.0)
+
+    def test_recovered_shipped_job_runs_in_a_fresh_process(self, tmp_path):
+        """A spooled job of a shipped grid completes after a restart in a new
+        interpreter, whose service imported every grid before any thread
+        started (so its forked worker neither imports one itself nor
+        inherits an import lock a request thread held)."""
+        data_dir = str(tmp_path / "data")
+        first = SimulationService(data_dir=data_dir, supervise=False)
+        first.start()
+        try:
+            status, payload, _ = request(
+                f"{first.url}/jobs", "POST", {"experiment": "table1", "options": {}}
+            )
+            assert status == 202
+            job_id = payload["job_id"]
+        finally:
+            first.stop(drain_timeout_s=5.0)
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", RESTART, data_dir, job_id],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-3000:]
+        expected_text, _ = run_experiment("table1")
+        assert completed.stdout == expected_text
 
     def test_done_results_survive_a_restart(self, tmp_path):
         data_dir = str(tmp_path / "data")
