@@ -2,20 +2,31 @@
 
 The analytic expressions in :mod:`repro.coding.theory` are approximations;
 this module provides the empirical counterpart used by the validation
-examples and the property-based tests: push random messages through
-encode → binary-symmetric channel → decode and count residual bit errors.
+examples and the property-based tests: random messages through encode →
+binary-symmetric channel → decode, counting residual message-bit errors.
 
-The engine is batched *and packed*: messages are drawn directly as packed
-``uint64`` words (:func:`draw_message_words` — same consumed RNG stream as
-the historical draw-then-pack path), encoded, corrupted (channel flips
-drawn in bounded row blocks by :func:`draw_flip_words`) and decoded
-``batch_size`` blocks at a time through the packed coding API
-(:meth:`~repro.coding.base.LinearBlockCode.encode_batch_packed` /
-:meth:`~repro.coding.base.LinearBlockCode.decode_batch_packed`), and
-residual message-bit errors are counted with packed popcounts — the random
-stream is consumed exactly like the unpacked pipeline, so results are
-bit-identical, just without ever shuttling one-byte-per-bit matrices
-between the stages.
+The messages never need to be built.  Every registry code is linear and
+decoded from its syndrome (majority vote for repetition, which is the same
+thing for an odd number of copies), and a BSC flips bits independently of
+the values they carry, so the residual error of a codeword ``c`` under the
+error pattern ``e`` is ``decode(c ⊕ e) ⊕ c == decode(e)``: the outcome of
+any codeword is the outcome of the all-zero codeword.  The estimator
+therefore decodes the packed channel flip words (:func:`draw_flip_words`)
+directly, ``batch_size`` blocks at a time, and counts the set message bits
+of the corrected words with packed popcounts.
+
+The random stream stays the one the encode round trip consumed: each batch
+first skips the bits of the message draw it replaces
+(:func:`skip_fair_bits`), then draws its flips, so the estimates are
+bit-identical to encoding real random messages.  The equivalence is pinned
+by ``tests/coding/test_codeword_independence.py`` against the round-trip
+estimator of ``tests/coding/oracle.py``.
+
+The argument needs the channel's errors to be independent of the
+codeword.  The bit-level AWGN link simulator
+(:mod:`repro.simulation.linksim`) does not qualify — a transmitted '1' and
+'0' meet different decision events on the same noise sample — so it keeps
+encoding real codewords.
 """
 
 from __future__ import annotations
@@ -26,13 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from .base import decode_blocks_packed, encode_blocks_packed
-from .packed import pack_bits, popcount_rows, prefix_mask, words_per_block
+# ``encode_blocks_packed`` is not called here; it stays bound because
+# perfbench's traced run patches both dispatchers by name in this module.
+from .base import decode_blocks_packed, encode_blocks_packed  # noqa: F401
+from .packed import popcount_rows, prefix_mask, words_per_block
 
 __all__ = [
     "MonteCarloBERResult",
     "estimate_ber_monte_carlo",
-    "draw_message_words",
+    "skip_fair_bits",
     "draw_flip_words",
     "DEFAULT_BATCH_SIZE",
     "shard_seed_sequences",
@@ -81,108 +94,51 @@ def resolve_rng(
     return np.random.default_rng()
 
 
-# --------------------------------------------------------------- packed draws
+# ------------------------------------------------------------ stream skipping
 #
 # ``generator.integers(0, 2, size=N, dtype=uint8)`` produces each fair bit by
-# Lemire's multiply-shift reduction of one buffered byte — ``(byte * 2) >> 8``,
-# i.e. the *top* bit of each byte — consuming the bytes of one ``next_uint32``
-# low byte first and discarding the unused remainder of the final word.  A
-# full-range ``integers(0, 2**32, size=ceil(N/4), dtype=uint32)`` call consumes
-# exactly the same ``next_uint32`` values (bounded generation with a
-# power-of-two range never rejects), so the packed message words can be
-# assembled straight from those words with bit arithmetic: the generator state
-# after the draw — and therefore every later channel draw — is identical to
-# the unpacked path's, and so are the drawn bits.  The equivalence is an
-# implementation detail of NumPy's bit generator, so it is *verified once at
-# runtime* against the unpacked draw (see ``_packed_draw_supported``); if a
-# NumPy release ever changes the reduction, the engine falls back to the
-# draw-then-pack path and stays bit-exact by construction.
+# Lemire's multiply-shift reduction of one buffered byte, consuming the four
+# bytes of one ``next_uint32`` at a time and discarding the unused remainder
+# of the final word.  A full-range ``integers(0, 2**32, size=ceil(N/4),
+# dtype=uint32)`` call consumes exactly the same ``next_uint32`` values
+# (bounded generation with a power-of-two range never rejects), so it leaves
+# the generator in the same state at a quarter of the draws.  The equivalence
+# is an implementation detail of NumPy's bit generator, so it is *verified
+# once at runtime* by comparing the generator states after both draws (see
+# ``_packed_draw_supported``); if a NumPy release ever changes the
+# reduction, :func:`skip_fair_bits` makes the uint8 draw itself.
 
-#: In-word bit positions of the four stream bits carried by one uint32 draw
-#: (top bit of each byte, low byte first).
-_DRAW_BIT_SHIFTS = np.array([7, 15, 23, 31], dtype=np.uint32)
 _PACKED_DRAW_OK: bool | None = None
 
 
-def _draw_words_from_uint32_stream(
-    generator: np.random.Generator, num_blocks: int, num_bits: int
-) -> np.ndarray:
-    """Draw a packed ``(num_blocks, ceil(num_bits/64))`` fair-bit matrix.
-
-    Consumes the generator exactly like
-    ``integers(0, 2, size=(num_blocks, num_bits), dtype=uint8)`` (verified by
-    :func:`_packed_draw_supported`) but assembles the ``np.packbits`` byte
-    image directly from the raw ``uint32`` words — no per-bit byte matrix is
-    ever materialised.
-    """
-    total_bits = num_blocks * num_bits
-    raw = generator.integers(0, 1 << 32, size=-(-total_bits // 4), dtype=np.uint32)
-    # Compact the four spread stream bits of each word into an MSB-first
-    # nibble with one carry-free multiply: the mask isolates bits
-    # {7, 15, 23, 31}, the multiplier lands them on bits {38, 37, 36, 35}.
-    nibbles = (
-        (raw.astype(np.uint64) & np.uint64(0x80808080)) * np.uint64(0x80402010)
-        >> np.uint64(35)
-    ) & np.uint64(0xF)
-    if nibbles.size % 2:
-        nibbles = np.concatenate([nibbles, np.zeros(1, dtype=np.uint64)])
-    # Two consecutive nibbles form one byte of the flat packbits image; two
-    # trailing zero bytes cover the (zero) padding reads of the last row.
-    flat = np.zeros(nibbles.size // 2 + 2, dtype=np.uint8)
-    flat[:-2] = (nibbles[0::2] << np.uint64(4) | nibbles[1::2]).astype(np.uint8)
-
-    num_words = words_per_block(num_bits)
-    byte_image = np.zeros((num_blocks, num_words * 8), dtype=np.uint8)
-    row_bytes = -(-num_bits // 8)
-    if num_bits % 8 == 0:
-        byte_image[:, :row_bytes] = flat[: num_blocks * row_bytes].reshape(
-            num_blocks, row_bytes
-        )
-    else:
-        # Rows start at arbitrary bit offsets of the flat stream; rebuild each
-        # row byte from the two flat bytes that straddle it.
-        starts = np.arange(num_blocks, dtype=np.int64) * num_bits
-        offsets = (starts % 8).astype(np.uint16)[:, np.newaxis]
-        index = (starts // 8)[:, np.newaxis] + np.arange(row_bytes, dtype=np.int64)
-        shifted = (flat[index].astype(np.uint16) << np.uint16(8)) | flat[index + 1]
-        byte_image[:, :row_bytes] = ((shifted << offsets) >> np.uint16(8)).astype(np.uint8)
-        tail = num_bits % 8
-        byte_image[:, row_bytes - 1] &= np.uint8((0xFF << (8 - tail)) & 0xFF)
-    return byte_image.view(np.uint64)
-
-
 def _packed_draw_supported() -> bool:
-    """One-time runtime check that the uint32 reconstruction matches NumPy."""
+    """One-time runtime check that a uint32 draw of ``ceil(N/4)`` words skips ``N`` fair bits."""
     global _PACKED_DRAW_OK
     if _PACKED_DRAW_OK is None:
         probe = 271828182845
         reference = np.random.default_rng(probe)
-        bits = reference.integers(0, 2, size=(5, 23), dtype=np.uint8)
-        reference_tail = reference.random(4)
+        reference.integers(0, 2, size=115, dtype=np.uint8)
         candidate = np.random.default_rng(probe)
-        words = _draw_words_from_uint32_stream(candidate, 5, 23)
-        _PACKED_DRAW_OK = bool(
-            np.array_equal(words, pack_bits(bits))
-            and np.array_equal(candidate.random(4), reference_tail)
-        )
+        candidate.integers(0, 1 << 32, size=29, dtype=np.uint32)
+        _PACKED_DRAW_OK = candidate.bit_generator.state == reference.bit_generator.state
     return _PACKED_DRAW_OK
 
 
-def draw_message_words(
-    generator: np.random.Generator, num_blocks: int, num_bits: int
-) -> np.ndarray:
-    """Uniform random packed ``(num_blocks, ceil(num_bits/64))`` message words.
+def skip_fair_bits(generator: np.random.Generator, num_bits: int) -> None:
+    """Advance ``generator`` past ``integers(0, 2, size=num_bits, dtype=uint8)``.
 
-    Bit-exact twin of ``pack_bits(generator.integers(0, 2, size=(num_blocks,
-    num_bits), dtype=uint8))`` — same values, same generator state afterwards —
-    built packed end to end when the runtime reconstruction check passes, and
-    through the unpacked draw otherwise.
+    Leaves the generator in the state that draw would, without making the
+    bits: outcomes computed on the all-zero codeword still consume the
+    random stream of the message or payload draw they replace, so every
+    later draw (channel flips, fault positions, the next batch) is the one
+    the encode round trip saw.
     """
-    if num_blocks < 0 or num_bits < 1:
-        raise ConfigurationError("message draws need num_blocks >= 0 and num_bits >= 1")
+    if num_bits < 0:
+        raise ConfigurationError("cannot skip a negative number of bits")
     if _packed_draw_supported():
-        return _draw_words_from_uint32_stream(generator, num_blocks, num_bits)
-    return pack_bits(generator.integers(0, 2, size=(num_blocks, num_bits), dtype=np.uint8))
+        generator.integers(0, 1 << 32, size=-(-num_bits // 4), dtype=np.uint32)
+    else:
+        generator.integers(0, 2, size=num_bits, dtype=np.uint8)
 
 
 #: Rows of channel uniforms drawn per block by :func:`draw_flip_words`.
@@ -258,9 +214,10 @@ def estimate_ber_monte_carlo(
     Parameters
     ----------
     code:
-        Any systematic code with the packed coding API (``n``, ``k``,
-        ``encode_batch_packed``, ``decode_batch_packed``) — every registry
-        code, :class:`~repro.coding.uncoded.UncodedScheme` included.
+        Any systematic linear code whose packed decoder depends only on the
+        error pattern (``n``, ``k``, ``decode_batch_packed``) — every
+        registry code, :class:`~repro.coding.uncoded.UncodedScheme`
+        included.
     raw_ber:
         Crossover probability of the binary symmetric channel.
     num_blocks:
@@ -288,16 +245,15 @@ def estimate_ber_monte_carlo(
     k = code.k
     n = code.n
     # Residual errors are counted on the systematic message prefix of the
-    # corrected codewords (every in-package code is systematic).
+    # corrected error patterns (every in-package code is systematic).
     message_mask = prefix_mask(n, k)
     for start in range(0, num_blocks, batch_size):
         count = min(batch_size, num_blocks - start)
-        # Messages are drawn straight into packed words (same consumed RNG
-        # stream as the unpacked draw — see draw_message_words).
-        codeword_words = encode_blocks_packed(code, draw_message_words(generator, count, k))
-        flip_words = draw_flip_words(generator, count, n, raw_ber)
-        decoded = decode_blocks_packed(code, codeword_words ^ flip_words)
-        errors_per_block = popcount_rows((decoded.corrected_words ^ codeword_words) & message_mask)
+        # The all-zero codeword stands in for the random messages, whose
+        # draw is skipped so the flips come from the same stream position.
+        skip_fair_bits(generator, count * k)
+        decoded = decode_blocks_packed(code, draw_flip_words(generator, count, n, raw_ber))
+        errors_per_block = popcount_rows(decoded.corrected_words & message_mask)
         bit_errors += int(errors_per_block.sum())
         block_errors += int(np.count_nonzero(errors_per_block))
     bits = num_blocks * k

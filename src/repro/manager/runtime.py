@@ -156,12 +156,12 @@ class AdaptiveEccController:
     # ------------------------------------------------------------------ engine API
     def margin_for(
         self, channel: int, now_s: float, *, true_multiplier: float | None = None
-    ) -> tuple[float, bool]:
+    ) -> float:
         """Margin to provision a new transfer on ``channel`` with.
 
-        Returns ``(margin, switched)``; the oracle mode may switch here (it
-        retargets the smallest level covering the true multiplier), the
-        other modes only switch from :meth:`observe`.
+        The oracle mode may switch here (it retargets the smallest level
+        covering the true multiplier); the other modes only switch from
+        :meth:`observe`.  Switches show in :attr:`switch_count`.
         """
         # ``level`` inline: the engine asks once per arrival.
         level = self._levels.get(channel, self._initial_level)
@@ -176,18 +176,17 @@ class AdaptiveEccController:
             )
             if target != level:
                 self._switch(channel, target, now_s)
-                return self.margins[target], True
-        return self.margins[level], False
+                return self.margins[target]
+        return self.margins[level]
 
-    def force_margin(self, channel: int, multiplier: float, now_s: float) -> bool:
+    def force_margin(self, channel: int, multiplier: float, now_s: float) -> None:
         """Escalate ``channel`` to at least the level covering ``multiplier``.
 
         Fault-driven escalation: when a hard-fault process announces a known
         raw-BER penalty (e.g. a laser-droop step), the channel jumps
         straight to the smallest sufficient level instead of waiting for the
         failure monitor to notice.  Never downgrades — recovery is the
-        monitor's job — and charges the usual switch penalties.  Returns
-        ``True`` when a switch happened.
+        monitor's job — and charges the usual switch penalties.
         """
         if multiplier < 1.0:
             raise ConfigurationError("a forced margin multiplier must be at least 1")
@@ -196,10 +195,8 @@ class AdaptiveEccController:
             (index for index, margin in enumerate(self.margins) if margin >= multiplier),
             len(self.margins) - 1,
         )
-        if target <= level:
-            return False
-        self._switch(channel, target, now_s)
-        return True
+        if target > level:
+            self._switch(channel, target, now_s)
 
     def observe(
         self,
@@ -209,10 +206,10 @@ class AdaptiveEccController:
         blocks: int,
         observed_events: float,
         expected_events: float,
-    ) -> bool:
-        """Feed one attempt's failure telemetry; returns True on a switch."""
+    ) -> None:
+        """Feed one attempt's failure telemetry; may switch the channel's level."""
         if self.mode != "adaptive":
-            return False
+            return
         # ``_monitor_for`` and ``level`` inline: the engine feeds every
         # clean departure.
         monitor = self._monitors.get(channel)
@@ -220,7 +217,7 @@ class AdaptiveEccController:
             monitor = self._monitor_for(channel)
         estimate = monitor.observe(blocks, observed_events, expected_events)
         if estimate is None:
-            return False
+            return
         level = self._levels.get(channel, self._initial_level)
         calm = self._calm.get(channel, 0)
         policy = self._switching_policy
@@ -229,14 +226,10 @@ class AdaptiveEccController:
         else:
             delta = policy.decide(estimate, self.margins, level, calm)
             qualifies = policy.qualifies_for_downgrade(estimate, self.margins, level)
-        if delta > 0:
-            self._switch(channel, level + 1, now_s)
-            return True
-        if delta < 0:
-            self._switch(channel, level - 1, now_s)
-            return True
+        if delta:
+            self._switch(channel, level + (1 if delta > 0 else -1), now_s)
+            return
         # Track consecutive calm windows for the hysteresis downgrade (the
         # qualification predicate lives on the policy, not here).
         self._calm[channel] = calm + 1 if qualifies else 0
-        return False
 

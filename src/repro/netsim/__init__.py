@@ -22,8 +22,10 @@ Typical use::
 
 The fast default samples packet outcomes from the decoder's analytic
 frame-error probabilities batch-at-a-time (``mode="probabilistic"``); the
-bit-exact mode round-trips real codewords through the batch coding API for
-cross-validation.  The ``network`` experiment
+bit-exact mode decodes real fault-model error patterns through the packed
+coding API for cross-validation, on the all-zero codeword (the decoders and
+the CRC are linear, so a packet's residual errors do not depend on its
+payload).  The ``network`` experiment
 (:mod:`repro.experiments.network`) sweeps traffic pattern x injection rate
 x manager policy on top of this engine.
 """

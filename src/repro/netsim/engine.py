@@ -369,8 +369,10 @@ class NetworkSimulator:
         manager's default).
     mode:
         ``"probabilistic"`` (analytic frame-error sampling, the fast
-        default) or ``"bit-exact"`` (real codewords through the batch
-        coding API, for cross-validation).
+        default) or ``"bit-exact"`` (real fault-model error patterns
+        decoded by the packed coding API on the all-zero codeword, for
+        cross-validation; see
+        :class:`~repro.netsim.outcomes.BitExactOutcomeSampler`).
     packet_bits:
         Payload bits per packet; payloads are split and zero padded.
     crc:

@@ -601,7 +601,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                         if arrival_drift is not None
                         else 1.0
                     ),
-                )[0]
+                )
             suspect = (
                 source == destination
                 or payload_bits <= 0

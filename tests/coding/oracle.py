@@ -13,6 +13,12 @@ them row by row, clean, corrected and failed blocks alike.
 The GF(2) helpers (row reduction, rank, null space, exhaustive minimum
 distance) check the code constructions from first principles.
 
+:func:`estimate_ber_round_trip` is the Monte-Carlo estimator as it was
+before it moved to the all-zero codeword: it draws real random messages,
+encodes them, XORs in the channel flips, decodes and compares.  The
+codeword-independence tests pin :func:`repro.coding.estimate_ber_monte_carlo`
+against it, results and generator state alike.
+
 Tests import this module as ``from coding.oracle import ...``; the
 ``tests`` directory is on ``sys.path`` under pytest, and the qualified name
 keeps it apart from ``tests/netsim/oracle.py``.
@@ -28,6 +34,8 @@ from repro.coding.base import BatchDecodeResult, DecodeResult
 from repro.coding.bch import BCHCode
 from repro.coding.extended_hamming import ExtendedHammingCode
 from repro.coding.matrices import as_gf2, gf2_matmul, hamming_weight
+from repro.coding.montecarlo import DEFAULT_BATCH_SIZE, MonteCarloBERResult, draw_flip_words
+from repro.coding.packed import pack_bits, popcount_rows, prefix_mask
 from repro.coding.repetition import RepetitionCode
 from repro.exceptions import CodewordLengthError, DecodingFailure
 
@@ -41,6 +49,7 @@ __all__ = [
     "gf2_systematic_generator_from_parity_check",
     "hamming_distance",
     "minimum_distance_exhaustive",
+    "estimate_ber_round_trip",
 ]
 
 
@@ -360,3 +369,42 @@ def minimum_distance_exhaustive(generator, *, max_messages: int = 1 << 16) -> in
             if best == 1:
                 break
     return int(best if best is not None else 0)
+
+
+# ---------------------------------------------------------- Monte-Carlo oracle
+def estimate_ber_round_trip(
+    code,
+    raw_ber: float,
+    *,
+    num_blocks: int,
+    generator: np.random.Generator,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> MonteCarloBERResult:
+    """Post-decoding BER by encoding real random messages (the pre-zero-codeword estimator).
+
+    Per batch: ``integers(0, 2, (count, k), uint8)`` messages, packed and
+    encoded, the channel flips of :func:`draw_flip_words`, decode, and
+    residual message-bit errors against the transmitted codewords.
+    """
+    bit_errors = 0
+    block_errors = 0
+    message_mask = prefix_mask(code.n, code.k)
+    for start in range(0, num_blocks, batch_size):
+        count = min(batch_size, num_blocks - start)
+        messages = generator.integers(0, 2, size=(count, code.k), dtype=np.uint8)
+        codeword_words = code.encode_batch_packed(pack_bits(messages))
+        flip_words = draw_flip_words(generator, count, code.n, raw_ber)
+        decoded = code.decode_batch_packed(codeword_words ^ flip_words)
+        errors = popcount_rows((decoded.corrected_words ^ codeword_words) & message_mask)
+        bit_errors += int(errors.sum())
+        block_errors += int(np.count_nonzero(errors))
+    bits = num_blocks * code.k
+    return MonteCarloBERResult(
+        code_name=getattr(code, "name", type(code).__name__),
+        raw_ber=float(raw_ber),
+        estimated_ber=bit_errors / bits,
+        bits_simulated=bits,
+        bit_errors=bit_errors,
+        blocks_simulated=num_blocks,
+        block_errors=block_errors,
+    )

@@ -10,7 +10,9 @@ first attempt and pass on the retry.
 The orchestrator's workers dispatch shards by experiment name through the
 module-level registry; with the ``fork`` start method (required by the
 tests that use this module) a registration made in the parent before the
-pool spins up is inherited by the workers.
+pool spins up is inherited by the workers.  Test modules register
+:data:`GRID` under :data:`EXPERIMENT` in a module-scoped fixture and
+remove it on teardown, so the grid never reaches other modules' tests.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import signal
 import time
 
-from repro.experiments.orchestrator import GridFunctions, register_experiment
+from repro.experiments.orchestrator import GridFunctions
 
 EXPERIMENT = "faultinject"
 
@@ -91,10 +93,5 @@ def merge_sweep(payloads, config, options):
     return text, rows
 
 
-def install() -> None:
-    """(Re-)register the experiment; idempotent across tests."""
-    register_experiment(
-        EXPERIMENT,
-        GridFunctions(sweep_shards, run_sweep_shard, merge_sweep),
-        replace=True,
-    )
+#: The grid descriptor the tests register under :data:`EXPERIMENT`.
+GRID = GridFunctions(sweep_shards, run_sweep_shard, merge_sweep)

@@ -82,13 +82,16 @@ def _fresh_python(code: str) -> str:
 
 
 def test_shipped_experiments_are_listed():
-    # A fresh interpreter: test modules register grids of their own here.
     code = (
         "from repro.experiments.orchestrator import available_experiments\n"
         "print(' '.join(available_experiments()))"
     )
     assert _fresh_python(code).split() == SHIPPED
-    assert set(SHIPPED) <= set(available_experiments())
+
+
+def test_no_test_grid_outlives_its_tests():
+    """In this process, after every module's imports: test grids register in fixtures."""
+    assert available_experiments() == SHIPPED
 
 
 @pytest.mark.parametrize("experiment", SHIPPED)

@@ -1,6 +1,6 @@
 """Crash tests of the sweep orchestrator: dead workers, hangs, corruption.
 
-These tests register the :mod:`faultinject` grid and drive
+These tests register the :mod:`faultinject` grid (for this module only) and drive
 ``run_experiment`` through worker SIGKILLs, hung shards and damaged
 checkpoints, asserting both recovery (the merged result is byte-identical
 to an undisturbed serial run) and bounded failure (the sweep aborts with
@@ -22,6 +22,7 @@ import pytest
 
 import faultinject
 from repro.exceptions import ShardExecutionError
+from repro.experiments import orchestrator
 from repro.experiments.orchestrator import checkpoint_path, run_experiment
 
 pytestmark = pytest.mark.skipif(
@@ -29,7 +30,13 @@ pytestmark = pytest.mark.skipif(
     reason="fault injection requires fork workers (registry inheritance)",
 )
 
-faultinject.install()
+
+@pytest.fixture(scope="module", autouse=True)
+def _faultinject_grid():
+    """Register the fault-injection grid for this module's tests only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(orchestrator._GRIDS, faultinject.EXPERIMENT, faultinject.GRID)
+        yield
 
 
 def _serial_expectation(tmp_path):

@@ -17,11 +17,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SweepCancelled
+from repro.experiments import orchestrator
 from repro.experiments.orchestrator import (
     GridFunctions,
     SweepProgress,
     checkpoint_path,
-    register_experiment,
     run_experiment,
 )
 
@@ -92,7 +92,10 @@ def _merge(payloads, config, options):
     return "total: " + str(sum(row["value"] for row in rows)), rows
 
 
-register_experiment(EXPERIMENT, GridFunctions(_shards, _run_shard, _merge), replace=True)
+@pytest.fixture(autouse=True)
+def _cancelgrid(monkeypatch):
+    """Register ``cancelgrid`` for one test; removed again on teardown."""
+    monkeypatch.setitem(orchestrator._GRIDS, EXPERIMENT, GridFunctions(_shards, _run_shard, _merge))
 
 
 class TestCancelHook:

@@ -30,6 +30,12 @@ Event lifecycle of one transfer::
       ├─ CRC-detected failures left and retries remain
       │    └─ arbiter.request() again → schedule next DEPARTURE (ARQ)
       └─ otherwise finalise the record, release the manager entry
+
+:class:`RoundTripOutcomeSampler` is the bit-exact sampler as it was before
+it moved to the all-zero codeword: it draws random payloads, appends their
+CRC, frames, encodes, corrupts, decodes and re-checks the CRC on the
+received bits.  ``test_bitexact_round_trip.py`` pins
+:class:`~repro.netsim.outcomes.BitExactOutcomeSampler` against it.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
+from repro.coding.packed import pack_bits, unpack_bits
 from repro.exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
 from repro.manager.manager import CommunicationRequest
 from repro.netsim.engine import (
@@ -48,10 +57,16 @@ from repro.netsim.engine import (
     _TransferState,
 )
 from repro.netsim.events import EventKind
-from repro.netsim.outcomes import TransmissionOutcome, packets_for_payload
+from repro.netsim.outcomes import (
+    BitExactOutcomeSampler,
+    TransmissionOutcome,
+    _mask_popcounts,
+    _packed_mask_from_positions,
+    packets_for_payload,
+)
 from repro.traffic.generators import TrafficRequest
 
-__all__ = ["BACKENDS", "Event", "EventQueue", "run_reference"]
+__all__ = ["BACKENDS", "Event", "EventQueue", "RoundTripOutcomeSampler", "run_reference"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -177,7 +192,7 @@ def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
         )
         margin = sim._controller.margin_for(
             request.destination, now_s, true_multiplier=multiplier
-        )[0]
+        )
     try:
         if sim._degradation is not None:
             health = sim._failures.health(request.destination, now_s)
@@ -346,3 +361,57 @@ def _handle_departure(sim, now_s, state, run: _RunState) -> None:
         # The backed-off re-attempt would land past the transfer's deadline:
         # give up now instead of burning the channel on it.
     sim._finalize_transfer(state, now_s, run, dropped=outcome.failed_detected)
+
+
+class RoundTripOutcomeSampler(BitExactOutcomeSampler):
+    """Bit-exact outcomes from real payloads: the pre-zero-codeword sampler.
+
+    Same constructor, error-mask draw and payload-column masks as
+    :class:`~repro.netsim.outcomes.BitExactOutcomeSampler`; a corrupted
+    attempt then draws ``integers(0, 2, (packets, packet_bits), uint8)``
+    payloads, frames them with their CRC and zero padding, encodes, XORs in
+    the mask, decodes, counts residual payload errors against the
+    transmitted codewords and verifies the CRC of the received bits.
+    """
+
+    __slots__ = ()
+
+    def sample(self, num_packets: int) -> TransmissionOutcome:
+        n, k = int(self.code.n), int(self.code.k)
+        blocks_per_packet = self.blocks_per_packet
+        total_blocks = num_packets * blocks_per_packet
+        if self._sparse_positions is not None:
+            positions = self._sparse_positions(total_blocks * n)
+            if positions.size == 0:
+                return TransmissionOutcome(num_packets, 0, 0, 0)
+            error_mask = _packed_mask_from_positions(positions, total_blocks, n)
+        else:
+            error_mask = self._mask_source(total_blocks, n=n)
+            if not error_mask.any():
+                return TransmissionOutcome(num_packets, 0, 0, 0)
+        payload = self._rng.integers(0, 2, size=(num_packets, self.packet_bits), dtype=np.uint8)
+        protected_bits = self.packet_bits + self.crc_width
+        frame_bits = blocks_per_packet * k
+        frame = np.zeros((num_packets, frame_bits), dtype=np.uint8)
+        frame[:, : self.packet_bits] = payload
+        if self.crc is not None:
+            frame[:, self.packet_bits : protected_bits] = self.crc.checksum_batch_bits(payload)
+        encoded = self.code.encode_batch_packed(pack_bits(frame.reshape(-1, k)))
+        decoded = self.code.decode_batch_packed(encoded ^ error_mask)
+        residual_frames = (decoded.corrected_words ^ encoded).reshape(
+            num_packets, blocks_per_packet, -1
+        )
+        payload_errors = _mask_popcounts(residual_frames, self._payload_masks)
+        if self.crc is not None:
+            received = unpack_bits(decoded.corrected_words, n)[:, :k].reshape(
+                num_packets, frame_bits
+            )
+            ok = self.crc.verify_batch(received[:, :protected_bits])
+        else:
+            ok = np.ones(num_packets, dtype=bool)
+        return TransmissionOutcome(
+            packets=num_packets,
+            failed_detected=int(np.count_nonzero(~ok)),
+            delivered_with_errors=int(np.count_nonzero(ok & (payload_errors > 0))),
+            residual_bit_errors=int(payload_errors[ok].sum()),
+        )

@@ -127,10 +127,9 @@ class TestMonitorAndHysteresis:
             controller.observe(
                 0, 0.0, blocks=10, observed_events=float("nan"), expected_events=1.0
             )
-        assert controller.observe(
-            0, 1.0, blocks=20, observed_events=100.0, expected_events=1.0
-        )
+        controller.observe(0, 1.0, blocks=20, observed_events=100.0, expected_events=1.0)
         assert controller.level(0) == 1
+        assert controller.switch_count == 1
 
     def test_policy_nominal_channel_never_upgrades(self):
         policy = HysteresisSwitchingPolicy()
@@ -158,24 +157,24 @@ class TestMonitorAndHysteresis:
 class TestController:
     def test_static_mode_always_top_level(self):
         controller = AdaptiveEccController(margins=[1.0, 4.0, 16.0], mode="static")
-        margin, switched = controller.margin_for(3, 0.0, true_multiplier=1.0)
-        assert margin == 16.0 and not switched
+        assert controller.margin_for(3, 0.0, true_multiplier=1.0) == 16.0
+        assert controller.switch_count == 0
         assert not controller.wants_observations
 
     def test_oracle_tracks_the_true_multiplier(self):
         controller = AdaptiveEccController(
             margins=[1.0, 2.0, 4.0], mode="oracle", switch_energy_j=2e-9
         )
-        assert controller.margin_for(0, 0.0, true_multiplier=1.0) == (1.0, False)
-        margin, switched = controller.margin_for(0, 1.0, true_multiplier=3.0)
-        assert margin == 4.0 and switched
+        assert controller.margin_for(0, 0.0, true_multiplier=1.0) == 1.0
+        assert controller.switch_count == 0
+        assert controller.margin_for(0, 1.0, true_multiplier=3.0) == 4.0
+        assert controller.switch_count == 1
         assert controller.blocked_until(0) == pytest.approx(1.0 + controller.switch_latency_s)
-        margin, switched = controller.margin_for(0, 2.0, true_multiplier=1.5)
-        assert margin == 2.0 and switched
+        assert controller.margin_for(0, 2.0, true_multiplier=1.5) == 2.0
         assert controller.switch_count == 2
         assert controller.reconfiguration_energy_j == pytest.approx(4e-9)
         # beyond-worst-case multipliers clamp to the top level
-        assert controller.margin_for(0, 3.0, true_multiplier=100.0)[0] == 4.0
+        assert controller.margin_for(0, 3.0, true_multiplier=100.0) == 4.0
 
     def test_adaptive_mode_switches_on_monitor_estimate(self):
         controller = AdaptiveEccController(
@@ -184,10 +183,8 @@ class TestController:
             monitor=FailureRateMonitor(window_blocks=10),
         )
         assert controller.wants_observations
-        switched = controller.observe(
-            0, 1.0, blocks=10, observed_events=30.0, expected_events=10.0
-        )
-        assert switched and controller.level(0) == 1
+        controller.observe(0, 1.0, blocks=10, observed_events=30.0, expected_events=10.0)
+        assert controller.level(0) == 1
         assert controller.switch_count == 1
 
     def test_adaptive_channel_can_return_to_level_zero(self):
@@ -252,7 +249,7 @@ class TestController:
             initial_level=1,
         )
         for window, ratio in enumerate([10.0, 0.1, 0.1]):
-            assert not controller.observe(
+            controller.observe(
                 0, float(window), blocks=10, observed_events=ratio, expected_events=1.0
             )
         assert controller.level(0) == 1
@@ -395,7 +392,7 @@ class TestEngineIntegration:
         )
 
     @pytest.mark.parametrize("case", ["oracle-drift", "adaptive-drift", "ladder-faults"])
-    def test_switch_flags_add_up_to_configuration_switches(self, case):
+    def test_controller_switches_add_up_to_configuration_switches(self, case):
         """Every switch the engine triggers is one the controller reports."""
         requests = _requests(count=300)
         horizon = max(r.arrival_time_s for r in requests)
@@ -422,20 +419,20 @@ class TestEngineIntegration:
             margins = margin_levels(16.0)
             mode = case.split("-")[0]
         controller = AdaptiveEccController(margins=margins, mode=mode)
-        flags = {"margin_for": 0, "observe": 0, "force_margin": 0}
+        switches = {"margin_for": 0, "observe": 0, "force_margin": 0}
 
         def counting(name):
             method = getattr(controller, name)
 
             def wrapper(*args, **kw):
+                before = controller.switch_count
                 outcome = method(*args, **kw)
-                switched = outcome[1] if name == "margin_for" else outcome
-                flags[name] += bool(switched)
+                switches[name] += controller.switch_count - before
                 return outcome
 
             return wrapper
 
-        for name in flags:
+        for name in switches:
             setattr(controller, name, counting(name))
         result = NetworkSimulator(
             seed=np.random.SeedSequence(6),
@@ -444,10 +441,10 @@ class TestEngineIntegration:
             **kwargs,
         ).run(requests)
         assert result.configuration_switches > 0
-        assert sum(flags.values()) == result.configuration_switches
+        assert sum(switches.values()) == result.configuration_switches
         expected_source = {
             "oracle-drift": "margin_for",
             "adaptive-drift": "observe",
             "ladder-faults": "force_margin",
         }[case]
-        assert flags[expected_source] > 0
+        assert switches[expected_source] > 0

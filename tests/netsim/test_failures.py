@@ -216,14 +216,16 @@ class TestDegradationLadder:
 class TestControllerForceMargin:
     def test_escalates_to_covering_level(self):
         controller = AdaptiveEccController(margins=[1.0, 2.0, 4.0], mode="adaptive")
-        assert controller.force_margin(0, 3.0, now_s=1e-6)
+        controller.force_margin(0, 3.0, now_s=1e-6)
+        assert controller.switch_count == 1
         assert controller.margins[controller.level(0)] == 4.0
         assert controller.blocked_until(0) > 1e-6
 
     def test_never_downgrades(self):
         controller = AdaptiveEccController(margins=[1.0, 2.0, 4.0], mode="adaptive")
         controller.force_margin(0, 4.0, now_s=0.0)
-        assert not controller.force_margin(0, 1.5, now_s=1e-6)
+        controller.force_margin(0, 1.5, now_s=1e-6)
+        assert controller.switch_count == 1
         assert controller.margins[controller.level(0)] == 4.0
 
     def test_invalid_multiplier_rejected(self):

@@ -4,7 +4,8 @@ The sampler draws the attempt's error mask first and short-circuits clean
 attempts; these tests pin the fast path (error-free -> everything delivered
 clean, no codeword materialised), the slow path (real corruption detected
 by the CRC / delivered as residual errors without one), determinism under a
-fixed seed, and the packed position->mask builder it relies on.
+fixed seed, the packed position->mask builder it relies on, and the
+rejection of a fault model the sampler cannot draw an error mask from.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from repro.coding.crc import CyclicRedundancyCheck
 from repro.coding.packed import pack_bits
 from repro.coding.registry import get_code
+from repro.exceptions import ConfigurationError
 from repro.netsim.outcomes import BitExactOutcomeSampler, _packed_mask_from_positions
 from repro.simulation.faults import BurstErrorModel, IndependentErrorModel
 
@@ -95,3 +97,20 @@ class TestBitExactSampler:
         outcome = _sampler("H(7,4)", ber=5e-3, packet_bits=96).sample(20)
         assert outcome.packets == 20
         assert outcome.delivered + outcome.failed_detected == 20
+
+
+class _BitMatrixModel:
+    """A fault model with only the unpacked ``apply(bits)`` API."""
+
+    expected_ber = 1e-3
+
+    def apply(self, bits):
+        return bits
+
+
+def test_a_fault_model_without_a_mask_api_is_rejected():
+    """No error mask means no all-zero-codeword outcome: refuse at construction."""
+    with pytest.raises(ConfigurationError, match="_BitMatrixModel"):
+        BitExactOutcomeSampler(
+            get_code("H(71,64)"), _BitMatrixModel(), packet_bits=512, rng=np.random.default_rng(0)
+        )

@@ -5,9 +5,10 @@ ephemeral port, driven with ``urllib`` — the full submit → poll → fetch
 flow, idempotent resubmission, queue-full backpressure and restart
 recovery from the same data directory.
 
-The supervisor forks its job workers, so the tiny ``svcmini`` experiment
-registered at import time is visible inside them (fork start method, same
-trick as the orchestrator's fault-injection tests).
+The supervisor forks its job workers, so the tiny ``svcmini`` experiment,
+registered by a module fixture before any service starts, is visible
+inside them (fork start method, same trick as the orchestrator's
+fault-injection tests); the fixture removes it when the module's tests end.
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.registry import available_codes, get_code
-from repro.experiments.orchestrator import (
-    GridFunctions,
-    register_experiment,
-    run_experiment,
-)
+from repro.experiments import orchestrator
+from repro.experiments.orchestrator import GridFunctions, run_experiment
 from repro.link.design import OpticalLinkDesigner
 from repro.service import ServiceConfig, SimulationService
 from repro.service.models import JobState
@@ -63,7 +61,12 @@ def _merge(payloads, config, options):
     return text, rows
 
 
-register_experiment(EXPERIMENT, GridFunctions(_shards, _run_shard, _merge), replace=True)
+@pytest.fixture(scope="module", autouse=True)
+def _svcmini_grid():
+    """Register ``svcmini`` for this module's tests only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(orchestrator._GRIDS, EXPERIMENT, GridFunctions(_shards, _run_shard, _merge))
+        yield
 
 
 #: A second life in a fresh interpreter: recover the spool, run the queued

@@ -23,6 +23,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "experiments"))
 import faultinject  # noqa: E402
 
+from repro.experiments import orchestrator  # noqa: E402
 from repro.service import ServiceConfig, SimulationService  # noqa: E402
 from repro.service.models import JobState  # noqa: E402
 
@@ -33,7 +34,14 @@ pytestmark = pytest.mark.skipif(
     reason="service workers require the fork start method",
 )
 
-faultinject.install()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _faultinject_grid():
+    """Register the fault-injection grid for this module's tests only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(orchestrator._GRIDS, faultinject.EXPERIMENT, faultinject.GRID)
+        yield
 
 #: Tight supervisor budgets so retries happen in test time, not minutes.
 FAST = dict(backoff_base_s=0.05, backoff_cap_s=0.2)
