@@ -21,7 +21,7 @@ from .baseline import Baseline, write_baseline
 from .config import DEFAULT_CONFIG, LintConfig, load_config, normalize_path
 from .engine import LintRun, iter_python_files, lint_file, lint_paths, lint_source
 from .findings import Finding
-from .registry import Rule, all_rules, get_rule
+from .registry import Rule, all_rules
 
 __all__ = [
     "Baseline",
@@ -31,7 +31,6 @@ __all__ = [
     "LintRun",
     "Rule",
     "all_rules",
-    "get_rule",
     "iter_python_files",
     "lint_file",
     "lint_paths",

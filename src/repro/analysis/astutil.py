@@ -18,8 +18,6 @@ __all__ = [
     "attach_parents",
     "ancestors",
     "enclosing_function",
-    "enclosing_class",
-    "enclosing_statement",
     "dotted_name",
     "ImportMap",
     "is_self_attribute",
@@ -49,21 +47,6 @@ def enclosing_function(node: ast.AST) -> Optional[ast.AST]:
         if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return ancestor
     return None
-
-
-def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
-    for ancestor in ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor
-    return None
-
-
-def enclosing_statement(node: ast.AST) -> Optional[ast.stmt]:
-    """The statement containing ``node`` (or ``node`` itself if one)."""
-    current: Optional[ast.AST] = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = getattr(current, "parent", None)
-    return current
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from .astutil import dotted_name, enclosing_function
+from .astutil import enclosing_function
 from .registry import rule
 
 __all__ = [

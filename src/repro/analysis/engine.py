@@ -20,7 +20,7 @@ from .astutil import ImportMap, attach_parents
 from .baseline import Baseline
 from .config import DEFAULT_CONFIG, LintConfig, normalize_path
 from .findings import Finding
-from .pragmas import PragmaTable, parse_pragmas
+from .pragmas import parse_pragmas
 from .registry import PARSE_ERROR_CODE, all_rules
 
 # Importing the rule modules registers their rules.

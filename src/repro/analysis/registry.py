@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-__all__ = ["Rule", "rule", "all_rules", "get_rule", "PARSE_ERROR_CODE"]
+__all__ = ["Rule", "rule", "all_rules", "PARSE_ERROR_CODE"]
 
 #: Emitted (outside the registry) when a file fails to parse.
 PARSE_ERROR_CODE = "RPR001"
@@ -55,7 +55,3 @@ def rule(code: str, name: str, summary: str, *, scope: Optional[str] = None):
 def all_rules() -> List[Rule]:
     """Every registered rule, ordered by code."""
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def get_rule(code: str) -> Rule:
-    return _REGISTRY[code]

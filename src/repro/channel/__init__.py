@@ -12,7 +12,6 @@ from .ber import (
     required_raw_ber,
     required_snr,
     snr_from_ber,
-    snr_margin_db,
 )
 from .awgn import OOKAWGNChannel
 
@@ -21,6 +20,5 @@ __all__ = [
     "snr_from_ber",
     "required_raw_ber",
     "required_snr",
-    "snr_margin_db",
     "OOKAWGNChannel",
 ]

@@ -132,17 +132,12 @@ class OOKAWGNChannel:
         )
 
     # ------------------------------------------------------------------ transmission
-    def transmit(self, bits) -> np.ndarray:
-        """Transmit a bit vector and return the hard decisions at the receiver."""
-        return self._decide(as_gf2(bits).ravel())
-
     def transmit_batch(self, blocks) -> np.ndarray:
         """Transmit a ``(B, n)`` block matrix with one Gaussian noise matrix.
 
-        Batch counterpart of :meth:`transmit` used by the Monte-Carlo link
-        simulator: the noise for every bit of every block is sampled as a
-        single ``(B, n)`` normal draw and the hard decisions are returned
-        with the same shape.
+        The noise for every bit of every block is sampled as a single
+        ``(B, n)`` normal draw and the hard decisions are returned with the
+        same shape.
         """
         matrix = as_gf2(blocks)
         if matrix.ndim != 2:
@@ -176,10 +171,3 @@ class OOKAWGNChannel:
         currents = np.where(stream == 1, levels.high_a, levels.low_a).astype(float)
         noisy = currents + self._rng.normal(0.0, levels.noise_sigma_a, size=currents.shape)
         return (noisy > levels.threshold_a).astype(np.uint8)
-
-    def transmit_soft(self, bits) -> np.ndarray:
-        """Transmit a bit vector and return the noisy photocurrents (amps)."""
-        stream = as_gf2(bits).ravel()
-        levels = self._levels()
-        currents = np.where(stream == 1, levels.high_a, levels.low_a).astype(float)
-        return currents + self._rng.normal(0.0, levels.noise_sigma_a, size=currents.size)

@@ -33,14 +33,12 @@ import numpy as np
 from ..coding.theory import raw_ber_for_target_output_ber
 from ..exceptions import ConfigurationError
 from ..special import erfc, erfcinv
-from ..units import linear_to_db
 
 __all__ = [
     "raw_ber_from_snr",
     "snr_from_ber",
     "required_raw_ber",
     "required_snr",
-    "snr_margin_db",
 ]
 
 
@@ -113,14 +111,3 @@ def required_snr(code, target_ber: float) -> float:
     """
     raw = required_raw_ber(code, target_ber)
     return float(snr_from_ber(raw))
-
-
-def snr_margin_db(actual_snr: float, required: float) -> float:
-    """Margin (in dB) between an achieved SNR and the required SNR.
-
-    Positive margins mean the link is over-provisioned; the runtime manager
-    uses this to decide how far the laser power can be scaled down.
-    """
-    if actual_snr <= 0 or required <= 0:
-        raise ConfigurationError("SNR values must be positive to compute a margin")
-    return float(linear_to_db(actual_snr / required))

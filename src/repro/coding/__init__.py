@@ -35,7 +35,7 @@ from .base import (
     decode_blocks_packed,
     encode_blocks_packed,
 )
-from .packed import pack_bits, popcount, popcount_rows, prefix_mask, unpack_bits, words_per_block
+from .packed import pack_bits, popcount_rows, prefix_mask, unpack_bits, words_per_block
 from .galois import GaloisField, get_field
 from .uncoded import UncodedScheme
 from .hamming import HammingCode, ShortenedHammingCode, hamming_parameters_for_message_length
@@ -64,7 +64,6 @@ __all__ = [
     "encode_blocks_packed",
     "pack_bits",
     "unpack_bits",
-    "popcount",
     "popcount_rows",
     "prefix_mask",
     "words_per_block",

@@ -22,12 +22,12 @@ The hot path of every Monte-Carlo workload is :meth:`encode_batch` /
 matmul for encoding, one matmul for all B syndromes, a dot product with
 powers of two to pack each syndrome into an integer key, and a dense
 ``syndrome -> error pattern`` lookup array (built once per code) in place
-of a per-call dict probe.  The scalar :meth:`encode_block` and
-:meth:`decode_block` are thin wrappers over the batch path (a batch of
-one), so every existing caller keeps working and there is exactly one
-decoding implementation to validate.  The pre-batching per-block decoders
-live in the test suite (``tests/coding/oracle.py``), the reference the
-equivalence tests pin the batch and packed decoders against.
+of a per-call dict probe.  The scalar :meth:`encode_block` is a thin
+wrapper over the batch path (a batch of one), so there is exactly one
+implementation to validate.  The per-block decoders (the pre-batching
+references and the one-block wrapper over :meth:`decode_batch`) live in
+the test suite (``tests/coding/oracle.py``), the reference the equivalence
+tests pin the batch and packed decoders against.
 
 Packed fast path
 ----------------
@@ -162,16 +162,6 @@ class BatchDecodeResult:
     def num_blocks(self) -> int:
         """Number of blocks in the batch."""
         return len(self)
-
-    @property
-    def num_detected(self) -> int:
-        """Number of blocks whose syndrome was non-zero."""
-        return int(np.count_nonzero(self.detected_error))
-
-    @property
-    def num_corrected(self) -> int:
-        """Number of blocks the decoder believes it repaired."""
-        return int(np.count_nonzero(self.corrected))
 
     @property
     def num_failures(self) -> int:
@@ -322,11 +312,6 @@ class LinearBlockCode:
         return (self._dmin - 1) // 2
 
     @property
-    def detectable_errors(self) -> int:
-        """Guaranteed number of detectable errors (dmin - 1)."""
-        return self._dmin - 1
-
-    @property
     def code_rate(self) -> float:
         """Code rate Rc = k / n."""
         return self._k / self._n
@@ -344,11 +329,6 @@ class LinearBlockCode:
     def generator_matrix(self) -> np.ndarray:
         """Copy of the systematic generator matrix ``[I_k | P]``."""
         return self._generator.copy()
-
-    @property
-    def parity_check_matrix(self) -> np.ndarray:
-        """Copy of the parity-check matrix ``[P^T | I_{n-k}]``."""
-        return self._parity_check.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self._name!r}, n={self._n}, k={self._k}, dmin={self._dmin})"
@@ -535,10 +515,6 @@ class LinearBlockCode:
             self._syndrome_key_tables = byte_lookup_tables(contributions)
         return self._syndrome_key_tables
 
-    def _batch_syndrome_keys(self, blocks: np.ndarray) -> np.ndarray:
-        """Packed integer syndrome keys of an unpacked ``(B, n)`` block matrix."""
-        return self._batch_syndrome_keys_packed(pack_bits(blocks))
-
     def _batch_syndrome_keys_packed(self, words: np.ndarray) -> np.ndarray:
         """Integer syndrome keys gathered straight from the packed byte image.
 
@@ -698,21 +674,12 @@ class LinearBlockCode:
             k=self._k,
         )
 
-    def decode_block(self, received_bits, *, strict: bool = False) -> DecodeResult:
-        """Decode one received block (thin wrapper over :meth:`decode_batch`)."""
-        received = as_gf2(received_bits).ravel()
-        if received.size != self._n:
-            raise CodewordLengthError(
-                f"{self._name}: expected a {self._n}-bit block, got {received.size} bits"
-            )
-        return self.decode_batch(received[np.newaxis, :], strict=strict)[0]
-
     def decode(self, bits, *, strict: bool = False) -> np.ndarray:
         """Decode a bit stream whose length is a multiple of ``n``.
 
         Returns the concatenated decoded messages (computed through the
         batch path); per-block status information is available through
-        :meth:`decode_batch` / :meth:`decode_block`.
+        :meth:`decode_batch`.
         """
         stream = as_gf2(bits).ravel()
         if stream.size % self._n != 0:
@@ -737,10 +704,6 @@ class LinearBlockCode:
         for value in range(1 << self._k):
             message = np.array([(value >> bit) & 1 for bit in range(self._k)], dtype=np.uint8)
             yield Codeword(message_bits=message, code_bits=self.encode_block(message))
-
-    def is_codeword(self, bits) -> bool:
-        """Check whether an n-bit vector lies in the code."""
-        return not self.syndrome(bits).any()
 
 
 def encode_blocks_packed(code, message_words) -> np.ndarray:

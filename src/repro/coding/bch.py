@@ -95,7 +95,6 @@ class BCHCode(LinearBlockCode):
         )
         self._field = field
         self._t = t
-        self._generator_poly = generator_poly
         self._syndrome_eval: np.ndarray | None = None
         self._syndrome_byte_tables_cache: np.ndarray | None = None
         self._chien_exponents: np.ndarray | None = None
@@ -159,11 +158,6 @@ class BCHCode(LinearBlockCode):
         """Designed error-correction capability."""
         return self._t
 
-    @property
-    def generator_polynomial(self) -> List[int]:
-        """GF(2) generator polynomial, lowest-order coefficient first."""
-        return list(self._generator_poly)
-
     # ------------------------------------------------------------------ decoding
     def _syndrome_eval_matrix(self) -> np.ndarray:
         """``alpha^{j·i}`` evaluation matrix of shape ``(2t, n)``.
@@ -202,10 +196,6 @@ class BCHCode(LinearBlockCode):
     def _batch_syndromes_packed(self, words: np.ndarray) -> np.ndarray:
         """Power-sum syndromes ``S_1 .. S_2t`` of a packed ``(B, W)`` batch."""
         return fold_byte_tables(self._syndrome_byte_tables(), packed_byte_view(words))
-
-    def _batch_syndromes(self, blocks: np.ndarray) -> np.ndarray:
-        """Power-sum syndromes of an unpacked ``(B, n)`` batch (packed under the hood)."""
-        return self._batch_syndromes_packed(pack_bits(blocks))
 
     # -------------------------------------------------------- batch BM + Chien
     def _gf_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

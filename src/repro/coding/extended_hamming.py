@@ -55,11 +55,6 @@ class ExtendedHammingCode(LinearBlockCode):
         self._inner = base
         self._parity_bit_mask = range_mask(n, n - 1, n)
 
-    @property
-    def inner_code(self) -> LinearBlockCode:
-        """The Hamming code the SECDED construction extends."""
-        return self._inner
-
     def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
         """Packed SECDED decoding of a whole ``(B, ceil(n/64))`` batch.
 

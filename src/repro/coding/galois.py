@@ -123,10 +123,6 @@ class GaloisField:
             raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
         return int(self._exp[self.order - self._log[a]])
 
-    def divide(self, a: int, b: int) -> int:
-        """Field division a / b."""
-        return self.multiply(a, self.inverse(b))
-
     def power(self, a: int, exponent: int) -> int:
         """Raise a field element to an integer power."""
         if a == 0:
@@ -145,13 +141,6 @@ class GaloisField:
         return int(self._log[a])
 
     # ------------------------------------------------------------------ polynomials
-    def poly_eval(self, coefficients: List[int], x: int) -> int:
-        """Evaluate a polynomial (lowest-order coefficient first) at ``x``."""
-        result = 0
-        for coefficient in reversed(coefficients):
-            result = self.add(self.multiply(result, x), coefficient)
-        return result
-
     def minimal_polynomial(self, element: int) -> List[int]:
         """Minimal polynomial over GF(2) of a field element.
 

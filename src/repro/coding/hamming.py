@@ -16,7 +16,6 @@ bit error per block (minimum distance 3).
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
@@ -88,7 +87,7 @@ class ShortenedHammingCode(LinearBlockCode):
     def __init__(self, message_length: int):
         if message_length < 1:
             raise ConfigurationError("message length must be positive")
-        m, full_k = hamming_parameters_for_message_length(message_length)
+        m, _ = hamming_parameters_for_message_length(message_length)
         parity = _full_hamming_parity_submatrix(m)[:message_length, :]
         generator = np.concatenate(
             [np.eye(message_length, dtype=np.uint8), parity], axis=1
@@ -96,17 +95,11 @@ class ShortenedHammingCode(LinearBlockCode):
         n = message_length + m
         super().__init__(generator, name=f"H({n},{message_length})", minimum_distance=3)
         self._m = m
-        self._full_k = full_k
 
     @property
     def m(self) -> int:
         """Number of parity bits inherited from the parent Hamming code."""
         return self._m
-
-    @property
-    def parent_parameters(self) -> Tuple[int, int]:
-        """(n, k) of the full Hamming code this code was shortened from."""
-        return ((1 << self._m) - 1, self._full_k)
 
 
 def hamming_parameters_for_message_length(message_length: int) -> Tuple[int, int]:

@@ -18,7 +18,6 @@ __all__ = [
     "as_gf2",
     "gf2_matmul",
     "gf2_parity_check_from_systematic_generator",
-    "hamming_weight",
 ]
 
 
@@ -54,8 +53,3 @@ def gf2_parity_check_from_systematic_generator(generator) -> np.ndarray:
         raise ValueError("generator matrix is not in systematic form [I_k | P]")
     p = g[:, k:]
     return np.concatenate([p.T, np.eye(n - k, dtype=np.uint8)], axis=1)
-
-
-def hamming_weight(vector) -> int:
-    """Number of ones in a binary vector."""
-    return int(np.count_nonzero(as_gf2(vector)))

@@ -48,7 +48,6 @@ __all__ = [
     "skip_fair_bits",
     "draw_flip_words",
     "DEFAULT_BATCH_SIZE",
-    "shard_seed_sequences",
     "resolve_rng",
 ]
 
@@ -56,22 +55,6 @@ __all__ = [
 #: amortise the per-batch Python overhead, small enough that the working set
 #: (a few (B, n) uint8/float matrices) stays cache- and memory-friendly.
 DEFAULT_BATCH_SIZE = 8192
-
-
-def shard_seed_sequences(seed: int, num_shards: int) -> list[np.random.SeedSequence]:
-    """Deterministic per-shard seed sequences for a sharded Monte-Carlo sweep.
-
-    Returns the ``num_shards`` children that ``np.random.SeedSequence(seed)``
-    would produce with :meth:`~numpy.random.SeedSequence.spawn`, constructed
-    directly from their spawn keys.  Because child ``i`` depends only on
-    ``(seed, i)`` — never on which process asks, in what order, or how many
-    siblings were spawned before it — every shard of a sweep can rebuild its
-    own generator independently, which is what makes the parallel experiment
-    orchestrator byte-identical to a serial run.
-    """
-    if num_shards < 0:
-        raise ConfigurationError("number of shards cannot be negative")
-    return [np.random.SeedSequence(seed, spawn_key=(index,)) for index in range(num_shards)]
 
 
 def resolve_rng(
@@ -183,13 +166,6 @@ class MonteCarloBERResult:
     bit_errors: int
     blocks_simulated: int
     block_errors: int
-
-    @property
-    def block_error_rate(self) -> float:
-        """Fraction of blocks with at least one residual error."""
-        if self.blocks_simulated == 0:
-            return 0.0
-        return self.block_errors / self.blocks_simulated
 
     def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
         """Normal-approximation confidence interval on the estimated BER."""

@@ -39,7 +39,6 @@ __all__ = [
     "unpack_bits",
     "packed_byte_view",
     "require_packed_blocks",
-    "popcount",
     "popcount_rows",
     "prefix_mask",
     "range_mask",
@@ -116,14 +115,6 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1).sum(
     axis=1, dtype=np.uint8
 )
-
-
-def popcount(words) -> int:
-    """Total number of set bits in a packed array."""
-    matrix = np.asarray(words)
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(matrix).sum())
-    return int(_BYTE_POPCOUNT[np.ascontiguousarray(matrix).reshape(-1).view(np.uint8)].sum())
 
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:

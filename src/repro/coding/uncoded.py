@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import CodewordLengthError, ConfigurationError
-from .base import BatchDecodeResult, DecodeResult, PackedBatchDecodeResult
+from .base import BatchDecodeResult, PackedBatchDecodeResult
 from .matrices import as_gf2
 from .packed import require_packed_blocks
 
@@ -63,11 +63,6 @@ class UncodedScheme:
     @property
     def correctable_errors(self) -> int:
         """No errors can be corrected without redundancy."""
-        return 0
-
-    @property
-    def detectable_errors(self) -> int:
-        """No errors can be detected without redundancy."""
         return 0
 
     @property
@@ -147,24 +142,6 @@ class UncodedScheme:
             )
         return stream.copy()
 
-    def decode_block(self, received_bits, *, strict: bool = False) -> DecodeResult:
-        """Accept the received block verbatim; nothing can be detected."""
-        received = as_gf2(received_bits).ravel()
-        if received.size != self._n:
-            raise CodewordLengthError(
-                f"uncoded scheme expected {self._n} bits, got {received.size}"
-            )
-        return DecodeResult(
-            message_bits=received.copy(),
-            corrected_codeword=received.copy(),
-            detected_error=False,
-            corrected=False,
-        )
-
     def decode(self, bits, *, strict: bool = False) -> np.ndarray:
         """Return the stream unchanged."""
         return self.encode(bits)
-
-    def is_codeword(self, bits) -> bool:
-        """Every n-bit vector is a valid uncoded word."""
-        return as_gf2(bits).ravel().size == self._n

@@ -24,7 +24,7 @@ derived quantities used throughout the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .exceptions import ConfigurationError
@@ -133,11 +133,6 @@ class PaperConfig:
         return self.waveguide_loss_db_per_cm * (self.waveguide_length_m * 100.0)
 
     @property
-    def num_writers(self) -> int:
-        """Writers per MWSR channel (every ONI but the reader)."""
-        return self.num_onis - 1
-
-    @property
     def num_intermediate_writers(self) -> int:
         """Writers crossed by the worst-case (farthest) writer's signal."""
         return self.num_onis - 2
@@ -146,16 +141,6 @@ class PaperConfig:
     def ip_bandwidth_bits_per_s(self) -> float:
         """Raw IP-side bandwidth Ndata * FIP."""
         return self.ip_bus_width_bits * self.ip_clock_hz
-
-    @property
-    def channel_raw_bandwidth_bits_per_s(self) -> float:
-        """Raw optical bandwidth of one waveguide: num_wavelengths * Fmod."""
-        return self.num_wavelengths * self.modulation_rate_hz
-
-    @property
-    def serialization_ratio(self) -> float:
-        """Ratio between modulation and IP clock rates (Fmod / FIP)."""
-        return self.modulation_rate_hz / self.ip_clock_hz
 
     @property
     def wavelengths_m(self) -> Tuple[float, ...]:

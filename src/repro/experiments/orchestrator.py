@@ -16,8 +16,8 @@ a process pool (``jobs > 1``).  Three properties make the parallel run
 byte-identical to the serial one:
 
 1. shards never share state — stochastic shards rebuild their generator
-   from ``SeedSequence(seed, spawn_key=(index,))`` (see
-   :func:`repro.coding.montecarlo.shard_seed_sequences`), so the outcome
+   from ``SeedSequence(seed, spawn_key=(index,))``, the child that
+   ``SeedSequence(seed).spawn`` would hand out at that index, so the outcome
    depends only on the grid position, not on scheduling;
 2. payloads are reduced to plain JSON types the moment they are produced,
    so the in-process, pickled-over-a-pipe and reloaded-from-checkpoint

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["rows_to_csv", "section", "render_comparisons"]
+__all__ = ["rows_to_csv", "section"]
 
 
 def section(title: str, body: str) -> str:
@@ -31,8 +31,3 @@ def rows_to_csv(rows: Sequence[Mapping[str, object]]) -> str:
     for row in rows:
         writer.writerow(row)
     return buffer.getvalue()
-
-
-def render_comparisons(comparisons: Iterable) -> str:
-    """Render a list of Comparison objects, one per line."""
-    return "\n".join(comparison.render() for comparison in comparisons)

@@ -26,11 +26,6 @@ class Table1Result:
     parametric_report: SynthesisReport
     comparisons: List[Comparison] = field(default_factory=list)
 
-    @property
-    def max_abs_relative_error(self) -> float:
-        """Largest absolute relative error across all compared quantities."""
-        return max(abs(c.relative_error) for c in self.comparisons)
-
     def render_text(self) -> str:
         """Text rendering: the regenerated table followed by the comparison."""
         lines = [

@@ -11,8 +11,8 @@ longer coded transmissions occupy the channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..exceptions import ArbitrationError, ConfigurationError
 
@@ -38,16 +38,6 @@ class TokenArbiter:
         self._grants: Dict[int, int] = {writer: 0 for writer in self.writers}
 
     # ------------------------------------------------------------------ state
-    @property
-    def current_holder(self) -> int:
-        """Writer currently holding the token."""
-        return self.writers[self._holder_index]
-
-    @property
-    def busy_until_s(self) -> float:
-        """Simulation time until which the channel is occupied."""
-        return self._busy_until_s
-
     def grant_counts(self) -> Dict[int, int]:
         """Number of grants given to each writer so far."""
         return dict(self._grants)
@@ -72,8 +62,3 @@ class TokenArbiter:
         self._busy_until_s = start + duration_s
         self._grants[writer] += 1
         return start
-
-    def idle_advance(self) -> Optional[int]:
-        """Advance the token by one writer when nobody is transmitting."""
-        self._holder_index = (self._holder_index + 1) % len(self.writers)
-        return self.current_holder

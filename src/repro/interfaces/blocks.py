@@ -20,7 +20,6 @@ land within ~25% of every Table I entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..exceptions import ConfigurationError
 from .techlib import BlockCharacterisation, FDSOI_28NM, TechnologyLibrary
@@ -31,7 +30,6 @@ __all__ = [
     "serializer_block",
     "deserializer_block",
     "mux_block",
-    "aggregate_blocks",
 ]
 
 
@@ -193,18 +191,4 @@ def mux_block(
         critical_path_ps=80.0,
         static_power_nw=static,
         dynamic_power_uw=dynamic,
-    )
-
-
-def aggregate_blocks(blocks: Iterable[BlockCharacterisation], name: str) -> BlockCharacterisation:
-    """Sum areas and powers of several blocks; critical path is the maximum."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ConfigurationError("cannot aggregate an empty block list")
-    return BlockCharacterisation(
-        name=name,
-        area_um2=sum(b.area_um2 for b in blocks),
-        critical_path_ps=max(b.critical_path_ps for b in blocks),
-        static_power_nw=sum(b.static_power_nw for b in blocks),
-        dynamic_power_uw=sum(b.dynamic_power_uw for b in blocks),
     )

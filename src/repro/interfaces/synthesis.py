@@ -61,18 +61,6 @@ class SynthesisReport:
         rx = self.mode_totals("receiver", mode).total_power_uw
         return (tx + rx) * 1e-6
 
-    def slack_ps(self, side: str, mode: str) -> float:
-        """Timing slack of a mode against its clock.
-
-        Codec blocks run at the IP clock while SER/DES run at the modulation
-        clock; the paper reports positive slack for every block, so the
-        relevant constraint for the aggregated path is the IP clock period
-        (codec paths dominate at 210-570 ps).
-        """
-        totals = self.mode_totals(side, mode)
-        ip_period_ps = 1e12 / self.config.ip_clock_hz
-        return ip_period_ps - totals.critical_path_ps
-
     # ------------------------------------------------------------------ rendering
     def to_rows(self) -> List[dict]:
         """Flatten the report into row dictionaries (one per block and total)."""

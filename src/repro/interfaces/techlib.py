@@ -109,10 +109,6 @@ class TechnologyLibrary:
         """Sorted names of all characterised blocks."""
         return sorted(self._blocks)
 
-    def has_block(self, name: str) -> bool:
-        """True when a block with this exact name is characterised."""
-        return name in self._blocks
-
     def block(self, name: str) -> BlockCharacterisation:
         """Look up a characterised block by exact name."""
         if name not in self._blocks:
@@ -129,10 +125,6 @@ class TechnologyLibrary:
                 f"unknown calibration constant {key!r}; known: {sorted(self._calibration)}"
             )
         return self._calibration[key]
-
-    def calibration_keys(self) -> list[str]:
-        """Sorted names of the calibration constants."""
-        return sorted(self._calibration)
 
 
 # --------------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from ..exceptions import ConfigurationError
-from .blocks import HardwareBlock, aggregate_blocks, hamming_codec_block, mux_block, serializer_block
+from .blocks import HardwareBlock, hamming_codec_block, mux_block, serializer_block
 from .techlib import BlockCharacterisation, FDSOI_28NM, TechnologyLibrary
 
 __all__ = ["TransmitterInterface"]
@@ -153,13 +153,6 @@ class TransmitterInterface:
     def critical_path_ps(self, mode: str) -> float:
         """Critical path of the active blocks in a mode."""
         return max(b.characterisation.critical_path_ps for b in self.active_blocks(mode))
-
-    def mode_summary(self, mode: str) -> BlockCharacterisation:
-        """Aggregate characterisation of the active path of one mode."""
-        return aggregate_blocks(
-            (b.characterisation for b in self.active_blocks(mode)),
-            name=f"{self.name} [{mode}]",
-        )
 
     def as_table(self) -> Dict[str, BlockCharacterisation]:
         """Every block keyed by name, for report generation."""

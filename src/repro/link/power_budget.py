@@ -37,7 +37,6 @@ from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 from ..photonics.coupler import MMICoupler
 from ..photonics.crosstalk import CrosstalkModel
-from ..photonics.microring import MicroringResonator
 from ..photonics.waveguide import Waveguide
 from ..units import db_loss_to_transmission, db_to_linear
 
@@ -151,21 +150,3 @@ class LinkPowerBudget:
         so the crosstalk scales with the same operating point.
         """
         return self.received_signal_power(laser_output_power_w) * self.crosstalk_ratio
-
-    def laser_power_for_received_signal(self, signal_power_w: float) -> float:
-        """Laser output power needed to deliver a useful signal power."""
-        if signal_power_w < 0:
-            raise ConfigurationError("signal power cannot be negative")
-        return signal_power_w / self.signal_transmission
-
-    @property
-    def microring(self) -> MicroringResonator:
-        """The micro-ring parameterisation implied by the configuration."""
-        return MicroringResonator(
-            resonance_wavelength_m=self.config.center_wavelength_m,
-            quality_factor=self.config.ring_quality_factor,
-            extinction_ratio_db=self.config.extinction_ratio_db,
-            through_loss_db=self.config.ring_through_loss_db,
-            drop_loss_db=self.config.ring_drop_loss_db,
-            drive_power_w=self.config.modulator_power_w,
-        )

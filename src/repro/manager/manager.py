@@ -11,7 +11,7 @@ designer, the power models and the selection policies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..coding.registry import paper_code_set
@@ -144,10 +144,6 @@ class OpticalLinkManager:
     def codes(self) -> list:
         """Coding schemes the manager can select between."""
         return list(self._codes)
-
-    def active_configurations(self) -> list[LinkConfiguration]:
-        """Currently applied configurations (one per source/destination pair)."""
-        return list(self._active.values())
 
     # ------------------------------------------------------------------ requests
     def candidates_for(

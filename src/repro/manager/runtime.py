@@ -114,23 +114,6 @@ class AdaptiveEccController:
         self.switch_count = 0
         self.reconfiguration_energy_j = 0.0
 
-    def clone(self) -> "AdaptiveEccController":
-        """A fresh controller with this one's configuration and no state.
-
-        Sharded sweeps run one simulator per worker; a shared controller
-        would leak per-channel monitors across shards, so each worker
-        clones the configured template instead.
-        """
-        return AdaptiveEccController(
-            margins=self.margins,
-            mode=self.mode,
-            monitor=self._monitor_template,
-            switching_policy=self._switching_policy,
-            switch_latency_s=self.switch_latency_s,
-            switch_energy_j=self.switch_energy_j,
-            initial_level=self._initial_level,
-        )
-
     def level(self, channel: int) -> int:
         """Current ladder level of one channel."""
         return self._levels.get(channel, self._initial_level)
@@ -232,4 +215,3 @@ class AdaptiveEccController:
         # Track consecutive calm windows for the hysteresis downgrade (the
         # qualification predicate lives on the policy, not here).
         self._calm[channel] = calm + 1 if qualifies else 0
-

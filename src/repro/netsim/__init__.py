@@ -33,7 +33,6 @@ x manager policy on top of this engine.
 from .dynamics import (
     AgingRampDrift,
     ChannelDriftModel,
-    ConstantDrift,
     DriftProcess,
     RandomWalkDrift,
     ThermalSinusoidDrift,
@@ -75,7 +74,6 @@ __all__ = [
     "BitExactOutcomeSampler",
     "packets_for_payload",
     "DriftProcess",
-    "ConstantDrift",
     "ThermalSinusoidDrift",
     "AgingRampDrift",
     "RandomWalkDrift",

@@ -15,8 +15,6 @@ point — one deterministic process per channel:
   exactly why a static worst-case design wastes energy.
 * :class:`RandomWalkDrift` — a Markov-modulated reflected random walk in
   log space, for environmental wander without a deterministic shape.
-* :class:`ConstantDrift` — a fixed multiplier (1.0 reproduces today's
-  static channel exactly).
 
 Determinism: stochastic processes draw from a per-channel generator spawned
 from one :class:`numpy.random.SeedSequence` at construction, and sample
@@ -39,7 +37,6 @@ from ..exceptions import ConfigurationError
 
 __all__ = [
     "DriftProcess",
-    "ConstantDrift",
     "ThermalSinusoidDrift",
     "AgingRampDrift",
     "RandomWalkDrift",
@@ -59,18 +56,6 @@ class DriftProcess:
     def multiplier_at(self, time_s: float) -> float:
         """Raw-BER multiplier at simulation time ``time_s`` (>= 1)."""
         raise NotImplementedError
-
-
-class ConstantDrift(DriftProcess):
-    """A channel whose conditions never change (multiplier fixed)."""
-
-    def __init__(self, multiplier: float = 1.0):
-        if not 1.0 <= multiplier < math.inf:
-            raise ConfigurationError("drift multipliers are finite and >= 1 (nominal point)")
-        self.worst_case_multiplier = float(multiplier)
-
-    def multiplier_at(self, time_s: float) -> float:
-        return self.worst_case_multiplier
 
 
 class ThermalSinusoidDrift(DriftProcess):

@@ -72,6 +72,7 @@ from .metrics import NetworkMetrics, compute_metrics
 from .outcomes import (
     BitExactOutcomeSampler,
     ProbabilisticOutcomeSampler,
+    bit_exact_error_sources,
     packets_for_payload,
 )
 
@@ -493,6 +494,8 @@ class NetworkSimulator:
                 "a custom fault model fixes the raw BER; it cannot be combined "
                 "with channel dynamics"
             )
+        if mode == "bit-exact" and fault_model is not None:
+            bit_exact_error_sources(fault_model)
         if failures is not None:
             if mode != "probabilistic":
                 raise ConfigurationError(

@@ -115,6 +115,7 @@ __all__ = [
     "TransmissionOutcome",
     "ProbabilisticOutcomeSampler",
     "BitExactOutcomeSampler",
+    "bit_exact_error_sources",
     "packets_for_payload",
 ]
 
@@ -240,21 +241,6 @@ class ProbabilisticOutcomeSampler:
         residual_rate = (mean - 1.0) / (k - 1) if k > 1 else 0.0
         self._failure_params[raw_ber] = (failure, residual_rate)
         return failure, residual_rate
-
-    def failure_probability_for(self, raw_ber: float | None = None) -> float:
-        """Per-block decode-failure probability at one raw BER (cached)."""
-        if raw_ber is None:
-            return self.block_failure_probability
-        return self._params_for(float(raw_ber))[0]
-
-    def primary_draw_count(self, num_packets: int) -> int:
-        """Doubles one attempt consumes from the primary stream (always 1).
-
-        Fixed and known before any randomness is drawn — the property the
-        epoch-batched engine relies on to draw many attempts' uniforms in
-        one vectorized ``Generator.random`` call.
-        """
-        return 1
 
     def attempt_failure_probability(
         self, num_packets: int, raw_ber: float | None = None
@@ -439,6 +425,23 @@ class ProbabilisticOutcomeSampler:
         )
 
 
+def bit_exact_error_sources(error_model):
+    """The ``(sparse_error_positions, error_mask_packed)`` methods of a fault model.
+
+    Bit-exact sampling draws its error patterns from one of the two (the
+    sparse draw is preferred); a model with neither is a
+    :class:`~repro.exceptions.ConfigurationError`.  Either may be ``None``.
+    """
+    sparse_positions = getattr(error_model, "sparse_error_positions", None)
+    mask_source = getattr(error_model, "error_mask_packed", None)
+    if sparse_positions is None and mask_source is None:
+        raise ConfigurationError(
+            f"bit-exact sampling needs a fault model with sparse_error_positions or "
+            f"error_mask_packed; {type(error_model).__name__} has neither"
+        )
+    return sparse_positions, mask_source
+
+
 class BitExactOutcomeSampler:
     """Decode real error patterns on the packed substrate.
 
@@ -486,13 +489,7 @@ class BitExactOutcomeSampler:
     ):
         self.code = code
         self.error_model = error_model
-        self._sparse_positions = getattr(error_model, "sparse_error_positions", None)
-        self._mask_source = getattr(error_model, "error_mask_packed", None)
-        if self._sparse_positions is None and self._mask_source is None:
-            raise ConfigurationError(
-                f"bit-exact sampling needs a fault model with sparse_error_positions or "
-                f"error_mask_packed; {type(error_model).__name__} has neither"
-            )
+        self._sparse_positions, self._mask_source = bit_exact_error_sources(error_model)
         self.packet_bits = int(packet_bits)
         self.crc = crc
         self.crc_width = crc.width if crc is not None else 0

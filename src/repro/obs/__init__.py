@@ -40,16 +40,12 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    active_registry,
     collecting,
-    disable_metrics,
-    enable_metrics,
     merge_snapshots,
 )
 from .report import render_run_report
 from .tracing import (
     Tracer,
-    active_tracer,
     disable_tracing,
     enable_tracing,
     tracing_to,
@@ -60,13 +56,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "active_registry",
     "collecting",
-    "enable_metrics",
-    "disable_metrics",
     "merge_snapshots",
     "Tracer",
-    "active_tracer",
     "enable_tracing",
     "disable_tracing",
     "tracing_to",

@@ -38,10 +38,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "active_registry",
     "collecting",
-    "disable_metrics",
-    "enable_metrics",
     "merge_snapshots",
 ]
 
@@ -273,24 +270,6 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 
 
 # ------------------------------------------------------------------ activation
-def enable_metrics(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Install ``registry`` (or a fresh one) as the process's active registry."""
-    global ACTIVE
-    ACTIVE = registry if registry is not None else MetricsRegistry()
-    return ACTIVE
-
-
-def disable_metrics() -> None:
-    """Deactivate metrics collection (instrumented code reverts to no-ops)."""
-    global ACTIVE
-    ACTIVE = None
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The registry instrumented code currently publishes into, if any."""
-    return ACTIVE
-
-
 @contextlib.contextmanager
 def collecting(registry: MetricsRegistry | None = None):
     """Scope a registry activation; restores the previous one on exit."""

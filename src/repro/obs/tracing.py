@@ -28,7 +28,6 @@ from typing import Any, Dict, TextIO
 __all__ = [
     "ACTIVE",
     "Tracer",
-    "active_tracer",
     "disable_tracing",
     "enable_tracing",
     "tracing_to",
@@ -148,11 +147,6 @@ def disable_tracing() -> None:
     if ACTIVE is not None:
         ACTIVE.close()
     ACTIVE = None
-
-
-def active_tracer() -> Tracer | None:
-    """The tracer spans currently emit to, if any."""
-    return ACTIVE
 
 
 @contextlib.contextmanager

@@ -11,7 +11,7 @@ laser efficiency at 25% chip activity).
 
 from .microring import MicroringResonator, MicroringState
 from .waveguide import Waveguide
-from .laser import VCSELModel, LaserOperatingPoint
+from .laser import VCSELModel
 from .photodetector import Photodetector
 from .coupler import MMICoupler
 from .wdm import WDMGrid
@@ -22,7 +22,6 @@ __all__ = [
     "MicroringState",
     "Waveguide",
     "VCSELModel",
-    "LaserOperatingPoint",
     "Photodetector",
     "MMICoupler",
     "WDMGrid",

@@ -2,15 +2,12 @@
 
 The MWSR channel combines the un-modulated carriers of the NW laser sources
 onto the shared waveguide with an MMI coupler (Mandorlo et al.).  For the
-power budget only its insertion loss matters; an optional imbalance term is
-provided for sensitivity studies across the wavelength grid.
+power budget only its insertion loss matters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..units import db_loss_to_transmission
@@ -23,47 +20,17 @@ class MMICoupler:
     """Insertion-loss model of the laser multiplexer."""
 
     insertion_loss_db: float = 1.0
-    imbalance_db: float = 0.0
-    num_ports: int = 16
 
     def __post_init__(self) -> None:
         if self.insertion_loss_db < 0:
             raise ConfigurationError("insertion loss cannot be negative")
-        if self.imbalance_db < 0:
-            raise ConfigurationError("imbalance cannot be negative")
-        if self.num_ports < 1:
-            raise ConfigurationError("the coupler needs at least one port")
 
     @property
     def transmission(self) -> float:
-        """Nominal (imbalance-free) power transmission through the coupler."""
+        """Power transmission through the coupler."""
         return db_loss_to_transmission(self.insertion_loss_db)
-
-    def port_transmission(self, port_index: int) -> float:
-        """Transmission of one input port including the worst-case imbalance.
-
-        The imbalance is distributed linearly across ports: port 0 sees the
-        nominal loss, the last port sees the nominal loss plus the full
-        imbalance.
-        """
-        if not 0 <= port_index < self.num_ports:
-            raise ConfigurationError(
-                f"port index {port_index} outside [0, {self.num_ports - 1}]"
-            )
-        if self.num_ports == 1:
-            extra_db = 0.0
-        else:
-            extra_db = self.imbalance_db * port_index / (self.num_ports - 1)
-        return db_loss_to_transmission(self.insertion_loss_db + extra_db)
-
-    def all_port_transmissions(self) -> np.ndarray:
-        """Transmissions of every input port as an array."""
-        return np.array([self.port_transmission(i) for i in range(self.num_ports)])
 
     @classmethod
     def from_config(cls, config) -> "MMICoupler":
         """Build the coupler from a :class:`repro.config.PaperConfig`."""
-        return cls(
-            insertion_loss_db=config.mux_insertion_loss_db,
-            num_ports=config.num_wavelengths,
-        )
+        return cls(insertion_loss_db=config.mux_insertion_loss_db)

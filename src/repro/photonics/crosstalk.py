@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..exceptions import ConfigurationError
 from .microring import MicroringResonator
 from .wdm import WDMGrid
@@ -67,12 +65,6 @@ class CrosstalkModel:
     def worst_case_ratio(self) -> float:
         """Crosstalk ratio of the most-affected channel (a central one)."""
         return _worst_case_ratio(self)
-
-    def ratios(self) -> np.ndarray:
-        """Crosstalk ratios of every channel."""
-        return np.array(
-            [self.crosstalk_ratio(channel) for channel in range(self.grid.num_channels)]
-        )
 
     def crosstalk_power_w(self, victim_channel: int, per_channel_power_w: float) -> float:
         """Absolute crosstalk power for a given per-channel received power."""

@@ -34,22 +34,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, LaserPowerExceededError
 
-__all__ = ["LaserOperatingPoint", "VCSELModel"]
-
-
-@dataclass(frozen=True)
-class LaserOperatingPoint:
-    """A solved laser operating point."""
-
-    optical_power_w: float
-    electrical_power_w: float
-    efficiency: float
-    activity: float
-
-    @property
-    def wall_plug_efficiency_percent(self) -> float:
-        """Efficiency expressed in percent."""
-        return self.efficiency * 100.0
+__all__ = ["VCSELModel"]
 
 
 @dataclass(frozen=True)
@@ -151,20 +136,6 @@ class VCSELModel:
                 self.electrical_power(op, activity=activity, enforce_limit=False)
                 for op in powers
             ]
-        )
-
-    def operating_point(
-        self, optical_power_w: float, *, activity: float | None = None
-    ) -> LaserOperatingPoint:
-        """Solve and package a full operating point."""
-        act = self.reference_activity if activity is None else activity
-        electrical = self.electrical_power(optical_power_w, activity=act)
-        eta = self.efficiency(optical_power_w, activity=act) if optical_power_w > 0 else 0.0
-        return LaserOperatingPoint(
-            optical_power_w=float(optical_power_w),
-            electrical_power_w=electrical,
-            efficiency=eta,
-            activity=act,
         )
 
     def can_deliver(self, optical_power_w: float) -> bool:

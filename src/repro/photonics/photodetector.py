@@ -9,11 +9,9 @@ studies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError
-from ..units import ELEMENTARY_CHARGE
 
 __all__ = ["Photodetector"]
 
@@ -30,12 +28,6 @@ class Photodetector:
             raise ConfigurationError("responsivity must be positive")
         if self.dark_current_a <= 0:
             raise ConfigurationError("dark current must be positive")
-
-    def photocurrent(self, optical_power_w: float) -> float:
-        """Photocurrent generated by an incident optical power."""
-        if optical_power_w < 0:
-            raise ConfigurationError("optical power cannot be negative")
-        return self.responsivity_a_per_w * optical_power_w
 
     def snr(self, signal_power_w: float, crosstalk_power_w: float = 0.0) -> float:
         """Paper Eq. 4: ``SNR = R (OPsignal - OPcrosstalk) / i_n``.
@@ -58,17 +50,6 @@ class Photodetector:
         if snr < 0:
             raise ConfigurationError("SNR cannot be negative")
         return snr * self.dark_current_a / self.responsivity_a_per_w + crosstalk_power_w
-
-    def shot_noise_current(self, optical_power_w: float, bandwidth_hz: float) -> float:
-        """RMS shot-noise current for an incident power and bandwidth.
-
-        Not used by the paper's Eq. 4 (which lumps noise into the dark
-        current) but provided for sensitivity studies.
-        """
-        if bandwidth_hz <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        mean_current = self.photocurrent(optical_power_w) + self.dark_current_a
-        return math.sqrt(2.0 * ELEMENTARY_CHARGE * mean_current * bandwidth_hz)
 
     @classmethod
     def from_config(cls, config) -> "Photodetector":

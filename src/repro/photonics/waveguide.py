@@ -55,13 +55,3 @@ class Waveguide:
     def transmission(self) -> float:
         """Linear power transmission over the full waveguide."""
         return db_loss_to_transmission(self.total_loss_db)
-
-    def partial_loss_db(self, distance_m: float) -> float:
-        """Propagation loss over a partial distance along the waveguide."""
-        if distance_m < 0 or distance_m > self.length_m + 1e-12:
-            raise ConfigurationError("distance must lie within the waveguide length")
-        return self.propagation_loss_db_per_cm * distance_m * 100.0
-
-    def partial_transmission(self, distance_m: float) -> float:
-        """Linear transmission over a partial distance along the waveguide."""
-        return db_loss_to_transmission(self.partial_loss_db(distance_m))

@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from ..exceptions import ConfigurationError
-from ..units import SPEED_OF_LIGHT
 
 __all__ = ["WDMGrid"]
 
@@ -45,12 +42,6 @@ class WDMGrid:
         first = self._first_wavelength_m
         return tuple(first + i * self.channel_spacing_m for i in range(self.num_channels))
 
-    @property
-    def channel_spacing_hz(self) -> float:
-        """Approximate frequency spacing of the grid around the centre."""
-        lam = self.center_wavelength_m
-        return SPEED_OF_LIGHT * self.channel_spacing_m / (lam * lam)
-
     def wavelength(self, channel_index: int) -> float:
         """Wavelength of one channel."""
         if not 0 <= channel_index < self.num_channels:
@@ -72,10 +63,6 @@ class WDMGrid:
         if channel_index < self.num_channels - 1:
             result.append(channel_index + 1)
         return tuple(result)
-
-    def as_array(self) -> np.ndarray:
-        """Wavelengths as a numpy array."""
-        return np.array(self.wavelengths_m)
 
     @classmethod
     def from_config(cls, config) -> "WDMGrid":

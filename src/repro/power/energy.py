@@ -97,16 +97,6 @@ class EnergyMetrics:
         """IP-referenced energy per bit, in picojoules."""
         return self.energy_per_bit_ip_j * 1e12
 
-    @property
-    def transfer_time_for_word_s(self) -> float:
-        """Time the optical channel is busy transferring one IP word.
-
-        An IP word of ``Ndata`` useful bits becomes ``Ndata * CT`` channel
-        bits, spread over the ``NW`` wavelengths at the modulation rate.
-        """
-        coded_bits = self.ip_bus_width_bits * self.communication_time
-        return coded_bits / (self.num_wavelengths * self.modulation_rate_hz)
-
     def as_dict(self) -> dict[str, float]:
         """Metrics as a plain dictionary (report/CSV friendly)."""
         return {

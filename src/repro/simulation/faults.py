@@ -8,8 +8,8 @@ Two models are provided:
 * :class:`BurstErrorModel` produces two-state (Gilbert-Elliott style) error
   bursts: a low error probability in the "good" state and a high one in the
   "bad" state, with geometric sojourn times.  Bursts defeat single-error-
-  correcting Hamming codes unless an interleaver spreads them, which is the
-  behaviour the interleaving experiments demonstrate.
+  correcting Hamming codes unless an interleaver spreads them, which
+  ``examples/interconnect_power_report.py`` demonstrates.
 
 The burst model is vectorized: instead of stepping the two-state Markov
 chain one bit at a time in Python, :meth:`BurstErrorModel.error_pattern`
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coding.matrices import as_gf2
-from ..coding.packed import pack_bits, require_packed_blocks, words_per_block
+from ..coding.packed import pack_bits, words_per_block
 from ..exceptions import ConfigurationError
 
 __all__ = ["IndependentErrorModel", "BurstErrorModel"]
@@ -87,7 +87,7 @@ class IndependentErrorModel:
         flip set is a uniform random subset), but O(#flips) instead of
         O(#bits): two small draws when errors are rare.  It consumes the
         random stream *differently* from :meth:`error_pattern` /
-        :meth:`apply_packed`, so it is a sampling alternative (used by the
+        :meth:`error_mask_packed`, so it is a sampling alternative (used by the
         bit-exact network sampler), not a bit-exact twin of them.
         """
         if num_bits < 0:
@@ -103,17 +103,6 @@ class IndependentErrorModel:
             positions = np.unique(self.rng.integers(0, num_bits, size=count))
             if positions.size == count:
                 return positions
-
-    def apply_packed(self, words, *, n: int) -> np.ndarray:
-        """Corrupt a packed ``(B, ceil(n/64))`` matrix of ``n``-bit blocks.
-
-        The flip pattern is drawn exactly like :meth:`apply` on the
-        equivalent unpacked ``(B, n)`` matrix (one flat draw in row-major
-        order, same stream) and packed into a ``uint64`` XOR mask, so both
-        paths corrupt identically for the same generator state.
-        """
-        matrix = require_packed_blocks(words, n)
-        return matrix ^ self.error_mask_packed(matrix.shape[0], n=n)
 
     @property
     def expected_ber(self) -> float:
@@ -221,16 +210,6 @@ class BurstErrorModel:
         if not pattern.any():
             return np.zeros((num_blocks, words_per_block(n)), dtype=np.uint64)
         return pack_bits(pattern.reshape(num_blocks, n))
-
-    def apply_packed(self, words, *, n: int) -> np.ndarray:
-        """Corrupt a packed ``(B, ceil(n/64))`` matrix of ``n``-bit blocks.
-
-        Identical stream consumption and burst placement as :meth:`apply`
-        on the unpacked twin; the pattern is packed into a ``uint64`` XOR
-        mask so the corrupted codewords stay packed.
-        """
-        matrix = require_packed_blocks(words, n)
-        return matrix ^ self.error_mask_packed(matrix.shape[0], n=n)
 
     @property
     def expected_ber(self) -> float:

@@ -50,13 +50,6 @@ class LinkSimulationResult:
     blocks_with_residual_errors: int
     blocks_simulated: int
 
-    @property
-    def block_error_rate(self) -> float:
-        """Fraction of decoded blocks still containing at least one error."""
-        if self.blocks_simulated == 0:
-            return 0.0
-        return self.blocks_with_residual_errors / self.blocks_simulated
-
 
 class OpticalLinkSimulator:
     """Monte-Carlo simulation of a coded optical link."""

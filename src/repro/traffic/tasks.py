@@ -78,20 +78,6 @@ class TaskSet:
         if len(set(names)) != len(names):
             raise ConfigurationError("task names must be unique")
 
-    def total_utilisation(self, channel_rate_bits_per_s: float) -> float:
-        """Total channel utilisation of the set (uncoded payloads)."""
-        return sum(task.utilisation(channel_rate_bits_per_s) for task in self.tasks)
-
-    def is_schedulable(self, channel_rate_bits_per_s: float, *, communication_time: float = 1.0) -> bool:
-        """Necessary utilisation-based schedulability check.
-
-        The coded transmissions stretch every payload by the communication
-        time overhead, so the utilisation scales with CT.
-        """
-        if communication_time < 1.0:
-            raise ConfigurationError("communication time overhead cannot be below 1")
-        return self.total_utilisation(channel_rate_bits_per_s) * communication_time <= 1.0
-
     def requests_until(self, horizon_s: float) -> List[TrafficRequest]:
         """Expand the task set into time-ordered traffic requests."""
         requests: List[TrafficRequest] = []

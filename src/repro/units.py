@@ -1,12 +1,11 @@
-"""Unit helpers and physical constants used throughout :mod:`repro`.
+"""dB conversion helpers used throughout :mod:`repro`.
 
 The optical-link literature mixes decibel and linear quantities freely; the
 paper quotes waveguide loss in dB/cm, extinction ratio in dB, laser output
 power in microwatts and laser electrical power in milliwatts.  Internally the
 library works in SI base units (watts, metres, seconds, hertz) and linear
-power ratios.  This module provides the dB conversions plus a few
-convenience constants so the rest of the code never embeds magic
-conversion factors.
+power ratios.  This module provides the dB conversions, so the rest of the
+code never embeds magic conversion factors.
 """
 
 from __future__ import annotations
@@ -19,35 +18,7 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "db_loss_to_transmission",
-    "milli",
-    "micro",
-    "nano",
-    "pico",
-    "femto",
-    "giga",
-    "mega",
-    "kilo",
-    "PLANCK_CONSTANT",
-    "SPEED_OF_LIGHT",
-    "ELEMENTARY_CHARGE",
-    "BOLTZMANN_CONSTANT",
 ]
-
-# Physical constants (SI units).
-PLANCK_CONSTANT = 6.626_070_15e-34  # J.s
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
-ELEMENTARY_CHARGE = 1.602_176_634e-19  # C
-BOLTZMANN_CONSTANT = 1.380_649e-23  # J/K
-
-# SI prefixes as multiplicative factors.
-milli = 1e-3
-micro = 1e-6
-nano = 1e-9
-pico = 1e-12
-femto = 1e-15
-kilo = 1e3
-mega = 1e6
-giga = 1e9
 
 
 def db_to_linear(value_db: float | np.ndarray) -> float | np.ndarray:

@@ -10,7 +10,6 @@ from repro.channel.ber import (
     required_raw_ber,
     required_snr,
     snr_from_ber,
-    snr_margin_db,
 )
 from repro.coding.hamming import HammingCode, ShortenedHammingCode
 from repro.coding.uncoded import UncodedScheme
@@ -100,20 +99,3 @@ class TestRequiredSnrWithCodes:
             > required_raw_ber(ShortenedHammingCode(64), target)
             > required_raw_ber(UncodedScheme(64), target)
         )
-
-
-class TestSnrMargin:
-    def test_positive_margin(self):
-        assert snr_margin_db(20.0, 10.0) == pytest.approx(3.0103, rel=1e-3)
-
-    def test_zero_margin(self):
-        assert snr_margin_db(10.0, 10.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_negative_margin(self):
-        assert snr_margin_db(5.0, 10.0) < 0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            snr_margin_db(0.0, 10.0)
-        with pytest.raises(ConfigurationError):
-            snr_margin_db(10.0, 0.0)

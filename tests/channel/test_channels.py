@@ -25,7 +25,7 @@ class TestOOKAWGNChannel:
         # A huge signal makes the error probability negligible.
         channel = OOKAWGNChannel(1.0, rng=rng)
         bits = rng.integers(0, 2, size=2000, dtype=np.uint8)
-        assert np.array_equal(channel.transmit(bits), bits)
+        assert np.array_equal(channel.transmit_batch(bits[np.newaxis, :])[0], bits)
 
     def test_measured_ber_matches_analytic_prediction(self, rng):
         # Pick an SNR giving a conveniently measurable BER (~7e-3).
@@ -33,7 +33,7 @@ class TestOOKAWGNChannel:
         channel = OOKAWGNChannel(signal, rng=rng)
         predicted = channel.analytic_ber
         bits = rng.integers(0, 2, size=200_000, dtype=np.uint8)
-        received = channel.transmit(bits)
+        received = channel.transmit_batch(bits[np.newaxis, :])[0]
         measured = np.count_nonzero(received != bits) / bits.size
         assert measured == pytest.approx(predicted, rel=0.12)
 
@@ -41,12 +41,6 @@ class TestOOKAWGNChannel:
         clean = OOKAWGNChannel(100e-6)
         dirty = OOKAWGNChannel(100e-6, crosstalk_power_w=20e-6)
         assert dirty.effective_snr < clean.effective_snr
-
-    def test_soft_output_has_two_level_structure(self, rng):
-        channel = OOKAWGNChannel(200e-6, rng=rng)
-        ones = channel.transmit_soft(np.ones(500, dtype=np.uint8))
-        zeros = channel.transmit_soft(np.zeros(500, dtype=np.uint8))
-        assert ones.mean() > zeros.mean()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

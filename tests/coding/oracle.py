@@ -10,8 +10,13 @@ repetition and Horner syndromes plus Berlekamp–Massey and a Chien search
 for BCH.  The equivalence tests pin the batch and packed decoders against
 them row by row, clean, corrected and failed blocks alike.
 
-The GF(2) helpers (row reduction, rank, null space, exhaustive minimum
-distance) check the code constructions from first principles.
+The GF(2) helpers (row reduction, rank, null space, Hamming weight,
+exhaustive minimum distance) and the GF(2^m) division and Horner evaluation
+check the code constructions from first principles.
+
+:func:`decode_block` is not a reference: it decodes one block through the
+code's own batch decoder (a batch of one), for tests that work on single
+blocks.
 
 :func:`estimate_ber_round_trip` is the Monte-Carlo estimator as it was
 before it moved to the all-zero codeword: it draws real random messages,
@@ -33,13 +38,15 @@ import numpy as np
 from repro.coding.base import BatchDecodeResult, DecodeResult
 from repro.coding.bch import BCHCode
 from repro.coding.extended_hamming import ExtendedHammingCode
-from repro.coding.matrices import as_gf2, gf2_matmul, hamming_weight
+from repro.coding.matrices import as_gf2, gf2_matmul
 from repro.coding.montecarlo import DEFAULT_BATCH_SIZE, MonteCarloBERResult, draw_flip_words
 from repro.coding.packed import pack_bits, popcount_rows, prefix_mask
 from repro.coding.repetition import RepetitionCode
+from repro.coding.uncoded import UncodedScheme
 from repro.exceptions import CodewordLengthError, DecodingFailure
 
 __all__ = [
+    "decode_block",
     "decode_block_reference",
     "decode_blocks_scalar",
     "bch_codeword_polynomial",
@@ -47,13 +54,26 @@ __all__ = [
     "gf2_rank",
     "gf2_null_space",
     "gf2_systematic_generator_from_parity_check",
+    "gf_divide",
+    "gf_poly_eval",
     "hamming_distance",
+    "hamming_weight",
     "minimum_distance_exhaustive",
     "estimate_ber_round_trip",
 ]
 
 
 # ---------------------------------------------------------------------- decoders
+def decode_block(code, received_bits, *, strict: bool = False) -> DecodeResult:
+    """Decode one received block with ``code.decode_batch`` (a batch of one)."""
+    received = as_gf2(received_bits).ravel()
+    if received.size != code.n:
+        raise CodewordLengthError(
+            f"{code.name}: expected a {code.n}-bit block, got {received.size} bits"
+        )
+    return code.decode_batch(received[np.newaxis, :], strict=strict)[0]
+
+
 def decode_block_reference(code, received_bits, *, strict: bool = False) -> DecodeResult:
     """Decode one block with the scalar reference decoder of ``code``'s family."""
     received = as_gf2(received_bits).ravel()
@@ -67,6 +87,8 @@ def decode_block_reference(code, received_bits, *, strict: bool = False) -> Deco
         return _secded_reference(code, received, strict=strict)
     if isinstance(code, RepetitionCode):
         return _repetition_reference(code, received)
+    if isinstance(code, UncodedScheme):
+        return _unchanged(code, received, detected=False)
     return _syndrome_table_reference(code, received, strict=strict)
 
 
@@ -141,7 +163,7 @@ def _secded_reference(code, received: np.ndarray, *, strict: bool) -> DecodeResu
     """
     inner_block = received[:-1]
     overall_parity_ok = (int(inner_block.sum()) + int(received[-1])) % 2 == 0
-    inner_syndrome_zero = not code.inner_code.syndrome(inner_block).any()
+    inner_syndrome_zero = not code._inner.syndrome(inner_block).any()
     if inner_syndrome_zero and overall_parity_ok:
         return _unchanged(code, received, detected=False)
     if inner_syndrome_zero:
@@ -152,7 +174,7 @@ def _secded_reference(code, received: np.ndarray, *, strict: bool) -> DecodeResu
     if not overall_parity_ok:
         # Odd-weight error: trust the inner Hamming correction, then
         # recompute the parity bit so the corrected word is a codeword.
-        inner_result = _syndrome_table_reference(code.inner_code, inner_block, strict=False)
+        inner_result = _syndrome_table_reference(code._inner, inner_block, strict=False)
         corrected = np.concatenate([inner_result.corrected_codeword, received[-1:]])
         corrected[-1] = np.uint8(int(corrected[:-1].sum()) % 2)
         return _fixed(code, corrected)
@@ -197,7 +219,7 @@ def _bch_reference(code: BCHCode, received: np.ndarray, *, strict: bool) -> Deco
     field = code.field
     poly = bch_codeword_polynomial(code, received)
     syndromes = [
-        field.poly_eval(poly, field.alpha_power(exponent))
+        gf_poly_eval(field, poly, field.alpha_power(exponent))
         for exponent in range(1, 2 * code.t + 1)
     ]
     if not any(syndromes):
@@ -220,6 +242,19 @@ def _bch_reference(code: BCHCode, received: np.ndarray, *, strict: bool) -> Deco
     return _fixed(code, corrected)
 
 
+def gf_divide(field, a: int, b: int) -> int:
+    """Division ``a / b`` in the GF(2^m) ``field``."""
+    return field.multiply(a, field.inverse(b))
+
+
+def gf_poly_eval(field, coefficients: List[int], x: int) -> int:
+    """Evaluate a polynomial (lowest-order coefficient first) at ``x`` in ``field``."""
+    result = 0
+    for coefficient in reversed(coefficients):
+        result = field.add(field.multiply(result, x), coefficient)
+    return result
+
+
 def _berlekamp_massey(code: BCHCode, syndromes: List[int]) -> List[int]:
     """Berlekamp–Massey over GF(2^m); returns the error-locator polynomial."""
     field = code.field
@@ -236,7 +271,7 @@ def _berlekamp_massey(code: BCHCode, syndromes: List[int]) -> List[int]:
         if discrepancy == 0:
             shift += 1
             continue
-        coefficient = field.divide(discrepancy, previous_discrepancy)
+        coefficient = gf_divide(field, discrepancy, previous_discrepancy)
         correction = [0] * shift + [field.multiply(coefficient, c) for c in previous]
         updated = list(locator) + [0] * max(0, len(correction) - len(locator))
         for j, value in enumerate(correction):
@@ -266,7 +301,7 @@ def _chien_search(code: BCHCode, locator: List[int]) -> List[int] | None:
     for position in range(code.n):
         # The locator roots are alpha^{-i} for error positions i.
         x = field.alpha_power((-position) % field.order)
-        if field.poly_eval(locator, x) == 0:
+        if gf_poly_eval(field, locator, x) == 0:
             positions.append(position)
     if len(positions) != degree:
         return None
@@ -335,6 +370,11 @@ def gf2_systematic_generator_from_parity_check(parity_check) -> np.ndarray:
             f"expected nullity {k}, got {null_basis.shape[0]}"
         )
     return gf2_rref(null_basis)[0]
+
+
+def hamming_weight(vector) -> int:
+    """Number of ones in a binary vector."""
+    return int(np.count_nonzero(as_gf2(vector)))
 
 
 def hamming_distance(a, b) -> int:

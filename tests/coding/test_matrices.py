@@ -101,7 +101,7 @@ class TestSystematicForms:
 
 class TestWeightsAndDistance:
     def test_hamming_weight(self):
-        assert m.hamming_weight([1, 0, 1, 1, 0]) == 3
+        assert oracle.hamming_weight([1, 0, 1, 1, 0]) == 3
 
     def test_hamming_distance(self):
         assert oracle.hamming_distance([1, 0, 1], [0, 0, 1]) == 1

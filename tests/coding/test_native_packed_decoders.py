@@ -88,7 +88,7 @@ def test_secded_random_patterns_of_weight_one_to_four(message_length):
     if message_length == 64:
         # H(71,64) is shortened: some odd-weight patterns land on inner
         # syndromes that no single error produces.
-        inner = code.inner_code
+        inner = code._inner
         keys = [inner._syndrome_key(inner.syndrome(row[:-1])) for row in received]
         unknown = np.array([key != 0 and key not in inner._syndrome_dict() for key in keys])
         assert (unknown & (weights % 2 == 1)).any()

@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro.coding.montecarlo import shard_seed_sequences
 from repro.exceptions import ConfigurationError
 from repro.experiments import orchestrator
 from repro.experiments.gridlib import MAX_GRID_POINTS
@@ -102,20 +101,6 @@ class TestGridDescriptors:
         monkeypatch.setitem(orchestrator._GRIDS, "endless", GridFunctions(endless, None, None))
         with pytest.raises(ConfigurationError, match=f"at most {MAX_GRID_POINTS}"):
             describe_grid("endless")
-
-
-class TestShardSeedSequences:
-    def test_children_match_numpy_spawn(self):
-        import numpy as np
-
-        spawned = np.random.SeedSequence(123).spawn(4)
-        rebuilt = shard_seed_sequences(123, 4)
-        for child, clone in zip(spawned, rebuilt):
-            assert child.generate_state(4).tolist() == clone.generate_state(4).tolist()
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            shard_seed_sequences(1, -1)
 
 
 def _dense_ber_grid(num_points: int) -> list[float]:

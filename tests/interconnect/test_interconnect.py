@@ -57,12 +57,6 @@ class TestTokenArbiter:
         with pytest.raises(ArbitrationError):
             arbiter.request(9, 0.0, 1e-9)
 
-    def test_idle_advance_cycles_the_token(self):
-        arbiter = TokenArbiter(writers=[1, 2, 3])
-        assert arbiter.current_holder == 1
-        arbiter.idle_advance()
-        assert arbiter.current_holder == 2
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TokenArbiter(writers=[])

@@ -138,13 +138,6 @@ class TestOpticalLinkManager:
         )
         assert configuration.communication_time <= 1.2
 
-    def test_active_configurations_and_release(self):
-        manager = OpticalLinkManager()
-        manager.configure(CommunicationRequest(source=1, destination=0, target_ber=1e-9))
-        assert len(manager.active_configurations()) == 1
-        manager.release(1, 0)
-        assert manager.active_configurations() == []
-
     def test_candidate_cache_is_reused(self):
         manager = OpticalLinkManager()
         first = manager.candidates_for(1e-9)

@@ -11,22 +11,23 @@ from repro.exceptions import ConfigurationError
 from repro.netsim.dynamics import (
     AgingRampDrift,
     ChannelDriftModel,
-    ConstantDrift,
+    DriftProcess,
     RandomWalkDrift,
     ThermalSinusoidDrift,
     make_drift_model,
 )
 
 
-class TestProcessShapes:
-    def test_constant_drift(self):
-        process = ConstantDrift(3.0)
-        assert process.multiplier_at(0.0) == 3.0
-        assert process.multiplier_at(1e3) == 3.0
-        assert process.worst_case_multiplier == 3.0
-        with pytest.raises(ConfigurationError):
-            ConstantDrift(0.5)
+class _FixedDrift(DriftProcess):
+    """A channel held at a multiplier of 3 at all times."""
 
+    worst_case_multiplier = 3.0
+
+    def multiplier_at(self, time_s: float) -> float:
+        return 3.0
+
+
+class TestProcessShapes:
     def test_thermal_sinusoid_bounds_and_shape(self):
         process = ThermalSinusoidDrift(period_s=1.0, peak_multiplier=16.0)
         assert process.multiplier_at(0.0) == pytest.approx(1.0)
@@ -83,7 +84,6 @@ class TestProcessShapes:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda v: ConstantDrift(v),
             lambda v: ThermalSinusoidDrift(period_s=v, peak_multiplier=2.0),
             lambda v: ThermalSinusoidDrift(period_s=1.0, peak_multiplier=v),
             lambda v: ThermalSinusoidDrift(period_s=1.0, peak_multiplier=2.0, phase_rad=v),
@@ -94,7 +94,6 @@ class TestProcessShapes:
             lambda v: RandomWalkDrift(step_s=1.0, max_multiplier=2.0, log2_sigma=v, seed=0),
         ],
         ids=[
-            "constant",
             "thermal-period",
             "thermal-peak",
             "thermal-phase",
@@ -131,7 +130,7 @@ class TestChannelDriftModel:
 
     def test_quantization_is_log2_grid(self):
         model = ChannelDriftModel(
-            lambda channel, seq: ConstantDrift(3.0),
+            lambda channel, seq: _FixedDrift(),
             2,
             seed=0,
             quantization_steps_per_octave=16,

@@ -509,6 +509,19 @@ class TestBitExactTransfers:
         assert record(7, seed=0) == record(7, seed=1) > 0
         assert len({record(model_seed, seed=0) for model_seed in range(6)}) > 1
 
+    def test_a_fault_model_without_an_error_source_is_rejected_when_built(self):
+        # It used to pass the constructor and fail only inside run(), as a
+        # SimulationError from the first bit-exact transfer.
+        model = SimpleNamespace(expected_ber=1e-3)
+        with pytest.raises(ConfigurationError, match="sparse_error_positions or error_mask_packed"):
+            _bit_exact(fault_model=model)
+
+    def test_probabilistic_mode_reads_only_the_expected_ber(self):
+        model = SimpleNamespace(expected_ber=1e-3)
+        simulator = NetworkSimulator(mode="probabilistic", fault_model=model, seed=0)
+        (record,) = simulator.run([TrafficRequest(0.0, 3, 0, 4096, 1e-11)]).records
+        assert record.packets_total > 0
+
     def test_statistics_accumulate(self):
         requests = [TrafficRequest(index * 1e-6, 3, 0, 512, 1e-11) for index in range(3)]
         result = NetworkSimulator(

@@ -117,14 +117,6 @@ class TestActivation:
             assert obs_metrics.ACTIVE is registry
         assert obs_metrics.ACTIVE is None
 
-    def test_enable_disable_roundtrip(self):
-        registry = obs_metrics.enable_metrics()
-        try:
-            assert obs_metrics.active_registry() is registry
-        finally:
-            obs_metrics.disable_metrics()
-        assert obs_metrics.active_registry() is None
-
 
 class TestMerge:
     def test_split_observations_merge_to_the_serial_totals(self):

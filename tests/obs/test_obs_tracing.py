@@ -86,4 +86,4 @@ class TestActivation:
         with open(path, encoding="utf-8") as handle:
             (record,) = [json.loads(line) for line in handle]
         assert record["name"] == "spanned"
-        assert obs_tracing.active_tracer() is None
+        assert obs_tracing.ACTIVE is None

@@ -96,19 +96,6 @@ class TestWaveguide:
         waveguide = Waveguide(length_m=0.06)
         assert waveguide.transmission == pytest.approx(10 ** (-waveguide.total_loss_db / 10))
 
-    def test_partial_loss_scales_linearly(self):
-        waveguide = Waveguide(length_m=0.06)
-        assert waveguide.partial_loss_db(0.03) == pytest.approx(
-            waveguide.propagation_loss_db / 2
-        )
-
-    def test_partial_loss_rejects_out_of_range(self):
-        waveguide = Waveguide(length_m=0.06)
-        with pytest.raises(ConfigurationError):
-            waveguide.partial_loss_db(0.07)
-        with pytest.raises(ConfigurationError):
-            waveguide.partial_loss_db(-0.01)
-
     def test_zero_length_waveguide_is_lossless(self):
         assert Waveguide(length_m=0.0).transmission == pytest.approx(1.0)
 

@@ -93,11 +93,6 @@ class TestEnergyMetrics:
         }
         assert energies["H(71,64)"] == min(energies.values())
 
-    def test_transfer_time_for_word(self, breakdowns):
-        metrics = energy_metrics(breakdowns["H(7,4)"])
-        # 64 bits * 1.75 / (16 wavelengths * 10 Gb/s) = 0.7 ns.
-        assert metrics.transfer_time_for_word_s == pytest.approx(0.7e-9)
-
     def test_as_dict_contains_both_accountings(self, breakdowns):
         entry = energy_metrics(breakdowns["H(71,64)"]).as_dict()
         assert "energy_per_bit_modulation_pj" in entry

@@ -99,7 +99,7 @@ class TestOpticalLinkSimulator:
         result = OpticalLinkSimulator(code, point, rng=rng).run(num_blocks=100)
         assert result.blocks_simulated == 100
         assert result.bits_simulated == 400
-        assert 0.0 <= result.block_error_rate <= 1.0
+        assert 0 <= result.blocks_with_residual_errors <= result.blocks_simulated
 
     def test_validation(self, rng):
         designer = OpticalLinkDesigner()

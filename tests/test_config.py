@@ -40,15 +40,10 @@ class TestDefaultsMatchThePaper:
 
 class TestDerivedQuantities:
     def test_writers_per_channel(self):
-        assert DEFAULT_CONFIG.num_writers == 11
         assert DEFAULT_CONFIG.num_intermediate_writers == 10
 
     def test_bandwidths(self):
         assert DEFAULT_CONFIG.ip_bandwidth_bits_per_s == pytest.approx(64e9)
-        assert DEFAULT_CONFIG.channel_raw_bandwidth_bits_per_s == pytest.approx(160e9)
-
-    def test_serialization_ratio(self):
-        assert DEFAULT_CONFIG.serialization_ratio == pytest.approx(10.0)
 
     def test_wavelength_grid_size_and_centre(self):
         grid = DEFAULT_CONFIG.wavelengths_m

@@ -38,10 +38,3 @@ class TestDecibelConversions:
     def test_db_loss_rejects_negative(self):
         with pytest.raises(ValueError):
             units.db_loss_to_transmission(-0.1)
-
-
-class TestUnitScaling:
-    def test_prefixes_are_consistent(self):
-        assert units.milli * units.kilo == pytest.approx(1.0)
-        assert units.micro * units.mega == pytest.approx(1.0)
-        assert units.nano * units.giga == pytest.approx(1.0)

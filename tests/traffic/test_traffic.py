@@ -280,18 +280,6 @@ class TestPeriodicTasks:
         with pytest.raises(ConfigurationError, match="horizon"):
             task.releases_until(horizon)
 
-    def test_task_set_utilisation_and_schedulability(self):
-        tasks = TaskSet(
-            tasks=[
-                PeriodicTask("a", 1, 0, period_s=1e-6, payload_bits=40_000, relative_deadline_s=1e-6),
-                PeriodicTask("b", 2, 0, period_s=1e-6, payload_bits=40_000, relative_deadline_s=1e-6),
-            ]
-        )
-        rate = 160e9
-        assert tasks.total_utilisation(rate) == pytest.approx(0.5)
-        assert tasks.is_schedulable(rate, communication_time=1.75)
-        assert not tasks.is_schedulable(rate, communication_time=2.5)
-
     def test_task_set_expands_requests_in_time_order(self):
         tasks = TaskSet(
             tasks=[
