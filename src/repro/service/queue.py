@@ -30,7 +30,7 @@ import logging
 import os
 import threading
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .. import durable
 from ..exceptions import ConfigurationError, JobNotFoundError, QueueFullError
@@ -230,8 +230,14 @@ class DurableJobQueue:
         not_before_s: float | None = None,
         charge_attempt: bool = False,
         charge_deterministic: bool = False,
+        before_publish: Callable[[Job], None] | None = None,
     ) -> Job:
-        """Persist one state transition and return the updated record."""
+        """Persist one state transition and return the updated record.
+
+        ``before_publish`` runs on the new record after it is durable and
+        before any reader of the queue can see it, so whatever it writes
+        exists by the time a client observes the new state.
+        """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
@@ -244,9 +250,14 @@ class DurableJobQueue:
                 charge_deterministic=charge_deterministic,
             )
             self._persist(job)
-            self._record(job)
-            if state == JobState.QUEUED:
-                self.work_available.set()
+            try:
+                if before_publish is not None:
+                    before_publish(job)
+            finally:
+                # Memory follows the durable record even when the hook fails.
+                self._record(job)
+                if state == JobState.QUEUED:
+                    self.work_available.set()
             return job
 
     # ------------------------------------------------------------------ queries

@@ -33,7 +33,8 @@ Recovery semantics per failure mode:
 
 Every finished job leaves a lifecycle manifest
 (``job-<id>.manifest.json``; see :func:`repro.obs.manifest.build_job_manifest`)
-recording each attempt and its outcome.
+recording each attempt and its outcome, written before the queue publishes
+the terminal state, so a client that sees the job finished can read it.
 """
 
 from __future__ import annotations
@@ -327,9 +328,7 @@ class Supervisor(threading.Thread):
             self._cancel_requested.discard(job.job_id)
         if cancel_requested:
             self._record_attempt(job.job_id, "cancelled", detail)
-            self._finalize(
-                self.queue.transition(job.job_id, JobState.DEAD, error="cancelled by request")
-            )
+            self._finalize(job.job_id, JobState.DEAD, error="cancelled by request")
             self._inc("service.jobs.cancelled")
             return
 
@@ -341,7 +340,7 @@ class Supervisor(threading.Thread):
         if exitcode == 0:
             if self.store.get(job.job_id) is not None:
                 self._record_attempt(job.job_id, "done", detail)
-                self._finalize(self.queue.transition(job.job_id, JobState.DONE))
+                self._finalize(job.job_id, JobState.DONE)
                 self._inc("service.jobs.completed")
                 logger.info("job %s (%s) done in %.2fs", job.job_id, job.experiment, elapsed)
             else:
@@ -385,11 +384,7 @@ class Supervisor(threading.Thread):
         if exhausted:
             kind = "poison (deterministic failures)" if deterministic else "retries exhausted"
             logger.error("job %s is dead: %s (%s)", job.job_id, kind, reason)
-            self._finalize(
-                self.queue.transition(
-                    failed.job_id, JobState.DEAD, error=f"{reason}; {kind}"
-                )
-            )
+            self._finalize(failed.job_id, JobState.DEAD, error=f"{reason}; {kind}")
             self._inc("service.jobs.dead")
             return
         delay = self._backoff_delay_s(failed)
@@ -407,7 +402,15 @@ class Supervisor(threading.Thread):
         )
         self._inc("service.jobs.retried")
 
-    def _finalize(self, job: Job) -> None:
+    def _finalize(self, job_id: str, state: str, *, error: Optional[str] = None) -> None:
+        """Move a job to a terminal ``state``, its manifest written first.
+
+        The manifest lands before the queue publishes the state, so a client
+        that sees the job finished can read its manifest at once.
+        """
+        self.queue.transition(job_id, state, error=error, before_publish=self._write_manifest)
+
+    def _write_manifest(self, job: Job) -> None:
         """Write the terminal job's lifecycle manifest next to its checkpoints."""
         attempts = self._attempt_log.pop(job.job_id, [])
         manifest = obs_manifest.build_job_manifest(

@@ -103,6 +103,33 @@ class TestGridDescriptors:
             describe_grid("endless")
 
 
+class TestShardSeedSequences:
+    def test_children_match_numpy_spawn(self):
+        """A shard seeded by its position draws what ``spawn`` would hand it."""
+        import numpy as np
+
+        from repro.coding.registry import paper_code_by_name
+        from repro.config import DEFAULT_CONFIG
+        from repro.experiments.validation import _validation_point
+        from repro.link.design import OpticalLinkDesigner
+        from repro.simulation.linksim import OpticalLinkSimulator
+
+        code = paper_code_by_name("H(7,4)")
+        design = OpticalLinkDesigner(config=DEFAULT_CONFIG).design_point(code, 1e-3)
+        children = np.random.SeedSequence(123).spawn(3)
+        for index, child in enumerate(children):
+            point = _validation_point(
+                code, 1e-3, config=DEFAULT_CONFIG, num_blocks=500, batch_size=128,
+                seed=123, spawn_index=index,
+            )
+            simulator = OpticalLinkSimulator(
+                code, design, config=DEFAULT_CONFIG, rng=np.random.default_rng(child)
+            )
+            result = simulator.run(500, batch_size=128)
+            assert point.measured_raw_ber == result.measured_raw_ber
+            assert point.measured_post_ber == result.measured_post_decoding_ber
+
+
 def _dense_ber_grid(num_points: int) -> list[float]:
     """Log-spaced BER axis over the paper's 1e-3..1e-12 Figure 5 range."""
     span = num_points - 1

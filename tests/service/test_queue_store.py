@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -160,6 +161,40 @@ class TestDurableJobQueue:
         assert queue.counts() == {state: 0 for state in JobState.ALL}
         queue.submit(_job())
         assert queue.counts()[JobState.QUEUED] == 1
+
+    def test_before_publish_runs_between_durable_write_and_visibility(self, tmp_path):
+        queue = DurableJobQueue(str(tmp_path))
+        queue.submit(_job())
+        queue.transition("a" * 16, JobState.RUNNING)
+        seen = {}
+
+        def hook(job):
+            record = json.loads((tmp_path / ("a" * 16 + ".json")).read_text(encoding="utf-8"))
+            seen["on_disk"] = record["job"]["state"]
+            reader = threading.Thread(target=lambda: seen.update(read=queue.get(job.job_id).state))
+            reader.start()
+            reader.join(timeout=0.2)
+            seen["reader_waited"] = reader.is_alive()
+            seen["reader"] = reader
+
+        queue.transition("a" * 16, JobState.DONE, before_publish=hook)
+        seen["reader"].join()
+        assert seen["on_disk"] == JobState.DONE
+        assert seen["reader_waited"] is True
+        assert seen["read"] == JobState.DONE
+
+    def test_a_failing_before_publish_still_publishes_the_durable_state(self, tmp_path):
+        queue = DurableJobQueue(str(tmp_path))
+        queue.submit(_job())
+        queue.transition("a" * 16, JobState.RUNNING)
+
+        def hook(job):
+            raise RuntimeError("hook failed")
+
+        with pytest.raises(RuntimeError):
+            queue.transition("a" * 16, JobState.DONE, before_publish=hook)
+        assert queue.get("a" * 16).state == JobState.DONE
+        assert DurableJobQueue(str(tmp_path)).get("a" * 16).state == JobState.DONE
 
 
 class TestResultsStore:

@@ -173,6 +173,26 @@ class TestJobFlow:
         assert status == 202 and fourth["job_id"] != first["job_id"]
         poll_until_terminal(base, fourth["job_id"])
 
+    def test_manifest_exists_once_the_job_is_seen_done(self, service, monkeypatch):
+        from repro.obs import manifest as obs_manifest
+
+        write = obs_manifest.write_manifest
+
+        def slow_write(path, manifest):
+            time.sleep(0.5)  # far longer than the poll interval
+            return write(path, manifest)
+
+        monkeypatch.setattr(obs_manifest, "write_manifest", slow_write)
+        status, payload, _ = request(
+            f"{service.url}/jobs", "POST", {"experiment": EXPERIMENT, "options": {"num_shards": 2}}
+        )
+        assert status == 202
+        job_id = payload["job_id"]
+        final = poll_until_terminal(service.url, job_id)
+        assert final["state"] == JobState.DONE
+        path = obs_manifest.job_manifest_path(service.supervisor.job_dir(job_id), job_id)
+        assert obs_manifest.load_manifest(path)["job"]["state"] == JobState.DONE
+
     def test_cancel_queued_job(self, tmp_path):
         # no supervisor: submissions stay queued so cancellation is race-free
         svc = SimulationService(data_dir=str(tmp_path / "data"), supervise=False)

@@ -312,3 +312,29 @@ class TestDrain:
             assert manifest["result_path"] == svc.store.path(job_id)
         finally:
             svc.stop(drain_timeout_s=10.0)
+
+    def test_dead_job_manifest_exists_once_the_job_is_seen_dead(self, tmp_path, monkeypatch):
+        from repro.obs import manifest as obs_manifest
+
+        write = obs_manifest.write_manifest
+
+        def slow_write(path, manifest):
+            time.sleep(0.5)  # far longer than the poll interval
+            return write(path, manifest)
+
+        monkeypatch.setattr(obs_manifest, "write_manifest", slow_write)
+        work = tmp_path / "work"
+        work.mkdir()
+        svc = _service(tmp_path, max_deterministic_failures=1)
+        svc.start()
+        try:
+            job_id = _submit(svc.url, _options(work, raise_on=[0]))
+            final = poll_until_terminal(svc.url, job_id, deadline_s=90.0)
+            assert final["state"] == JobState.DEAD
+            path = obs_manifest.job_manifest_path(svc.supervisor.job_dir(job_id), job_id)
+            manifest = obs_manifest.load_manifest(path)
+            assert manifest["job"]["state"] == JobState.DEAD
+            assert [a["outcome"] for a in manifest["attempts"]] == ["deterministic-error"]
+            assert manifest["result_path"] is None
+        finally:
+            svc.stop(drain_timeout_s=10.0)

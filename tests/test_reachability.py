@@ -405,6 +405,60 @@ class TestScanner:
         )
         assert rounds == []
 
+    def test_an_import_outside_an_init_reaches(self):
+        rounds = _scan_sources(
+            pkg__init__="from pkg.mod import helper\n",
+            mod="def helper():\n    return 1\n",
+            user="from pkg.mod import helper\n",
+        )
+        assert rounds == []
+
+    def test_a_store_of_the_name_is_not_a_use(self):
+        rounds = _scan_sources(mod="def helper():\n    return 1\nhelper = None\n")
+        assert rounds == [{"mod.helper"}]
+
+    def test_a_string_reaches_only_a_def_it_names_exactly(self):
+        rounds = _scan_sources(
+            mod=(
+                "def helper():\n    return 1\n"
+                "def other():\n    return 2\n"
+                "NAMES = ['helper', 'other()', 'call other']\n"
+            ),
+        )
+        assert rounds == [{"mod.other"}]
+
+    def test_a_nested_function_belongs_to_its_enclosing_def(self):
+        rounds = _scan_sources(
+            mod=(
+                "def leaf():\n    return 1\n"
+                "def outer():\n"
+                "    def inner():\n"
+                "        return leaf()\n"
+                "    return inner\n"
+            ),
+        )
+        assert rounds == [{"mod.outer"}, {"mod.leaf"}]
+
+    def test_names_in_a_signature_count_with_the_def(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Hint:\n    pass\n"
+                "def default():\n    return 1\n"
+                "def run(x: Hint = default()) -> Hint:\n    return x\n"
+            ),
+        )
+        assert rounds == [{"mod.run"}, {"mod.Hint", "mod.default"}]
+
+    def test_a_used_subclass_reaches_its_base(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Base:\n    pass\n"
+                "class Child(Base):\n    pass\n"
+                "Child()\n"
+            ),
+        )
+        assert rounds == []
+
     def test_an_external_word_reaches(self):
         modules = {"mod": ("def helper():\n    return 1\n", False)}
         assert scan(modules, frozenset({"helper"})) == []
