@@ -19,7 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro import DEFAULT_CONFIG, PaperConfig, UncodedScheme
-from repro.coding import BlockInterleaver, HammingCode, ShortenedHammingCode
+from repro.coding import (
+    BlockInterleaver,
+    HammingCode,
+    ShortenedHammingCode,
+    pack_bits,
+    unpack_bits,
+)
 from repro.power import channel_power_breakdown
 from repro.power.interconnect import interconnect_power_saving_w, interconnect_power_summary
 from repro.simulation import BurstErrorModel
@@ -46,6 +52,12 @@ def power_report(config: PaperConfig) -> None:
     print(f"  saving with {h71.name} vs uncoded: {saving:.2f} W\n")
 
 
+def decode_messages(code, stream: np.ndarray) -> np.ndarray:
+    """Decode a flat stream of ``n``-bit codewords into its ``(blocks, k)`` messages."""
+    result = code.decode_batch_packed(pack_bits(stream.reshape(-1, code.n)))
+    return unpack_bits(result.corrected_words, code.n)[:, : code.k]
+
+
 def burst_error_study() -> None:
     """Show how interleaving restores Hamming protection under burst errors."""
     rng = np.random.default_rng(7)
@@ -64,17 +76,19 @@ def burst_error_study() -> None:
     residual_interleaved = 0
     payload_bits = 0
     for _ in range(words):
-        message = rng.integers(0, 2, size=depth * code.k, dtype=np.uint8)
+        message = rng.integers(0, 2, size=(depth, code.k), dtype=np.uint8)
         payload_bits += message.size
-        encoded = code.encode(message)
+        # One IP word is a batch of sixteen packed H(7,4) codewords; the
+        # channel sees them serialised as one flat bit stream.
+        encoded = unpack_bits(code.encode_batch_packed(pack_bits(message)), code.n).reshape(-1)
         # Without interleaving: the burst concentrates in few codewords.
-        corrupted = bursts.apply(encoded)
-        residual_plain += int(np.count_nonzero(code.decode(corrupted) != message))
+        corrupted = bursts.error_pattern(encoded.size) ^ encoded
+        residual_plain += int(np.count_nonzero(decode_messages(code, corrupted) != message))
         # With interleaving: the same channel behaviour is spread out.
         transmitted = interleaver.interleave(encoded)
-        corrupted_interleaved = bursts.apply(transmitted)
+        corrupted_interleaved = bursts.error_pattern(transmitted.size) ^ transmitted
         received = interleaver.deinterleave(corrupted_interleaved)
-        residual_interleaved += int(np.count_nonzero(code.decode(received) != message))
+        residual_interleaved += int(np.count_nonzero(decode_messages(code, received) != message))
     print("burst-error study (Gilbert-Elliott channel, H(7,4)):")
     print(f"  residual BER without interleaving: {residual_plain / payload_bits:.2e}")
     print(f"  residual BER with a depth-{depth} interleaver: {residual_interleaved / payload_bits:.2e}")

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..coding.matrices import as_gf2
 from ..coding.packed import pack_bits, require_packed_blocks
 from ..exceptions import ConfigurationError
 from ..units import db_to_linear
@@ -132,31 +131,16 @@ class OOKAWGNChannel:
         )
 
     # ------------------------------------------------------------------ transmission
-    def transmit_batch(self, blocks) -> np.ndarray:
-        """Transmit a ``(B, n)`` block matrix with one Gaussian noise matrix.
-
-        The noise for every bit of every block is sampled as a single
-        ``(B, n)`` normal draw and the hard decisions are returned with the
-        same shape.
-        """
-        matrix = as_gf2(blocks)
-        if matrix.ndim != 2:
-            raise ConfigurationError(
-                f"transmit_batch expects a (B, n) block matrix, got shape {matrix.shape}"
-            )
-        return self._decide(matrix)
-
     def transmit_batch_packed(self, words, *, n: int) -> np.ndarray:
         """Transmit a packed ``(B, ceil(n/64))`` matrix of ``n``-bit blocks.
 
-        Packed counterpart of :meth:`transmit_batch`: one ``(B, n)``
-        Gaussian noise matrix is sampled exactly like the unpacked path
-        (same stream), thresholded into two per-bit decision planes — what
-        the receiver would output had the bit been a '1' (high level) or a
-        '0' (low level) — and those planes are packed straight into words
-        and muxed by the transmitted bits.  ``high + noise`` here is the
-        same float sum as ``currents + noise`` in :meth:`_decide`, so both
-        paths make bit-identical decisions for the same generator state.
+        One ``(B, n)`` Gaussian noise matrix is sampled for the whole batch
+        (row-major, one draw per bit) and thresholded into two per-bit
+        decision planes — what the receiver would output had the bit been a
+        '1' (high level) or a '0' (low level).  Those planes are packed
+        straight into words and muxed by the transmitted bits, so the
+        decisions equal thresholding ``level + noise`` bit by bit with no
+        unpacked block matrix in between.
         """
         matrix = require_packed_blocks(words, n)
         levels = self._levels()
@@ -164,10 +148,3 @@ class OOKAWGNChannel:
         decisions_if_one = pack_bits((levels.high_a + noise) > levels.threshold_a)
         decisions_if_zero = pack_bits((levels.low_a + noise) > levels.threshold_a)
         return (matrix & decisions_if_one) | (~matrix & decisions_if_zero)
-
-    def _decide(self, stream: np.ndarray) -> np.ndarray:
-        """Shared shape-preserving modulate/noise/threshold chain."""
-        levels = self._levels()
-        currents = np.where(stream == 1, levels.high_a, levels.low_a).astype(float)
-        noisy = currents + self._rng.normal(0.0, levels.noise_sigma_a, size=currents.shape)
-        return (noisy > levels.threshold_a).astype(np.uint8)

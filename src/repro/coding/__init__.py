@@ -27,9 +27,6 @@ paper plus the generic machinery needed to analyse them:
 """
 
 from .base import (
-    BatchDecodeResult,
-    Codeword,
-    DecodeResult,
     LinearBlockCode,
     PackedBatchDecodeResult,
     decode_blocks_packed,
@@ -55,9 +52,6 @@ from .theory import (
 from .montecarlo import MonteCarloBERResult, estimate_ber_monte_carlo
 
 __all__ = [
-    "BatchDecodeResult",
-    "Codeword",
-    "DecodeResult",
     "LinearBlockCode",
     "PackedBatchDecodeResult",
     "decode_blocks_packed",

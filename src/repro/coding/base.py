@@ -7,62 +7,49 @@ base class implements:
 * systematic encoding from a generator matrix,
 * syndrome-table decoding (single-error correction or general
   minimum-weight coset leaders for small codes),
-* block segmentation so arbitrary-length bit streams can be pushed through
-  the code, mirroring the paper's interfaces where a 64-bit IP word is
-  split across sixteen H(7,4) encoders or one H(71,64) encoder,
+* whole batches of blocks per call, mirroring the paper's interfaces
+  where a 64-bit IP word is one H(71,64) block or a batch of sixteen
+  H(7,4) blocks,
 * the performance metadata the rest of the library needs: code rate,
   communication-time overhead (paper Section IV-D) and correction
   capability.
 
-Batch API and scalar-wrapper contract
--------------------------------------
-The hot path of every Monte-Carlo workload is :meth:`encode_batch` /
-:meth:`decode_batch`, which process a ``(B, k)`` message matrix or a
-``(B, n)`` received matrix in whole-array NumPy operations: one GF(2)
-matmul for encoding, one matmul for all B syndromes, a dot product with
-powers of two to pack each syndrome into an integer key, and a dense
-``syndrome -> error pattern`` lookup array (built once per code) in place
-of a per-call dict probe.  The scalar :meth:`encode_block` is a thin
-wrapper over the batch path (a batch of one), so there is exactly one
-implementation to validate.  The per-block decoders (the pre-batching
-references and the one-block wrapper over :meth:`decode_batch`) live in
-the test suite (``tests/coding/oracle.py``), the reference the equivalence
-tests pin the batch and packed decoders against.
-
-Packed fast path
-----------------
-The batch API above still moves one byte per bit.  The *packed* twin —
-:meth:`encode_batch_packed` / :meth:`decode_batch_packed` — keeps codewords
-in ``(B, ceil(n/64))`` ``uint64`` word matrices (:mod:`repro.coding.packed`)
-through the whole encode → corrupt → decode chain: encoding XOR-folds
-per-byte partial-codeword tables stored packed, syndrome keys gather from
-the packed byte image without ever materialising unpacked bits, and
-corrections are applied as packed XOR masks.  The unpacked ``encode_batch``
-/ ``decode_batch`` are thin pack/unpack wrappers over the packed path (and
-remain bit-exact with the pre-packing implementation).  Codes whose
-decoder is not a plain syndrome lookup — BCH (algebraic), SECDED (inner
-Hamming syndrome plus overall parity) and repetition (majority vote) —
-override ``decode_batch_packed`` with their own packed decision rule; no
-code overrides the unpacked ``decode_batch``.
+Packed batch contract
+---------------------
+Codewords live in ``(B, ceil(n/64))`` ``uint64`` word matrices
+(:mod:`repro.coding.packed`) through the whole encode → corrupt → decode
+chain; this is the only bit layout the coding API takes.
+:meth:`~LinearBlockCode.encode_batch_packed` XOR-folds per-byte
+partial-codeword tables stored packed, and
+:meth:`~LinearBlockCode.decode_batch_packed` gathers syndrome keys from the
+packed byte image without ever materialising unpacked bits and applies
+corrections as packed XOR masks.  Codes whose decoder is not a plain
+syndrome lookup — BCH (algebraic), SECDED (inner Hamming syndrome plus
+overall parity) and repetition (majority vote) — override
+``decode_batch_packed`` with their own packed decision rule.  Blocks the
+decoder cannot correct keep their received bits and are flagged in the
+result's ``failure`` vector; decoding never raises on them.  The per-block
+reference decoders the packed decoders are pinned against live in the test
+suite (``tests/coding/oracle.py``).
 
 Every code the registry hands out implements this packed contract, which
 :func:`~repro.coding.registry.get_code` checks; the module-level
 :func:`encode_blocks_packed` / :func:`decode_blocks_packed` are the single
 call sites the Monte-Carlo engine and the network simulator go through.
 
-Bit vectors are numpy ``uint8`` arrays of 0/1 values, most-significant bit
-first within a block; the ordering convention only matters for tests since
+Within a block, bits are numbered most-significant first (bit 0 is the MSB
+of the first word); the ordering convention only matters for tests since
 all analyses are symmetric in bit position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..exceptions import CodewordLengthError, ConfigurationError, DecodingFailure
+from ..exceptions import CodewordLengthError, ConfigurationError
 from .matrices import as_gf2, gf2_matmul, gf2_parity_check_from_systematic_generator
 from .packed import (
     byte_lookup_tables,
@@ -75,9 +62,6 @@ from .packed import (
 )
 
 __all__ = [
-    "Codeword",
-    "DecodeResult",
-    "BatchDecodeResult",
     "PackedBatchDecodeResult",
     "LinearBlockCode",
     "encode_blocks_packed",
@@ -86,113 +70,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Codeword:
-    """A single encoded block together with the message it encodes."""
-
-    message_bits: np.ndarray
-    code_bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "message_bits", as_gf2(self.message_bits))
-        object.__setattr__(self, "code_bits", as_gf2(self.code_bits))
-
-    @property
-    def n(self) -> int:
-        """Block length of the codeword."""
-        return int(self.code_bits.size)
-
-    @property
-    def k(self) -> int:
-        """Message length of the codeword."""
-        return int(self.message_bits.size)
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of decoding a single received block.
-
-    ``detected_error`` is True when the syndrome was non-zero;
-    ``corrected`` is True when the decoder believes it repaired the block;
-    ``failure`` is True when the decoder knows the error pattern exceeded its
-    correction capability (only detectable for codes with minimum distance
-    greater than ``2 t + 1``, e.g. SECDED).
-    """
-
-    message_bits: np.ndarray
-    corrected_codeword: np.ndarray
-    detected_error: bool
-    corrected: bool
-    failure: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "message_bits", as_gf2(self.message_bits))
-        object.__setattr__(self, "corrected_codeword", as_gf2(self.corrected_codeword))
-
-
-@dataclass(frozen=True)
-class BatchDecodeResult:
-    """Outcome of decoding a whole ``(B, n)`` batch of received blocks.
-
-    The fields mirror :class:`DecodeResult` with one leading batch axis:
-    ``message_bits`` is ``(B, k)`` uint8, ``corrected_codewords`` is
-    ``(B, n)`` uint8, and the three status fields are boolean ``(B,)``
-    vectors.  Indexing with an integer recovers the equivalent scalar
-    :class:`DecodeResult` for that block.
-    """
-
-    message_bits: np.ndarray
-    corrected_codewords: np.ndarray
-    detected_error: np.ndarray
-    corrected: np.ndarray
-    failure: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.message_bits.shape[0])
-
-    def __getitem__(self, index: int) -> DecodeResult:
-        return DecodeResult(
-            message_bits=self.message_bits[index].copy(),
-            corrected_codeword=self.corrected_codewords[index].copy(),
-            detected_error=bool(self.detected_error[index]),
-            corrected=bool(self.corrected[index]),
-            failure=bool(self.failure[index]),
-        )
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of blocks in the batch."""
-        return len(self)
-
-    @property
-    def num_failures(self) -> int:
-        """Number of blocks with a detected-but-uncorrectable pattern."""
-        return int(np.count_nonzero(self.failure))
-
-
-@dataclass(frozen=True)
 class PackedBatchDecodeResult:
     """Outcome of decoding a packed ``(B, ceil(n/64))`` uint64 batch.
 
-    The packed twin of :class:`BatchDecodeResult`: ``corrected_words`` holds
-    the corrected codewords in the packed-word layout of
-    :mod:`repro.coding.packed` (padding bits zero), and the three status
-    fields are boolean ``(B,)`` vectors.  ``unpack()`` recovers the unpacked
-    result at the API boundary; packed consumers stay on the words and count
-    residual errors with popcounts instead.
+    ``corrected_words`` holds the corrected codewords in the packed-word
+    layout of :mod:`repro.coding.packed` (padding bits zero), and the three
+    status fields are boolean ``(B,)`` vectors: ``detected_error`` when the
+    block was not a codeword, ``corrected`` when the decoder repaired it and
+    ``failure`` when it knows the pattern exceeded its correction capability
+    (only detectable for codes with minimum distance greater than
+    ``2 t + 1``, e.g. SECDED).  Consumers stay on the words and count
+    residual errors with popcounts.
 
     Treat every array as **read-only**: to keep the hot path allocation-free
     the fields may alias each other (the all-clean fast path shares one
     zeros mask between ``corrected`` and ``failure`` and returns the
-    caller's received words as ``corrected_words``), and ``unpack()`` slices
-    ``message_bits`` out of ``corrected_codewords`` as a view.
+    caller's received words as ``corrected_words``).
     """
 
     corrected_words: np.ndarray
     detected_error: np.ndarray
     corrected: np.ndarray
     failure: np.ndarray
-    n: int
-    k: int
 
     def __len__(self) -> int:
         return int(self.corrected_words.shape[0])
@@ -206,17 +105,6 @@ class PackedBatchDecodeResult:
     def num_failures(self) -> int:
         """Number of blocks with a detected-but-uncorrectable pattern."""
         return int(np.count_nonzero(self.failure))
-
-    def unpack(self) -> BatchDecodeResult:
-        """Expand to the unpacked :class:`BatchDecodeResult` (one bit per byte)."""
-        codewords = unpack_bits(self.corrected_words, self.n)
-        return BatchDecodeResult(
-            message_bits=codewords[:, : self.k],
-            corrected_codewords=codewords,
-            detected_error=self.detected_error,
-            corrected=self.corrected,
-            failure=self.failure,
-        )
 
 
 class LinearBlockCode:
@@ -241,8 +129,9 @@ class LinearBlockCode:
     #: probing the dict once per *unique* syndrome in the batch.
     _DENSE_SYNDROME_TABLE_MAX_BITS = 22
 
-    #: Cap (in table entries) on the bit-sliced encode lookup tables; codes
-    #: wide enough to blow past it fall back to the GF(2) matmul.
+    #: Cap on the size of the bit-sliced encode lookup tables, counted as
+    #: ``ceil(k/8) * 256 * n`` bits; codes wide enough to blow past it fall
+    #: back to the GF(2) matmul.
     _ENCODE_TABLE_MAX_ENTRIES = 1 << 23
 
     def __init__(self, generator, *, name: str, minimum_distance: int):
@@ -272,7 +161,6 @@ class LinearBlockCode:
             self._syndrome_weights = None
         self._syndrome_patterns: Optional[np.ndarray] = None
         self._syndrome_known: Optional[np.ndarray] = None
-        self._encode_tables: Optional[np.ndarray] = None
         self._syndrome_key_tables: Optional[np.ndarray] = None
         self._packed_encode_tables_cache: Optional[np.ndarray] = None
         self._packed_syndrome_patterns: Optional[np.ndarray] = None
@@ -334,63 +222,22 @@ class LinearBlockCode:
         return f"{type(self).__name__}(name={self._name!r}, n={self._n}, k={self._k}, dmin={self._dmin})"
 
     # ------------------------------------------------------------------ encoding
-    @staticmethod
-    def _byte_value_bits() -> np.ndarray:
-        """``(256, 8)`` matrix of byte values unpacked MSB-first."""
-        return np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1)
-
-    def _encode_lookup_tables(self) -> Optional[np.ndarray]:
-        """Bit-sliced encode tables: one ``(256, n)`` partial-codeword table per message byte.
-
-        The codeword of a message is the XOR of the per-byte partial
-        codewords, turning the GF(2) matmul into ``ceil(k/8)`` table
-        gathers — an order of magnitude faster for Monte-Carlo batches.
-        Built lazily; None when the code is too wide to table.
-        """
-        if self._encode_tables is None:
-            num_bytes = (self._k + 7) // 8
-            if num_bytes * 256 * self._n > self._ENCODE_TABLE_MAX_ENTRIES:
-                return None
-            bits = self._byte_value_bits()
-            tables = np.zeros((num_bytes, 256, self._n), dtype=np.uint8)
-            for index in range(num_bytes):
-                rows = self._generator[index * 8 : (index + 1) * 8]
-                tables[index] = gf2_matmul(bits[:, : rows.shape[0]], rows)
-            self._encode_tables = tables
-        return self._encode_tables
-
     def _packed_encode_lookup_tables(self) -> Optional[np.ndarray]:
         """Packed encode tables: ``(ceil(k/8), 256, ceil(n/64))`` uint64.
 
-        The packed image of :meth:`_encode_lookup_tables` — each per-byte
-        partial codeword stored as words, so packed encoding is the same
-        XOR-fold of table gathers moving 8x less data.
+        One 256-entry partial-codeword table per message byte, each entry
+        stored as words: the codeword of a message is the XOR of the
+        per-byte partial codewords, turning the GF(2) matmul into
+        ``ceil(k/8)`` table gathers.  Built lazily; None when the unpacked
+        size of the tables (``ceil(k/8) * 256 * n`` bits) exceeds the cap.
         """
         if self._packed_encode_tables_cache is None:
-            if self._encode_lookup_tables() is None:
+            if -(-self._k // 8) * 256 * self._n > self._ENCODE_TABLE_MAX_ENTRIES:
                 return None
             # The per-bit contribution of message bit i is generator row i
-            # (packed); the shared byte-sliced builder folds them into the
-            # same tables as packing the unpacked per-byte tables would.
+            # (packed); the shared byte-sliced builder folds them per byte.
             self._packed_encode_tables_cache = byte_lookup_tables(pack_bits(self._generator))
         return self._packed_encode_tables_cache
-
-    def encode_batch(self, messages) -> np.ndarray:
-        """Encode a ``(B, k)`` message matrix into a ``(B, n)`` codeword matrix.
-
-        Thin pack/unpack wrapper over :meth:`encode_batch_packed` (bit-exact
-        with the pre-packing table fold); codes too wide for the lookup
-        tables fall back to a single GF(2) matrix product.
-        """
-        blocks = as_gf2(messages)
-        if blocks.ndim != 2 or blocks.shape[1] != self._k:
-            raise CodewordLengthError(
-                f"{self._name}: expected a (B, {self._k}) message matrix, "
-                f"got shape {blocks.shape}"
-            )
-        if self._encode_lookup_tables() is None:
-            return gf2_matmul(blocks, self._generator)
-        return unpack_bits(self.encode_batch_packed(pack_bits(blocks)), self._n)
 
     def encode_batch_packed(self, message_words) -> np.ndarray:
         """Encode a packed ``(B, ceil(k/64))`` message matrix into packed codewords.
@@ -406,29 +253,6 @@ class LinearBlockCode:
         if tables is None:
             return pack_bits(gf2_matmul(unpack_bits(words, self._k), self._generator))
         return fold_byte_tables(tables, packed_byte_view(words))
-
-    def encode_block(self, message_bits) -> np.ndarray:
-        """Encode exactly one k-bit message block into an n-bit codeword."""
-        message = as_gf2(message_bits).ravel()
-        if message.size != self._k:
-            raise CodewordLengthError(
-                f"{self._name}: expected a {self._k}-bit message, got {message.size} bits"
-            )
-        return self.encode_batch(message[np.newaxis, :])[0]
-
-    def encode(self, bits) -> np.ndarray:
-        """Encode a bit stream whose length is a multiple of ``k``.
-
-        The stream is split into consecutive k-bit blocks which are encoded
-        independently (one batched matmul), matching the parallel encoder
-        banks of the paper's transmitter interface.
-        """
-        stream = as_gf2(bits).ravel()
-        if stream.size % self._k != 0:
-            raise CodewordLengthError(
-                f"{self._name}: stream length {stream.size} is not a multiple of k={self._k}"
-            )
-        return self.encode_batch(stream.reshape(-1, self._k)).reshape(-1)
 
     # ------------------------------------------------------------------ decoding
     def syndrome(self, received_bits) -> np.ndarray:
@@ -525,16 +349,6 @@ class LinearBlockCode:
         """
         return fold_byte_tables(self._syndrome_key_lookup_tables(), packed_byte_view(words))
 
-    def _require_blocks(self, received) -> np.ndarray:
-        """Validate and coerce a ``(B, n)`` received matrix."""
-        blocks = as_gf2(received)
-        if blocks.ndim != 2 or blocks.shape[1] != self._n:
-            raise CodewordLengthError(
-                f"{self._name}: expected a (B, {self._n}) received matrix, "
-                f"got shape {blocks.shape}"
-            )
-        return blocks
-
     def _require_packed(self, words, num_bits: int, what: str = "received") -> np.ndarray:
         """Validate a ``(B, ceil(num_bits/64))`` packed uint64 matrix.
 
@@ -613,31 +427,14 @@ class LinearBlockCode:
             known_mask[mask] = True
         return errors, known_mask
 
-    def decode_batch(self, received, *, strict: bool = False) -> BatchDecodeResult:
-        """Decode a whole ``(B, n)`` batch by vectorized syndrome lookup.
-
-        Thin pack/unpack wrapper over :meth:`decode_batch_packed`, preserved
-        bit-exactly against the pre-packing implementation: all B syndromes
-        become integer keys through packed byte-table gathers, corrections
-        are applied as packed XOR masks, and the result is unpacked once at
-        this API boundary.  Blocks whose syndrome has no table entry keep
-        their received bits and are flagged as failures (raising
-        :class:`DecodingFailure` in ``strict`` mode), exactly like the
-        scalar decoder.  The returned arrays may share memory with each
-        other (``message_bits`` is a view into ``corrected_codewords``);
-        treat them as read-only.
-        """
-        blocks = self._require_blocks(received)
-        return self.decode_batch_packed(pack_bits(blocks), strict=strict).unpack()
-
-    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+    def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Decode a packed ``(B, ceil(n/64))`` uint64 batch without unpacking.
 
-        The packed fast path: syndrome keys gather from the packed byte
-        image, the dense syndrome table is stored as packed XOR masks, and
-        corrected codewords stay packed.  Codes with their own decision
-        rule (SECDED, repetition) override this method; ``decode_batch``
-        always wraps it.
+        Syndrome keys gather from the packed byte image, the dense syndrome
+        table is stored as packed XOR masks, and corrected codewords stay
+        packed.  Blocks whose syndrome has no table entry keep their
+        received bits and are flagged in ``failure``.  Codes with their own
+        decision rule (BCH, SECDED, repetition) override this method.
         """
         words = self._require_packed(received_words, self._n)
         keys = self._batch_syndrome_keys_packed(words)
@@ -652,58 +449,17 @@ class LinearBlockCode:
                 detected_error=detected,
                 corrected=clean,
                 failure=clean,
-                n=self._n,
-                k=self._k,
             )
         errors, known_mask = self._packed_corrections(keys)
         corrected_words = words ^ errors
         corrected = detected & known_mask
         failure = detected & ~known_mask
-        if strict and failure.any():
-            first = int(np.argmax(failure))
-            raise DecodingFailure(
-                f"{self._name}: uncorrectable syndrome "
-                f"{self.syndrome(unpack_bits(words[first], self._n)).tolist()}"
-            )
         return PackedBatchDecodeResult(
             corrected_words=corrected_words,
             detected_error=detected,
             corrected=corrected,
             failure=failure,
-            n=self._n,
-            k=self._k,
         )
-
-    def decode(self, bits, *, strict: bool = False) -> np.ndarray:
-        """Decode a bit stream whose length is a multiple of ``n``.
-
-        Returns the concatenated decoded messages (computed through the
-        batch path); per-block status information is available through
-        :meth:`decode_batch`.
-        """
-        stream = as_gf2(bits).ravel()
-        if stream.size % self._n != 0:
-            raise CodewordLengthError(
-                f"{self._name}: stream length {stream.size} is not a multiple of n={self._n}"
-            )
-        blocks = stream.reshape(-1, self._n)
-        if blocks.shape[0] == 0:
-            return np.zeros(0, dtype=np.uint8)
-        return self.decode_batch(blocks, strict=strict).message_bits.reshape(-1)
-
-    # ------------------------------------------------------------------ helpers
-    def codewords(self) -> Iterable[Codeword]:
-        """Iterate over every codeword of the code (small codes only).
-
-        Intended for tests; refuses codes with more than 2^16 codewords.
-        """
-        if self._k > 16:
-            raise ConfigurationError(
-                f"refusing to enumerate 2^{self._k} codewords; use analytic tools instead"
-            )
-        for value in range(1 << self._k):
-            message = np.array([(value >> bit) & 1 for bit in range(self._k)], dtype=np.uint8)
-            yield Codeword(message_bits=message, code_bits=self.encode_block(message))
 
 
 def encode_blocks_packed(code, message_words) -> np.ndarray:
@@ -711,6 +467,6 @@ def encode_blocks_packed(code, message_words) -> np.ndarray:
     return code.encode_batch_packed(message_words)
 
 
-def decode_blocks_packed(code, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+def decode_blocks_packed(code, received_words) -> PackedBatchDecodeResult:
     """Decode a packed ``(B, ceil(n/64))`` batch with ``code``."""
-    return code.decode_batch_packed(received_words, strict=strict)
+    return code.decode_batch_packed(received_words)

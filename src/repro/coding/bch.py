@@ -30,7 +30,7 @@ from typing import List
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, DecodingFailure
+from ..exceptions import ConfigurationError
 from .base import LinearBlockCode, PackedBatchDecodeResult
 from .galois import GaloisField, get_field
 from .packed import byte_lookup_tables, fold_byte_tables, pack_bits, packed_byte_view
@@ -284,7 +284,7 @@ class BCHCode(LinearBlockCode):
         success = (degree <= self._t) & (roots.sum(axis=1) == degree)
         return roots, success
 
-    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+    def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Packed batch decoding: byte-table syndromes, batch BM, batch Chien.
 
         Syndromes of the whole batch gather from the packed byte image;
@@ -303,8 +303,6 @@ class BCHCode(LinearBlockCode):
                 detected_error=detected,
                 corrected=clean,
                 failure=clean,
-                n=self.n,
-                k=self.k,
             )
         locator = self._batch_berlekamp_massey(syndromes[errored])
         nonzero_columns = locator != 0
@@ -314,8 +312,6 @@ class BCHCode(LinearBlockCode):
         failure = np.zeros(words.shape[0], dtype=bool)
         corrected[errored[success]] = True
         failure[errored[~success]] = True
-        if strict and failure.any():
-            raise DecodingFailure(f"{self.name}: uncorrectable error pattern")
         corrected_words = words.copy()
         fixed = errored[success]
         if fixed.size:
@@ -327,6 +323,4 @@ class BCHCode(LinearBlockCode):
             detected_error=detected,
             corrected=corrected,
             failure=failure,
-            n=self.n,
-            k=self.k,
         )

@@ -5,16 +5,15 @@ power under the paper's fixed-BER criterion; they matter for the
 detection-plus-retransmission policies explored by the runtime manager and
 for end-to-end integrity checks in the message-level simulator.
 
-Two implementations share one definition: the bit-serial
-:meth:`CyclicRedundancyCheck.checksum` (the readable reference, one shift
-per bit) and the batch :meth:`CyclicRedundancyCheck.checksum_batch`, which
-exploits the linearity of the CRC over GF(2): the remainder of a message is
-the XOR of the per-bit remainders ``x^{L-1-i+w} mod g``, folded into
-256-entry per-byte partial-CRC tables (the same bit-slicing trick the coder
-tables use).  A whole ``(B, L)`` batch then reduces to ``ceil(L/8)`` table
-gathers — this is what makes per-packet CRCs affordable in the bit-exact
-network simulator.  Both paths are bit-identical and the tests pin them
-together.
+:meth:`CyclicRedundancyCheck.checksum_batch` exploits the linearity of the
+CRC over GF(2): the remainder of a message is the XOR of the per-bit
+remainders ``x^{L-1-i+w} mod g``, folded into 256-entry per-byte partial-CRC
+tables (the same bit-slicing trick the coder tables use).  A whole
+``(B, L)`` batch then reduces to ``ceil(L/8)`` table gathers — this is what
+makes per-packet CRCs affordable in the bit-exact network simulator.  The
+bit-serial shift register (one shift per bit) survives in the test suite
+(``tests/coding/oracle.py``) as the reference the batch path is pinned
+against.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ _WELL_KNOWN_POLYNOMIALS = {
 
 
 class CyclicRedundancyCheck:
-    """Bit-serial CRC generator/checker over GF(2).
+    """Table-driven batch CRC generator/checker over GF(2).
 
     Parameters
     ----------
@@ -82,36 +81,6 @@ class CyclicRedundancyCheck:
         """Generator polynomial (normal representation)."""
         return self._polynomial
 
-    def checksum(self, bits) -> np.ndarray:
-        """Compute the CRC remainder of a bit vector (MSB-first)."""
-        stream = as_gf2(bits).ravel()
-        register = 0
-        mask = (1 << self._width) - 1
-        top_bit = 1 << (self._width - 1)
-        for bit in stream:
-            feedback = ((register & top_bit) >> (self._width - 1)) ^ int(bit)
-            register = ((register << 1) & mask)
-            if feedback:
-                register ^= self._polynomial
-        return np.array(
-            [(register >> (self._width - 1 - i)) & 1 for i in range(self._width)],
-            dtype=np.uint8,
-        )
-
-    def append(self, bits) -> np.ndarray:
-        """Return the message followed by its CRC bits."""
-        stream = as_gf2(bits).ravel()
-        return np.concatenate([stream, self.checksum(stream)])
-
-    def verify(self, bits_with_crc) -> bool:
-        """Check a message+CRC vector; True when no error is detected."""
-        stream = as_gf2(bits_with_crc).ravel()
-        if stream.size <= self._width:
-            raise CodewordLengthError("received vector shorter than the CRC itself")
-        message = stream[: -self._width]
-        received_crc = stream[-self._width:]
-        return bool(np.array_equal(self.checksum(message), received_crc))
-
     # ------------------------------------------------------------------ batch path
     def _bit_contributions(self, length: int) -> np.ndarray:
         """Remainders ``x^{length-1-i+w} mod g`` of every message bit position.
@@ -151,10 +120,10 @@ class CyclicRedundancyCheck:
     def checksum_batch(self, messages) -> np.ndarray:
         """CRC registers of a whole ``(B, L)`` bit matrix as ``(B,)`` uint64.
 
-        Bit-identical to running :meth:`checksum` row by row (the tests pin
-        the two together), at a few table gathers per batch instead of one
-        Python-loop iteration per bit.  Like the scalar path, entries are
-        reduced modulo 2 (no copy for a 0/1 ``uint8`` input).
+        Bit-identical to running a bit-serial shift register row by row
+        (the tests pin the two together), at a few table gathers per batch
+        instead of one Python-loop iteration per bit.  Entries are reduced
+        modulo 2 (no copy for a 0/1 ``uint8`` input).
         """
         matrix = as_gf2(messages, copy=False)
         if matrix.ndim != 2:
@@ -164,7 +133,7 @@ class CyclicRedundancyCheck:
         return fold_byte_tables(self._byte_tables(matrix.shape[1]), np.packbits(matrix, axis=1))
 
     def checksum_batch_bits(self, messages) -> np.ndarray:
-        """Batch counterpart of :meth:`checksum`: ``(B, width)`` CRC bit rows."""
+        """``(B, width)`` CRC bit rows (MSB first) of a ``(B, L)`` bit matrix."""
         registers = self.checksum_batch(messages)
         shifts = np.arange(self._width - 1, -1, -1, dtype=np.uint64)
         return ((registers[:, np.newaxis] >> shifts[np.newaxis, :]) & np.uint64(1)).astype(

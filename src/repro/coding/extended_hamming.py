@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, DecodingFailure
+from ..exceptions import ConfigurationError
 from .base import LinearBlockCode, PackedBatchDecodeResult
 from .hamming import HammingCode, ShortenedHammingCode
 from .packed import popcount_rows, range_mask
@@ -55,7 +55,7 @@ class ExtendedHammingCode(LinearBlockCode):
         self._inner = base
         self._parity_bit_mask = range_mask(n, n - 1, n)
 
-    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+    def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Packed SECDED decoding of a whole ``(B, ceil(n/64))`` batch.
 
         The inner Hamming syndrome keys fold straight from the received
@@ -79,15 +79,11 @@ class ExtendedHammingCode(LinearBlockCode):
         corrected_words ^= parity_flips[:, np.newaxis] * self._parity_bit_mask
         # Even-weight error with a non-zero syndrome: a double error.
         double = (keys != 0) & ~odd_weight
-        if strict and double.any():
-            raise DecodingFailure(f"{self.name}: double error detected")
         return PackedBatchDecodeResult(
             corrected_words=corrected_words,
             detected_error=odd_weight | double,
             corrected=odd_weight,
             failure=double,
-            n=self._n,
-            k=self._k,
         )
 
 def _full_code_for(message_length: int) -> HammingCode:

@@ -1,10 +1,9 @@
 """Packed-word GF(2) substrate: bit vectors as ``uint64`` word matrices.
 
-Every hot path of the library used to shuttle one-byte-per-bit ``(B, n)``
-``uint8`` matrices between the coding, channel and simulation layers, which
-caps throughput at the memory bandwidth of 8x-inflated data.  This module
-defines the packed twin of that representation and the primitives the rest
-of the stack builds on:
+One-byte-per-bit ``(B, n)`` ``uint8`` matrices would cap the coding,
+channel and simulation layers at the memory bandwidth of 8x-inflated data,
+so those layers move bits packed.  This module defines the packed
+representation and the primitives the rest of the stack builds on:
 
 * a block of ``n`` bits is stored in ``W = ceil(n / 64)`` little-endian
   ``uint64`` words; bit ``i`` of the block lives in byte ``i // 8`` of the
@@ -18,10 +17,11 @@ of the stack builds on:
 * GF(2) arithmetic on packed rows is plain integer bitwise ops: addition is
   ``^``, masking is ``&``, and error injection is a packed XOR mask.
 
-Because packing commutes with XOR, the packed pipeline is *bit-exact* with
-its unpacked twin: ``pack_bits(a ^ b) == pack_bits(a) ^ pack_bits(b)``, so
-codewords, channel corruptions and syndrome corrections can stay packed end
-to end and unpack only at the API boundary (if ever).
+Because packing commutes with XOR (``pack_bits(a ^ b) == pack_bits(a) ^
+pack_bits(b)``), codewords, channel corruptions and syndrome corrections
+stay packed end to end; :func:`unpack_bits` serves the few consumers that
+need per-bit rows (the wide-code encode fallback, the CRC check of residual
+payloads).
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class RepetitionCode(LinearBlockCode):
         """Number of transmitted copies of each information bit."""
         return self._repetitions
 
-    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+    def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Packed majority vote: each block's row popcount decides its bit."""
         words = self._require_packed(received_words, self._n)
         ones = popcount_rows(words)
@@ -50,6 +50,4 @@ class RepetitionCode(LinearBlockCode):
             detected_error=detected,
             corrected=detected,
             failure=np.zeros(words.shape[0], dtype=bool),
-            n=self._n,
-            k=self._k,
         )

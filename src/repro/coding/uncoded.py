@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import CodewordLengthError, ConfigurationError
-from .base import BatchDecodeResult, PackedBatchDecodeResult
-from .matrices import as_gf2
+from .base import PackedBatchDecodeResult
 from .packed import require_packed_blocks
 
 __all__ = ["UncodedScheme"]
@@ -22,10 +21,10 @@ class UncodedScheme:
     """Identity "code" used for transmissions without ECC.
 
     It mirrors the :class:`~repro.coding.base.LinearBlockCode` interface
-    (``n``, ``k``, ``encode``, ``decode``, rate and CT properties) so the
-    rest of the library does not special-case the uncoded path, exactly as
-    the paper's interface multiplexes between the direct path and the
-    Hamming paths.
+    (``n``, ``k``, the packed encode/decode methods, rate and CT
+    properties) so the rest of the library does not special-case the
+    uncoded path, exactly as the paper's interface multiplexes between the
+    direct path and the Hamming paths.
     """
 
     def __init__(self, block_length: int = 64, *, name: str = "w/o ECC"):
@@ -79,27 +78,6 @@ class UncodedScheme:
         return f"UncodedScheme(n={self._n})"
 
     # ------------------------------------------------------------------ coding API
-    def encode_batch(self, messages) -> np.ndarray:
-        """Return the ``(B, n)`` message matrix unchanged (after coercion)."""
-        blocks = as_gf2(messages)
-        if blocks.ndim != 2 or blocks.shape[1] != self._n:
-            raise CodewordLengthError(
-                f"uncoded scheme expected a (B, {self._n}) matrix, got shape {blocks.shape}"
-            )
-        return blocks.copy()
-
-    def decode_batch(self, received, *, strict: bool = False) -> BatchDecodeResult:
-        """Accept every received block verbatim; nothing can be detected."""
-        blocks = self.encode_batch(received)
-        clean = np.zeros(blocks.shape[0], dtype=bool)
-        return BatchDecodeResult(
-            message_bits=blocks.copy(),
-            corrected_codewords=blocks,
-            detected_error=clean,
-            corrected=clean.copy(),
-            failure=clean.copy(),
-        )
-
     def _require_packed(self, words) -> np.ndarray:
         """Validate a ``(B, ceil(n/64))`` packed uint64 matrix (shared validator)."""
         try:
@@ -111,7 +89,7 @@ class UncodedScheme:
         """Return the packed message words unchanged (identity encoding)."""
         return self._require_packed(message_words)
 
-    def decode_batch_packed(self, received_words, *, strict: bool = False) -> PackedBatchDecodeResult:
+    def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Accept every packed block verbatim; nothing can be detected."""
         words = self._require_packed(received_words)
         clean = np.zeros(words.shape[0], dtype=bool)
@@ -120,28 +98,4 @@ class UncodedScheme:
             detected_error=clean,
             corrected=clean,
             failure=clean,
-            n=self._n,
-            k=self._n,
         )
-
-    def encode_block(self, message_bits) -> np.ndarray:
-        """Return the message unchanged (after GF(2) coercion)."""
-        message = as_gf2(message_bits).ravel()
-        if message.size != self._n:
-            raise CodewordLengthError(
-                f"uncoded scheme expected {self._n} bits, got {message.size}"
-            )
-        return message.copy()
-
-    def encode(self, bits) -> np.ndarray:
-        """Return the stream unchanged (after GF(2) coercion)."""
-        stream = as_gf2(bits).ravel()
-        if stream.size % self._n != 0:
-            raise CodewordLengthError(
-                f"stream length {stream.size} is not a multiple of {self._n}"
-            )
-        return stream.copy()
-
-    def decode(self, bits, *, strict: bool = False) -> np.ndarray:
-        """Return the stream unchanged."""
-        return self.encode(bits)

@@ -14,7 +14,6 @@ __all__ = [
     "ConfigurationError",
     "CodingError",
     "CodewordLengthError",
-    "DecodingFailure",
     "LaserPowerExceededError",
     "InfeasibleDesignError",
     "ArbitrationError",
@@ -41,14 +40,6 @@ class CodingError(ReproError):
 
 class CodewordLengthError(CodingError):
     """A message or codeword does not have the length required by the code."""
-
-
-class DecodingFailure(CodingError):
-    """A decoder detected an error pattern it cannot correct.
-
-    Raised only by decoders operating in ``strict`` mode; by default the
-    decoders return their best-effort estimate together with a flag.
-    """
 
 
 class LaserPowerExceededError(ReproError):

@@ -131,7 +131,6 @@ class OpticalLinkManager:
             default_policy if default_policy is not None else MinimumPowerPolicy()
         )
         self._configuration_counter = itertools.count(1)
-        self._active: Dict[tuple[int, int], LinkConfiguration] = {}
         self._candidate_cache: Dict[tuple[float, float], list[ChannelPowerBreakdown]] = {}
 
     # ------------------------------------------------------------------ queries
@@ -210,7 +209,6 @@ class OpticalLinkManager:
             configuration_id=next(self._configuration_counter),
             margin_multiplier=float(margin_multiplier),
         )
-        self._active[(request.source, request.destination)] = configuration
         return configuration
 
     def configure_degraded(
@@ -242,10 +240,6 @@ class OpticalLinkManager:
             return None, action
         margin = max(float(base_margin_multiplier), action.margin_multiplier)
         return self.configure(request, margin_multiplier=margin), action
-
-    def release(self, source: int, destination: int) -> None:
-        """Drop the configuration of one source/destination pair (end of stream)."""
-        self._active.pop((source, destination), None)
 
     def _validate_endpoints(self, request: CommunicationRequest) -> None:
         upper = self._config.num_onis

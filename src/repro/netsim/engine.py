@@ -179,12 +179,6 @@ class _RunState:
     arbiters: Dict[int, TokenArbiter] = field(default_factory=dict)
     busy_s: Dict[int, float] = field(default_factory=dict)
     records: List[NetTransferRecord] = field(default_factory=list)
-    #: In-flight transfers per (source, destination) pair.  The manager
-    #: keys its active-configuration table by pair, so with overlapping
-    #: same-pair transfers only the *last* completion may release the
-    #: entry — otherwise an earlier completion would drop the
-    #: configuration of a transfer still occupying the channel.
-    active_pairs: Dict[tuple, int] = field(default_factory=dict)
     #: Hard-fault accounting: channels currently down (channel -> the time
     #: they went down) plus the run-wide downtime / transition / recovery
     #: counters and the time of the last processed event.
@@ -891,11 +885,6 @@ class NetworkSimulator:
                 energy_j=state.energy_j,
             )
         )
-        pair = (request.source, request.destination)
-        run.active_pairs[pair] -= 1
-        if run.active_pairs[pair] == 0:
-            del run.active_pairs[pair]
-            self.manager.release(request.source, request.destination)
 
     def _feed_controller(self, now_s, state, outcome) -> None:
         """Sample the attempt's failure telemetry and feed the monitor.

@@ -74,8 +74,8 @@ packet, design-BER disturb probability) resolved once, per
 :meth:`~repro.manager.manager.OpticalLinkManager.configure` is
 deterministic given those plus the engine-constant policy, so replaying
 the cached configuration is result-identical (only the manager's private
-active-pair registry and configuration-id counter advance differently,
-neither of which is observable in a :class:`NetworkResult`).  A
+configuration-id counter advances differently, which is not observable in
+a :class:`NetworkResult`).  A
 :class:`~repro.manager.policies.SelectionPolicy` never sees the payload, so
 variable-payload (bursty) traffic costs one ``configure`` per key; the
 payload's own fields (packets, coded bits, nominal duration and energy) are
@@ -199,7 +199,6 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     resolve_rng = sim._resolve_rng
     telemetry_binomial = sim._telemetry_rng.binomial
     arbiters = run.arbiters
-    active_pairs = run.active_pairs
     records_append = run.records.append
     push = core.push
     heap = core._heap
@@ -302,8 +301,6 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         if timeout_s is not None:
             # The arrival event's time, as the core holds it.
             state.deadline_s = float(request.arrival_time_s) + timeout_s
-        pair = (request.source, request.destination)
-        active_pairs[pair] = active_pairs.get(pair, 0) + 1
         return state
 
     def first_attempt_state(

@@ -48,7 +48,6 @@ from .tracing import (
     Tracer,
     disable_tracing,
     enable_tracing,
-    tracing_to,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "Tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_to",
     "MANIFEST_SCHEMA_VERSION",
     "build_manifest",
     "environment_info",

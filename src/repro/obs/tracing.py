@@ -19,7 +19,6 @@ per *run*, not per event.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -30,7 +29,6 @@ __all__ = [
     "Tracer",
     "disable_tracing",
     "enable_tracing",
-    "tracing_to",
 ]
 
 #: The active tracer, or ``None`` when tracing is disabled (the default).
@@ -147,16 +145,3 @@ def disable_tracing() -> None:
     if ACTIVE is not None:
         ACTIVE.close()
     ACTIVE = None
-
-
-@contextlib.contextmanager
-def tracing_to(sink: "str | TextIO"):
-    """Scope a tracer activation; restores (and never closes) the previous one."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = Tracer(sink)
-    try:
-        yield ACTIVE
-    finally:
-        ACTIVE.close()
-        ACTIVE = previous

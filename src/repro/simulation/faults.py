@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..coding.matrices import as_gf2
 from ..coding.packed import pack_bits, words_per_block
 from ..exceptions import ConfigurationError
 
@@ -48,27 +47,12 @@ class IndependentErrorModel:
         if self.rng is None:
             self.rng = np.random.default_rng()
 
-    def error_pattern(self, num_bits: int) -> np.ndarray:
-        """A 0/1 vector with ones at the positions to flip."""
-        if num_bits < 0:
-            raise ConfigurationError("number of bits cannot be negative")
-        return (self.rng.random(num_bits) < self.bit_error_probability).astype(np.uint8)
-
-    def apply(self, bits) -> np.ndarray:
-        """Return a copy of ``bits`` with the error pattern applied.
-
-        Shape-preserving: a ``(B, n)`` block matrix comes back as a
-        ``(B, n)`` matrix with one flat random draw for the whole batch.
-        """
-        stream = as_gf2(bits)
-        return stream ^ self.error_pattern(stream.size).reshape(stream.shape)
-
     def error_mask_packed(self, num_blocks: int, *, n: int) -> np.ndarray:
         """Packed ``(num_blocks, ceil(n/64))`` XOR mask of independent flips.
 
-        Consumes the random stream exactly like
-        ``error_pattern(num_blocks * n)`` (one uniform per bit, row-major),
-        packed straight from the boolean comparison — no uint8 intermediate.
+        One uniform per bit in row-major (transmission) order, compared with
+        the flip probability and packed straight from the boolean
+        comparison — no uint8 intermediate.
         An all-clean draw (the common case at operating BERs) skips the
         packing entirely and returns a zeros mask.
         """
@@ -86,9 +70,9 @@ class IndependentErrorModel:
         flip count is ``Binomial(num_bits, p)`` and, given the count, the
         flip set is a uniform random subset), but O(#flips) instead of
         O(#bits): two small draws when errors are rare.  It consumes the
-        random stream *differently* from :meth:`error_pattern` /
-        :meth:`error_mask_packed`, so it is a sampling alternative (used by the
-        bit-exact network sampler), not a bit-exact twin of them.
+        random stream *differently* from :meth:`error_mask_packed`, so it is
+        a sampling alternative (used by the bit-exact network sampler), not
+        a bit-exact twin of it.
         """
         if num_bits < 0:
             raise ConfigurationError("number of bits cannot be negative")
@@ -186,16 +170,6 @@ class BurstErrorModel:
         )
         self._in_bad_state = bool(in_bad_state[-1])
         return (uniform[1] < probability).astype(np.uint8)
-
-    def apply(self, bits) -> np.ndarray:
-        """Return a copy of ``bits`` with a burst error pattern applied.
-
-        Shape-preserving; a ``(B, n)`` matrix is corrupted in row-major
-        (transmission) order so bursts span adjacent blocks like they would
-        on the serialised wire.
-        """
-        stream = as_gf2(bits)
-        return stream ^ self.error_pattern(stream.size).reshape(stream.shape)
 
     def error_mask_packed(self, num_blocks: int, *, n: int) -> np.ndarray:
         """Packed ``(num_blocks, ceil(n/64))`` burst XOR mask.

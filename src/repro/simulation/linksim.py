@@ -14,9 +14,8 @@ substrate: messages are drawn as a ``(B, k)`` matrix, packed, encoded
 through the packed table fold, pushed through the channel with one
 ``(B, n)`` Gaussian noise draw thresholded straight into packed words
 (:meth:`OOKAWGNChannel.transmit_batch_packed`), decoded packed, and both
-raw and residual bit errors are counted with popcounts.  The random stream
-matches the unpacked pipeline draw for draw, so measurements are
-bit-identical.  There is no per-block Python loop.
+raw and residual bit errors are counted with popcounts.  There is no
+per-block Python loop.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from repro.channel.awgn import OOKAWGNChannel
 from repro.channel.ber import raw_ber_from_snr
+from repro.coding.packed import pack_bits, popcount_rows
 from repro.exceptions import ConfigurationError
 
 
@@ -24,17 +25,17 @@ class TestOOKAWGNChannel:
     def test_noiseless_limit_transmits_correctly(self, rng):
         # A huge signal makes the error probability negligible.
         channel = OOKAWGNChannel(1.0, rng=rng)
-        bits = rng.integers(0, 2, size=2000, dtype=np.uint8)
-        assert np.array_equal(channel.transmit_batch(bits[np.newaxis, :])[0], bits)
+        words = pack_bits(rng.integers(0, 2, size=(1, 2000), dtype=np.uint8))
+        assert np.array_equal(channel.transmit_batch_packed(words, n=2000), words)
 
     def test_measured_ber_matches_analytic_prediction(self, rng):
         # Pick an SNR giving a conveniently measurable BER (~7e-3).
         signal = 12e-6
         channel = OOKAWGNChannel(signal, rng=rng)
         predicted = channel.analytic_ber
-        bits = rng.integers(0, 2, size=200_000, dtype=np.uint8)
-        received = channel.transmit_batch(bits[np.newaxis, :])[0]
-        measured = np.count_nonzero(received != bits) / bits.size
+        words = pack_bits(rng.integers(0, 2, size=(1, 200_000), dtype=np.uint8))
+        received = channel.transmit_batch_packed(words, n=200_000)
+        measured = int(popcount_rows(received ^ words).sum()) / 200_000
         assert measured == pytest.approx(predicted, rel=0.12)
 
     def test_crosstalk_degrades_the_snr(self):

@@ -1,22 +1,31 @@
-"""Per-block reference decoders and GF(2) helpers: the coding test oracle.
+"""Per-block reference coders and GF(2) helpers: the coding test oracle.
 
-The production decoders in :mod:`repro.coding` run whole batches on packed
-``uint64`` words (syndrome byte tables, branchless batch Berlekamp–Massey,
-row popcounts).  The scalar decoders below are the pre-batching
-implementations they replaced, one block at a time, with no shared fast
-path: a dict probe of the syndrome table for plain linear codes, the
-inner-syndrome/overall-parity cases of SECDED, a majority vote for
-repetition and Horner syndromes plus Berlekamp–Massey and a Chien search
-for BCH.  The equivalence tests pin the batch and packed decoders against
-them row by row, clean, corrected and failed blocks alike.
+The production coders in :mod:`repro.coding` run whole batches on packed
+``uint64`` words (byte tables, branchless batch Berlekamp–Massey, row
+popcounts).  The references below work one block at a time on unpacked
+``uint8`` bits with no shared fast path:
+
+* :func:`encode_reference` multiplies by the generator matrix;
+* the scalar decoders are the pre-batching implementations the packed ones
+  replaced: a dict probe of the syndrome table for plain linear codes, the
+  inner-syndrome/overall-parity cases of SECDED, a majority vote for
+  repetition and Horner syndromes plus Berlekamp–Massey and a Chien search
+  for BCH.  They return the oracle's own :class:`DecodeResult` /
+  :class:`BatchDecodeResult`;
+* :func:`crc_checksum_reference` is the bit-serial CRC shift register, one
+  shift per bit, with :func:`crc_append_reference` and
+  :func:`crc_verify_reference` built on it.
+
+The equivalence tests pin the packed paths against them row by row, clean,
+corrected and failed blocks alike.
 
 The GF(2) helpers (row reduction, rank, null space, Hamming weight,
 exhaustive minimum distance) and the GF(2^m) division and Horner evaluation
 check the code constructions from first principles.
 
-:func:`decode_block` is not a reference: it decodes one block through the
-code's own batch decoder (a batch of one), for tests that work on single
-blocks.
+:func:`decode_packed` is not a reference: it is the one bridge from
+unpacked bits to the code's own packed decoder (pack, ``decode_batch_packed``,
+unpack), for tests that state their blocks as bit rows.
 
 :func:`estimate_ber_round_trip` is the Monte-Carlo estimator as it was
 before it moved to the all-zero codeword: it draws real random messages,
@@ -31,24 +40,30 @@ keeps it apart from ``tests/netsim/oracle.py``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.coding.base import BatchDecodeResult, DecodeResult
 from repro.coding.bch import BCHCode
 from repro.coding.extended_hamming import ExtendedHammingCode
 from repro.coding.matrices import as_gf2, gf2_matmul
 from repro.coding.montecarlo import DEFAULT_BATCH_SIZE, MonteCarloBERResult, draw_flip_words
-from repro.coding.packed import pack_bits, popcount_rows, prefix_mask
+from repro.coding.packed import pack_bits, popcount_rows, prefix_mask, unpack_bits
 from repro.coding.repetition import RepetitionCode
 from repro.coding.uncoded import UncodedScheme
-from repro.exceptions import CodewordLengthError, DecodingFailure
+from repro.exceptions import CodewordLengthError
 
 __all__ = [
-    "decode_block",
+    "DecodeResult",
+    "BatchDecodeResult",
+    "decode_packed",
+    "encode_reference",
     "decode_block_reference",
     "decode_blocks_scalar",
+    "crc_checksum_reference",
+    "crc_append_reference",
+    "crc_verify_reference",
     "bch_codeword_polynomial",
     "gf2_rref",
     "gf2_rank",
@@ -63,18 +78,87 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------- decoders
-def decode_block(code, received_bits, *, strict: bool = False) -> DecodeResult:
-    """Decode one received block with ``code.decode_batch`` (a batch of one)."""
-    received = as_gf2(received_bits).ravel()
-    if received.size != code.n:
-        raise CodewordLengthError(
-            f"{code.name}: expected a {code.n}-bit block, got {received.size} bits"
+# ---------------------------------------------------------------------- results
+@dataclass(frozen=True)
+class DecodeResult:
+    """Outcome of decoding a single received block.
+
+    ``detected_error`` is True when the block was not a codeword;
+    ``corrected`` is True when the decoder believes it repaired the block;
+    ``failure`` is True when the decoder knows the error pattern exceeded
+    its correction capability (only detectable for codes with minimum
+    distance greater than ``2 t + 1``, e.g. SECDED).
+    """
+
+    message_bits: np.ndarray
+    corrected_codeword: np.ndarray
+    detected_error: bool
+    corrected: bool
+    failure: bool = False
+
+
+@dataclass(frozen=True)
+class BatchDecodeResult:
+    """:class:`DecodeResult` fields with one leading batch axis.
+
+    ``message_bits`` is ``(B, k)`` uint8, ``corrected_codewords`` is
+    ``(B, n)`` uint8 and the three status fields are boolean ``(B,)``
+    vectors; integer indexing recovers one block's :class:`DecodeResult`.
+    """
+
+    message_bits: np.ndarray
+    corrected_codewords: np.ndarray
+    detected_error: np.ndarray
+    corrected: np.ndarray
+    failure: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.message_bits.shape[0])
+
+    def __getitem__(self, index: int) -> DecodeResult:
+        return DecodeResult(
+            message_bits=self.message_bits[index],
+            corrected_codeword=self.corrected_codewords[index],
+            detected_error=bool(self.detected_error[index]),
+            corrected=bool(self.corrected[index]),
+            failure=bool(self.failure[index]),
         )
-    return code.decode_batch(received[np.newaxis, :], strict=strict)[0]
 
 
-def decode_block_reference(code, received_bits, *, strict: bool = False) -> DecodeResult:
+# ---------------------------------------------------------------------- bridge
+def decode_packed(code, received):
+    """Decode unpacked bit rows through ``code.decode_batch_packed``.
+
+    A ``(B, n)`` matrix gives a :class:`BatchDecodeResult`, one ``(n,)``
+    block a :class:`DecodeResult`.
+    """
+    blocks = as_gf2(received)
+    if blocks.ndim not in (1, 2) or blocks.shape[-1] != code.n:
+        raise CodewordLengthError(
+            f"{code.name}: expected {code.n}-bit blocks, got shape {blocks.shape}"
+        )
+    result = code.decode_batch_packed(pack_bits(np.atleast_2d(blocks)))
+    codewords = unpack_bits(result.corrected_words, code.n)
+    batch = BatchDecodeResult(
+        message_bits=codewords[:, : code.k],
+        corrected_codewords=codewords,
+        detected_error=result.detected_error,
+        corrected=result.corrected,
+        failure=result.failure,
+    )
+    return batch if blocks.ndim == 2 else batch[0]
+
+
+# ---------------------------------------------------------------------- references
+def encode_reference(code, messages) -> np.ndarray:
+    """Codewords of ``(..., k)`` message bits as one GF(2) generator product."""
+    bits = as_gf2(messages)
+    if isinstance(code, UncodedScheme):
+        return bits.copy()
+    return (bits.astype(np.int64) @ code.generator_matrix.astype(np.int64) % 2).astype(np.uint8)
+
+
+def decode_block_reference(code, received_bits) -> DecodeResult:
     """Decode one block with the scalar reference decoder of ``code``'s family."""
     received = as_gf2(received_bits).ravel()
     if received.size != code.n:
@@ -82,25 +166,23 @@ def decode_block_reference(code, received_bits, *, strict: bool = False) -> Deco
             f"{code.name}: expected a {code.n}-bit block, got {received.size} bits"
         )
     if isinstance(code, BCHCode):
-        return _bch_reference(code, received, strict=strict)
+        return _bch_reference(code, received)
     if isinstance(code, ExtendedHammingCode):
-        return _secded_reference(code, received, strict=strict)
+        return _secded_reference(code, received)
     if isinstance(code, RepetitionCode):
         return _repetition_reference(code, received)
     if isinstance(code, UncodedScheme):
         return _unchanged(code, received, detected=False)
-    return _syndrome_table_reference(code, received, strict=strict)
+    return _syndrome_table_reference(code, received)
 
 
-def decode_blocks_scalar(code, blocks: np.ndarray, *, strict: bool = False) -> BatchDecodeResult:
+def decode_blocks_scalar(code, blocks: np.ndarray) -> BatchDecodeResult:
     """Per-block reference decoding of a validated ``(B, n)`` matrix.
 
     Covers the multi-word syndrome-key path of codes with more than 62
     parity bits too: the reference keys are Python integers of any width.
     """
-    return _assemble_batch(
-        code, [decode_block_reference(code, block, strict=strict) for block in blocks]
-    )
+    return _assemble_batch(code, [decode_block_reference(code, block) for block in blocks])
 
 
 def _assemble_batch(code, results: list[DecodeResult]) -> BatchDecodeResult:
@@ -141,20 +223,18 @@ def _fixed(code, corrected: np.ndarray) -> DecodeResult:
     )
 
 
-def _syndrome_table_reference(code, received: np.ndarray, *, strict: bool) -> DecodeResult:
+def _syndrome_table_reference(code, received: np.ndarray) -> DecodeResult:
     """Syndrome decoding with one dict probe of the code's syndrome table."""
     syndrome = code.syndrome(received)
     if not syndrome.any():
         return _unchanged(code, received, detected=False)
     error = code._syndrome_dict().get(code._syndrome_key(syndrome))
     if error is None:
-        if strict:
-            raise DecodingFailure(f"{code.name}: uncorrectable syndrome {syndrome.tolist()}")
         return _unchanged(code, received, detected=True, failure=True)
     return _fixed(code, received ^ error)
 
 
-def _secded_reference(code, received: np.ndarray, *, strict: bool) -> DecodeResult:
+def _secded_reference(code, received: np.ndarray) -> DecodeResult:
     """SECDED: correct single errors, flag double errors.
 
     The overall parity bit tells odd-weight error patterns (a single error
@@ -174,12 +254,10 @@ def _secded_reference(code, received: np.ndarray, *, strict: bool) -> DecodeResu
     if not overall_parity_ok:
         # Odd-weight error: trust the inner Hamming correction, then
         # recompute the parity bit so the corrected word is a codeword.
-        inner_result = _syndrome_table_reference(code._inner, inner_block, strict=False)
+        inner_result = _syndrome_table_reference(code._inner, inner_block)
         corrected = np.concatenate([inner_result.corrected_codeword, received[-1:]])
         corrected[-1] = np.uint8(int(corrected[:-1].sum()) % 2)
         return _fixed(code, corrected)
-    if strict:
-        raise DecodingFailure(f"{code.name}: double error detected")
     return _unchanged(code, received, detected=True, failure=True)
 
 
@@ -214,7 +292,7 @@ def bch_codeword_polynomial(code: BCHCode, received: np.ndarray) -> List[int]:
     return coefficients
 
 
-def _bch_reference(code: BCHCode, received: np.ndarray, *, strict: bool) -> DecodeResult:
+def _bch_reference(code: BCHCode, received: np.ndarray) -> DecodeResult:
     """Horner-evaluated syndromes, then Berlekamp–Massey and a Chien search."""
     field = code.field
     poly = bch_codeword_polynomial(code, received)
@@ -227,8 +305,6 @@ def _bch_reference(code: BCHCode, received: np.ndarray, *, strict: bool) -> Deco
     locator = _berlekamp_massey(code, syndromes)
     error_positions = _chien_search(code, locator)
     if error_positions is None or len(error_positions) != len(locator) - 1:
-        if strict:
-            raise DecodingFailure(f"{code.name}: uncorrectable error pattern")
         return _unchanged(code, received, detected=True, failure=True)
     corrected = received.copy()
     num_parity = code.n - code.k
@@ -306,6 +382,38 @@ def _chien_search(code: BCHCode, locator: List[int]) -> List[int] | None:
     if len(positions) != degree:
         return None
     return positions
+
+
+# ---------------------------------------------------------------------- CRC
+def crc_checksum_reference(crc, bits) -> np.ndarray:
+    """Bit-serial CRC remainder of a bit vector (MSB first), one shift per bit."""
+    stream = as_gf2(bits).ravel()
+    width, polynomial = crc.width, crc.polynomial
+    register = 0
+    mask = (1 << width) - 1
+    top_bit = 1 << (width - 1)
+    for bit in stream:
+        feedback = ((register & top_bit) >> (width - 1)) ^ int(bit)
+        register = (register << 1) & mask
+        if feedback:
+            register ^= polynomial
+    return np.array([(register >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+
+
+def crc_append_reference(crc, bits) -> np.ndarray:
+    """The message followed by its bit-serial CRC bits."""
+    stream = as_gf2(bits).ravel()
+    return np.concatenate([stream, crc_checksum_reference(crc, stream)])
+
+
+def crc_verify_reference(crc, bits_with_crc) -> bool:
+    """Check a message+CRC vector bit-serially; True when no error is detected."""
+    stream = as_gf2(bits_with_crc).ravel()
+    if stream.size <= crc.width:
+        raise CodewordLengthError("received vector shorter than the CRC itself")
+    return bool(
+        np.array_equal(crc_checksum_reference(crc, stream[: -crc.width]), stream[-crc.width :])
+    )
 
 
 # ---------------------------------------------------------------------- GF(2)

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from coding.oracle import bch_codeword_polynomial, decode_block, gf_divide, gf_poly_eval
+from coding.oracle import (
+    bch_codeword_polynomial,
+    decode_packed,
+    encode_reference,
+    gf_divide,
+    gf_poly_eval,
+)
 
 from repro.coding.bch import BCHCode
 from repro.coding.galois import GaloisField
+from repro.coding.packed import pack_bits, unpack_bits
 from repro.exceptions import ConfigurationError
 
 
@@ -96,50 +103,51 @@ class TestBCHCode:
     def test_single_error_correction(self, rng):
         code = BCHCode(4, 2)
         message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         for position in range(code.n):
             corrupted = codeword.copy()
             corrupted[position] ^= 1
-            result = decode_block(code, corrupted)
+            result = decode_packed(code, corrupted)
             assert result.corrected, f"failed at position {position}"
             assert np.array_equal(result.message_bits, message)
 
     def test_double_error_correction(self, rng):
         code = BCHCode(4, 2)
         message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         for first in range(0, code.n, 3):
             for second in range(first + 1, code.n, 4):
                 corrupted = codeword.copy()
                 corrupted[first] ^= 1
                 corrupted[second] ^= 1
-                result = decode_block(code, corrupted)
+                result = decode_packed(code, corrupted)
                 assert np.array_equal(result.message_bits, message), (first, second)
 
     def test_double_error_correction_on_larger_code(self, rng):
         code = BCHCode(6, 2)
         message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         for _ in range(15):
             positions = rng.choice(code.n, size=2, replace=False)
             corrupted = codeword.copy()
             corrupted[positions] ^= 1
-            result = decode_block(code, corrupted)
+            result = decode_packed(code, corrupted)
             assert np.array_equal(result.message_bits, message)
 
     def test_error_free_block_is_untouched(self, rng):
         code = BCHCode(4, 2)
-        message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        result = decode_block(code, code.encode_block(message))
-        assert not result.detected_error
-        assert np.array_equal(result.message_bits, message)
+        message = rng.integers(0, 2, size=(1, code.k), dtype=np.uint8)
+        codeword = code.encode_batch_packed(pack_bits(message))
+        result = code.decode_batch_packed(codeword)
+        assert not result.detected_error.any()
+        assert np.array_equal(unpack_bits(result.corrected_words, code.n)[:, : code.k], message)
 
     def test_generator_polynomial_divides_codewords(self, rng):
         code = BCHCode(4, 2)
         # Every codeword evaluated at the BCH roots alpha^1..alpha^2t is zero.
         field = code.field
-        message = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        message = rng.integers(0, 2, size=(1, code.k), dtype=np.uint8)
+        codeword = unpack_bits(code.encode_batch_packed(pack_bits(message)), code.n)[0]
         poly = bch_codeword_polynomial(code, codeword)
         for exponent in range(1, 2 * code.t + 1):
             assert gf_poly_eval(field, poly, field.alpha_power(exponent)) == 0

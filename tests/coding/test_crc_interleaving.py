@@ -10,37 +10,44 @@ from repro.coding.interleaving import BlockInterleaver
 from repro.exceptions import CodewordLengthError, ConfigurationError
 
 
+def _frame(crc, message: np.ndarray) -> np.ndarray:
+    """One message row followed by its CRC bits, as a ``(1, L + width)`` batch."""
+    rows = message[np.newaxis, :]
+    return np.concatenate([rows, crc.checksum_batch_bits(rows)], axis=1)
+
+
 class TestCRC:
     def test_append_then_verify_succeeds(self, rng):
         crc = CyclicRedundancyCheck.from_name("crc16-ccitt")
         message = rng.integers(0, 2, size=120, dtype=np.uint8)
-        assert crc.verify(crc.append(message))
+        assert crc.verify_batch(_frame(crc, message)).all()
 
     def test_single_bit_error_is_detected(self, rng):
         crc = CyclicRedundancyCheck.from_name("crc8")
         message = rng.integers(0, 2, size=64, dtype=np.uint8)
-        framed = crc.append(message)
-        for position in range(framed.size):
-            corrupted = framed.copy()
-            corrupted[position] ^= 1
-            assert not crc.verify(corrupted), f"missed error at {position}"
+        framed = _frame(crc, message)
+        corrupted = np.repeat(framed, framed.shape[1], axis=0)
+        corrupted[np.diag_indices(framed.shape[1])] ^= 1
+        missed = np.nonzero(crc.verify_batch(corrupted))[0]
+        assert missed.size == 0, f"missed errors at {missed.tolist()}"
 
     def test_burst_errors_shorter_than_width_are_detected(self, rng):
         crc = CyclicRedundancyCheck.from_name("crc16-ccitt")
         message = rng.integers(0, 2, size=128, dtype=np.uint8)
-        framed = crc.append(message)
-        for start in range(0, framed.size - 16, 7):
-            corrupted = framed.copy()
-            corrupted[start : start + 13] ^= 1
-            assert not crc.verify(corrupted)
+        framed = _frame(crc, message)
+        starts = range(0, framed.shape[1] - 16, 7)
+        corrupted = np.repeat(framed, len(starts), axis=0)
+        for row, start in enumerate(starts):
+            corrupted[row, start : start + 13] ^= 1
+        assert not crc.verify_batch(corrupted).any()
 
     def test_checksum_width(self):
         crc = CyclicRedundancyCheck(8, 0x07)
-        assert crc.checksum(np.ones(10, dtype=np.uint8)).size == 8
+        assert crc.checksum_batch_bits(np.ones((1, 10), dtype=np.uint8)).shape == (1, 8)
 
     def test_zero_message_has_zero_crc(self):
         crc = CyclicRedundancyCheck(8, 0x07)
-        assert not crc.checksum(np.zeros(32, dtype=np.uint8)).any()
+        assert not crc.checksum_batch_bits(np.zeros((1, 32), dtype=np.uint8)).any()
 
     def test_known_crcs_constructible(self):
         for name in ("crc4-itu", "crc8", "crc8-maxim", "crc16-ccitt", "crc16-ibm", "crc32"):
@@ -62,7 +69,7 @@ class TestCRC:
     def test_verify_rejects_short_input(self):
         crc = CyclicRedundancyCheck(8, 0x07)
         with pytest.raises(CodewordLengthError):
-            crc.verify(np.zeros(8, dtype=np.uint8))
+            crc.verify_batch(np.zeros((1, 8), dtype=np.uint8))
 
 
 class TestBlockInterleaver:

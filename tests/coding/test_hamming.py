@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
-from coding.oracle import decode_block
+from coding.oracle import decode_packed, encode_reference
 
 from repro.coding.hamming import (
     HammingCode,
     ShortenedHammingCode,
     hamming_parameters_for_message_length,
 )
-from repro.exceptions import CodewordLengthError, ConfigurationError
+from repro.coding.packed import pack_bits, popcount_rows, unpack_bits
+from repro.exceptions import ConfigurationError
 
 
 class TestHammingParameters:
@@ -54,24 +57,23 @@ class TestHammingParameters:
 class TestHammingEncodingDecoding:
     def test_zero_message_maps_to_zero_codeword(self):
         code = HammingCode(3)
-        assert not code.encode_block(np.zeros(4, dtype=np.uint8)).any()
+        assert not code.encode_batch_packed(np.zeros((1, 1), dtype=np.uint64)).any()
 
     def test_round_trip_without_errors(self, rng):
         code = HammingCode(3)
-        for _ in range(20):
-            message = rng.integers(0, 2, size=4, dtype=np.uint8)
-            result = decode_block(code, code.encode_block(message))
-            assert np.array_equal(result.message_bits, message)
-            assert not result.detected_error
+        messages = rng.integers(0, 2, size=(20, 4), dtype=np.uint8)
+        result = code.decode_batch_packed(code.encode_batch_packed(pack_bits(messages)))
+        assert np.array_equal(unpack_bits(result.corrected_words, code.n)[:, : code.k], messages)
+        assert not result.detected_error.any()
 
     def test_corrects_every_single_bit_error(self, rng):
         code = HammingCode(3)
         message = rng.integers(0, 2, size=4, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         for position in range(code.n):
             corrupted = codeword.copy()
             corrupted[position] ^= 1
-            result = decode_block(code, corrupted)
+            result = decode_packed(code, corrupted)
             assert result.corrected
             assert np.array_equal(result.message_bits, message)
             assert np.array_equal(result.corrected_codeword, codeword)
@@ -81,39 +83,19 @@ class TestHammingEncodingDecoding:
         # different codeword (this is why Eq. 2 has the (n-1)p^2 behaviour).
         code = HammingCode(3)
         message = rng.integers(0, 2, size=4, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         corrupted = codeword.copy()
         corrupted[0] ^= 1
         corrupted[5] ^= 1
-        result = decode_block(code, corrupted)
+        result = decode_packed(code, corrupted)
         assert result.detected_error
         assert not np.array_equal(result.corrected_codeword, codeword)
         assert not code.syndrome(result.corrected_codeword).any()
 
-    def test_stream_encode_decode(self, rng):
-        code = HammingCode(3)
-        stream = rng.integers(0, 2, size=4 * 10, dtype=np.uint8)
-        encoded = code.encode(stream)
-        assert encoded.size == 7 * 10
-        assert np.array_equal(code.decode(encoded), stream)
-
-    def test_stream_length_validation(self):
-        code = HammingCode(3)
-        with pytest.raises(CodewordLengthError):
-            code.encode(np.zeros(5, dtype=np.uint8))
-        with pytest.raises(CodewordLengthError):
-            code.decode(np.zeros(8, dtype=np.uint8))
-
-    def test_block_length_validation(self):
-        code = HammingCode(3)
-        with pytest.raises(CodewordLengthError):
-            code.encode_block(np.zeros(5, dtype=np.uint8))
-        with pytest.raises(CodewordLengthError):
-            decode_block(code, np.zeros(6, dtype=np.uint8))
-
     def test_all_codewords_have_weight_zero_or_at_least_three(self):
         code = HammingCode(3)
-        weights = {int(cw.code_bits.sum()) for cw in code.codewords()}
+        messages = np.array(list(product((0, 1), repeat=code.k)), dtype=np.uint8)
+        weights = set(popcount_rows(code.encode_batch_packed(pack_bits(messages))).tolist())
         assert 1 not in weights
         assert 2 not in weights
 
@@ -133,11 +115,11 @@ class TestShortenedHamming:
     def test_round_trip_and_single_error_correction(self, rng):
         code = ShortenedHammingCode(64)
         message = rng.integers(0, 2, size=64, dtype=np.uint8)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         for position in rng.choice(code.n, size=12, replace=False):
             corrupted = codeword.copy()
             corrupted[position] ^= 1
-            result = decode_block(code, corrupted)
+            result = decode_packed(code, corrupted)
             assert result.corrected
             assert np.array_equal(result.message_bits, message)
 

@@ -1,21 +1,30 @@
-"""Packed/unpacked bit-exact equivalence of the uint64 substrate.
+"""Packed coding, channel and fault paths against the per-bit test oracles.
 
-The packed pipeline (``encode_batch_packed`` / packed channel masks /
-packed fault masks / ``decode_batch_packed``) must reproduce the unpacked
-batch pipeline bit-exactly: for every registry code, crossed with the
-OOK/AWGN channel and both fault-injection models under a fixed seed,
-the decoded ``message_bits`` and the ``corrected`` / ``failure`` flags must
-be identical.  The batch Berlekamp–Massey + Chien decoder is additionally
-pinned against the scalar per-block reference at raw BERs high enough to
-exercise beyond-``t`` failure patterns, and the table-driven batch CRC is
-pinned against the bit-serial reference.
+The packed pipeline (``encode_batch_packed`` / packed channel decisions /
+packed fault masks / ``decode_batch_packed``) is the only coding API.  For
+every registry code it must reproduce the independent references
+bit-exactly: the generator product and the per-block reference decoders of
+``tests/coding/oracle.py`` (corrected codewords, messages and the
+detected/corrected/failure flags), the per-bit channel of
+``tests/channel/oracle.py`` and the flip patterns of
+``tests/simulation/oracle.py`` under a fixed seed.  The batch
+Berlekamp–Massey + Chien decoder is additionally pinned against the scalar
+reference at raw BERs high enough to exercise beyond-``t`` failure
+patterns, and the table-driven batch CRC against the bit-serial reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from coding.oracle import decode_block_reference
+from channel.oracle import transmit_reference
+from coding.oracle import (
+    crc_checksum_reference,
+    crc_verify_reference,
+    decode_blocks_scalar,
+    encode_reference,
+)
+from simulation.oracle import independent_error_pattern_reference
 
 from repro.channel.awgn import OOKAWGNChannel
 from repro.coding.base import decode_blocks_packed, encode_blocks_packed
@@ -30,18 +39,42 @@ from repro.coding.packed import (
     words_per_block,
 )
 from repro.coding.registry import available_codes, get_code
+from repro.exceptions import CodewordLengthError
 from repro.simulation.faults import BurstErrorModel, IndependentErrorModel
 
 
+# Deterministic per-code seeds (hash() is salted across interpreter runs).
 def _seed(name: str) -> int:
     return sum(name.encode()) * 6011
 
 
 def _corrupted_batch(code, rng, num_blocks=96, mean_errors=1.6):
+    """Messages, codewords and a received matrix; mean ~1.6 errors/block by default.
+
+    That mix exercises the clean, corrected and failure paths.
+    """
     messages = rng.integers(0, 2, size=(num_blocks, code.k), dtype=np.uint8)
-    codewords = code.encode_batch(messages)
+    codewords = encode_reference(code, messages)
     flips = (rng.random((num_blocks, code.n)) < mean_errors / code.n).astype(np.uint8)
     return messages, codewords, codewords ^ flips
+
+
+def _error_pattern(model, num_bits: int) -> np.ndarray:
+    """The unpacked flip vector of either fault model (oracle or burst scan)."""
+    if isinstance(model, IndependentErrorModel):
+        return independent_error_pattern_reference(model, num_bits)
+    return model.error_pattern(num_bits)
+
+
+def _assert_matches_reference(code, received: np.ndarray):
+    """The packed decode of ``received`` equals the per-block reference, field by field."""
+    result = decode_blocks_packed(code, pack_bits(received))
+    reference = decode_blocks_scalar(code, received)
+    assert result.corrected_words.dtype == np.uint64
+    assert np.array_equal(result.corrected_words, pack_bits(reference.corrected_codewords))
+    for field in ("detected_error", "corrected", "failure"):
+        assert np.array_equal(getattr(result, field), getattr(reference, field)), field
+    return reference
 
 
 # --------------------------------------------------------------------- substrate
@@ -86,68 +119,72 @@ class TestPackedSubstrate:
 # ------------------------------------------------------------- coding equivalence
 @pytest.mark.parametrize("name", available_codes())
 class TestPackedCodingEquivalence:
-    def test_encode_batch_packed_matches_unpacked(self, name):
+    def test_encode_batch_packed_matches_generator_product(self, name):
         code = get_code(name)
         rng = np.random.default_rng(_seed(name))
         messages = rng.integers(0, 2, size=(64, code.k), dtype=np.uint8)
-        unpacked = code.encode_batch(messages)
         packed = encode_blocks_packed(code, pack_bits(messages))
         assert packed.dtype == np.uint64
-        assert np.array_equal(unpack_bits(packed, code.n), unpacked)
+        assert np.array_equal(unpack_bits(packed, code.n), encode_reference(code, messages))
 
-    def test_decode_batch_packed_matches_unpacked(self, name):
+    def test_decode_batch_packed_matches_reference_on_corrupted_blocks(self, name):
         code = get_code(name)
         rng = np.random.default_rng(_seed(name) + 1)
         _, _, received = _corrupted_batch(code, rng)
-        unpacked = code.decode_batch(received)
-        packed = decode_blocks_packed(code, pack_bits(received)).unpack()
-        assert np.array_equal(packed.message_bits, unpacked.message_bits)
-        assert np.array_equal(packed.corrected_codewords, unpacked.corrected_codewords)
-        assert np.array_equal(packed.detected_error, unpacked.detected_error)
-        assert np.array_equal(packed.corrected, unpacked.corrected)
-        assert np.array_equal(packed.failure, unpacked.failure)
+        _assert_matches_reference(code, received)
+
+    def test_single_block_batches_match_reference(self, name):
+        code = get_code(name)
+        rng = np.random.default_rng(_seed(name) + 2)
+        _, _, received = _corrupted_batch(code, rng, num_blocks=32)
+        for block in received:
+            _assert_matches_reference(code, block[np.newaxis, :])
+
+    def test_clean_batch_decodes_to_the_messages(self, name):
+        code = get_code(name)
+        rng = np.random.default_rng(_seed(name) + 3)
+        messages, codewords, _ = _corrupted_batch(code, rng, num_blocks=48)
+        result = decode_blocks_packed(code, pack_bits(codewords))
+        assert np.array_equal(unpack_bits(result.corrected_words, code.n)[:, : code.k], messages)
+        assert not result.detected_error.any()
+        assert result.num_failures == 0
 
     def test_empty_batch_round_trips_through_the_packed_dispatchers(self, name):
         # Zero blocks once crashed the batched decode of an empty transfer.
         code = get_code(name)
         words = encode_blocks_packed(code, pack_bits(np.zeros((0, code.k), dtype=np.uint8)))
-        assert words.shape[0] == 0
-        result = decode_blocks_packed(code, words).unpack()
+        assert words.shape == (0, words_per_block(code.n))
+        result = decode_blocks_packed(code, words)
         assert len(result) == 0
-        assert result.message_bits.shape == (0, code.k)
+        assert result.corrected_words.shape == (0, words_per_block(code.n))
         assert not result.failure.any()
 
     def test_channel_pipeline_bit_exact(self, name):
-        """Same seed -> packed and unpacked channel pipelines agree bit-exactly."""
+        """Same seed -> the packed channel makes the per-bit reference's decisions."""
         code = get_code(name)
         rng = np.random.default_rng(_seed(name) + 2)
         messages = rng.integers(0, 2, size=(48, code.k), dtype=np.uint8)
-        codewords = code.encode_batch(messages)
+        codewords = encode_reference(code, messages)
 
         def make_channel(seed):
             return OOKAWGNChannel(
                 2e-5, crosstalk_power_w=1e-6, rng=np.random.default_rng(seed)
             )
 
-        unpacked_channel = make_channel(_seed(name) + 3)
-        packed_channel = make_channel(_seed(name) + 3)
-        received = unpacked_channel.transmit_batch(codewords)
-        received_words = packed_channel.transmit_batch_packed(pack_bits(codewords), n=code.n)
+        received = transmit_reference(make_channel(_seed(name) + 3), codewords)
+        received_words = make_channel(_seed(name) + 3).transmit_batch_packed(
+            pack_bits(codewords), n=code.n
+        )
         assert np.array_equal(pack_bits(received), received_words)
-
-        unpacked = code.decode_batch(received)
-        packed = decode_blocks_packed(code, received_words).unpack()
-        assert np.array_equal(packed.message_bits, unpacked.message_bits)
-        assert np.array_equal(packed.corrected, unpacked.corrected)
-        assert np.array_equal(packed.failure, unpacked.failure)
+        _assert_matches_reference(code, received)
 
     @pytest.mark.parametrize("model_kind", ["independent", "burst"])
     def test_fault_model_pipeline_bit_exact(self, name, model_kind):
-        """Same seed -> packed and unpacked fault injection agree bit-exactly."""
+        """Same seed -> the packed fault mask flips the reference pattern's bits."""
         code = get_code(name)
         rng = np.random.default_rng(_seed(name) + 4)
         messages = rng.integers(0, 2, size=(48, code.k), dtype=np.uint8)
-        codewords = code.encode_batch(messages)
+        codewords = encode_reference(code, messages)
 
         def make_model(seed):
             if model_kind == "independent":
@@ -160,17 +197,38 @@ class TestPackedCodingEquivalence:
                 rng=np.random.default_rng(seed),
             )
 
-        corrupted = make_model(_seed(name) + 5).apply(codewords)
+        pattern = _error_pattern(make_model(_seed(name) + 5), codewords.size)
+        corrupted = codewords ^ pattern.reshape(codewords.shape)
         corrupted_words = pack_bits(codewords) ^ make_model(_seed(name) + 5).error_mask_packed(
             codewords.shape[0], n=code.n
         )
         assert np.array_equal(pack_bits(corrupted), corrupted_words)
+        _assert_matches_reference(code, corrupted)
 
-        unpacked = code.decode_batch(corrupted)
-        packed = decode_blocks_packed(code, corrupted_words).unpack()
-        assert np.array_equal(packed.message_bits, unpacked.message_bits)
-        assert np.array_equal(packed.corrected, unpacked.corrected)
-        assert np.array_equal(packed.failure, unpacked.failure)
+
+@pytest.mark.parametrize("name", available_codes())
+class TestPackedAPIValidation:
+    def test_encode_rejects_a_wrong_word_count(self, name):
+        code = get_code(name)
+        with pytest.raises(CodewordLengthError):
+            code.encode_batch_packed(np.zeros((3, words_per_block(code.k) + 1), dtype=np.uint64))
+
+    def test_decode_rejects_a_wrong_word_count(self, name):
+        code = get_code(name)
+        with pytest.raises(CodewordLengthError):
+            code.decode_batch_packed(np.zeros((3, words_per_block(code.n) + 1), dtype=np.uint64))
+
+    def test_decode_rejects_one_dimensional_input(self, name):
+        code = get_code(name)
+        with pytest.raises(CodewordLengthError):
+            code.decode_batch_packed(np.zeros(words_per_block(code.n), dtype=np.uint64))
+
+    def test_encode_and_decode_reject_unpacked_bits(self, name):
+        code = get_code(name)
+        with pytest.raises(CodewordLengthError):
+            code.encode_batch_packed(np.zeros((3, words_per_block(code.k)), dtype=np.uint8))
+        with pytest.raises(CodewordLengthError):
+            code.decode_batch_packed(np.zeros((3, words_per_block(code.n)), dtype=np.int64))
 
 
 class TestPackedErrorMasks:
@@ -181,7 +239,7 @@ class TestPackedErrorMasks:
                 return IndependentErrorModel(0.01, rng=np.random.default_rng(seed))
             return BurstErrorModel(rng=np.random.default_rng(seed))
 
-        pattern = make_model(31).error_pattern(64 * 71)
+        pattern = _error_pattern(make_model(31), 64 * 71)
         mask = make_model(31).error_mask_packed(64, n=71)
         assert np.array_equal(pack_bits(pattern.reshape(64, 71)), mask)
 
@@ -216,27 +274,16 @@ class TestBatchBerlekampMassey:
         # Mean t + 1.5 errors/block guarantees a healthy mix of clean,
         # correctable and beyond-capability (failure) patterns.
         _, _, received = _corrupted_batch(code, rng, num_blocks=256, mean_errors=t + 1.5)
-        batch = code.decode_batch(received)
-        failures = 0
-        for index, block in enumerate(received):
-            reference = decode_block_reference(code, block)
-            assert np.array_equal(batch.message_bits[index], reference.message_bits), index
-            assert np.array_equal(
-                batch.corrected_codewords[index], reference.corrected_codeword
-            ), index
-            assert bool(batch.detected_error[index]) == reference.detected_error, index
-            assert bool(batch.corrected[index]) == reference.corrected, index
-            assert bool(batch.failure[index]) == reference.failure, index
-            failures += int(reference.failure)
-        assert failures > 0, "workload never exceeded the correction capability"
+        reference = _assert_matches_reference(code, received)
+        assert reference.failure.any(), "workload never exceeded the correction capability"
 
     def test_clean_blocks_decode_clean(self, parameters):
         m, t = parameters
         code = BCHCode(m, t)
         rng = np.random.default_rng(m * 200 + t)
         messages = rng.integers(0, 2, size=(32, code.k), dtype=np.uint8)
-        result = code.decode_batch(code.encode_batch(messages))
-        assert np.array_equal(result.message_bits, messages)
+        result = code.decode_batch_packed(code.encode_batch_packed(pack_bits(messages)))
+        assert np.array_equal(unpack_bits(result.corrected_words, code.n)[:, : code.k], messages)
         assert not result.detected_error.any()
 
 
@@ -249,29 +296,29 @@ class TestBatchCRC:
         for length in (1, 5, 8, 13, 512, 529):
             messages = rng.integers(0, 2, size=(23, length), dtype=np.uint8)
             batch = crc.checksum_batch_bits(messages)
-            scalar = np.stack([crc.checksum(message) for message in messages])
+            scalar = np.stack([crc_checksum_reference(crc, message) for message in messages])
             assert np.array_equal(batch, scalar), length
 
-    def test_batch_reduces_integer_entries_modulo_two_like_the_scalar_path(self, crc_name):
+    def test_batch_reduces_integer_entries_modulo_two_like_the_bit_serial_reference(self, crc_name):
         crc = CyclicRedundancyCheck.from_name(crc_name)
         rng = np.random.default_rng(sum(crc_name.encode()) + 2)
         fixed = np.array([[0, 1, 2, 1, 0, 1, 1, 0]])
         for messages in (fixed, rng.integers(-3, 4, size=(23, 37))):
             batch = crc.checksum_batch_bits(messages)
-            scalar = np.stack([crc.checksum(message) for message in messages])
+            scalar = np.stack([crc_checksum_reference(crc, message) for message in messages])
             assert np.array_equal(batch, scalar)
             protected = np.concatenate([messages, batch], axis=1)
             protected[:, -1] += 2
             assert crc.verify_batch(protected).all()
-            assert all(crc.verify(row) for row in protected)
+            assert all(crc_verify_reference(crc, row) for row in protected)
 
     def test_empty_message_matches_bit_serial_zero_register(self, crc_name):
         crc = CyclicRedundancyCheck.from_name(crc_name)
         batch = crc.checksum_batch_bits(np.zeros((3, 0), dtype=np.uint8))
-        scalar = crc.checksum(np.zeros(0, dtype=np.uint8))
+        scalar = crc_checksum_reference(crc, np.zeros(0, dtype=np.uint8))
         assert np.array_equal(batch, np.tile(scalar, (3, 1)))
 
-    def test_verify_batch_matches_scalar_verify(self, crc_name):
+    def test_verify_batch_matches_bit_serial_verify(self, crc_name):
         crc = CyclicRedundancyCheck.from_name(crc_name)
         rng = np.random.default_rng(sum(crc_name.encode()) + 1)
         messages = rng.integers(0, 2, size=(40, 96), dtype=np.uint8)
@@ -279,6 +326,6 @@ class TestBatchCRC:
         flips = (rng.random(protected.shape) < 0.02).astype(np.uint8)
         corrupted = protected ^ flips
         batch = crc.verify_batch(corrupted)
-        scalar = np.array([crc.verify(row) for row in corrupted])
+        scalar = np.array([crc_verify_reference(crc, row) for row in corrupted])
         assert np.array_equal(batch, scalar)
         assert crc.verify_batch(protected).all()

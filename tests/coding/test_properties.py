@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from coding.oracle import decode_block
+from coding.oracle import decode_packed, encode_reference
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.crc import CyclicRedundancyCheck
 from repro.coding.extended_hamming import ExtendedHammingCode
 from repro.coding.hamming import HammingCode, ShortenedHammingCode
 from repro.coding.interleaving import BlockInterleaver
+from repro.coding.packed import pack_bits, unpack_bits
 from repro.coding.theory import hamming_output_ber, output_ber, raw_ber_for_target_output_ber
 from repro.coding.uncoded import UncodedScheme
 
@@ -26,39 +27,39 @@ class TestHammingProperties:
     @given(message=_message(4))
     def test_encode_decode_identity_h74(self, message):
         code = HammingCode(3)
-        result = decode_block(code, code.encode_block(message))
-        assert np.array_equal(result.message_bits, message)
+        codeword = code.encode_batch_packed(pack_bits(message[np.newaxis, :]))
+        result = code.decode_batch_packed(codeword)
+        assert np.array_equal(unpack_bits(result.corrected_words, code.n)[0, : code.k], message)
 
     @given(message=_message(4), position=st.integers(min_value=0, max_value=6))
     def test_single_error_always_corrected_h74(self, message, position):
         code = HammingCode(3)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         codeword[position] ^= 1
-        result = decode_block(code, codeword)
+        result = decode_packed(code, codeword)
         assert np.array_equal(result.message_bits, message)
 
     @given(message=_message(11))
     def test_encode_is_linear_h1511(self, message):
         code = HammingCode(4)
-        zero = np.zeros(11, dtype=np.uint8)
+        words = code.encode_batch_packed(pack_bits(message[np.newaxis, :]))
+        zero = code.encode_batch_packed(np.zeros_like(pack_bits(message[np.newaxis, :])))
         # c(m) + c(0) == c(m) because encoding is linear and c(0) = 0.
-        assert np.array_equal(
-            code.encode_block(message) ^ code.encode_block(zero), code.encode_block(message)
-        )
+        assert np.array_equal(words ^ zero, words)
 
     @given(a=_message(4), b=_message(4))
     def test_sum_of_codewords_is_a_codeword(self, a, b):
         code = HammingCode(3)
-        combined = code.encode_block(a) ^ code.encode_block(b)
-        assert not code.syndrome(combined).any()
+        combined = code.encode_batch_packed(pack_bits(np.stack([a, b])))
+        assert not code.syndrome(unpack_bits(combined[:1] ^ combined[1:], code.n)[0]).any()
 
     @settings(max_examples=25)
     @given(message=_message(64), position=st.integers(min_value=0, max_value=70))
     def test_single_error_always_corrected_h7164(self, message, position):
         code = ShortenedHammingCode(64)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         codeword[position] ^= 1
-        result = decode_block(code, codeword)
+        result = decode_packed(code, codeword)
         assert np.array_equal(result.message_bits, message)
 
 
@@ -71,11 +72,11 @@ class TestSecdedProperties:
     )
     def test_double_errors_never_silently_accepted(self, message, first, second):
         code = ExtendedHammingCode(16)
-        codeword = code.encode_block(message)
+        codeword = encode_reference(code, message)
         corrupted = codeword.copy()
         corrupted[first] ^= 1
         corrupted[second] ^= 1
-        result = decode_block(code, corrupted)
+        result = decode_packed(code, corrupted)
         if first == second:
             assert np.array_equal(result.message_bits, message)
         else:
@@ -86,7 +87,7 @@ class TestUncodedProperties:
     @given(message=_message(16))
     def test_identity(self, message):
         scheme = UncodedScheme(16)
-        assert np.array_equal(decode_block(scheme, message).message_bits, message)
+        assert np.array_equal(decode_packed(scheme, message).message_bits, message)
 
 
 class TestInterleaverProperties:
@@ -106,9 +107,9 @@ class TestCRCProperties:
     @given(message=_message(40), position=st.integers(min_value=0, max_value=47))
     def test_any_single_bit_flip_detected(self, message, position):
         crc = CyclicRedundancyCheck.from_name("crc8")
-        framed = crc.append(message)
+        framed = np.concatenate([message, crc.checksum_batch_bits(message[np.newaxis, :])[0]])
         framed[position] ^= 1
-        assert not crc.verify(framed)
+        assert not crc.verify_batch(framed[np.newaxis, :])[0]
 
 
 class TestTheoryProperties:

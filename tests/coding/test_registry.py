@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coding.galois import get_field
 from repro.coding.registry import available_codes, get_code, paper_code_set, register_code
 from repro.exceptions import ConfigurationError
 
@@ -86,19 +87,17 @@ class TestRegistration:
 
         inner = HammingCode(3)
 
-        class UnpackedOnlyCode:
-            """Duck-typed code with the unpacked batch API only."""
+        class ContractlessCode:
+            """Duck-typed code with its dimensions but no coding methods."""
 
             n = inner.n
             k = inner.k
-            encode_batch = staticmethod(inner.encode_batch)
-            decode_batch = staticmethod(inner.decode_batch)
 
-        class EncodeOnlyCode(UnpackedOnlyCode):
+        class EncodeOnlyCode(ContractlessCode):
             encode_batch_packed = staticmethod(inner.encode_batch_packed)
 
         try:
-            register_code("unpacked-only-code", UnpackedOnlyCode, overwrite=True)
+            register_code("unpacked-only-code", ContractlessCode, overwrite=True)
             with pytest.raises(ConfigurationError, match="encode_batch_packed, decode_batch_packed"):
                 get_code("unpacked-only-code")
             register_code("unpacked-only-code", EncodeOnlyCode, overwrite=True)
@@ -124,3 +123,13 @@ class TestPaperCodeSet:
         assert uncoded.communication_time_overhead == pytest.approx(1.0)
         assert h71.communication_time_overhead == pytest.approx(1.109, abs=1e-3)
         assert h74.communication_time_overhead == pytest.approx(1.75)
+
+
+class TestConstructionMemoization:
+    def test_registry_lookups_share_instances(self):
+        assert get_code("H(71,64)") is get_code("h(71, 64)")
+        assert get_code("BCH(6,2)") is get_code("bch(6,2)")
+
+    def test_galois_fields_are_memoized(self):
+        assert get_field(6) is get_field(6)
+        assert get_field(6) is not get_field(7)

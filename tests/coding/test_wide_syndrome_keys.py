@@ -3,7 +3,7 @@
 The packed decoder used to key syndromes into a single ``int64``, silently
 dropping any code with more than 62 parity bits onto the per-block scalar
 reference (a ~10x cliff).  Wide codes now key through the packed words of the
-syndrome itself; these tests pin the batch/packed decoders bit-exactly to the
+syndrome itself; these tests pin the packed decoder bit-exactly to the
 scalar reference across that boundary.
 """
 
@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from coding.oracle import decode_blocks_scalar
+from coding.oracle import decode_blocks_scalar, decode_packed, encode_reference
 
 from repro.coding.base import LinearBlockCode
-from repro.coding.packed import pack_bits, unpack_bits
-from repro.exceptions import DecodingFailure
+from repro.coding.packed import pack_bits
 
 
 def _wide_code(k: int, n: int, seed: int) -> LinearBlockCode:
     """A systematic code with a dense pseudo-random parity block.
 
     ``minimum_distance=3`` engages the single-error syndrome table, which is
-    all the base machinery builds; the tests only require scalar/batch
+    all the base machinery builds; the tests only require scalar/packed
     equivalence, not optimal codes.
     """
     rng = np.random.default_rng(seed)
@@ -46,7 +45,7 @@ def test_wide_codes_decode_without_scalar_fallback(k, n):
     assert code.num_parity_bits > 62
     rng = np.random.default_rng(7)
     messages = rng.integers(0, 2, size=(96, k), dtype=np.uint8)
-    codewords = code.encode_batch(messages)
+    codewords = encode_reference(code, messages)
     # A mix of clean blocks, single-bit errors (correctable) and heavier
     # patterns (beyond-capability failures).
     received = codewords.copy()
@@ -57,41 +56,37 @@ def test_wide_codes_decode_without_scalar_fallback(k, n):
         received[row, flips] ^= 1
 
     reference = decode_blocks_scalar(code, received)
-    batch = code.decode_batch(received)
-    packed = code.decode_batch_packed(pack_bits(received))
+    packed = decode_packed(code, received)
 
-    assert np.array_equal(batch.corrected_codewords, reference.corrected_codewords)
-    assert np.array_equal(batch.message_bits, reference.message_bits)
-    assert np.array_equal(batch.detected_error, reference.detected_error)
-    assert np.array_equal(batch.corrected, reference.corrected)
-    assert np.array_equal(batch.failure, reference.failure)
-    assert np.array_equal(
-        unpack_bits(packed.corrected_words, n), reference.corrected_codewords
-    )
+    assert np.array_equal(packed.corrected_codewords, reference.corrected_codewords)
+    assert np.array_equal(packed.message_bits, reference.message_bits)
+    assert np.array_equal(packed.detected_error, reference.detected_error)
+    assert np.array_equal(packed.corrected, reference.corrected)
     assert np.array_equal(packed.failure, reference.failure)
 
 
 def test_wide_code_single_bit_errors_all_corrected():
     code = _wide_code(8, 80, seed=11)
     message = np.ones(8, dtype=np.uint8)
-    codeword = code.encode_block(message)
+    codeword = encode_reference(code, message)
     received = np.tile(codeword, (code.n, 1))
     received[np.arange(code.n), np.arange(code.n)] ^= 1
-    result = code.decode_batch(received)
+    result = decode_packed(code, received)
     assert result.corrected.all()
     assert not result.failure.any()
     assert np.array_equal(result.message_bits, np.tile(message, (code.n, 1)))
 
 
-def test_wide_code_strict_raises_on_uncorrectable():
+def test_wide_code_flags_uncorrectable_without_raising():
     code = _wide_code(8, 80, seed=11)
-    codeword = code.encode_block(np.zeros(8, dtype=np.uint8))
-    received = codeword[np.newaxis, :].copy()
+    received = encode_reference(code, np.zeros((1, 8), dtype=np.uint8))
     received[0, :5] ^= 1  # weight-5 pattern: outside every table entry
-    if not code.decode_batch(received).failure[0]:
+    words = pack_bits(received)
+    result = code.decode_batch_packed(words)
+    if not result.failure[0]:
         pytest.skip("pattern aliased to a table syndrome for this generator")
-    with pytest.raises(DecodingFailure):
-        code.decode_batch(received, strict=True)
+    assert not result.corrected[0]
+    assert np.array_equal(result.corrected_words, words)
 
 
 def test_wide_code_all_clean_fast_path():

@@ -246,8 +246,6 @@ def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
         state.design_raw_ber = sim._raw_ber_for(configuration)
     if sim.transfer_timeout_s is not None:
         state.deadline_s = now_s + sim.transfer_timeout_s
-    pair = (request.source, request.destination)
-    run.active_pairs[pair] = run.active_pairs.get(pair, 0) + 1
     _schedule_attempt(sim, state, now_s, run)
 
 

@@ -881,9 +881,12 @@ class TestInstrumentationOverhead:
         ratios = []
         for _ in range(5):
             disabled = self._best_events_per_s(plain, requests)
-            with open(os.devnull, "w", encoding="utf-8") as sink:
-                with obs_metrics.collecting(), obs_tracing.tracing_to(sink):
+            with open(os.devnull, "w", encoding="utf-8") as sink, obs_metrics.collecting():
+                obs_tracing.enable_tracing(sink)
+                try:
                     enabled = self._best_events_per_s(instrumented, requests)
+                finally:
+                    obs_tracing.disable_tracing()
             ratios.append(enabled / disabled)
             if ratios[-1] >= self.FLOOR:
                 break

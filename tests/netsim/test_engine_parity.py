@@ -436,8 +436,12 @@ class TestInstrumentedParity:
         run = BACKENDS[backend]
         plain = run(NetworkSimulator(seed=11, **kwargs), iter(requests))
         sink = io.StringIO()
-        with obs_metrics.collecting() as registry, obs_tracing.tracing_to(sink):
-            instrumented = run(NetworkSimulator(seed=11, **kwargs), iter(requests))
+        with obs_metrics.collecting() as registry:
+            obs_tracing.enable_tracing(sink)
+            try:
+                instrumented = run(NetworkSimulator(seed=11, **kwargs), iter(requests))
+            finally:
+                obs_tracing.disable_tracing()
             snapshot = registry.snapshot()
         assert_identical(plain, instrumented)
         assert sink.getvalue()  # spans actually flowed

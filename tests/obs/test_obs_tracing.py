@@ -8,7 +8,7 @@ import os
 import time
 
 from repro.obs import tracing as obs_tracing
-from repro.obs.tracing import Tracer, tracing_to
+from repro.obs.tracing import Tracer
 
 
 def _records(sink: io.StringIO) -> list[dict]:
@@ -67,11 +67,14 @@ class TestActivation:
     def test_disabled_by_default(self):
         assert obs_tracing.ACTIVE is None
 
-    def test_tracing_to_scopes_restores_and_keeps_stream_open(self):
+    def test_enable_tracing_keeps_a_caller_owned_stream_open(self):
         sink = io.StringIO()
-        with tracing_to(sink) as tracer:
+        tracer = obs_tracing.enable_tracing(sink)
+        try:
             assert obs_tracing.ACTIVE is tracer
             tracer.emit("inside", 0.0)
+        finally:
+            obs_tracing.disable_tracing()
         assert obs_tracing.ACTIVE is None
         assert not sink.closed  # caller-owned streams are never closed
         assert _records(sink)[0]["name"] == "inside"

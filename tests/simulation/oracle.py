@@ -1,4 +1,4 @@
-"""Per-bit reference of the burst error model: the fault-model test oracle.
+"""Per-bit references of the error models: the fault-model test oracle.
 
 :meth:`repro.simulation.faults.BurstErrorModel.error_pattern` classifies
 every transition draw at once and rebuilds the two-state chain with
@@ -6,6 +6,12 @@ cumulative scans.  :func:`burst_error_pattern_reference` is the loop it
 replaced: it steps the Markov chain one bit at a time over the same draws,
 so from the same generator state both return the same pattern and leave
 the same carried-over state.
+
+:func:`independent_error_pattern_reference` is the unpacked flip vector of
+:class:`~repro.simulation.faults.IndependentErrorModel`: one uniform per
+bit, compared with the flip probability, which
+:meth:`~repro.simulation.faults.IndependentErrorModel.error_mask_packed`
+packs straight into words.
 
 Tests import this module as ``from simulation.oracle import ...``; the
 qualified name keeps it apart from ``tests/netsim/oracle.py``.
@@ -16,9 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.faults import BurstErrorModel
+from repro.simulation.faults import BurstErrorModel, IndependentErrorModel
 
-__all__ = ["burst_error_pattern_reference"]
+__all__ = ["burst_error_pattern_reference", "independent_error_pattern_reference"]
+
+
+def independent_error_pattern_reference(model: IndependentErrorModel, num_bits: int) -> np.ndarray:
+    """A 0/1 ``uint8`` vector with ones at the positions ``model`` flips."""
+    if num_bits < 0:
+        raise ConfigurationError("number of bits cannot be negative")
+    return (model.rng.random(num_bits) < model.bit_error_probability).astype(np.uint8)
 
 
 def burst_error_pattern_reference(model: BurstErrorModel, num_bits: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from simulation.oracle import burst_error_pattern_reference
 
+from repro.coding.packed import unpack_bits
 from repro.exceptions import ConfigurationError
 from repro.simulation.faults import BurstErrorModel
 
@@ -88,7 +89,7 @@ class TestExpectedBer:
         pattern = model.error_pattern(2_000_000)
         assert pattern.mean() == pytest.approx(model.expected_ber, rel=0.05)
 
-    def test_apply_preserves_shape_and_burstiness(self):
+    def test_error_mask_packed_keeps_bursts_across_blocks(self):
         model = BurstErrorModel(
             good_error_probability=0.0,
             bad_error_probability=0.5,
@@ -96,10 +97,9 @@ class TestExpectedBer:
             bad_to_good_probability=0.1,
             rng=np.random.default_rng(11),
         )
-        blocks = np.zeros((500, 100), dtype=np.uint8)
-        corrupted = model.apply(blocks)
-        assert corrupted.shape == blocks.shape
-        error_positions = np.nonzero(corrupted.ravel())[0]
+        mask = model.error_mask_packed(500, n=100)
+        assert mask.shape == (500, 2)
+        error_positions = np.nonzero(unpack_bits(mask, 100).ravel())[0]
         assert error_positions.size > 10
         # Bursty, not memoryless: consecutive errors cluster tightly.
         assert np.median(np.diff(error_positions)) < 20

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.coding.hamming import HammingCode
+from repro.coding.packed import pack_bits, popcount_rows
 from repro.coding.uncoded import UncodedScheme
 from repro.exceptions import ConfigurationError
 from repro.link.design import OpticalLinkDesigner
@@ -16,13 +17,13 @@ from repro.simulation.linksim import OpticalLinkSimulator
 class TestIndependentErrorModel:
     def test_zero_probability_is_transparent(self, rng):
         model = IndependentErrorModel(0.0, rng=rng)
-        bits = rng.integers(0, 2, size=500, dtype=np.uint8)
-        assert np.array_equal(model.apply(bits), bits)
+        words = pack_bits(rng.integers(0, 2, size=(5, 100), dtype=np.uint8))
+        assert np.array_equal(words ^ model.error_mask_packed(5, n=100), words)
 
     def test_error_rate_matches_probability(self, rng):
         model = IndependentErrorModel(0.05, rng=rng)
-        pattern = model.error_pattern(100_000)
-        assert pattern.mean() == pytest.approx(0.05, rel=0.1)
+        flips = int(popcount_rows(model.error_mask_packed(1000, n=100)).sum())
+        assert flips / 100_000 == pytest.approx(0.05, rel=0.1)
 
     def test_expected_ber(self):
         assert IndependentErrorModel(0.01).expected_ber == pytest.approx(0.01)
@@ -31,7 +32,7 @@ class TestIndependentErrorModel:
         with pytest.raises(ConfigurationError):
             IndependentErrorModel(1.5)
         with pytest.raises(ConfigurationError):
-            IndependentErrorModel(0.1).error_pattern(-1)
+            IndependentErrorModel(0.1).error_mask_packed(-1, n=8)
 
 
 class TestBurstErrorModel:

@@ -11,7 +11,8 @@ The scan reads ``src/`` as ASTs and iterates to a fixed point:
   ``perfbench/``.  Docstrings, the import re-exports of ``__init__.py``
   files and the ``__all__``/``_LAZY_EXPORTS`` entries are not uses.
 * Dunders, definitions under a registering decorator (anything but the
-  descriptor and dataclass decorators) and the ``http.server`` hooks count
+  descriptor, dataclass, ``contextmanager`` and ``lru_cache``/``cache``
+  decorators, which register nothing) and the ``http.server`` hooks count
   as reached without a reference.
 * Round 1 flags every definition whose name no live code uses.  Each later
   round drops the flagged definitions' bodies (and the methods of flagged
@@ -47,7 +48,7 @@ ALLOWLIST: Dict[str, str] = {
 #: definition still needs a reference to count as reached.
 _PLAIN_DECORATORS = frozenset(
     {"property", "staticmethod", "classmethod", "dataclass", "cached_property",
-     "abstractmethod", "setter"}
+     "abstractmethod", "setter", "contextmanager", "lru_cache", "cache"}
 )
 
 #: Methods ``http.server.BaseHTTPRequestHandler`` calls by name.
@@ -344,6 +345,39 @@ class TestScanner:
             ),
         )
         assert rounds == [{"mod.Box.size"}]
+
+    def test_a_contextmanager_decorator_does_not_count_as_registering(self):
+        rounds = _scan_sources(
+            mod=(
+                "import contextlib\n"
+                "@contextlib.contextmanager\n"
+                "def scoped():\n"
+                "    yield 1\n"
+            ),
+        )
+        assert rounds == [{"mod.scoped"}]
+
+    def test_an_lru_cache_decorator_does_not_count_as_registering(self):
+        rounds = _scan_sources(
+            mod=(
+                "import functools\n"
+                "@functools.lru_cache(maxsize=None)\n"
+                "def table():\n"
+                "    return 1\n"
+            ),
+        )
+        assert rounds == [{"mod.table"}]
+
+    def test_a_cache_decorator_does_not_count_as_registering(self):
+        rounds = _scan_sources(
+            mod=(
+                "from functools import cache\n"
+                "@cache\n"
+                "def table():\n"
+                "    return 1\n"
+            ),
+        )
+        assert rounds == [{"mod.table"}]
 
     def test_a_two_step_chain_is_flagged_in_round_two(self):
         rounds = _scan_sources(
