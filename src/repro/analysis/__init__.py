@@ -11,21 +11,20 @@ reproduction rests on:
   no mutable defaults, no silent exception swallowing, no ``__all__``
   drift.
 
-Run it as ``repro-lint src/`` (console script) or call
-:func:`lint_source` / :func:`lint_paths` directly.  See
+There is one rule set and no way to suppress a finding: a violation is
+fixed at the source.  Run it as ``repro-lint src/`` (console script) or
+call :func:`lint_source` / :func:`lint_paths` directly.  See
 ``docs/ARCHITECTURE.md`` ("Static analysis") for the rule catalogue and
 how to add a rule.
 """
 
-from .baseline import Baseline, write_baseline
-from .config import DEFAULT_CONFIG, LintConfig, load_config, normalize_path
+from .config import CONFIG, LintConfig, normalize_path
 from .engine import LintRun, iter_python_files, lint_file, lint_paths, lint_source
 from .findings import Finding
 from .registry import Rule, all_rules
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_CONFIG",
+    "CONFIG",
     "Finding",
     "LintConfig",
     "LintRun",
@@ -35,7 +34,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_config",
     "normalize_path",
-    "write_baseline",
 ]

@@ -2,9 +2,9 @@
 
 Exit codes are stable for CI and scripting:
 
-* ``0`` — clean (every finding fixed, pragma'd or baselined);
-* ``1`` — findings (or, under ``--strict``, stale baseline entries);
-* ``2`` — usage / configuration errors (bad flags, unreadable config).
+* ``0`` — clean (no finding);
+* ``1`` — findings;
+* ``2`` — usage errors (a bad flag or a missing path).
 
 ``--json`` emits one machine-readable document (``file``/``line``/``col``
 per finding) for CI annotations; the default text reporter prints
@@ -17,19 +17,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
-from ..exceptions import ConfigurationError
-from .baseline import Baseline, write_baseline
-from .config import DEFAULT_CONFIG, load_config
 from .engine import LintRun, lint_paths
 from .registry import all_rules
 
 __all__ = ["main", "build_parser"]
-
-#: Baseline filename picked up automatically from the working directory.
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,39 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable JSON report")
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries (the baseline may only shrink)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline of grandfathered findings (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true", help="ignore any baseline file"
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument("--config", metavar="FILE", default=None, help="JSON config overrides")
-    parser.add_argument(
-        "--select", metavar="CODES", default=None, help="comma-separated codes to run exclusively"
-    )
-    parser.add_argument(
-        "--ignore", metavar="CODES", default=None, help="comma-separated codes to skip"
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     return parser
-
-
-def _codes(text: str) -> tuple:
-    return tuple(chunk.strip().upper() for chunk in text.split(",") if chunk.strip())
 
 
 def _report_text(run: LintRun, stream) -> None:
@@ -82,13 +45,7 @@ def _report_text(run: LintRun, stream) -> None:
         print(f"{finding.location}: {finding.code} {finding.message}", file=stream)
         if finding.snippet:
             print(f"    {finding.snippet}", file=stream)
-    for path, code, _sha in run.stale_baseline:
-        print(f"{path}: stale baseline entry for {code} (finding no longer occurs)", file=stream)
-    summary = (
-        f"{len(run.findings)} finding(s) in {run.files_checked} file(s)"
-        f" ({len(run.suppressed)} baselined, {len(run.stale_baseline)} stale baseline entr(y/ies))"
-    )
-    print(summary, file=stream)
+    print(f"{len(run.findings)} finding(s) in {run.files_checked} file(s)", file=stream)
 
 
 def _report_json(run: LintRun, stream) -> None:
@@ -96,11 +53,6 @@ def _report_json(run: LintRun, stream) -> None:
         "version": 1,
         "files_checked": run.files_checked,
         "findings": [finding.to_dict() for finding in run.findings],
-        "baselined": len(run.suppressed),
-        "stale_baseline": [
-            {"path": path, "code": code, "snippet_sha": sha}
-            for path, code, sha in run.stale_baseline
-        ],
     }
     json.dump(document, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -116,46 +68,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{lint_rule.code}  {lint_rule.name}: {lint_rule.summary}{scope}")
         return 0
 
-    config = DEFAULT_CONFIG
-    try:
-        if args.config:
-            config = load_config(args.config, base=config)
-        if args.select:
-            config = replace(config, select=_codes(args.select))
-        if args.ignore:
-            config = replace(config, ignore=_codes(args.ignore))
-
-        baseline = None
-        baseline_path = args.baseline
-        if baseline_path is None and os.path.exists(DEFAULT_BASELINE):
-            baseline_path = DEFAULT_BASELINE
-        if baseline_path and not args.no_baseline and not args.write_baseline:
-            if not os.path.exists(baseline_path) and args.baseline:
-                parser.error(f"baseline file {baseline_path!r} does not exist")
-            baseline = Baseline.load(baseline_path)
-
-        missing = [path for path in args.paths if not os.path.exists(path)]
-        if missing:
-            parser.error(f"no such path(s): {', '.join(missing)}")
-        run = lint_paths(args.paths, config=config, baseline=baseline)
-    except ConfigurationError as error:
-        print(f"repro-lint: {error}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        count = write_baseline(target, run.findings)
-        print(f"wrote {count} baseline entr(y/ies) to {target}")
-        return 0
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        parser.error(f"no such path(s): {', '.join(missing)}")
+    run = lint_paths(args.paths)
 
     reporter = _report_json if args.json else _report_text
     reporter(run, sys.stdout)
-    if run.findings:
-        return 1
-    if args.strict and run.stale_baseline:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    sys.exit(main())
+    return 1 if run.findings else 0

@@ -1,37 +1,33 @@
-"""Per-path rule configuration for the invariant linter.
+"""Where the invariant linter's scoped rules apply.
 
-The default configuration encodes *this repository's* invariants: which
-subtrees are deterministic simulation paths (wall-clock and unordered
-iteration are forbidden there), which package carries the threaded service
-(lock discipline applies), which modules are hot enough that every class
-must carry ``__slots__``, and which factory functions are allowed to mint
-an unseeded OS-entropy generator as a constructor default.
+:data:`CONFIG` encodes *this repository's* invariants: which subtrees are
+deterministic simulation paths (wall-clock and unordered iteration are
+forbidden there), which package carries the threaded service (lock
+discipline applies), which modules are hot enough that every class must
+carry ``__slots__``, and which factory functions are allowed to mint an
+unseeded OS-entropy generator as a constructor default.  These are facts
+about the tree, not options: there is one record and nothing overrides it.
 
 Paths are always matched in *module form* — ``repro/service/queue.py`` —
 regardless of where the tree was checked out or whether the linter was
-pointed at ``src/``, so configuration globs stay stable.  A JSON file can
-override any field (see :func:`load_config`); unknown keys are rejected so
-typos fail loudly instead of silently disabling a rule.
+pointed at ``src/``, so the globs stay stable.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from fnmatch import fnmatch
-from typing import Dict, Tuple
+from typing import Tuple
 
-from ..exceptions import ConfigurationError
-
-__all__ = ["LintConfig", "DEFAULT_CONFIG", "load_config", "normalize_path"]
+__all__ = ["LintConfig", "CONFIG", "normalize_path"]
 
 
 def normalize_path(path: str) -> str:
     """A filesystem path reduced to module form (``repro/...`` when possible).
 
-    Findings, configuration globs and baseline entries all use this form,
-    so the same baseline works whether the linter was invoked on ``src``,
-    ``src/repro`` or an absolute path.
+    Findings and the path globs both use this form, so a run reports the
+    same paths whether the linter was invoked on ``src``, ``src/repro`` or
+    an absolute path.
     """
     posix = path.replace("\\", "/")
     parts = [part for part in posix.split("/") if part not in ("", ".")]
@@ -42,14 +38,8 @@ def normalize_path(path: str) -> str:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Which rules run where (all paths in module form, fnmatch globs)."""
+    """Which paths the scoped rules cover (module form, fnmatch globs)."""
 
-    #: Only these codes run when non-empty (``--select``).
-    select: Tuple[str, ...] = ()
-    #: These codes never run (``--ignore``).
-    ignore: Tuple[str, ...] = ()
-    #: ``glob -> codes`` disabled under matching paths.
-    per_path_disable: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: Deterministic simulation paths: wall-clock reads (RPR103) and
     #: unordered iteration (RPR104) are forbidden here.
     deterministic_paths: Tuple[str, ...] = (
@@ -76,56 +66,9 @@ class LintConfig:
         "resolve_rng",
     )
 
-    # ------------------------------------------------------------------ queries
     def path_matches(self, path: str, globs: Tuple[str, ...]) -> bool:
         normalized = normalize_path(path)
         return any(fnmatch(normalized, glob) for glob in globs)
 
-    def rule_enabled(self, code: str, path: str) -> bool:
-        """Whether ``code`` runs on ``path`` under select/ignore/per-path."""
-        if self.select and code not in self.select:
-            return False
-        if code in self.ignore:
-            return False
-        normalized = normalize_path(path)
-        for glob, codes in self.per_path_disable.items():
-            if fnmatch(normalized, glob) and code in codes:
-                return False
-        return True
 
-
-DEFAULT_CONFIG = LintConfig()
-
-#: Fields a JSON config file may override.
-_OVERRIDABLE = {spec.name for spec in fields(LintConfig)}
-
-
-def load_config(path: str, base: LintConfig = DEFAULT_CONFIG) -> LintConfig:
-    """``base`` with the overrides from the JSON file at ``path`` applied."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as error:
-        raise ConfigurationError(f"cannot read lint config {path!r}: {error}") from error
-    except ValueError as error:
-        raise ConfigurationError(f"lint config {path!r} is not valid JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise ConfigurationError(f"lint config {path!r} must be a JSON object")
-    overrides = {}
-    for key, value in document.items():
-        if key not in _OVERRIDABLE:
-            raise ConfigurationError(
-                f"unknown lint config key {key!r} (expected one of {sorted(_OVERRIDABLE)})"
-            )
-        if key == "per_path_disable":
-            if not isinstance(value, dict):
-                raise ConfigurationError("per_path_disable must map globs to code lists")
-            overrides[key] = {
-                str(glob): tuple(str(code) for code in codes)
-                for glob, codes in value.items()
-            }
-        else:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigurationError(f"lint config key {key!r} must be a list")
-            overrides[key] = tuple(str(item) for item in value)
-    return replace(base, **overrides)
+CONFIG = LintConfig()

@@ -1,12 +1,13 @@
-"""The lint engine: parse once, run every applicable rule, filter, sort.
+"""The lint engine: parse once, run every applicable rule, sort.
 
 The public entry points are :func:`lint_source` (one source string — what
 the fixture tests and the README snippet use), :func:`lint_file` and
 :func:`lint_paths` (directory walk; what the CLI uses).  Each module is
 parsed exactly once; rules receive a :class:`ModuleContext` carrying the
 tree (with parent back-references), the resolved import map and the
-configuration, and return findings via :meth:`ModuleContext.finding` so
-location/snippet bookkeeping lives in one place.
+path configuration, and return findings via :meth:`ModuleContext.finding`
+so location/snippet bookkeeping lives in one place.  Every finding is
+reported: no comment, file or flag switches a rule off.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from .astutil import ImportMap, attach_parents
-from .baseline import Baseline
-from .config import DEFAULT_CONFIG, LintConfig, normalize_path
+from .config import CONFIG, LintConfig, normalize_path
 from .findings import Finding
-from .pragmas import parse_pragmas
 from .registry import PARSE_ERROR_CODE, all_rules
 
 # Importing the rule modules registers their rules.
@@ -55,25 +54,13 @@ class LintRun:
     """The outcome of linting a path set."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (strict runs fail on these).
-    stale_baseline: List[tuple] = field(default_factory=list)
     files_checked: int = 0
 
-    @property
-    def clean(self) -> bool:
-        return not self.findings
 
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: LintConfig = DEFAULT_CONFIG,
-) -> List[Finding]:
-    """Lint one source string; returns sorted findings (pragmas applied)."""
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Lint one source string; returns its findings, sorted."""
     normalized = normalize_path(path) if path != "<string>" else path
     lines = source.splitlines()
-    pragmas = parse_pragmas(lines, normalized)
     try:
         tree = attach_parents(ast.parse(source))
     except SyntaxError as error:
@@ -93,30 +80,23 @@ def lint_source(
         path=normalized,
         tree=tree,
         lines=lines,
-        config=config,
+        config=CONFIG,
         imports=ImportMap(tree),
     )
-    findings: List[Finding] = list(pragmas.errors)
+    findings: List[Finding] = []
     for lint_rule in all_rules():
-        if lint_rule.scope is not None and not config.path_matches(
-            normalized, getattr(config, lint_rule.scope)
+        if lint_rule.scope is not None and not CONFIG.path_matches(
+            normalized, getattr(CONFIG, lint_rule.scope)
         ):
             continue
-        if not config.rule_enabled(lint_rule.code, normalized):
-            continue
         findings.extend(lint_rule.check(context))
-    kept = [
-        finding
-        for finding in findings
-        if not pragmas.suppresses(finding.code, finding.line)
-    ]
-    return sorted(kept)
+    return sorted(findings)
 
 
-def lint_file(path: str, config: LintConfig = DEFAULT_CONFIG) -> List[Finding]:
+def lint_file(path: str) -> List[Finding]:
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    return lint_source(source, path=path, config=config)
+    return lint_source(source, path=path)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -136,22 +116,11 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(directory, name)
 
 
-def lint_paths(
-    paths: Sequence[str],
-    config: LintConfig = DEFAULT_CONFIG,
-    baseline: Optional[Baseline] = None,
-) -> LintRun:
-    """Lint every Python file under ``paths``, applying the baseline."""
+def lint_paths(paths: Sequence[str]) -> LintRun:
+    """Lint every Python file under ``paths``."""
     run = LintRun()
-    collected: List[Finding] = []
     for file_path in iter_python_files(paths):
-        collected.extend(lint_file(file_path, config=config))
+        run.findings.extend(lint_file(file_path))
         run.files_checked += 1
-    if baseline is not None:
-        kept, suppressed, stale = baseline.apply(collected)
-        run.findings = kept
-        run.suppressed = suppressed
-        run.stale_baseline = list(stale)
-    else:
-        run.findings = sorted(collected)
+    run.findings.sort()
     return run

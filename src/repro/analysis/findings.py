@@ -1,24 +1,16 @@
-"""The lint finding record and its serialisations.
+"""The lint finding record and its serialisation.
 
 One :class:`Finding` is one rule violation at one source location.  The
-``snippet`` field carries the stripped source line the finding points at:
-it is what the baseline mechanism hashes (so findings survive pure line
-renumbering — an edit above a grandfathered violation does not un-baseline
-it) and what the text reporter prints for context.
+``snippet`` field carries the stripped source line the finding points at,
+which the text reporter prints for context.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-__all__ = ["Finding", "snippet_digest"]
-
-
-def snippet_digest(snippet: str) -> str:
-    """Stable content hash of one finding's source line (baseline key)."""
-    return hashlib.sha256(snippet.strip().encode("utf-8")).hexdigest()[:16]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, order=True)
@@ -30,17 +22,12 @@ class Finding:
     col: int
     code: str
     message: str
-    #: The stripped source line (content-addressed by the baseline).
+    #: The stripped source line the finding points at.
     snippet: str = field(default="", compare=False)
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    @property
-    def baseline_key(self) -> tuple:
-        """What the baseline matches on — deliberately line-number-free."""
-        return (self.path, self.code, snippet_digest(self.snippet))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-reporter shape (``file``/``line``/``col`` for annotations)."""

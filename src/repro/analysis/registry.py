@@ -11,6 +11,8 @@ stable code.  Codes are grouped by invariant family:
 *scoped*: its ``scope`` names a :class:`~repro.analysis.config.LintConfig`
 field holding path globs, and the engine only runs it on matching modules
 (e.g. wall-clock reads are forbidden in simulation paths, not in the CLI).
+Scope is the only thing that decides where a rule runs: every registered
+rule runs on every module in its scope, and none can be switched off.
 """
 
 from __future__ import annotations

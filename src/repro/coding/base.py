@@ -97,11 +97,6 @@ class PackedBatchDecodeResult:
         return int(self.corrected_words.shape[0])
 
     @property
-    def num_blocks(self) -> int:
-        """Number of blocks in the batch."""
-        return len(self)
-
-    @property
     def num_failures(self) -> int:
         """Number of blocks with a detected-but-uncorrectable pattern."""
         return int(np.count_nonzero(self.failure))

@@ -56,7 +56,6 @@ class GaloisField:
             primitive_polynomial = DEFAULT_PRIMITIVE_POLYNOMIALS[m]
         self._m = m
         self._size = 1 << m
-        self._poly = primitive_polynomial
         self._exp = np.zeros(2 * self._size, dtype=np.int64)
         self._log = np.zeros(self._size, dtype=np.int64)
         value = 1

