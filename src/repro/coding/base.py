@@ -74,23 +74,20 @@ class PackedBatchDecodeResult:
     """Outcome of decoding a packed ``(B, ceil(n/64))`` uint64 batch.
 
     ``corrected_words`` holds the corrected codewords in the packed-word
-    layout of :mod:`repro.coding.packed` (padding bits zero), and the three
-    status fields are boolean ``(B,)`` vectors: ``detected_error`` when the
-    block was not a codeword, ``corrected`` when the decoder repaired it and
-    ``failure`` when it knows the pattern exceeded its correction capability
-    (only detectable for codes with minimum distance greater than
-    ``2 t + 1``, e.g. SECDED).  Consumers stay on the words and count
-    residual errors with popcounts.
+    layout of :mod:`repro.coding.packed` (padding bits zero), and
+    ``failure`` is a boolean ``(B,)`` vector, True where the decoder knows
+    the pattern exceeded its correction capability (only detectable for
+    codes with minimum distance greater than ``2 t + 1``, e.g. SECDED).  A
+    repaired block differs from its received word and a failed one keeps
+    it.  Consumers stay on the words and count residual errors with
+    popcounts.
 
     Treat every array as **read-only**: to keep the hot path allocation-free
-    the fields may alias each other (the all-clean fast path shares one
-    zeros mask between ``corrected`` and ``failure`` and returns the
-    caller's received words as ``corrected_words``).
+    the all-clean fast path returns the caller's received words as
+    ``corrected_words``.
     """
 
     corrected_words: np.ndarray
-    detected_error: np.ndarray
-    corrected: np.ndarray
     failure: np.ndarray
 
     def __len__(self) -> int:
@@ -435,25 +432,12 @@ class LinearBlockCode:
         keys = self._batch_syndrome_keys_packed(words)
         detected = keys != 0 if keys.ndim == 1 else keys.any(axis=1)
         if not detected.any():
-            # All-clean fast path: no corrections, so the received words are
-            # returned as-is and one shared zeros mask serves both status
-            # fields (no per-call copies).
-            clean = np.zeros(words.shape[0], dtype=bool)
-            return PackedBatchDecodeResult(
-                corrected_words=words,
-                detected_error=detected,
-                corrected=clean,
-                failure=clean,
-            )
+            # All-clean fast path: no corrections, so the received words and
+            # the all-False ``detected`` mask are returned as-is (no copies).
+            return PackedBatchDecodeResult(corrected_words=words, failure=detected)
         errors, known_mask = self._packed_corrections(keys)
-        corrected_words = words ^ errors
-        corrected = detected & known_mask
-        failure = detected & ~known_mask
         return PackedBatchDecodeResult(
-            corrected_words=corrected_words,
-            detected_error=detected,
-            corrected=corrected,
-            failure=failure,
+            corrected_words=words ^ errors, failure=detected & ~known_mask
         )
 
 

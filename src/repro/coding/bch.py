@@ -297,20 +297,13 @@ class BCHCode(LinearBlockCode):
         detected = syndromes.any(axis=1)
         errored = np.nonzero(detected)[0]
         if errored.size == 0:
-            clean = np.zeros(words.shape[0], dtype=bool)
-            return PackedBatchDecodeResult(
-                corrected_words=words,
-                detected_error=detected,
-                corrected=clean,
-                failure=clean,
-            )
+            # ``detected`` is all False: it doubles as the failure mask.
+            return PackedBatchDecodeResult(corrected_words=words, failure=detected)
         locator = self._batch_berlekamp_massey(syndromes[errored])
         nonzero_columns = locator != 0
         degree = locator.shape[1] - 1 - np.argmax(nonzero_columns[:, ::-1], axis=1)
         roots, success = self._batch_chien(locator, degree)
-        corrected = np.zeros(words.shape[0], dtype=bool)
         failure = np.zeros(words.shape[0], dtype=bool)
-        corrected[errored[success]] = True
         failure[errored[~success]] = True
         corrected_words = words.copy()
         fixed = errored[success]
@@ -318,9 +311,4 @@ class BCHCode(LinearBlockCode):
             systematic = np.zeros((int(success.sum()), self.n), dtype=np.uint8)
             systematic[:, self._coeff_to_systematic] = roots[success]
             corrected_words[fixed] ^= pack_bits(systematic)
-        return PackedBatchDecodeResult(
-            corrected_words=corrected_words,
-            detected_error=detected,
-            corrected=corrected,
-            failure=failure,
-        )
+        return PackedBatchDecodeResult(corrected_words=corrected_words, failure=failure)

@@ -79,12 +79,7 @@ class ExtendedHammingCode(LinearBlockCode):
         corrected_words ^= parity_flips[:, np.newaxis] * self._parity_bit_mask
         # Even-weight error with a non-zero syndrome: a double error.
         double = (keys != 0) & ~odd_weight
-        return PackedBatchDecodeResult(
-            corrected_words=corrected_words,
-            detected_error=odd_weight | double,
-            corrected=odd_weight,
-            failure=double,
-        )
+        return PackedBatchDecodeResult(corrected_words=corrected_words, failure=double)
 
 def _full_code_for(message_length: int) -> HammingCode:
     """Return the full Hamming code whose payload equals ``message_length``."""

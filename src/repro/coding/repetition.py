@@ -44,10 +44,7 @@ class RepetitionCode(LinearBlockCode):
         words = self._require_packed(received_words, self._n)
         ones = popcount_rows(words)
         majority = 2 * ones > self._n
-        detected = (ones > 0) & (ones < self._n)
         return PackedBatchDecodeResult(
             corrected_words=np.where(majority[:, np.newaxis], self._all_ones, np.uint64(0)),
-            detected_error=detected,
-            corrected=detected,
             failure=np.zeros(words.shape[0], dtype=bool),
         )

@@ -92,10 +92,6 @@ class UncodedScheme:
     def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Accept every packed block verbatim; nothing can be detected."""
         words = self._require_packed(received_words)
-        clean = np.zeros(words.shape[0], dtype=bool)
         return PackedBatchDecodeResult(
-            corrected_words=words,
-            detected_error=clean,
-            corrected=clean,
-            failure=clean,
+            corrected_words=words, failure=np.zeros(words.shape[0], dtype=bool)
         )

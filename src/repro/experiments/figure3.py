@@ -29,7 +29,6 @@ class Figure3Result:
     wavelengths_m: np.ndarray
     on_transmission_db: np.ndarray
     off_transmission_db: np.ndarray
-    achieved_extinction_db: float
     comparison: Comparison
 
     def render_text(self) -> str:
@@ -63,10 +62,9 @@ def run_figure3(
     )
     on = ring.spectrum(wavelengths, MicroringState.ON)
     off = ring.spectrum(wavelengths, MicroringState.OFF)
-    achieved = ring.modulation_extinction_db()
     comparison = Comparison(
         quantity="modulator extinction ratio",
-        measured=achieved,
+        measured=ring.modulation_extinction_db(),
         reference=PAPER_EXTINCTION_RATIO_DB,
         unit="dB",
     )
@@ -74,7 +72,6 @@ def run_figure3(
         wavelengths_m=wavelengths,
         on_transmission_db=np.asarray(linear_to_db(on)),
         off_transmission_db=np.asarray(linear_to_db(off)),
-        achieved_extinction_db=achieved,
         comparison=comparison,
     )
 # ------------------------------------------------------------------ grid API

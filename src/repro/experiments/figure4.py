@@ -27,7 +27,6 @@ class Figure4Result:
 
     optical_power_uw: np.ndarray
     laser_power_mw: np.ndarray
-    activity: float
     max_deliverable_uw: float
     low_power_efficiency: float
 
@@ -76,7 +75,6 @@ def run_figure4(
     return Figure4Result(
         optical_power_uw=optical_powers_w * 1e6,
         laser_power_mw=electrical_w * 1e3,
-        activity=config.chip_activity,
         max_deliverable_uw=laser.max_output_power_w * 1e6,
         low_power_efficiency=laser.efficiency(1e-6, activity=config.chip_activity),
     )

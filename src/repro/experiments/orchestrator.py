@@ -283,7 +283,6 @@ def run_experiment(
     resume: bool = False,
     shard_timeout_s: float | None = None,
     max_shard_retries: int = 2,
-    collect_metrics: bool | None = None,
     manifest_dir: str | None = None,
     progress: "Callable[[SweepProgress], None] | None" = None,
     cancel: "Callable[[], bool] | None" = None,
@@ -316,14 +315,12 @@ def run_experiment(
         Pooled runs only: how many times one shard may be re-attempted
         after its worker died or timed out before the sweep aborts with a
         :class:`~repro.exceptions.ShardExecutionError`.
-    collect_metrics:
-        Collect a per-shard metrics snapshot (an isolated registry scoped
-        around each shard, so collection never perturbs shard results).
-        Defaults to ``True`` exactly when a ``manifest_dir`` is given.
     manifest_dir:
-        When given, a run manifest (provenance record + exactly merged
-        shard metrics; see :mod:`repro.obs.manifest`) is written there
-        after the sweep completes.
+        When given, each shard collects a metrics snapshot (an isolated
+        registry scoped around the shard, so collection never perturbs
+        shard results) and a run manifest (provenance record + exactly
+        merged shard metrics; see :mod:`repro.obs.manifest`) is written
+        there after the sweep completes.
     progress:
         Callback invoked with a :class:`SweepProgress` after every shard
         that lands (and once for the resumed batch).
@@ -345,7 +342,7 @@ def run_experiment(
         raise ConfigurationError("shard retry budget cannot be negative")
     functions = _grid_functions(experiment)
     grid = describe_grid(experiment, config, options)
-    collect = collect_metrics if collect_metrics is not None else manifest_dir is not None
+    collect = manifest_dir is not None
     wall_start = time.perf_counter()
     cpu_start = _cpu_seconds()
 
@@ -428,7 +425,6 @@ def run_experiment(
                 "jobs": jobs,
                 "resume": bool(resume),
                 "checkpointed": checkpoint_dir is not None,
-                "collect_metrics": bool(collect),
             },
             timing={
                 "wall_s": round(time.perf_counter() - wall_start, 6),

@@ -23,7 +23,6 @@ class Table1Result:
     """Outcome of the Table I reproduction."""
 
     report: SynthesisReport
-    parametric_report: SynthesisReport
     comparisons: List[Comparison] = field(default_factory=list)
 
     def render_text(self) -> str:
@@ -83,7 +82,7 @@ def run_table1(config: PaperConfig = DEFAULT_CONFIG) -> Table1Result:
                 unit="uW",
             )
         )
-    return Table1Result(report=report, parametric_report=parametric, comparisons=comparisons)
+    return Table1Result(report=report, comparisons=comparisons)
 # ------------------------------------------------------------------ grid API
 sweep_shards = single_sweep_shards("table1")
 

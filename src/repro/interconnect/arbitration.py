@@ -12,7 +12,7 @@ longer coded transmissions occupy the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..exceptions import ArbitrationError, ConfigurationError
 
@@ -35,12 +35,6 @@ class TokenArbiter:
             raise ConfigurationError("token hop time cannot be negative")
         self._holder_index = 0
         self._busy_until_s = 0.0
-        self._grants: Dict[int, int] = {writer: 0 for writer in self.writers}
-
-    # ------------------------------------------------------------------ state
-    def grant_counts(self) -> Dict[int, int]:
-        """Number of grants given to each writer so far."""
-        return dict(self._grants)
 
     # ------------------------------------------------------------------ operation
     def request(self, writer: int, now_s: float, duration_s: float) -> float:
@@ -50,7 +44,7 @@ class TokenArbiter:
         requesting writer (each hop costs ``token_hop_time_s``); the transfer
         then starts once the channel is free.
         """
-        if writer not in self._grants:
+        if writer not in self.writers:
             raise ArbitrationError(f"writer {writer} is not attached to this channel")
         if duration_s < 0:
             raise ConfigurationError("transfer duration cannot be negative")
@@ -60,5 +54,4 @@ class TokenArbiter:
         start = max(token_arrival, self._busy_until_s, now_s)
         self._holder_index = target_index
         self._busy_until_s = start + duration_s
-        self._grants[writer] += 1
         return start

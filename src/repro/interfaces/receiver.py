@@ -10,31 +10,27 @@ path consumes dynamic power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Iterable
 
 from ..exceptions import ConfigurationError
 from .blocks import (
     HardwareBlock,
+    InterfaceAssembly,
     deserializer_block,
     hamming_codec_block,
     mux_block,
 )
-from .techlib import BlockCharacterisation, FDSOI_28NM, TechnologyLibrary
+from .techlib import FDSOI_28NM, TechnologyLibrary
 from .transmitter import H71_MODE, H74_MODE, UNCODED_MODE
 
 __all__ = ["ReceiverInterface"]
 
 
 @dataclass
-class ReceiverInterface:
+class ReceiverInterface(InterfaceAssembly):
     """An assembly of receiver blocks with per-mode activity."""
 
-    blocks: tuple[HardwareBlock, ...]
     name: str = "receiver"
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ConfigurationError("an interface needs at least one block")
 
     # ------------------------------------------------------------------ factories
     @classmethod
@@ -105,52 +101,3 @@ class ReceiverInterface:
                 )
             )
         return cls(blocks=tuple(block_list), name="receiver (parametric)")
-
-    # ------------------------------------------------------------------ queries
-    def modes(self) -> list[str]:
-        """All communication modes any block participates in."""
-        names: list[str] = []
-        for block in self.blocks:
-            for mode in block.modes:
-                if mode not in names:
-                    names.append(mode)
-        return names
-
-    def _check_mode(self, mode: str) -> None:
-        if mode not in self.modes():
-            raise ConfigurationError(f"unknown mode {mode!r}; available: {self.modes()}")
-
-    @property
-    def total_area_um2(self) -> float:
-        """Total interface area (all paths are physically present)."""
-        return sum(block.characterisation.area_um2 for block in self.blocks)
-
-    @property
-    def total_static_power_nw(self) -> float:
-        """Total static power (every block leaks regardless of the mode)."""
-        return sum(block.characterisation.static_power_nw for block in self.blocks)
-
-    def active_blocks(self, mode: str) -> list[HardwareBlock]:
-        """Blocks toggling in a given communication mode."""
-        self._check_mode(mode)
-        return [block for block in self.blocks if block.active_in(mode)]
-
-    def dynamic_power_uw(self, mode: str) -> float:
-        """Dynamic power of the selected path, in microwatts (Table I rows)."""
-        return sum(b.characterisation.dynamic_power_uw for b in self.active_blocks(mode))
-
-    def total_power_uw(self, mode: str) -> float:
-        """Dynamic power of the path plus the full static power, in microwatts."""
-        return self.dynamic_power_uw(mode) + self.total_static_power_nw * 1e-3
-
-    def total_power_w(self, mode: str) -> float:
-        """Total interface power in watts for a communication mode."""
-        return self.total_power_uw(mode) * 1e-6
-
-    def critical_path_ps(self, mode: str) -> float:
-        """Critical path of the active blocks in a mode."""
-        return max(b.characterisation.critical_path_ps for b in self.active_blocks(mode))
-
-    def as_table(self) -> Dict[str, BlockCharacterisation]:
-        """Every block keyed by name, for report generation."""
-        return {block.name: block.characterisation for block in self.blocks}

@@ -37,7 +37,6 @@ class ModeTotals:
 class SynthesisReport:
     """Full synthesis report of the transmitter/receiver pair."""
 
-    technology: str
     config: PaperConfig
     transmitter_blocks: Dict[str, BlockCharacterisation]
     receiver_blocks: Dict[str, BlockCharacterisation]
@@ -164,7 +163,6 @@ def synthesize_interfaces(
         return result
 
     return SynthesisReport(
-        technology=tech.name,
         config=config,
         transmitter_blocks=transmitter.as_table(),
         receiver_blocks=receiver.as_table(),

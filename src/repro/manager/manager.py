@@ -10,7 +10,6 @@ designer, the power models and the selection policies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -80,7 +79,6 @@ class LinkConfiguration:
     request: CommunicationRequest
     decision: ConfigurationDecision
     laser_output_power_w: float
-    configuration_id: int
     #: Raw-BER drift margin the configuration was provisioned for: the link
     #: meets the request's target while the channel degrades by up to this
     #: factor.  ``1.0`` is the historical unmargined design.
@@ -130,7 +128,6 @@ class OpticalLinkManager:
         self._default_policy: SelectionPolicy = (
             default_policy if default_policy is not None else MinimumPowerPolicy()
         )
-        self._configuration_counter = itertools.count(1)
         self._candidate_cache: Dict[tuple[float, float], list[ChannelPowerBreakdown]] = {}
 
     # ------------------------------------------------------------------ queries
@@ -206,7 +203,6 @@ class OpticalLinkManager:
             request=request,
             decision=decision,
             laser_output_power_w=laser_output,
-            configuration_id=next(self._configuration_counter),
             margin_multiplier=float(margin_multiplier),
         )
         return configuration

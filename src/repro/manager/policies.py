@@ -36,11 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConfigurationDecision:
-    """The configuration a policy selected, with its justification."""
+    """The configuration a policy selected."""
 
     breakdown: ChannelPowerBreakdown
     policy_name: str
-    reason: str
 
     @property
     def code_name(self) -> str:
@@ -91,11 +90,7 @@ class MinimumPowerPolicy:
     ) -> ConfigurationDecision:
         """Select the candidate minimising per-wavelength channel power."""
         best = min(_feasible(candidates), key=lambda c: c.total_power_w)
-        return ConfigurationDecision(
-            breakdown=best,
-            policy_name=self.name,
-            reason=f"lowest channel power ({best.total_power_mw:.2f} mW per wavelength)",
-        )
+        return ConfigurationDecision(breakdown=best, policy_name=self.name)
 
 
 @dataclass
@@ -122,12 +117,7 @@ class MinimumEnergyPolicy:
             )
 
         best = min(_feasible(candidates), key=energy)
-        picked_energy = energy(best) * 1e12
-        return ConfigurationDecision(
-            breakdown=best,
-            policy_name=self.name,
-            reason=f"lowest energy per bit ({picked_energy:.2f} pJ/bit)",
-        )
+        return ConfigurationDecision(breakdown=best, policy_name=self.name)
 
 
 @dataclass
@@ -156,14 +146,7 @@ class DeadlineConstrainedPolicy:
                 f"no configuration meets the communication-time bound {self.max_communication_time:.2f}"
             )
         best = min(within, key=lambda c: c.total_power_w)
-        return ConfigurationDecision(
-            breakdown=best,
-            policy_name=self.name,
-            reason=(
-                f"lowest power among CT <= {self.max_communication_time:.2f} "
-                f"({best.total_power_mw:.2f} mW, CT = {best.communication_time:.2f})"
-            ),
-        )
+        return ConfigurationDecision(breakdown=best, policy_name=self.name)
 
 
 # ------------------------------------------------------------------ adaptation
@@ -291,28 +274,14 @@ class HysteresisSwitchingPolicy:
         margins: Sequence[float],
         level: int,
         calm_windows: int,
-    ) -> int:
-        """Level delta (-1, 0, +1) for one window's drift estimate.
-
-        ``calm_windows`` counts how many consecutive windows (excluding this
-        one) that already qualified for a downgrade.  A subclass may override
-        this method or :meth:`_decide`;
-        :class:`~repro.manager.runtime.AdaptiveEccController` calls
-        ``_decide`` unless ``decide`` is overridden.
-        """
-        return self._decide(estimated_multiplier, margins, level, calm_windows)[0]
-
-    def _decide(
-        self,
-        estimated_multiplier: float,
-        margins: Sequence[float],
-        level: int,
-        calm_windows: int,
     ) -> tuple[int, bool]:
-        """:meth:`decide`'s delta, and whether the window qualified for a downgrade.
+        """``(level delta, qualified)`` for one window's drift estimate.
 
-        The controller keeps its calm-window streaks from the second value,
-        so each window evaluates :meth:`qualifies_for_downgrade` at most once.
+        The delta is -1, 0 or +1; ``qualified`` says whether the window
+        counts towards a downgrade streak.  ``calm_windows`` counts how many consecutive windows (excluding this
+        one) already qualified for a downgrade.  The controller keeps its
+        calm-window streaks from the second value, so each window evaluates
+        :meth:`qualifies_for_downgrade` at most once.
         """
         if not 0 <= level < len(margins):
             raise ConfigurationError("current level outside the margin ladder")

@@ -83,14 +83,9 @@ class AdaptiveEccController:
         self.switch_latency_s = float(switch_latency_s)
         self.switch_energy_j = float(switch_energy_j)
         self._monitor_template = monitor if monitor is not None else FailureRateMonitor()
-        self._switching_policy = policy = (
+        self._switching_policy = (
             switching_policy if switching_policy is not None else HysteresisSwitchingPolicy()
         )
-        # ``_decide`` also returns whether the window qualified for a
-        # downgrade, so ``observe`` evaluates that once per window.  A
-        # subclass that overrides ``decide`` stays the policy, at the price
-        # of a second evaluation.
-        self._decides_once = type(policy).decide is HysteresisSwitchingPolicy.decide
         self._initial_level = len(margins) - 1 if mode == "static" else int(initial_level)
         self._levels: Dict[int, int] = {}
         self._blocked_until: Dict[int, float] = {}
@@ -203,12 +198,7 @@ class AdaptiveEccController:
             return
         level = self._levels.get(channel, self._initial_level)
         calm = self._calm.get(channel, 0)
-        policy = self._switching_policy
-        if self._decides_once:
-            delta, qualifies = policy._decide(estimate, self.margins, level, calm)
-        else:
-            delta = policy.decide(estimate, self.margins, level, calm)
-            qualifies = policy.qualifies_for_downgrade(estimate, self.margins, level)
+        delta, qualifies = self._switching_policy.decide(estimate, self.margins, level, calm)
         if delta:
             self._switch(channel, level + (1 if delta > 0 else -1), now_s)
             return

@@ -128,7 +128,6 @@ class NetworkResult:
 
     records: List[NetTransferRecord]
     busy_s_by_reader: Dict[int, float]
-    grant_counts_by_reader: Dict[int, Dict[int, int]]
     num_channels: int
     warmup_fraction: float
     events_processed: int
@@ -688,10 +687,6 @@ class NetworkSimulator:
         result = NetworkResult(
             records=run.records,
             busy_s_by_reader=run.busy_s,
-            grant_counts_by_reader={
-                reader: arbiter.grant_counts()
-                for reader, arbiter in sorted(run.arbiters.items())
-            },
             num_channels=self.config.num_onis,
             warmup_fraction=self.warmup_fraction,
             events_processed=run.queue.events_processed,

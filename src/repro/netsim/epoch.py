@@ -73,9 +73,7 @@ packet, design-BER disturb probability) resolved once, per
 ``(target BER, margin)`` —
 :meth:`~repro.manager.manager.OpticalLinkManager.configure` is
 deterministic given those plus the engine-constant policy, so replaying
-the cached configuration is result-identical (only the manager's private
-configuration-id counter advances differently, which is not observable in
-a :class:`NetworkResult`).  A
+the cached configuration is result-identical.  A
 :class:`~repro.manager.policies.SelectionPolicy` never sees the payload, so
 variable-payload (bursty) traffic costs one ``configure`` per key; the
 payload's own fields (packets, coded bits, nominal duration and energy) are
@@ -416,16 +414,13 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
         channel = channels.get(destination)
         if channel is None:
             channel = _channel_state(sim, arbiters, channels, destination)
-        source = request.source
-        target = channel[2][source]
+        target = channel[2][request.source]
         busy = channel[1]
         hops = (target - channel[0]) % channel[3]
         base = request_time_s if request_time_s > busy else busy
         start_s = base + hops * channel[4]
         channel[0] = target
         channel[1] = start_s + duration_s
-        grants = channel[5]
-        grants[source] = grants[source] + 1
         if state.first_start_s < 0.0:
             state.first_start_s = start_s
         state.attempts += 1
@@ -456,7 +451,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
                 )
             else:
                 state.pending_outcome = sampler.sample(remaining)
-        channel[6] += duration_s
+        channel[5] += duration_s
         push(start_s + duration_s, DEPARTURE, state)
 
     def rejected_record(request, now_s: float) -> None:
@@ -693,9 +688,7 @@ def run_batched(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
             departure_s = start_s + duration_s
             channel[0] = target
             channel[1] = departure_s
-            grants = channel[5]
-            grants[source] = grants[source] + 1
-            channel[6] += duration_s
+            channel[5] += duration_s
             if fail_p is None:
                 # Drift or faults move the raw BER: the gate is looked up.
                 if drift_at is not None:
@@ -800,11 +793,10 @@ def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
     """The arbiter recurrence state of one channel, as a list.
 
     ``[holder index, busy-until, writer->index, num writers, hop time,
-    grants, busy seconds]``: the loop replays :meth:`TokenArbiter.request`
-    on it inline (same expressions) and adds each attempt's serialisation
-    time to the busy seconds; :func:`_store_channels` writes both back at
-    the end of the run.  ``grants`` is the arbiter's own dict, updated in
-    place.
+    busy seconds]``: the loop replays :meth:`TokenArbiter.request` on it
+    inline (same expressions) and adds each attempt's serialisation time to
+    the busy seconds; :func:`_store_channels` writes both back at the end
+    of the run.
     """
     arbiter = sim._arbiter_for(destination, arbiters)
     entry = [
@@ -813,7 +805,6 @@ def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
         {writer: index for index, writer in enumerate(arbiter.writers)},
         len(arbiter.writers),
         arbiter.token_hop_time_s,
-        arbiter._grants,
         0.0,
     ]
     channels[destination] = entry
@@ -830,4 +821,4 @@ def _store_channels(arbiters, channels: dict, busy_s: dict) -> None:
         arbiter = arbiters[destination]
         arbiter._holder_index = channel[0]
         arbiter._busy_until_s = channel[1]
-        busy_s[destination] = channel[6]
+        busy_s[destination] = channel[5]

@@ -95,7 +95,6 @@ class NetworkMetrics:
     warmup_transfers_trimmed: int
     latency: LatencySummary
     sim_end_time_s: float
-    offered_payload_bits: int
     delivered_payload_bits: int
     offered_throughput_bits_per_s: float
     delivered_throughput_bits_per_s: float
@@ -154,7 +153,13 @@ class NetworkMetrics:
 
     @property
     def delivered_packet_error_rate(self) -> float:
-        """Fraction of delivered packets still carrying residual errors."""
+        """Fraction of delivered packets still carrying residual errors.
+
+        These are also the CRC escapes, the undetected-corrupt deliveries:
+        the CRC passed (or was disabled) while residual bit errors remained,
+        so ARQ never fired.  :meth:`as_dict` reports the figure under both
+        names.
+        """
         if self.packets_delivered == 0:
             return 0.0
         return self.packets_with_residual_errors / self.packets_delivered
@@ -173,17 +178,6 @@ class NetworkMetrics:
         if unique == 0:
             return 0.0
         return self.packets_dropped / unique
-
-    @property
-    def crc_escape_rate(self) -> float:
-        """Fraction of delivered packets whose corruption escaped the CRC.
-
-        These are the undetected-corrupt deliveries — the CRC passed (or was
-        disabled) while residual bit errors remained, so ARQ never fired.
-        """
-        if self.packets_delivered == 0:
-            return 0.0
-        return self.packets_with_residual_errors / self.packets_delivered
 
     def as_dict(self) -> dict:
         """Flat plain-scalar dictionary (JSON/CSV friendly)."""
@@ -214,7 +208,7 @@ class NetworkMetrics:
             "transfers_dropped": self.transfers_dropped,
             "packet_drop_rate": self.packet_drop_rate,
             "undetected_corrupt_packets": self.packets_with_residual_errors,
-            "crc_escape_rate": self.crc_escape_rate,
+            "crc_escape_rate": self.delivered_packet_error_rate,
             "availability": self.availability,
             "channel_downtime_s": self.channel_downtime_s,
             "fault_transitions": self.fault_transitions,
@@ -295,7 +289,6 @@ def compute_metrics(
         warmup_transfers_trimmed=trimmed,
         latency=latency,
         sim_end_time_s=float(sim_end),
-        offered_payload_bits=int(offered),
         delivered_payload_bits=int(delivered),
         offered_throughput_bits_per_s=(offered / sim_end if sim_end > 0 else 0.0),
         delivered_throughput_bits_per_s=(delivered / sim_end if sim_end > 0 else 0.0),

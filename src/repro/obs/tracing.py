@@ -78,7 +78,6 @@ class Tracer:
             self._owns_handle = False
             self.path = getattr(sink, "name", None)
         self._origin = time.perf_counter()
-        self.spans_emitted = 0
 
     def span(self, name: str, **attrs: Any) -> _Span:
         """Time a ``with`` block and emit it as one span record."""
@@ -122,7 +121,6 @@ class Tracer:
                 attrs_json,
             )
         )
-        self.spans_emitted += 1
 
     def close(self) -> None:
         if self._owns_handle and not self._handle.closed:

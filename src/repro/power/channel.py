@@ -93,13 +93,8 @@ def channel_power_breakdown(
     try:
         interface_power_w = synthesis.interface_power_w(mode)
     except KeyError:
-        # Codes outside the Table I set fall back to the parametric report.
-        parametric = synthesize_interfaces(config=config, parametric=True)
-        try:
-            interface_power_w = parametric.interface_power_w(mode)
-        except KeyError:
-            # Last resort: charge the uncoded interface path.
-            interface_power_w = synthesis.interface_power_w("w/o ECC")
+        # Codes outside the Table I set are charged the uncoded path.
+        interface_power_w = synthesis.interface_power_w("w/o ECC")
     per_wavelength_interface = interface_power_w / config.num_wavelengths
 
     return ChannelPowerBreakdown(

@@ -44,9 +44,7 @@ class LinkSimulationResult:
     measured_raw_ber: float
     measured_post_decoding_ber: float
     bits_simulated: int
-    raw_bit_errors: int
     residual_bit_errors: int
-    blocks_with_residual_errors: int
     blocks_simulated: int
 
 
@@ -103,7 +101,6 @@ class OpticalLinkSimulator:
         n = self._code.n
         raw_errors = 0
         residual_errors = 0
-        bad_blocks = 0
         raw_bits = 0
         message_mask = prefix_mask(n, k)
         for start in range(0, num_blocks, batch_size):
@@ -114,11 +111,9 @@ class OpticalLinkSimulator:
             raw_errors += int(popcount_rows(received_words ^ codeword_words).sum())
             raw_bits += count * n
             decoded = self._code.decode_batch_packed(received_words)
-            errors_per_block = popcount_rows(
-                (decoded.corrected_words ^ codeword_words) & message_mask
+            residual_errors += int(
+                popcount_rows((decoded.corrected_words ^ codeword_words) & message_mask).sum()
             )
-            residual_errors += int(errors_per_block.sum())
-            bad_blocks += int(np.count_nonzero(errors_per_block))
         payload_bits = num_blocks * k
         return LinkSimulationResult(
             code_name=getattr(self._code, "name", type(self._code).__name__),
@@ -127,8 +122,6 @@ class OpticalLinkSimulator:
             measured_raw_ber=raw_errors / raw_bits,
             measured_post_decoding_ber=residual_errors / payload_bits,
             bits_simulated=payload_bits,
-            raw_bit_errors=raw_errors,
             residual_bit_errors=residual_errors,
-            blocks_with_residual_errors=bad_blocks,
             blocks_simulated=num_blocks,
         )

@@ -130,20 +130,25 @@ def decode_packed(code, received):
     """Decode unpacked bit rows through ``code.decode_batch_packed``.
 
     A ``(B, n)`` matrix gives a :class:`BatchDecodeResult`, one ``(n,)``
-    block a :class:`DecodeResult`.
+    block a :class:`DecodeResult`.  The packed result carries only
+    ``failure``; a decoder that repairs a block changes it and one that
+    fails keeps it, so ``corrected`` is "changed and not failed" and
+    ``detected_error`` is "changed or failed".
     """
     blocks = as_gf2(received)
     if blocks.ndim not in (1, 2) or blocks.shape[-1] != code.n:
         raise CodewordLengthError(
             f"{code.name}: expected {code.n}-bit blocks, got shape {blocks.shape}"
         )
-    result = code.decode_batch_packed(pack_bits(np.atleast_2d(blocks)))
+    rows = np.atleast_2d(blocks)
+    result = code.decode_batch_packed(pack_bits(rows))
     codewords = unpack_bits(result.corrected_words, code.n)
+    changed = (codewords != rows).any(axis=1)
     batch = BatchDecodeResult(
         message_bits=codewords[:, : code.k],
         corrected_codewords=codewords,
-        detected_error=result.detected_error,
-        corrected=result.corrected,
+        detected_error=changed | result.failure,
+        corrected=changed & ~result.failure,
         failure=result.failure,
     )
     return batch if blocks.ndim == 2 else batch[0]

@@ -139,7 +139,8 @@ class TestBCHCode:
         message = rng.integers(0, 2, size=(1, code.k), dtype=np.uint8)
         codeword = code.encode_batch_packed(pack_bits(message))
         result = code.decode_batch_packed(codeword)
-        assert not result.detected_error.any()
+        assert np.array_equal(result.corrected_words, codeword)
+        assert not result.failure.any()
         assert np.array_equal(unpack_bits(result.corrected_words, code.n)[:, : code.k], message)
 
     def test_generator_polynomial_divides_codewords(self, rng):

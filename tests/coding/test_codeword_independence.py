@@ -4,7 +4,7 @@ The Monte-Carlo estimator and the network simulator's bit-exact sampler
 decode error patterns on the all-zero codeword instead of encoding random
 messages.  That is sound because every registry decoder is linear in the
 received word: ``decode(c ⊕ e) == c ⊕ decode(e)`` with the same
-``detected``/``corrected``/``failure`` flags, for every codeword ``c`` and
+``failure`` flag, for every codeword ``c`` and
 every error pattern ``e`` — beyond the correction radius and for errors that
 are themselves codewords too.  These tests check that property (exhaustively
 for the small codes, by hypothesis for every registry code) and pin the
@@ -48,8 +48,6 @@ def _assert_decoding_commutes(code, codeword_words, error_words):
     received = code.decode_batch_packed(codeword_words ^ error_words)
     residual = code.decode_batch_packed(error_words)
     assert np.array_equal(received.corrected_words, codeword_words ^ residual.corrected_words)
-    assert np.array_equal(received.detected_error, residual.detected_error)
-    assert np.array_equal(received.corrected, residual.corrected)
     assert np.array_equal(received.failure, residual.failure)
 
 

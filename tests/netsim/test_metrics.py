@@ -110,7 +110,6 @@ class TestComputeMetrics:
             warmup_fraction=0.0,
         )
         assert metrics.sim_end_time_s == 2.0
-        assert metrics.offered_payload_bits == 1024
         assert metrics.offered_throughput_bits_per_s == pytest.approx(512.0)
         assert metrics.channel_utilization[0] == pytest.approx(0.5)
         assert metrics.channel_utilization[1] == 0.0
@@ -127,7 +126,7 @@ class TestComputeMetrics:
         )
         assert metrics.transfers_completed == 1
         assert metrics.transfers_rejected == 1
-        assert metrics.offered_payload_bits == 1024
+        assert metrics.offered_throughput_bits_per_s == pytest.approx(1024.0)
         assert metrics.delivered_payload_bits == 512
 
     def test_partial_delivery_scales_payload_bits(self):

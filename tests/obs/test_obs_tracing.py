@@ -27,7 +27,6 @@ class TestEmission:
         assert record["pid"] == os.getpid()
         assert record["attrs"] == {"shard": 3}
         assert record["duration_s"] >= 0.0
-        assert tracer.spans_emitted == 1
 
     def test_emit_formats_every_attr_shape(self):
         sink = io.StringIO()

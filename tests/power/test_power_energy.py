@@ -66,9 +66,13 @@ class TestChannelPowerBreakdown:
         assert entry["code"] == "H(7,4)"
         assert entry["total_mw"] == pytest.approx(breakdowns["H(7,4)"].total_power_mw)
 
-    def test_unknown_code_falls_back_to_parametric_interface(self):
-        # A code outside the Table I set still gets a power figure.
+    def test_unknown_code_is_charged_the_uncoded_interface(self):
+        # A code outside the Table I set is charged the uncoded path's
+        # per-wavelength interface power.
         breakdown = channel_power_breakdown(HammingCode(4), 1e-9)
+        uncoded = channel_power_breakdown(UncodedScheme(64), 1e-9)
+        assert breakdown.interface_power_w == uncoded.interface_power_w
+        assert breakdown.interface_power_w == pytest.approx(4.69075e-07, rel=1e-12)
         assert breakdown.total_power_w > 0
 
 

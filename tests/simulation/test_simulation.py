@@ -100,7 +100,7 @@ class TestOpticalLinkSimulator:
         result = OpticalLinkSimulator(code, point, rng=rng).run(num_blocks=100)
         assert result.blocks_simulated == 100
         assert result.bits_simulated == 400
-        assert 0 <= result.blocks_with_residual_errors <= result.blocks_simulated
+        assert 0 <= result.residual_bit_errors <= result.bits_simulated
 
     def test_validation(self, rng):
         designer = OpticalLinkDesigner()

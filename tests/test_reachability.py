@@ -6,21 +6,42 @@ The scan reads ``src/`` as ASTs and iterates to a fixed point:
   *definition*, and so is each name a module-level assignment binds
   (dunders and the ``__all__``/``_LAZY_EXPORTS`` tables excepted), whose
   right-hand side belongs to it.  Nested functions belong to their
-  enclosing definition.
+  enclosing definition.  A second definition of the same qualified name (a
+  property's ``.setter``) merges into the first.
+* Attributes are definitions too: each name a class-body assignment binds
+  (dataclass and NamedTuple fields, class constants; the right-hand side
+  belongs to it) and each ``self.<name>`` store in a method.  Stores of the
+  same name in several methods are one definition.
 * A name is *used* when live code in ``src/`` refers to it (an
   ``ast.Name`` that is read, an ``ast.Attribute``, an imported name, or an
   identifier-shaped string constant, which covers ``getattr`` tables), or
   when it appears as a word in ``examples/*.py``, ``README.md`` or
   ``perfbench/``.  Docstrings, the import re-exports of ``__init__.py``
   files and the ``__all__``/``_LAZY_EXPORTS`` entries are not uses.
+* An attribute needs a *read*: an attribute load ``.name`` in live code, an
+  identifier-shaped string, a ``%(name)s`` placeholder, or an external word.
+  A store, an augmented assignment, a constructor keyword or a bare name
+  does not read it.
 * Dunders, definitions under a registering decorator (anything but the
   descriptor, dataclass, ``contextmanager`` and ``lru_cache``/``cache``
-  decorators, which register nothing) and the ``http.server`` hooks count
-  as reached without a reference.
-* Round 1 flags every definition whose name no live code uses.  Each later
-  round drops the flagged definitions' bodies (and the methods of flagged
-  classes) from the live code and scans again, until nothing new is
-  flagged.
+  decorators, which register nothing), the names the standard library
+  reads (``_STDLIB_HOOKS``), NamedTuple fields (records are read whole) and
+  the attributes of ``Exception`` subclasses (the payload of whoever
+  catches them) count as reached without a reference.
+* Round 1 flags every definition whose name no live code uses (or reads).
+  Each later round drops the flagged definitions' bodies (and the methods
+  and attributes of flagged classes) from the live code and scans again,
+  until nothing new is flagged.
+
+It matches names, not objects, so it is blind to:
+
+* a definition whose name some unrelated live code uses (or reads), which
+  passes although nothing reaches it;
+* a container attribute that is only mutated (``self.counts[key] += 1``
+  loads ``self.counts``), which passes as read;
+* an attribute read only through ``dataclasses.asdict``/``fields``, which
+  it flags although a report reads it (keep such a field with an
+  ``ALLOWLIST`` entry).
 
 ``ALLOWLIST`` names the few definitions that only a test reaches on
 purpose, each with its reason.  It can only shrink: an entry that is no
@@ -30,6 +51,7 @@ longer defined, or that the scan would reach without it, fails the guard.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,27 +76,53 @@ _PLAIN_DECORATORS = frozenset(
      "abstractmethod", "setter", "contextmanager", "lru_cache", "cache"}
 )
 
-#: Methods ``http.server.BaseHTTPRequestHandler`` calls by name.
-_STDLIB_HOOKS = frozenset({"do_GET", "do_POST", "log_message", "handle_expect_100"})
+#: Methods and attributes the standard library reads by name: the
+#: ``http.server``/``socketserver`` handler and server hooks, and
+#: ``logging.Logger.propagate``.
+_STDLIB_HOOKS = frozenset(
+    {"do_GET", "do_POST", "log_message", "handle_expect_100", "protocol_version",
+     "wbufsize", "disable_nagle_algorithm", "close_connection", "daemon_threads",
+     "propagate"}
+)
 
 #: Assignments whose string entries are export lists, not uses.
 _EXPORT_TABLES = frozenset({"__all__", "_LAZY_EXPORTS"})
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PLACEHOLDER = re.compile(r"%\(([A-Za-z_][A-Za-z0-9_]*)\)")
 
 
 @dataclass
 class Definition:
-    """One function, method, property, class or module constant of a scanned module."""
+    """One function, method, property, class, constant or attribute of a scanned module."""
 
     qualname: str
     name: str
     always_reached: bool
+    #: An attribute (a class-body assignment or a ``self.<name>`` store):
+    #: only an attribute load, a string or an external word reads it.
+    is_field: bool = False
     #: Names used by the definition's own body (nested definitions
     #: excluded), minus its own name.
     uses: Set[str] = field(default_factory=set)
-    #: Qualified names of the definitions inside it (a class's methods).
+    #: The names among ``uses`` that can read an attribute: attribute
+    #: loads, identifier-shaped strings and ``%(name)s`` placeholders.
+    reads: Set[str] = field(default_factory=set)
+    #: Qualified names of the definitions inside it (a class's methods and attributes).
     members: List[str] = field(default_factory=list)
+    #: A class's base names.
+    bases: List[str] = field(default_factory=list)
+    #: An attribute's class (qualified name).
+    owner: str = ""
+
+    def merge(self, other: "Definition") -> None:
+        """Fold in a second definition of the same name (a property's setter, another store)."""
+        self.always_reached |= other.always_reached
+        self.is_field &= other.is_field
+        self.uses |= other.uses
+        self.reads |= other.reads
+        self.members += [m for m in other.members if m not in self.members]
+        self.bases += other.bases
 
 
 def _decorator_name(node: ast.expr) -> str:
@@ -87,11 +135,13 @@ def _decorator_name(node: ast.expr) -> str:
     return ""
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _always_reached(node: ast.AST) -> bool:
     name = node.name
-    if name.startswith("__") and name.endswith("__"):
-        return True
-    if name in _STDLIB_HOOKS:
+    if _is_dunder(name) or name in _STDLIB_HOOKS:
         return True
     return any(_decorator_name(d) not in _PLAIN_DECORATORS for d in node.decorator_list)
 
@@ -118,8 +168,8 @@ def _is_export_table(stmt: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id in _EXPORT_TABLES for t in targets)
 
 
-def _constant_names(stmt: ast.stmt) -> List[str]:
-    """The names a module-level assignment defines (dunders and export tables excepted)."""
+def _assigned_names(stmt: ast.stmt) -> List[str]:
+    """The names a module- or class-level assignment defines (dunders and export tables excepted)."""
     if isinstance(stmt, ast.Assign):
         targets = stmt.targets
     elif isinstance(stmt, ast.AnnAssign):
@@ -130,34 +180,58 @@ def _constant_names(stmt: ast.stmt) -> List[str]:
         target.id
         for target in targets
         if isinstance(target, ast.Name)
-        and not (target.id.startswith("__") and target.id.endswith("__"))
+        and not _is_dunder(target.id)
         and target.id not in _EXPORT_TABLES
     ]
 
 
-def _uses_in(node: ast.AST) -> Iterator[str]:
-    """Names that one node refers to (not descending into its children)."""
+def _stored_attributes(method: ast.AST) -> List[str]:
+    """The names a method stores as ``self.<name>`` (dunders excepted), in order."""
+    names: List[str] = []
+    for node in ast.walk(method):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and not _is_dunder(node.attr)
+            and node.attr not in names
+        ):
+            names.append(node.attr)
+    return names
+
+
+def _uses_in(node: ast.AST) -> Iterator[Tuple[str, bool]]:
+    """Names that one node refers to (not descending into its children).
+
+    Each comes with whether it can read an attribute: an attribute load or
+    a name in a string does, a bare name, an import or a store does not.
+    """
     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-        yield node.id
+        yield node.id, False
     elif isinstance(node, ast.Attribute):
-        yield node.attr
+        yield node.attr, isinstance(node.ctx, ast.Load)
     elif isinstance(node, ast.alias):
-        yield node.name.rsplit(".", 1)[-1]
+        yield node.name.rsplit(".", 1)[-1], False
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         if _IDENTIFIER.fullmatch(node.value):
-            yield node.value
+            yield node.value, True
+        for name in _PLACEHOLDER.findall(node.value):
+            yield name, True
 
 
 _DEFINITION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _body_uses(statements: Iterable[ast.stmt], *, is_init: bool) -> Set[str]:
-    """Names used by ``statements``, skipping docstrings and export tables.
+def _body_uses(statements: Iterable[ast.stmt], *, is_init: bool = False) -> Tuple[Set[str], Set[str]]:
+    """Names used by ``statements`` and the subset that can read an attribute.
 
-    Functions and classes nested inside a function count with it; the
-    caller leaves out the definitions it scans on their own.
+    Docstrings and export tables are skipped.  Functions and classes nested
+    inside a function count with it; the caller leaves out the definitions
+    it scans on their own.
     """
     used: Set[str] = set()
+    read: Set[str] = set()
     pending: List[ast.AST] = []
     for stmt in statements:
         if _is_export_table(stmt):
@@ -167,32 +241,49 @@ def _body_uses(statements: Iterable[ast.stmt], *, is_init: bool) -> Set[str]:
         pending.append(stmt)
     while pending:
         node = pending.pop()
-        used.update(_uses_in(node))
+        for name, is_read in _uses_in(node):
+            used.add(name)
+            if is_read:
+                read.add(name)
         children = list(ast.iter_child_nodes(node))
         if isinstance(node, _DEFINITION_NODES) and _is_docstring(node.body[0]):
             children.remove(node.body[0])
         pending.extend(children)
-    return used
+    return used, read
 
 
-def scan_module(module: str, source: str, *, is_init: bool = False) -> Tuple[Set[str], List[Definition]]:
-    """Return the names the module's top-level code uses and its definitions."""
+def scan_module(
+    module: str, source: str, *, is_init: bool = False
+) -> Tuple[Set[str], Set[str], List[Definition]]:
+    """Return the names the module's top-level code uses and reads, and its definitions."""
     tree = ast.parse(source)
     definitions: List[Definition] = []
 
-    def split(
-        statements: List[ast.stmt], prefix: str, *, module_level: bool = False
-    ) -> Tuple[List[ast.stmt], List[str]]:
+    def define(qualname: str, name: str, **kwargs) -> str:
+        definitions.append(Definition(qualname, name, name in _STDLIB_HOOKS, **kwargs))
+        return qualname
+
+    def split(statements: List[ast.stmt], prefix: str, *, owner: str = "") -> Tuple[List[ast.stmt], List[str]]:
         loose: List[ast.stmt] = []
         members: List[str] = []
         for stmt in statements:
-            constants = _constant_names(stmt) if module_level else []
+            names = _assigned_names(stmt)
             if isinstance(stmt, _DEFINITION_NODES):
                 members.append(visit(stmt, prefix))
-            elif constants:
-                uses = _body_uses([stmt], is_init=False)
-                for name in constants:
-                    definitions.append(Definition(f"{prefix}.{name}", name, False, uses - {name}))
+                if owner and not isinstance(stmt, ast.ClassDef):
+                    members += [
+                        define(f"{prefix}.{name}", name, is_field=True, owner=owner)
+                        for name in _stored_attributes(stmt)
+                    ]
+            elif names:
+                uses, reads = _body_uses([stmt])
+                members += [
+                    define(
+                        f"{prefix}.{name}", name, is_field=bool(owner), owner=owner,
+                        uses=uses - {name}, reads=reads - {name},
+                    )
+                    for name in names
+                ]
             else:
                 loose.append(stmt)
         return loose, members
@@ -205,15 +296,36 @@ def scan_module(module: str, source: str, *, is_init: bool = False) -> Tuple[Set
         outside_body = list(node.decorator_list)
         if isinstance(node, ast.ClassDef):
             outside_body += node.bases + [k.value for k in node.keywords]
-            body, definition.members = split(body, qualname)
+            definition.bases = [_decorator_name(base) for base in node.bases]
+            body, definition.members = split(body, qualname, owner=qualname)
         else:
             outside_body += [node.args] + ([node.returns] if node.returns else [])
         statements = body + [ast.Expr(part) for part in outside_body]
-        definition.uses = _body_uses(statements, is_init=False) - {node.name}
+        uses, reads = _body_uses(statements)
+        definition.uses, definition.reads = uses - {node.name}, reads - {node.name}
         return qualname
 
-    loose, _ = split(_without_docstring(tree.body), module, module_level=True)
-    return _body_uses(loose, is_init=is_init), definitions
+    loose, _ = split(_without_docstring(tree.body), module)
+    return (*_body_uses(loose, is_init=is_init), definitions)
+
+
+def _payload_classes(definitions: Mapping[str, Definition]) -> Set[str]:
+    """Classes whose attributes count as reached: NamedTuples and exceptions, with their subclasses."""
+    payload_bases = {"NamedTuple"} | {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    payload: Set[str] = set()
+    while True:
+        grown = {
+            qualname
+            for qualname, definition in definitions.items()
+            if qualname not in payload and payload_bases.intersection(definition.bases)
+        }
+        if not grown:
+            return payload
+        payload |= grown
+        payload_bases |= {definitions[qualname].name for qualname in grown}
 
 
 def scan(
@@ -227,28 +339,38 @@ def scan(
     package ``__init__``.  The returned list ends at the fixed point; the
     union of its sets is everything the scan would delete.
     """
-    roots: Set[str] = set(external_words)
+    root_uses: Set[str] = set(external_words)
+    root_reads: Set[str] = set(external_words)
     definitions: Dict[str, Definition] = {}
     for module, (source, is_init) in modules.items():
-        top_level, found = scan_module(module, source, is_init=is_init)
-        roots |= top_level
-        definitions.update((d.qualname, d) for d in found)
+        top_uses, top_reads, found = scan_module(module, source, is_init=is_init)
+        root_uses |= top_uses
+        root_reads |= top_reads
+        for definition in found:
+            if definition.qualname in definitions:
+                definitions[definition.qualname].merge(definition)
+            else:
+                definitions[definition.qualname] = definition
+    payload = _payload_classes(definitions)
+    for definition in definitions.values():
+        definition.always_reached |= definition.is_field and definition.owner in payload
     allowed = set(allowlist)
 
     dead: Set[str] = set()
     rounds: List[Set[str]] = []
     while True:
-        used = set(roots)
+        used, read = set(root_uses), set(root_reads)
         for qualname, definition in definitions.items():
             if qualname not in dead:
                 used |= definition.uses
+                read |= definition.reads
         flagged = {
             qualname
             for qualname, definition in definitions.items()
             if qualname not in dead
             and qualname not in allowed
             and not definition.always_reached
-            and definition.name not in used
+            and definition.name not in (read if definition.is_field else used)
         }
         if not flagged:
             return rounds
@@ -298,7 +420,7 @@ class TestRepository:
         rounds = scan(modules, words, ALLOWLIST)
         unreached = sorted(set().union(*rounds))
         assert unreached == [], (
-            "definitions in src/ that only tests (or nothing) reach; delete them, "
+            "definitions in src/ that only tests (or nothing) reach or read; delete them, "
             f"move a parity reference into its tests' oracle.py, or allowlist with a reason: {unreached}"
         )
 
@@ -309,7 +431,7 @@ class TestRepository:
         modules, _ = repo_scan_inputs
         defined = set()
         for module, (source, is_init) in modules.items():
-            defined.update(d.qualname for d in scan_module(module, source, is_init=is_init)[1])
+            defined.update(d.qualname for d in scan_module(module, source, is_init=is_init)[2])
         assert sorted(set(ALLOWLIST) - defined) == []
 
     def test_allowlist_entries_are_needed(self, repo_scan_inputs):
@@ -568,3 +690,179 @@ class TestScanner:
     def test_an_allowlisted_def_and_what_it_calls_are_reached(self):
         modules = {"mod": ("def leaf():\n    return 1\ndef hook():\n    return leaf()\n", False)}
         assert scan(modules, allowlist=["mod.hook"]) == []
+
+    def test_a_property_setter_keeps_its_getters_uses(self):
+        rounds = _scan_sources(
+            mod=(
+                "def helper():\n    return 1\n"
+                "class Box:\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return helper()\n"
+                "    @size.setter\n"
+                "    def size(self, value):\n"
+                "        pass\n"
+                "print(Box().size)\n"
+            ),
+        )
+        assert rounds == []
+
+
+class TestFields:
+    def test_an_attribute_load_reads_a_field(self):
+        rounds = _scan_sources(
+            mod=(
+                "from dataclasses import dataclass\n"
+                "@dataclass\n"
+                "class Result:\n"
+                "    total: int\n"
+                "    note: str\n"
+                "class Counter:\n"
+                "    def __init__(self):\n"
+                "        self.count = 0\n"
+                "        self.ticks = 0\n"
+                "    def tick(self):\n"
+                "        self.ticks += 1\n"
+                "        return self.count\n"
+                "print(Result(total=1, note='x').total, Counter().tick())\n"
+            ),
+        )
+        assert rounds == [{"mod.Result.note", "mod.Counter.ticks"}]
+
+    def test_a_store_or_constructor_keyword_is_not_a_read(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Box:\n"
+                "    size: int = 0\n"
+                "box = Box(size=3)\n"
+                "box.size = 4\n"
+            ),
+        )
+        assert rounds == [{"mod.Box.size"}]
+
+    def test_a_bare_name_does_not_read_a_field(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Box:\n"
+                "    def __init__(self, size):\n"
+                "        self.size = size\n"
+                "def area(size):\n"
+                "    return size * size\n"
+                "print(area(2), Box(2))\n"
+            ),
+        )
+        assert rounds == [{"mod.Box.size"}]
+
+    def test_a_field_stored_in_two_methods_is_one_definition(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Box:\n"
+                "    size: int = 0\n"
+                "    def grow(self):\n"
+                "        self.size = 2\n"
+                "    def shrink(self):\n"
+                "        self.size = 1\n"
+                "box = Box()\n"
+                "box.grow()\n"
+                "box.shrink()\n"
+            ),
+        )
+        assert rounds == [{"mod.Box.size"}]
+
+    def test_a_placeholder_reads_its_name(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Record:\n"
+                "    def __init__(self):\n"
+                "        self.shard_tag = ''\n"
+                "        self.unused = ''\n"
+                "FORMAT = '%(levelname)s%(shard_tag)s: %(message)s'\n"
+                "print(FORMAT % vars(Record()))\n"
+            ),
+        )
+        assert rounds == [{"mod.Record.unused"}]
+
+    def test_an_identifier_string_reads_a_field(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Record:\n"
+                "    total: int = 0\n"
+                "print(getattr(Record(), 'total'))\n"
+            ),
+        )
+        assert rounds == []
+
+    def test_namedtuple_fields_are_reached(self):
+        rounds = _scan_sources(
+            mod=(
+                "from typing import NamedTuple\n"
+                "class Row(NamedTuple):\n"
+                "    source: int\n"
+                "    payload: int\n"
+                "print(tuple(Row(1, 2)))\n"
+            ),
+        )
+        assert rounds == []
+
+    def test_exception_attributes_are_reached(self):
+        rounds = _scan_sources(
+            errors=(
+                "class ReproError(Exception):\n"
+                "    pass\n"
+                "class ShardError(ReproError):\n"
+                "    def __init__(self, index):\n"
+                "        self.index = index\n"
+                "        super().__init__(index)\n"
+                "class BadValue(ValueError):\n"
+                "    code: int = 3\n"
+            ),
+            user="from errors import ShardError, BadValue\nraise ShardError(BadValue())\n",
+        )
+        assert rounds == []
+
+    def test_stdlib_read_attributes_are_reached(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Handler:\n"
+                "    protocol_version = 'HTTP/1.1'\n"
+                "    wbufsize = -1\n"
+                "    disable_nagle_algorithm = True\n"
+                "    def do_GET(self):\n"
+                "        self.close_connection = True\n"
+                "class Server:\n"
+                "    def __init__(self, logger):\n"
+                "        self.daemon_threads = True\n"
+                "        self.propagate = False\n"
+                "print(Handler, Server)\n"
+            ),
+        )
+        assert rounds == []
+
+    def test_a_field_only_a_flagged_method_reads_is_flagged_in_round_two(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Meter:\n"
+                "    def __init__(self):\n"
+                "        self.total = 0\n"
+                "    def add(self, x):\n"
+                "        self.total += x\n"
+                "    def report(self):\n"
+                "        return self.total\n"
+                "Meter().add(1)\n"
+            ),
+        )
+        assert rounds == [{"mod.Meter.report"}, {"mod.Meter.total"}]
+
+    def test_a_dead_field_takes_what_its_default_names_with_it(self):
+        rounds = _scan_sources(
+            mod=(
+                "from dataclasses import dataclass, field\n"
+                "def make_table():\n"
+                "    return {}\n"
+                "@dataclass\n"
+                "class Config:\n"
+                "    table: dict = field(default_factory=make_table)\n"
+                "print(Config())\n"
+            ),
+        )
+        assert rounds == [{"mod.Config.table"}, {"mod.make_table"}]
