@@ -27,9 +27,9 @@ policy's **energy saved versus the static worst-case design** — the paper's
 headline number — on identical workloads.
 
 One shard per grid point, each rebuilding traffic / engine / drift /
-telemetry generators from ``SeedSequence(seed, spawn_key=(spawn_index,
+telemetry generators from ``SeedSequence(seed, spawn_key=(pair_index,
 stream))``, so ``repro-experiments adaptive --jobs N`` is byte-identical to
-the serial run.
+the serial run and all policies of a pair face literally the same drift.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from ..config import DEFAULT_CONFIG, PaperConfig
-from ..exceptions import ConfigurationError
 from ..manager.policies import (
     FailureRateMonitor,
     HysteresisSwitchingPolicy,
@@ -51,8 +48,7 @@ from ..manager.runtime import AdaptiveEccController
 from ..netsim import NetworkSimulator, make_drift_model
 from ..netsim.dynamics import DRIFT_PROFILES
 from ..traffic.generators import UniformTrafficGenerator
-from .network import request_rate_for_load
-from .gridlib import check_grid_size, check_option_names
+from .network import grid_knobs, paired_rows, paired_shards, request_rate_for_load, shard_streams
 
 __all__ = [
     "AdaptiveSweepResult",
@@ -77,25 +73,22 @@ DEFAULT_SEED = 20260
 
 _POLICY_MODES = {"static-worst": "static", "adaptive": "adaptive", "oracle": "oracle"}
 
-
-def _shard_defaults(options: dict) -> dict:
-    """The JSON-serializable per-shard knobs shared by every grid point."""
-    return {
-        "num_requests": int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
-        "payload_bits": int(options.get("payload_bits", DEFAULT_PAYLOAD_BITS)),
-        "target_ber": float(options.get("target_ber", DEFAULT_TARGET_BER)),
-        "packet_bits": int(options.get("packet_bits", 512)),
-        "max_retries": int(options.get("max_retries", 4)),
-        "warmup_fraction": float(options.get("warmup_fraction", 0.1)),
-        "worst_case_multiplier": float(
-            options.get("worst_case_multiplier", DEFAULT_WORST_CASE_MULTIPLIER)
-        ),
-        "margin_ratio": float(options.get("margin_ratio", 2.0)),
-        "monitor_window_blocks": int(options.get("monitor_window_blocks", 8192)),
-        "switch_latency_s": float(options.get("switch_latency_s", 200e-9)),
-        "switch_energy_j": float(options.get("switch_energy_j", 1e-9)),
-        "seed": int(options.get("seed", DEFAULT_SEED)),
-    }
+#: Per-shard knobs and their defaults; an option of the same name overrides
+#: one, converted to its default's type.
+_KNOBS = {
+    "num_requests": DEFAULT_NUM_REQUESTS,
+    "payload_bits": DEFAULT_PAYLOAD_BITS,
+    "target_ber": DEFAULT_TARGET_BER,
+    "packet_bits": 512,
+    "max_retries": 4,
+    "warmup_fraction": 0.1,
+    "worst_case_multiplier": DEFAULT_WORST_CASE_MULTIPLIER,
+    "margin_ratio": 2.0,
+    "monitor_window_blocks": 8192,
+    "switch_latency_s": 200e-9,
+    "switch_energy_j": 1e-9,
+    "seed": DEFAULT_SEED,
+}
 
 
 # ------------------------------------------------------------------ grid API
@@ -103,44 +96,19 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     """Grid descriptor: one shard per (drift profile, policy, load) point.
 
     ``options`` may override ``drifts``, ``policies``, ``loads`` and every
-    knob listed in :func:`_shard_defaults` (all JSON-serializable; they
-    become part of the checkpoint fingerprint); any other key raises
-    :class:`ConfigurationError`.
+    knob of :data:`_KNOBS` (all JSON-serializable; they become part of the
+    checkpoint fingerprint); any other key raises
+    :class:`ConfigurationError` (see :func:`~.network.paired_shards`).
     """
-    options = options or {}
-    check_option_names(
-        "adaptive", options, ("drifts", "policies", "loads", *_shard_defaults({}))
+    return paired_shards(
+        "adaptive",
+        options,
+        _KNOBS,
+        axis="drift",
+        values=(DEFAULT_DRIFTS, DRIFT_PROFILES),
+        policies=(DEFAULT_POLICIES, _POLICY_MODES),
+        loads=DEFAULT_LOADS,
     )
-    drifts = list(options.get("drifts", DEFAULT_DRIFTS))
-    policies = list(options.get("policies", DEFAULT_POLICIES))
-    loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
-    for drift in drifts:
-        if drift not in DRIFT_PROFILES:
-            raise ConfigurationError(
-                f"unknown drift profile {drift!r}; available: {DRIFT_PROFILES}"
-            )
-    for policy in policies:
-        if policy not in _POLICY_MODES:
-            raise ConfigurationError(
-                f"unknown policy {policy!r}; available: {sorted(_POLICY_MODES)}"
-            )
-    check_grid_size("adaptive", len(drifts) * len(loads) * len(policies))
-    defaults = _shard_defaults(options)
-    shards = []
-    pair_index = 0
-    for drift in drifts:
-        for load in loads:
-            for policy in policies:
-                shard = dict(defaults)
-                # Every policy of one (drift, load) pair shares the pair's
-                # seed streams, so the policies are compared on literally
-                # the same traffic and drift trajectories.
-                shard.update(
-                    {"drift": drift, "policy": policy, "load": load, "pair_index": pair_index}
-                )
-                shards.append(shard)
-            pair_index += 1
-    return shards
 
 
 def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
@@ -153,11 +121,9 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
     of a (drift, load) pair share the same ``pair_index`` and therefore
     face literally the same workload and channel conditions.
     """
-    seed = params["seed"]
-    streams = {
-        name: np.random.SeedSequence(seed, spawn_key=(params["pair_index"], stream))
-        for stream, name in enumerate(("traffic", "engine", "drift", "telemetry"))
-    }
+    streams = shard_streams(
+        params["seed"], params["pair_index"], ("traffic", "engine", "drift", "telemetry")
+    )
     rate_hz = request_rate_for_load(params["load"], config, payload_bits=params["payload_bits"])
     generator = UniformTrafficGenerator(
         config.num_onis,
@@ -214,14 +180,8 @@ class AdaptiveSweepResult:
     num_requests: int
 
     def to_rows(self) -> List[dict]:
-        """CSV rows for the experiment runner (scalar columns only)."""
-        # Shards no longer emit a ``trace`` list, but payloads checkpointed
-        # by earlier versions still carry one and resume under the same
-        # fingerprint; dropping it keeps their rows equal to a fresh run's.
-        return [
-            {key: value for key, value in row.items() if key != "trace"}
-            for row in self.rows
-        ]
+        """CSV rows for the experiment runner."""
+        return list(self.rows)
 
     def render_text(self) -> str:
         """Human-readable energy/adaptation comparison table."""
@@ -276,24 +236,8 @@ def merge_sweep(
     Annotates every non-static row with ``energy_saved_vs_static_pct``
     against the static-worst row of the same (drift, load) point.
     """
-    options = options or {}
-    rows = [dict(payload) for payload in payloads]
-    static_energy = {
-        (row["drift"], row["load"]): row["total_energy_j"]
-        for row in rows
-        if row["policy"] == "static-worst"
-    }
-    for row in rows:
-        baseline = static_energy.get((row["drift"], row["load"]))
-        # Every row carries the column (the CSV writer needs uniform keys);
-        # the static baseline itself and points without one report 0.
-        row["energy_saved_vs_static_pct"] = (
-            100.0 * (1.0 - row["total_energy_j"] / baseline)
-            if baseline is not None and baseline > 0.0 and row["policy"] != "static-worst"
-            else 0.0
-        )
+    rows, _ = paired_rows(payloads, "drift", "static-worst")
     result = AdaptiveSweepResult(
-        rows=rows,
-        num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
+        rows=rows, num_requests=grid_knobs(options or {}, _KNOBS)["num_requests"]
     )
     return result.render_text(), result.to_rows()

@@ -38,10 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from ..config import DEFAULT_CONFIG, PaperConfig
-from ..exceptions import ConfigurationError
 from ..manager.policies import (
     DegradationLadder,
     FailureRateMonitor,
@@ -53,8 +50,7 @@ from ..manager.runtime import AdaptiveEccController
 from ..netsim import NetworkSimulator, make_fault_model
 from ..netsim.failures import FAULT_SCENARIOS
 from ..traffic.generators import UniformTrafficGenerator
-from .network import request_rate_for_load
-from .gridlib import check_grid_size, check_option_names
+from .network import grid_knobs, paired_rows, paired_shards, request_rate_for_load, shard_streams
 
 __all__ = [
     "AvailabilitySweepResult",
@@ -77,27 +73,26 @@ DEFAULT_PAYLOAD_BITS = 4096
 DEFAULT_TARGET_BER = 1e-9
 DEFAULT_SEED = 20261
 
-
-def _shard_defaults(options: dict) -> dict:
-    """The JSON-serializable per-shard knobs shared by every grid point."""
-    return {
-        "num_requests": int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
-        "payload_bits": int(options.get("payload_bits", DEFAULT_PAYLOAD_BITS)),
-        "target_ber": float(options.get("target_ber", DEFAULT_TARGET_BER)),
-        "packet_bits": int(options.get("packet_bits", 512)),
-        "max_retries": int(options.get("max_retries", 4)),
-        "warmup_fraction": float(options.get("warmup_fraction", 0.1)),
-        "margin_ratio": float(options.get("margin_ratio", 2.0)),
-        "monitor_window_blocks": int(options.get("monitor_window_blocks", 8192)),
-        "fault_fraction": float(options.get("fault_fraction", 0.5)),
-        "peak_droop_penalty": float(options.get("peak_droop_penalty", 8.0)),
-        #: ARQ backoff base and per-transfer timeout of the ladder policy,
-        #: as fractions of the simulation horizon (they scale with load).
-        "backoff_horizon_fraction": float(options.get("backoff_horizon_fraction", 0.01)),
-        "timeout_horizon_fraction": float(options.get("timeout_horizon_fraction", 0.5)),
-        "max_derate_factor": float(options.get("max_derate_factor", 8.0)),
-        "seed": int(options.get("seed", DEFAULT_SEED)),
-    }
+#: Per-shard knobs and their defaults; an option of the same name overrides
+#: one, converted to its default's type.
+_KNOBS = {
+    "num_requests": DEFAULT_NUM_REQUESTS,
+    "payload_bits": DEFAULT_PAYLOAD_BITS,
+    "target_ber": DEFAULT_TARGET_BER,
+    "packet_bits": 512,
+    "max_retries": 4,
+    "warmup_fraction": 0.1,
+    "margin_ratio": 2.0,
+    "monitor_window_blocks": 8192,
+    "fault_fraction": 0.5,
+    "peak_droop_penalty": 8.0,
+    # ARQ backoff base and per-transfer timeout of the ladder policy, as
+    # fractions of the simulation horizon (they scale with load).
+    "backoff_horizon_fraction": 0.01,
+    "timeout_horizon_fraction": 0.5,
+    "max_derate_factor": 8.0,
+    "seed": DEFAULT_SEED,
+}
 
 
 # ------------------------------------------------------------------ grid API
@@ -105,49 +100,19 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     """Grid descriptor: one shard per (fault scenario, policy, load) point.
 
     ``options`` may override ``scenarios``, ``policies``, ``loads`` and
-    every knob listed in :func:`_shard_defaults` (all JSON-serializable;
-    they become part of the checkpoint fingerprint); any other key raises
-    :class:`ConfigurationError`.
+    every knob of :data:`_KNOBS` (all JSON-serializable; they become part
+    of the checkpoint fingerprint); any other key raises
+    :class:`ConfigurationError` (see :func:`~.network.paired_shards`).
     """
-    options = options or {}
-    check_option_names(
-        "availability", options, ("scenarios", "policies", "loads", *_shard_defaults({}))
+    return paired_shards(
+        "availability",
+        options,
+        _KNOBS,
+        axis="scenario",
+        values=(DEFAULT_SCENARIOS, FAULT_SCENARIOS),
+        policies=(DEFAULT_POLICIES, DEFAULT_POLICIES),
+        loads=DEFAULT_LOADS,
     )
-    scenarios = list(options.get("scenarios", DEFAULT_SCENARIOS))
-    policies = list(options.get("policies", DEFAULT_POLICIES))
-    loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
-    for scenario in scenarios:
-        if scenario not in FAULT_SCENARIOS:
-            raise ConfigurationError(
-                f"unknown fault scenario {scenario!r}; available: {FAULT_SCENARIOS}"
-            )
-    for policy in policies:
-        if policy not in DEFAULT_POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {policy!r}; available: {DEFAULT_POLICIES}"
-            )
-    check_grid_size("availability", len(scenarios) * len(loads) * len(policies))
-    defaults = _shard_defaults(options)
-    shards = []
-    pair_index = 0
-    for scenario in scenarios:
-        for load in loads:
-            for policy in policies:
-                shard = dict(defaults)
-                # Every policy of one (scenario, load) pair shares the
-                # pair's seed streams, so the policies are compared on
-                # literally the same traffic and fault timelines.
-                shard.update(
-                    {
-                        "scenario": scenario,
-                        "policy": policy,
-                        "load": load,
-                        "pair_index": pair_index,
-                    }
-                )
-                shards.append(shard)
-            pair_index += 1
-    return shards
 
 
 def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
@@ -158,11 +123,9 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
     — so the payload depends only on the shard parameters, which is what
     makes parallel sweeps byte-identical to serial ones.
     """
-    seed = params["seed"]
-    streams = {
-        name: np.random.SeedSequence(seed, spawn_key=(params["pair_index"], stream))
-        for stream, name in enumerate(("traffic", "engine", "faults", "telemetry"))
-    }
+    streams = shard_streams(
+        params["seed"], params["pair_index"], ("traffic", "engine", "faults", "telemetry")
+    )
     rate_hz = request_rate_for_load(params["load"], config, payload_bits=params["payload_bits"])
     generator = UniformTrafficGenerator(
         config.num_onis,
@@ -241,14 +204,8 @@ class AvailabilitySweepResult:
     num_requests: int
 
     def to_rows(self) -> List[dict]:
-        """CSV rows for the experiment runner (scalar columns only)."""
-        # Shards no longer emit a ``trace`` list, but payloads checkpointed
-        # by earlier versions still carry one and resume under the same
-        # fingerprint; dropping it keeps their rows equal to a fresh run's.
-        return [
-            {key: value for key, value in row.items() if key != "trace"}
-            for row in self.rows
-        ]
+        """CSV rows for the experiment runner."""
+        return list(self.rows)
 
     def render_text(self) -> str:
         """Human-readable availability/degradation comparison table."""
@@ -310,28 +267,15 @@ def merge_sweep(
     (scenario, load) point: energy saved (%) and drop-rate reduction
     (percentage points; positive means fewer drops than static).
     """
-    options = options or {}
-    rows = [dict(payload) for payload in payloads]
-    static_rows = {
-        (row["scenario"], row["load"]): row for row in rows if row["policy"] == "static"
-    }
+    rows, baselines = paired_rows(payloads, "scenario", "static")
     for row in rows:
-        baseline = static_rows.get((row["scenario"], row["load"]))
-        is_static = row["policy"] == "static"
-        row["energy_saved_vs_static_pct"] = (
-            100.0 * (1.0 - row["total_energy_j"] / baseline["total_energy_j"])
-            if baseline is not None
-            and baseline["total_energy_j"] > 0.0
-            and not is_static
-            else 0.0
-        )
+        baseline = baselines.get((row["scenario"], row["load"]))
         row["drop_rate_delta_vs_static_pp"] = (
             100.0 * (baseline["packet_drop_rate"] - row["packet_drop_rate"])
-            if baseline is not None and not is_static
+            if baseline is not None and row["policy"] != "static"
             else 0.0
         )
     result = AvailabilitySweepResult(
-        rows=rows,
-        num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
+        rows=rows, num_requests=grid_knobs(options or {}, _KNOBS)["num_requests"]
     )
     return result.render_text(), result.to_rows()

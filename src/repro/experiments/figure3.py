@@ -44,9 +44,7 @@ class Figure3Result:
         )
 
 
-def run_figure3(
-    config: PaperConfig = DEFAULT_CONFIG, *, num_points: int = 401
-) -> Figure3Result:
+def run_figure3(config: PaperConfig = DEFAULT_CONFIG) -> Figure3Result:
     """Sample the ring spectra and verify the extinction ratio."""
     ring = MicroringResonator(
         resonance_wavelength_m=config.center_wavelength_m,
@@ -58,7 +56,7 @@ def run_figure3(
     )
     span = 6.0 * ring.fwhm_m
     wavelengths = np.linspace(
-        config.center_wavelength_m - span, config.center_wavelength_m + span, num_points
+        config.center_wavelength_m - span, config.center_wavelength_m + span, 401
     )
     on = ring.spectrum(wavelengths, MicroringState.ON)
     off = ring.spectrum(wavelengths, MicroringState.OFF)

@@ -60,15 +60,10 @@ class Figure4Result:
         )
 
 
-def run_figure4(
-    config: PaperConfig = DEFAULT_CONFIG,
-    *,
-    max_optical_power_uw: float = 800.0,
-    num_points: int = 161,
-) -> Figure4Result:
-    """Sweep OP_laser and record the electrical laser power curve."""
+def run_figure4(config: PaperConfig = DEFAULT_CONFIG) -> Figure4Result:
+    """Sweep OP_laser from 0 to 800 uW and record the electrical laser power curve."""
     laser = VCSELModel.from_config(config)
-    optical_powers_w = np.linspace(0.0, max_optical_power_uw * 1e-6, num_points)
+    optical_powers_w = np.linspace(0.0, 800.0 * 1e-6, 161)
     electrical_w = laser.electrical_power_curve(
         optical_powers_w, activity=config.chip_activity
     )

@@ -34,7 +34,7 @@ fingerprint (and service job id) of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Collection, List, Sequence
 
 import numpy as np
 
@@ -56,6 +56,11 @@ from .gridlib import check_grid_size, check_option_names
 __all__ = [
     "NetworkSweepResult",
     "request_rate_for_load",
+    "grid_knobs",
+    "check_known",
+    "shard_streams",
+    "paired_shards",
+    "paired_rows",
     "sweep_shards",
     "run_sweep_shard",
     "merge_sweep",
@@ -74,23 +79,19 @@ DEFAULT_PAYLOAD_BITS = 4096
 DEFAULT_TARGET_BER = 1e-9
 DEFAULT_SEED = 2026
 
-#: Option keys :func:`sweep_shards` understands.
-_OPTION_KEYS = frozenset(
-    {
-        "patterns",
-        "loads",
-        "policies",
-        "num_requests",
-        "payload_bits",
-        "target_ber",
-        "packet_bits",
-        "mode",
-        "rings",
-        "max_retries",
-        "warmup_fraction",
-        "seed",
-    }
-)
+#: Per-shard knobs and their defaults; an option of the same name overrides
+#: one, converted to its default's type.
+_KNOBS = {
+    "rings": 1,
+    "num_requests": DEFAULT_NUM_REQUESTS,
+    "payload_bits": DEFAULT_PAYLOAD_BITS,
+    "target_ber": DEFAULT_TARGET_BER,
+    "packet_bits": 512,
+    "mode": "probabilistic",
+    "max_retries": 4,
+    "warmup_fraction": 0.1,
+    "seed": DEFAULT_SEED,
+}
 
 #: Policies the sweep can select by name (JSON-serializable grid values).
 _POLICY_FACTORIES = {
@@ -114,6 +115,97 @@ def request_rate_for_load(
         raise ConfigurationError("relative load must be positive")
     aggregate = config.num_onis * config.num_wavelengths * config.modulation_rate_hz
     return load * aggregate / payload_bits
+
+
+def grid_knobs(options: dict, knobs: dict) -> dict:
+    """The value of every knob of a ``{knob: default}`` table.
+
+    An option overrides a knob's default and is converted to the default's
+    type (``int``, ``float`` or ``str``).
+    """
+    return {name: type(default)(options.get(name, default)) for name, default in knobs.items()}
+
+
+def check_known(kind: str, values: Sequence, available: Collection) -> None:
+    """Reject a grid value outside ``available``; ``kind`` names it in the error."""
+    for value in values:
+        if value not in available:
+            raise ConfigurationError(f"unknown {kind} {value!r}; available: {sorted(available)}")
+
+
+def shard_streams(seed: int, index: int, names: Sequence[str]) -> dict:
+    """One shard's named seed streams, ``SeedSequence(seed, spawn_key=(index, stream))``.
+
+    ``stream`` is the name's position in ``names``, and ``index`` the
+    shard's grid position, so a payload depends only on its shard's
+    parameters: what makes parallel sweeps byte-identical to serial ones.
+    """
+    return {
+        name: np.random.SeedSequence(seed, spawn_key=(index, stream))
+        for stream, name in enumerate(names)
+    }
+
+
+def paired_shards(
+    experiment: str,
+    options: dict | None,
+    knobs: dict,
+    *,
+    axis: str,
+    values: tuple[Sequence[str], Collection[str]],
+    policies: tuple[Sequence[str], Collection[str]],
+    loads: Sequence[float],
+) -> list[dict]:
+    """Shards of a paired policy sweep: one per (``axis`` value, load, policy) point.
+
+    ``values`` and ``policies`` are the (default, known) values of the
+    sweep's own axis (option ``<axis>s``) and of its policies, ``loads``
+    the default loads.  Options may override those three lists and every
+    knob of ``knobs`` (:func:`grid_knobs`); any other key raises
+    :class:`ConfigurationError`.  Every shard carries ``pair_index``, the
+    position of its (axis value, load) pair: all policies of a pair share
+    the pair's seed streams (:func:`shard_streams`), so they are compared
+    on literally the same traffic and channel conditions.
+    """
+    options = options or {}
+    check_option_names(experiment, options, (f"{axis}s", "policies", "loads", *knobs))
+    axis_values = list(options.get(f"{axis}s", values[0]))
+    policy_names = list(options.get("policies", policies[0]))
+    load_values = [float(load) for load in options.get("loads", loads)]
+    check_known(axis, axis_values, values[1])
+    check_known("policy", policy_names, policies[1])
+    check_grid_size(experiment, len(axis_values) * len(load_values) * len(policy_names))
+    defaults = grid_knobs(options, knobs)
+    pairs = [(value, load) for value in axis_values for load in load_values]
+    return [
+        {**defaults, axis: value, "policy": policy, "load": load, "pair_index": pair_index}
+        for pair_index, (value, load) in enumerate(pairs)
+        for policy in policy_names
+    ]
+
+
+def paired_rows(payloads: Sequence[dict], axis: str, static: str) -> tuple[list[dict], dict]:
+    """CSV rows of a paired sweep and the ``static`` policy's row of each pair.
+
+    Payloads checkpointed by earlier versions still carry a ``trace`` list
+    and resume under the same fingerprint; dropping it keeps their rows
+    equal to a fresh run's.  Every row gets ``energy_saved_vs_static_pct``
+    against the static row of its (``axis`` value, load) pair (the CSV
+    writer needs uniform keys: the static rows and rows without a baseline
+    report 0).
+    """
+    rows = [{key: value for key, value in row.items() if key != "trace"} for row in payloads]
+    baselines = {(row[axis], row["load"]): row for row in rows if row["policy"] == static}
+    for row in rows:
+        baseline = baselines.get((row[axis], row["load"]))
+        row["energy_saved_vs_static_pct"] = (
+            100.0 * (1.0 - row["total_energy_j"] / baseline["total_energy_j"])
+            if baseline is not None
+            and baseline["total_energy_j"] > 0.0
+            and row["policy"] != static
+            else 0.0
+        )
+    return rows, baselines
 
 
 def _make_generator(
@@ -205,56 +297,44 @@ class NetworkSweepResult:
 def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
     """Grid descriptor: one shard per (pattern, load, policy, ring) point.
 
-    ``options`` may override ``patterns``, ``loads``, ``policies``,
-    ``num_requests``, ``payload_bits``, ``target_ber``, ``packet_bits``,
-    ``mode``, ``rings``, ``max_retries``, ``warmup_fraction`` and ``seed``
-    (all JSON-serializable; they become part of the checkpoint
-    fingerprint); any other key raises :class:`ConfigurationError`.
+    ``options`` may override ``patterns``, ``loads``, ``policies`` and
+    every knob of :data:`_KNOBS` (all JSON-serializable; they become part
+    of the checkpoint fingerprint); any other key raises
+    :class:`ConfigurationError`.
     ``rings`` replicates each grid point across that many independently
     seeded rings, one shard per ring, so ``--jobs`` spreads the replicas
     across workers; their rows merge back into one aggregate row per grid
     point.
     """
     options = options or {}
-    check_option_names("network", options, _OPTION_KEYS)
+    check_option_names("network", options, ("patterns", "loads", "policies", *_KNOBS))
     patterns = list(options.get("patterns", DEFAULT_PATTERNS))
     loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
     policies = list(options.get("policies", DEFAULT_POLICIES))
-    for policy in policies:
-        if policy not in _POLICY_FACTORIES:
-            raise ConfigurationError(
-                f"unknown policy {policy!r}; available: {sorted(_POLICY_FACTORIES)}"
-            )
-    rings = int(options.get("rings", 1))
+    check_known("policy", policies, _POLICY_FACTORIES)
+    knobs = grid_knobs(options, _KNOBS)
+    rings = knobs["rings"]
     if rings < 1:
         raise ConfigurationError("rings must be a positive integer")
     check_grid_size("network", len(patterns) * len(policies) * len(loads) * rings)
-    shards = []
-    spawn_index = 0
-    for pattern in patterns:
-        for policy in policies:
-            for load in loads:
-                for ring in range(rings):
-                    shards.append(
-                        {
-                            "pattern": pattern,
-                            "policy": policy,
-                            "load": load,
-                            "ring": ring,
-                            "rings": rings,
-                            "num_requests": int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
-                            "payload_bits": int(options.get("payload_bits", DEFAULT_PAYLOAD_BITS)),
-                            "target_ber": float(options.get("target_ber", DEFAULT_TARGET_BER)),
-                            "packet_bits": int(options.get("packet_bits", 512)),
-                            "mode": str(options.get("mode", "probabilistic")),
-                            "max_retries": int(options.get("max_retries", 4)),
-                            "warmup_fraction": float(options.get("warmup_fraction", 0.1)),
-                            "seed": int(options.get("seed", DEFAULT_SEED)),
-                            "spawn_index": spawn_index,
-                        }
-                    )
-                    spawn_index += 1
-    return shards
+    points = [
+        (pattern, policy, load, ring)
+        for pattern in patterns
+        for policy in policies
+        for load in loads
+        for ring in range(rings)
+    ]
+    return [
+        {
+            "pattern": pattern,
+            "policy": policy,
+            "load": load,
+            "ring": ring,
+            **knobs,
+            "spawn_index": spawn_index,
+        }
+        for spawn_index, (pattern, policy, load, ring) in enumerate(points)
+    ]
 
 
 def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
@@ -266,6 +346,7 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
     sweeps byte-identical to serial ones.  A ring is one more grid axis:
     its spawn index (hence its streams) differs from every other ring's.
     """
+    streams = shard_streams(params["seed"], params["spawn_index"], ("traffic", "engine"))
     rate_hz = request_rate_for_load(
         params["load"], config, payload_bits=params["payload_bits"]
     )
@@ -275,7 +356,7 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         rate_hz=rate_hz,
         payload_bits=params["payload_bits"],
         target_ber=params["target_ber"],
-        seed=np.random.SeedSequence(params["seed"], spawn_key=(params["spawn_index"], 0)),
+        seed=streams["traffic"],
     )
     simulator = NetworkSimulator(
         config=config,
@@ -284,7 +365,7 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         packet_bits=params["packet_bits"],
         max_retries=params["max_retries"],
         warmup_fraction=params["warmup_fraction"],
-        seed=np.random.SeedSequence(params["seed"], spawn_key=(params["spawn_index"], 1)),
+        seed=streams["engine"],
     )
     result = simulator.run(generator.generate(params["num_requests"]))
     payload = {
@@ -397,13 +478,13 @@ def merge_sweep(
     one aggregate row; with ``rings=1`` (the default) this is the identity
     and the output is unchanged from the single-ring sweep.
     """
-    options = options or {}
+    knobs = grid_knobs(options or {}, _KNOBS)
     groups: dict[tuple, list[dict]] = {}
     for row in payloads:
         groups.setdefault((row["pattern"], row["policy"], row["load"]), []).append(row)
     result = NetworkSweepResult(
         rows=[_merge_ring_rows(rows) for rows in groups.values()],
-        num_requests=int(options.get("num_requests", DEFAULT_NUM_REQUESTS)),
-        mode=str(options.get("mode", "probabilistic")),
+        num_requests=knobs["num_requests"],
+        mode=knobs["mode"],
     )
     return result.render_text(), result.to_rows()

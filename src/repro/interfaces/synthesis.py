@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..config import DEFAULT_CONFIG, PaperConfig
-from .receiver import ReceiverInterface
-from .techlib import BlockCharacterisation, FDSOI_28NM, TechnologyLibrary
-from .transmitter import H71_MODE, H74_MODE, UNCODED_MODE, TransmitterInterface
+from .blocks import H71_MODE, H74_MODE, UNCODED_MODE, InterfaceAssembly
+from .techlib import BlockCharacterisation
 
 __all__ = ["SynthesisReport", "synthesize_interfaces", "ModeTotals", "PAPER_MODES"]
 
@@ -115,7 +114,6 @@ class SynthesisReport:
 def synthesize_interfaces(
     *,
     config: PaperConfig = DEFAULT_CONFIG,
-    tech: TechnologyLibrary = FDSOI_28NM,
     parametric: bool = False,
 ) -> SynthesisReport:
     """Build the transmitter/receiver pair and produce the Table I report.
@@ -129,45 +127,30 @@ def synthesize_interfaces(
         from ..coding.hamming import HammingCode, ShortenedHammingCode
 
         codes = [HammingCode(3), ShortenedHammingCode(config.ip_bus_width_bits)]
-        transmitter = TransmitterInterface.from_codes(
-            codes,
-            ip_bus_width_bits=config.ip_bus_width_bits,
-            ip_clock_hz=config.ip_clock_hz,
-            modulation_rate_hz=config.modulation_rate_hz,
-            tech=tech,
-        )
-        receiver = ReceiverInterface.from_codes(
-            codes,
-            ip_bus_width_bits=config.ip_bus_width_bits,
-            ip_clock_hz=config.ip_clock_hz,
-            modulation_rate_hz=config.modulation_rate_hz,
-            tech=tech,
-        )
         modes = [codes[0].name, codes[1].name, UNCODED_MODE]
     else:
-        transmitter = TransmitterInterface.paper_default(tech)
-        receiver = ReceiverInterface.paper_default(tech)
         modes = list(PAPER_MODES)
-
-    def totals_for(interface) -> List[ModeTotals]:
-        result = []
-        for mode in modes:
-            result.append(
-                ModeTotals(
-                    mode=mode,
-                    dynamic_power_uw=interface.dynamic_power_uw(mode),
-                    total_power_uw=interface.total_power_uw(mode),
-                    critical_path_ps=interface.critical_path_ps(mode),
-                )
+    fields: dict = {}
+    for side in ("transmitter", "receiver"):
+        if parametric:
+            interface = InterfaceAssembly.from_codes(
+                side,
+                codes,
+                ip_bus_width_bits=config.ip_bus_width_bits,
+                ip_clock_hz=config.ip_clock_hz,
+                modulation_rate_hz=config.modulation_rate_hz,
             )
-        return result
-
-    return SynthesisReport(
-        config=config,
-        transmitter_blocks=transmitter.as_table(),
-        receiver_blocks=receiver.as_table(),
-        transmitter_area_um2=transmitter.total_area_um2,
-        receiver_area_um2=receiver.total_area_um2,
-        transmitter_modes=totals_for(transmitter),
-        receiver_modes=totals_for(receiver),
-    )
+        else:
+            interface = InterfaceAssembly.paper_default(side)
+        fields[f"{side}_blocks"] = interface.as_table()
+        fields[f"{side}_area_um2"] = interface.total_area_um2
+        fields[f"{side}_modes"] = [
+            ModeTotals(
+                mode=mode,
+                dynamic_power_uw=interface.dynamic_power_uw(mode),
+                total_power_uw=interface.total_power_uw(mode),
+                critical_path_ps=interface.critical_path_ps(mode),
+            )
+            for mode in modes
+        ]
+    return SynthesisReport(config=config, **fields)

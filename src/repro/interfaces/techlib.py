@@ -49,18 +49,6 @@ class BlockCharacterisation:
         """Total power in watts."""
         return self.total_power_uw * 1e-6
 
-    def scaled(self, factor: float, *, name: str | None = None) -> "BlockCharacterisation":
-        """Return a copy with area and powers scaled (critical path unchanged)."""
-        if factor < 0:
-            raise ConfigurationError("scale factor cannot be negative")
-        return BlockCharacterisation(
-            name=name if name is not None else self.name,
-            area_um2=self.area_um2 * factor,
-            critical_path_ps=self.critical_path_ps,
-            static_power_nw=self.static_power_nw * factor,
-            dynamic_power_uw=self.dynamic_power_uw * factor,
-        )
-
 
 class TechnologyLibrary:
     """A named collection of block characterisations plus calibration constants.

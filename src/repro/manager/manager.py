@@ -79,10 +79,6 @@ class LinkConfiguration:
     request: CommunicationRequest
     decision: ConfigurationDecision
     laser_output_power_w: float
-    #: Raw-BER drift margin the configuration was provisioned for: the link
-    #: meets the request's target while the channel degrades by up to this
-    #: factor.  ``1.0`` is the historical unmargined design.
-    margin_multiplier: float = 1.0
 
     @property
     def code_name(self) -> str:
@@ -203,7 +199,6 @@ class OpticalLinkManager:
             request=request,
             decision=decision,
             laser_output_power_w=laser_output,
-            margin_multiplier=float(margin_multiplier),
         )
         return configuration
 

@@ -30,15 +30,19 @@ class ParetoPoint:
         return (self.communication_time, self.channel_power_w)
 
 
-def dominates(a: ParetoPoint, b: ParetoPoint, *, tolerance: float = 1e-12) -> bool:
+#: Objective differences at or below this count as ties.
+_TOLERANCE = 1e-12
+
+
+def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
     """True when ``a`` is at least as good as ``b`` everywhere and better somewhere.
 
     Both objectives (communication time and channel power) are minimised.
     """
     at, ap = a.objectives
     bt, bp = b.objectives
-    no_worse = at <= bt + tolerance and ap <= bp + tolerance
-    strictly_better = at < bt - tolerance or ap < bp - tolerance
+    no_worse = at <= bt + _TOLERANCE and ap <= bp + _TOLERANCE
+    strictly_better = at < bt - _TOLERANCE or ap < bp - _TOLERANCE
     return no_worse and strictly_better
 
 

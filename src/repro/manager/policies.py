@@ -39,7 +39,6 @@ class ConfigurationDecision:
     """The configuration a policy selected."""
 
     breakdown: ChannelPowerBreakdown
-    policy_name: str
 
     @property
     def code_name(self) -> str:
@@ -60,8 +59,6 @@ class ConfigurationDecision:
 class SelectionPolicy(Protocol):
     """Protocol implemented by every selection policy."""
 
-    name: str
-
     def select(
         self, candidates: Sequence[ChannelPowerBreakdown], *, config: PaperConfig
     ) -> ConfigurationDecision:
@@ -80,8 +77,6 @@ def _feasible(candidates: Sequence[ChannelPowerBreakdown]) -> list[ChannelPowerB
 class MinimumPowerPolicy:
     """Pick the feasible configuration with the lowest channel power."""
 
-    name: str = "min-power"
-
     def select(
         self,
         candidates: Sequence[ChannelPowerBreakdown],
@@ -90,14 +85,13 @@ class MinimumPowerPolicy:
     ) -> ConfigurationDecision:
         """Select the candidate minimising per-wavelength channel power."""
         best = min(_feasible(candidates), key=lambda c: c.total_power_w)
-        return ConfigurationDecision(breakdown=best, policy_name=self.name)
+        return ConfigurationDecision(breakdown=best)
 
 
 @dataclass
 class MinimumEnergyPolicy:
     """Pick the feasible configuration with the lowest energy per useful bit."""
 
-    name: str = "min-energy"
     ip_referenced: bool = False
 
     def select(
@@ -117,7 +111,7 @@ class MinimumEnergyPolicy:
             )
 
         best = min(_feasible(candidates), key=energy)
-        return ConfigurationDecision(breakdown=best, policy_name=self.name)
+        return ConfigurationDecision(breakdown=best)
 
 
 @dataclass
@@ -130,7 +124,6 @@ class DeadlineConstrainedPolicy:
     """
 
     max_communication_time: float
-    name: str = "deadline"
 
     def select(
         self,
@@ -146,7 +139,7 @@ class DeadlineConstrainedPolicy:
                 f"no configuration meets the communication-time bound {self.max_communication_time:.2f}"
             )
         best = min(within, key=lambda c: c.total_power_w)
-        return ConfigurationDecision(breakdown=best, policy_name=self.name)
+        return ConfigurationDecision(breakdown=best)
 
 
 # ------------------------------------------------------------------ adaptation

@@ -15,7 +15,6 @@ import contextlib
 import contextvars
 import logging
 import sys
-from typing import TextIO
 
 __all__ = ["setup_logging", "shard_logging_context"]
 
@@ -53,7 +52,7 @@ class _CurrentStderr:
         sys.stderr.flush()
 
 
-def setup_logging(level: str = "warning", stream: TextIO | None = None) -> logging.Logger:
+def setup_logging(level: str = "warning") -> logging.Logger:
     """Configure the ``repro`` logger tree with one tagged stderr handler.
 
     Idempotent: calling it again only adjusts the level (so tests and
@@ -68,7 +67,7 @@ def setup_logging(level: str = "warning", stream: TextIO | None = None) -> loggi
         if getattr(handler, _HANDLER_FLAG, False):
             handler.setLevel(numeric)
             return logger
-    handler = logging.StreamHandler(stream if stream is not None else _CurrentStderr())
+    handler = logging.StreamHandler(_CurrentStderr())
     handler.setLevel(numeric)
     handler.addFilter(_ShardTagFilter())
     handler.setFormatter(

@@ -60,7 +60,6 @@ def build_job_manifest(
     job: dict,
     attempts: Sequence[dict],
     result_path: str | None,
-    timing: dict | None = None,
 ) -> dict:
     """Assemble one service job's lifecycle manifest.
 
@@ -79,7 +78,7 @@ def build_job_manifest(
         "attempts": [dict(attempt) for attempt in attempts],
         "result_path": result_path,
         "environment": environment_info(),
-        "timing": timing or {},
+        "timing": {},
     }
 
 

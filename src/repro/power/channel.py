@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 from ..interfaces.synthesis import SynthesisReport, synthesize_interfaces
-from ..link.design import LinkDesignPoint, OpticalLinkDesigner
+from ..link.design import OpticalLinkDesigner
 
 __all__ = ["ChannelPowerBreakdown", "channel_power_breakdown"]
 
@@ -75,19 +75,17 @@ def channel_power_breakdown(
     config: PaperConfig = DEFAULT_CONFIG,
     designer: OpticalLinkDesigner | None = None,
     synthesis: SynthesisReport | None = None,
-    design_point: LinkDesignPoint | None = None,
 ) -> ChannelPowerBreakdown:
     """Compute the per-wavelength power breakdown for one code and BER target.
 
-    A pre-computed designer, synthesis report or design point can be passed
-    in to avoid recomputation inside sweeps.
+    A pre-computed designer or synthesis report can be passed in to avoid
+    recomputation inside sweeps.
     """
     if designer is None:
         designer = OpticalLinkDesigner(config=config)
     if synthesis is None:
         synthesis = synthesize_interfaces(config=config)
-    if design_point is None:
-        design_point = designer.design_point(code, target_ber)
+    design_point = designer.design_point(code, target_ber)
 
     mode = getattr(code, "name", str(code))
     try:

@@ -65,6 +65,9 @@ EXIT_TRANSIENT = 2
 EXIT_DETERMINISTIC = 3
 EXIT_CANCELLED = 4
 
+#: Seconds a worker gets to exit after SIGTERM, and again after SIGKILL.
+_TERM_GRACE_S = 5.0
+
 #: Set by the worker's SIGTERM/SIGINT handler; polled by the orchestrator's
 #: cancellation hook between shards.
 _WORKER_CANCELLED = [False]
@@ -136,7 +139,6 @@ class Supervisor(threading.Thread):
         max_deterministic_failures: int = 2,
         backoff_base_s: float = 0.5,
         backoff_cap_s: float = 30.0,
-        term_grace_s: float = 5.0,
         registry=None,
     ):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -163,7 +165,6 @@ class Supervisor(threading.Thread):
         self.max_deterministic_failures = int(max_deterministic_failures)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
-        self.term_grace_s = float(term_grace_s)
         self.registry = registry
         self._context = multiprocessing.get_context("fork")
         self._stop_event = threading.Event()
@@ -192,7 +193,7 @@ class Supervisor(threading.Thread):
         if active is not None:
             _job_id, process = active
             self._terminate(process)
-        self.join(timeout=drain_timeout_s + self.term_grace_s + self.job_timeout_s)
+        self.join(timeout=drain_timeout_s + _TERM_GRACE_S + self.job_timeout_s)
 
     def cancel_job(self, job_id: str) -> Job:
         """Cancel one job: queued jobs die immediately, running ones drain."""
@@ -251,13 +252,13 @@ class Supervisor(threading.Thread):
             process.terminate()
         except (OSError, ValueError):
             return
-        process.join(timeout=self.term_grace_s)
+        process.join(timeout=_TERM_GRACE_S)
         if process.is_alive():
             try:
                 process.kill()
             except (OSError, ValueError):
                 pass
-            process.join(timeout=self.term_grace_s)
+            process.join(timeout=_TERM_GRACE_S)
 
     def _backoff_delay_s(self, job: Job) -> float:
         """Exponential backoff with deterministic per-(job, attempt) jitter."""

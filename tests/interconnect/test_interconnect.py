@@ -79,19 +79,17 @@ class TestInterconnectAssembly:
             MWSRChannel(reader=-1)
 
     def test_oni_interface_area_is_the_sum_of_both_interfaces(self):
-        from repro.interfaces.receiver import ReceiverInterface
-        from repro.interfaces.transmitter import TransmitterInterface
+        from repro.interfaces.blocks import InterfaceAssembly
 
-        transmitter = TransmitterInterface.paper_default()
-        receiver = ReceiverInterface.paper_default()
+        transmitter = InterfaceAssembly.paper_default("transmitter")
+        receiver = InterfaceAssembly.paper_default("receiver")
         area = transmitter.total_area_um2 + receiver.total_area_um2
         assert area == pytest.approx(2013.0 + 3050.0)
         assert DEFAULT_CONFIG.num_onis * area == pytest.approx(12 * (2013.0 + 3050.0))
 
     def test_both_interfaces_offer_the_same_modes(self):
-        from repro.interfaces.receiver import ReceiverInterface
-        from repro.interfaces.transmitter import TransmitterInterface
+        from repro.interfaces.blocks import InterfaceAssembly
 
-        transmit_modes = TransmitterInterface.paper_default().modes()
-        assert set(transmit_modes) == set(ReceiverInterface.paper_default().modes())
+        transmit_modes = InterfaceAssembly.paper_default("transmitter").modes()
+        assert set(transmit_modes) == set(InterfaceAssembly.paper_default("receiver").modes())
         assert {"w/o ECC", "H(7,4)", "H(71,64)"} <= set(transmit_modes)

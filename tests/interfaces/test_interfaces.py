@@ -7,15 +7,14 @@ import pytest
 from repro.coding.hamming import HammingCode, ShortenedHammingCode
 from repro.exceptions import ConfigurationError
 from repro.interfaces.blocks import (
+    InterfaceAssembly,
     deserializer_block,
     hamming_codec_block,
     mux_block,
     serializer_block,
 )
-from repro.interfaces.receiver import ReceiverInterface
 from repro.interfaces.synthesis import PAPER_MODES, synthesize_interfaces
 from repro.interfaces.techlib import FDSOI_28NM, BlockCharacterisation, TechnologyLibrary
-from repro.interfaces.transmitter import TransmitterInterface
 
 
 class TestTechnologyLibrary:
@@ -39,11 +38,6 @@ class TestTechnologyLibrary:
         block = BlockCharacterisation("x", 10.0, 50.0, 100.0, 1.0)
         assert block.total_power_uw == pytest.approx(1.1)
         assert block.total_power_w == pytest.approx(1.1e-6)
-
-    def test_scaled_block(self):
-        block = FDSOI_28NM.block("tx/ser_64bit_uncoded").scaled(2.0, name="double")
-        assert block.area_um2 == pytest.approx(498.0)
-        assert block.name == "double"
 
     def test_unknown_block_raises(self):
         with pytest.raises(ConfigurationError):
@@ -118,52 +112,75 @@ class TestParametricBlocks:
 
 class TestInterfaceAssemblies:
     def test_paper_transmitter_area_matches_table_one(self):
-        transmitter = TransmitterInterface.paper_default()
+        transmitter = InterfaceAssembly.paper_default("transmitter")
         assert transmitter.total_area_um2 == pytest.approx(2013.0)
 
     def test_paper_receiver_area_matches_table_one(self):
-        receiver = ReceiverInterface.paper_default()
+        receiver = InterfaceAssembly.paper_default("receiver")
         assert receiver.total_area_um2 == pytest.approx(3050.0)
 
     @pytest.mark.parametrize(
         "mode, expected", [("H(7,4)", 9.57), ("H(71,64)", 5.98), ("w/o ECC", 3.16)]
     )
     def test_transmitter_dynamic_power_per_mode(self, mode, expected):
-        transmitter = TransmitterInterface.paper_default()
+        transmitter = InterfaceAssembly.paper_default("transmitter")
         assert transmitter.dynamic_power_uw(mode) == pytest.approx(expected, abs=0.05)
 
     @pytest.mark.parametrize(
         "mode, expected", [("H(7,4)", 10.10), ("H(71,64)", 7.20), ("w/o ECC", 4.30)]
     )
     def test_receiver_dynamic_power_per_mode(self, mode, expected):
-        receiver = ReceiverInterface.paper_default()
+        receiver = InterfaceAssembly.paper_default("receiver")
         assert receiver.dynamic_power_uw(mode) == pytest.approx(expected, abs=0.05)
 
     def test_coded_modes_cost_more_than_uncoded(self):
-        transmitter = TransmitterInterface.paper_default()
+        transmitter = InterfaceAssembly.paper_default("transmitter")
         assert transmitter.dynamic_power_uw("H(7,4)") > transmitter.dynamic_power_uw("w/o ECC")
 
     def test_unknown_mode_raises(self):
-        transmitter = TransmitterInterface.paper_default()
+        transmitter = InterfaceAssembly.paper_default("transmitter")
         with pytest.raises(ConfigurationError):
             transmitter.dynamic_power_uw("H(15,11)")
 
     def test_critical_path_is_positive_slack_at_1ghz(self):
-        transmitter = TransmitterInterface.paper_default()
-        receiver = ReceiverInterface.paper_default()
+        transmitter = InterfaceAssembly.paper_default("transmitter")
+        receiver = InterfaceAssembly.paper_default("receiver")
         for mode in PAPER_MODES:
             assert transmitter.critical_path_ps(mode) < 1000.0
             assert receiver.critical_path_ps(mode) < 1000.0
 
     def test_parametric_interface_exposes_custom_modes(self):
         codes = [HammingCode(4)]
-        transmitter = TransmitterInterface.from_codes(codes, ip_bus_width_bits=44)
+        transmitter = InterfaceAssembly.from_codes("transmitter", codes, ip_bus_width_bits=44)
         assert "H(15,11)" in transmitter.modes()
         assert transmitter.dynamic_power_uw("H(15,11)") > transmitter.dynamic_power_uw("w/o ECC")
 
     def test_parametric_interface_rejects_mismatched_bus(self):
         with pytest.raises(ConfigurationError):
-            TransmitterInterface.from_codes([HammingCode(4)], ip_bus_width_bits=64)
+            InterfaceAssembly.from_codes("transmitter", [HammingCode(4)], ip_bus_width_bits=64)
+
+    def test_parametric_sides_pick_their_own_parts(self):
+        codes = [HammingCode(3)]
+        transmitter = InterfaceAssembly.from_codes("transmitter", codes)
+        receiver = InterfaceAssembly.from_codes("receiver", codes)
+        assert list(transmitter.as_table()) == [
+            "mux:1b_2to1", "ser:64b", "encoder:H(7,4)x16", "ser:112b"
+        ]
+        assert list(receiver.as_table()) == [
+            "mux:64b_2to1", "deser:64b", "decoder:H(7,4)x16", "deser:112b"
+        ]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: InterfaceAssembly.paper_default("tx"),
+            lambda: InterfaceAssembly.from_codes("both", [HammingCode(3)]),
+        ],
+        ids=["paper_default", "from_codes"],
+    )
+    def test_unknown_side_rejected(self, build):
+        with pytest.raises(ConfigurationError, match="unknown interface side"):
+            build()
 
 
 class TestSynthesisReport:

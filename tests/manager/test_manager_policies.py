@@ -96,9 +96,11 @@ class TestPolicies:
         with pytest.raises(InfeasibleDesignError):
             DeadlineConstrainedPolicy(max_communication_time=0.5).select(candidates)
 
-    def test_decision_records_policy(self, candidates):
+    def test_decision_carries_the_selected_breakdown(self, candidates):
         decision = MinimumPowerPolicy().select(candidates)
-        assert decision.policy_name == "min-power"
+        best = min((c for c in candidates if c.feasible), key=lambda c: c.total_power_w)
+        assert decision.breakdown is best
+        assert decision.code_name == best.code_name
 
 
 class TestOpticalLinkManager:

@@ -73,7 +73,8 @@ class TestDeratedTarget:
         request = CommunicationRequest(source=1, destination=0, target_ber=1e-9)
         nominal = manager.configure(request)
         margined = manager.configure(request, margin_multiplier=16.0)
-        assert margined.margin_multiplier == 16.0
+        code = next(c for c in manager.codes if c.name == margined.code_name)
+        assert margined.design_target_ber == derated_target_ber(code, 1e-9, 16.0)
         assert margined.design_target_ber < nominal.design_target_ber
         assert margined.channel_power_w > nominal.channel_power_w
 

@@ -459,11 +459,10 @@ class _FixedCodePolicy:
     """Selects one named scheme, so a transfer's coding overhead is known."""
 
     code_name: str
-    name: str = "fixed-code"
 
     def select(self, candidates, *, config):
         (chosen,) = [c for c in candidates if c.code_name == self.code_name]
-        return ConfigurationDecision(breakdown=chosen, policy_name=self.name)
+        return ConfigurationDecision(breakdown=chosen)
 
 
 def _bit_exact(code_name: str = "H(7,4)", **kwargs) -> NetworkSimulator:
