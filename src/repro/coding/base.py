@@ -182,11 +182,6 @@ class LinearBlockCode:
         return self._n - self._k
 
     @property
-    def minimum_distance(self) -> int:
-        """Minimum Hamming distance of the code."""
-        return self._dmin
-
-    @property
     def correctable_errors(self) -> int:
         """Guaranteed number of correctable errors t = floor((dmin - 1) / 2)."""
         return (self._dmin - 1) // 2

@@ -149,11 +149,6 @@ class BCHCode(LinearBlockCode):
 
     # ------------------------------------------------------------------ metadata
     @property
-    def field(self) -> GaloisField:
-        """The GF(2^m) field the code is defined over."""
-        return self._field
-
-    @property
     def t(self) -> int:
         """Designed error-correction capability."""
         return self._t

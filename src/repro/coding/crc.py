@@ -76,11 +76,6 @@ class CyclicRedundancyCheck:
         """Number of check bits."""
         return self._width
 
-    @property
-    def polynomial(self) -> int:
-        """Generator polynomial (normal representation)."""
-        return self._polynomial
-
     # ------------------------------------------------------------------ batch path
     def _bit_contributions(self, length: int) -> np.ndarray:
         """Remainders ``x^{length-1-i+w} mod g`` of every message bit position.

@@ -116,12 +116,6 @@ class GaloisField:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse; zero has no inverse."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
-        return int(self._exp[self.order - self._log[a]])
-
     def power(self, a: int, exponent: int) -> int:
         """Raise a field element to an integer power."""
         if a == 0:

@@ -31,13 +31,7 @@ class RepetitionCode(LinearBlockCode):
             name=f"REP({repetitions},1)",
             minimum_distance=repetitions,
         )
-        self._repetitions = repetitions
         self._all_ones = prefix_mask(repetitions, repetitions)
-
-    @property
-    def repetitions(self) -> int:
-        """Number of transmitted copies of each information bit."""
-        return self._repetitions
 
     def decode_batch_packed(self, received_words) -> PackedBatchDecodeResult:
         """Packed majority vote: each block's row popcount decides its bit."""

@@ -55,11 +55,6 @@ class UncodedScheme:
         return 0
 
     @property
-    def minimum_distance(self) -> int:
-        """Distance of the identity map: any single bit flip is a new word."""
-        return 1
-
-    @property
     def correctable_errors(self) -> int:
         """No errors can be corrected without redundancy."""
         return 0

@@ -128,11 +128,6 @@ class PaperConfig:
 
     # --- derived quantities ------------------------------------------------------
     @property
-    def waveguide_loss_db(self) -> float:
-        """Total propagation loss over the worst-case waveguide length."""
-        return self.waveguide_loss_db_per_cm * (self.waveguide_length_m * 100.0)
-
-    @property
     def num_intermediate_writers(self) -> int:
         """Writers crossed by the worst-case (farthest) writer's signal."""
         return self.num_onis - 2

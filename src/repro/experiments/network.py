@@ -33,6 +33,7 @@ fingerprint (and service job id) of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, List, Sequence
 
@@ -58,6 +59,7 @@ __all__ = [
     "request_rate_for_load",
     "grid_knobs",
     "check_known",
+    "check_workload",
     "shard_streams",
     "paired_shards",
     "paired_rows",
@@ -109,10 +111,9 @@ def request_rate_for_load(
     ``load`` references the offered *payload* bit rate to the aggregate
     serialisation bandwidth (one waveguide group per channel); coding
     overhead pushes the effective channel load slightly higher, which is
-    exactly the knee the sweep is after.
+    exactly the knee the sweep is after.  The grids check their loads when
+    described (:func:`check_workload`).
     """
-    if load <= 0.0:
-        raise ConfigurationError("relative load must be positive")
     aggregate = config.num_onis * config.num_wavelengths * config.modulation_rate_hz
     return load * aggregate / payload_bits
 
@@ -131,6 +132,20 @@ def check_known(kind: str, values: Sequence, available: Collection) -> None:
     for value in values:
         if value not in available:
             raise ConfigurationError(f"unknown {kind} {value!r}; available: {sorted(available)}")
+
+
+def check_workload(loads: Sequence[float], knobs: dict) -> None:
+    """Reject the loads and request counts every sweep worker would reject.
+
+    A load must be positive and finite, and ``knobs["num_requests"]`` at
+    least 1; checked when the grid is described, a bad value is a
+    :class:`ConfigurationError` (HTTP 400) rather than a failed job.
+    """
+    for load in loads:
+        if not (math.isfinite(load) and load > 0.0):
+            raise ConfigurationError(f"relative load must be positive and finite, got {load!r}")
+    if knobs["num_requests"] < 1:
+        raise ConfigurationError("num_requests must be at least 1")
 
 
 def shard_streams(seed: int, index: int, names: Sequence[str]) -> dict:
@@ -176,6 +191,7 @@ def paired_shards(
     check_known("policy", policy_names, policies[1])
     check_grid_size(experiment, len(axis_values) * len(load_values) * len(policy_names))
     defaults = grid_knobs(options, knobs)
+    check_workload(load_values, defaults)
     pairs = [(value, load) for value in axis_values for load in load_values]
     return [
         {**defaults, axis: value, "policy": policy, "load": load, "pair_index": pair_index}
@@ -311,8 +327,10 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     patterns = list(options.get("patterns", DEFAULT_PATTERNS))
     loads = [float(load) for load in options.get("loads", DEFAULT_LOADS)]
     policies = list(options.get("policies", DEFAULT_POLICIES))
+    check_known("traffic pattern", patterns, DEFAULT_PATTERNS)
     check_known("policy", policies, _POLICY_FACTORIES)
     knobs = grid_knobs(options, _KNOBS)
+    check_workload(loads, knobs)
     rings = knobs["rings"]
     if rings < 1:
         raise ConfigurationError("rings must be a positive integer")

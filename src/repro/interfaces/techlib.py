@@ -63,14 +63,10 @@ class TechnologyLibrary:
         self,
         name: str,
         *,
-        feature_size_nm: float,
-        supply_voltage_v: float,
         blocks: Iterable[BlockCharacterisation],
         calibration: Dict[str, float],
     ):
         self._name = name
-        self._feature_size_nm = feature_size_nm
-        self._supply_voltage_v = supply_voltage_v
         self._blocks: Dict[str, BlockCharacterisation] = {}
         for block in blocks:
             if block.name in self._blocks:
@@ -82,16 +78,6 @@ class TechnologyLibrary:
     def name(self) -> str:
         """Library name (e.g. ``"28nm FDSOI"``)."""
         return self._name
-
-    @property
-    def feature_size_nm(self) -> float:
-        """Technology feature size in nanometres."""
-        return self._feature_size_nm
-
-    @property
-    def supply_voltage_v(self) -> float:
-        """Nominal supply voltage."""
-        return self._supply_voltage_v
 
     def block_names(self) -> list[str]:
         """Sorted names of all characterised blocks."""
@@ -160,8 +146,6 @@ _CALIBRATION = {
 
 FDSOI_28NM = TechnologyLibrary(
     "28nm FDSOI",
-    feature_size_nm=28.0,
-    supply_voltage_v=1.0,
     blocks=_TABLE_I_BLOCKS,
     calibration=_CALIBRATION,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError
-from ..units import db_loss_to_transmission
 
 __all__ = ["MMICoupler"]
 
@@ -24,11 +23,6 @@ class MMICoupler:
     def __post_init__(self) -> None:
         if self.insertion_loss_db < 0:
             raise ConfigurationError("insertion loss cannot be negative")
-
-    @property
-    def transmission(self) -> float:
-        """Power transmission through the coupler."""
-        return db_loss_to_transmission(self.insertion_loss_db)
 
     @classmethod
     def from_config(cls, config) -> "MMICoupler":

@@ -3,8 +3,8 @@
 The paper characterises the receiver with just two numbers: a responsivity
 of 1 A/W and a dark current of 4 uA that lumps every receiver noise source
 (Eq. 4 uses it directly as the noise term of the SNR).  The model keeps that
-simplicity but also exposes optional shot-noise accounting for sensitivity
-studies.
+simplicity: the link solver only needs Eq. 4 inverted, the signal power that
+reaches a required SNR.
 """
 
 from __future__ import annotations
@@ -28,20 +28,6 @@ class Photodetector:
             raise ConfigurationError("responsivity must be positive")
         if self.dark_current_a <= 0:
             raise ConfigurationError("dark current must be positive")
-
-    def snr(self, signal_power_w: float, crosstalk_power_w: float = 0.0) -> float:
-        """Paper Eq. 4: ``SNR = R (OPsignal - OPcrosstalk) / i_n``.
-
-        The crosstalk power is subtracted from the useful signal (it erodes
-        the eye opening) and the dark current is the noise reference.
-        Returns 0 when crosstalk exceeds the signal (fully closed eye).
-        """
-        if signal_power_w < 0 or crosstalk_power_w < 0:
-            raise ConfigurationError("optical powers cannot be negative")
-        useful = self.responsivity_a_per_w * (signal_power_w - crosstalk_power_w)
-        if useful <= 0:
-            return 0.0
-        return useful / self.dark_current_a
 
     def required_signal_power(
         self, snr: float, crosstalk_power_w: float = 0.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError
-from ..units import db_loss_to_transmission
 
 __all__ = ["Waveguide"]
 
@@ -51,7 +50,3 @@ class Waveguide:
             + self.num_crossings * self.crossing_loss_db
         )
 
-    @property
-    def transmission(self) -> float:
-        """Linear power transmission over the full waveguide."""
-        return db_loss_to_transmission(self.total_loss_db)

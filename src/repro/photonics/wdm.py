@@ -50,20 +50,6 @@ class WDMGrid:
             )
         return self._first_wavelength_m + channel_index * self.channel_spacing_m
 
-    def detuning_m(self, channel_a: int, channel_b: int) -> float:
-        """Signed wavelength difference between two channels (a minus b)."""
-        return self.wavelength(channel_a) - self.wavelength(channel_b)
-
-    def neighbours(self, channel_index: int) -> Tuple[int, ...]:
-        """Indices of the directly adjacent channels."""
-        self.wavelength(channel_index)
-        result = []
-        if channel_index > 0:
-            result.append(channel_index - 1)
-        if channel_index < self.num_channels - 1:
-            result.append(channel_index + 1)
-        return tuple(result)
-
     @classmethod
     def from_config(cls, config) -> "WDMGrid":
         """Build the grid from a :class:`repro.config.PaperConfig`."""

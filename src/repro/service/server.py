@@ -10,6 +10,7 @@ layout::
     <data_dir>/results/    content-addressed result documents
     <data_dir>/jobs/<id>/  per-job checkpoints + sweep/job manifests
     <data_dir>/design-cache.jsonl   persistent link-design points
+    <data_dir>/config.json  the PaperConfig everything above was computed under
 
 Shutdown is a *drain*, in order: stop admitting work (the shedder reports
 ``health-only``, ``/readyz`` flips to 503), SIGTERM the running worker so
@@ -30,9 +31,11 @@ import os
 import signal
 import sys
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+from .. import durable
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
 from ..link.design import OpticalLinkDesigner
@@ -50,6 +53,34 @@ logger = logging.getLogger("repro.service.server")
 #: Largest request body the server will read (a submission is tiny; this
 #: bounds what a misbehaving client can make a handler thread buffer).
 MAX_BODY_BYTES = 1 << 20
+
+
+def _bind_config(data_dir: str, config: PaperConfig) -> None:
+    """Record ``config`` in a new data directory; refuse another config later.
+
+    Job ids, result documents and design-cache keys do not include the
+    :class:`PaperConfig`, so a data directory serves the one config it was
+    first started under.
+    """
+    path = os.path.join(data_dir, "config.json")
+    fields = json.loads(json.dumps(asdict(config)))
+    if not os.path.exists(path):
+        durable.write_atomic(path, durable.to_line({"config": fields, "digest": durable.digest(fields)}))
+        return
+
+    def verify(record: dict):
+        recorded = record.get("config")
+        return recorded if isinstance(recorded, dict) and record.get("digest") == durable.digest(recorded) else None
+
+    recorded = durable.read_document(path, verify)
+    if recorded is None:
+        raise ConfigurationError(f"the config record {path} is damaged; it was quarantined")
+    changed = sorted(name for name in fields.keys() | recorded.keys() if fields.get(name) != recorded.get(name))
+    if changed:
+        raise ConfigurationError(
+            f"data directory {data_dir} holds results computed under another config "
+            f"(differing fields: {', '.join(changed)}); use a fresh data directory"
+        )
 
 
 class ServiceConfig:
@@ -199,6 +230,7 @@ class SimulationService:
         self.data_dir = data_dir
         self.service_config = service_config or ServiceConfig()
         os.makedirs(data_dir, exist_ok=True)
+        _bind_config(data_dir, config)
         self.registry = obs_metrics.MetricsRegistry()
         self.store = ResultsStore(os.path.join(data_dir, "results"))
         self.queue = DurableJobQueue(
@@ -368,16 +400,19 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.job_retries < 1:
         parser.error("--job-retries must be at least 1")
     setup_logging(args.log_level)
-    service = SimulationService(
-        data_dir=args.data_dir,
-        host=args.host,
-        port=args.port,
-        service_config=ServiceConfig(
-            max_queue_depth=args.max_queue_depth,
-            job_timeout_s=args.job_timeout,
-            max_attempts=args.job_retries,
-        ),
-    )
+    try:
+        service = SimulationService(
+            data_dir=args.data_dir,
+            host=args.host,
+            port=args.port,
+            service_config=ServiceConfig(
+                max_queue_depth=args.max_queue_depth,
+                job_timeout_s=args.job_timeout,
+                max_attempts=args.job_retries,
+            ),
+        )
+    except ConfigurationError as error:
+        parser.error(str(error))
     print(f"repro-serve listening on {service.url} (data in {args.data_dir})", file=sys.stderr)
     service.serve_forever()
     return 0

@@ -43,7 +43,6 @@ class LinkSimulationResult:
     analytic_raw_ber: float
     measured_raw_ber: float
     measured_post_decoding_ber: float
-    bits_simulated: int
     residual_bit_errors: int
     blocks_simulated: int
 
@@ -64,7 +63,6 @@ class OpticalLinkSimulator:
             raise ConfigurationError("the design point must carry a positive signal power")
         self._code = code
         self._point = design_point
-        self._config = config
         self._rng = resolve_rng(rng, seed)
         self._channel = OOKAWGNChannel(
             design_point.signal_power_w,
@@ -121,7 +119,6 @@ class OpticalLinkSimulator:
             analytic_raw_ber=self.analytic_raw_ber,
             measured_raw_ber=raw_errors / raw_bits,
             measured_post_decoding_ber=residual_errors / payload_bits,
-            bits_simulated=payload_bits,
             residual_bit_errors=residual_errors,
             blocks_simulated=num_blocks,
         )

@@ -20,8 +20,8 @@ The equivalence tests pin the packed paths against them row by row, clean,
 corrected and failed blocks alike.
 
 The GF(2) helpers (row reduction, rank, null space, Hamming weight,
-exhaustive minimum distance) and the GF(2^m) division and Horner evaluation
-check the code constructions from first principles.
+exhaustive minimum distance) and the GF(2^m) inverse, division and Horner
+evaluation check the code constructions from first principles.
 
 :func:`decode_packed` is not a reference: it is the one bridge from
 unpacked bits to the code's own packed decoder (pack, ``decode_batch_packed``,
@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.coding.bch import BCHCode
 from repro.coding.extended_hamming import ExtendedHammingCode
+from repro.coding.galois import get_field
 from repro.coding.matrices import as_gf2, gf2_matmul
 from repro.coding.montecarlo import DEFAULT_BATCH_SIZE, MonteCarloBERResult, draw_flip_words
 from repro.coding.packed import pack_bits, popcount_rows, prefix_mask, unpack_bits
@@ -69,6 +70,8 @@ __all__ = [
     "gf2_rank",
     "gf2_null_space",
     "gf2_systematic_generator_from_parity_check",
+    "bch_field",
+    "gf_inverse",
     "gf_divide",
     "gf_poly_eval",
     "hamming_distance",
@@ -299,7 +302,7 @@ def bch_codeword_polynomial(code: BCHCode, received: np.ndarray) -> List[int]:
 
 def _bch_reference(code: BCHCode, received: np.ndarray) -> DecodeResult:
     """Horner-evaluated syndromes, then Berlekamp–Massey and a Chien search."""
-    field = code.field
+    field = bch_field(code)
     poly = bch_codeword_polynomial(code, received)
     syndromes = [
         gf_poly_eval(field, poly, field.alpha_power(exponent))
@@ -323,9 +326,21 @@ def _bch_reference(code: BCHCode, received: np.ndarray) -> DecodeResult:
     return _fixed(code, corrected)
 
 
+def bch_field(code: BCHCode):
+    """The GF(2^m) field a BCH code of length ``n = 2^m - 1`` is defined over."""
+    return get_field(code.n.bit_length())
+
+
+def gf_inverse(field, a: int) -> int:
+    """Multiplicative inverse in the GF(2^m) ``field``; zero has none."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
+    return int(field.exp_table[field.order - field.log_table[a]])
+
+
 def gf_divide(field, a: int, b: int) -> int:
     """Division ``a / b`` in the GF(2^m) ``field``."""
-    return field.multiply(a, field.inverse(b))
+    return field.multiply(a, gf_inverse(field, b))
 
 
 def gf_poly_eval(field, coefficients: List[int], x: int) -> int:
@@ -338,7 +353,7 @@ def gf_poly_eval(field, coefficients: List[int], x: int) -> int:
 
 def _berlekamp_massey(code: BCHCode, syndromes: List[int]) -> List[int]:
     """Berlekamp–Massey over GF(2^m); returns the error-locator polynomial."""
-    field = code.field
+    field = bch_field(code)
     locator = [1]
     previous = [1]
     length = 0
@@ -372,7 +387,7 @@ def _berlekamp_massey(code: BCHCode, syndromes: List[int]) -> List[int]:
 
 def _chien_search(code: BCHCode, locator: List[int]) -> List[int] | None:
     """Error positions as roots of the locator polynomial, or None."""
-    field = code.field
+    field = bch_field(code)
     degree = len(locator) - 1
     if degree == 0:
         return []
@@ -393,7 +408,7 @@ def _chien_search(code: BCHCode, locator: List[int]) -> List[int] | None:
 def crc_checksum_reference(crc, bits) -> np.ndarray:
     """Bit-serial CRC remainder of a bit vector (MSB first), one shift per bit."""
     stream = as_gf2(bits).ravel()
-    width, polynomial = crc.width, crc.polynomial
+    width, polynomial = crc.width, crc._polynomial
     register = 0
     mask = (1 << width) - 1
     top_bit = 1 << (width - 1)

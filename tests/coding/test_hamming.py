@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from coding.oracle import decode_packed, encode_reference
+from coding.oracle import decode_packed, encode_reference, minimum_distance_exhaustive
 
 from repro.coding.hamming import (
     HammingCode,
@@ -22,7 +22,7 @@ class TestHammingParameters:
         code = HammingCode(3)
         assert (code.n, code.k) == (7, 4)
         assert code.num_parity_bits == 3
-        assert code.minimum_distance == 3
+        assert minimum_distance_exhaustive(code.generator_matrix) == 3
         assert code.correctable_errors == 1
         assert code.name == "H(7,4)"
 
@@ -127,8 +127,6 @@ class TestShortenedHamming:
     def test_minimum_distance_is_still_three(self):
         # Shortening cannot decrease the distance; check a small shortened code
         # exhaustively.
-        from coding.oracle import minimum_distance_exhaustive
-
         code = ShortenedHammingCode(8)
         assert minimum_distance_exhaustive(code.generator_matrix) >= 3
 

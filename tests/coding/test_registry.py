@@ -49,7 +49,7 @@ class TestPatternConstruction:
     def test_secded_pattern(self):
         code = get_code("SECDED(32)")
         assert code.k == 32
-        assert code.minimum_distance == 4
+        assert "dmin=4" in repr(code)
 
     def test_bch_pattern(self):
         code = get_code("BCH(4,2)")

@@ -55,8 +55,10 @@ class TestGridShape:
 
     def test_request_rate_scales_with_load(self):
         assert request_rate_for_load(0.5) == pytest.approx(2 * request_rate_for_load(0.25))
-        with pytest.raises(ConfigurationError):
-            request_rate_for_load(0.0)
+
+    def test_zero_load_rejected(self):
+        with pytest.raises(ConfigurationError, match="relative load"):
+            sweep_shards(options={"loads": [0.0]})
 
 
 class TestDeterminismGuard:

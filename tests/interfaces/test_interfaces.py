@@ -50,9 +50,7 @@ class TestTechnologyLibrary:
     def test_duplicate_block_names_rejected(self):
         block = BlockCharacterisation("dup", 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            TechnologyLibrary(
-                "x", feature_size_nm=28, supply_voltage_v=1.0, blocks=[block, block], calibration={}
-            )
+            TechnologyLibrary("x", blocks=[block, block], calibration={})
 
     def test_negative_characterisation_rejected(self):
         with pytest.raises(ConfigurationError):

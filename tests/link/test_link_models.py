@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from photonics.oracle import equation_four_snr
 
 from repro.channel.ber import required_snr
 from repro.coding.hamming import HammingCode, ShortenedHammingCode
@@ -65,7 +66,7 @@ class TestOpticalLinkDesigner:
     def test_design_point_satisfies_equation_four(self, designer):
         code = HammingCode(3)
         point = designer.design_point(code, 1e-11)
-        achieved_snr = Photodetector().snr(point.signal_power_w, point.crosstalk_power_w)
+        achieved_snr = equation_four_snr(Photodetector(), point.signal_power_w, point.crosstalk_power_w)
         assert achieved_snr == pytest.approx(point.required_snr, rel=1e-9)
 
     def test_required_snr_matches_channel_module(self, designer):

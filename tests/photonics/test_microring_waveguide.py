@@ -92,12 +92,8 @@ class TestWaveguide:
         expected = 0.274 + 4 * 0.005 + 2 * 0.05
         assert waveguide.total_loss_db == pytest.approx(expected)
 
-    def test_transmission_is_consistent_with_loss(self):
-        waveguide = Waveguide(length_m=0.06)
-        assert waveguide.transmission == pytest.approx(10 ** (-waveguide.total_loss_db / 10))
-
     def test_zero_length_waveguide_is_lossless(self):
-        assert Waveguide(length_m=0.0).transmission == pytest.approx(1.0)
+        assert Waveguide(length_m=0.0).total_loss_db == 0.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -31,18 +31,6 @@ class TestWDMGrid:
         diffs = np.diff(grid.wavelengths_m)
         assert np.allclose(diffs, grid.channel_spacing_m)
 
-    def test_detuning_sign_convention(self):
-        grid = WDMGrid(num_channels=4)
-        assert grid.detuning_m(3, 0) > 0
-        assert grid.detuning_m(0, 3) < 0
-        assert grid.detuning_m(2, 2) == 0.0
-
-    def test_neighbours(self):
-        grid = WDMGrid(num_channels=4)
-        assert grid.neighbours(0) == (1,)
-        assert grid.neighbours(3) == (2,)
-        assert grid.neighbours(2) == (1, 3)
-
     @pytest.mark.parametrize("num_channels", [16, 37])
     def test_wavelength_lookup_matches_the_grid_tuple(self, num_channels):
         grid = WDMGrid(num_channels=num_channels, channel_spacing_m=0.53e-9)
@@ -66,10 +54,6 @@ class TestMMICoupler:
     def test_from_config(self):
         coupler = MMICoupler.from_config(DEFAULT_CONFIG)
         assert coupler.insertion_loss_db == pytest.approx(1.2)
-
-    def test_nominal_transmission(self):
-        coupler = MMICoupler(insertion_loss_db=1.2)
-        assert coupler.transmission == pytest.approx(10 ** (-0.12))
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):

@@ -18,6 +18,7 @@ from repro.coding.registry import available_codes, get_code
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
 from repro.experiments.gridlib import MAX_GRID_POINTS
+from repro.experiments.orchestrator import describe_grid
 from repro.link.design import OpticalLinkDesigner
 from repro.obs.metrics import MetricsRegistry
 from repro.service.models import Job, JobState
@@ -206,6 +207,26 @@ class TestErrorsAreClientErrors:
     def test_submit_ill_typed_option_value_is_400(self, context, body):
         status, payload, _ = _post(context, "/jobs", body)
         assert status == 400 and "invalid options" in payload["error"]
+        assert context.queue.jobs() == []
+
+    @pytest.mark.parametrize(
+        "experiment, options, message",
+        [
+            ("network", {"patterns": ["nope"]}, "unknown traffic pattern 'nope'"),
+            ("network", {"loads": [-1.0]}, "relative load must be positive and finite"),
+            ("network", {"num_requests": 0}, "num_requests must be at least 1"),
+            ("adaptive", {"loads": [-0.5]}, "relative load must be positive and finite"),
+            ("availability", {"loads": [float("inf")]}, "relative load must be positive and finite"),
+        ],
+    )
+    def test_a_value_the_worker_would_reject_is_400_when_described(
+        self, context, experiment, options, message
+    ):
+        # Accepted here, it would fail in the worker after a 202.
+        with pytest.raises(ConfigurationError, match=message):
+            describe_grid(experiment, options=options)
+        status, payload, _ = _post(context, "/jobs", {"experiment": experiment, "options": options})
+        assert status == 400 and message in payload["error"]
         assert context.queue.jobs() == []
 
     @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Chaos tests: the service survives worker kills, hangs and disk damage.
 
+A restart is also refused when it would serve another config's results
+from the same data directory (:class:`TestConfigBinding`).
+
 Extends the orchestrator's fault-injection grid
 (``tests/experiments/faultinject.py``) to the service layer.  The recovery
 claim under test is strict: after any injected fault — a SIGKILLed worker,
@@ -23,6 +26,8 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "experiments"))
 import faultinject  # noqa: E402
 
+from repro.config import DEFAULT_CONFIG  # noqa: E402
+from repro.exceptions import ConfigurationError  # noqa: E402
 from repro.experiments import orchestrator  # noqa: E402
 from repro.service import ServiceConfig, SimulationService  # noqa: E402
 from repro.service.models import JobState  # noqa: E402
@@ -262,6 +267,40 @@ class TestDiskDamage:
             assert final["state"] == JobState.DONE
         finally:
             reborn.stop(drain_timeout_s=10.0)
+
+
+class TestConfigBinding:
+    """A data directory serves the one PaperConfig it was first started under."""
+
+    def test_restart_under_another_config_is_refused(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        design = "/design?code=H(71,64)&target_ber=1e-11"
+        svc = SimulationService(data_dir=data_dir, supervise=False).start()
+        try:
+            status, first, _ = request(f"{svc.url}{design}")
+            assert status == 200 and first["point"]["feasible"]
+        finally:
+            svc.stop(drain_timeout_s=10.0)
+
+        lossy = DEFAULT_CONFIG.with_overrides(waveguide_loss_db_per_cm=1.0)
+        with pytest.raises(ConfigurationError, match="waveguide_loss_db_per_cm"):
+            SimulationService(data_dir=data_dir, config=lossy, supervise=False)
+
+        reborn = SimulationService(data_dir=data_dir, supervise=False).start()
+        try:
+            status, again, _ = request(f"{reborn.url}{design}")
+            assert status == 200 and again["point"] == first["point"]
+        finally:
+            reborn.stop(drain_timeout_s=10.0)
+
+    def test_a_damaged_config_record_is_refused(self, tmp_path):
+        data_dir = tmp_path / "data"
+        SimulationService(data_dir=str(data_dir), supervise=False).start().stop()
+        record = data_dir / "config.json"
+        record.write_text(record.read_text().replace("0.274", "1.0"))
+        with pytest.raises(ConfigurationError, match="damaged"):
+            SimulationService(data_dir=str(data_dir), supervise=False)
+        assert (data_dir / "config.json.corrupt").exists()
 
 
 class TestDrain:

@@ -18,7 +18,6 @@ class TestDefaultsMatchThePaper:
     def test_waveguide(self):
         assert DEFAULT_CONFIG.waveguide_length_m == pytest.approx(0.06)
         assert DEFAULT_CONFIG.waveguide_loss_db_per_cm == pytest.approx(0.274)
-        assert DEFAULT_CONFIG.waveguide_loss_db == pytest.approx(0.274 * 6.0)
 
     def test_modulator(self):
         assert DEFAULT_CONFIG.extinction_ratio_db == pytest.approx(6.9)

@@ -12,16 +12,27 @@ The scan reads ``src/`` as ASTs and iterates to a fixed point:
   (dataclass and NamedTuple fields, class constants; the right-hand side
   belongs to it) and each ``self.<name>`` store in a method.  Stores of the
   same name in several methods are one definition.
-* A name is *used* when live code in ``src/`` refers to it (an
-  ``ast.Name`` that is read, an ``ast.Attribute``, an imported name, or an
-  identifier-shaped string constant, which covers ``getattr`` tables), or
-  when it appears as a word in ``examples/*.py``, ``README.md`` or
-  ``perfbench/``.  Docstrings, the import re-exports of ``__init__.py``
-  files and the ``__all__``/``_LAZY_EXPORTS`` entries are not uses.
-* An attribute needs a *read*: an attribute load ``.name`` in live code, an
-  identifier-shaped string, a ``%(name)s`` placeholder, or an external word.
-  A store, an augmented assignment, a constructor keyword or a bare name
-  does not read it.
+* A module-level definition is *used* when live code in ``src/`` refers to
+  it (an ``ast.Name`` that is read, an attribute other than a
+  ``self.<name>`` load, an imported name, or an identifier-shaped string
+  constant, which covers ``getattr`` tables), or when an external file
+  names it.  Docstrings, the import re-exports of ``__init__.py`` files and
+  the ``__all__``/``_LAZY_EXPORTS`` entries are not uses.  A function's
+  own name in its body (recursion) is not a use; a method's is, since a
+  bare name in a method refers to a module-level definition.
+* A class member (method, property, nested class or attribute) needs a
+  *read*: an attribute load ``.name``, an identifier-shaped string, a
+  ``%(name)s`` placeholder or an external identifier.  A store, an
+  augmented assignment, a constructor keyword, a parameter or a bare name
+  does not read it.  A ``self.<name>`` load in a method of class ``C``
+  reads ``<name>`` only on ``C``, its bases and its subclasses (matched by
+  base name within ``src/``); other attribute loads read every member of
+  that name.
+* External files are ``README.md``, ``examples/*.py`` and ``perfbench/``,
+  and only their identifiers count: ``NAME`` tokens and identifier-shaped
+  strings of ``.py`` files, identifier-shaped strings of ``.json`` files,
+  and the identifiers in the code spans and fenced blocks of ``.md``
+  files.  Prose and comments reach nothing.
 * Dunders, definitions under a registering decorator (anything but the
   descriptor, dataclass, ``contextmanager`` and ``lru_cache``/``cache``
   decorators, which register nothing), the names the standard library
@@ -35,8 +46,9 @@ The scan reads ``src/`` as ASTs and iterates to a fixed point:
 
 It matches names, not objects, so it is blind to:
 
-* a definition whose name some unrelated live code uses (or reads), which
-  passes although nothing reaches it;
+* a definition whose name some unrelated live code uses, or a member whose
+  name some unrelated code reads through anything but ``self`` (``obj.x``
+  reads every ``x``), which passes although nothing reaches it;
 * a container attribute that is only mutated (``self.counts[key] += 1``
   loads ``self.counts``), which passes as read;
 * an attribute read only through ``dataclasses.asdict``/``fields``, which
@@ -77,12 +89,12 @@ _PLAIN_DECORATORS = frozenset(
 )
 
 #: Methods and attributes the standard library reads by name: the
-#: ``http.server``/``socketserver`` handler and server hooks, and
-#: ``logging.Logger.propagate``.
+#: ``http.server``/``socketserver`` handler and server hooks,
+#: ``logging.Logger.propagate`` and ``logging.Filter.filter``.
 _STDLIB_HOOKS = frozenset(
     {"do_GET", "do_POST", "log_message", "handle_expect_100", "protocol_version",
      "wbufsize", "disable_nagle_algorithm", "close_connection", "daemon_threads",
-     "propagate"}
+     "propagate", "filter"}
 )
 
 #: Assignments whose string entries are export lists, not uses.
@@ -99,20 +111,26 @@ class Definition:
     qualname: str
     name: str
     always_reached: bool
-    #: An attribute (a class-body assignment or a ``self.<name>`` store):
-    #: only an attribute load, a string or an external word reads it.
+    #: An attribute (a class-body assignment or a ``self.<name>`` store),
+    #: which the payload classes' rule covers.
     is_field: bool = False
+    is_class: bool = False
     #: Names used by the definition's own body (nested definitions
-    #: excluded), minus its own name.
+    #: excluded).  A function's own name is left out (recursion); a
+    #: method's is not, since a bare name in a method is a module name.
     uses: Set[str] = field(default_factory=set)
-    #: The names among ``uses`` that can read an attribute: attribute
-    #: loads, identifier-shaped strings and ``%(name)s`` placeholders.
+    #: The names among ``uses`` that can read a class member: attribute
+    #: loads other than ``self.<name>``, identifier-shaped strings and
+    #: ``%(name)s`` placeholders, minus the definition's own name.
     reads: Set[str] = field(default_factory=set)
+    #: ``self.<name>`` loads in a method's body, minus its own name: they
+    #: read a member of the owner's class family only.
+    self_reads: Set[str] = field(default_factory=set)
     #: Qualified names of the definitions inside it (a class's methods and attributes).
     members: List[str] = field(default_factory=list)
     #: A class's base names.
     bases: List[str] = field(default_factory=list)
-    #: An attribute's class (qualified name).
+    #: A class member's class (qualified name); empty for module-level definitions.
     owner: str = ""
 
     def merge(self, other: "Definition") -> None:
@@ -121,6 +139,7 @@ class Definition:
         self.is_field &= other.is_field
         self.uses |= other.uses
         self.reads |= other.reads
+        self.self_reads |= other.self_reads
         self.members += [m for m in other.members if m not in self.members]
         self.bases += other.bases
 
@@ -201,55 +220,70 @@ def _stored_attributes(method: ast.AST) -> List[str]:
     return names
 
 
-def _uses_in(node: ast.AST) -> Iterator[Tuple[str, bool]]:
+def _uses_in(node: ast.AST, in_method: bool) -> Iterator[Tuple[str, str]]:
     """Names that one node refers to (not descending into its children).
 
-    Each comes with whether it can read an attribute: an attribute load or
-    a name in a string does, a bare name, an import or a store does not.
+    Each comes with its kind: ``"read"`` for an attribute load or a name in
+    a string, ``"self"`` for a ``self.<name>`` load in a method, and
+    ``"use"`` for a bare name, an import or a store, which read no member.
     """
     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-        yield node.id, False
+        yield node.id, "use"
     elif isinstance(node, ast.Attribute):
-        yield node.attr, isinstance(node.ctx, ast.Load)
+        if not isinstance(node.ctx, ast.Load):
+            yield node.attr, "use"
+        elif in_method and isinstance(node.value, ast.Name) and node.value.id == "self":
+            yield node.attr, "self"
+        else:
+            yield node.attr, "read"
     elif isinstance(node, ast.alias):
-        yield node.name.rsplit(".", 1)[-1], False
+        yield node.name.rsplit(".", 1)[-1], "use"
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         if _IDENTIFIER.fullmatch(node.value):
-            yield node.value, True
+            yield node.value, "read"
         for name in _PLACEHOLDER.findall(node.value):
-            yield name, True
+            yield name, "read"
 
 
 _DEFINITION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _body_uses(statements: Iterable[ast.stmt], *, is_init: bool = False) -> Tuple[Set[str], Set[str]]:
-    """Names used by ``statements`` and the subset that can read an attribute.
+def _body_uses(
+    statements: Iterable[ast.stmt], *, is_init: bool = False, in_method: bool = False
+) -> Tuple[Set[str], Set[str], Set[str]]:
+    """Names used by ``statements``, those that read any member, and ``self.<name>`` loads.
 
     Docstrings and export tables are skipped.  Functions and classes nested
     inside a function count with it; the caller leaves out the definitions
-    it scans on their own.
+    it scans on their own.  ``self.<name>`` loads are told apart only in a
+    method's own body (``in_method``), not inside a class nested in it,
+    and they are not uses: no module-level name is reached through ``self``.
     """
     used: Set[str] = set()
     read: Set[str] = set()
-    pending: List[ast.AST] = []
+    self_read: Set[str] = set()
+    pending: List[Tuple[ast.AST, bool]] = []
     for stmt in statements:
         if _is_export_table(stmt):
             continue
         if is_init and isinstance(stmt, ast.ImportFrom):
             continue
-        pending.append(stmt)
+        pending.append((stmt, in_method))
     while pending:
-        node = pending.pop()
-        for name, is_read in _uses_in(node):
+        node, scoped = pending.pop()
+        for name, kind in _uses_in(node, scoped):
+            if kind == "self":
+                self_read.add(name)
+                continue
             used.add(name)
-            if is_read:
+            if kind == "read":
                 read.add(name)
         children = list(ast.iter_child_nodes(node))
         if isinstance(node, _DEFINITION_NODES) and _is_docstring(node.body[0]):
             children.remove(node.body[0])
-        pending.extend(children)
-    return used, read
+        scoped &= not isinstance(node, ast.ClassDef)
+        pending.extend((child, scoped) for child in children)
+    return used, read, self_read
 
 
 def scan_module(
@@ -269,14 +303,14 @@ def scan_module(
         for stmt in statements:
             names = _assigned_names(stmt)
             if isinstance(stmt, _DEFINITION_NODES):
-                members.append(visit(stmt, prefix))
+                members.append(visit(stmt, prefix, owner))
                 if owner and not isinstance(stmt, ast.ClassDef):
                     members += [
                         define(f"{prefix}.{name}", name, is_field=True, owner=owner)
                         for name in _stored_attributes(stmt)
                     ]
             elif names:
-                uses, reads = _body_uses([stmt])
+                uses, reads, _ = _body_uses([stmt])
                 members += [
                     define(
                         f"{prefix}.{name}", name, is_field=bool(owner), owner=owner,
@@ -288,25 +322,29 @@ def scan_module(
                 loose.append(stmt)
         return loose, members
 
-    def visit(node: ast.AST, prefix: str) -> str:
+    def visit(node: ast.AST, prefix: str, owner: str) -> str:
         qualname = f"{prefix}.{node.name}"
-        definition = Definition(qualname, node.name, _always_reached(node))
+        is_class = isinstance(node, ast.ClassDef)
+        definition = Definition(qualname, node.name, _always_reached(node), is_class=is_class, owner=owner)
         definitions.append(definition)
         body = _without_docstring(node.body)
         outside_body = list(node.decorator_list)
-        if isinstance(node, ast.ClassDef):
+        if is_class:
             outside_body += node.bases + [k.value for k in node.keywords]
             definition.bases = [_decorator_name(base) for base in node.bases]
             body, definition.members = split(body, qualname, owner=qualname)
         else:
             outside_body += [node.args] + ([node.returns] if node.returns else [])
         statements = body + [ast.Expr(part) for part in outside_body]
-        uses, reads = _body_uses(statements)
-        definition.uses, definition.reads = uses - {node.name}, reads - {node.name}
+        is_method = bool(owner) and not is_class
+        uses, reads, self_reads = _body_uses(statements, in_method=is_method)
+        definition.uses = uses if is_method else uses - {node.name}
+        definition.reads, definition.self_reads = reads - {node.name}, self_reads - {node.name}
         return qualname
 
     loose, _ = split(_without_docstring(tree.body), module)
-    return (*_body_uses(loose, is_init=is_init), definitions)
+    uses, reads, _ = _body_uses(loose, is_init=is_init)
+    return uses, reads, definitions
 
 
 def _payload_classes(definitions: Mapping[str, Definition]) -> Set[str]:
@@ -326,6 +364,32 @@ def _payload_classes(definitions: Mapping[str, Definition]) -> Set[str]:
             return payload
         payload |= grown
         payload_bases |= {definitions[qualname].name for qualname in grown}
+
+
+def _class_families(definitions: Mapping[str, Definition]) -> Dict[str, Set[str]]:
+    """Each class with its bases and subclasses, transitively, matched by base name."""
+    classes = [qualname for qualname, definition in definitions.items() if definition.is_class]
+    by_name: Dict[str, Set[str]] = {}
+    for qualname in classes:
+        by_name.setdefault(definitions[qualname].name, set()).add(qualname)
+    parents = {
+        qualname: set().union(*(by_name.get(base, set()) for base in definitions[qualname].bases))
+        for qualname in classes
+    }
+    children: Dict[str, Set[str]] = {qualname: set() for qualname in parents}
+    for qualname, bases in parents.items():
+        for base in bases:
+            children[base].add(qualname)
+
+    def closure(start: str, edges: Mapping[str, Set[str]]) -> Set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in edges[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return seen
+
+    return {qualname: closure(qualname, parents) | closure(qualname, children) for qualname in parents}
 
 
 def scan(
@@ -354,23 +418,30 @@ def scan(
     payload = _payload_classes(definitions)
     for definition in definitions.values():
         definition.always_reached |= definition.is_field and definition.owner in payload
+    families = _class_families(definitions)
     allowed = set(allowlist)
 
     dead: Set[str] = set()
     rounds: List[Set[str]] = []
     while True:
         used, read = set(root_uses), set(root_reads)
+        self_read: Dict[str, Set[str]] = {}
         for qualname, definition in definitions.items():
             if qualname not in dead:
                 used |= definition.uses
                 read |= definition.reads
+                if definition.self_reads:
+                    for cls in families[definition.owner]:
+                        self_read.setdefault(cls, set()).update(definition.self_reads)
         flagged = {
             qualname
             for qualname, definition in definitions.items()
             if qualname not in dead
             and qualname not in allowed
             and not definition.always_reached
-            and definition.name not in (read if definition.is_field else used)
+            # A class member needs a read; a module-level definition a use.
+            and definition.name not in (read if definition.owner else used)
+            and definition.name not in self_read.get(definition.owner, ())
         }
         if not flagged:
             return rounds
@@ -396,8 +467,35 @@ def _source_modules() -> Dict[str, Tuple[str, bool]]:
     return modules
 
 
-def _words_of(text: str) -> FrozenSet[str]:
-    return frozenset(_IDENTIFIER.findall(text))
+#: A fenced code block or an inline code span of a Markdown file.
+_MARKDOWN_CODE = re.compile(r"^```.*?^```|(`+)(.+?)\1", re.M | re.S)
+#: A JSON string (key or value) that is an identifier.
+_JSON_IDENTIFIER = re.compile(r'"([A-Za-z_][A-Za-z0-9_]*)"')
+
+
+def _identifiers(text: str, suffix: str) -> FrozenSet[str]:
+    """The identifiers an external file names: no prose, no comments.
+
+    A ``.py`` file gives the names its syntax tree holds and its
+    identifier-shaped strings, a ``.json`` file its identifier-shaped
+    strings (keys and values), and a ``.md`` file the identifiers inside
+    its code spans and fenced blocks.
+    """
+    if suffix == ".md":
+        return frozenset(word for match in _MARKDOWN_CODE.finditer(text) for word in _IDENTIFIER.findall(match.group(0)))
+    if suffix == ".json":
+        return frozenset(_JSON_IDENTIFIER.findall(text))
+    words: Set[str] = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, str) and _IDENTIFIER.fullmatch(node.value):
+                words.add(node.value)
+            continue
+        for _, value in ast.iter_fields(node):
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, str):
+                    words.update(_IDENTIFIER.findall(item))
+    return frozenset(words)
 
 
 def _external_words() -> FrozenSet[str]:
@@ -405,7 +503,7 @@ def _external_words() -> FrozenSet[str]:
     paths += sorted(p for p in (ROOT / "perfbench").rglob("*") if p.is_file() and p.suffix in {".py", ".md", ".json"})
     words: Set[str] = set()
     for path in paths:
-        words |= _words_of(path.read_text(encoding="utf-8"))
+        words |= _identifiers(path.read_text(encoding="utf-8"), path.suffix)
     return frozenset(words)
 
 
@@ -659,7 +757,7 @@ class TestScanner:
 
     def test_a_constant_named_in_the_readme_is_reached(self):
         modules = {"mod": ("LIMIT = 3\n", False)}
-        assert scan(modules, _words_of("Set `LIMIT` to cap the sweep.")) == []
+        assert scan(modules, _identifiers("Set `LIMIT` to cap the sweep.", ".md")) == []
 
     def test_an_annotated_constant_is_a_definition(self):
         rounds = _scan_sources(mod="LIMIT: int = 3\n")
@@ -706,6 +804,74 @@ class TestScanner:
             ),
         )
         assert rounds == []
+
+    def test_a_member_reached_only_by_a_bare_name_or_parameter_is_flagged(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Box:\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return 1\n"
+                "    def grow(self):\n"
+                "        return 2\n"
+                "def area(size):\n"
+                "    return size * size\n"
+                "def run(grow):\n"
+                "    return grow()\n"
+                "print(area(2), run(len), Box())\n"
+            ),
+        )
+        assert rounds == [{"mod.Box.size", "mod.Box.grow"}]
+
+    def test_a_method_calling_the_module_function_of_its_name_reaches_it(self):
+        rounds = _scan_sources(
+            mod=(
+                "def relative_error(a, b):\n"
+                "    return a - b\n"
+                "class Comparison:\n"
+                "    @property\n"
+                "    def relative_error(self):\n"
+                "        return relative_error(1, 2)\n"
+                "    def __str__(self):\n"
+                "        return str(self.relative_error)\n"
+                "class Table:\n"
+                "    def relative_error(self):\n"
+                "        return 0\n"
+                "print(Comparison(), Table())\n"
+            ),
+        )
+        assert rounds == [{"mod.Table.relative_error"}]
+
+    def test_a_logging_filter_method_is_reached(self):
+        rounds = _scan_sources(
+            mod=(
+                "import logging\n"
+                "class TagFilter(logging.Filter):\n"
+                "    def filter(self, record):\n"
+                "        return True\n"
+                "logging.getLogger().addFilter(TagFilter())\n"
+            ),
+        )
+        assert rounds == []
+
+    def test_prose_and_comments_do_not_reach_but_code_does(self):
+        modules = {
+            "mod": (
+                "def spans():\n    return 1\n"
+                "def fenced():\n    return 2\n"
+                "def quoted():\n    return 3\n"
+                "def keyed():\n    return 4\n"
+                "def prose():\n    return 5\n"
+                "def commented():\n    return 6\n",
+                False,
+            )
+        }
+        words = (
+            _identifiers("Call `spans()`, not prose.\n\n```python\nfenced()\n```\n", ".md")
+            | _identifiers("# commented\nrun('quoted', 'commented now')\n", ".py")
+            | _identifiers('{"keyed": ["prose text"]}', ".json")
+        )
+        assert scan(modules, words) == [{"mod.prose", "mod.commented"}]
 
 
 class TestFields:
@@ -866,3 +1032,38 @@ class TestFields:
             ),
         )
         assert rounds == [{"mod.Config.table"}, {"mod.make_table"}]
+
+    def test_a_self_load_does_not_read_another_classes_member(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Meter:\n"
+                "    def total(self):\n"
+                "        return self.limit()\n"
+                "    def limit(self):\n"
+                "        return 1\n"
+                "class Gauge:\n"
+                "    def __init__(self):\n"
+                "        self.limit = 2\n"
+                "print(Meter().total(), Gauge())\n"
+            ),
+        )
+        assert rounds == [{"mod.Gauge.limit"}]
+
+    def test_a_self_load_reads_its_bases_and_subclasses_members(self):
+        rounds = _scan_sources(
+            mod=(
+                "class Base:\n"
+                "    def run(self):\n"
+                "        return self.step()\n"
+                "    def scale(self):\n"
+                "        return 2\n"
+                "class Child(Base):\n"
+                "    def step(self):\n"
+                "        return self.scale()\n"
+                "class Other:\n"
+                "    def step(self):\n"
+                "        return 3\n"
+                "print(Child().run(), Other())\n"
+            ),
+        )
+        assert rounds == [{"mod.Other.step"}]
