@@ -111,9 +111,11 @@ def request_rate_for_load(
     ``load`` references the offered *payload* bit rate to the aggregate
     serialisation bandwidth (one waveguide group per channel); coding
     overhead pushes the effective channel load slightly higher, which is
-    exactly the knee the sweep is after.  The grids check their loads when
-    described (:func:`check_workload`).
+    exactly the knee the sweep is after.  ``load`` must be positive and
+    finite.
     """
+    if not (math.isfinite(load) and load > 0.0):
+        raise ConfigurationError(f"relative load must be positive and finite, got {load!r}")
     aggregate = config.num_onis * config.num_wavelengths * config.modulation_rate_hz
     return load * aggregate / payload_bits
 
@@ -137,13 +139,13 @@ def check_known(kind: str, values: Sequence, available: Collection) -> None:
 def check_workload(loads: Sequence[float], knobs: dict) -> None:
     """Reject the loads and request counts every sweep worker would reject.
 
-    A load must be positive and finite, and ``knobs["num_requests"]`` at
-    least 1; checked when the grid is described, a bad value is a
-    :class:`ConfigurationError` (HTTP 400) rather than a failed job.
+    Each load goes through :func:`request_rate_for_load`'s check, and
+    ``knobs["num_requests"]`` must be at least 1; checked when the grid is
+    described, a bad value is a :class:`ConfigurationError` (HTTP 400)
+    rather than a failed job.
     """
     for load in loads:
-        if not (math.isfinite(load) and load > 0.0):
-            raise ConfigurationError(f"relative load must be positive and finite, got {load!r}")
+        request_rate_for_load(load)
     if knobs["num_requests"] < 1:
         raise ConfigurationError("num_requests must be at least 1")
 

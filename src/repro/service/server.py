@@ -60,11 +60,20 @@ def _bind_config(data_dir: str, config: PaperConfig) -> None:
 
     Job ids, result documents and design-cache keys do not include the
     :class:`PaperConfig`, so a data directory serves the one config it was
-    first started under.
+    first started under.  A directory that already holds state but no
+    valid record (written before records existed, or its record damaged
+    and quarantined) is refused on every start: its config is unknown.
     """
     path = os.path.join(data_dir, "config.json")
     fields = json.loads(json.dumps(asdict(config)))
     if not os.path.exists(path):
+        state = ("queue", "results", "jobs", "design-cache.jsonl")
+        held = [name for name in state if os.path.exists(os.path.join(data_dir, name))]
+        if held:
+            raise ConfigurationError(
+                f"data directory {data_dir} holds {', '.join(held)} but no config record, "
+                "so the config they were computed under is unknown; use a fresh data directory"
+            )
         durable.write_atomic(path, durable.to_line({"config": fields, "digest": durable.digest(fields)}))
         return
 

@@ -55,6 +55,9 @@ class TestGridShape:
 
     def test_request_rate_scales_with_load(self):
         assert request_rate_for_load(0.5) == pytest.approx(2 * request_rate_for_load(0.25))
+        for load in (0.0, -0.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="relative load"):
+                request_rate_for_load(load)
 
     def test_zero_load_rejected(self):
         with pytest.raises(ConfigurationError, match="relative load"):

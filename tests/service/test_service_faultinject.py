@@ -301,6 +301,18 @@ class TestConfigBinding:
         with pytest.raises(ConfigurationError, match="damaged"):
             SimulationService(data_dir=str(data_dir), supervise=False)
         assert (data_dir / "config.json.corrupt").exists()
+        # The quarantine does not clear the way: the config stays unknown.
+        with pytest.raises(ConfigurationError, match="no config record"):
+            SimulationService(data_dir=str(data_dir), supervise=False)
+
+    def test_state_without_a_config_record_is_refused(self, tmp_path):
+        # A data directory written before config records existed.
+        data_dir = tmp_path / "data"
+        SimulationService(data_dir=str(data_dir), supervise=False).start().stop()
+        (data_dir / "config.json").unlink()
+        with pytest.raises(ConfigurationError, match="no config record"):
+            SimulationService(data_dir=str(data_dir), supervise=False)
+        assert not (data_dir / "config.json").exists()
 
 
 class TestDrain:
