@@ -62,14 +62,9 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def is_self_attribute(node: ast.AST, attr: Optional[str] = None) -> bool:
-    """Whether ``node`` is ``self.<attr>`` (any attribute when unspecified)."""
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (attr is None or node.attr == attr)
-    )
+def is_self_attribute(node: ast.AST) -> bool:
+    """Whether ``node`` is ``self.<attribute>``."""
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
 
 
 class ImportMap:

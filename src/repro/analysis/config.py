@@ -15,7 +15,6 @@ pointed at ``src/``, so the globs stay stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Tuple
 
@@ -36,7 +35,6 @@ def normalize_path(path: str) -> str:
     return "/".join(parts)
 
 
-@dataclass(frozen=True)
 class LintConfig:
     """Which paths the scoped rules cover (module form, fnmatch globs)."""
 

@@ -53,8 +53,8 @@ class ModuleContext:
 class LintRun:
     """The outcome of linting a path set."""
 
-    findings: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
+    findings: List[Finding] = field(default_factory=list, init=False)
+    files_checked: int = field(default=0, init=False)
 
 
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:

@@ -47,13 +47,12 @@ class GaloisField:
     primitive element alpha is 2 (the polynomial ``x``).
     """
 
-    def __init__(self, m: int, primitive_polynomial: int | None = None):
+    def __init__(self, m: int):
         if m < 2 or m > 16:
             raise ConfigurationError("GF(2^m) supported for 2 <= m <= 16")
-        if primitive_polynomial is None:
-            if m not in DEFAULT_PRIMITIVE_POLYNOMIALS:
-                raise ConfigurationError(f"no default primitive polynomial for m={m}")
-            primitive_polynomial = DEFAULT_PRIMITIVE_POLYNOMIALS[m]
+        if m not in DEFAULT_PRIMITIVE_POLYNOMIALS:
+            raise ConfigurationError(f"no default primitive polynomial for m={m}")
+        primitive_polynomial = DEFAULT_PRIMITIVE_POLYNOMIALS[m]
         self._m = m
         self._size = 1 << m
         self._exp = np.zeros(2 * self._size, dtype=np.int64)
@@ -163,11 +162,11 @@ class GaloisField:
 
 
 @functools.lru_cache(maxsize=None)
-def get_field(m: int, primitive_polynomial: int | None = None) -> GaloisField:
-    """Memoized :class:`GaloisField` constructor keyed by ``(m, poly)``.
+def get_field(m: int) -> GaloisField:
+    """Memoized :class:`GaloisField` constructor keyed by ``m``.
 
     Field tables are immutable, so sharing one instance across every BCH
     code and sweep iteration is safe and avoids rebuilding the log/antilog
     tables on each construction.
     """
-    return GaloisField(m, primitive_polynomial)
+    return GaloisField(m)

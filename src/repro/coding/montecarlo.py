@@ -12,7 +12,7 @@ the values they carry, so the residual error of a codeword ``c`` under the
 error pattern ``e`` is ``decode(c ⊕ e) ⊕ c == decode(e)``: the outcome of
 any codeword is the outcome of the all-zero codeword.  The estimator
 therefore decodes the packed channel flip words (:func:`draw_flip_words`)
-directly, ``batch_size`` blocks at a time, and counts the set message bits
+directly, :data:`DEFAULT_BATCH_SIZE` blocks at a time, and counts the set message bits
 of the corrected words with packed popcounts.
 
 The random stream stays the one the encode round trip consumed: each batch
@@ -55,6 +55,9 @@ __all__ = [
 #: amortise the per-batch Python overhead, small enough that the working set
 #: (a few (B, n) uint8/float matrices) stays cache- and memory-friendly.
 DEFAULT_BATCH_SIZE = 8192
+
+#: Normal quantile of :meth:`MonteCarloBERResult.confidence_interval` (95%).
+_CONFIDENCE_Z = 1.96
 
 
 def resolve_rng(
@@ -167,12 +170,12 @@ class MonteCarloBERResult:
     blocks_simulated: int
     block_errors: int
 
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation confidence interval on the estimated BER."""
+    def confidence_interval(self) -> tuple[float, float]:
+        """Normal-approximation 95% confidence interval on the estimated BER."""
         if self.bits_simulated == 0:
             return (0.0, 0.0)
         p = self.estimated_ber
-        half_width = z * math.sqrt(max(p * (1.0 - p), 1e-300) / self.bits_simulated)
+        half_width = _CONFIDENCE_Z * math.sqrt(max(p * (1.0 - p), 1e-300) / self.bits_simulated)
         return (max(0.0, p - half_width), min(1.0, p + half_width))
 
 
@@ -183,7 +186,6 @@ def estimate_ber_monte_carlo(
     num_blocks: int = 2000,
     rng: np.random.Generator | None = None,
     seed: int | np.random.SeedSequence | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> MonteCarloBERResult:
     """Estimate the post-decoding BER of ``code`` on a BSC.
 
@@ -203,17 +205,15 @@ def estimate_ber_monte_carlo(
     seed:
         Alternative to ``rng``: an integer or :class:`~numpy.random.SeedSequence`
         from which the generator is built (see :func:`resolve_rng`).
-    batch_size:
-        Number of blocks simulated per vectorized batch; the default keeps
-        the per-batch arrays comfortably in memory while leaving the hot
-        path entirely inside NumPy.
+
+    Blocks are simulated :data:`DEFAULT_BATCH_SIZE` at a time, which keeps
+    the per-batch arrays comfortably in memory while leaving the hot path
+    entirely inside NumPy.
     """
     if not 0.0 <= raw_ber <= 1.0:
         raise ConfigurationError("raw BER must lie in [0, 1]")
     if num_blocks < 1:
         raise ConfigurationError("at least one block must be simulated")
-    if batch_size < 1:
-        raise ConfigurationError("batch size must be at least 1")
     generator = resolve_rng(rng, seed)
 
     bit_errors = 0
@@ -223,8 +223,8 @@ def estimate_ber_monte_carlo(
     # Residual errors are counted on the systematic message prefix of the
     # corrected error patterns (every in-package code is systematic).
     message_mask = prefix_mask(n, k)
-    for start in range(0, num_blocks, batch_size):
-        count = min(batch_size, num_blocks - start)
+    for start in range(0, num_blocks, DEFAULT_BATCH_SIZE):
+        count = min(DEFAULT_BATCH_SIZE, num_blocks - start)
         # The all-zero codeword stands in for the random messages, whose
         # draw is skipped so the flips come from the same stream position.
         skip_fair_bits(generator, count * k)

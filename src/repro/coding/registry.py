@@ -36,16 +36,16 @@ _FACTORIES: Dict[str, Callable[[], object]] = {}
 _PACKED_CONTRACT = ("encode_batch_packed", "decode_batch_packed")
 
 
-def register_code(name: str, factory: Callable[[], object], *, overwrite: bool = False) -> None:
+def register_code(name: str, factory: Callable[[], object]) -> None:
     """Register a named code factory.
 
     The factory's product must implement the packed coding contract
     (``encode_batch_packed`` / ``decode_batch_packed``); :func:`get_code`
     rejects it otherwise.  Raises :class:`ConfigurationError` if the name
-    already exists and ``overwrite`` is False.
+    already exists.
     """
     key = _normalise(name)
-    if key in _FACTORIES and not overwrite:
+    if key in _FACTORIES:
         raise ConfigurationError(f"a code named {name!r} is already registered")
     _FACTORIES[key] = factory
     _cached_lookup.cache_clear()

@@ -212,6 +212,10 @@ def _raw_ber(n: int, t: int, target_ber: float) -> float:
     return _brentq(objective, low, high, xtol=1e-18, rtol=1e-12)
 
 
+#: Iteration cap of :func:`_brentq` (SciPy's ``brentq`` default).
+_BRENTQ_MAXITER = 100
+
+
 def _brentq(
     f: Callable[[float], float],
     a: float,
@@ -219,7 +223,6 @@ def _brentq(
     *,
     xtol: float,
     rtol: float,
-    maxiter: int = 100,
 ) -> float:
     """Root of ``f`` in ``[a, b]`` by Brent's method.
 
@@ -227,7 +230,7 @@ def _brentq(
     tolerance ``delta = (xtol + rtol*|x|)/2``), so it returns the roots
     ``scipy.optimize.brentq`` returns, bit for bit.  Raises ``ValueError``
     when ``f(a)`` and ``f(b)`` share a sign and ``RuntimeError`` when
-    ``maxiter`` iterations do not converge, as SciPy does.
+    :data:`_BRENTQ_MAXITER` iterations do not converge, as SciPy does.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -239,7 +242,7 @@ def _brentq(
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENTQ_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk = xpre
             fblk = fpre
@@ -279,7 +282,7 @@ def _brentq(
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations, value is {xcur}")
 
 
 def block_error_probability(

@@ -27,17 +27,16 @@ class UncodedScheme:
     direct path and the Hamming paths.
     """
 
-    def __init__(self, block_length: int = 64, *, name: str = "w/o ECC"):
+    def __init__(self, block_length: int = 64):
         if block_length < 1:
             raise ConfigurationError("block length must be positive")
         self._n = int(block_length)
-        self._name = name
 
     # ------------------------------------------------------------------ metadata
     @property
     def name(self) -> str:
         """Display name used in reports and figure legends."""
-        return self._name
+        return "w/o ECC"
 
     @property
     def n(self) -> int:

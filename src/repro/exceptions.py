@@ -50,15 +50,13 @@ class LaserPowerExceededError(ReproError):
     deliverable optical power (700 uW for the PCM-VCSEL considered).
     """
 
-    def __init__(self, required_w: float, maximum_w: float, message: str | None = None):
+    def __init__(self, required_w: float, maximum_w: float):
         self.required_w = float(required_w)
         self.maximum_w = float(maximum_w)
-        if message is None:
-            message = (
-                f"required laser output power {required_w * 1e6:.1f} uW exceeds the "
-                f"maximum deliverable optical power {maximum_w * 1e6:.1f} uW"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"required laser output power {required_w * 1e6:.1f} uW exceeds the "
+            f"maximum deliverable optical power {maximum_w * 1e6:.1f} uW"
+        )
 
 
 class InfeasibleDesignError(ReproError):

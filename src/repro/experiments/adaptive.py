@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..config import DEFAULT_CONFIG, PaperConfig
+from ..config import PaperConfig
 from ..manager.policies import (
     FailureRateMonitor,
     HysteresisSwitchingPolicy,
@@ -48,7 +48,14 @@ from ..manager.runtime import AdaptiveEccController
 from ..netsim import NetworkSimulator, make_drift_model
 from ..netsim.dynamics import DRIFT_PROFILES
 from ..traffic.generators import UniformTrafficGenerator
-from .network import grid_knobs, paired_rows, paired_shards, request_rate_for_load, shard_streams
+from .network import (
+    check_design_target,
+    grid_knobs,
+    paired_rows,
+    paired_shards,
+    request_rate_for_load,
+    shard_streams,
+)
 
 __all__ = [
     "AdaptiveSweepResult",
@@ -92,7 +99,7 @@ _KNOBS = {
 
 
 # ------------------------------------------------------------------ grid API
-def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
+def sweep_shards(config: PaperConfig, options: dict | None) -> list[dict]:
     """Grid descriptor: one shard per (drift profile, policy, load) point.
 
     ``options`` may override ``drifts``, ``policies``, ``loads`` and every
@@ -102,25 +109,19 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     """
     return paired_shards(
         "adaptive",
+        config,
         options,
         _KNOBS,
         axis="drift",
         values=(DEFAULT_DRIFTS, DRIFT_PROFILES),
         policies=(DEFAULT_POLICIES, _POLICY_MODES),
         loads=DEFAULT_LOADS,
+        probe=_probe,
     )
 
 
-def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
-    """Worker: simulate one (drift, policy, load) point; JSON payload.
-
-    Four independent per-point streams are derived from the grid position —
-    traffic (0), engine (1), drift trajectories (2) and monitor telemetry
-    (3) — so the payload depends only on the shard parameters, which is
-    what makes parallel sweeps byte-identical to serial ones.  All policies
-    of a (drift, load) pair share the same ``pair_index`` and therefore
-    face literally the same workload and channel conditions.
-    """
+def _build(params: dict, config: PaperConfig):
+    """One shard's traffic generator and simulator, not yet run, and its top margin."""
     streams = shard_streams(
         params["seed"], params["pair_index"], ("traffic", "engine", "drift", "telemetry")
     )
@@ -161,6 +162,26 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         controller=controller,
         telemetry_seed=streams["telemetry"],
     )
+    return generator, simulator, worst
+
+
+def _probe(params: dict, config: PaperConfig) -> None:
+    """Build one shard without running it; check its design target at the top margin."""
+    _, _, worst = _build(params, config)
+    check_design_target(config, params["target_ber"], worst)
+
+
+def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
+    """Worker: simulate one (drift, policy, load) point; JSON payload.
+
+    Four independent per-point streams are derived from the grid position —
+    traffic (0), engine (1), drift trajectories (2) and monitor telemetry
+    (3) — so the payload depends only on the shard parameters, which is
+    what makes parallel sweeps byte-identical to serial ones.  All policies
+    of a (drift, load) pair share the same ``pair_index`` and therefore
+    face literally the same workload and channel conditions.
+    """
+    generator, simulator, worst = _build(params, config)
     result = simulator.run(generator.generate(params["num_requests"]))
     payload = {
         "drift": params["drift"],
@@ -228,8 +249,8 @@ class AdaptiveSweepResult:
 
 def merge_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble shard payloads into the (text report, CSV rows) pair.
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..config import DEFAULT_CONFIG, PaperConfig
+from ..config import PaperConfig
 from ..manager.policies import (
     DegradationLadder,
     FailureRateMonitor,
@@ -50,7 +50,14 @@ from ..manager.runtime import AdaptiveEccController
 from ..netsim import NetworkSimulator, make_fault_model
 from ..netsim.failures import FAULT_SCENARIOS
 from ..traffic.generators import UniformTrafficGenerator
-from .network import grid_knobs, paired_rows, paired_shards, request_rate_for_load, shard_streams
+from .network import (
+    check_design_target,
+    grid_knobs,
+    paired_rows,
+    paired_shards,
+    request_rate_for_load,
+    shard_streams,
+)
 
 __all__ = [
     "AvailabilitySweepResult",
@@ -96,7 +103,7 @@ _KNOBS = {
 
 
 # ------------------------------------------------------------------ grid API
-def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
+def sweep_shards(config: PaperConfig, options: dict | None) -> list[dict]:
     """Grid descriptor: one shard per (fault scenario, policy, load) point.
 
     ``options`` may override ``scenarios``, ``policies``, ``loads`` and
@@ -106,23 +113,19 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     """
     return paired_shards(
         "availability",
+        config,
         options,
         _KNOBS,
         axis="scenario",
         values=(DEFAULT_SCENARIOS, FAULT_SCENARIOS),
         policies=(DEFAULT_POLICIES, DEFAULT_POLICIES),
         loads=DEFAULT_LOADS,
+        probe=_probe,
     )
 
 
-def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
-    """Worker: simulate one (scenario, policy, load) point; JSON payload.
-
-    Four independent per-point streams are derived from the grid position —
-    traffic (0), engine (1), fault timelines (2) and monitor telemetry (3)
-    — so the payload depends only on the shard parameters, which is what
-    makes parallel sweeps byte-identical to serial ones.
-    """
+def _build(params: dict, config: PaperConfig):
+    """One shard's traffic generator and simulator, not yet run, and its margin ladder."""
     streams = shard_streams(
         params["seed"], params["pair_index"], ("traffic", "engine", "faults", "telemetry")
     )
@@ -185,6 +188,24 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         retry_backoff_s=retry_backoff_s,
         transfer_timeout_s=transfer_timeout_s,
     )
+    return generator, simulator, margins
+
+
+def _probe(params: dict, config: PaperConfig) -> None:
+    """Build one shard without running it; check its design target at the top margin."""
+    _, _, margins = _build(params, config)
+    check_design_target(config, params["target_ber"], margins[-1])
+
+
+def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
+    """Worker: simulate one (scenario, policy, load) point; JSON payload.
+
+    Four independent per-point streams are derived from the grid position —
+    traffic (0), engine (1), fault timelines (2) and monitor telemetry (3)
+    — so the payload depends only on the shard parameters, which is what
+    makes parallel sweeps byte-identical to serial ones.
+    """
+    generator, simulator, margins = _build(params, config)
     result = simulator.run(generator.generate(params["num_requests"]))
     payload = {
         "scenario": params["scenario"],
@@ -258,8 +279,8 @@ class AvailabilitySweepResult:
 
 def merge_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble shard payloads into the (text report, CSV rows) pair.
 

@@ -72,7 +72,7 @@ def run_calibration(config: PaperConfig = DEFAULT_CONFIG) -> CalibrationSummary:
 sweep_shards = single_sweep_shards("calibration")
 
 
-def run_sweep_shard(params, config=DEFAULT_CONFIG):
+def run_sweep_shard(params, config):
     """Worker: recompute the calibration summary; returns the rendered payload."""
     result = run_calibration(config)
     rows = [

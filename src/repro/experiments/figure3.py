@@ -76,7 +76,7 @@ def run_figure3(config: PaperConfig = DEFAULT_CONFIG) -> Figure3Result:
 sweep_shards = single_sweep_shards("figure3")
 
 
-def run_sweep_shard(params, config=DEFAULT_CONFIG):
+def run_sweep_shard(params, config):
     """Worker: sample the ring spectra; returns the rendered payload."""
     result = run_figure3(config)
     rows = [

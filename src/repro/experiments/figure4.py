@@ -77,7 +77,7 @@ def run_figure4(config: PaperConfig = DEFAULT_CONFIG) -> Figure4Result:
 sweep_shards = single_sweep_shards("figure4")
 
 
-def run_sweep_shard(params, config=DEFAULT_CONFIG):
+def run_sweep_shard(params, config):
     """Worker: sweep the laser model; returns the rendered payload."""
     result = run_figure4(config)
     rows = [

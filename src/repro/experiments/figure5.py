@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..coding.registry import paper_code_by_name
-from ..config import DEFAULT_CONFIG, PaperConfig
+from ..config import PaperConfig
 from ..exceptions import ConfigurationError
 from ..link.design import LinkDesignPoint, OpticalLinkDesigner
 from .gridlib import check_grid_size, check_option_names, code_names
@@ -91,7 +91,7 @@ def _paper_comparisons(series: Dict[str, List[LinkDesignPoint]]) -> List[Compari
 
 
 # ------------------------------------------------------------------ grid API
-def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
+def sweep_shards(config: PaperConfig, options: dict | None) -> list[dict]:
     """Grid descriptor: shards of (code, BER-chunk) operating-point solves.
 
     The BER axis of each code is chunked into at most ``shard_size`` points
@@ -114,7 +114,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     return shards
 
 
-def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
+def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
     """Worker: solve one code's chunk of operating points; JSON payload."""
     designer = OpticalLinkDesigner(config=config)
     code = paper_code_by_name(params["code"], config.ip_bus_width_bits)
@@ -124,8 +124,8 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
 
 def merge_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble shard payloads into the (text report, CSV rows) pair.
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
 
 from ..coding.registry import paper_code_by_name
-from ..config import DEFAULT_CONFIG, PaperConfig
+from ..config import PaperConfig
 from ..interfaces.synthesis import synthesize_interfaces
 from ..link.design import OpticalLinkDesigner
 from ..manager.pareto import ParetoPoint, pareto_front
@@ -141,7 +141,7 @@ def _figure6a_comparisons(
 
 # ------------------------------------------------------------------ grid API
 def figure6a_sweep_shards(
-    config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None
+    config: PaperConfig, options: dict | None
 ) -> list[dict]:
     """Grid descriptor for Figure 6a: one shard per coding scheme."""
     options = options or {}
@@ -152,7 +152,7 @@ def figure6a_sweep_shards(
     return [{"code": name, "target_ber": target_ber} for name in names]
 
 
-def run_figure6a_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
+def run_figure6a_sweep_shard(params: dict, config: PaperConfig) -> dict:
     """Worker: power breakdown + energy metrics of one scheme; JSON payload."""
     designer = OpticalLinkDesigner(config=config)
     synthesis = synthesize_interfaces(config=config)
@@ -169,8 +169,8 @@ def run_figure6a_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG)
 
 def merge_figure6a_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble Figure 6a shard payloads into the (text, rows) pair."""
     options = options or {}
@@ -187,7 +187,7 @@ def merge_figure6a_sweep(
 
 
 def figure6b_sweep_shards(
-    config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None
+    config: PaperConfig, options: dict | None
 ) -> list[dict]:
     """Grid descriptor for Figure 6b: one shard per target BER."""
     options = options or {}
@@ -198,7 +198,7 @@ def figure6b_sweep_shards(
     return [{"target_ber": ber, "codes": names} for ber in target_bers]
 
 
-def run_figure6b_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
+def run_figure6b_sweep_shard(params: dict, config: PaperConfig) -> dict:
     """Worker: the trade-off points of every scheme at one BER; JSON payload."""
     designer = OpticalLinkDesigner(config=config)
     synthesis = synthesize_interfaces(config=config)
@@ -228,8 +228,8 @@ def run_figure6b_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG)
 
 def merge_figure6b_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble Figure 6b shard payloads into the (text, rows) pair."""
     points = [

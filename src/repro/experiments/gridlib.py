@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Sequence
 
-from ..config import DEFAULT_CONFIG, PaperConfig
+from ..config import PaperConfig
 from ..exceptions import ConfigurationError
 
 __all__ = [
@@ -84,7 +84,7 @@ def single_sweep_shards(experiment: str) -> Callable[..., list[dict]]:
     """Grid descriptor of an indivisible experiment: one shard, no options."""
 
     def sweep_shards(
-        config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None
+        config: PaperConfig, options: dict | None
     ) -> list[dict]:
         check_option_names(experiment, options, ())
         return [{}]
@@ -94,8 +94,8 @@ def single_sweep_shards(experiment: str) -> Callable[..., list[dict]]:
 
 def single_merge_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Unwrap the single shard's already-rendered ``(text, rows)`` payload."""
     return payloads[0]["text"], payloads[0]["rows"]

@@ -67,16 +67,18 @@ class HeadlineResult:
         return "\n".join(lines)
 
 
-def run_headline(
-    config: PaperConfig = DEFAULT_CONFIG, *, target_ber: float = 1e-11
-) -> HeadlineResult:
-    """Recompute the paper's headline claims."""
+#: The BER the headline claims are stated at.
+_TARGET_BER = 1e-11
+
+
+def run_headline(config: PaperConfig = DEFAULT_CONFIG) -> HeadlineResult:
+    """Recompute the paper's headline claims at BER :data:`_TARGET_BER`."""
     codes = paper_code_set(config.ip_bus_width_bits)
     designer = OpticalLinkDesigner(config=config)
     synthesis = synthesize_interfaces(config=config)
     breakdowns = {
         code.name: channel_power_breakdown(
-            code, target_ber, config=config, designer=designer, synthesis=synthesis
+            code, _TARGET_BER, config=config, designer=designer, synthesis=synthesis
         )
         for code in codes
     }
@@ -115,7 +117,7 @@ def run_headline(
         ),
     ]
     return HeadlineResult(
-        target_ber=target_ber,
+        target_ber=_TARGET_BER,
         laser_share_uncoded=laser_share,
         power_reduction=power_reduction,
         per_waveguide_power_mw=per_waveguide,
@@ -128,7 +130,7 @@ def run_headline(
 sweep_shards = single_sweep_shards("headline")
 
 
-def run_sweep_shard(params, config=DEFAULT_CONFIG):
+def run_sweep_shard(params, config):
     """Worker: recompute the headline claims; returns the rendered payload."""
     result = run_headline(config)
     rows = [

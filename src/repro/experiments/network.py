@@ -35,18 +35,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, List, Sequence
+from typing import Callable, Collection, List, Sequence
 
 import numpy as np
 
+from ..coding.registry import paper_code_set
+from ..coding.theory import raw_ber_for_target_output_ber
 from ..config import DEFAULT_CONFIG, PaperConfig
 from ..exceptions import ConfigurationError
+from ..manager.manager import derated_target_ber
 from ..manager.policies import (
     DeadlineConstrainedPolicy,
     MinimumEnergyPolicy,
     MinimumPowerPolicy,
 )
 from ..netsim import NetworkSimulator
+from ..netsim.engine import MODES, check_settings
 from ..traffic.generators import (
     BurstyTrafficGenerator,
     HotspotTrafficGenerator,
@@ -60,6 +64,8 @@ __all__ = [
     "grid_knobs",
     "check_known",
     "check_workload",
+    "check_design_target",
+    "probe_shards",
     "shard_streams",
     "paired_shards",
     "paired_rows",
@@ -80,6 +86,11 @@ DEFAULT_NUM_REQUESTS = 1200
 DEFAULT_PAYLOAD_BITS = 4096
 DEFAULT_TARGET_BER = 1e-9
 DEFAULT_SEED = 2026
+
+#: Largest payload and packet a sweep grid accepts (bits).  A transfer's
+#: packets and blocks are counted in NumPy arrays and int64 draws, which a
+#: larger one overflows or makes allocate without bound.
+MAX_TRANSFER_BITS = 1 << 20
 
 #: Per-shard knobs and their defaults; an option of the same name overrides
 #: one, converted to its default's type.
@@ -112,10 +123,12 @@ def request_rate_for_load(
     serialisation bandwidth (one waveguide group per channel); coding
     overhead pushes the effective channel load slightly higher, which is
     exactly the knee the sweep is after.  ``load`` must be positive and
-    finite.
+    finite, and ``payload_bits`` positive.
     """
     if not (math.isfinite(load) and load > 0.0):
         raise ConfigurationError(f"relative load must be positive and finite, got {load!r}")
+    if payload_bits < 1:
+        raise ConfigurationError(f"payload_bits must be at least 1, got {payload_bits!r}")
     aggregate = config.num_onis * config.num_wavelengths * config.modulation_rate_hz
     return load * aggregate / payload_bits
 
@@ -136,18 +149,65 @@ def check_known(kind: str, values: Sequence, available: Collection) -> None:
             raise ConfigurationError(f"unknown {kind} {value!r}; available: {sorted(available)}")
 
 
-def check_workload(loads: Sequence[float], knobs: dict) -> None:
-    """Reject the loads and request counts every sweep worker would reject.
+def check_workload(loads: Sequence[float], knobs: dict, config: PaperConfig) -> None:
+    """Reject the loads, request counts and simulator settings a sweep worker would reject.
 
-    Each load goes through :func:`request_rate_for_load`'s check, and
-    ``knobs["num_requests"]`` must be at least 1; checked when the grid is
-    described, a bad value is a :class:`ConfigurationError` (HTTP 400)
-    rather than a failed job.
+    Each load goes through :func:`request_rate_for_load`'s check at the
+    grid's ``payload_bits``, ``knobs["num_requests"]`` must be at least 1,
+    ``payload_bits`` and ``packet_bits`` at most :data:`MAX_TRANSFER_BITS`,
+    and the simulator knobs go through
+    :func:`~repro.netsim.engine.check_settings` (a grid without a ``mode``
+    knob runs probabilistic).  Checked when the grid is described, a bad
+    value is a :class:`ConfigurationError` (HTTP 400) rather than a failed
+    job.
     """
     for load in loads:
-        request_rate_for_load(load)
+        request_rate_for_load(load, config, payload_bits=knobs["payload_bits"])
     if knobs["num_requests"] < 1:
         raise ConfigurationError("num_requests must be at least 1")
+    for name in ("payload_bits", "packet_bits"):
+        if knobs[name] > MAX_TRANSFER_BITS:
+            raise ConfigurationError(f"{name} must be at most {MAX_TRANSFER_BITS}, got {knobs[name]}")
+    check_settings(
+        mode=knobs.get("mode", MODES[0]),
+        packet_bits=knobs["packet_bits"],
+        max_retries=knobs["max_retries"],
+        warmup_fraction=knobs["warmup_fraction"],
+    )
+
+
+def check_design_target(config: PaperConfig, target_ber: float, margin: float) -> None:
+    """Reject a target BER the design chain cannot solve at drift ``margin``.
+
+    Each of the paper's codes inverts the (margin-derated) target as the
+    link designer will; a target too deep for the root search, or one
+    derated to nothing, raises :class:`ConfigurationError` here instead of
+    in the first arrival of a shard.
+    """
+    for code in paper_code_set(config.ip_bus_width_bits):
+        raw_ber_for_target_output_ber(code, derated_target_ber(code, target_ber, margin))
+
+
+def probe_shards(
+    shards: Sequence[dict],
+    keys: Sequence[str],
+    probe: Callable[[dict, PaperConfig], None],
+    config: PaperConfig,
+) -> None:
+    """Probe the first shard of each distinct ``keys`` combination.
+
+    ``probe`` builds the shard as its worker does (traffic generator,
+    models, simulator) without running it, and checks its design target
+    (:func:`check_design_target`).  The shards of one combination differ
+    only in load, pair and seed streams, so every check the worker's
+    constructors make runs when the grid is described, in the same code.
+    """
+    seen = set()
+    for shard in shards:
+        key = tuple(shard[name] for name in keys)
+        if key not in seen:
+            seen.add(key)
+            probe(shard, config)
 
 
 def shard_streams(seed: int, index: int, names: Sequence[str]) -> dict:
@@ -165,6 +225,7 @@ def shard_streams(seed: int, index: int, names: Sequence[str]) -> dict:
 
 def paired_shards(
     experiment: str,
+    config: PaperConfig,
     options: dict | None,
     knobs: dict,
     *,
@@ -172,6 +233,7 @@ def paired_shards(
     values: tuple[Sequence[str], Collection[str]],
     policies: tuple[Sequence[str], Collection[str]],
     loads: Sequence[float],
+    probe: Callable[[dict, PaperConfig], None],
 ) -> list[dict]:
     """Shards of a paired policy sweep: one per (``axis`` value, load, policy) point.
 
@@ -182,7 +244,8 @@ def paired_shards(
     :class:`ConfigurationError`.  Every shard carries ``pair_index``, the
     position of its (axis value, load) pair: all policies of a pair share
     the pair's seed streams (:func:`shard_streams`), so they are compared
-    on literally the same traffic and channel conditions.
+    on literally the same traffic and channel conditions.  ``probe`` runs
+    per (axis value, policy) (:func:`probe_shards`).
     """
     options = options or {}
     check_option_names(experiment, options, (f"{axis}s", "policies", "loads", *knobs))
@@ -193,13 +256,15 @@ def paired_shards(
     check_known("policy", policy_names, policies[1])
     check_grid_size(experiment, len(axis_values) * len(load_values) * len(policy_names))
     defaults = grid_knobs(options, knobs)
-    check_workload(load_values, defaults)
+    check_workload(load_values, defaults, config)
     pairs = [(value, load) for value in axis_values for load in load_values]
-    return [
+    shards = [
         {**defaults, axis: value, "policy": policy, "load": load, "pair_index": pair_index}
         for pair_index, (value, load) in enumerate(pairs)
         for policy in policy_names
     ]
+    probe_shards(shards, (axis, "policy"), probe, config)
+    return shards
 
 
 def paired_rows(payloads: Sequence[dict], axis: str, static: str) -> tuple[list[dict], dict]:
@@ -312,7 +377,7 @@ class NetworkSweepResult:
 
 
 # ------------------------------------------------------------------ grid API
-def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
+def sweep_shards(config: PaperConfig, options: dict | None) -> list[dict]:
     """Grid descriptor: one shard per (pattern, load, policy, ring) point.
 
     ``options`` may override ``patterns``, ``loads``, ``policies`` and
@@ -332,7 +397,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     check_known("traffic pattern", patterns, DEFAULT_PATTERNS)
     check_known("policy", policies, _POLICY_FACTORIES)
     knobs = grid_knobs(options, _KNOBS)
-    check_workload(loads, knobs)
+    check_workload(loads, knobs, config)
     rings = knobs["rings"]
     if rings < 1:
         raise ConfigurationError("rings must be a positive integer")
@@ -344,7 +409,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
         for load in loads
         for ring in range(rings)
     ]
-    return [
+    shards = [
         {
             "pattern": pattern,
             "policy": policy,
@@ -355,17 +420,12 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
         }
         for spawn_index, (pattern, policy, load, ring) in enumerate(points)
     ]
+    probe_shards(shards, ("pattern",), _probe, config)
+    return shards
 
 
-def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
-    """Worker: simulate one (pattern, load, policy, ring) point; JSON payload.
-
-    Traffic and simulator rebuild their generators from
-    ``SeedSequence(seed, spawn_key=(spawn_index, stream))``, so the payload
-    depends only on the grid position — the property that makes parallel
-    sweeps byte-identical to serial ones.  A ring is one more grid axis:
-    its spawn index (hence its streams) differs from every other ring's.
-    """
+def _build(params: dict, config: PaperConfig):
+    """One shard's traffic generator and simulator, not yet run."""
     streams = shard_streams(params["seed"], params["spawn_index"], ("traffic", "engine"))
     rate_hz = request_rate_for_load(
         params["load"], config, payload_bits=params["payload_bits"]
@@ -387,6 +447,25 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
         warmup_fraction=params["warmup_fraction"],
         seed=streams["engine"],
     )
+    return generator, simulator
+
+
+def _probe(params: dict, config: PaperConfig) -> None:
+    """Build one shard without running it; check its design target (no drift margin)."""
+    _build(params, config)
+    check_design_target(config, params["target_ber"], 1.0)
+
+
+def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
+    """Worker: simulate one (pattern, load, policy, ring) point; JSON payload.
+
+    Traffic and simulator rebuild their generators from
+    ``SeedSequence(seed, spawn_key=(spawn_index, stream))``, so the payload
+    depends only on the grid position — the property that makes parallel
+    sweeps byte-identical to serial ones.  A ring is one more grid axis:
+    its spawn index (hence its streams) differs from every other ring's.
+    """
+    generator, simulator = _build(params, config)
     result = simulator.run(generator.generate(params["num_requests"]))
     payload = {
         "pattern": params["pattern"],
@@ -489,8 +568,8 @@ def _merge_ring_rows(rows: Sequence[dict]) -> dict:
 
 def merge_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble shard payloads into the (text report, CSV rows) pair.
 

@@ -27,8 +27,9 @@ byte-identical to the serial one:
 
 When a ``checkpoint_dir`` is given, completed shards are flushed to
 ``<dir>/<experiment>.json`` (atomically, after every shard) together with a
-fingerprint of the grid; ``resume=True`` reloads any checkpoint whose
-fingerprint still matches and only runs the missing shards.  An interrupted
+fingerprint of the grid and the :class:`~repro.config.PaperConfig` it ran
+under; ``resume=True`` reloads any checkpoint whose fingerprint still
+matches and only runs the missing shards.  An interrupted
 eight-hour sweep therefore restarts where it stopped, and a finished one
 merges instantly.
 
@@ -71,7 +72,7 @@ import logging
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .. import durable
@@ -229,10 +230,14 @@ class ExperimentGrid:
     experiment: str
     shard_params: tuple
     options: dict | None
+    #: The configuration the shards run under.  Not part of
+    #: :attr:`fingerprint` (service job ids key on that); a checkpoint keys
+    #: on both (:attr:`checkpoint_fingerprint`).
+    config: PaperConfig
 
     @property
     def fingerprint(self) -> str:
-        """Hash identifying the grid; a checkpoint is only valid if it matches."""
+        """Hash identifying the grid: experiment, shards and options."""
         return durable.digest(
             {
                 "experiment": self.experiment,
@@ -240,6 +245,11 @@ class ExperimentGrid:
                 "options": self.options,
             }
         )
+
+    @property
+    def checkpoint_fingerprint(self) -> str:
+        """Hash of the grid and its config; a checkpoint is only valid if it matches."""
+        return durable.digest({"grid": self.fingerprint, "config": asdict(self.config)})
 
 
 def describe_grid(
@@ -265,7 +275,7 @@ def describe_grid(
     except (TypeError, ValueError, OverflowError) as error:
         raise ConfigurationError(f"invalid options for {experiment!r}: {error}") from None
     check_grid_size(experiment, len(shards))
-    return ExperimentGrid(experiment=experiment, shard_params=shards, options=options)
+    return ExperimentGrid(experiment=experiment, shard_params=shards, options=options, config=config)
 
 
 def checkpoint_path(checkpoint_dir: str, experiment: str) -> str:
@@ -781,7 +791,7 @@ def _checkpoint_header(grid: ExperimentGrid) -> dict:
     return {
         "kind": "header",
         "experiment": grid.experiment,
-        "fingerprint": grid.fingerprint,
+        "fingerprint": grid.checkpoint_fingerprint,
         "num_shards": len(grid.shard_params),
     }
 
@@ -804,7 +814,8 @@ def _load_checkpoint(checkpoint_dir: str, grid: ExperimentGrid) -> Dict[int, Any
     verify are salvaged and written back, so a truncated tail, a bit flip
     or an interleaved write costs only the damaged shards.  A damaged
     header salvages nothing.  A header with another fingerprint is stale
-    (the grid changed), not damaged: the checkpoint is simply ignored.
+    (the grid or its config changed), not damaged: the checkpoint is simply
+    ignored, and the run rewrites it.
     """
     header = _checkpoint_header(grid)
 

@@ -87,7 +87,7 @@ def run_table1(config: PaperConfig = DEFAULT_CONFIG) -> Table1Result:
 sweep_shards = single_sweep_shards("table1")
 
 
-def run_sweep_shard(params, config=DEFAULT_CONFIG):
+def run_sweep_shard(params, config):
     """Worker: regenerate Table I; returns the rendered payload."""
     result = run_table1(config)
     return {"text": result.render_text(), "rows": result.report.to_rows()}

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..coding.registry import paper_code_by_name
 from ..coding.theory import output_ber
-from ..config import DEFAULT_CONFIG, PaperConfig
+from ..config import PaperConfig
 from ..link.design import OpticalLinkDesigner
 from ..simulation.linksim import OpticalLinkSimulator
 from .gridlib import check_grid_size, check_option_names, code_names
@@ -138,7 +138,7 @@ def _validation_point(
 
 
 # ------------------------------------------------------------------ grid API
-def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = None) -> list[dict]:
+def sweep_shards(config: PaperConfig, options: dict | None) -> list[dict]:
     """Grid descriptor: one shard per (target BER, code) Monte-Carlo point.
 
     ``options`` may override ``targets``, ``codes`` (names), ``num_blocks``,
@@ -172,7 +172,7 @@ def sweep_shards(config: PaperConfig = DEFAULT_CONFIG, options: dict | None = No
     return shards
 
 
-def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
+def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
     """Worker: simulate one (code, target) point; returns a JSON payload."""
     point = _validation_point(
         paper_code_by_name(params["code"], config.ip_bus_width_bits),
@@ -188,8 +188,8 @@ def run_sweep_shard(params: dict, config: PaperConfig = DEFAULT_CONFIG) -> dict:
 
 def merge_sweep(
     payloads: Sequence[dict],
-    config: PaperConfig = DEFAULT_CONFIG,
-    options: dict | None = None,
+    config: PaperConfig,
+    options: dict | None,
 ) -> tuple[str, list[dict]]:
     """Assemble shard payloads into the (text report, CSV rows) pair."""
     options = options or {}

@@ -16,7 +16,10 @@ from typing import List
 
 from ..exceptions import ArbitrationError, ConfigurationError
 
-__all__ = ["TokenArbiter"]
+__all__ = ["TokenArbiter", "TOKEN_HOP_TIME_S"]
+
+#: Time the token takes to pass from one writer to the next (s).
+TOKEN_HOP_TIME_S = 1e-9
 
 
 @dataclass
@@ -24,15 +27,12 @@ class TokenArbiter:
     """Round-robin token arbitration among the writers of a channel."""
 
     writers: List[int]
-    token_hop_time_s: float = 1e-9
 
     def __post_init__(self) -> None:
         if not self.writers:
             raise ConfigurationError("an arbiter needs at least one writer")
         if len(set(self.writers)) != len(self.writers):
             raise ConfigurationError("writer identifiers must be unique")
-        if self.token_hop_time_s < 0:
-            raise ConfigurationError("token hop time cannot be negative")
         self._holder_index = 0
         self._busy_until_s = 0.0
 
@@ -41,7 +41,7 @@ class TokenArbiter:
         """Request the channel for a transfer; returns the grant (start) time.
 
         The token travels round-robin from its current holder to the
-        requesting writer (each hop costs ``token_hop_time_s``); the transfer
+        requesting writer (each hop costs :data:`TOKEN_HOP_TIME_S`); the transfer
         then starts once the channel is free.
         """
         if writer not in self.writers:
@@ -50,7 +50,7 @@ class TokenArbiter:
             raise ConfigurationError("transfer duration cannot be negative")
         target_index = self.writers.index(writer)
         hops = (target_index - self._holder_index) % len(self.writers)
-        token_arrival = max(now_s, self._busy_until_s) + hops * self.token_hop_time_s
+        token_arrival = max(now_s, self._busy_until_s) + hops * TOKEN_HOP_TIME_S
         start = max(token_arrival, self._busy_until_s, now_s)
         self._holder_index = target_index
         self._busy_until_s = start + duration_s

@@ -25,11 +25,10 @@ class MWSRChannel:
 
     reader: int
     config: PaperConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-    topology: RingTopology | None = None
+    topology: RingTopology = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.topology is None:
-            self.topology = RingTopology.from_config(self.config)
+        self.topology = RingTopology.from_config(self.config)
         if not 0 <= self.reader < self.topology.num_onis:
             raise ConfigurationError(
                 f"reader index {self.reader} outside [0, {self.topology.num_onis - 1}]"

@@ -311,7 +311,7 @@ def hamming_codec_block(
     )
 
 
-def serializer_block(num_bits: int, *, modulation_rate_hz: float = 10e9) -> BlockCharacterisation:
+def serializer_block(num_bits: int, *, modulation_rate_hz: float) -> BlockCharacterisation:
     """Estimate an ``num_bits``-deep serialiser clocked at the modulation rate."""
     if num_bits < 1:
         raise ConfigurationError("serialiser depth must be positive")
@@ -328,7 +328,7 @@ def serializer_block(num_bits: int, *, modulation_rate_hz: float = 10e9) -> Bloc
     )
 
 
-def deserializer_block(num_bits: int, *, modulation_rate_hz: float = 10e9) -> BlockCharacterisation:
+def deserializer_block(num_bits: int, *, modulation_rate_hz: float) -> BlockCharacterisation:
     """Estimate an ``num_bits``-deep deserialiser clocked at the modulation rate."""
     if num_bits < 1:
         raise ConfigurationError("deserialiser depth must be positive")

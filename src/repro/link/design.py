@@ -67,12 +67,9 @@ class OpticalLinkDesigner:
     Parameters
     ----------
     config:
-        Evaluation parameters; defaults to the paper's Section V setup.
-    laser:
-        Laser model; defaults to the PCM-VCSEL model built from ``config``.
-    budget:
-        Optical power budget; defaults to the worst-case MWSR budget built
-        from ``config``.
+        Evaluation parameters; defaults to the paper's Section V setup.  The
+        laser (the PCM-VCSEL model) and the optical power budget (the
+        worst-case MWSR budget) are built from it.
     persistent_cache:
         Optional durable tier behind the in-memory design-point cache: any
         object with ``load(key) -> LinkDesignPoint | None`` and
@@ -85,15 +82,13 @@ class OpticalLinkDesigner:
     """
 
     config: PaperConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-    laser: VCSELModel | None = None
-    budget: LinkPowerBudget | None = None
     persistent_cache: object | None = None
+    laser: VCSELModel = field(init=False)
+    budget: LinkPowerBudget = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.laser is None:
-            self.laser = VCSELModel.from_config(self.config)
-        if self.budget is None:
-            self.budget = LinkPowerBudget(config=self.config)
+        self.laser = VCSELModel.from_config(self.config)
+        self.budget = LinkPowerBudget(config=self.config)
         self._detector = Photodetector.from_config(self.config)
         # Solved operating points, keyed by code identity and target.  The
         # solve chain (crosstalk scan + a brentq inversion) costs 0.1-1 ms,

@@ -11,7 +11,7 @@ designer, the power models and the selection policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..coding.registry import paper_code_set
 from ..coding.theory import output_ber, raw_ber_for_target_output_ber
@@ -60,7 +60,6 @@ class CommunicationRequest:
     destination: int
     target_ber: float
     payload_bits: int = 64
-    max_communication_time: float | None = None
     policy: SelectionPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -106,24 +105,18 @@ class LinkConfiguration:
 
 
 class OpticalLinkManager:
-    """Centralised manager configuring the ECC mode and laser power per request."""
+    """Centralised manager configuring the ECC mode and laser power per request.
 
-    def __init__(
-        self,
-        *,
-        config: PaperConfig = DEFAULT_CONFIG,
-        codes: Sequence | None = None,
-        default_policy: SelectionPolicy | None = None,
-    ):
+    It chooses among the paper's code set (:func:`paper_code_set`) with
+    :class:`MinimumPowerPolicy` unless a request carries its own policy.
+    """
+
+    def __init__(self, *, config: PaperConfig = DEFAULT_CONFIG):
         self._config = config
-        self._codes = list(codes) if codes is not None else paper_code_set(config.ip_bus_width_bits)
-        if not self._codes:
-            raise ConfigurationError("the manager needs at least one coding scheme")
+        self._codes = paper_code_set(config.ip_bus_width_bits)
         self._designer = OpticalLinkDesigner(config=config)
         self._synthesis: SynthesisReport = synthesize_interfaces(config=config)
-        self._default_policy: SelectionPolicy = (
-            default_policy if default_policy is not None else MinimumPowerPolicy()
-        )
+        self._default_policy: SelectionPolicy = MinimumPowerPolicy()
         self._candidate_cache: Dict[tuple[float, float], list[ChannelPowerBreakdown]] = {}
 
     # ------------------------------------------------------------------ queries
@@ -183,10 +176,6 @@ class OpticalLinkManager:
             registry.inc("manager.configure.calls")
         candidates = self.candidates_for(request.target_ber, margin_multiplier)
         policy = request.policy if request.policy is not None else self._default_policy
-        if request.max_communication_time is not None:
-            candidates = [
-                c for c in candidates if c.communication_time <= request.max_communication_time
-            ]
         decision = policy.select(candidates, config=self._config)
         code = next(c for c in self._codes if c.name == decision.code_name)
         # The designer memoizes the solved operating point per (code,

@@ -12,7 +12,7 @@ both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from ..config import DEFAULT_CONFIG, PaperConfig
@@ -90,9 +90,7 @@ class MinimumPowerPolicy:
 
 @dataclass
 class MinimumEnergyPolicy:
-    """Pick the feasible configuration with the lowest energy per useful bit."""
-
-    ip_referenced: bool = False
+    """Pick the feasible configuration with the lowest energy per modulated bit."""
 
     def select(
         self,
@@ -103,12 +101,7 @@ class MinimumEnergyPolicy:
         """Select the candidate minimising energy per bit."""
 
         def energy(c: ChannelPowerBreakdown) -> float:
-            metrics = energy_metrics(c, config=config)
-            return (
-                metrics.energy_per_bit_ip_j
-                if self.ip_referenced
-                else metrics.energy_per_bit_modulation_j
-            )
+            return energy_metrics(c, config=config).energy_per_bit_modulation_j
 
         best = min(_feasible(candidates), key=energy)
         return ConfigurationDecision(breakdown=best)
@@ -178,9 +171,9 @@ class FailureRateMonitor:
     """
 
     window_blocks: int = 4096
-    _blocks: int = 0
-    _observed: float = 0.0
-    _expected: float = 0.0
+    _blocks: int = field(default=0, init=False)
+    _observed: float = field(default=0.0, init=False)
+    _expected: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if self.window_blocks < 1:
@@ -223,43 +216,39 @@ class FailureRateMonitor:
         self._expected = 0.0
 
 
-@dataclass
+#: Fewest surviving wavelengths a :class:`DegradationLadder` still serves on.
+MIN_VIABLE_WAVELENGTHS = 1
+
+#: Hysteresis thresholds of :class:`HysteresisSwitchingPolicy`: an upgrade
+#: needs an estimate above ``UPGRADE_HEADROOM`` times the current margin
+#: (above 1, so a nominal channel never triggers); a downgrade needs
+#: ``HOLD_WINDOWS`` consecutive estimates below ``DOWNGRADE_FRACTION`` of the
+#: lower level's margin.
+UPGRADE_HEADROOM = 1.2
+DOWNGRADE_FRACTION = 0.6
+HOLD_WINDOWS = 2
+
+
 class HysteresisSwitchingPolicy:
     """Hysteresis rule mapping drift estimates to margin-level moves.
 
     Upgrades are eager — one window estimating the drift above
-    ``upgrade_headroom`` times the current margin steps the level up (the
-    channel has outgrown the provisioned headroom and the link is about to
-    miss its BER target).  Downgrades are conservative — the estimate must
-    stay below ``downgrade_fraction`` of the *lower* level's margin for
-    ``hold_windows`` consecutive windows before stepping down.  The deadband
-    between ``downgrade_fraction * margins[level-1]`` and
-    ``upgrade_headroom * margins[level]`` is what keeps the controller from
+    :data:`UPGRADE_HEADROOM` times the current margin steps the level up
+    (the channel has outgrown the provisioned headroom and the link is about
+    to miss its BER target).  Downgrades are conservative — the estimate
+    must stay below :data:`DOWNGRADE_FRACTION` of the *lower* level's margin
+    for :data:`HOLD_WINDOWS` consecutive windows before stepping down.  The
+    deadband between ``DOWNGRADE_FRACTION * margins[level-1]`` and
+    ``UPGRADE_HEADROOM * margins[level]`` is what keeps the controller from
     oscillating on monitor noise: a nominal channel (estimate ~ 1) sits
     strictly below the level-0 upgrade threshold.
     """
-
-    upgrade_headroom: float = 1.2
-    downgrade_fraction: float = 0.6
-    hold_windows: int = 2
-
-    def __post_init__(self) -> None:
-        if self.upgrade_headroom <= 1.0:
-            raise ConfigurationError(
-                "upgrade headroom must exceed 1 (a nominal channel must not trigger)"
-            )
-        if not 0.0 < self.downgrade_fraction <= 1.0:
-            raise ConfigurationError("downgrade fraction must lie in (0, 1]")
-        if self.hold_windows < 1:
-            raise ConfigurationError("downgrades need at least one calm window")
 
     def qualifies_for_downgrade(
         self, estimated_multiplier: float, margins: Sequence[float], level: int
     ) -> bool:
         """Whether one window's estimate counts towards a downgrade streak."""
-        return level > 0 and estimated_multiplier < (
-            self.downgrade_fraction * margins[level - 1]
-        )
+        return level > 0 and estimated_multiplier < (DOWNGRADE_FRACTION * margins[level - 1])
 
     def decide(
         self,
@@ -278,12 +267,10 @@ class HysteresisSwitchingPolicy:
         """
         if not 0 <= level < len(margins):
             raise ConfigurationError("current level outside the margin ladder")
-        if level + 1 < len(margins) and estimated_multiplier > (
-            self.upgrade_headroom * margins[level]
-        ):
+        if level + 1 < len(margins) and estimated_multiplier > (UPGRADE_HEADROOM * margins[level]):
             return 1, False
         qualifies = self.qualifies_for_downgrade(estimated_multiplier, margins, level)
-        if qualifies and calm_windows + 1 >= self.hold_windows:
+        if qualifies and calm_windows + 1 >= HOLD_WINDOWS:
             return -1, True
         return 0, qualifies
 
@@ -337,7 +324,6 @@ class DegradationLadder:
 
     margins: Sequence[float]
     num_wavelengths: int
-    min_wavelengths: int = 1
     max_derate_factor: float = 8.0
 
     def __post_init__(self) -> None:
@@ -348,10 +334,6 @@ class DegradationLadder:
             raise ConfigurationError("margin levels must be strictly increasing")
         if self.num_wavelengths < 1:
             raise ConfigurationError("the ladder needs at least one wavelength")
-        if not 1 <= self.min_wavelengths <= self.num_wavelengths:
-            raise ConfigurationError(
-                "minimum viable wavelengths must lie in [1, num_wavelengths]"
-            )
         if self.max_derate_factor < 1.0:
             raise ConfigurationError("the derate cap must be at least 1")
         self.margins = margins
@@ -363,7 +345,7 @@ class DegradationLadder:
 
     def action_for(self, health) -> DegradationAction:
         """The mildest sufficient measure for one channel's health."""
-        if health.failed or health.wavelengths_available < self.min_wavelengths:
+        if health.failed or health.wavelengths_available < MIN_VIABLE_WAVELENGTHS:
             return DegradationAction(serve=False, rung="down")
         wavelengths = int(health.wavelengths_available)
         penalty = float(health.ber_penalty_multiplier)

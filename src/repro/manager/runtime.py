@@ -63,7 +63,6 @@ class AdaptiveEccController:
         switching_policy: HysteresisSwitchingPolicy | None = None,
         switch_latency_s: float = 200e-9,
         switch_energy_j: float = 1e-9,
-        initial_level: int = 0,
     ):
         if mode not in CONTROLLER_MODES:
             raise ConfigurationError(
@@ -76,8 +75,6 @@ class AdaptiveEccController:
             raise ConfigurationError("margin levels must be strictly increasing")
         if switch_latency_s < 0.0 or switch_energy_j < 0.0:
             raise ConfigurationError("switch penalties cannot be negative")
-        if not 0 <= initial_level < len(margins):
-            raise ConfigurationError("initial level outside the margin ladder")
         self.margins = margins
         self.mode = mode
         self.switch_latency_s = float(switch_latency_s)
@@ -86,7 +83,7 @@ class AdaptiveEccController:
         self._switching_policy = (
             switching_policy if switching_policy is not None else HysteresisSwitchingPolicy()
         )
-        self._initial_level = len(margins) - 1 if mode == "static" else int(initial_level)
+        self._initial_level = len(margins) - 1 if mode == "static" else 0
         self._levels: Dict[int, int] = {}
         self._blocked_until: Dict[int, float] = {}
         self._calm: Dict[int, int] = {}
@@ -132,9 +129,7 @@ class AdaptiveEccController:
         self.reconfiguration_energy_j += self.switch_energy_j
 
     # ------------------------------------------------------------------ engine API
-    def margin_for(
-        self, channel: int, now_s: float, *, true_multiplier: float | None = None
-    ) -> float:
+    def margin_for(self, channel: int, now_s: float, *, true_multiplier: float) -> float:
         """Margin to provision a new transfer on ``channel`` with.
 
         The oracle mode may switch here (it retargets the smallest level
@@ -143,7 +138,7 @@ class AdaptiveEccController:
         """
         # ``level`` inline: the engine asks once per arrival.
         level = self._levels.get(channel, self._initial_level)
-        if self.mode == "oracle" and true_multiplier is not None:
+        if self.mode == "oracle":
             target = next(
                 (
                     index

@@ -29,7 +29,7 @@ reproducible across platforms.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -44,6 +44,12 @@ __all__ = [
     "make_drift_model",
     "DRIFT_PROFILES",
 ]
+
+#: Standard deviation of a :class:`RandomWalkDrift` step, in octaves.
+WALK_LOG2_SIGMA = 0.25
+
+#: Steps per octave of the multiplier grid :class:`ChannelDriftModel` reports on.
+QUANTIZATION_STEPS_PER_OCTAVE = 16
 
 
 class DriftProcess:
@@ -111,7 +117,7 @@ class RandomWalkDrift(DriftProcess):
     """Markov-modulated wander: a reflected random walk in log2 space.
 
     The walk advances on a fixed ``step_s`` grid with normal increments of
-    standard deviation ``log2_sigma`` and is folded back into
+    standard deviation :data:`WALK_LOG2_SIGMA` and is folded back into
     ``[0, log2(max_multiplier)]`` (triangle reflection), so the multiplier
     wanders between nominal and the worst case without ever leaving the
     provisioned range.  Steps are drawn lazily in fixed-size chunks from the
@@ -126,27 +132,20 @@ class RandomWalkDrift(DriftProcess):
         *,
         step_s: float,
         max_multiplier: float,
-        log2_sigma: float = 0.25,
-        rng: np.random.Generator | None = None,
         seed: int | np.random.SeedSequence | None = None,
     ):
-        from ..coding.montecarlo import resolve_rng
-
         if not 0.0 < step_s < math.inf:
             raise ConfigurationError("random-walk step must be positive and finite")
         if not 1.0 <= max_multiplier < math.inf:
             raise ConfigurationError("max multiplier must be finite and at least 1")
-        if not 0.0 <= log2_sigma < math.inf:
-            raise ConfigurationError("walk sigma must be finite and non-negative")
         self.step_s = float(step_s)
         self.worst_case_multiplier = float(max_multiplier)
-        self.log2_sigma = float(log2_sigma)
-        self._rng = resolve_rng(rng, seed)
+        self._rng = np.random.default_rng(seed)
         self._cumsum: np.ndarray = np.zeros(1, dtype=float)
 
     def _ensure_steps(self, index: int) -> None:
         while self._cumsum.size <= index:
-            increments = self._rng.normal(0.0, self.log2_sigma, size=self._CHUNK)
+            increments = self._rng.normal(0.0, WALK_LOG2_SIGMA, size=self._CHUNK)
             extension = self._cumsum[-1] + np.cumsum(increments)
             self._cumsum = np.concatenate([self._cumsum, extension])
 
@@ -178,12 +177,13 @@ class ChannelDriftModel:
     seed:
         Integer or :class:`~numpy.random.SeedSequence` the per-channel
         children are spawned from.
-    quantization_steps_per_octave:
-        The reported multiplier is snapped to ``2**(round(log2(m) * q) / q)``.
-        Quantisation bounds the engine's per-sampler failure-probability
-        caches (at most ``q * log2(worst_case) + 1`` distinct raw BERs per
-        configuration) without visibly distorting the trajectory; ``m = 1``
-        is always reported exactly.
+
+    The reported multiplier is snapped to ``2**(round(log2(m) * q) / q)``
+    with ``q =`` :data:`QUANTIZATION_STEPS_PER_OCTAVE`.  Quantisation bounds
+    the engine's per-sampler failure-probability caches (at most
+    ``q * log2(worst_case) + 1`` distinct raw BERs per configuration)
+    without visibly distorting the trajectory; ``m = 1`` is always reported
+    exactly.
     """
 
     def __init__(
@@ -192,18 +192,14 @@ class ChannelDriftModel:
         num_channels: int,
         *,
         seed: int | np.random.SeedSequence | None = None,
-        quantization_steps_per_octave: int = 16,
     ):
         if num_channels < 1:
             raise ConfigurationError("a drift model needs at least one channel")
-        if quantization_steps_per_octave < 1:
-            raise ConfigurationError("quantization needs at least one step per octave")
         sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         children = sequence.spawn(num_channels)
         self._processes: List[DriftProcess] = [
             factory(channel, children[channel]) for channel in range(num_channels)
         ]
-        self._quantization = int(quantization_steps_per_octave)
         self.num_channels = int(num_channels)
         self._worst_case = max(
             process.worst_case_multiplier for process in self._processes
@@ -244,7 +240,7 @@ class ChannelDriftModel:
     def _quantized_lookup(
         self, multiplier_at: Callable[[float], float]
     ) -> Callable[[float], float]:
-        steps = self._quantization
+        steps = QUANTIZATION_STEPS_PER_OCTAVE
         worst_case = self._worst_case
         inf = math.inf
         log2 = math.log2
@@ -271,7 +267,6 @@ def make_drift_model(
     seed: int | np.random.SeedSequence | None = None,
     worst_case_multiplier: float = 16.0,
     timescale_s: float = 5e-6,
-    options: Optional[Dict] = None,
 ) -> Optional[ChannelDriftModel]:
     """Build a named drift profile (``None`` for the static ``"none"``).
 
@@ -279,9 +274,7 @@ def make_drift_model(
     horizon: the thermal period equals the timescale (per-channel phases are
     spread uniformly from the seed), the aging ramp stretches over four
     timescales (the run covers early life) and the random walk steps every
-    ``timescale / 200``.  ``options`` may override the per-profile knobs
-    (``period_s``, ``ramp_time_s``, ``step_s``, ``log2_sigma``,
-    ``quantization_steps_per_octave``).
+    ``timescale / 200``.
     """
     if profile not in DRIFT_PROFILES:
         raise ConfigurationError(
@@ -291,11 +284,8 @@ def make_drift_model(
         return None
     if not 0.0 < timescale_s < math.inf:
         raise ConfigurationError("drift timescale must be positive and finite")
-    options = dict(options or {})
-    quantization = int(options.pop("quantization_steps_per_octave", 16))
-
     if profile == "thermal":
-        period = float(options.pop("period_s", timescale_s))
+        period = float(timescale_s)
 
         def factory(channel: int, sequence: np.random.SeedSequence) -> DriftProcess:
             phase = float(np.random.default_rng(sequence).uniform(0.0, 2.0 * math.pi))
@@ -306,7 +296,7 @@ def make_drift_model(
             )
 
     elif profile == "aging":
-        ramp_time = float(options.pop("ramp_time_s", 4.0 * timescale_s))
+        ramp_time = float(4.0 * timescale_s)
 
         def factory(channel: int, sequence: np.random.SeedSequence) -> DriftProcess:
             return AgingRampDrift(
@@ -314,22 +304,13 @@ def make_drift_model(
             )
 
     else:  # random-walk
-        step = float(options.pop("step_s", timescale_s / 200.0))
-        sigma = float(options.pop("log2_sigma", 0.25))
+        step = float(timescale_s / 200.0)
 
         def factory(channel: int, sequence: np.random.SeedSequence) -> DriftProcess:
             return RandomWalkDrift(
                 step_s=step,
                 max_multiplier=worst_case_multiplier,
-                log2_sigma=sigma,
                 seed=sequence,
             )
 
-    if options:
-        raise ConfigurationError(f"unknown drift options {sorted(options)} for {profile!r}")
-    return ChannelDriftModel(
-        factory,
-        num_channels,
-        seed=seed,
-        quantization_steps_per_octave=quantization,
-    )
+    return ChannelDriftModel(factory, num_channels, seed=seed)

@@ -76,7 +76,13 @@ from .outcomes import (
     packets_for_payload,
 )
 
-__all__ = ["NetTransferRecord", "NetworkResult", "NetworkSimulator"]
+__all__ = ["NetTransferRecord", "NetworkResult", "NetworkSimulator", "check_settings"]
+
+#: Name of the per-packet CRC (see
+#: :class:`~repro.coding.crc.CyclicRedundancyCheck`).  ``None`` would switch
+#: detection off: with no CRC there is no ARQ, and every failed packet is
+#: delivered carrying its residual errors.
+PACKET_CRC: str | None = "crc16-ccitt"
 
 #: Supported packet-outcome modes.
 MODES = ("probabilistic", "bit-exact")
@@ -144,15 +150,13 @@ class NetworkResult:
     recovery_time_s: float = 0.0
     fault_horizon_s: float = 0.0
 
-    def metrics(self, warmup_fraction: float | None = None) -> NetworkMetrics:
-        """Aggregate the records (optionally overriding the warm-up trim)."""
+    def metrics(self) -> NetworkMetrics:
+        """Aggregate the records, trimming the run's warm-up fraction."""
         return compute_metrics(
             self.records,
             busy_s_by_reader=self.busy_s_by_reader,
             num_channels=self.num_channels,
-            warmup_fraction=(
-                self.warmup_fraction if warmup_fraction is None else warmup_fraction
-            ),
+            warmup_fraction=self.warmup_fraction,
             configuration_switches=self.configuration_switches,
             reconfiguration_energy_j=self.reconfiguration_energy_j,
             channel_downtime_s=self.channel_downtime_s,
@@ -175,22 +179,22 @@ class _RunState:
     #: The event core driving the run.  The shared handlers only push
     #: RETRY events onto it; ``events_processed`` is read off it at the end.
     queue: EpochEventCore
-    arbiters: Dict[int, TokenArbiter] = field(default_factory=dict)
-    busy_s: Dict[int, float] = field(default_factory=dict)
-    records: List[NetTransferRecord] = field(default_factory=list)
+    arbiters: Dict[int, TokenArbiter] = field(default_factory=dict, init=False)
+    busy_s: Dict[int, float] = field(default_factory=dict, init=False)
+    records: List[NetTransferRecord] = field(default_factory=list, init=False)
     #: Hard-fault accounting: channels currently down (channel -> the time
     #: they went down) plus the run-wide downtime / transition / recovery
     #: counters and the time of the last processed event.
-    down_since: Dict[int, float] = field(default_factory=dict)
-    downtime_s: float = 0.0
-    fault_transitions: int = 0
-    recoveries: int = 0
-    recovery_time_s: float = 0.0
-    end_s: float = 0.0
+    down_since: Dict[int, float] = field(default_factory=dict, init=False)
+    downtime_s: float = field(default=0.0, init=False)
+    fault_transitions: int = field(default=0, init=False)
+    recoveries: int = field(default=0, init=False)
+    recovery_time_s: float = field(default=0.0, init=False)
+    end_s: float = field(default=0.0, init=False)
     #: Number of epoch-wide vectorized gate draws the event core performed
     #: (0 for a core that draws per attempt).  Pure accounting — never
     #: consulted by the simulation.
-    epoch_flushes: int = 0
+    epoch_flushes: int = field(default=0, init=False)
 
 
 class _LinkConstants(NamedTuple):
@@ -221,31 +225,31 @@ class _TransferState:
     packets_total: int
     packets_remaining: int
     retries_left: int
-    first_start_s: float = -1.0
-    attempts: int = 0
-    packets_sent: int = 0
-    packets_delivered: int = 0
-    packets_with_residual_errors: int = 0
-    residual_bit_errors: int = 0
-    coded_bits_sent: int = 0
-    energy_j: float = 0.0
+    first_start_s: float = field(default=-1.0, init=False)
+    attempts: int = field(default=0, init=False)
+    packets_sent: int = field(default=0, init=False)
+    packets_delivered: int = field(default=0, init=False)
+    packets_with_residual_errors: int = field(default=0, init=False)
+    residual_bit_errors: int = field(default=0, init=False)
+    coded_bits_sent: int = field(default=0, init=False)
+    energy_j: float = field(default=0.0, init=False)
     #: Design-point raw BER of the configuration (set when dynamics or a
     #: fault model are active) and the degraded raw BER of the current
     #: attempt.
-    design_raw_ber: float = 0.0
-    attempt_raw_ber: float | None = None
+    design_raw_ber: float = field(default=0.0, init=False)
+    attempt_raw_ber: float | None = field(default=None, init=False)
     #: Hard-fault bookkeeping: blackout deferrals consumed from the retry
     #: budget, whether the in-flight attempt serialised into a dark channel,
     #: and the absolute per-transfer timeout (``None`` without one).
-    deferrals: int = 0
-    attempt_blacked_out: bool = False
-    deadline_s: float | None = None
+    deferrals: int = field(default=0, init=False)
+    attempt_blacked_out: bool = field(default=False, init=False)
+    deadline_s: float | None = field(default=None, init=False)
     #: Outcome of the in-flight attempt.  Sampled when the attempt is
     #: *scheduled* and committed when its DEPARTURE pops: either the
     #: resolved :class:`~repro.netsim.outcomes.TransmissionOutcome` or the
     #: event core's flush-queue sentinel, parked here until the first
     #: dependent departure forces the epoch's vectorized draw.
-    pending_outcome: object = None
+    pending_outcome: object = field(default=None, init=False)
 
 
 def _observe_array(histogram, values: np.ndarray) -> None:
@@ -347,6 +351,23 @@ def _publish_record_metrics(
     )
 
 
+def check_settings(*, mode: str, packet_bits: int, max_retries: int, warmup_fraction: float) -> None:
+    """Reject the scalar settings a :class:`NetworkSimulator` cannot run with.
+
+    The constructor calls it, and so do the sweep grids when they are
+    described, so a bad grid option is a :class:`ConfigurationError`
+    (HTTP 400) before any shard runs.
+    """
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}; available: {MODES}")
+    if packet_bits < 1:
+        raise ConfigurationError("packet size must be at least one bit")
+    if max_retries < 0:
+        raise ConfigurationError("retry budget cannot be negative")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError("warm-up fraction must lie in [0, 1)")
+
+
 class NetworkSimulator:
     """Discrete-event simulator of the managed MWSR ring.
 
@@ -368,12 +389,8 @@ class NetworkSimulator:
         cross-validation; see
         :class:`~repro.netsim.outcomes.BitExactOutcomeSampler`).
     packet_bits:
-        Payload bits per packet; payloads are split and zero padded.
-    crc:
-        Name of the per-packet CRC (see
-        :class:`~repro.coding.crc.CyclicRedundancyCheck`) or ``None`` to
-        disable detection — without a CRC there is no ARQ and every failed
-        packet is delivered carrying residual errors.
+        Payload bits per packet; payloads are split and zero padded, and
+        each packet carries the :data:`PACKET_CRC` checksum.
     max_retries:
         ARQ retransmission budget per transfer; once exhausted the still
         failing packets are dropped.
@@ -443,7 +460,6 @@ class NetworkSimulator:
         policy: SelectionPolicy | None = None,
         mode: str = "probabilistic",
         packet_bits: int = 512,
-        crc: str | None = "crc16-ccitt",
         max_retries: int = 4,
         fault_model=None,
         rng: np.random.Generator | None = None,
@@ -457,14 +473,12 @@ class NetworkSimulator:
         retry_backoff_s: float = 0.0,
         transfer_timeout_s: float | None = None,
     ):
-        if mode not in MODES:
-            raise ConfigurationError(f"unknown mode {mode!r}; available: {MODES}")
-        if packet_bits < 1:
-            raise ConfigurationError("packet size must be at least one bit")
-        if max_retries < 0:
-            raise ConfigurationError("retry budget cannot be negative")
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ConfigurationError("warm-up fraction must lie in [0, 1)")
+        check_settings(
+            mode=mode,
+            packet_bits=packet_bits,
+            max_retries=max_retries,
+            warmup_fraction=warmup_fraction,
+        )
         if dynamics is not None and mode != "probabilistic":
             raise ConfigurationError(
                 "time-varying channels are only supported in probabilistic mode"
@@ -534,7 +548,7 @@ class NetworkSimulator:
         self.policy = policy
         self.mode = mode
         self.packet_bits = int(packet_bits)
-        self.crc = CyclicRedundancyCheck.from_name(crc) if crc is not None else None
+        self.crc = CyclicRedundancyCheck.from_name(PACKET_CRC) if PACKET_CRC is not None else None
         self.max_retries = int(max_retries)
         self.warmup_fraction = float(warmup_fraction)
         self._fault_model = fault_model

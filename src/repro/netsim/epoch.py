@@ -104,6 +104,7 @@ from time import perf_counter
 from typing import Iterable
 
 from ..exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
+from ..interconnect.arbitration import TOKEN_HOP_TIME_S
 from ..manager.manager import CommunicationRequest
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -804,7 +805,7 @@ def _channel_state(sim, arbiters, channels: dict, destination: int) -> list:
         arbiter._busy_until_s,
         {writer: index for index, writer in enumerate(arbiter.writers)},
         len(arbiter.writers),
-        arbiter.token_hop_time_s,
+        TOKEN_HOP_TIME_S,
         0.0,
     ]
     channels[destination] = entry

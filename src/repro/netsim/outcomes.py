@@ -29,8 +29,10 @@ outcome:
   separate *resolution* stream.  Because ``Generator.random`` fills
   sequentially from the bit stream, one vectorized primary draw for many
   attempts is bit-identical to per-attempt draws — so the batched engine
-  draws whole epochs at once (:meth:`~ProbabilisticOutcomeSampler.outcome_from_uniform`
-  per queued attempt) and stays byte-identical to the reference engine's
+  draws whole epochs at once (one uniform per queued attempt against its
+  :meth:`~ProbabilisticOutcomeSampler.attempt_failure_probability`, and
+  :meth:`~ProbabilisticOutcomeSampler.resolve_failed_attempt` for the
+  attempts it flags) and stays byte-identical to the reference engine's
   per-event draws.  The per-block joint distribution is unchanged: the
   conditional pattern (first failed block truncated-geometric, the rest
   i.i.d. Bernoulli) is exactly i.i.d. per-block failures conditioned on at
@@ -293,59 +295,6 @@ class ProbabilisticOutcomeSampler:
     def coded_bits_per_packet(self) -> int:
         """Wire bits occupied by one packet (blocks x n)."""
         return self.blocks_per_packet * int(self.code.n)
-
-    def sample(
-        self,
-        num_packets: int,
-        *,
-        raw_ber: float | None = None,
-        resolve_rng: np.random.Generator | None = None,
-    ) -> TransmissionOutcome:
-        """Draw the outcome of transmitting ``num_packets`` packets.
-
-        ``raw_ber`` overrides the channel's raw error probability for this
-        attempt (the engine passes the drift-degraded value under a
-        time-varying channel).  No extra randomness is consumed for the
-        override itself, and an override equal to the design BER reproduces
-        the static channel draw for draw — which is what makes a zero-drift
-        adaptive run byte-identical to a static one.
-
-        ``resolve_rng`` is the stream the data-dependent draws of a failing
-        attempt come from (the engine passes its dedicated resolution
-        stream, keeping the primary stream's consumption fixed per attempt);
-        the default resolves from the sampler's own generator, preserving
-        the historical single-stream behaviour for standalone use.
-        """
-        if num_packets < 1:
-            raise ConfigurationError("an attempt must carry at least one packet")
-        return self.outcome_from_uniform(
-            self._rng.random(),
-            num_packets,
-            raw_ber=raw_ber,
-            resolve_rng=self._rng if resolve_rng is None else resolve_rng,
-        )
-
-    def outcome_from_uniform(
-        self,
-        uniform: float,
-        num_packets: int,
-        *,
-        raw_ber: float | None = None,
-        resolve_rng: np.random.Generator,
-    ) -> TransmissionOutcome:
-        """Resolve an attempt's outcome from its pre-drawn primary uniform.
-
-        ``uniform`` is the attempt's single primary-stream double (e.g. cut
-        out of one epoch-wide draw); the rare failing attempts consume
-        further draws from ``resolve_rng`` only.  Calling this per attempt
-        in schedule order on a vectorized draw is bit-identical to
-        per-attempt :meth:`sample` calls against the same two streams.
-        """
-        if uniform >= self.attempt_failure_probability(num_packets, raw_ber):
-            return TransmissionOutcome(num_packets, 0, 0, 0)
-        return self.resolve_failed_attempt(
-            num_packets, raw_ber=raw_ber, resolve_rng=resolve_rng
-        )
 
     def resolve_failed_attempt(
         self,

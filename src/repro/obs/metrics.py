@@ -271,11 +271,11 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 
 # ------------------------------------------------------------------ activation
 @contextlib.contextmanager
-def collecting(registry: MetricsRegistry | None = None):
-    """Scope a registry activation; restores the previous one on exit."""
+def collecting():
+    """Scope a fresh registry's activation; restores the previous one on exit."""
     global ACTIVE
     previous = ACTIVE
-    ACTIVE = registry if registry is not None else MetricsRegistry()
+    ACTIVE = MetricsRegistry()
     try:
         yield ACTIVE
     finally:

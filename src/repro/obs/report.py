@@ -19,7 +19,11 @@ def _format_value(value: float) -> str:
     return f"{int(value):,}"
 
 
-def _histogram_sketch(state: dict, width: int = 24) -> Iterable[str]:
+#: Length of the longest bar of a histogram sketch (characters).
+_SKETCH_WIDTH = 24
+
+
+def _histogram_sketch(state: dict) -> Iterable[str]:
     """One line per non-empty bucket with a proportional bar."""
     bounds = state["bounds"]
     counts = state["counts"]
@@ -29,7 +33,7 @@ def _histogram_sketch(state: dict, width: int = 24) -> Iterable[str]:
     for label, count in zip(labels, counts):
         if count == 0:
             continue
-        bar = "#" * max(1, round(width * count / peak))
+        bar = "#" * max(1, round(_SKETCH_WIDTH * count / peak))
         yield f"    {label:>12}  {count:>10,}  ({count / total:6.1%}) {bar}"
 
 

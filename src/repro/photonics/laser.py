@@ -37,6 +37,12 @@ from ..exceptions import ConfigurationError, LaserPowerExceededError
 __all__ = ["VCSELModel"]
 
 
+#: Fractional VCSEL efficiency loss per unit of chip activity above the
+#: reference activity (0.3: full activity costs ~22% of the efficiency
+#: relative to 25% activity).
+ACTIVITY_SENSITIVITY = 0.3
+
+
 @dataclass(frozen=True)
 class VCSELModel:
     """Thermal/efficiency model of one on-chip VCSEL source.
@@ -54,17 +60,12 @@ class VCSELModel:
     reference_activity:
         Chip activity at which ``base_efficiency`` is specified (0.25 in the
         paper).
-    activity_sensitivity:
-        Fractional efficiency loss per unit of activity above the reference
-        (e.g. 0.3 means full activity costs ~22% of the efficiency relative
-        to 25% activity).
     """
 
     base_efficiency: float = 0.06
     droop_power_w: float = 2.0e-3
     max_output_power_w: float = 700e-6
     reference_activity: float = 0.25
-    activity_sensitivity: float = 0.3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.base_efficiency < 1.0:
@@ -75,8 +76,6 @@ class VCSELModel:
             raise ConfigurationError("maximum output power must be positive")
         if not 0.0 < self.reference_activity <= 1.0:
             raise ConfigurationError("reference activity must lie in (0, 1]")
-        if self.activity_sensitivity < 0:
-            raise ConfigurationError("activity sensitivity cannot be negative")
 
     # ------------------------------------------------------------------ efficiency
     def activity_derating(self, activity: float) -> float:
@@ -84,11 +83,11 @@ class VCSELModel:
 
         Normalised to 1.0 at the reference activity; hotter chips (higher
         activity) reduce the laser efficiency linearly with
-        ``activity_sensitivity``.
+        :data:`ACTIVITY_SENSITIVITY`.
         """
         if not 0.0 <= activity <= 1.0:
             raise ConfigurationError("activity must lie in [0, 1]")
-        derating = 1.0 - self.activity_sensitivity * (activity - self.reference_activity)
+        derating = 1.0 - ACTIVITY_SENSITIVITY * (activity - self.reference_activity)
         return float(max(derating, 1e-3))
 
     def efficiency(self, optical_power_w: float, *, activity: float | None = None) -> float:

@@ -29,13 +29,15 @@ class Photodetector:
         if self.dark_current_a <= 0:
             raise ConfigurationError("dark current must be positive")
 
-    def required_signal_power(
-        self, snr: float, crosstalk_power_w: float = 0.0
-    ) -> float:
-        """Invert Eq. 4: the OPsignal needed to reach ``snr``."""
+    def required_signal_power(self, snr: float) -> float:
+        """Invert Eq. 4 without crosstalk: the OPsignal needed to reach ``snr``.
+
+        The link designer folds the crosstalk into the signal-path gain, so
+        the detector only converts the SNR through the dark current.
+        """
         if snr < 0:
             raise ConfigurationError("SNR cannot be negative")
-        return snr * self.dark_current_a / self.responsivity_a_per_w + crosstalk_power_w
+        return snr * self.dark_current_a / self.responsivity_a_per_w
 
     @classmethod
     def from_config(cls, config) -> "Photodetector":

@@ -55,6 +55,13 @@ Response = Tuple[int, Any, Dict[str, str]]
 #: Upper bound on per-job worker parallelism a request may ask for.
 MAX_JOB_WORKERS = 8
 
+#: Concurrent requests at which :class:`LoadShedder` serves cached answers
+#: only (and four times that, health checks only).
+_MAX_INFLIGHT = 64
+
+#: Queue occupancy (fraction of its depth) at which sweeps are shed.
+_SHED_DEPTH_FRACTION = 0.75
+
 
 class LoadShedder:
     """The service's admission-control ladder (see module docstring)."""
@@ -66,21 +73,8 @@ class LoadShedder:
 
     NAMES = {0: "normal", 1: "shed-sweeps", 2: "cached-only", 3: "health-only"}
 
-    def __init__(
-        self,
-        queue,
-        *,
-        max_inflight: int = 64,
-        shed_depth_fraction: float = 0.75,
-        registry=None,
-    ):
-        if not 0.0 < shed_depth_fraction <= 1.0:
-            raise ConfigurationError("shed_depth_fraction must lie in (0, 1]")
-        if max_inflight < 1:
-            raise ConfigurationError("max_inflight must be at least 1")
+    def __init__(self, queue, *, registry=None):
         self.queue = queue
-        self.max_inflight = int(max_inflight)
-        self.shed_depth_fraction = float(shed_depth_fraction)
         self.registry = registry
         self.draining = False
         self._inflight = 0
@@ -106,14 +100,14 @@ class LoadShedder:
         if self.draining:
             return self.HEALTH_ONLY
         inflight = self.inflight
-        if inflight >= 4 * self.max_inflight:
+        if inflight >= 4 * _MAX_INFLIGHT:
             return self.HEALTH_ONLY
-        if inflight >= self.max_inflight:
+        if inflight >= _MAX_INFLIGHT:
             return self.CACHED_ONLY
         depth = self.queue.depth()
         if depth >= self.queue.max_depth:
             return self.CACHED_ONLY
-        if depth >= self.shed_depth_fraction * self.queue.max_depth:
+        if depth >= _SHED_DEPTH_FRACTION * self.queue.max_depth:
             return self.SHED_SWEEPS
         return self.NORMAL
 
@@ -137,7 +131,7 @@ class ServiceContext:
     config: Any
     registry: Any = None
     shedder: LoadShedder = None  # type: ignore[assignment]
-    started_s: float = field(default_factory=time.time)
+    started_s: float = field(default_factory=time.time, init=False)
 
     def inc(self, name: str, amount: int = 1) -> None:
         if self.registry is not None:

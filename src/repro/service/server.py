@@ -54,6 +54,11 @@ logger = logging.getLogger("repro.service.server")
 #: bounds what a misbehaving client can make a handler thread buffer).
 MAX_BODY_BYTES = 1 << 20
 
+#: Whether a service runs its supervisor.  Without one nothing drains the
+#: queue: submitted jobs stay queued (what the service's tests set it to
+#: ``False`` for).
+_SUPERVISE = True
+
 
 def _bind_config(data_dir: str, config: PaperConfig) -> None:
     """Record ``config`` in a new data directory; refuse another config later.
@@ -101,20 +106,10 @@ class ServiceConfig:
         max_queue_depth: int = 64,
         job_timeout_s: float = 600.0,
         max_attempts: int = 3,
-        max_deterministic_failures: int = 2,
-        backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
-        max_inflight: int = 64,
-        shed_depth_fraction: float = 0.75,
     ):
         self.max_queue_depth = int(max_queue_depth)
         self.job_timeout_s = float(job_timeout_s)
         self.max_attempts = int(max_attempts)
-        self.max_deterministic_failures = int(max_deterministic_failures)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.max_inflight = int(max_inflight)
-        self.shed_depth_fraction = float(shed_depth_fraction)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -224,7 +219,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class SimulationService:
-    """The composed daemon: queue + store + supervisor + HTTP API."""
+    """The composed daemon: queue + store + supervisor + HTTP API.
+
+    It serves the paper's configuration (:data:`~repro.config.DEFAULT_CONFIG`).
+    """
 
     def __init__(
         self,
@@ -232,10 +230,9 @@ class SimulationService:
         data_dir: str,
         host: str = "127.0.0.1",
         port: int = 0,
-        config: PaperConfig = DEFAULT_CONFIG,
         service_config: ServiceConfig | None = None,
-        supervise: bool = True,
     ):
+        config = DEFAULT_CONFIG
         self.data_dir = data_dir
         self.service_config = service_config or ServiceConfig()
         os.makedirs(data_dir, exist_ok=True)
@@ -260,20 +257,12 @@ class SimulationService:
                 config=config,
                 job_timeout_s=self.service_config.job_timeout_s,
                 max_attempts=self.service_config.max_attempts,
-                max_deterministic_failures=self.service_config.max_deterministic_failures,
-                backoff_base_s=self.service_config.backoff_base_s,
-                backoff_cap_s=self.service_config.backoff_cap_s,
                 registry=self.registry,
             )
-            if supervise
+            if _SUPERVISE
             else None
         )
-        self.shedder = LoadShedder(
-            self.queue,
-            max_inflight=self.service_config.max_inflight,
-            shed_depth_fraction=self.service_config.shed_depth_fraction,
-            registry=self.registry,
-        )
+        self.shedder = LoadShedder(self.queue, registry=self.registry)
         self.context = ServiceContext(
             queue=self.queue,
             store=self.store,

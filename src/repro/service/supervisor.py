@@ -68,6 +68,13 @@ EXIT_CANCELLED = 4
 #: Seconds a worker gets to exit after SIGTERM, and again after SIGKILL.
 _TERM_GRACE_S = 5.0
 
+#: Deterministic failures after which a job is dead (poison).
+_MAX_DETERMINISTIC_FAILURES = 2
+
+#: Retry backoff: base and cap of the exponential delay (s).
+_BACKOFF_BASE_S = 0.5
+_BACKOFF_CAP_S = 30.0
+
 #: Set by the worker's SIGTERM/SIGINT handler; polled by the orchestrator's
 #: cancellation hook between shards.
 _WORKER_CANCELLED = [False]
@@ -136,9 +143,6 @@ class Supervisor(threading.Thread):
         config: PaperConfig = DEFAULT_CONFIG,
         job_timeout_s: float = 600.0,
         max_attempts: int = 3,
-        max_deterministic_failures: int = 2,
-        backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
         registry=None,
     ):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -149,8 +153,6 @@ class Supervisor(threading.Thread):
             raise ConfigurationError("job timeout must be positive")
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
-        if max_deterministic_failures < 1:
-            raise ConfigurationError("max_deterministic_failures must be at least 1")
         # Import every grid on this thread, before the supervisor or any HTTP
         # thread starts, so a fork never copies a half-held import lock and a
         # child never imports its grid module itself.
@@ -162,9 +164,6 @@ class Supervisor(threading.Thread):
         self.config = config
         self.job_timeout_s = float(job_timeout_s)
         self.max_attempts = int(max_attempts)
-        self.max_deterministic_failures = int(max_deterministic_failures)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         self.registry = registry
         self._context = multiprocessing.get_context("fork")
         self._stop_event = threading.Event()
@@ -263,13 +262,13 @@ class Supervisor(threading.Thread):
     def _backoff_delay_s(self, job: Job) -> float:
         """Exponential backoff with deterministic per-(job, attempt) jitter."""
         exponent = max(0, job.attempts + job.deterministic_failures - 1)
-        delay = min(self.backoff_cap_s, self.backoff_base_s * (2.0**exponent))
+        delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0**exponent))
         jitter = random.Random(f"{job.job_id}:{exponent}").random()
         return delay * (1.0 + 0.25 * jitter)
 
-    def _inc(self, name: str, amount: int = 1) -> None:
+    def _inc(self, name: str) -> None:
         if self.registry is not None:
-            self.registry.inc(name, amount)
+            self.registry.inc(name)
 
     def _record_attempt(self, job_id: str, outcome: str, detail: dict) -> None:
         self._attempt_log.setdefault(job_id, []).append(
@@ -378,7 +377,7 @@ class Supervisor(threading.Thread):
             charge_deterministic=deterministic,
         )
         exhausted = (
-            failed.deterministic_failures >= self.max_deterministic_failures
+            failed.deterministic_failures >= _MAX_DETERMINISTIC_FAILURES
             if deterministic
             else failed.attempts >= self.max_attempts
         )

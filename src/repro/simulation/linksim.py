@@ -57,13 +57,12 @@ class OpticalLinkSimulator:
         *,
         config: PaperConfig = DEFAULT_CONFIG,
         rng: np.random.Generator | None = None,
-        seed: int | np.random.SeedSequence | None = None,
     ):
         if design_point.signal_power_w <= 0:
             raise ConfigurationError("the design point must carry a positive signal power")
         self._code = code
         self._point = design_point
-        self._rng = resolve_rng(rng, seed)
+        self._rng = resolve_rng(rng)
         self._channel = OOKAWGNChannel(
             design_point.signal_power_w,
             crosstalk_power_w=design_point.crosstalk_power_w,

@@ -91,6 +91,13 @@ __all__ = [
 #: Largest ONI count whose source draw stays in NumPy's 32-bit Lemire branch.
 MAX_ONIS = (1 << 32) - 1
 
+#: Gamma shape of :class:`BurstyTrafficGenerator` frame sizes (their
+#: coefficient of variation is ``1 / sqrt(BURSTINESS)``).
+BURSTINESS = 4.0
+
+#: Soft deadline of a :class:`BurstyTrafficGenerator` frame: one video frame at 30 fps (s).
+FRAME_DEADLINE_S = 1.0 / 30.0
+
 _LOW_WORD = (1 << 32) - 1
 
 #: Requests each block of raw words is drawn for on the decoded path.
@@ -516,9 +523,7 @@ class BurstyTrafficGenerator(_BaseGenerator):
         *,
         mean_request_rate_hz: float = 1e5,
         frame_bits: int = 64 * 1024,
-        burstiness: float = 4.0,
         target_ber: float = 1e-6,
-        frame_deadline_s: float | None = 1.0 / 30.0,
         rng: np.random.Generator | None = None,
         seed: int | np.random.SeedSequence | None = None,
     ):
@@ -530,7 +535,5 @@ class BurstyTrafficGenerator(_BaseGenerator):
             rng=rng,
             seed=seed,
         )
-        if not (burstiness >= 1.0 and math.isfinite(burstiness)):
-            raise ConfigurationError("burstiness must be finite and at least 1.0")
-        self._burstiness = burstiness
-        self._deadline_s = frame_deadline_s
+        self._burstiness = BURSTINESS
+        self._deadline_s = FRAME_DEADLINE_S

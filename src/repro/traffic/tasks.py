@@ -30,7 +30,6 @@ class PeriodicTask:
     payload_bits: int
     relative_deadline_s: float
     target_ber: float = 1e-11
-    phase_s: float = 0.0
 
     def __post_init__(self) -> None:
         # Written so NaN fails every check: ``nan <= 0`` is false.
@@ -42,8 +41,6 @@ class PeriodicTask:
             raise ConfigurationError("payload must contain at least one bit")
         if self.source == self.destination:
             raise ConfigurationError("source and destination must differ")
-        if not (math.isfinite(self.phase_s) and self.phase_s >= 0):
-            raise ConfigurationError("phase must be finite and non-negative")
 
     def utilisation(self, channel_rate_bits_per_s: float) -> float:
         """Fraction of the channel this task occupies (uncoded payload)."""
@@ -58,7 +55,7 @@ class PeriodicTask:
         if horizon_s < 0:
             raise ConfigurationError("horizon cannot be negative")
         releases = []
-        release = self.phase_s
+        release = 0.0
         while release < horizon_s:
             releases.append(release)
             release += self.period_s

@@ -16,7 +16,7 @@ from coding.oracle import (
 )
 
 from repro.coding.bch import BCHCode
-from repro.coding.galois import GaloisField
+from repro.coding.galois import DEFAULT_PRIMITIVE_POLYNOMIALS, GaloisField
 from repro.coding.packed import pack_bits, unpack_bits
 from repro.exceptions import ConfigurationError
 
@@ -84,10 +84,11 @@ class TestGaloisField:
         with pytest.raises(ConfigurationError):
             GaloisField(20)
 
-    def test_rejects_non_primitive_polynomial(self):
+    def test_rejects_non_primitive_polynomial(self, monkeypatch):
         # x^4 + x^2 + 1 = (x^2+x+1)^2 is not primitive.
+        monkeypatch.setitem(DEFAULT_PRIMITIVE_POLYNOMIALS, 4, 0b10101)
         with pytest.raises(ConfigurationError):
-            GaloisField(4, primitive_polynomial=0b10101)
+            GaloisField(4)
 
 
 class TestBCHCode:

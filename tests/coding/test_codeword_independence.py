@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coding.oracle import estimate_ber_round_trip
+from repro.coding import montecarlo
 from repro.coding.montecarlo import estimate_ber_monte_carlo
 from repro.coding.packed import pack_bits
 from repro.coding.registry import get_code
@@ -112,12 +113,13 @@ def test_decoding_commutes_with_every_codeword(name, seed, rows):
         (1e-1, 1025, 1024),
     ],
 )
-def test_estimator_matches_the_round_trip_oracle(name, raw_ber, num_blocks, batch_size):
+def test_estimator_matches_the_round_trip_oracle(name, raw_ber, num_blocks, batch_size, monkeypatch):
+    monkeypatch.setattr(montecarlo, "DEFAULT_BATCH_SIZE", batch_size)
     code = get_code(name)
     candidate_rng = np.random.default_rng(np.random.SeedSequence(99))
     oracle_rng = np.random.default_rng(np.random.SeedSequence(99))
     result = estimate_ber_monte_carlo(
-        code, raw_ber, num_blocks=num_blocks, rng=candidate_rng, batch_size=batch_size
+        code, raw_ber, num_blocks=num_blocks, rng=candidate_rng
     )
     expected = estimate_ber_round_trip(
         code, raw_ber, num_blocks=num_blocks, generator=oracle_rng, batch_size=batch_size

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coding import registry
 from repro.coding.galois import get_field
 from repro.coding.registry import available_codes, get_code, paper_code_set, register_code
 from repro.exceptions import ConfigurationError
@@ -69,16 +70,24 @@ class TestPatternConstruction:
 
 
 class TestRegistration:
+    @pytest.fixture(autouse=True)
+    def scratch_registry(self, monkeypatch):
+        """Registrations made by a test vanish with it."""
+        monkeypatch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
+        registry._cached_lookup.cache_clear()
+        yield
+        registry._cached_lookup.cache_clear()
+
     def test_register_and_retrieve_custom_code(self):
         from repro.coding.hamming import HammingCode
 
-        register_code("my-test-code", lambda: HammingCode(5), overwrite=True)
+        register_code("my-test-code", lambda: HammingCode(5))
         assert get_code("my-test-code").n == 31
 
-    def test_duplicate_registration_without_overwrite_raises(self):
+    def test_duplicate_registration_raises(self):
         from repro.coding.hamming import HammingCode
 
-        register_code("dup-code", lambda: HammingCode(3), overwrite=True)
+        register_code("dup-code", lambda: HammingCode(3))
         with pytest.raises(ConfigurationError):
             register_code("dup-code", lambda: HammingCode(3))
 
@@ -96,16 +105,12 @@ class TestRegistration:
         class EncodeOnlyCode(ContractlessCode):
             encode_batch_packed = staticmethod(inner.encode_batch_packed)
 
-        try:
-            register_code("unpacked-only-code", ContractlessCode, overwrite=True)
-            with pytest.raises(ConfigurationError, match="encode_batch_packed, decode_batch_packed"):
-                get_code("unpacked-only-code")
-            register_code("unpacked-only-code", EncodeOnlyCode, overwrite=True)
-            with pytest.raises(ConfigurationError, match="missing decode_batch_packed$"):
-                get_code("unpacked-only-code")
-        finally:
-            register_code("unpacked-only-code", lambda: HammingCode(3), overwrite=True)
-        assert get_code("unpacked-only-code").n == 7
+        register_code("contractless-code", ContractlessCode)
+        with pytest.raises(ConfigurationError, match="encode_batch_packed, decode_batch_packed"):
+            get_code("contractless-code")
+        register_code("encode-only-code", EncodeOnlyCode)
+        with pytest.raises(ConfigurationError, match="missing decode_batch_packed$"):
+            get_code("encode-only-code")
 
 
 class TestPaperCodeSet:

@@ -24,6 +24,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import binom
 
+from repro.coding import theory
 from repro.coding.hamming import HammingCode
 from repro.coding.registry import available_codes, get_code
 from repro.coding.theory import (
@@ -115,14 +116,16 @@ class TestBrentPort:
         with pytest.raises(ValueError):
             _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=2e-12, rtol=1e-12)
 
-    def test_non_convergence_raises_like_scipy(self):
+    def test_non_convergence_raises_like_scipy(self, monkeypatch):
+        monkeypatch.setattr(theory, "_BRENTQ_MAXITER", 2)
+
         def f(x):
             return math.cos(x) - x
 
         with pytest.raises(RuntimeError):
             brentq(f, 0.0, 1.0, maxiter=2)
         with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
-            _brentq(f, 0.0, 1.0, xtol=2e-12, rtol=1e-12, maxiter=2)
+            _brentq(f, 0.0, 1.0, xtol=2e-12, rtol=1e-12)
 
 
 class TestFloatObjective:

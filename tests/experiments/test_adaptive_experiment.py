@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
 from repro.experiments import adaptive
 from repro.experiments.orchestrator import available_experiments, run_experiment
@@ -27,7 +28,7 @@ def test_registered_with_the_orchestrator():
 
 
 def test_grid_shards_one_per_point():
-    shards = adaptive.sweep_shards(options={"drifts": ["thermal", "none"], "loads": [0.2, 0.5]})
+    shards = adaptive.sweep_shards(DEFAULT_CONFIG, {"drifts": ["thermal", "none"], "loads": [0.2, 0.5]})
     assert len(shards) == 2 * 2 * 3
     # Policies of one (drift, load) pair share the pair's seed streams.
     pair_indices = {
@@ -40,9 +41,9 @@ def test_grid_shards_one_per_point():
 
 def test_grid_rejects_unknown_axes():
     with pytest.raises(ConfigurationError):
-        adaptive.sweep_shards(options={"drifts": ["volcanic"]})
+        adaptive.sweep_shards(DEFAULT_CONFIG, {"drifts": ["volcanic"]})
     with pytest.raises(ConfigurationError):
-        adaptive.sweep_shards(options={"policies": ["telepathic"]})
+        adaptive.sweep_shards(DEFAULT_CONFIG, {"policies": ["telepathic"]})
 
 
 def test_parallel_report_is_byte_identical(serial_report):
@@ -75,8 +76,8 @@ def test_adaptive_saves_energy_at_same_ber_target(serial_report):
 def test_shard_payloads_are_scalar_only():
     """A checkpointed payload holds the report's scalars and nothing else."""
     payloads = [
-        adaptive.run_sweep_shard(shard)
-        for shard in adaptive.sweep_shards(options=_OPTIONS)
+        adaptive.run_sweep_shard(shard, DEFAULT_CONFIG)
+        for shard in adaptive.sweep_shards(DEFAULT_CONFIG, _OPTIONS)
     ]
     for payload in payloads:
         assert "trace" not in payload

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
 from repro.experiments import availability
 from repro.experiments.orchestrator import available_experiments, run_experiment
@@ -28,7 +29,7 @@ def test_registered_with_the_orchestrator():
 
 def test_grid_shards_one_per_point():
     shards = availability.sweep_shards(
-        options={"scenarios": ["lane-fail", "blackout"], "loads": [0.2, 0.5]}
+        DEFAULT_CONFIG, {"scenarios": ["lane-fail", "blackout"], "loads": [0.2, 0.5]}
     )
     assert len(shards) == 2 * 2 * 3
     # Policies of one (scenario, load) pair share the pair's seed streams,
@@ -43,9 +44,9 @@ def test_grid_shards_one_per_point():
 
 def test_grid_rejects_unknown_axes():
     with pytest.raises(ConfigurationError):
-        availability.sweep_shards(options={"scenarios": ["earthquake"]})
+        availability.sweep_shards(DEFAULT_CONFIG, {"scenarios": ["earthquake"]})
     with pytest.raises(ConfigurationError):
-        availability.sweep_shards(options={"policies": ["hope"]})
+        availability.sweep_shards(DEFAULT_CONFIG, {"policies": ["hope"]})
 
 
 def test_parallel_report_is_byte_identical(serial_report):
@@ -84,13 +85,13 @@ def test_fault_free_baseline_is_clean(serial_report):
 
 
 def test_payload_carries_availability_metrics():
-    shards = availability.sweep_shards(options=_OPTIONS)
+    shards = availability.sweep_shards(DEFAULT_CONFIG, _OPTIONS)
     ladder_shards = [
         shard
         for shard in shards
         if shard["scenario"] == "mixed" and shard["policy"] == "degradation-ladder"
     ]
-    payload = availability.run_sweep_shard(ladder_shards[0])
+    payload = availability.run_sweep_shard(ladder_shards[0], DEFAULT_CONFIG)
     for key in (
         "availability",
         "packet_drop_rate",
@@ -104,7 +105,7 @@ def test_payload_carries_availability_metrics():
 
 def test_shard_payloads_are_scalar_only():
     """A checkpointed payload holds the report's scalars and nothing else."""
-    for shard in availability.sweep_shards(options=_OPTIONS):
-        payload = availability.run_sweep_shard(shard)
+    for shard in availability.sweep_shards(DEFAULT_CONFIG, _OPTIONS):
+        payload = availability.run_sweep_shard(shard, DEFAULT_CONFIG)
         assert "trace" not in payload
         assert all(not isinstance(value, (list, dict)) for value in payload.values())

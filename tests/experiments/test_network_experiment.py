@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
 from repro.experiments.network import (
     DEFAULT_LOADS,
@@ -36,7 +37,7 @@ class TestGridShape:
         assert "network" in available_experiments()
 
     def test_default_grid_covers_every_pattern_load_policy(self):
-        shards = sweep_shards()
+        shards = sweep_shards(DEFAULT_CONFIG, None)
         coords = {(s["pattern"], s["policy"], s["load"]) for s in shards}
         assert len(shards) == len(DEFAULT_PATTERNS) * len(DEFAULT_LOADS) * len(DEFAULT_POLICIES)
         for pattern in DEFAULT_PATTERNS:
@@ -51,7 +52,7 @@ class TestGridShape:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            sweep_shards(options={"policies": ["fastest-possible"]})
+            sweep_shards(DEFAULT_CONFIG, {"policies": ["fastest-possible"]})
 
     def test_request_rate_scales_with_load(self):
         assert request_rate_for_load(0.5) == pytest.approx(2 * request_rate_for_load(0.25))
@@ -61,7 +62,7 @@ class TestGridShape:
 
     def test_zero_load_rejected(self):
         with pytest.raises(ConfigurationError, match="relative load"):
-            sweep_shards(options={"loads": [0.0]})
+            sweep_shards(DEFAULT_CONFIG, {"loads": [0.0]})
 
 
 class TestDeterminismGuard:
@@ -137,27 +138,27 @@ RING_NETWORK = {
 
 class TestMultiRingSharding:
     def test_rings_multiply_the_shard_count(self):
-        single = sweep_shards(options={**RING_NETWORK, "rings": 1})
-        double = sweep_shards(options=RING_NETWORK)
+        single = sweep_shards(DEFAULT_CONFIG, {**RING_NETWORK, "rings": 1})
+        double = sweep_shards(DEFAULT_CONFIG, RING_NETWORK)
         assert len(double) == 2 * len(single)
         assert [s["spawn_index"] for s in double] == list(range(len(double)))
         assert {s["ring"] for s in double} == {0, 1}
 
     def test_rings_are_independently_seeded(self):
-        shards = sweep_shards(options=RING_NETWORK)
+        shards = sweep_shards(DEFAULT_CONFIG, RING_NETWORK)
         point = [s for s in shards if s["load"] == 0.2 and s["policy"] == "min-power"]
         assert len(point) == 2
         from repro.experiments.network import run_sweep_shard
 
-        rows = [run_sweep_shard(p) for p in point]
+        rows = [run_sweep_shard(p, DEFAULT_CONFIG) for p in point]
         # Same grid point, different ring -> different streams, different rows.
         assert rows[0]["latency_p50_s"] != rows[1]["latency_p50_s"]
 
     def test_merged_rows_aggregate_ring_counters_exactly(self):
         from repro.experiments.network import run_sweep_shard
 
-        shards = sweep_shards(options=RING_NETWORK)
-        payloads = [run_sweep_shard(p) for p in shards]
+        shards = sweep_shards(DEFAULT_CONFIG, RING_NETWORK)
+        payloads = [run_sweep_shard(p, DEFAULT_CONFIG) for p in shards]
         _, rows = run_experiment("network", options=RING_NETWORK)
         assert len(rows) == len(shards) // 2
         for row in rows:
@@ -179,7 +180,7 @@ class TestMultiRingSharding:
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ConfigurationError):
-            sweep_shards(options={"rings": 0})
+            sweep_shards(DEFAULT_CONFIG, {"rings": 0})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -189,7 +190,7 @@ class TestMultiRingSharding:
         """A typo or a stale key must not run the defaults under a new job id."""
         options = {**FAST_NETWORK, key: value}
         with pytest.raises(ConfigurationError, match=key):
-            sweep_shards(options=options)
+            sweep_shards(DEFAULT_CONFIG, options)
         with pytest.raises(ConfigurationError, match=key):
             describe_grid("network", options=options)
         with pytest.raises(ConfigurationError, match=key):

@@ -237,6 +237,29 @@ class TestCheckpointResume:
         assert _render(resumed) == _render(fresh)
         assert _render(resumed) != _render(stale)
 
+    def test_checkpoint_of_another_config_is_stale(self, tmp_path):
+        # The grid fingerprint does not cover the config, so a checkpoint
+        # written under the paper's config must not be resumed under a lossy
+        # one: the resumed run equals a fresh lossy run, and the old file is
+        # stale (rewritten), not damaged (quarantined).
+        import os
+
+        from repro.config import DEFAULT_CONFIG
+
+        options = {"codes": ["H(71,64)"], "target_bers": [1e-11]}
+        lossy = DEFAULT_CONFIG.with_overrides(waveguide_loss_db_per_cm=1.0)
+        default = run_experiment("figure5", options=options, checkpoint_dir=str(tmp_path))
+        resumed = run_experiment(
+            "figure5", options=options, config=lossy, checkpoint_dir=str(tmp_path), resume=True
+        )
+        fresh = run_experiment("figure5", options=options, config=lossy)
+        assert _render(resumed) == _render(fresh)
+        assert _render(resumed) != _render(default)
+        path = checkpoint_path(str(tmp_path), "figure5")
+        assert not os.path.exists(path + ".corrupt")
+        header, _ = _read_checkpoint_lines(path)
+        assert header["fingerprint"] == describe_grid("figure5", lossy, options).checkpoint_fingerprint
+
     def test_corrupt_checkpoint_is_quarantined_and_recomputed(self, tmp_path):
         import os
 

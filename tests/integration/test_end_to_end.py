@@ -22,7 +22,7 @@ from repro import (
     paper_code_set,
 )
 from repro.coding.theory import output_ber
-from repro.manager import MinimumPowerPolicy
+from repro.netsim import engine as netsim_engine
 from repro.power import channel_power_breakdown, energy_metrics, interconnect_power_summary
 from repro.simulation import OpticalLinkSimulator
 from repro.traffic.generators import TrafficRequest
@@ -73,7 +73,7 @@ class TestAnalyticDesignVersusSimulation:
 
 class TestManagerToPowerChain:
     def test_managed_configuration_is_consistent_with_power_models(self):
-        manager = OpticalLinkManager(default_policy=MinimumPowerPolicy())
+        manager = OpticalLinkManager()
         request = CommunicationRequest(source=4, destination=0, target_ber=1e-11)
         configuration = manager.configure(request)
         breakdown = channel_power_breakdown(
@@ -81,7 +81,7 @@ class TestManagerToPowerChain:
         )
         assert configuration.channel_power_w == pytest.approx(breakdown.total_power_w, rel=1e-6)
 
-    def test_runtime_energy_matches_power_times_time(self):
+    def test_runtime_energy_matches_power_times_time(self, monkeypatch):
         # One uncontended transfer through the network simulator costs the
         # closed form of the configuration the manager picks: the payload
         # stretched by CT over NW wavelengths at Fmod, at the channel power
@@ -92,7 +92,9 @@ class TestManagerToPowerChain:
         traffic = TrafficRequest(
             arrival_time_s=0.0, source=1, destination=0, payload_bits=4096, target_ber=1e-11
         )
-        (record,) = NetworkSimulator(crc=None, max_retries=0, packet_bits=64, seed=0).run(
+        # No CRC: every packet is the payload alone.
+        monkeypatch.setattr(netsim_engine, "PACKET_CRC", None)
+        (record,) = NetworkSimulator(max_retries=0, packet_bits=64, seed=0).run(
             [traffic]
         ).records
         duration = (

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ArbitrationError, ConfigurationError
-from repro.interconnect.arbitration import TokenArbiter
+from repro.interconnect.arbitration import TOKEN_HOP_TIME_S, TokenArbiter
 from repro.interconnect.mwsr import MWSRChannel
 from repro.interconnect.topology import RingTopology
 
@@ -28,22 +28,22 @@ class TestMWSRChannel:
 
 class TestTokenArbiter:
     def test_single_writer_gets_immediate_grants(self):
-        arbiter = TokenArbiter(writers=[1], token_hop_time_s=0.0)
+        arbiter = TokenArbiter(writers=[1])
         assert arbiter.request(1, now_s=0.0, duration_s=1e-6) == pytest.approx(0.0)
         assert arbiter.request(1, now_s=0.0, duration_s=1e-6) == pytest.approx(1e-6)
 
     def test_transfers_serialise_on_the_channel(self):
-        arbiter = TokenArbiter(writers=[1, 2, 3], token_hop_time_s=0.0)
+        arbiter = TokenArbiter(writers=[1, 2, 3])
         first = arbiter.request(1, 0.0, 5e-9)
         second = arbiter.request(2, 0.0, 5e-9)
         assert first == pytest.approx(0.0)
         assert second >= first + 5e-9
 
     def test_token_hops_add_latency(self):
-        arbiter = TokenArbiter(writers=[1, 2, 3], token_hop_time_s=1e-9)
+        arbiter = TokenArbiter(writers=[1, 2, 3])
         arbiter.request(1, 0.0, 0.0)
         start = arbiter.request(3, 0.0, 0.0)
-        assert start == pytest.approx(2e-9)
+        assert start == pytest.approx(2 * TOKEN_HOP_TIME_S)
 
     def test_unknown_writer_rejected(self):
         arbiter = TokenArbiter(writers=[1, 2])

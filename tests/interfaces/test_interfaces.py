@@ -71,13 +71,13 @@ class TestParametricBlocks:
         assert estimate.area_um2 == pytest.approx(783.0, rel=0.25)
 
     def test_serializer_estimates_scale_linearly_with_depth(self):
-        small = serializer_block(64)
-        large = serializer_block(112)
+        small = serializer_block(64, modulation_rate_hz=10e9)
+        large = serializer_block(112, modulation_rate_hz=10e9)
         assert large.area_um2 / small.area_um2 == pytest.approx(112 / 64, rel=1e-6)
         assert small.area_um2 == pytest.approx(249.0, rel=0.1)
 
     def test_deserializer_estimate_close_to_table_one(self):
-        estimate = deserializer_block(112)
+        estimate = deserializer_block(112, modulation_rate_hz=10e9)
         assert estimate.area_um2 == pytest.approx(365.0, rel=0.1)
         assert estimate.dynamic_power_uw == pytest.approx(4.75, rel=0.15)
 
@@ -103,7 +103,7 @@ class TestParametricBlocks:
         with pytest.raises(ConfigurationError):
             hamming_codec_block(HammingCode(3), role="codec", num_instances=16)
         with pytest.raises(ConfigurationError):
-            serializer_block(0)
+            serializer_block(0, modulation_rate_hz=10e9)
         with pytest.raises(ConfigurationError):
             mux_block(0)
 

@@ -130,15 +130,6 @@ class TestOpticalLinkManager:
         )
         assert configuration.code_name == "w/o ECC"
 
-    def test_max_communication_time_filter(self):
-        manager = OpticalLinkManager()
-        configuration = manager.configure(
-            CommunicationRequest(
-                source=1, destination=0, target_ber=1e-11, max_communication_time=1.2
-            )
-        )
-        assert configuration.communication_time <= 1.2
-
     def test_candidate_cache_is_reused(self):
         manager = OpticalLinkManager()
         first = manager.candidates_for(1e-9)

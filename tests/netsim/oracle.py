@@ -43,12 +43,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
+from unittest import mock
 
 import numpy as np
 
 from repro.coding.packed import pack_bits, unpack_bits
 from repro.exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
 from repro.manager.manager import CommunicationRequest
+from repro.manager.policies import ConfigurationDecision
+from repro.netsim import engine as netsim_engine
 from repro.netsim.engine import (
     NetTransferRecord,
     NetworkResult,
@@ -66,7 +69,15 @@ from repro.netsim.outcomes import (
 )
 from repro.traffic.generators import TrafficRequest
 
-__all__ = ["BACKENDS", "Event", "EventQueue", "RoundTripOutcomeSampler", "run_reference"]
+__all__ = [
+    "BACKENDS",
+    "Event",
+    "EventQueue",
+    "FixedCodePolicy",
+    "RoundTripOutcomeSampler",
+    "network_simulator",
+    "run_reference",
+]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -173,6 +184,27 @@ def run_reference(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
 #: The two backends of every parity test, each called as
 #: ``backend(simulator, requests)``: the oracle and the simulator's own run.
 BACKENDS = {"reference": run_reference, "batched": NetworkSimulator.run}
+
+
+def network_simulator(*, crc: str | None = netsim_engine.PACKET_CRC, **kwargs) -> NetworkSimulator:
+    """A simulator whose packets carry the CRC named ``crc`` instead of :data:`PACKET_CRC`.
+
+    ``None`` switches detection (and with it ARQ) off, so failed packets
+    are delivered with their residual errors.
+    """
+    with mock.patch.object(netsim_engine, "PACKET_CRC", crc):
+        return NetworkSimulator(**kwargs)
+
+
+@dataclass
+class FixedCodePolicy:
+    """Selects one named scheme, so a transfer's coding overhead is known."""
+
+    code_name: str
+
+    def select(self, candidates, *, config):
+        (chosen,) = [c for c in candidates if c.code_name == self.code_name]
+        return ConfigurationDecision(breakdown=chosen)
 
 
 def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
@@ -315,11 +347,15 @@ def _schedule_attempt(
         # loss is certain), keeping the streams aligned with a fault-free
         # run.  The outcome is committed when the DEPARTURE pops.
         if sim.mode == "probabilistic":
-            state.pending_outcome = state.sampler.sample(
-                state.packets_remaining,
-                raw_ber=state.attempt_raw_ber,
-                resolve_rng=sim._resolve_rng,
-            )
+            # One primary uniform per attempt; only a failing attempt draws
+            # further, from the resolution stream.
+            sampler, packets, raw = state.sampler, state.packets_remaining, state.attempt_raw_ber
+            if sampler._rng.random() >= sampler.attempt_failure_probability(packets, raw):
+                state.pending_outcome = TransmissionOutcome(packets, 0, 0, 0)
+            else:
+                state.pending_outcome = sampler.resolve_failed_attempt(
+                    packets, raw_ber=raw, resolve_rng=sim._resolve_rng
+                )
         else:
             state.pending_outcome = state.sampler.sample(state.packets_remaining)
     run.busy_s[destination] = run.busy_s.get(destination, 0.0) + duration_s

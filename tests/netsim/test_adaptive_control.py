@@ -138,7 +138,7 @@ class TestMonitorAndHysteresis:
         assert policy.decide(1.0, margins, 0, 0) == (0, False)
 
     def test_policy_upgrades_past_headroom(self):
-        policy = HysteresisSwitchingPolicy(upgrade_headroom=1.2)
+        policy = HysteresisSwitchingPolicy()
         margins = [1.0, 2.0, 4.0]
         assert policy.decide(1.5, margins, 0, 0) == (1, False)
         assert policy.decide(3.0, margins, 1, 0) == (1, False)
@@ -146,7 +146,7 @@ class TestMonitorAndHysteresis:
         assert policy.decide(100.0, margins, 2, 0) == (0, False)
 
     def test_policy_downgrade_requires_calm_streak(self):
-        policy = HysteresisSwitchingPolicy(downgrade_fraction=0.6, hold_windows=2)
+        policy = HysteresisSwitchingPolicy()
         margins = [1.0, 2.0, 4.0]
         # estimate well below the lower level's margin, but only one window
         assert policy.decide(0.5, margins, 1, 0) == (0, True)
@@ -194,7 +194,7 @@ class TestController:
             margins=[1.0, 2.0, 4.0],
             mode="adaptive",
             monitor=FailureRateMonitor(window_blocks=10),
-            switching_policy=HysteresisSwitchingPolicy(hold_windows=2),
+            switching_policy=HysteresisSwitchingPolicy(),
         )
         controller.observe(0, 0.0, blocks=10, observed_events=30.0, expected_events=10.0)
         assert controller.level(0) == 1
@@ -220,9 +220,9 @@ class TestController:
             margins=[1.0, 2.0, 4.0],
             mode="adaptive",
             monitor=FailureRateMonitor(window_blocks=10),
-            switching_policy=CountingPolicy(hold_windows=2),
-            initial_level=2,
+            switching_policy=CountingPolicy(),
         )
+        controller.force_margin(0, 4.0, 0.0)
         # Calm windows step the level 2 -> 1 -> 0, a middling one at level 1
         # breaks the streak, and each window closes on its second feed.
         ratios = [0.1, 0.1, 1.0, 0.1, 0.1, 1.0, 0.1, 1.0]

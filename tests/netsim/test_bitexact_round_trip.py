@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import RoundTripOutcomeSampler
+from oracle import RoundTripOutcomeSampler, network_simulator
 from repro.coding.crc import CyclicRedundancyCheck
 from repro.coding.registry import get_code
 from repro.netsim import engine as netsim_engine
-from repro.netsim.engine import NetworkSimulator
 from repro.netsim.outcomes import BitExactOutcomeSampler
 from repro.simulation.faults import BurstErrorModel, IndependentErrorModel
 from repro.traffic.generators import UniformTrafficGenerator
@@ -101,7 +100,7 @@ def test_a_bit_exact_run_equals_the_round_trip_run(monkeypatch, crc, faults):
             fault_model = IndependentErrorModel(3e-3, rng=rng)
         elif faults == "own-stream":
             fault_model = IndependentErrorModel(3e-3, rng=np.random.default_rng(11))
-        simulator = NetworkSimulator(
+        simulator = network_simulator(
             manager=manager, mode="bit-exact", rng=rng, fault_model=fault_model, crc=crc
         )
         return simulator.run(requests), rng

@@ -91,7 +91,6 @@ class TestProcessShapes:
             lambda v: AgingRampDrift(ramp_multiplier=2.0, ramp_time_s=v),
             lambda v: RandomWalkDrift(step_s=v, max_multiplier=2.0, seed=0),
             lambda v: RandomWalkDrift(step_s=1.0, max_multiplier=v, seed=0),
-            lambda v: RandomWalkDrift(step_s=1.0, max_multiplier=2.0, log2_sigma=v, seed=0),
         ],
         ids=[
             "thermal-period",
@@ -101,7 +100,6 @@ class TestProcessShapes:
             "aging-ramp-time",
             "walk-step",
             "walk-max",
-            "walk-sigma",
         ],
     )
     def test_non_finite_parameters_are_rejected(self, build, value):
@@ -133,7 +131,6 @@ class TestChannelDriftModel:
             lambda channel, seq: _FixedDrift(),
             2,
             seed=0,
-            quantization_steps_per_octave=16,
         )
         value = model.multiplier(0, 0.0)
         assert value == 2.0 ** (round(math.log2(3.0) * 16) / 16)
@@ -203,8 +200,6 @@ class TestChannelDriftModel:
             assert 1.0 <= model.multiplier(0, 0.0) <= 8.0
         with pytest.raises(ConfigurationError):
             make_drift_model("volcanic", 4, seed=0)
-        with pytest.raises(ConfigurationError):
-            make_drift_model("thermal", 4, seed=0, options={"bogus_knob": 1})
 
 
 class TestRegressionPins:
@@ -216,7 +211,7 @@ class TestRegressionPins:
         assert process.multiplier_at(5e-7) == pytest.approx(6.025330648027039, rel=1e-12)
 
     def test_random_walk_pinned_values(self):
-        process = RandomWalkDrift(step_s=1e-8, max_multiplier=16.0, log2_sigma=0.25, seed=42)
+        process = RandomWalkDrift(step_s=1e-8, max_multiplier=16.0, seed=42)
         values = [process.multiplier_at(step * 1e-8) for step in (0, 1, 5, 50, 333)]
         assert values[0] == 1.0
         assert values[1] == pytest.approx(1.0542224133062486, rel=1e-12)

@@ -16,21 +16,18 @@ import gc
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracle import BACKENDS, run_reference
+from oracle import BACKENDS, FixedCodePolicy, network_simulator, run_reference
 
-from repro.coding.hamming import HammingCode
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments.network import request_rate_for_load
 from repro.manager.manager import CommunicationRequest, OpticalLinkManager
 from repro.manager.policies import (
-    ConfigurationDecision,
     DeadlineConstrainedPolicy,
     DegradationLadder,
     MinimumEnergyPolicy,
@@ -73,7 +70,7 @@ class TestZeroContentionParity:
     @pytest.fixture(scope="class")
     def pair(self):
         requests = _single_stream_requests(20)
-        simulator = NetworkSimulator(crc=None, max_retries=0, packet_bits=64, seed=0)
+        simulator = network_simulator(crc=None, max_retries=0, packet_bits=64, seed=0)
         result = simulator.run(requests)
         manager = OpticalLinkManager()
         channel_rate = DEFAULT_CONFIG.num_wavelengths * DEFAULT_CONFIG.modulation_rate_hz
@@ -143,7 +140,7 @@ class TestSaturationFairness:
                         target_ber=1e-9,
                     )
                 )
-        result = NetworkSimulator(crc=None, max_retries=0, seed=3).run(requests)
+        result = network_simulator(crc=None, max_retries=0, seed=3).run(requests)
         grants = _grants_by_writer(result, reader=0)
         assert set(grants) == set(range(1, 12))
         assert all(count == 8 for count in grants.values())
@@ -159,7 +156,7 @@ class TestSaturationFairness:
             payload_bits=4096,
             seed=17,
         )
-        result = NetworkSimulator(crc=None, max_retries=0, seed=23).run(
+        result = network_simulator(crc=None, max_retries=0, seed=23).run(
             traffic.generate(1100)
         )
         grants = _grants_by_writer(result, reader=0)
@@ -172,8 +169,8 @@ class TestSaturationFairness:
         requests = [
             TrafficRequest(0.0, writer, 0, 8192, 1e-9) for writer in range(1, 12)
         ] * 4
-        result = NetworkSimulator(crc=None, max_retries=0, seed=5).run(requests)
-        metrics = result.metrics(warmup_fraction=0.0)
+        result = network_simulator(crc=None, max_retries=0, warmup_fraction=0.0, seed=5).run(requests)
+        metrics = result.metrics()
         # Not exactly 1.0: the token costs a hop or two between grants.
         assert metrics.channel_utilization[0] > 0.97
         assert metrics.channel_utilization[0] <= 1.0
@@ -184,12 +181,11 @@ class TestFaultModeAgreement:
 
     @pytest.fixture(scope="class")
     def results(self):
-        # A single-code manager pins the configuration to H(7,4) at a
+        # A fixed-code policy pins the configuration to H(7,4) at a
         # Monte-Carlo-friendly target (raw BER a few percent), CRC/ARQ off
         # so every corrupted packet is delivered and measurable.
         outcomes = {}
         for mode in ("probabilistic", "bit-exact"):
-            manager = OpticalLinkManager(codes=[HammingCode(3)])
             traffic = UniformTrafficGenerator(
                 12,
                 mean_request_rate_hz=1e6,
@@ -197,17 +193,16 @@ class TestFaultModeAgreement:
                 target_ber=1e-2,
                 seed=101,
             )
-            simulator = NetworkSimulator(
-                manager=manager,
+            simulator = network_simulator(
+                policy=FixedCodePolicy("H(7,4)"),
                 mode=mode,
                 crc=None,
                 max_retries=0,
                 packet_bits=64,
+                warmup_fraction=0.0,
                 seed=202,
             )
-            outcomes[mode] = simulator.run(traffic.generate(400)).metrics(
-                warmup_fraction=0.0
-            )
+            outcomes[mode] = simulator.run(traffic.generate(400)).metrics()
         return outcomes
 
     def test_both_modes_observe_errors(self, results):
@@ -230,16 +225,15 @@ class TestFaultModeAgreement:
         # residual errors landing in the padding region.  Uncoded links
         # pass the raw BER straight through, so both modes must measure a
         # delivered-bit BER of ~the design raw BER (1e-2 at this target).
-        from repro.coding.uncoded import UncodedScheme
-
         rates = {}
         for mode in ("probabilistic", "bit-exact"):
-            simulator = NetworkSimulator(
-                manager=OpticalLinkManager(codes=[UncodedScheme(64)]),
+            simulator = network_simulator(
+                policy=FixedCodePolicy("w/o ECC"),
                 mode=mode,
                 crc=None,
                 max_retries=0,
                 packet_bits=50,
+                warmup_fraction=0.0,
                 seed=303,
             )
             traffic = UniformTrafficGenerator(
@@ -247,7 +241,7 @@ class TestFaultModeAgreement:
             )
             rates[mode] = (
                 simulator.run(traffic.generate(300))
-                .metrics(warmup_fraction=0.0)
+                .metrics()
                 .delivered_bit_error_rate
             )
         assert rates["probabilistic"] == pytest.approx(1e-2, rel=0.15)
@@ -263,8 +257,8 @@ class TestFaultModeAgreement:
 
 class TestArqRetransmission:
     def _noisy_simulator(self, *, max_retries: int, seed: int = 31) -> NetworkSimulator:
-        return NetworkSimulator(
-            manager=OpticalLinkManager(codes=[HammingCode(3)]),
+        return network_simulator(
+            policy=FixedCodePolicy("H(7,4)"),
             crc="crc16-ccitt",
             max_retries=max_retries,
             packet_bits=64,
@@ -298,8 +292,8 @@ class TestArqRetransmission:
     def test_retransmissions_occupy_the_channel(self):
         with_arq = self._noisy_simulator(max_retries=6).run(self._noisy_traffic()).metrics()
         without = (
-            NetworkSimulator(
-                manager=OpticalLinkManager(codes=[HammingCode(3)]),
+            network_simulator(
+                policy=FixedCodePolicy("H(7,4)"),
                 crc=None,
                 max_retries=0,
                 packet_bits=64,
@@ -329,7 +323,7 @@ class TestEngineBehaviour:
             TrafficRequest(0.0, 1, 0, 8192, 1e-9),
             TrafficRequest(0.0, 2, 0, 8192, 1e-9),
         ]
-        result = NetworkSimulator(crc=None, max_retries=0, seed=9).run(requests)
+        result = network_simulator(crc=None, max_retries=0, seed=9).run(requests)
         first, second = sorted(result.records, key=lambda r: r.first_start_time_s)
         assert second.first_start_time_s >= first.completion_time_s
 
@@ -338,13 +332,13 @@ class TestEngineBehaviour:
             TrafficRequest(0.0, 1, 0, 8192, 1e-9),
             TrafficRequest(0.0, 2, 3, 8192, 1e-9),
         ]
-        result = NetworkSimulator(crc=None, max_retries=0, seed=9).run(requests)
+        result = network_simulator(crc=None, max_retries=0, seed=9).run(requests)
         for record in result.records:
             assert record.first_start_time_s == pytest.approx(0.0, abs=1e-7)
 
     def test_infeasible_policy_rejects_requests(self):
         # No scheme has CT <= 0.5, so the manager cannot configure anything.
-        simulator = NetworkSimulator(
+        simulator = network_simulator(
             policy=DeadlineConstrainedPolicy(max_communication_time=0.5),
             crc=None,
             max_retries=0,
@@ -357,10 +351,10 @@ class TestEngineBehaviour:
         assert metrics.transfers_completed == 0
 
     def test_policy_changes_the_selected_configuration(self):
-        energy = NetworkSimulator(
+        energy = network_simulator(
             policy=MinimumEnergyPolicy(), crc=None, max_retries=0, seed=1
         ).run(_single_stream_requests(3))
-        power = NetworkSimulator(crc=None, max_retries=0, seed=1).run(
+        power = network_simulator(crc=None, max_retries=0, seed=1).run(
             _single_stream_requests(3)
         )
         # min-energy favours the low-CT H(71,64); min-power may differ, but
@@ -454,21 +448,10 @@ class TestEngineBehaviour:
             BACKENDS[backend](NetworkSimulator(seed=2), requests)
 
 
-@dataclass
-class _FixedCodePolicy:
-    """Selects one named scheme, so a transfer's coding overhead is known."""
-
-    code_name: str
-
-    def select(self, candidates, *, config):
-        (chosen,) = [c for c in candidates if c.code_name == self.code_name]
-        return ConfigurationDecision(breakdown=chosen)
-
-
 def _bit_exact(code_name: str = "H(7,4)", **kwargs) -> NetworkSimulator:
     kwargs.setdefault("seed", 0)
-    return NetworkSimulator(
-        policy=_FixedCodePolicy(code_name), mode="bit-exact", crc=None, max_retries=0, **kwargs
+    return network_simulator(
+        policy=FixedCodePolicy(code_name), mode="bit-exact", crc=None, max_retries=0, **kwargs
     )
 
 
@@ -532,7 +515,7 @@ class TestBitExactTransfers:
 
     def test_statistics_accumulate(self):
         requests = [TrafficRequest(index * 1e-6, 3, 0, 512, 1e-11) for index in range(3)]
-        result = NetworkSimulator(
+        result = network_simulator(
             mode="bit-exact", crc=None, max_retries=0, warmup_fraction=0.0, seed=0
         ).run(requests)
         metrics = result.metrics()
@@ -570,13 +553,13 @@ class TestManagedTransfers:
 
     def test_transfer_durations_scale_with_ct(self):
         requests = [TrafficRequest(0.0, 1, 0, 4096, 1e-11)]
-        uncoded = NetworkSimulator(
+        uncoded = network_simulator(
             policy=DeadlineConstrainedPolicy(max_communication_time=1.0),
             crc=None,
             max_retries=0,
             seed=0,
         ).run(requests).records[0]
-        coded = NetworkSimulator(crc=None, max_retries=0, seed=0).run(requests).records[0]
+        coded = network_simulator(crc=None, max_retries=0, seed=0).run(requests).records[0]
         assert uncoded.code_name == "w/o ECC"
         assert coded.code_name != "w/o ECC"
         assert coded.latency_s > uncoded.latency_s
@@ -586,7 +569,7 @@ class TestManagedTransfers:
             TrafficRequest(0.0, 1, 0, 2048, 1e-11, deadline_s=1e-6),
             TrafficRequest(1e-3, 2, 0, 2048, 1e-11, deadline_s=1e-12),
         ]
-        records = NetworkSimulator(crc=None, max_retries=0, seed=0).run(requests).records
+        records = network_simulator(crc=None, max_retries=0, seed=0).run(requests).records
         assert all(record.energy_j > 0 for record in records)
         misses = [
             record.latency_s > request.deadline_s for record, request in zip(records, requests)
@@ -596,7 +579,7 @@ class TestManagedTransfers:
 
     def test_unsatisfiable_requests_spend_nothing(self):
         # No scheme has CT <= 0.5, so every request is rejected, not fatal.
-        result = NetworkSimulator(
+        result = network_simulator(
             policy=DeadlineConstrainedPolicy(max_communication_time=0.5),
             crc=None,
             max_retries=0,
@@ -712,7 +695,7 @@ def _faulted_case():
 def _noisy_static_case():
     """A static channel with ~40% packet failures: ARQ and flagged records."""
     simulator = NetworkSimulator(
-        manager=OpticalLinkManager(codes=[HammingCode(3)]),
+        policy=FixedCodePolicy("H(7,4)"),
         max_retries=6,
         packet_bits=64,
         seed=31,
@@ -756,7 +739,7 @@ def _parked_case(channel: str, *, ladder: bool = False):
                     num_wavelengths=DEFAULT_CONFIG.num_wavelengths,
                 )
         simulator = NetworkSimulator(
-            manager=OpticalLinkManager(codes=[HammingCode(3)]),
+            policy=FixedCodePolicy("H(7,4)"),
             packet_bits=64,
             max_retries=6,
             seed=31,

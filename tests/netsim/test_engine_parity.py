@@ -20,12 +20,10 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from oracle import BACKENDS, run_reference
+from oracle import BACKENDS, FixedCodePolicy, network_simulator, run_reference
 
-from repro.coding.hamming import HammingCode
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import SimulationError
-from repro.manager.manager import OpticalLinkManager
 from repro.manager.policies import (
     DeadlineConstrainedPolicy,
     DegradationLadder,
@@ -118,7 +116,7 @@ def run_both(requests, *, scenario=None, drift=None, policy=None, policy_obj=Non
                 margins=margin_levels(4.0), mode=policy
             )
             kwargs["telemetry_seed"] = 99
-        results[name] = backend(NetworkSimulator(seed=11, **kwargs), iter(requests))
+        results[name] = backend(network_simulator(seed=11, **kwargs), iter(requests))
     assert_identical(results["reference"], results["batched"])
     return results["reference"]
 
@@ -385,7 +383,7 @@ class TestTieParity:
     @staticmethod
     def _simulator(**kwargs):
         return NetworkSimulator(
-            manager=OpticalLinkManager(codes=[HammingCode(3)]),
+            policy=FixedCodePolicy("H(7,4)"),
             packet_bits=64,
             seed=11,
             **kwargs,

@@ -28,12 +28,10 @@ import math
 from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
-from oracle import BACKENDS
+from oracle import BACKENDS, FixedCodePolicy, network_simulator
 from test_engine_parity import assert_identical
 
-from repro.coding.hamming import HammingCode
 from repro.config import DEFAULT_CONFIG
-from repro.manager.manager import OpticalLinkManager
 from repro.manager.policies import DegradationLadder, margin_levels
 from repro.manager.runtime import AdaptiveEccController
 from repro.netsim import NetworkSimulator, make_drift_model, make_fault_model
@@ -120,7 +118,7 @@ def _simulator(config, horizon_s):
         retry_backoff_s=config["backoff"] * horizon_s,
     )
     if config["link"] == "noisy":
-        kwargs["manager"] = OpticalLinkManager(codes=[HammingCode(3)])
+        kwargs["policy"] = FixedCodePolicy("H(7,4)")
     if config["timeout"] is not None:
         kwargs["transfer_timeout_s"] = config["timeout"] * horizon_s
     if channel in DRIFT_PROFILES:
@@ -140,7 +138,7 @@ def _simulator(config, horizon_s):
             margins=margin_levels(4.0), mode=config["controller"]
         )
         kwargs["telemetry_seed"] = 99
-    return NetworkSimulator(**kwargs)
+    return network_simulator(**kwargs)
 
 
 def _config(**overrides):
@@ -204,7 +202,7 @@ class TestParkedRawBer:
         derates only the later ones: their raw BERs must differ.
         """
         duration_probe = NetworkSimulator(
-            manager=OpticalLinkManager(codes=[HammingCode(3)]), packet_bits=64, seed=1
+            policy=FixedCodePolicy("H(7,4)"), packet_bits=64, seed=1
         ).run([TrafficRequest(0.0, 1, 0, 512, 1e-2)])
         spacing_s = duration_probe.records[0].completion_time_s / 2
         requests = [
@@ -218,7 +216,7 @@ class TestParkedRawBer:
                 + [ChannelFaultTimeline(NW) for _ in range(NUM_ONIS - 1)]
             )
             simulator = NetworkSimulator(
-                manager=OpticalLinkManager(codes=[HammingCode(3)]),
+                policy=FixedCodePolicy("H(7,4)"),
                 packet_bits=64,
                 seed=11,
                 max_retries=3,

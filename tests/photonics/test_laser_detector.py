@@ -116,8 +116,8 @@ class TestPhotodetector:
     def test_required_signal_power_inverts_snr(self):
         detector = Photodetector()
         snr = 22.5
-        signal = detector.required_signal_power(snr, crosstalk_power_w=3e-6)
-        assert equation_four_snr(detector, signal, 3e-6) == pytest.approx(snr)
+        signal = detector.required_signal_power(snr)
+        assert equation_four_snr(detector, signal) == pytest.approx(snr)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

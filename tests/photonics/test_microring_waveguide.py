@@ -78,19 +78,7 @@ class TestMicroringResonator:
 class TestWaveguide:
     def test_paper_propagation_loss(self):
         waveguide = Waveguide(length_m=0.06, propagation_loss_db_per_cm=0.274)
-        assert waveguide.propagation_loss_db == pytest.approx(1.644)
-
-    def test_total_loss_includes_bends_and_crossings(self):
-        waveguide = Waveguide(
-            length_m=0.01,
-            propagation_loss_db_per_cm=0.274,
-            num_bends=4,
-            bend_loss_db=0.005,
-            num_crossings=2,
-            crossing_loss_db=0.05,
-        )
-        expected = 0.274 + 4 * 0.005 + 2 * 0.05
-        assert waveguide.total_loss_db == pytest.approx(expected)
+        assert waveguide.total_loss_db == pytest.approx(1.644)
 
     def test_zero_length_waveguide_is_lossless(self):
         assert Waveguide(length_m=0.0).total_loss_db == 0.0
@@ -100,5 +88,3 @@ class TestWaveguide:
             Waveguide(length_m=-1.0)
         with pytest.raises(ConfigurationError):
             Waveguide(propagation_loss_db_per_cm=-0.1)
-        with pytest.raises(ConfigurationError):
-            Waveguide(num_bends=-1)

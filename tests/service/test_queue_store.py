@@ -242,8 +242,7 @@ class TestPersistentDesignCache:
         code = get_code("h(7,4)")
         point = designer.design_point(code, 1e-12)
 
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.collecting(registry):
+        with obs_metrics.collecting() as registry:
             fresh = OpticalLinkDesigner(persistent_cache=PersistentDesignCache(path))
             assert fresh.design_point(code, 1e-12) == point
         counters = registry.snapshot()["counters"]

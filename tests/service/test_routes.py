@@ -23,6 +23,7 @@ from repro.link.design import OpticalLinkDesigner
 from repro.obs.metrics import MetricsRegistry
 from repro.service.models import Job, JobState
 from repro.service.queue import DurableJobQueue
+from repro.service import routes
 from repro.service.routes import LoadShedder, ServiceContext, dispatch
 from repro.service.store import ResultsStore
 
@@ -37,7 +38,7 @@ class _AliveSupervisor:
 def _make_context(root, max_depth=4):
     registry = MetricsRegistry()
     queue = DurableJobQueue(str(root / "queue"), max_depth=max_depth)
-    shedder = LoadShedder(queue, max_inflight=8, registry=registry)
+    shedder = LoadShedder(queue, registry=registry)
     return ServiceContext(
         queue=queue,
         store=ResultsStore(str(root / "results")),
@@ -217,6 +218,15 @@ class TestErrorsAreClientErrors:
             ("network", {"num_requests": 0}, "num_requests must be at least 1"),
             ("adaptive", {"loads": [-0.5]}, "relative load must be positive and finite"),
             ("availability", {"loads": [float("inf")]}, "relative load must be positive and finite"),
+            ("network", {"payload_bits": 0}, "payload_bits must be at least 1"),
+            ("network", {"packet_bits": 0}, "packet size must be at least one bit"),
+            ("network", {"mode": "nope"}, "unknown mode 'nope'"),
+            ("network", {"warmup_fraction": 1.5}, "warm-up fraction must lie in"),
+            ("network", {"max_retries": -1}, "retry budget cannot be negative"),
+            ("adaptive", {"payload_bits": 1 << 30}, "payload_bits must be at most"),
+            ("adaptive", {"switch_latency_s": -1.0}, "switch penalties cannot be negative"),
+            ("availability", {"max_derate_factor": 0.5}, "the derate cap must be at least 1"),
+            ("network", {"target_ber": 1e-40}, "no raw BER meets target"),
         ],
     )
     def test_a_value_the_worker_would_reject_is_400_when_described(
@@ -356,10 +366,10 @@ class TestLoadSheddingLadder:
         assert status == 200 and payload["cached"] is True
 
     def test_inflight_pressure_escalates(self, context):
-        for _ in range(context.shedder.max_inflight):
+        for _ in range(routes._MAX_INFLIGHT):
             context.shedder.enter()
         assert context.shedder.level() == LoadShedder.CACHED_ONLY
-        for _ in range(3 * context.shedder.max_inflight):
+        for _ in range(3 * routes._MAX_INFLIGHT):
             context.shedder.enter()
         assert context.shedder.level() == LoadShedder.HEALTH_ONLY
 
@@ -388,10 +398,11 @@ class TestLoadSheddingLadder:
             "service.shed.submit", 0
         ) >= 1
 
-    def test_queue_full_submission_is_429(self, tmp_path):
+    def test_queue_full_submission_is_429(self, tmp_path, monkeypatch):
         # a wide-open shedder so admission is decided by the queue itself
+        monkeypatch.setattr(routes, "_SHED_DEPTH_FRACTION", 1.0)
         queue = DurableJobQueue(str(tmp_path / "queue"), max_depth=1)
-        shedder = LoadShedder(queue, max_inflight=8, shed_depth_fraction=1.0)
+        shedder = LoadShedder(queue)
         context = ServiceContext(
             queue=queue,
             store=ResultsStore(str(tmp_path / "results")),
@@ -406,13 +417,6 @@ class TestLoadSheddingLadder:
         shedder.draining = False
         status, payload, headers = _post(context, "/jobs", {"experiment": "table1"})
         assert status in (429, 503)
-
-    def test_shedder_configuration_validated(self, tmp_path):
-        queue = DurableJobQueue(str(tmp_path))
-        with pytest.raises(ConfigurationError):
-            LoadShedder(queue, max_inflight=0)
-        with pytest.raises(ConfigurationError):
-            LoadShedder(queue, shed_depth_fraction=0.0)
 
 
 class TestSelfHealing:

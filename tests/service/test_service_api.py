@@ -26,6 +26,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from repro.coding.registry import available_codes, get_code
 from repro.experiments import orchestrator
 from repro.experiments.orchestrator import GridFunctions, run_experiment
 from repro.link.design import OpticalLinkDesigner
-from repro.service import ServiceConfig, SimulationService
+from repro.service import ServiceConfig, SimulationService, server
 from repro.service.models import JobState
 from repro.service.server import MAX_BODY_BYTES
 
@@ -95,6 +96,12 @@ finally:
     service.stop(drain_timeout_s=10.0)
 sys.stdout.write(service.store.get(job_id)["text"])
 """
+
+
+def unsupervised_service(**kwargs) -> SimulationService:
+    """A service that runs no supervisor: nothing drains its queue."""
+    with mock.patch.object(server, "_SUPERVISE", False):
+        return SimulationService(**kwargs)
 
 
 def request(url, method="GET", body=None, timeout=30):
@@ -195,7 +202,7 @@ class TestJobFlow:
 
     def test_cancel_queued_job(self, tmp_path):
         # no supervisor: submissions stay queued so cancellation is race-free
-        svc = SimulationService(data_dir=str(tmp_path / "data"), supervise=False)
+        svc = unsupervised_service(data_dir=str(tmp_path / "data"))
         svc.start()
         try:
             base = svc.url
@@ -220,9 +227,8 @@ class TestJobFlow:
 
 class TestBackpressure:
     def test_queue_full_submission_gets_429_with_retry_after(self, tmp_path):
-        svc = SimulationService(
+        svc = unsupervised_service(  # nothing drains the queue
             data_dir=str(tmp_path / "data"),
-            supervise=False,  # nothing drains the queue
             service_config=ServiceConfig(max_queue_depth=1),
         )
         svc.start()
@@ -250,7 +256,7 @@ class TestRestartRecovery:
     def test_jobs_survive_a_restart(self, tmp_path):
         data_dir = str(tmp_path / "data")
         # first life: accept a job but never run it (no supervisor)
-        first = SimulationService(data_dir=data_dir, supervise=False)
+        first = unsupervised_service(data_dir=data_dir)
         first.start()
         try:
             status, payload, _ = request(
@@ -281,7 +287,7 @@ class TestRestartRecovery:
         started (so its forked worker neither imports one itself nor
         inherits an import lock a request thread held)."""
         data_dir = str(tmp_path / "data")
-        first = SimulationService(data_dir=data_dir, supervise=False)
+        first = unsupervised_service(data_dir=data_dir)
         first.start()
         try:
             status, payload, _ = request(
@@ -333,7 +339,7 @@ class TestRestartRecovery:
 @pytest.fixture
 def bare_service(tmp_path):
     """A service without a supervisor: the wire tests need no worker."""
-    svc = SimulationService(data_dir=str(tmp_path / "data"), supervise=False)
+    svc = unsupervised_service(data_dir=str(tmp_path / "data"))
     svc.start()
     yield svc
     svc.stop(drain_timeout_s=5.0)
@@ -436,10 +442,9 @@ class TestWire:
 @pytest.fixture(scope="module")
 def hostile_service(tmp_path_factory):
     """One supervisor-less service for every example; its queue never fills."""
-    svc = SimulationService(
+    svc = unsupervised_service(
         data_dir=str(tmp_path_factory.mktemp("hostile") / "data"),
         service_config=ServiceConfig(max_queue_depth=1 << 20),
-        supervise=False,
     )
     svc.start()
     yield svc

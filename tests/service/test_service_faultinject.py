@@ -20,6 +20,7 @@ import os
 import signal
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -30,9 +31,10 @@ from repro.config import DEFAULT_CONFIG  # noqa: E402
 from repro.exceptions import ConfigurationError  # noqa: E402
 from repro.experiments import orchestrator  # noqa: E402
 from repro.service import ServiceConfig, SimulationService  # noqa: E402
+from repro.service import server, supervisor  # noqa: E402
 from repro.service.models import JobState  # noqa: E402
 
-from test_service_api import poll_until_terminal, request  # noqa: E402
+from test_service_api import poll_until_terminal, request, unsupervised_service  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -48,12 +50,15 @@ def _faultinject_grid():
         patch.setitem(orchestrator._GRIDS, faultinject.EXPERIMENT, faultinject.GRID)
         yield
 
-#: Tight supervisor budgets so retries happen in test time, not minutes.
-FAST = dict(backoff_base_s=0.05, backoff_cap_s=0.2)
+@pytest.fixture(autouse=True)
+def _fast_backoff(monkeypatch):
+    """Tight supervisor budgets so retries happen in test time, not minutes."""
+    monkeypatch.setattr(supervisor, "_BACKOFF_BASE_S", 0.05)
+    monkeypatch.setattr(supervisor, "_BACKOFF_CAP_S", 0.2)
 
 
 def _service(tmp_path, **overrides):
-    config = ServiceConfig(**{**FAST, **overrides})
+    config = ServiceConfig(**overrides)
     return SimulationService(data_dir=str(tmp_path / "data"), service_config=config)
 
 
@@ -165,7 +170,7 @@ class TestWorkerDeath:
     def test_deterministic_failure_trips_the_circuit_breaker(self, tmp_path):
         work = tmp_path / "work"
         work.mkdir()
-        svc = _service(tmp_path, max_deterministic_failures=2)
+        svc = _service(tmp_path)
         svc.start()
         try:
             job_id = _submit(svc.url, _options(work, raise_on=[3]))
@@ -275,7 +280,7 @@ class TestConfigBinding:
     def test_restart_under_another_config_is_refused(self, tmp_path):
         data_dir = str(tmp_path / "data")
         design = "/design?code=H(71,64)&target_ber=1e-11"
-        svc = SimulationService(data_dir=data_dir, supervise=False).start()
+        svc = unsupervised_service(data_dir=data_dir).start()
         try:
             status, first, _ = request(f"{svc.url}{design}")
             assert status == 200 and first["point"]["feasible"]
@@ -284,9 +289,10 @@ class TestConfigBinding:
 
         lossy = DEFAULT_CONFIG.with_overrides(waveguide_loss_db_per_cm=1.0)
         with pytest.raises(ConfigurationError, match="waveguide_loss_db_per_cm"):
-            SimulationService(data_dir=data_dir, config=lossy, supervise=False)
+            with mock.patch.object(server, "DEFAULT_CONFIG", lossy):
+                unsupervised_service(data_dir=data_dir)
 
-        reborn = SimulationService(data_dir=data_dir, supervise=False).start()
+        reborn = unsupervised_service(data_dir=data_dir).start()
         try:
             status, again, _ = request(f"{reborn.url}{design}")
             assert status == 200 and again["point"] == first["point"]
@@ -295,23 +301,23 @@ class TestConfigBinding:
 
     def test_a_damaged_config_record_is_refused(self, tmp_path):
         data_dir = tmp_path / "data"
-        SimulationService(data_dir=str(data_dir), supervise=False).start().stop()
+        unsupervised_service(data_dir=str(data_dir)).start().stop()
         record = data_dir / "config.json"
         record.write_text(record.read_text().replace("0.274", "1.0"))
         with pytest.raises(ConfigurationError, match="damaged"):
-            SimulationService(data_dir=str(data_dir), supervise=False)
+            unsupervised_service(data_dir=str(data_dir))
         assert (data_dir / "config.json.corrupt").exists()
         # The quarantine does not clear the way: the config stays unknown.
         with pytest.raises(ConfigurationError, match="no config record"):
-            SimulationService(data_dir=str(data_dir), supervise=False)
+            unsupervised_service(data_dir=str(data_dir))
 
     def test_state_without_a_config_record_is_refused(self, tmp_path):
         # A data directory written before config records existed.
         data_dir = tmp_path / "data"
-        SimulationService(data_dir=str(data_dir), supervise=False).start().stop()
+        unsupervised_service(data_dir=str(data_dir)).start().stop()
         (data_dir / "config.json").unlink()
         with pytest.raises(ConfigurationError, match="no config record"):
-            SimulationService(data_dir=str(data_dir), supervise=False)
+            unsupervised_service(data_dir=str(data_dir))
         assert not (data_dir / "config.json").exists()
 
 
@@ -374,9 +380,10 @@ class TestDrain:
             return write(path, manifest)
 
         monkeypatch.setattr(obs_manifest, "write_manifest", slow_write)
+        monkeypatch.setattr(supervisor, "_MAX_DETERMINISTIC_FAILURES", 1)
         work = tmp_path / "work"
         work.mkdir()
-        svc = _service(tmp_path, max_deterministic_failures=1)
+        svc = _service(tmp_path)
         svc.start()
         try:
             job_id = _submit(svc.url, _options(work, raise_on=[0]))

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coding.registry import get_code
+from repro.config import DEFAULT_CONFIG
 from repro.experiments.orchestrator import (
     ExperimentGrid,
     _load_checkpoint,
@@ -96,6 +97,7 @@ GRID = ExperimentGrid(
     experiment="durable-check",
     shard_params=tuple({"shard": index} for index in range(4)),
     options={"seed": 3},
+    config=DEFAULT_CONFIG,
 )
 SHARDS = {
     0: {"rows": [[1.5e-12, -2.0, 3]], "text": "a"},

@@ -77,7 +77,3 @@ class TestExceptionBehaviour:
         assert error.required_w == pytest.approx(800e-6)
         assert error.maximum_w == pytest.approx(700e-6)
         assert "700" in str(error)
-
-    def test_laser_power_exceeded_custom_message(self):
-        error = repro.LaserPowerExceededError(1e-3, 7e-4, message="custom")
-        assert str(error) == "custom"

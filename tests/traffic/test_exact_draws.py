@@ -20,6 +20,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.traffic.generators import (
+    BURSTINESS,
+    FRAME_DEADLINE_S,
     MAX_ONIS,
     BurstyTrafficGenerator,
     HotspotTrafficGenerator,
@@ -46,8 +48,6 @@ PAYLOAD_BITS = 512
 TARGET_BER = 1e-9
 HOTSPOT_FRACTION = 0.4
 FRAME_BITS = 4096
-BURSTINESS = 2.0
-DEADLINE_S = 1e-3
 
 #: Draws a caller makes on the shared rng between two ``next()`` calls: a
 #: buffered 32-bit bounded draw, a double, and a 64-bit bounded draw.
@@ -103,7 +103,7 @@ def numpy_oracle(
         payload, deadline = PAYLOAD_BITS, None
         if case.kind == "bursty":
             factor = float(rng.gamma(shape=BURSTINESS, scale=1.0 / BURSTINESS))
-            payload, deadline = max(64, int(FRAME_BITS * factor)), DEADLINE_S
+            payload, deadline = max(64, int(FRAME_BITS * factor)), FRAME_DEADLINE_S
         yield TrafficRequest(now, source, destination, payload, TARGET_BER, deadline)
 
 
@@ -124,8 +124,6 @@ def traffic_generator(case: Case, rng: np.random.Generator, count: int) -> Itera
         generator = BurstyTrafficGenerator(
             case.num_onis,
             frame_bits=FRAME_BITS,
-            burstiness=BURSTINESS,
-            frame_deadline_s=DEADLINE_S,
             **common,
         )
     return generator.generate(count)
@@ -159,7 +157,7 @@ def check_requests(case: Case, outcome: Outcome) -> None:
         assert request.arrival_time_s >= previous
         previous = request.arrival_time_s
         if case.kind == "bursty":
-            assert request.payload_bits >= 64 and request.deadline_s == DEADLINE_S
+            assert request.payload_bits >= 64 and request.deadline_s == FRAME_DEADLINE_S
         else:
             assert request.payload_bits == PAYLOAD_BITS and request.deadline_s is None
 
