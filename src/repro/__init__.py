@@ -23,13 +23,13 @@ Sub-packages
 ``repro.channel``       BER/SNR mathematics and stochastic channels
 ``repro.photonics``     device models (rings, lasers, detectors, waveguides)
 ``repro.link``          MWSR power budget and operating-point design
-``repro.interconnect``  ring topology, MWSR channels and token arbitration
 ``repro.interfaces``    electrical TX/RX interface models (Table I)
 ``repro.power``         channel, interconnect and energy-per-bit accounting
 ``repro.manager``       runtime energy/performance manager and policies
 ``repro.simulation``    fault injection and the bit-level link simulator
 ``repro.traffic``       synthetic workload generators
-``repro.netsim``        discrete-event network simulator of the managed ring
+``repro.netsim``        discrete-event simulator of the managed ring: MWSR
+                        channels, token arbitration, ARQ and faults
 ``repro.experiments``   one module per table/figure of the paper
 """
 

@@ -16,7 +16,6 @@ __all__ = [
     "CodewordLengthError",
     "LaserPowerExceededError",
     "InfeasibleDesignError",
-    "ArbitrationError",
     "SimulationError",
     "ShardExecutionError",
     "SweepCancelled",
@@ -61,10 +60,6 @@ class LaserPowerExceededError(ReproError):
 
 class InfeasibleDesignError(ReproError):
     """No operating point satisfies the requested constraints."""
-
-
-class ArbitrationError(ReproError):
-    """A channel-access request could not be satisfied."""
 
 
 class SimulationError(ReproError):

@@ -92,6 +92,13 @@ DEFAULT_SEED = 2026
 #: larger one overflows or makes allocate without bound.
 MAX_TRANSFER_BITS = 1 << 20
 
+#: Most requests one shard of a sweep grid may simulate (the default is
+#: :data:`DEFAULT_NUM_REQUESTS`).  A shard holds every request and record
+#: in memory and runs to completion, so this bounds a shard's memory and
+#: time; unbounded, a count like ``2**62`` is a job that can only end at
+#: the service's job timeout.
+MAX_NUM_REQUESTS = 1 << 17
+
 #: Per-shard knobs and their defaults; an option of the same name overrides
 #: one, converted to its default's type.
 _KNOBS = {
@@ -153,8 +160,9 @@ def check_workload(loads: Sequence[float], knobs: dict, config: PaperConfig) -> 
     """Reject the loads, request counts and simulator settings a sweep worker would reject.
 
     Each load goes through :func:`request_rate_for_load`'s check at the
-    grid's ``payload_bits``, ``knobs["num_requests"]`` must be at least 1,
-    ``payload_bits`` and ``packet_bits`` at most :data:`MAX_TRANSFER_BITS`,
+    grid's ``payload_bits``, ``knobs["num_requests"]`` must lie in
+    ``[1, MAX_NUM_REQUESTS]``, ``payload_bits`` and ``packet_bits`` at most
+    :data:`MAX_TRANSFER_BITS`,
     and the simulator knobs go through
     :func:`~repro.netsim.engine.check_settings` (a grid without a ``mode``
     knob runs probabilistic).  Checked when the grid is described, a bad
@@ -165,6 +173,10 @@ def check_workload(loads: Sequence[float], knobs: dict, config: PaperConfig) -> 
         request_rate_for_load(load, config, payload_bits=knobs["payload_bits"])
     if knobs["num_requests"] < 1:
         raise ConfigurationError("num_requests must be at least 1")
+    if knobs["num_requests"] > MAX_NUM_REQUESTS:
+        raise ConfigurationError(
+            f"num_requests must be at most {MAX_NUM_REQUESTS}, got {knobs['num_requests']}"
+        )
     for name in ("payload_bits", "packet_bits"):
         if knobs[name] > MAX_TRANSFER_BITS:
             raise ConfigurationError(f"{name} must be at most {MAX_TRANSFER_BITS}, got {knobs[name]}")

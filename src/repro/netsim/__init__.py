@@ -3,10 +3,10 @@
 ``repro.netsim`` joins the repository's layers into one end-to-end engine:
 traffic generators feed per-ONI request arrivals, the OS-level
 :class:`~repro.manager.manager.OpticalLinkManager` configures each transfer
-(ECC scheme + laser power per policy), a per-channel
-:class:`~repro.interconnect.arbitration.TokenArbiter` resolves MWSR
-contention, faults corrupt packets at the operating point's raw BER and
-CRC-checked ARQ retransmits what the receiver caught.  The engine is fully
+(ECC scheme + laser power per policy), round-robin token arbitration among
+the writers of each reader's channel resolves MWSR contention, faults
+corrupt packets at the operating point's raw BER and CRC-checked ARQ
+retransmits what the receiver caught.  The engine is fully
 ``SeedSequence``-driven (no wall-clock anywhere), so runs are reproducible
 and shardable by the sweep orchestrator.
 
@@ -39,7 +39,7 @@ from .dynamics import (
     make_drift_model,
 )
 from .engine import NetTransferRecord, NetworkResult, NetworkSimulator
-from .events import EventKind, EpochEventCore
+from .events import EventKind
 from .failures import (
     FAULT_SCENARIOS,
     ChannelFaultTimeline,
@@ -65,7 +65,6 @@ __all__ = [
     "NetworkResult",
     "NetTransferRecord",
     "EventKind",
-    "EpochEventCore",
     "LatencySummary",
     "NetworkMetrics",
     "nearest_rank_percentile",

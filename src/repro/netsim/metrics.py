@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from operator import attrgetter, itemgetter, sub
-from typing import Dict, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    from .engine import NetworkResult
 
 __all__ = [
     "LatencySummary",
@@ -237,34 +240,24 @@ _REJECTED = itemgetter(16)
 _DELIVERED_PAYLOAD_BITS = attrgetter("delivered_payload_bits")
 
 
-def compute_metrics(
-    records: Sequence,
-    *,
-    busy_s_by_reader: Mapping[int, float],
-    num_channels: int,
-    warmup_fraction: float,
-    configuration_switches: int = 0,
-    reconfiguration_energy_j: float = 0.0,
-    channel_downtime_s: float = 0.0,
-    fault_transitions: int = 0,
-    recoveries: int = 0,
-    recovery_time_s: float = 0.0,
-    fault_horizon_s: float = 0.0,
-) -> NetworkMetrics:
-    """Reduce the engine's transfer records to :class:`NetworkMetrics`.
+def compute_metrics(result: NetworkResult) -> NetworkMetrics:
+    """Reduce a finished run's transfer records to :class:`NetworkMetrics`.
 
-    ``records`` is every :class:`~repro.netsim.engine.NetTransferRecord` of
-    the run (rejected ones included); the first ``warmup_fraction`` of the
-    completed transfers — in arrival order — are excluded from the latency
-    summary but still count towards throughput, energy and packet totals.
-    Transfers dropped without a single attempt (a hard-down channel refused
-    them on arrival) are likewise excluded from the latency summary: they
-    have no meaningful completion time.
+    ``result.records`` is every :class:`~repro.netsim.engine.NetTransferRecord`
+    of the run (rejected ones included); the first ``warmup_fraction`` of
+    the completed transfers — in arrival order — are excluded from the
+    latency summary but still count towards throughput, energy and packet
+    totals.  Transfers dropped without a single attempt (a hard-down channel
+    refused them on arrival) are likewise excluded from the latency summary:
+    they have no meaningful completion time.
 
-    The hard-fault keywords are the engine's availability accounting:
+    The result's hard-fault fields are the engine's availability accounting:
     ``fault_horizon_s`` is the observed simulation span the downtime is
     measured against (0 — no fault model — reports availability 1).
     """
+    records = result.records
+    num_channels = result.num_channels
+    warmup_fraction = result.warmup_fraction
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigurationError("warm-up fraction must lie in [0, 1)")
     completed = sorted(filterfalse(_REJECTED, records), key=_ARRIVAL_THEN_COMPLETION)
@@ -280,7 +273,7 @@ def compute_metrics(
     offered = sum(map(_PAYLOAD_BITS, records))
     delivered = sum(map(_DELIVERED_PAYLOAD_BITS, completed))
     utilization = {
-        reader: (busy_s_by_reader.get(reader, 0.0) / sim_end if sim_end > 0 else 0.0)
+        reader: (result.busy_s_by_reader.get(reader, 0.0) / sim_end if sim_end > 0 else 0.0)
         for reader in range(num_channels)
     }
     return NetworkMetrics(
@@ -293,14 +286,14 @@ def compute_metrics(
         offered_throughput_bits_per_s=(offered / sim_end if sim_end > 0 else 0.0),
         delivered_throughput_bits_per_s=(delivered / sim_end if sim_end > 0 else 0.0),
         channel_utilization=utilization,
-        total_energy_j=float(sum(map(_ENERGY, completed)) + reconfiguration_energy_j),
+        total_energy_j=float(sum(map(_ENERGY, completed)) + result.reconfiguration_energy_j),
         packets_sent=int(sum(map(_PACKETS_SENT, completed))),
         packets_delivered=int(sum(map(_PACKETS_DELIVERED, completed))),
         packets_dropped=int(sum(map(_PACKETS_DROPPED, completed))),
         packets_with_residual_errors=int(sum(map(_RESIDUAL_PACKETS, completed))),
         residual_bit_errors=int(sum(map(_RESIDUAL_BITS, completed))),
-        configuration_switches=int(configuration_switches),
-        reconfiguration_energy_j=float(reconfiguration_energy_j),
+        configuration_switches=int(result.configuration_switches),
+        reconfiguration_energy_j=float(result.reconfiguration_energy_j),
         packets_retried=int(
             sum(
                 map(
@@ -311,15 +304,15 @@ def compute_metrics(
             )
         ),
         transfers_dropped=sum(map(bool, map(_PACKETS_DROPPED, completed))),
-        channel_downtime_s=float(channel_downtime_s),
+        channel_downtime_s=float(result.channel_downtime_s),
         availability=(
-            max(0.0, 1.0 - channel_downtime_s / (num_channels * fault_horizon_s))
-            if fault_horizon_s > 0.0
+            max(0.0, 1.0 - result.channel_downtime_s / (num_channels * result.fault_horizon_s))
+            if result.fault_horizon_s > 0.0
             else 1.0
         ),
-        fault_transitions=int(fault_transitions),
-        recoveries=int(recoveries),
+        fault_transitions=int(result.fault_transitions),
+        recoveries=int(result.recoveries),
         mean_time_to_recover_s=(
-            float(recovery_time_s / recoveries) if recoveries else 0.0
+            float(result.recovery_time_s / result.recoveries) if result.recoveries else 0.0
         ),
     )

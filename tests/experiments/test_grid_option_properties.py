@@ -6,8 +6,10 @@ list axes, mixed with hostile values: empty lists, NaN, +-inf, zero,
 negative numbers, wrong types and unknown names.  Each drawn grid must
 either be refused by ``describe_grid`` with a ``ConfigurationError`` (HTTP
 400 on ``POST /jobs``), or run its first shard without raising, at the
-smallest request count a grid accepts.  A value that passes the description
-but fails in the worker is a job that dies after the service answered 202.
+smallest request count a grid accepts, with its described request count
+within ``network.MAX_NUM_REQUESTS``.  A value that passes the description
+but fails in the worker is a job that dies after the service answered 202;
+an unbounded request count is a job that runs until the job timeout.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.exceptions import ConfigurationError
@@ -26,7 +28,7 @@ from repro.experiments.orchestrator import describe_grid
 #: harmless) wherever it lands.
 HOSTILE = st.one_of(
     st.sampled_from(
-        [[], None, math.nan, math.inf, -math.inf, 0, -1, -0.5, 1e300, "nope", "", True, {}, [1, 2]]
+        [[], None, math.nan, math.inf, -math.inf, 0, -1, -0.5, 1e300, 2**62, "nope", "", True, {}, [1, 2]]
     ),
     st.integers(-(2**70), 2**70),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -116,7 +118,11 @@ def _check(experiment: str, options: dict) -> None:
     except ConfigurationError:
         return
     if grid.shard_params:
-        module.run_sweep_shard({**grid.shard_params[0], "num_requests": 1}, DEFAULT_CONFIG)
+        shard = grid.shard_params[0]
+        # The shard runs at one request below, so its described count must
+        # be bounded here: a huge one would run until the job timeout.
+        assert shard["num_requests"] <= network.MAX_NUM_REQUESTS
+        module.run_sweep_shard({**shard, "num_requests": 1}, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("experiment", sorted(GRIDS))
@@ -130,6 +136,7 @@ def test_a_described_grid_runs_its_first_shard(experiment):
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(options=grid_options(module._KNOBS, axes))
+    @example(options={"num_requests": 2**62})
     def check(options):
         _check(experiment, options)
 

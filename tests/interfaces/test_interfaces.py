@@ -131,6 +131,11 @@ class TestInterfaceAssemblies:
         receiver = InterfaceAssembly.paper_default("receiver")
         assert receiver.dynamic_power_uw(mode) == pytest.approx(expected, abs=0.05)
 
+    def test_both_sides_offer_the_same_modes(self):
+        transmit_modes = InterfaceAssembly.paper_default("transmitter").modes()
+        assert set(transmit_modes) == set(InterfaceAssembly.paper_default("receiver").modes())
+        assert {"w/o ECC", "H(7,4)", "H(71,64)"} <= set(transmit_modes)
+
     def test_coded_modes_cost_more_than_uncoded(self):
         transmitter = InterfaceAssembly.paper_default("transmitter")
         assert transmitter.dynamic_power_uw("H(7,4)") > transmitter.dynamic_power_uw("w/o ECC")

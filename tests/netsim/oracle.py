@@ -12,10 +12,13 @@ core is checked against.  The parity suites (``test_engine_parity.py``,
 two results equal, byte for byte.
 
 The oracle drives an ordinary :class:`~repro.netsim.engine.NetworkSimulator`
-through the private helpers the batched core shares with it (sampler and
-arbiter lookup, fault and deferral handling, finalisation, result
-assembly), exactly as ``epoch.run_batched(sim, requests)`` does; only the
-arrival, attempt-scheduling and departure handlers live here.
+through the cold handlers of the engine's run object,
+:class:`repro.netsim.epoch._Run` (sampler lookup through the simulator,
+fault and deferral handling, zero-attempt and finished records, result
+assembly), exactly as ``NetworkSimulator.run`` does; only the event queue,
+the arbiters and the arrival, attempt-scheduling and departure handlers
+live here.  :class:`TokenArbiter` is the oracle's own copy of the
+round-robin token recurrence that the batched loop inlines.
 
 Event lifecycle of one transfer::
 
@@ -42,23 +45,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, List
 from unittest import mock
 
 import numpy as np
 
 from repro.coding.packed import pack_bits, unpack_bits
-from repro.exceptions import ConfigurationError, InfeasibleDesignError, SimulationError
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleDesignError,
+    ReproError,
+    SimulationError,
+)
 from repro.manager.manager import CommunicationRequest
 from repro.manager.policies import ConfigurationDecision
 from repro.netsim import engine as netsim_engine
-from repro.netsim.engine import (
-    NetTransferRecord,
-    NetworkResult,
-    NetworkSimulator,
-    _RunState,
-    _TransferState,
-)
+from repro.netsim.engine import NetworkResult, NetworkSimulator, _TransferState
+from repro.netsim.epoch import TOKEN_HOP_TIME_S, _Run
 from repro.netsim.events import EventKind
 from repro.netsim.outcomes import (
     BitExactOutcomeSampler,
@@ -70,11 +73,13 @@ from repro.netsim.outcomes import (
 from repro.traffic.generators import TrafficRequest
 
 __all__ = [
+    "ArbitrationError",
     "BACKENDS",
     "Event",
     "EventQueue",
     "FixedCodePolicy",
     "RoundTripOutcomeSampler",
+    "TokenArbiter",
     "network_simulator",
     "run_reference",
 ]
@@ -138,20 +143,79 @@ class EventQueue:
             yield self.pop()
 
 
+class ArbitrationError(ReproError):
+    """A writer asked for a channel it is not attached to."""
+
+
+@dataclass
+class TokenArbiter:
+    """Round-robin token arbitration among the writers of an MWSR channel.
+
+    Only one writer may modulate at a time.  The token travels round-robin
+    from its current holder to the requesting writer (each hop costs
+    :data:`~repro.netsim.epoch.TOKEN_HOP_TIME_S`); the transfer then starts
+    once the channel is free.
+    """
+
+    writers: List[int]
+
+    def __post_init__(self) -> None:
+        if not self.writers:
+            raise ConfigurationError("an arbiter needs at least one writer")
+        if len(set(self.writers)) != len(self.writers):
+            raise ConfigurationError("writer identifiers must be unique")
+        self._holder_index = 0
+        self._busy_until_s = 0.0
+
+    def request(self, writer: int, now_s: float, duration_s: float) -> float:
+        """Request the channel for a transfer; returns the grant (start) time."""
+        if writer not in self.writers:
+            raise ArbitrationError(f"writer {writer} is not attached to this channel")
+        if duration_s < 0:
+            raise ConfigurationError("transfer duration cannot be negative")
+        target_index = self.writers.index(writer)
+        hops = (target_index - self._holder_index) % len(self.writers)
+        token_arrival = max(now_s, self._busy_until_s) + hops * TOKEN_HOP_TIME_S
+        start = max(token_arrival, self._busy_until_s, now_s)
+        self._holder_index = target_index
+        self._busy_until_s = start + duration_s
+        return start
+
+
+class _ReferenceRun(_Run):
+    """The engine's run object, with the oracle's queue, arbiters and busy time.
+
+    The shared cold handlers push their RETRY events through :meth:`push`,
+    which lands them in the oracle's :class:`EventQueue`.
+    """
+
+    __slots__ = ("queue", "arbiters", "busy_s")
+
+    def __init__(self, sim) -> None:
+        super().__init__(sim)
+        self.queue = EventQueue()
+        #: reader -> the arbiter of its channel, built at its first attempt.
+        self.arbiters: dict[int, TokenArbiter] = {}
+        #: reader -> serialisation seconds charged to its channel.
+        self.busy_s: dict[int, float] = {}
+
+    def push(self, time_s: float, kind: EventKind, payload) -> None:
+        self.queue.push(time_s, kind, payload)
+
+
 def run_reference(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     """Simulate ``requests`` on ``sim`` one heap event at a time."""
-    run = _RunState(queue=EventQueue())
-    if sim._controller is not None:
-        sim._controller.reset()
+    run = _ReferenceRun(sim)
+    queue = run.queue
     if sim._failures is not None:
         # One LINK_FAULT per compiled health transition; pushed before the
         # arrivals so a fault coinciding with an arrival is applied first
         # (matching the bisect semantics of health queries).
         for transition in sim._failures.transitions():
-            run.queue.push(transition.time_s, EventKind.LINK_FAULT, transition)
+            queue.push(transition.time_s, EventKind.LINK_FAULT, transition)
     count = 0
     for request in requests:
-        run.queue.push(request.arrival_time_s, EventKind.ARRIVAL, request)
+        queue.push(request.arrival_time_s, EventKind.ARRIVAL, request)
         count += 1
     if count == 0:
         raise ConfigurationError("a simulation needs at least one request")
@@ -160,25 +224,24 @@ def run_reference(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
     # the run (the failing event was popped and no further handler runs).
     event = None
     try:
-        for event in run.queue.drain():
+        for event in queue.drain():
             kind = event.kind
             if kind is EventKind.ARRIVAL:
-                _handle_arrival(sim, event.time_s, event.payload, run)
+                _handle_arrival(run, event.time_s, event.payload)
             elif kind is EventKind.DEPARTURE:
-                _handle_departure(sim, event.time_s, event.payload, run)
+                _handle_departure(run, event.time_s, event.payload)
             elif kind is EventKind.RETRY:
-                _schedule_attempt(sim, event.payload, event.time_s, run)
+                _schedule_attempt(run, event.payload, event.time_s)
             else:
-                sim._handle_link_fault(event.time_s, event.payload, run)
+                run.handle_link_fault(event.time_s, event.payload)
     except SimulationError:
         raise
     except Exception as exc:
         raise SimulationError(
             f"{event.kind.name} handler failed at t={event.time_s:.9e}s "
-            f"(event #{run.queue.events_processed}): {exc}"
+            f"(event #{queue.events_processed}): {exc}"
         ) from exc
-    run.end_s = event.time_s
-    return sim._finish_run(run)
+    return run.finish(event.time_s, queue.events_processed, run.busy_s)
 
 
 #: The two backends of every parity test, each called as
@@ -207,7 +270,8 @@ class FixedCodePolicy:
         return ConfigurationDecision(breakdown=chosen)
 
 
-def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
+def _handle_arrival(run: _ReferenceRun, now_s, request) -> None:
+    sim = run.sim
     communication = CommunicationRequest(
         source=request.source,
         destination=request.destination,
@@ -237,32 +301,12 @@ def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
             if configuration is None:
                 # The ladder declared the channel down: drop the request
                 # without spending a single attempt's energy on it.
-                sim._drop_on_arrival(request, now_s, run)
+                run.refuse(request, now_s, rejected=False)
                 return
         else:
             configuration = sim.manager.configure(communication, margin_multiplier=margin)
     except InfeasibleDesignError:
-        run.records.append(
-            NetTransferRecord(
-                source=request.source,
-                destination=request.destination,
-                payload_bits=request.payload_bits,
-                code_name=None,
-                arrival_time_s=now_s,
-                first_start_time_s=now_s,
-                completion_time_s=now_s,
-                attempts=0,
-                packets_total=0,
-                packets_sent=0,
-                packets_delivered=0,
-                packets_dropped=0,
-                packets_with_residual_errors=0,
-                residual_bit_errors=0,
-                coded_bits_sent=0,
-                energy_j=0.0,
-                rejected=True,
-            )
-        )
+        run.refuse(request, now_s, rejected=True)
         return
     packets = packets_for_payload(request.payload_bits, sim.packet_bits)
     sampler = sim._sampler_for(configuration)
@@ -278,11 +322,11 @@ def _handle_arrival(sim, now_s, request, run: _RunState) -> None:
         state.design_raw_ber = sim._raw_ber_for(configuration)
     if sim.transfer_timeout_s is not None:
         state.deadline_s = now_s + sim.transfer_timeout_s
-    _schedule_attempt(sim, state, now_s, run)
+    _schedule_attempt(run, state, now_s)
 
 
 def _schedule_attempt(
-    sim, state, now_s, run: _RunState, *, not_before_s: float | None = None
+    run: _ReferenceRun, state, now_s, *, not_before_s: float | None = None
 ) -> None:
     """Reserve the destination channel for one attempt and time its end.
 
@@ -294,6 +338,7 @@ def _schedule_attempt(
     degradation ladder a down channel defers the attempt (blackout) or drops
     the transfer (permanent outage) instead of serialising into the dark.
     """
+    sim = run.sim
     destination = state.request.destination
     request_time_s = now_s
     if not_before_s is not None and not_before_s > request_time_s:
@@ -308,11 +353,11 @@ def _schedule_attempt(
     if sim._failures is not None and sim._degradation is not None:
         health = sim._failures.health(destination, request_time_s)
         if health.down:
-            sim._defer_or_drop(state, now_s, health, run)
+            run.defer_or_drop(state, now_s, health)
             return
         action = sim._degradation.action_for(health)
         if not action.serve:
-            sim._finalize_transfer(state, now_s, run, dropped=state.packets_remaining)
+            run.finalize_transfer(state, now_s, dropped=state.packets_remaining)
             return
         wavelengths = action.wavelengths
         rate_factor = (sim.config.num_wavelengths / wavelengths) * action.derate_factor
@@ -323,7 +368,12 @@ def _schedule_attempt(
         # Remapped / derated attempts serialise slower: the same coded bits
         # over fewer wavelengths and/or at a reduced rate.
         duration_s *= rate_factor
-    arbiter = sim._arbiter_for(destination, run.arbiters)
+    arbiter = run.arbiters.get(destination)
+    if arbiter is None:
+        # Every ONI but the reader writes on the reader's channel.
+        arbiter = run.arbiters[destination] = TokenArbiter(
+            writers=[oni for oni in range(sim.config.num_onis) if oni != destination]
+        )
     start_s = arbiter.request(state.request.source, request_time_s, duration_s)
     if state.first_start_s < 0.0:
         state.first_start_s = start_s
@@ -338,7 +388,7 @@ def _schedule_attempt(
         multiplier = sim._dynamics.multiplier(destination, start_s)
         state.attempt_raw_ber = min(1.0, state.design_raw_ber * multiplier)
     elif sim._failures is not None:
-        sim._apply_attempt_health(state, sim._failures.health(destination, start_s), action)
+        run.apply_attempt_health(state, sim._failures.health(destination, start_s), action)
     if not state.attempt_blacked_out:
         # The attempt's outcome is drawn at *schedule* time: the primary
         # stream is consumed in attempt-schedule order (fixed size per
@@ -362,7 +412,8 @@ def _schedule_attempt(
     run.queue.push(start_s + duration_s, EventKind.DEPARTURE, state)
 
 
-def _handle_departure(sim, now_s, state, run: _RunState) -> None:
+def _handle_departure(run: _ReferenceRun, now_s, state) -> None:
+    sim = run.sim
     if state.attempt_blacked_out:
         # The channel was dark when serialisation started: every packet of
         # the attempt is lost, and loss of light is detected at the receiver
@@ -379,7 +430,7 @@ def _handle_departure(sim, now_s, state, run: _RunState) -> None:
         outcome = state.pending_outcome
         state.pending_outcome = None
         if sim._controller is not None and sim._controller.wants_observations:
-            sim._feed_controller(now_s, state, outcome)
+            run.feed_controller(now_s, state, outcome)
     state.packets_delivered += outcome.delivered
     state.packets_with_residual_errors += outcome.delivered_with_errors
     state.residual_bit_errors += outcome.residual_bit_errors
@@ -387,14 +438,14 @@ def _handle_departure(sim, now_s, state, run: _RunState) -> None:
         state.packets_remaining = outcome.failed_detected
         not_before = now_s
         if sim.retry_backoff_s > 0.0:
-            not_before = now_s + sim._retry_delay_s(state)
+            not_before = now_s + run.retry_delay_s(state)
         if state.deadline_s is None or not_before <= state.deadline_s:
             state.retries_left -= 1
-            _schedule_attempt(sim, state, now_s, run, not_before_s=not_before)
+            _schedule_attempt(run, state, now_s, not_before_s=not_before)
             return
         # The backed-off re-attempt would land past the transfer's deadline:
         # give up now instead of burning the channel on it.
-    sim._finalize_transfer(state, now_s, run, dropped=outcome.failed_detected)
+    run.finalize_transfer(state, now_s, dropped=outcome.failed_detected)
 
 
 class RoundTripOutcomeSampler(BitExactOutcomeSampler):

@@ -327,6 +327,30 @@ class TestEngineBehaviour:
         first, second = sorted(result.records, key=lambda r: r.first_start_time_s)
         assert second.first_start_time_s >= first.completion_time_s
 
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_the_token_skips_the_reader_and_wraps_round_the_writers(self, backend):
+        # Reader 2's writers are ONIs 0, 1, 3, ..., 11 (token indices 0..10),
+        # and the token starts at index 0.  Writer 1 is one hop away, writer
+        # 3 one more (the reader is no stop), and writer 0 nine more
+        # (round the 11 writers).
+        requests = [
+            TrafficRequest(0.0, 1, 2, 8192, 1e-9),
+            TrafficRequest(0.0, 3, 2, 8192, 1e-9),
+            TrafficRequest(0.0, 0, 2, 8192, 1e-9),
+        ]
+        simulator = network_simulator(crc=None, max_retries=0, seed=9)
+        records = BACKENDS[backend](simulator, requests).records
+        first, second, third = sorted(records, key=lambda r: r.first_start_time_s)
+        hop_s = 1e-9
+        assert (first.source, second.source, third.source) == (1, 3, 0)
+        assert first.first_start_time_s == pytest.approx(hop_s, abs=1e-15)
+        assert second.first_start_time_s - first.completion_time_s == pytest.approx(
+            hop_s, abs=1e-15
+        )
+        assert third.first_start_time_s - second.completion_time_s == pytest.approx(
+            9 * hop_s, abs=1e-15
+        )
+
     def test_independent_readers_do_not_contend(self):
         requests = [
             TrafficRequest(0.0, 1, 0, 8192, 1e-9),
@@ -380,8 +404,6 @@ class TestEngineBehaviour:
         with pytest.raises(ConfigurationError):
             NetworkSimulator(warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
-            NetworkSimulator(seed=1).run([])
-        with pytest.raises(ConfigurationError):
             # A drift model that misses reader channels of the 12-ONI ring.
             NetworkSimulator(dynamics=make_drift_model("thermal", 11, seed=0))
 
@@ -432,20 +454,64 @@ class TestEngineBehaviour:
             NetworkSimulator(seed=1).run([TrafficRequest(0.0, 3, 42, 64, 1e-9)])
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    @pytest.mark.parametrize("position", [0, 25, 50])
-    def test_nan_arrival_time_fails_the_run(self, backend, position):
-        """A NaN arrival must not run to completion with a NaN mean latency."""
+    @pytest.mark.parametrize(
+        "bad_times",
+        [
+            {0: math.nan},
+            {25: math.nan},
+            {50: math.nan},
+            {0: -1e-9},
+            {25: -math.inf},
+            {50: -1.0},
+            # A NaN compares false both ways, so a min() can step over it
+            # to the negative time beside it (and -inf + inf sums to NaN).
+            {10: math.nan, 11: -1.0},
+            {10: -math.inf, 40: math.inf},
+        ],
+        ids=str,
+    )
+    def test_a_bad_arrival_time_fails_the_run(self, backend, bad_times):
+        """A NaN or negative arrival is refused before any event runs."""
         traffic = UniformTrafficGenerator(
             12, mean_request_rate_hz=5e8, payload_bits=4096, seed=1
         )
         requests = list(traffic.generate(50))
-        broken = TrafficRequest(0.0, 1, 0, 4096, 1e-9)
-        # TrafficRequest refuses a non-finite time itself; force one past it
-        # to exercise the event cores' own event-time guard.
-        object.__setattr__(broken, "arrival_time_s", float("nan"))
-        requests.insert(position, broken)
-        with pytest.raises((ConfigurationError, SimulationError)):
+        for position, time_s in sorted(bad_times.items()):
+            broken = TrafficRequest(0.0, 1, 0, 4096, 1e-9)
+            # TrafficRequest refuses a non-finite or negative time itself;
+            # force one past it to exercise the event loops' own guard.
+            object.__setattr__(broken, "arrival_time_s", time_s)
+            requests.insert(position, broken)
+        with pytest.raises(ConfigurationError, match="non-negative"):
             BACKENDS[backend](NetworkSimulator(seed=2), requests)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faults-only"])
+    def test_a_run_needs_a_request(self, backend, faulted):
+        # Fault transitions alone are no workload.
+        failures = (
+            make_fault_model(
+                "blackout",
+                DEFAULT_CONFIG.num_onis,
+                DEFAULT_CONFIG.num_wavelengths,
+                seed=0,
+                horizon_s=1e-6,
+            )
+            if faulted
+            else None
+        )
+        with pytest.raises(ConfigurationError, match="at least one request"):
+            BACKENDS[backend](NetworkSimulator(seed=1, failures=failures), [])
+
+    @pytest.mark.parametrize("time_s", [-1.0, math.nan])
+    def test_a_bad_run_time_event_is_refused(self, time_s):
+        from repro.netsim.epoch import _Run
+        from repro.netsim.events import EventKind
+
+        run = _Run(NetworkSimulator(seed=1))
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            run.push(time_s, EventKind.DEPARTURE, None)
+        assert run.heap == [] and run.sequence == 0
 
 
 def _bit_exact(code_name: str = "H(7,4)", **kwargs) -> NetworkSimulator:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.netsim.engine import NetTransferRecord
+from repro.netsim.engine import NetTransferRecord, NetworkResult
 from repro.netsim import metrics as metrics_module
 from repro.netsim.metrics import (
     LatencySummary,
@@ -37,6 +37,19 @@ def _record(arrival: float, completion: float, **overrides) -> NetTransferRecord
     )
     defaults.update(overrides)
     return NetTransferRecord(**defaults)
+
+
+def _metrics(records, *, busy_s_by_reader=None, num_channels=1, warmup_fraction=0.0):
+    """The metrics of a fault-free, controller-free run that produced ``records``."""
+    return compute_metrics(
+        NetworkResult(
+            records=records,
+            busy_s_by_reader=busy_s_by_reader or {},
+            num_channels=num_channels,
+            warmup_fraction=warmup_fraction,
+            events_processed=0,
+        )
+    )
 
 
 class TestNearestRankPercentile:
@@ -93,9 +106,7 @@ class TestComputeMetrics:
         # must be excluded from the latency summary.
         records = [_record(arrival=float(i), completion=float(i) + (i + 1)) for i in range(10)]
         records.reverse()
-        metrics = compute_metrics(
-            records, busy_s_by_reader={}, num_channels=12, warmup_fraction=0.2
-        )
+        metrics = _metrics(records, num_channels=12, warmup_fraction=0.2)
         assert metrics.warmup_transfers_trimmed == 2
         assert metrics.latency.count == 8
         # Trimmed records are the arrival-earliest ones (latencies 1 and 2).
@@ -103,12 +114,7 @@ class TestComputeMetrics:
 
     def test_throughput_and_utilization(self):
         records = [_record(0.0, 1.0), _record(0.5, 2.0)]
-        metrics = compute_metrics(
-            records,
-            busy_s_by_reader={0: 1.0},
-            num_channels=2,
-            warmup_fraction=0.0,
-        )
+        metrics = _metrics(records, busy_s_by_reader={0: 1.0}, num_channels=2)
         assert metrics.sim_end_time_s == 2.0
         assert metrics.offered_throughput_bits_per_s == pytest.approx(512.0)
         assert metrics.channel_utilization[0] == pytest.approx(0.5)
@@ -121,9 +127,7 @@ class TestComputeMetrics:
             _record(0.0, 1.0),
             _record(0.0, 0.0, rejected=True, packets_sent=0, packets_delivered=0, energy_j=0.0),
         ]
-        metrics = compute_metrics(
-            records, busy_s_by_reader={}, num_channels=1, warmup_fraction=0.0
-        )
+        metrics = _metrics(records)
         assert metrics.transfers_completed == 1
         assert metrics.transfers_rejected == 1
         assert metrics.offered_throughput_bits_per_s == pytest.approx(1024.0)
@@ -145,9 +149,7 @@ class TestComputeMetrics:
                 residual_bit_errors=5,
             )
         ]
-        metrics = compute_metrics(
-            records, busy_s_by_reader={}, num_channels=1, warmup_fraction=0.0
-        )
+        metrics = _metrics(records)
         assert metrics.delivered_packet_error_rate == pytest.approx(0.2)
         assert metrics.retransmission_rate == pytest.approx(2 / 12)
         assert metrics.delivered_bit_error_rate == pytest.approx(5 / 512)
@@ -198,9 +200,7 @@ class TestComputeMetrics:
                     rejected=bool(index % 17 == 0),
                 )
             )
-        metrics = compute_metrics(
-            records, busy_s_by_reader={}, num_channels=1, warmup_fraction=0.1
-        )
+        metrics = _metrics(records, warmup_fraction=0.1)
         completed = sorted(
             (r for r in records if not r.rejected),
             key=lambda r: (r.arrival_time_s, r.completion_time_s),
@@ -220,4 +220,4 @@ class TestComputeMetrics:
 
     def test_bad_warmup_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
-            compute_metrics([], busy_s_by_reader={}, num_channels=1, warmup_fraction=1.0)
+            _metrics([], warmup_fraction=1.0)

@@ -120,6 +120,8 @@ class TestInterconnectAggregation:
             summary.per_waveguide_power_w * 16
         )
         assert summary.total_power_w == pytest.approx(summary.per_channel_power_w * 12)
+        # One MWSR channel per reader ONI.
+        assert summary.num_channels == DEFAULT_CONFIG.num_onis == 12
 
     def test_coded_interconnect_draws_tens_of_watts(self, breakdowns):
         assert 15.0 < interconnect_power_summary(breakdowns["H(71,64)"]).total_power_w < 35.0

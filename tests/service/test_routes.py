@@ -216,6 +216,7 @@ class TestErrorsAreClientErrors:
             ("network", {"patterns": ["nope"]}, "unknown traffic pattern 'nope'"),
             ("network", {"loads": [-1.0]}, "relative load must be positive and finite"),
             ("network", {"num_requests": 0}, "num_requests must be at least 1"),
+            ("network", {"num_requests": 2**62}, "num_requests must be at most"),
             ("adaptive", {"loads": [-0.5]}, "relative load must be positive and finite"),
             ("availability", {"loads": [float("inf")]}, "relative load must be positive and finite"),
             ("network", {"payload_bits": 0}, "payload_bits must be at least 1"),
