@@ -454,6 +454,29 @@ class TestEngineBehaviour:
             NetworkSimulator(seed=1).run([TrafficRequest(0.0, 3, 42, 64, 1e-9)])
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("source, destination", [(3, -1), (3, 12), (-1, 3), (12, 3)])
+    def test_an_oni_outside_the_ring_is_rejected(self, backend, source, destination):
+        # A -1 must not wrap round to ONI 11's channel state, nor 12 open a
+        # thirteenth channel, on either event loop.
+        requests = [
+            TrafficRequest(0.0, 1, 0, 64, 1e-9),
+            TrafficRequest(0.0, source, destination, 64, 1e-9),
+        ]
+        bad = source if destination in range(12) else destination
+        with pytest.raises(SimulationError, match=f"ONI index {bad} outside"):
+            BACKENDS[backend](NetworkSimulator(seed=1), requests)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_a_reader_is_not_a_writer_on_its_own_channel(self, backend):
+        self_addressed = TrafficRequest(0.0, 3, 4, 64, 1e-9)
+        # TrafficRequest refuses source == destination itself; force one
+        # past it to exercise the event loops' own guard.
+        object.__setattr__(self_addressed, "destination", 3)
+        requests = [TrafficRequest(0.0, 1, 0, 64, 1e-9), self_addressed]
+        with pytest.raises(SimulationError, match="source and destination must differ"):
+            BACKENDS[backend](NetworkSimulator(seed=1), requests)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize(
         "bad_times",
         [
