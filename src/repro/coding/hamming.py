@@ -40,13 +40,9 @@ def _full_hamming_parity_submatrix(m: int) -> np.ndarray:
     generator ``[I_k | P]`` and parity check ``[P^T | I_m]`` describe the
     standard Hamming code up to a column permutation.
     """
-    n = (1 << m) - 1
-    labels = [value for value in range(1, n + 1) if value & (value - 1) != 0]
-    p = np.zeros((len(labels), m), dtype=np.uint8)
-    for row, label in enumerate(labels):
-        for bit in range(m):
-            p[row, bit] = (label >> bit) & 1
-    return p
+    labels = np.arange(1, 1 << m)
+    labels = labels[(labels & (labels - 1)) != 0]
+    return ((labels[:, None] >> np.arange(m)) & 1).astype(np.uint8)
 
 
 class HammingCode(LinearBlockCode):

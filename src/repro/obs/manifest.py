@@ -21,7 +21,6 @@ result or checkpoint field.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import platform
@@ -85,9 +84,8 @@ def build_job_manifest(
 def environment_info() -> dict:
     """Versions and host facts that identify the software environment.
 
-    SciPy is only the tests' oracle: its installed version is read from
-    the distribution metadata (``None`` when it is absent), never by
-    importing it.  ``dont_write_bytecode`` records whether the process ran
+    SciPy is not listed: the package never imports it (it is only the
+    tests' oracle).  ``dont_write_bytecode`` records whether the process ran
     without writing bytecode (``PYTHONDONTWRITEBYTECODE`` or ``-B``), which
     decides whether a cold start compiles every module it imports.
     """
@@ -100,22 +98,10 @@ def environment_info() -> dict:
         "package_version": repro.__version__,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "scipy": _installed_version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
     }
-
-
-@functools.lru_cache(maxsize=None)
-def _installed_version(distribution: str) -> "str | None":
-    """Version of an installed distribution from its metadata (a path scan)."""
-    import importlib.metadata
-
-    try:
-        return importlib.metadata.version(distribution)
-    except importlib.metadata.PackageNotFoundError:
-        return None
 
 
 def build_manifest(

@@ -75,6 +75,7 @@ __all__ = [
     "gf_divide",
     "gf_poly_eval",
     "hamming_distance",
+    "hamming_parity_submatrix_reference",
     "hamming_weight",
     "minimum_distance_exhaustive",
     "estimate_ber_round_trip",
@@ -498,6 +499,21 @@ def gf2_systematic_generator_from_parity_check(parity_check) -> np.ndarray:
             f"expected nullity {k}, got {null_basis.shape[0]}"
         )
     return gf2_rref(null_basis)[0]
+
+
+def hamming_parity_submatrix_reference(m: int) -> np.ndarray:
+    """Parity sub-matrix of the full Hamming code, one label bit at a time.
+
+    Row ``i`` holds the binary expansion (least significant bit first) of
+    the i-th column label in ``1 .. 2**m - 1`` that is not a power of two.
+    """
+    n = (1 << m) - 1
+    labels = [value for value in range(1, n + 1) if value & (value - 1) != 0]
+    p = np.zeros((len(labels), m), dtype=np.uint8)
+    for row, label in enumerate(labels):
+        for bit in range(m):
+            p[row, bit] = (label >> bit) & 1
+    return p
 
 
 def hamming_weight(vector) -> int:

@@ -6,10 +6,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from coding.oracle import decode_packed, encode_reference, minimum_distance_exhaustive
+from coding.oracle import (
+    decode_packed,
+    encode_reference,
+    hamming_parity_submatrix_reference,
+    minimum_distance_exhaustive,
+)
 
 from repro.coding.hamming import (
     HammingCode,
+    _full_hamming_parity_submatrix,
     ShortenedHammingCode,
     hamming_parameters_for_message_length,
 )
@@ -52,6 +58,13 @@ class TestHammingParameters:
         code = HammingCode(4)
         for row in code.generator_matrix:
             assert not code.syndrome(row).any()
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_parity_submatrix_matches_the_label_loop(self, m):
+        parity = _full_hamming_parity_submatrix(m)
+        reference = hamming_parity_submatrix_reference(m)
+        assert parity.dtype == reference.dtype == np.uint8
+        assert np.array_equal(parity, reference)
 
 
 class TestHammingEncodingDecoding:

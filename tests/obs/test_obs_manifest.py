@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 import pytest
-import scipy
 
 from repro.experiments.orchestrator import run_experiment
 from repro.obs.manifest import (
@@ -53,7 +52,6 @@ class TestDocumentShape:
         assert manifest["metrics"]["counters"]["n"] == 3
         assert [shard["index"] for shard in manifest["shards"]] == [0, 1]
         assert manifest["environment"]["package"] == "repro"
-        assert manifest["environment"]["scipy"] == scipy.__version__
 
     @pytest.mark.parametrize("flag", [0, 1])
     def test_bytecode_mode_is_recorded(self, monkeypatch, flag):
@@ -64,21 +62,6 @@ class TestDocumentShape:
 
         monkeypatch.setattr(sys, "flags", types.SimpleNamespace(dont_write_bytecode=flag))
         assert obs_manifest.environment_info()["dont_write_bytecode"] is bool(flag)
-
-    def test_absent_scipy_is_recorded_as_none(self, monkeypatch):
-        import importlib.metadata
-
-        from repro.obs import manifest as obs_manifest
-
-        def missing(distribution):
-            raise importlib.metadata.PackageNotFoundError(distribution)
-
-        monkeypatch.setattr(importlib.metadata, "version", missing)
-        obs_manifest._installed_version.cache_clear()
-        try:
-            assert obs_manifest.environment_info()["scipy"] is None
-        finally:
-            obs_manifest._installed_version.cache_clear()
 
     def test_resumed_shards_carry_null_metrics(self):
         manifest = build_manifest(
