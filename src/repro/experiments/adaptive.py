@@ -182,7 +182,7 @@ def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
     face literally the same workload and channel conditions.
     """
     generator, simulator, worst = _build(params, config)
-    result = simulator.run(generator.generate(params["num_requests"]))
+    result = simulator.run(generator.columns(params["num_requests"]))
     payload = {
         "drift": params["drift"],
         "policy": params["policy"],

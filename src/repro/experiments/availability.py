@@ -206,7 +206,7 @@ def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
     makes parallel sweeps byte-identical to serial ones.
     """
     generator, simulator, margins = _build(params, config)
-    result = simulator.run(generator.generate(params["num_requests"]))
+    result = simulator.run(generator.columns(params["num_requests"]))
     payload = {
         "scenario": params["scenario"],
         "policy": params["policy"],

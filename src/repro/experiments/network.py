@@ -478,7 +478,7 @@ def run_sweep_shard(params: dict, config: PaperConfig) -> dict:
     its spawn index (hence its streams) differs from every other ring's.
     """
     generator, simulator = _build(params, config)
-    result = simulator.run(generator.generate(params["num_requests"]))
+    result = simulator.run(generator.columns(params["num_requests"]))
     payload = {
         "pattern": params["pattern"],
         "policy": params["policy"],

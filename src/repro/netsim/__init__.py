@@ -38,7 +38,7 @@ from .dynamics import (
     ThermalSinusoidDrift,
     make_drift_model,
 )
-from .engine import NetTransferRecord, NetworkResult, NetworkSimulator
+from .engine import MAX_PAYLOAD_BITS, NetTransferRecord, NetworkResult, NetworkSimulator
 from .events import EventKind
 from .failures import (
     FAULT_SCENARIOS,
@@ -61,6 +61,7 @@ from .outcomes import (
 )
 
 __all__ = [
+    "MAX_PAYLOAD_BITS",
     "NetworkSimulator",
     "NetworkResult",
     "NetTransferRecord",

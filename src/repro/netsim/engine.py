@@ -62,7 +62,7 @@ from ..manager.policies import DegradationLadder, SelectionPolicy
 from ..manager.runtime import AdaptiveEccController
 from ..obs import tracing as obs_tracing
 from ..simulation.faults import IndependentErrorModel
-from ..traffic.generators import TrafficRequest
+from ..traffic.generators import TrafficColumns, TrafficRequest
 from .dynamics import ChannelDriftModel
 from .failures import HardFaultModel
 from .metrics import NetworkMetrics, compute_metrics
@@ -72,7 +72,13 @@ from .outcomes import (
     bit_exact_error_sources,
 )
 
-__all__ = ["NetTransferRecord", "NetworkResult", "NetworkSimulator", "check_settings"]
+__all__ = [
+    "MAX_PAYLOAD_BITS",
+    "NetTransferRecord",
+    "NetworkResult",
+    "NetworkSimulator",
+    "check_settings",
+]
 
 #: Name of the per-packet CRC (see
 #: :class:`~repro.coding.crc.CyclicRedundancyCheck`).  ``None`` would switch
@@ -82,6 +88,19 @@ PACKET_CRC: str | None = "crc16-ccitt"
 
 #: Supported packet-outcome modes.
 MODES = ("probabilistic", "bit-exact")
+
+#: Largest payload one transfer may carry (bits); :meth:`NetworkSimulator.run`
+#: refuses a larger one before its first event.  A failing attempt counts
+#: its failed blocks per packet with ``np.bincount(..., minlength=packets)``,
+#: one int64 per packet, and a packet holds at least one payload bit, so
+#: this caps that array at 2**26 packets (512 MiB).  It also keeps
+#: ``payload_bits * packets_delivered`` below 2**53, where
+#: :func:`~repro.netsim.metrics.compute_metrics` is exact.  No shard of a
+#: sweep grid reaches it: a grid's payloads are at most
+#: :data:`repro.experiments.network.MAX_TRANSFER_BITS` = 2**20 nominal bits,
+#: and a bursty frame (a gamma of shape 4 times the nominal size) is 64
+#: times that with probability below 1e-100.
+MAX_PAYLOAD_BITS = 1 << 26
 
 
 class NetTransferRecord(NamedTuple):
@@ -115,13 +134,6 @@ class NetTransferRecord(NamedTuple):
     def latency_s(self) -> float:
         """Arrival-to-delivery latency (queueing + token + serialisation + ARQ)."""
         return self.completion_time_s - self.arrival_time_s
-
-    @property
-    def delivered_payload_bits(self) -> int:
-        """Payload bits delivered (padding of the last packet excluded)."""
-        if self.packets_total == 0:
-            return 0
-        return round(self.payload_bits * self.packets_delivered / self.packets_total)
 
 
 @dataclass(slots=True)
@@ -176,9 +188,16 @@ class _LinkConstants(NamedTuple):
 
 @dataclass(slots=True)
 class _TransferState:
-    """Mutable bookkeeping of one in-flight transfer."""
+    """Mutable bookkeeping of one in-flight transfer.
 
-    request: TrafficRequest
+    The request fields a transfer reads after its arrival are copied in, so
+    a run fed columns builds no request object for it.
+    """
+
+    source: int
+    destination: int
+    payload_bits: int
+    arrival_time_s: float
     sampler: object
     link: _LinkConstants
     packets_total: int
@@ -506,13 +525,20 @@ class NetworkSimulator:
         )
 
     # ------------------------------------------------------------------ simulation
-    def run(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
+    def run(self, requests: TrafficColumns | Iterable[TrafficRequest]) -> NetworkResult:
         """Simulate a finite request sequence to completion.
+
+        ``requests`` is the :class:`~repro.traffic.generators.TrafficColumns`
+        of a generator's ``columns`` draw, or any iterable of
+        :class:`~repro.traffic.generators.TrafficRequest` (read into the same
+        columns).  A payload above :data:`MAX_PAYLOAD_BITS`, like a negative
+        or NaN arrival time, is a :class:`ConfigurationError` before the
+        first event.
 
         The events drain through the epoch-batched loop of one run object
         of :mod:`repro.netsim.epoch`.  The cyclic garbage collector is paused
         for the run.  A run allocates hundreds of thousands of tracked
-        containers (requests, records, heap entries) but creates no
+        containers (records, heap entries, transfer states) but creates no
         reference cycles, so every collection it would trigger walks them
         all and frees nothing, while reference counting frees the same
         memory with the collector on or off.  The previous state is

@@ -10,12 +10,13 @@ the one loop that serves every run.  Three structural changes carry it:
 
 **Merge-ordered events.**  The bulk of the event stream (arrivals, fault
 transitions) is known before the run starts, so it is sequenced and sorted
-once and consumed by cursor; only run-time events (departures, retries) go
-through the run's small tuple heap.  The loop merges the two inline: the
-next static event is compared with the heap's top by time alone, because
-every static sequence number is smaller than every dynamic one, so a
-static event wins a tie.  No per-event object allocation, no Python
-``__lt__`` calls.
+once and popped off the end of a list; only run-time events (departures,
+retries) go through the run's small tuple heap.  The loop merges the two
+inline: the next static event is compared with the heap's top by time
+alone, because every static sequence number is smaller than every dynamic
+one, so a static event wins a tie.  No per-event object allocation, no
+Python ``__lt__`` calls.  An arrival event carries its request's fields,
+so a run fed a generator's columns builds no request object at all.
 
 **Flush-on-demand epoch sampling.**  The schedule-time sampling contract
 (see :mod:`repro.netsim.outcomes`) fixes an attempt's primary draw to
@@ -101,7 +102,7 @@ from.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import count, repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Iterable
@@ -112,8 +113,8 @@ from ..exceptions import ConfigurationError, InfeasibleDesignError, SimulationEr
 from ..manager.manager import CommunicationRequest
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from ..traffic.generators import TrafficRequest
-from .engine import NetTransferRecord, NetworkResult, _TransferState
+from ..traffic.generators import TrafficColumns, TrafficRequest
+from .engine import MAX_PAYLOAD_BITS, NetTransferRecord, NetworkResult, _TransferState
 from .events import EventKind
 from .outcomes import TransmissionOutcome, packets_for_payload
 
@@ -127,6 +128,9 @@ TOKEN_HOP_TIME_S = 1e-9
 
 #: Link-constants sentinel of a decision: the target is infeasible.
 _REJECTED = object()
+
+#: The payload bits of an arrival event (see :func:`_arrival_events`).
+_PAYLOAD_BITS = itemgetter(5)
 
 
 class _Run:
@@ -182,8 +186,8 @@ class _Run:
         #: Flush queue of undrawn gates, in schedule order.  A stateful attempt
         #: queues ``(seq, gate probability, sampler, packets, raw BER, state)``,
         #: a parked one ``(seq, gate probability, sampler, packets, raw BER,
-        #: record, request, link constants, design raw BER)``; ``seq`` is its
-        #: departure's sequence number.
+        #: record, arrival event, link constants, design raw BER)``; ``seq``
+        #: is its departure's sequence number.
         self.pending: list[tuple] = []
         #: seq -> the stateful transfer of a parked first attempt the flush
         #: flagged, taken when its departure pops.
@@ -251,30 +255,32 @@ class _Run:
         self.registry = obs_metrics.ACTIVE
 
     # ------------------------------------------------------------------ the loop
-    def drain(self, requests: Iterable[TrafficRequest]) -> NetworkResult:
+    def drain(self, requests: TrafficColumns | Iterable[TrafficRequest]) -> NetworkResult:
         """Simulate ``requests`` to completion and assemble the result.
 
-        Only the hot arrival/departure path is laid out here; the cold paths
-        (fault handling, degradation deferrals, finalisation of failed or
-        dropped transfers) are the handler methods the oracle shares, so
-        there is exactly one implementation of their semantics.
+        Each request's fields ride in its arrival event (see
+        :func:`_arrival_events`), read from a generator's columns or from
+        request objects.  Only the hot
+        arrival/departure path is laid out here; the cold paths (fault
+        handling, degradation deferrals, finalisation of failed or dropped
+        transfers) are the handler methods the oracle shares, so there is
+        exactly one implementation of their semantics.
         """
         sim = self.sim
         failures = sim._failures
         # Faults before arrivals: lower sequence numbers at equal times,
         # matching the oracle's push order.
-        faults: list[tuple] = (
-            [(t.time_s, EventKind.LINK_FAULT, t) for t in failures.transitions()]
+        static: list[tuple] = (
+            [
+                (float(t.time_s), sequence, EventKind.LINK_FAULT, t)
+                for sequence, t in enumerate(failures.transitions())
+            ]
             if failures is not None
             else []
         )
-        arrival_kind = EventKind.ARRIVAL
-        static: list[tuple] = [
-            (float(time_s), sequence, kind, payload)
-            for sequence, (time_s, kind, payload) in enumerate(
-                chain(faults, ((r.arrival_time_s, arrival_kind, r) for r in requests))
-            )
-        ]
+        num_faults = len(static)
+        events, largest = _arrival_events(requests, num_faults)
+        static += events
         # min() compares the (time, sequence) prefix only — sequence numbers
         # are unique — so this is the same per-event check as push(), in
         # C-level passes instead of a Python-level loop.  A NaN time compares
@@ -286,11 +292,17 @@ class _Run:
             total = sum(map(itemgetter(0), static))
             if not earliest >= 0.0 or total != total:
                 raise ConfigurationError("event times must be non-negative, not NaN")
-        if len(static) == len(faults):
+        if len(static) == num_faults:
             raise ConfigurationError("a simulation needs at least one request")
+        if largest > MAX_PAYLOAD_BITS:
+            raise ConfigurationError(
+                f"a transfer carries at most {MAX_PAYLOAD_BITS} payload bits, got {largest}"
+            )
         # Unique sequence numbers make the (time, sequence) prefix decisive,
-        # so tuple comparison never reaches the kind/payload slots.
-        static.sort()
+        # so tuple comparison never reaches the kind/payload slots.  The
+        # loop pops the next event off the end, which frees each one as it
+        # is consumed, while the run's records grow.
+        static.sort(reverse=True)
         self.sequence = len(static)
 
         # ------------------------------------------------------------- hot locals
@@ -350,8 +362,6 @@ class _Run:
         DEPARTURE = EventKind.DEPARTURE
         RETRY = EventKind.RETRY
 
-        n_static = len(static)
-        cursor = 0
         # Per-arrival values that stay at these defaults unless the run's
         # controller, ladder, drift or faults set them: the margin, the health
         # index of the arrival (read only under a ladder) and of the ladder's
@@ -369,8 +379,8 @@ class _Run:
                 # The merge, inline: heap events strictly earlier than the
                 # next static event go first; at equal times the static event
                 # wins, its sequence number being the smaller.
-                if cursor < n_static:
-                    upcoming = static[cursor]
+                if static:
+                    upcoming = static[-1]
                     upcoming_s = upcoming[0]
                 else:
                     upcoming = None
@@ -444,17 +454,14 @@ class _Run:
                     self.finalize_transfer(state, time_s, dropped=failed)
                 if upcoming is None:
                     break
-                cursor += 1
+                static.pop()
                 events += 1
                 event = upcoming
                 time_s = upcoming_s
-                if faults and event[2] is not ARRIVAL:
+                if num_faults and event[2] is not ARRIVAL:
                     self.handle_link_fault(time_s, event[3])
                     continue
-                request = event[3]
-                source = request.source
-                destination = request.destination
-                payload_bits = request.payload_bits
+                _, _, _, source, destination, payload_bits, target_ber, arrival_s = event
                 if controller is not None:
                     margin = margin_for(
                         destination,
@@ -476,23 +483,23 @@ class _Run:
                 if suspect:
                     entry = None
                 elif degradation is None:
-                    key = (request.target_ber, margin, payload_bits)
+                    key = (target_ber, margin, payload_bits)
                     entry = transfers.get(key)
                 else:
                     index = health_index_at[destination](time_s)
-                    key = (request.target_ber, margin, index, payload_bits)
+                    key = (target_ber, margin, index, payload_bits)
                     entry = transfers.get(key)
                     if entry is not None and registry is not None:
                         _republish(registry, entry[7])
                 if entry is None:
                     link, sampler, design_raw, action = decide(
-                        request, time_s, margin, index, suspect
+                        event, time_s, margin, index, suspect
                     )
                     if link is None:
-                        refuse(request, time_s, rejected=False)
+                        refuse(source, destination, payload_bits, time_s, rejected=False)
                         continue
                     if link is _REJECTED:
-                        refuse(request, time_s, rejected=True)
+                        refuse(source, destination, payload_bits, time_s, rejected=True)
                         continue
                     packets = packets_for_payload(payload_bits, packet_bits)
                     coded_bits = packets * link.coded_bits_per_packet
@@ -528,7 +535,7 @@ class _Run:
                 ) = entry
                 if not probabilistic:
                     schedule_attempt(
-                        new_state(request, sampler, link, packets, design_raw), time_s, None
+                        new_state(event, sampler, link, packets, design_raw), time_s, None
                     )
                     continue
                 # The first attempt, inline: _schedule_attempt's expressions.
@@ -543,9 +550,7 @@ class _Run:
                     if service is None:
                         # Down, or not served: defer or drop, statefully.
                         schedule_attempt(
-                            new_state(request, sampler, link, packets, design_raw),
-                            time_s,
-                            None,
+                            new_state(event, sampler, link, packets, design_raw), time_s, None
                         )
                         continue
                     action, wavelengths, rate_factor = service
@@ -579,7 +584,7 @@ class _Run:
                                 # Serialised into a dark channel: a certain
                                 # loss, handled statefully.
                                 state = self.first_attempt_state(
-                                    request,
+                                    event,
                                     sampler,
                                     link,
                                     packets,
@@ -610,7 +615,7 @@ class _Run:
                         destination,
                         payload_bits,
                         link.code_name,
-                        request.arrival_time_s,
+                        arrival_s,
                         start_s,
                         departure_s,
                         1,
@@ -626,7 +631,7 @@ class _Run:
                     ),
                 )
                 pending_append(
-                    (seq, fail_p, sampler, packets, raw, record, request, link, design_raw)
+                    (seq, fail_p, sampler, packets, raw, record, event, link, design_raw)
                 )
                 heappush(heap, (departure_s, seq, DEPARTURE, record, telemetry))
         except SimulationError:
@@ -695,13 +700,18 @@ class _Run:
                 start=begin,
             )
 
-    def new_state(
-        self, request, sampler, link, packets: int, design_raw: float
-    ) -> _TransferState:
-        """The stateful bookkeeping of one transfer, registered in flight."""
+    def new_state(self, arrival, sampler, link, packets: int, design_raw: float) -> _TransferState:
+        """The stateful bookkeeping of one transfer, registered in flight.
+
+        ``arrival`` is the request's arrival event (see :func:`_arrival_events`).
+        """
         sim = self.sim
+        _, _, _, source, destination, payload_bits, _, arrival_time_s = arrival
         state = _TransferState(
-            request=request,
+            source=source,
+            destination=destination,
+            payload_bits=payload_bits,
+            arrival_time_s=arrival_time_s,
             sampler=sampler,
             link=link,
             packets_total=packets,
@@ -711,14 +721,14 @@ class _Run:
         state.design_raw_ber = design_raw
         if sim.transfer_timeout_s is not None:
             # The arrival event's time, as the static schedule holds it.
-            state.deadline_s = float(request.arrival_time_s) + sim.transfer_timeout_s
+            state.deadline_s = float(arrival_time_s) + sim.transfer_timeout_s
         return state
 
     def first_attempt_state(
-        self, request, sampler, link, packets, design_raw, start_s, coded_bits, energy_j
+        self, arrival, sampler, link, packets, design_raw, start_s, coded_bits, energy_j
     ) -> _TransferState:
         """The stateful transfer of a first attempt scheduled at arrival."""
-        state = self.new_state(request, sampler, link, packets, design_raw)
+        state = self.new_state(arrival, sampler, link, packets, design_raw)
         state.first_start_s = start_s
         state.attempts = 1
         state.packets_sent = packets
@@ -726,8 +736,8 @@ class _Run:
         state.energy_j = energy_j
         return state
 
-    def decide(self, request, time_s: float, margin: float, index, suspect: bool) -> tuple:
-        """The manager's answer for one request (see ``decisions``).
+    def decide(self, arrival, time_s: float, margin: float, index, suspect: bool) -> tuple:
+        """The manager's answer for the request of one arrival event (see ``decisions``).
 
         Replayed from the memo unless the request is suspect, which always
         asks the manager so validation errors surface exactly as in the
@@ -735,7 +745,7 @@ class _Run:
         """
         sim = self.sim
         degradation = sim._degradation
-        target_ber = request.target_ber
+        _, _, _, source, destination, payload_bits, target_ber, _ = arrival
         key = (target_ber, margin) if degradation is None else (target_ber, margin, index)
         if not suspect:
             decision = self.decisions.get(key)
@@ -744,10 +754,10 @@ class _Run:
                     _republish(self.registry, decision[3])
                 return decision
         communication = CommunicationRequest(
-            source=request.source,
-            destination=request.destination,
+            source=source,
+            destination=destination,
             target_ber=target_ber,
-            payload_bits=request.payload_bits,
+            payload_bits=payload_bits,
             policy=sim.policy,
         )
         link = sampler = action = None
@@ -757,7 +767,7 @@ class _Run:
                 configuration = sim.manager.configure(communication, margin_multiplier=margin)
             else:
                 health = (
-                    sim._failures.health(request.destination, time_s)
+                    sim._failures.health(destination, time_s)
                     if suspect
                     else self.healths[index]
                 )
@@ -783,8 +793,7 @@ class _Run:
         """Mirror of the oracle's ``_schedule_attempt`` with queued sampling."""
         sim = self.sim
         controller = sim._controller
-        request = state.request
-        destination = request.destination
+        destination = state.destination
         request_time_s = now_s
         if not_before_s is not None and not_before_s > request_time_s:
             request_time_s = not_before_s
@@ -817,7 +826,7 @@ class _Run:
         channel = self.channels.get(destination)
         if channel is None:
             channel = self.channels[destination] = [0, 0.0, 0.0]
-        source = request.source
+        source = state.source
         target = source if source < destination else source - 1
         busy = channel[1]
         hops = (target - channel[0]) % (sim.config.num_onis - 1)
@@ -885,19 +894,21 @@ class _Run:
             # the covering level instead of waiting for telemetry.
             controller.force_margin(channel, health.ber_penalty_multiplier, now_s)
 
-    def refuse(self, request, now_s: float, *, rejected: bool) -> None:
+    def refuse(
+        self, source: int, destination: int, payload_bits: int, now_s: float, *, rejected: bool
+    ) -> None:
         """Record a request that gets no attempt.
 
         ``rejected`` when no configuration meets its target: it counts no
         packets.  Otherwise the ladder declared its channel down at arrival,
         and every one of its packets counts as dropped.
         """
-        packets = 0 if rejected else packets_for_payload(request.payload_bits, self.sim.packet_bits)
+        packets = 0 if rejected else packets_for_payload(payload_bits, self.sim.packet_bits)
         self.records.append(
             NetTransferRecord(
-                source=request.source,
-                destination=request.destination,
-                payload_bits=request.payload_bits,
+                source=source,
+                destination=destination,
+                payload_bits=payload_bits,
                 code_name=None,
                 arrival_time_s=now_s,
                 first_start_time_s=now_s,
@@ -983,15 +994,14 @@ class _Run:
         dropped before any attempt started reports its drop time as its
         first start.
         """
-        request = state.request
         first_start = state.first_start_s if state.first_start_s >= 0.0 else now_s
         self.records.append(
             NetTransferRecord(
-                source=request.source,
-                destination=request.destination,
-                payload_bits=request.payload_bits,
+                source=state.source,
+                destination=state.destination,
+                payload_bits=state.payload_bits,
                 code_name=state.link.code_name,
-                arrival_time_s=request.arrival_time_s,
+                arrival_time_s=state.arrival_time_s,
                 first_start_time_s=first_start,
                 completion_time_s=now_s,
                 attempts=state.attempts,
@@ -1023,7 +1033,7 @@ class _Run:
         observed = float(self.sim._telemetry_rng.binomial(blocks, disturb))
         expected = blocks * state.link.design_disturb_probability
         self.sim._controller.observe(
-            state.request.destination,
+            state.destination,
             now_s,
             blocks=blocks,
             observed_events=observed + outcome.failed_detected,
@@ -1069,6 +1079,55 @@ class _Run:
         if self.registry is not None:
             _publish_run_metrics(self.registry, result, self.epoch_flushes)
         return result
+
+
+def _arrival_events(
+    requests: TrafficColumns | Iterable[TrafficRequest], first_sequence: int
+) -> tuple[Iterable[tuple], int]:
+    """The arrival events of a run's requests, and their largest payload.
+
+    An arrival event is ``(float(arrival time), sequence, ARRIVAL, source,
+    destination, payload bits, target BER, arrival time)``, numbered from
+    ``first_sequence`` in request order: the arrival path reads the request
+    from the tuple it pops, and no per-request object or column outlives
+    the event.  Columns are zipped at C speed; request objects are read by
+    a comprehension, whose specialised slot loads cost less than one
+    ``attrgetter`` pass per field.
+    """
+    if type(requests) is not TrafficColumns:
+        events = [
+            (
+                float(request.arrival_time_s),
+                sequence,
+                EventKind.ARRIVAL,
+                request.source,
+                request.destination,
+                request.payload_bits,
+                request.target_ber,
+                request.arrival_time_s,
+            )
+            for sequence, request in enumerate(requests, first_sequence)
+        ]
+        return events, max(map(_PAYLOAD_BITS, events), default=0)
+    arrivals, sources, destinations, payloads, target_ber, _ = requests
+    if type(payloads) is list:
+        largest = max(payloads, default=0)
+    else:
+        largest = payloads
+        payloads = [payloads] * len(arrivals)
+    if not len(sources) == len(destinations) == len(payloads) == len(arrivals):
+        raise ConfigurationError("traffic columns must have one entry per request")
+    events = zip(
+        map(float, arrivals),
+        count(first_sequence),
+        repeat(EventKind.ARRIVAL),
+        sources,
+        destinations,
+        payloads,
+        repeat(target_ber),
+        arrivals,
+    )
+    return events, largest
 
 
 def _gate(sampler, packets: int, raw, link, wants_obs: bool) -> tuple:

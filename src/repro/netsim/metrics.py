@@ -12,8 +12,7 @@ orchestrator's JSON payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
-from operator import attrgetter, itemgetter, sub
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
@@ -63,7 +62,7 @@ class LatencySummary:
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "LatencySummary":
         """Summarise a latency sample vector (empty vectors give zeros)."""
-        values = np.sort(np.asarray(list(samples), dtype=float))
+        values = np.sort(np.asarray(samples, dtype=float))
         if values.size == 0:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return cls(
@@ -220,24 +219,28 @@ class NetworkMetrics:
         }
 
 
-# Field getters of :class:`~repro.netsim.engine.NetTransferRecord` (a
-# NamedTuple, so positional ``itemgetter`` is its cheapest accessor): the
-# reductions below map them over the records at C speed.  The positions
-# follow the record's field order, which a test pins.
-_PAYLOAD_BITS = itemgetter(2)
-_ARRIVAL = itemgetter(4)
-_COMPLETION = itemgetter(6)
-_ARRIVAL_THEN_COMPLETION = itemgetter(4, 6)
-_ATTEMPTS = itemgetter(7)
-_PACKETS_TOTAL = itemgetter(8)
-_PACKETS_SENT = itemgetter(9)
-_PACKETS_DELIVERED = itemgetter(10)
-_PACKETS_DROPPED = itemgetter(11)
-_RESIDUAL_PACKETS = itemgetter(12)
-_RESIDUAL_BITS = itemgetter(13)
-_ENERGY = itemgetter(15)
-_REJECTED = itemgetter(16)
-_DELIVERED_PAYLOAD_BITS = attrgetter("delivered_payload_bits")
+#: The fields of :class:`~repro.netsim.engine.NetTransferRecord` in record
+#: order (a test pins it), each with the dtype of its NumPy column, or
+#: ``None`` for a field the reduction does not read.
+_COLUMNS = (
+    ("source", None),
+    ("destination", None),
+    ("payload_bits", np.int64),
+    ("code_name", None),
+    ("arrival_time_s", np.float64),
+    ("first_start_time_s", None),
+    ("completion_time_s", np.float64),
+    ("attempts", np.int64),
+    ("packets_total", np.int64),
+    ("packets_sent", np.int64),
+    ("packets_delivered", np.int64),
+    ("packets_dropped", np.int64),
+    ("packets_with_residual_errors", np.int64),
+    ("residual_bit_errors", np.int64),
+    ("coded_bits_sent", None),
+    ("energy_j", np.float64),
+    ("rejected", np.bool_),
+)
 
 
 def compute_metrics(result: NetworkResult) -> NetworkMetrics:
@@ -251,6 +254,16 @@ def compute_metrics(result: NetworkResult) -> NetworkMetrics:
     refused them on arrival) are likewise excluded from the latency summary:
     they have no meaningful completion time.
 
+    The records are transposed once into NumPy columns.  The completed
+    transfers are ordered by a stable ``lexsort`` on (arrival, completion),
+    integer totals are exact ``int64`` sums, each record's delivered payload
+    bits are ``rint(payload * delivered / total)`` (exact while the product
+    stays below 2**53, which :data:`~repro.netsim.engine.MAX_PAYLOAD_BITS`
+    guarantees for a run's records; ``rint`` rounds half to even like
+    ``round``) and the energy is a sequential ``add.accumulate`` in that
+    order: every figure is bit-identical to a left-to-right reduction over
+    the sorted records.
+
     The result's hard-fault fields are the engine's availability accounting:
     ``fault_horizon_s`` is the observed simulation span the downtime is
     measured against (0 — no fault model — reports availability 1).
@@ -260,50 +273,64 @@ def compute_metrics(result: NetworkResult) -> NetworkMetrics:
     warmup_fraction = result.warmup_fraction
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigurationError("warm-up fraction must lie in [0, 1)")
-    completed = sorted(filterfalse(_REJECTED, records), key=_ARRIVAL_THEN_COMPLETION)
-    rejected = sum(map(_REJECTED, records))
-    served = list(filter(_ATTEMPTS, completed))
+    (
+        payloads,
+        arrivals,
+        completions,
+        attempts,
+        totals,
+        sent,
+        delivered,
+        dropped,
+        residual_packets,
+        residual_bits,
+        energies,
+        rejected,
+    ) = (
+        np.array(column, dtype=dtype)
+        for column, (_, dtype) in zip(zip(*records) if records else repeat(()), _COLUMNS)
+        if dtype is not None
+    )
+    completed = np.flatnonzero(~rejected)
+    completed = completed[np.lexsort((completions[completed], arrivals[completed]))]
+    served = completed[attempts[completed] != 0]
     trimmed = int(len(served) * warmup_fraction)
     tail = served[trimmed:]
-    latency = LatencySummary.from_samples(
-        list(map(sub, map(_COMPLETION, tail), map(_ARRIVAL, tail)))
-    )
+    latency = LatencySummary.from_samples(completions[tail] - arrivals[tail])
 
-    sim_end = max(map(_COMPLETION, records), default=0.0)
-    offered = sum(map(_PAYLOAD_BITS, records))
-    delivered = sum(map(_DELIVERED_PAYLOAD_BITS, completed))
+    sim_end = float(completions[np.argmax(completions)]) if records else 0.0
+    offered = int(payloads.sum())
+    totals = totals[completed]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.rint(payloads[completed] * delivered[completed] / totals)
+    delivered_bits = int(shares[totals != 0].astype(np.int64).sum())
+    sent = sent[completed]
+    dropped = dropped[completed]
+    energy = np.add.accumulate(energies[completed])[-1] if len(completed) else 0.0
     utilization = {
         reader: (result.busy_s_by_reader.get(reader, 0.0) / sim_end if sim_end > 0 else 0.0)
         for reader in range(num_channels)
     }
     return NetworkMetrics(
         transfers_completed=len(completed),
-        transfers_rejected=rejected,
+        transfers_rejected=len(records) - len(completed),
         warmup_transfers_trimmed=trimmed,
         latency=latency,
-        sim_end_time_s=float(sim_end),
-        delivered_payload_bits=int(delivered),
+        sim_end_time_s=sim_end,
+        delivered_payload_bits=delivered_bits,
         offered_throughput_bits_per_s=(offered / sim_end if sim_end > 0 else 0.0),
-        delivered_throughput_bits_per_s=(delivered / sim_end if sim_end > 0 else 0.0),
+        delivered_throughput_bits_per_s=(delivered_bits / sim_end if sim_end > 0 else 0.0),
         channel_utilization=utilization,
-        total_energy_j=float(sum(map(_ENERGY, completed)) + result.reconfiguration_energy_j),
-        packets_sent=int(sum(map(_PACKETS_SENT, completed))),
-        packets_delivered=int(sum(map(_PACKETS_DELIVERED, completed))),
-        packets_dropped=int(sum(map(_PACKETS_DROPPED, completed))),
-        packets_with_residual_errors=int(sum(map(_RESIDUAL_PACKETS, completed))),
-        residual_bit_errors=int(sum(map(_RESIDUAL_BITS, completed))),
+        total_energy_j=float(energy + result.reconfiguration_energy_j),
+        packets_sent=int(sent.sum()),
+        packets_delivered=int(delivered[completed].sum()),
+        packets_dropped=int(dropped.sum()),
+        packets_with_residual_errors=int(residual_packets[completed].sum()),
+        residual_bit_errors=int(residual_bits[completed].sum()),
         configuration_switches=int(result.configuration_switches),
         reconfiguration_energy_j=float(result.reconfiguration_energy_j),
-        packets_retried=int(
-            sum(
-                map(
-                    max,
-                    repeat(0),
-                    map(sub, map(_PACKETS_SENT, completed), map(_PACKETS_TOTAL, completed)),
-                )
-            )
-        ),
-        transfers_dropped=sum(map(bool, map(_PACKETS_DROPPED, completed))),
+        packets_retried=int(np.maximum(sent - totals, 0).sum()),
+        transfers_dropped=int(np.count_nonzero(dropped)),
         channel_downtime_s=float(result.channel_downtime_s),
         availability=(
             max(0.0, 1.0 - result.channel_downtime_s / (num_channels * result.fault_horizon_s))

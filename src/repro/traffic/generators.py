@@ -1,9 +1,10 @@
 """Stochastic traffic generators.
 
-Each generator yields :class:`TrafficRequest` objects (source, destination,
-payload size, arrival time, BER requirement) that the manager/runtime
-simulation can consume directly.  Arrival processes are Poisson with a
-configurable mean rate; destinations follow the generator's spatial pattern.
+Each generator draws requests (source, destination, payload size, arrival
+time, BER requirement) as :class:`TrafficRequest` objects or as
+:class:`TrafficColumns` that the network simulation consumes directly.
+Arrival processes are Poisson with a configurable mean rate; destinations
+follow the generator's spatial pattern.
 
 Every generator accepts the shared seeding vocabulary: pass either a
 ready-made ``rng`` or a ``seed`` (int or :class:`numpy.random.SeedSequence`,
@@ -37,31 +38,44 @@ edge cases carry over: an empty range (the destination of a two-ONI ring,
 ``integers(0, 1)``) draws nothing, and ``num_onis`` is capped at
 :data:`MAX_ONIS` = ``2**32 - 1`` so every draw stays in that 32-bit branch.
 
-Decoded uniform traffic
------------------------
+Columns and the decoded draw
+----------------------------
+Every generator has one draw, which appends requests to column lists
+(arrival times, sources, destinations and, for bursty traffic only,
+payload bits) a segment at a time.  :meth:`~_BaseGenerator.columns` runs it
+to the end and returns :class:`TrafficColumns`, which
+:meth:`~repro.netsim.engine.NetworkSimulator.run` reads without a request
+object per request; :meth:`~_BaseGenerator.generate` is a view that builds
+the :class:`TrafficRequest` objects of each segment as it is appended.  The
+scalar loop appends one request per segment, so a caller can draw from a
+shared ``rng`` between two ``next()`` calls.
+
 A :class:`UniformTrafficGenerator` built without ``rng=`` (from ``seed`` or
 fresh entropy) on three or more ONIs owns its PCG64 stream: nobody else can
-draw from it between two ``next()`` calls.  It draws a block of raw words at
-a time with ``bit_generator.random_raw`` and decodes them in NumPy.  A
-request usually takes exactly two words.  The first is the gap, on the fast
-path of NumPy's exponential ziggurat: ``ri = (w >> 3) >> 8`` and
+draw from it between two ``next()`` calls.  Its draw takes a block of raw
+words at a time with ``bit_generator.random_raw`` and decodes them in NumPy.
+A request usually takes exactly two words.  The first is the gap, on the
+fast path of NumPy's exponential ziggurat: ``ri = (w >> 3) >> 8`` and
 ``idx = (w >> 3) & 0xFF``, taken when ``ri < ke[idx]``, give
 ``scale * (ri * we[idx])``.  The low and high halves of the second are the
-source and destination draws, through the same Lemire multiply-shift.  The
-``ke``/``we`` tables are literals in :mod:`repro.traffic.ziggurat`, read off
-NumPy (its docstring says how) and re-derived bit for bit by
-``tests/traffic/test_ziggurat_tables.py``.  A request off that pattern (a
-slow-path gap, about 2% of them; a Lemire rejection; a half-word left in the
-``uint32`` buffer; a non-finite arrival) is drawn by the scalar loop from
-its exact state, set with ``advance``.  Stepping PCG64's LCG from that state
-counts the words it took, and decoding resumes behind them.  The generator
-ends on the state the scalar loop leaves, ``has_uint32`` and the stale
-``uinteger`` half included, also when the iterator is closed early.  While
-a block is out the bit generator runs ahead of the yielded requests, so a
-seeded generator supports one open iterator at a time: ``generate()``
-raises :class:`~repro.exceptions.ConfigurationError` while one is open, and
-a second ``generate()`` after the first is exhausted or closed continues
-the stream exactly.
+source and destination draws, through the same Lemire multiply-shift.  Each
+run of requests on that pattern is one segment, written into the columns as
+slices of the decoded block.  The ``ke``/``we`` tables are literals in
+:mod:`repro.traffic.ziggurat`, read off NumPy (its docstring says how) and
+re-derived bit for bit by ``tests/traffic/test_ziggurat_tables.py``.  A
+request off that pattern (a slow-path gap, about 2% of them; a Lemire
+rejection; a half-word left in the ``uint32`` buffer; a non-finite arrival)
+is drawn by the scalar loop from its exact state, set with ``advance``.
+Stepping PCG64's LCG from that state counts the words it took, and decoding
+resumes behind them.  The generator ends on the state the scalar loop
+leaves, ``has_uint32`` and the stale ``uinteger`` half included, also when
+:meth:`~_BaseGenerator.generate`'s iterator is closed early: a decoded
+segment comes with the ``settle`` that puts the bit generator behind any
+of its requests.  While a block is out the bit generator runs ahead of the
+appended requests, so a seeded generator supports one open draw at a time:
+``generate()`` and ``columns()`` raise
+:class:`~repro.exceptions.ConfigurationError` while an iterator is open,
+and a draw after it is exhausted or closed continues the stream exactly.
 Hotspot, bursty and two-ONI traffic and caller-supplied ``rng=`` generators
 keep the scalar loop.
 """
@@ -70,18 +84,22 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator
+from functools import partial
+from itertools import accumulate, count, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ..coding.montecarlo import resolve_rng
 from ..exceptions import ConfigurationError
+from ..obs import tracing as obs_tracing
 from .ziggurat import EXPONENTIAL_KE, EXPONENTIAL_WE
 
 __all__ = [
     "MAX_ONIS",
+    "TrafficColumns",
     "TrafficRequest",
     "UniformTrafficGenerator",
     "HotspotTrafficGenerator",
@@ -132,6 +150,23 @@ class TrafficRequest:
             raise ConfigurationError("payload must contain at least one bit")
         if not 0.0 < self.target_ber < 0.5:
             raise ConfigurationError("target BER must lie in (0, 0.5)")
+
+
+class TrafficColumns(NamedTuple):
+    """A drawn request sequence, one column per :class:`TrafficRequest` field.
+
+    ``payload_bits`` is one int shared by every request, or a list with one
+    entry per request (bursty traffic); the target BER and the deadline are
+    the same for every request.  :meth:`NetworkSimulator.run
+    <repro.netsim.engine.NetworkSimulator.run>` reads the columns directly.
+    """
+
+    arrival_times_s: list
+    sources: list
+    destinations: list
+    payload_bits: "int | list"
+    target_ber: float
+    deadline_s: float | None
 
 
 # The trusted construction path of ``generate``: ``object.__new__`` plus the
@@ -217,11 +252,23 @@ def _settle(bit_generator: np.random.PCG64, delta: int, stale: int) -> None:
     bit_generator.state = state
 
 
+def _settle_segment(
+    bit_generator: np.random.PCG64, words: np.ndarray, position: int, at: int, taken: int
+) -> None:
+    """Settle behind the ``taken``-th request of a decoded segment.
+
+    The segment's first request has its gap at word ``position`` of the
+    block ``words`` and the bit generator is ``at`` words into that block.
+    """
+    word = position + 2 * taken - 1
+    _settle(bit_generator, word + 1 - at, int(words[word]) >> 32)
+
+
 class _BaseGenerator:
     """Shared plumbing of the stochastic generators.
 
-    The subclasses only configure the per-request variations that
-    :meth:`generate` reads: a hotspot (``_hotspot``/``_hotspot_fraction``),
+    The subclasses only configure the per-request variations that the
+    draw reads: a hotspot (``_hotspot``/``_hotspot_fraction``),
     gamma-distributed frame sizes (``_burstiness``) and a deadline.
     """
 
@@ -269,7 +316,7 @@ class _BaseGenerator:
             _lemire_threshold(num_onis - 1),
         )
         # Nobody else can draw from a stream built here, which is what lets
-        # ``_decoded_requests`` draw ahead of the requests it has yielded.
+        # ``_decoded`` draw ahead of the requests it has yielded.
         self._owns_stream = rng is None
         self._decoding = False
 
@@ -277,7 +324,48 @@ class _BaseGenerator:
         """Yield ``num_requests`` requests with Poisson arrivals.
 
         The draws follow the module's exact-draw contract, so the stream is
-        the one the documented NumPy calls would produce.
+        the one the documented NumPy calls would produce.  This is a view
+        over the column draw: each request is built from the segment of
+        columns :meth:`columns` would return, and closing the iterator early
+        leaves the bit generator where the scalar loop leaves it after the
+        last yielded request.
+        """
+        columns = ([], [], [], [])
+        return self._requests(self._segments(num_requests, start_time_s, columns), columns)
+
+    def columns(self, num_requests: int) -> TrafficColumns:
+        """Draw ``num_requests`` requests from time 0 as :class:`TrafficColumns`.
+
+        The same draws as :meth:`generate`, with no request object built:
+        the network simulator reads the columns directly.
+        """
+        columns = ([], [], [], [])
+        segments = self._segments(num_requests, 0.0, columns)
+        tracer = obs_tracing.ACTIVE
+        if tracer is None:
+            deque(segments, 0)
+        else:
+            with tracer.span("traffic.columns", requests=num_requests):
+                deque(segments, 0)
+        arrivals, sources, destinations, payloads = columns
+        return TrafficColumns(
+            arrivals,
+            sources,
+            destinations,
+            payloads if self._burstiness is not None else self._payload_bits,
+            self._target_ber,
+            self._deadline_s,
+        )
+
+    def _segments(self, num_requests: int, start_time_s: float, columns: tuple) -> Iterator:
+        """The one draw: append requests to ``columns`` a segment at a time.
+
+        ``columns`` is ``(arrivals, sources, destinations, payloads)``, and
+        ``payloads`` is filled for bursty traffic only.  The iterator yields
+        after each segment it appended: ``None`` when the bit generator is
+        already on the state the scalar loop leaves after the segment's last
+        request, else ``settle(taken)``, which puts it behind the segment's
+        ``taken``-th request (see :meth:`_requests`).
         """
         if num_requests < 0:
             raise ConfigurationError("number of requests cannot be negative")
@@ -290,11 +378,45 @@ class _BaseGenerator:
             and self._num_onis > 2
             and type(self._rng.bit_generator) is np.random.PCG64
         ):
-            return self._decoded_requests(num_requests, start_time_s)
-        return self._drawn_requests(num_requests, start_time_s)
+            return self._decoded(num_requests, start_time_s, columns)
+        return self._drawn(num_requests, start_time_s, columns)
 
-    def _drawn_requests(self, num_requests: int, start_time_s: float) -> Iterator[TrafficRequest]:
-        """The scalar loop: every draw is one NumPy call or one ``next_uint32``."""
+    def _requests(self, segments: Iterator, columns: tuple) -> Iterator[TrafficRequest]:
+        """Build and yield the requests of each segment ``segments`` appends to ``columns``."""
+        arrivals, sources, destinations, payloads = columns
+        if self._burstiness is None:
+            payloads = repeat(self._payload_bits)
+        target_ber = self._target_ber
+        deadline_s = self._deadline_s
+        try:
+            for settle in segments:
+                for taken, arrival, source, destination, payload in zip(
+                    count(1), arrivals, sources, destinations, payloads
+                ):
+                    request = _new_object(TrafficRequest)
+                    _set_arrival(request, arrival)
+                    _set_source(request, source)
+                    _set_destination(request, destination)
+                    _set_payload(request, payload)
+                    _set_target_ber(request, target_ber)
+                    _set_deadline(request, deadline_s)
+                    try:
+                        yield request
+                    except GeneratorExit:
+                        if settle is not None:
+                            settle(taken)
+                        raise
+                for column in columns:
+                    column.clear()
+        finally:
+            segments.close()
+
+    def _drawn(self, num_requests: int, start_time_s: float, columns: tuple) -> Iterator[None]:
+        """The scalar loop: every draw is one NumPy call or one ``next_uint32``.
+
+        Appends one request at a time to ``columns`` and yields after each,
+        so a caller can draw from the same ``rng`` between two requests.
+        """
         (
             next_uint32,
             state,
@@ -304,6 +426,9 @@ class _BaseGenerator:
             source_threshold,
             other_threshold,
         ) = self._scalar_draws
+        arrival_append, source_append, destination_append, payload_append = (
+            column.append for column in columns
+        )
         mean_gap_s = 1.0 / self._rate
         isfinite = math.isfinite
         num_onis = self._num_onis
@@ -312,8 +437,6 @@ class _BaseGenerator:
         burstiness = self._burstiness
         gamma_scale = None if burstiness is None else 1.0 / burstiness
         payload_bits = self._payload_bits
-        target_ber = self._target_ber
-        deadline_s = self._deadline_s
 
         now = start_time_s
         for _ in range(num_requests):
@@ -335,45 +458,37 @@ class _BaseGenerator:
                     destination = word >> 32
                 if destination >= source:
                     destination += 1
-            if burstiness is None:
-                payload = payload_bits
-            else:
+            if burstiness is not None:
                 # Frame sizes vary around the nominal value with a heavy-ish tail.
-                payload = max(64, int(payload_bits * gamma(burstiness, gamma_scale)))
-            request = _new_object(TrafficRequest)
-            _set_arrival(request, now)
-            _set_source(request, source)
-            _set_destination(request, destination)
-            _set_payload(request, payload)
-            _set_target_ber(request, target_ber)
-            _set_deadline(request, deadline_s)
-            yield request
+                payload_append(max(64, int(payload_bits * gamma(burstiness, gamma_scale))))
+            arrival_append(now)
+            source_append(source)
+            destination_append(destination)
+            yield None
 
-    def _decoded_requests(
-        self, num_requests: int, start_time_s: float
-    ) -> Iterator[TrafficRequest]:
+    def _decoded(self, num_requests: int, start_time_s: float, columns: tuple) -> Iterator:
         """Uniform traffic on a PCG64 stream this generator owns, decoded in blocks.
 
-        Draws one block of raw words at a time and decodes every request that
-        follows the common pattern (see the module docstring).  A request
-        that leaves it is drawn by :meth:`_drawn_requests` from its exact
-        state; the words it took are counted by stepping PCG64's LCG, and
-        decoding resumes behind them.  The bit generator runs ahead of the
-        yielded requests while a block is open, so it is put back on the
-        scalar loop's state (the stale ``uinteger`` half included) when the
-        block ends and when the iterator is closed.
+        Draws one block of raw words at a time and writes every run of
+        requests that follows the common pattern (see the module docstring)
+        into the columns as slices of the decoded block.  A request that
+        leaves it is drawn by :meth:`_drawn` from its exact state; the words
+        it took are counted by stepping PCG64's LCG, and decoding resumes
+        behind them.  The bit generator runs ahead of the appended requests
+        while a block is open, so it is put back on the scalar loop's state
+        (the stale ``uinteger`` half included) when the block ends, and a
+        decoded segment yields the ``settle`` that does so behind any of its
+        requests.
         """
         if self._decoding:
             raise ConfigurationError(_ONE_OPEN_ITERATOR)
         self._decoding = True
         bit_generator = self._rng.bit_generator
         advance = bit_generator.advance
-        scalar = self._drawn_requests
         scale = 1.0 / self._rate
         num_onis = self._num_onis
-        payload_bits = self._payload_bits
-        target_ber = self._target_ber
         isfinite = math.isfinite
+        arrivals, sources, destinations, _ = columns
 
         now = start_time_s
         remaining = num_requests
@@ -383,13 +498,15 @@ class _BaseGenerator:
                 if origin["has_uint32"]:
                     # A Lemire rejection left half a word buffered: draw
                     # scalar requests until the buffer is empty again.
-                    request = next(scalar(1, now))
-                    now = request.arrival_time_s
+                    next(self._drawn(1, now, columns))
+                    now = arrivals[-1]
                     remaining -= 1
-                    yield request
+                    yield None
                     continue
                 words = bit_generator.random_raw(2 * min(remaining, _BLOCK_REQUESTS))
-                gaps, sources, destinations, breaks = _decode_block(words, scale, num_onis)
+                gaps, block_sources, block_destinations, breaks = _decode_block(
+                    words, scale, num_onis
+                )
                 block_words = len(words)
                 inc = origin["state"]["inc"]
                 # Word offsets from ``origin``: the bit generator's (``at``)
@@ -413,21 +530,12 @@ class _BaseGenerator:
                         # arrivals are a prefix; the first other one raises
                         # from the scalar loop below.
                         stop = position + 2 * sum(map(isfinite, times[1:]))
-                    for word, arrival in zip(range(position + 1, stop, 2), times[1:]):
-                        request = _new_object(TrafficRequest)
-                        _set_arrival(request, arrival)
-                        _set_source(request, sources[word])
-                        _set_destination(request, destinations[word])
-                        _set_payload(request, payload_bits)
-                        _set_target_ber(request, target_ber)
-                        _set_deadline(request, None)
-                        try:
-                            yield request
-                        except GeneratorExit:
-                            _settle(bit_generator, word + 1 - at, int(words[word]) >> 32)
-                            raise
                     if stop > position:
                         done = (stop - position) // 2
+                        arrivals.extend(times[1 : done + 1])
+                        sources.extend(block_sources[position + 1 : stop : 2])
+                        destinations.extend(block_destinations[position + 1 : stop : 2])
+                        yield partial(_settle_segment, bit_generator, words, position, at)
                         remaining -= done
                         now = times[done]
                         position = stop
@@ -440,22 +548,22 @@ class _BaseGenerator:
                     advance(position - at)
                     here = bit_generator.state["state"]["state"]
                     try:
-                        request = next(scalar(1, now))
+                        next(self._drawn(1, now, columns))
                     except ConfigurationError:
                         # ``advance`` emptied the buffer; the gap left it alone.
                         _settle(bit_generator, 0, stale)
                         raise
-                    now = request.arrival_time_s
+                    now = arrivals[-1]
                     remaining -= 1
                     drawn = bit_generator.state
                     if drawn["has_uint32"]:
                         # Misaligned: the outer loop takes over from this state.
-                        yield request
+                        yield None
                         break
                     position += _steps(here, drawn["state"]["state"], inc)
                     at = position
                     stale = drawn["uinteger"]
-                    yield request
+                    yield None
         finally:
             self._decoding = False
 

@@ -34,6 +34,12 @@ Event lifecycle of one transfer::
       │    └─ arbiter.request() again → schedule next DEPARTURE (ARQ)
       └─ otherwise finalise the record, release the manager entry
 
+:func:`compute_metrics_reference` is the metrics reduction as it was
+before it moved to NumPy columns: per-record getters mapped over the
+records, a ``sorted`` by (arrival, completion), Python integer sums and a
+left-to-right float sum.  ``test_metrics_parity.py`` pins
+:func:`repro.netsim.metrics.compute_metrics` against it, bit for bit.
+
 :class:`RoundTripOutcomeSampler` is the bit-exact sampler as it was before
 it moved to the all-zero codeword: it draws random payloads, appends their
 CRC, frames, encodes, corrupts, decodes and re-checks the CRC on the
@@ -45,6 +51,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import filterfalse, repeat
+from operator import add, itemgetter, sub
 from typing import Any, Iterable, Iterator, List
 from unittest import mock
 
@@ -63,6 +72,7 @@ from repro.netsim import engine as netsim_engine
 from repro.netsim.engine import NetworkResult, NetworkSimulator, _TransferState
 from repro.netsim.epoch import TOKEN_HOP_TIME_S, _Run
 from repro.netsim.events import EventKind
+from repro.netsim.metrics import LatencySummary, NetworkMetrics
 from repro.netsim.outcomes import (
     BitExactOutcomeSampler,
     TransmissionOutcome,
@@ -70,7 +80,7 @@ from repro.netsim.outcomes import (
     _packed_mask_from_positions,
     packets_for_payload,
 )
-from repro.traffic.generators import TrafficRequest
+from repro.traffic.generators import TrafficColumns, TrafficRequest
 
 __all__ = [
     "ArbitrationError",
@@ -80,7 +90,10 @@ __all__ = [
     "FixedCodePolicy",
     "RoundTripOutcomeSampler",
     "TokenArbiter",
+    "compute_metrics_reference",
+    "delivered_payload_bits",
     "network_simulator",
+    "requests_from_columns",
     "run_reference",
 ]
 
@@ -203,8 +216,30 @@ class _ReferenceRun(_Run):
         self.queue.push(time_s, kind, payload)
 
 
-def run_reference(sim, requests: Iterable[TrafficRequest]) -> NetworkResult:
+def requests_from_columns(columns: TrafficColumns) -> List[TrafficRequest]:
+    """The request objects of a column draw, built through the checked constructor."""
+    payloads = columns.payload_bits
+    if isinstance(payloads, int):
+        payloads = [payloads] * len(columns.arrival_times_s)
+    return [
+        TrafficRequest(
+            arrival_time_s=arrival,
+            source=source,
+            destination=destination,
+            payload_bits=payload,
+            target_ber=columns.target_ber,
+            deadline_s=columns.deadline_s,
+        )
+        for arrival, source, destination, payload in zip(
+            columns.arrival_times_s, columns.sources, columns.destinations, payloads, strict=True
+        )
+    ]
+
+
+def run_reference(sim, requests: TrafficColumns | Iterable[TrafficRequest]) -> NetworkResult:
     """Simulate ``requests`` on ``sim`` one heap event at a time."""
+    if isinstance(requests, TrafficColumns):
+        requests = requests_from_columns(requests)
     run = _ReferenceRun(sim)
     queue = run.queue
     if sim._failures is not None:
@@ -301,17 +336,28 @@ def _handle_arrival(run: _ReferenceRun, now_s, request) -> None:
             if configuration is None:
                 # The ladder declared the channel down: drop the request
                 # without spending a single attempt's energy on it.
-                run.refuse(request, now_s, rejected=False)
+                run.refuse(
+                    request.source,
+                    request.destination,
+                    request.payload_bits,
+                    now_s,
+                    rejected=False,
+                )
                 return
         else:
             configuration = sim.manager.configure(communication, margin_multiplier=margin)
     except InfeasibleDesignError:
-        run.refuse(request, now_s, rejected=True)
+        run.refuse(
+            request.source, request.destination, request.payload_bits, now_s, rejected=True
+        )
         return
     packets = packets_for_payload(request.payload_bits, sim.packet_bits)
     sampler = sim._sampler_for(configuration)
     state = _TransferState(
-        request=request,
+        source=request.source,
+        destination=request.destination,
+        payload_bits=request.payload_bits,
+        arrival_time_s=request.arrival_time_s,
         sampler=sampler,
         link=sim._link_constants(configuration, sampler),
         packets_total=packets,
@@ -339,7 +385,7 @@ def _schedule_attempt(
     the transfer (permanent outage) instead of serialising into the dark.
     """
     sim = run.sim
-    destination = state.request.destination
+    destination = state.destination
     request_time_s = now_s
     if not_before_s is not None and not_before_s > request_time_s:
         request_time_s = not_before_s
@@ -374,7 +420,7 @@ def _schedule_attempt(
         arbiter = run.arbiters[destination] = TokenArbiter(
             writers=[oni for oni in range(sim.config.num_onis) if oni != destination]
         )
-    start_s = arbiter.request(state.request.source, request_time_s, duration_s)
+    start_s = arbiter.request(state.source, request_time_s, duration_s)
     if state.first_start_s < 0.0:
         state.first_start_s = start_s
     state.attempts += 1
@@ -500,3 +546,96 @@ class RoundTripOutcomeSampler(BitExactOutcomeSampler):
             delivered_with_errors=int(np.count_nonzero(ok & (payload_errors > 0))),
             residual_bit_errors=int(payload_errors[ok].sum()),
         )
+
+
+_PAYLOAD_BITS = itemgetter(2)
+_ARRIVAL = itemgetter(4)
+_COMPLETION = itemgetter(6)
+_ARRIVAL_THEN_COMPLETION = itemgetter(4, 6)
+_ATTEMPTS = itemgetter(7)
+_PACKETS_TOTAL = itemgetter(8)
+_PACKETS_SENT = itemgetter(9)
+_PACKETS_DELIVERED = itemgetter(10)
+_PACKETS_DROPPED = itemgetter(11)
+_RESIDUAL_PACKETS = itemgetter(12)
+_RESIDUAL_BITS = itemgetter(13)
+_ENERGY = itemgetter(15)
+_REJECTED = itemgetter(16)
+
+
+def delivered_payload_bits(record) -> int:
+    """Payload bits a record delivered (padding of the last packet excluded)."""
+    if record.packets_total == 0:
+        return 0
+    return round(record.payload_bits * record.packets_delivered / record.packets_total)
+
+
+def compute_metrics_reference(result: NetworkResult) -> NetworkMetrics:
+    """:func:`repro.netsim.metrics.compute_metrics`, one record at a time.
+
+    The energy is summed left to right with ``reduce``, which is what
+    ``sum`` does on Python 3.10 and 3.11 (3.12's ``sum`` compensates).
+    """
+    records = result.records
+    num_channels = result.num_channels
+    warmup_fraction = result.warmup_fraction
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError("warm-up fraction must lie in [0, 1)")
+    completed = sorted(filterfalse(_REJECTED, records), key=_ARRIVAL_THEN_COMPLETION)
+    rejected = sum(map(_REJECTED, records))
+    served = list(filter(_ATTEMPTS, completed))
+    trimmed = int(len(served) * warmup_fraction)
+    tail = served[trimmed:]
+    latency = LatencySummary.from_samples(
+        list(map(sub, map(_COMPLETION, tail), map(_ARRIVAL, tail)))
+    )
+
+    sim_end = max(map(_COMPLETION, records), default=0.0)
+    offered = sum(map(_PAYLOAD_BITS, records))
+    delivered = sum(map(delivered_payload_bits, completed))
+    utilization = {
+        reader: (result.busy_s_by_reader.get(reader, 0.0) / sim_end if sim_end > 0 else 0.0)
+        for reader in range(num_channels)
+    }
+    return NetworkMetrics(
+        transfers_completed=len(completed),
+        transfers_rejected=rejected,
+        warmup_transfers_trimmed=trimmed,
+        latency=latency,
+        sim_end_time_s=float(sim_end),
+        delivered_payload_bits=int(delivered),
+        offered_throughput_bits_per_s=(offered / sim_end if sim_end > 0 else 0.0),
+        delivered_throughput_bits_per_s=(delivered / sim_end if sim_end > 0 else 0.0),
+        channel_utilization=utilization,
+        total_energy_j=float(
+            reduce(add, map(_ENERGY, completed), 0) + result.reconfiguration_energy_j
+        ),
+        packets_sent=int(sum(map(_PACKETS_SENT, completed))),
+        packets_delivered=int(sum(map(_PACKETS_DELIVERED, completed))),
+        packets_dropped=int(sum(map(_PACKETS_DROPPED, completed))),
+        packets_with_residual_errors=int(sum(map(_RESIDUAL_PACKETS, completed))),
+        residual_bit_errors=int(sum(map(_RESIDUAL_BITS, completed))),
+        configuration_switches=int(result.configuration_switches),
+        reconfiguration_energy_j=float(result.reconfiguration_energy_j),
+        packets_retried=int(
+            sum(
+                map(
+                    max,
+                    repeat(0),
+                    map(sub, map(_PACKETS_SENT, completed), map(_PACKETS_TOTAL, completed)),
+                )
+            )
+        ),
+        transfers_dropped=sum(map(bool, map(_PACKETS_DROPPED, completed))),
+        channel_downtime_s=float(result.channel_downtime_s),
+        availability=(
+            max(0.0, 1.0 - result.channel_downtime_s / (num_channels * result.fault_horizon_s))
+            if result.fault_horizon_s > 0.0
+            else 1.0
+        ),
+        fault_transitions=int(result.fault_transitions),
+        recoveries=int(result.recoveries),
+        mean_time_to_recover_s=(
+            float(result.recovery_time_s / result.recoveries) if result.recoveries else 0.0
+        ),
+    )

@@ -628,13 +628,12 @@ class TestPacketisation:
             packets_for_payload(64, 0)
 
     def test_padding_is_coded_but_not_delivered_as_payload(self):
-        (record,) = _bit_exact(packet_bits=64).run(
-            [TrafficRequest(0.0, 3, 0, 100, 1e-11)]
-        ).records
+        result = _bit_exact(packet_bits=64).run([TrafficRequest(0.0, 3, 0, 100, 1e-11)])
+        (record,) = result.records
         assert record.packets_total == 2
         # Two 64-bit packets of 16 H(7,4) blocks each.
         assert record.coded_bits_sent == 2 * 16 * 7
-        assert record.delivered_payload_bits == 100
+        assert result.metrics().delivered_payload_bits == 100
 
 
 class TestManagedTransfers:
