@@ -13,12 +13,14 @@ package generates such workloads:
 from .generators import (
     BurstyTrafficGenerator,
     HotspotTrafficGenerator,
+    TrafficColumns,
     TrafficRequest,
     UniformTrafficGenerator,
 )
 from .tasks import PeriodicTask, TaskSet
 
 __all__ = [
+    "TrafficColumns",
     "TrafficRequest",
     "UniformTrafficGenerator",
     "HotspotTrafficGenerator",
